@@ -9,8 +9,8 @@ maps) for one prediction step. Three implementations ship:
 * ``vectorized`` — batches the Rothermel/ellipse math across the whole
   genome batch (one NumPy pass for the directional travel times of
   every spatially-uniform scenario), deduplicates bitwise-equal
-  genomes, and runs the propagation through the flat-index Dijkstra
-  kernels of :mod:`repro.engine.fastprop`.
+  genomes, and runs the propagation through the genome-batched kernel
+  of :mod:`repro.engine.fastprop`.
 * ``process`` — fans the batch out to a multiprocess pool layered on
   :class:`~repro.parallel.executor.ProcessPoolEvaluator`; each worker
   receives the step spec once (copy-on-write shared rasters under the
@@ -25,7 +25,6 @@ touching the engine facade.
 from __future__ import annotations
 
 import math
-import os
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -47,8 +46,7 @@ from repro.obs import telemetry
 from repro.units import METERS_TO_FEET, MPH_TO_FTMIN
 
 #: Element budget for the three batched ``(chunk, n_classes)`` field
-#: arrays of the heterogeneous-raster path (float64: ~32 MB per chunk);
-#: the per-genome ``(D, bh, bw)`` travel block is not chunked.
+#: arrays of the raster path (float64: ~32 MB per chunk).
 _RASTER_BLOCK_ELEMENTS = 4_000_000
 
 __all__ = [
@@ -65,65 +63,26 @@ __all__ = [
     "reset_kernel_costs",
 ]
 
-#: Environment escape hatch pinning the heterogeneous-raster propagation
-#: kernel: ``table`` forces ``run_table``, ``raster`` forces
-#: ``run_raster``, anything else (or unset) leaves the adaptive model in
-#: charge. Both kernels are bitwise-equivalent, so forcing is safe — the
-#: hatch exists for tests and for debugging cost-model regressions.
-FORCE_KERNEL_ENV = "repro_engine_force_kernel"
-
 
 class KernelCostModel:
-    """Measured per-unit kernel costs, EMA-smoothed over prior calls.
+    """Measured per-unit propagation costs, EMA-smoothed over prior calls.
 
-    The heterogeneous-raster path can propagate one genome through
-    either ``run_table`` (edge lists over the ``u`` terrain classes:
-    setup ~ ``u·D`` plus the Dijkstra sweep) or ``run_raster``
-    (flattened per-cell planes: setup ~ ``box·D``). Which is faster
-    depends on the machine, the box size and the class count — a fixed
-    class/box ratio guesses it, this model *measures* it: every call
-    updates an exponential moving average of that kernel's seconds per
-    work unit, and the next choice takes the cheaper prediction.
-
-    Until a kernel has a sample the model first defers to the static
-    ratio rule, then measures the still-unsampled kernel once. Every
-    ``probe_interval``-th adaptive choice deliberately takes the
-    *other* kernel, so one outlier measurement (a GC pause inflating
-    an EMA) cannot exclude a kernel for the rest of the process — its
-    rate keeps refreshing at a bounded ~1/``probe_interval`` cost.
-    Both kernels produce bitwise-identical times, so exploration never
-    changes results.
+    Every heterogeneous-terrain kernel call folds its seconds per work
+    unit (genomes × box cells × stencil directions) into an exponential
+    moving average per kernel name. Workers ship :meth:`snapshot` with
+    their telemetry, so a coordinator's
+    :class:`~repro.experiments.costs.UnitCostModel` can scale plan
+    priors to seconds measured anywhere in the fleet.
     """
 
-    def __init__(self, alpha: float = 0.2, probe_interval: int = 64) -> None:
+    def __init__(self, alpha: float = 0.2) -> None:
         if not 0.0 < alpha <= 1.0:
             raise ReproError(f"EMA alpha must be in (0, 1], got {alpha}")
-        if probe_interval < 0:
-            raise ReproError(
-                f"probe_interval must be >= 0, got {probe_interval}"
-            )
         self.alpha = alpha
-        self.probe_interval = probe_interval
         self.rates: dict[str, float] = {}
-        self._choices = 0
 
-    @staticmethod
-    def work(kernel: str, n_classes: int, box_cells: int, n_dirs: int) -> int:
-        """The cost-driving unit count of one kernel invocation."""
-        if kernel == "table":
-            return n_classes * n_dirs + box_cells
-        return box_cells * n_dirs
-
-    def observe(
-        self,
-        kernel: str,
-        n_classes: int,
-        box_cells: int,
-        n_dirs: int,
-        seconds: float,
-    ) -> None:
+    def observe(self, kernel: str, work: int, seconds: float) -> None:
         """Fold one measured invocation into the kernel's EMA rate."""
-        work = self.work(kernel, n_classes, box_cells, n_dirs)
         if work <= 0 or seconds <= 0.0:
             return
         obs = telemetry()
@@ -137,40 +96,8 @@ class KernelCostModel:
             rate if prev is None else prev + self.alpha * (rate - prev)
         )
 
-    def choose(self, n_classes: int, box_cells: int, n_dirs: int) -> str:
-        """Pick the predicted-cheaper kernel for the given shape."""
-        forced = os.environ.get(FORCE_KERNEL_ENV, "").strip().lower()
-        if forced in ("table", "raster"):
-            return forced
-        table_rate = self.rates.get("table")
-        raster_rate = self.rates.get("raster")
-        if table_rate is None and raster_rate is None:
-            # un-primed: the static ratio rule (run_table pays O(u·D)
-            # setup, run_raster O(box·D) — take the table only when it
-            # is clearly the smaller)
-            return "table" if 4 * n_classes <= box_cells else "raster"
-        if table_rate is None:
-            return "table"
-        if raster_rate is None:
-            return "raster"
-        table_cost = table_rate * self.work("table", n_classes, box_cells, n_dirs)
-        raster_cost = raster_rate * self.work(
-            "raster", n_classes, box_cells, n_dirs
-        )
-        best = "table" if table_cost <= raster_cost else "raster"
-        self._choices += 1
-        if self.probe_interval and self._choices % self.probe_interval == 0:
-            return "raster" if best == "table" else "table"
-        return best
-
     def snapshot(self) -> dict[str, float]:
-        """Serializable copy of the measured rates (fleet cost reports).
-
-        Workers attach this to their wire telemetry so a coordinator's
-        :class:`~repro.experiments.costs.UnitCostModel` can seed unit
-        cost estimates from engine measurements made anywhere in the
-        fleet.
-        """
+        """Serializable copy of the measured rates (fleet cost reports)."""
         return dict(self.rates)
 
     def restore(self, snapshot) -> None:
@@ -208,7 +135,6 @@ def kernel_costs() -> KernelCostModel:
 def reset_kernel_costs() -> None:
     """Drop all measured kernel rates (tests and benchmarks)."""
     _KERNEL_COSTS.rates.clear()
-    _KERNEL_COSTS._choices = 0
 
 
 @dataclass(frozen=True)
@@ -372,17 +298,18 @@ class ReferenceBackend(EngineBackend):
 # ----------------------------------------------------------------------
 @register_backend("vectorized")
 class VectorizedBackend(EngineBackend):
-    """Batched NumPy kernel + flat-index Dijkstra propagation.
+    """Batched NumPy fields + genome-batched propagation kernel.
 
     For spatially-uniform scenarios (no fuel/slope/aspect rasters) the
     per-cell spread fields collapse to per-genome scalars, so the
     directional travel times of the **whole batch** are produced in one
-    ``(n, D)`` NumPy pass. Heterogeneous slope/aspect rasters keep
+    ``(n, D)`` NumPy pass. Fuel, slope and aspect rasters keep
     per-cell fields, but the Rothermel/ellipse math is vectorized over
     the **genome axis** with the rasters broadcast — one NumPy pass per
-    fuel-bed group instead of one per genome — and the propagation runs
-    through the flat-index Dijkstra kernels. Bitwise-identical rows are
-    simulated once and broadcast back.
+    fuel-bed group instead of one per genome. Either way, arrival times
+    come from the label-correcting kernel of
+    :mod:`repro.engine.fastprop`, one call per chunk of genomes.
+    Bitwise-identical rows are simulated once and broadcast back.
     """
 
     def __init__(self, spec: StepSpec) -> None:
@@ -398,49 +325,29 @@ class VectorizedBackend(EngineBackend):
         self._distances = np.array(
             [cell_ft * math.hypot(dr, dc) for dr, dc in self._offsets]
         )
-        # Per-cell variation decides the propagation mode: scalar
-        # scenarios collapse to D weights, fuel-only rasters to a
-        # (fuel code × D) table, anything with slope/aspect rasters
-        # keeps the full (D, H, W) travel array.
-        if terrain.slope is None and terrain.aspect is None:
-            self._mode = "uniform" if terrain.fuel is None else "fuel_table"
-        else:
-            self._mode = "raster"
-        # Padded flat grid + seeded-state template, shared by the whole
-        # batch: geometry and the step-start burned region are fixed.
-        # Seed cells in row-major order, simulate_from_burned's ordering.
+        # Step-start arrival times: every burned cell ignites at t=0
+        # (blocked ones never ignite), as in simulate_from_burned.
+        self._start = np.where(
+            spec.start_burned & ~self._blocked, 0.0, np.inf
+        )
         seed_rows, seed_cols = np.nonzero(spec.start_burned)
-        self._seed_cells = [
-            (int(r), int(c)) for r, c in zip(seed_rows, seed_cols)
-        ]
-        self._grid = FlatGrid(terrain.shape, self._offsets, self._blocked)
-        self._seeded = self._grid.seed(self._seed_cells)
         self._seed_bbox = (
             (int(seed_rows.min()), int(seed_rows.max())),
             (int(seed_cols.min()), int(seed_cols.max())),
         )
-        # Reachability-clipped FlatGrids of the heterogeneous path,
-        # keyed by box bounds (reused across genomes and batches).
-        self._box_grids: dict[tuple[int, int, int, int], tuple] = {}
-        #: Heterogeneous-path propagation calls by chosen kernel.
-        self.kernel_calls: dict[str, int] = {"table": 0, "raster": 0}
-        if self._mode == "fuel_table":
-            self._codes = [int(c) for c in np.unique(terrain.fuel)]
-            pad, width = self._grid.pad, self._grid.width
-            classes = np.zeros(
-                (terrain.rows + 2 * pad, width), dtype=np.int64
-            )
-            classes[pad : pad + terrain.rows, pad : pad + terrain.cols] = (
-                np.searchsorted(self._codes, terrain.fuel)
-            )
-            self._class_flat = classes.reshape(-1).tolist()
-        elif self._mode == "raster":
+        # Scalar scenarios collapse to D weights per genome; any raster
+        # keeps per-cell fields.
+        self._uniform = (
+            terrain.fuel is None and terrain.slope is None and terrain.aspect is None
+        )
+        if not self._uniform:
             # Deduplicate cells into terrain classes: every per-cell
             # quantity of the Rothermel/ellipse math depends only on
             # the (fuel, slope, aspect) tuple, so fields and travel
             # times are computed once per distinct tuple and gathered
-            # back — typically tens of classes for thousands of cells
-            # on DEM-derived (quantized) rasters.
+            # back — at most 14 classes on fuel-only rasters, typically
+            # tens for thousands of cells on DEM-derived (quantized)
+            # rasters.
             columns = []
             for raster in (terrain.fuel, terrain.slope, terrain.aspect):
                 if raster is not None:
@@ -466,8 +373,11 @@ class VectorizedBackend(EngineBackend):
             self._n_classes = uniq.shape[0]
 
     # ------------------------------------------------------------------
-    def _uniform_weight_matrix(self, scenarios: Sequence) -> np.ndarray:
-        """Travel-time weights for a batch of uniform scenarios, ``(n, D)``.
+    def _uniform_weight_matrix(
+        self, scenarios: Sequence
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Travel-time weights ``(n, D)`` and ``ros_max`` ``(n,)`` of a
+        batch of uniform scenarios.
 
         The Rothermel ellipse of each scenario is three scalars; the
         per-direction spread rates of the whole batch then come from a
@@ -493,57 +403,13 @@ class VectorizedBackend(EngineBackend):
             ros[:, None], heading[:, None], ecc[:, None], self._azimuths[None, :]
         )
         with np.errstate(divide="ignore"):
-            return np.where(
+            weights = np.where(
                 rates > ROS_EPSILON, self._distances[None, :] / rates, np.inf
             )
-
-    def _direction_weights(self, result) -> np.ndarray:
-        """Per-direction travel times, ``(D,)``, of one scalar ellipse."""
-        rates = ros_at_azimuth(
-            result.ros_max,
-            result.dir_max_deg,
-            result.eccentricity,
-            self._azimuths,
-        )
-        with np.errstate(divide="ignore"):
-            return np.where(rates > ROS_EPSILON, self._distances / rates, np.inf)
-
-    def _fuel_weight_table(self, scenario) -> list[list[float]]:
-        """``(fuel code × D)`` travel-time table for one scenario."""
-        moisture = Moisture.from_percent(
-            scenario.m1, scenario.m10, scenario.m100, scenario.mherb
-        )
-        table: list[list[float]] = []
-        for code in self._codes:
-            if code == 0:
-                table.append([np.inf] * len(self._offsets))
-                continue  # unburnable: also blocked, rows never read
-            result = spread(
-                code,
-                moisture,
-                float(scenario.wind_speed),
-                float(scenario.wind_dir),
-                float(scenario.slope),
-                float(scenario.aspect),
-            )
-            table.append(self._direction_weights(result).tolist())
-        return table
-
-    def _ignition_times(self, scenario, weights: np.ndarray | None) -> np.ndarray:
-        spec = self.spec
-        if weights is not None:
-            return self._grid.run_uniform(
-                weights.tolist(), self._seeded, horizon=spec.horizon
-            )
-        return self._grid.run_table(
-            self._fuel_weight_table(scenario),
-            self._class_flat,
-            self._seeded,
-            horizon=spec.horizon,
-        )
+        return weights, ros
 
     # ------------------------------------------------------------------
-    # Heterogeneous slope/aspect rasters: genome-axis batched fields
+    # Fuel/slope/aspect rasters: genome-axis batched fields
     # ------------------------------------------------------------------
     def _raster_fields(
         self, scenarios: Sequence
@@ -692,12 +558,11 @@ class VectorizedBackend(EngineBackend):
         ``L·cell_ft / ros_peak`` minutes. Cells beyond
         ``horizon·ros_peak / cell_ft`` therefore stay unburned in the
         reference propagation too — restricting travel-time assembly
-        and Dijkstra to this box cannot change the output.
+        and propagation to this box cannot change the output.
 
         The radius is rounded up to a multiple of 8 cells: enlarging
-        the box never changes the output, and quantizing collapses the
-        near-equal radii of a batch's many ros_max values onto a few
-        shared, cached box grids instead of one per distinct radius.
+        the box never changes the output, and quantizing lets genomes of
+        near-equal ros_max share one chunk's box at little extra cost.
         """
         rows, cols = self.spec.terrain.shape
         if ros_peak > ROS_EPSILON:
@@ -711,124 +576,88 @@ class VectorizedBackend(EngineBackend):
             slice(max(0, c0 - radius), min(cols, c1 + 1 + radius)),
         )
 
-    def _box_grid(self, box: tuple[slice, slice]) -> tuple:
-        """Per-box propagation state, cached by box bounds.
+    def _chunks(self, ros_peaks: np.ndarray):
+        """Yield ``(rows, box, grid)``: genome chunks sharing one box.
 
-        Returns ``(grid, seeded, class_flat, class_of_cell)``: the
-        :class:`FlatGrid` of the box, its seeded state, the padded flat
-        class indices (``run_table`` input) and the unpadded class map
-        of the box.
+        Genomes go fastest first, so a chunk's reach box — that of its
+        first genome — holds the reach box of every genome in it, and
+        slow genomes (the bulk of a Table I sample) share small boxes.
+        ``grid`` is the box's :class:`FlatGrid`; a chunk has at most
+        ``grid.chunk`` genomes.
         """
-        key = (box[0].start, box[0].stop, box[1].start, box[1].stop)
-        cached = self._box_grids.get(key)
-        if cached is None:
-            rows, cols = key[1] - key[0], key[3] - key[2]
-            grid = FlatGrid((rows, cols), self._offsets, self._blocked[box])
-            seeded = grid.seed(
-                [(r - key[0], c - key[2]) for r, c in self._seed_cells]
+        order = np.argsort(-ros_peaks, kind="stable")
+        lo = 0
+        while lo < len(order):
+            box = self._reach_box(float(ros_peaks[order[lo]]))
+            grid = FlatGrid(
+                (box[0].stop - box[0].start, box[1].stop - box[1].start),
+                self._offsets,
+                self._blocked[box],
             )
-            pad = grid.pad
-            classes = np.zeros(
-                (rows + 2 * pad, grid.width), dtype=np.int64
-            )
-            box_classes = self._class_of_cell[box]
-            classes[pad : pad + rows, pad : pad + cols] = box_classes
-            cached = self._box_grids[key] = (
-                grid,
-                seeded,
-                classes.reshape(-1).tolist(),
-                box_classes,
-            )
-        return cached
+            rows = order[lo : lo + grid.chunk]
+            yield rows, box, grid
+            lo += len(rows)
+
+    def _uniform_burned(self, scenarios: Sequence) -> np.ndarray:
+        """Burned masks of a deduplicated uniform-terrain batch."""
+        horizon = self.spec.horizon
+        maps = np.zeros((len(scenarios), *self.spec.terrain.shape), dtype=bool)
+        weights, ros = self._uniform_weight_matrix(scenarios)
+        for rows, box, grid in self._chunks(ros):
+            times = grid.run_uniform(weights[rows], self._start[box], horizon)
+            maps[rows, box[0], box[1]] = times <= horizon
+        return maps
 
     def _raster_burned(self, scenarios: Sequence) -> np.ndarray:
-        """Burned masks of a deduplicated heterogeneous-raster batch.
+        """Burned masks of a deduplicated fuel/slope/aspect-raster batch.
 
         Fields come from the genome-axis, class-deduplicated batched
-        kernel; per genome, the ``(u, D)`` travel-time table follows in
-        one broadcast pass and the Dijkstra run is clipped to the
-        reachability box of :meth:`_reach_box`, so slow/wet scenarios
-        (the bulk of a Table I sample) cost a handful of cells instead
-        of the whole grid. Per genome, the propagation kernel —
-        ``run_table`` (class-axis tables, cheap for quantized DEM
-        rasters) vs ``run_raster`` (per-cell planes, cheap for
-        continuous rasters) — is chosen by the process-wide
-        :class:`KernelCostModel` from measured per-unit costs; the
-        ``repro_engine_force_kernel`` environment variable pins one
-        kernel for tests. Both kernels are bitwise-equivalent, so the
-        choice only ever moves time, never results.
+        kernel. Per chunk, the ``(g, D, classes in the box)`` travel
+        table follows in one broadcast pass over the classes present
+        in the chunk's reach box — the identical elementwise ops of the
+        per-direction, per-cell reference loop — and one kernel call
+        propagates the whole chunk.
         """
-        spec = self.spec
-        maps = np.zeros((len(scenarios), *spec.terrain.shape), dtype=bool)
-        n_dirs = len(self._offsets)
-        chunk = max(
+        horizon = self.spec.horizon
+        maps = np.zeros((len(scenarios), *self.spec.terrain.shape), dtype=bool)
+        fields_chunk = max(
             1, _RASTER_BLOCK_ELEMENTS // max(1, 3 * self._n_classes)
         )
-        for lo in range(0, len(scenarios), chunk):
-            sub = scenarios[lo : lo + chunk]
-            ros, dir_, ecc = self._raster_fields(sub)
-            for k in range(len(sub)):
-                # Class max == cell max: every class occurs on ≥1 cell.
-                box = self._reach_box(float(ros[k].max()))
-                grid, seeded, class_flat, box_classes = self._box_grid(box)
-                # One broadcast pass for all D directions — over the
-                # class axis (run_table) or the box's gathered per-cell
-                # fields (run_raster). Both run the identical
-                # elementwise ops of the per-direction, per-cell
-                # reference loop; the assembly cost is part of what the
-                # cost model measures.
-                kernel = _KERNEL_COSTS.choose(
-                    self._n_classes, box_classes.size, n_dirs
+        for lo in range(0, len(scenarios), fields_chunk):
+            ros, dir_, ecc = self._raster_fields(
+                scenarios[lo : lo + fields_chunk]
+            )
+            # Class max == cell max: every class occurs on ≥1 cell.
+            for rows, box, grid in self._chunks(ros.max(axis=1)):
+                classes, cell_class = np.unique(
+                    self._class_of_cell[box], return_inverse=True
                 )
+                pick = np.ix_(rows, classes)
+                rates = ros_at_azimuth(
+                    ros[pick][:, None, :],
+                    dir_[pick][:, None, :],
+                    ecc[pick][:, None, :],
+                    self._azimuths[None, :, None],
+                )
+                with np.errstate(divide="ignore"):
+                    tables = np.where(
+                        rates > ROS_EPSILON,
+                        self._distances[None, :, None] / rates,
+                        np.inf,
+                    )  # (g, D, classes)
                 start = time.perf_counter()
-                if kernel == "table":
-                    rates = ros_at_azimuth(
-                        ros[k][None, :],
-                        dir_[k][None, :],
-                        ecc[k][None, :],
-                        self._azimuths[:, None],
-                    )
-                    with np.errstate(divide="ignore"):
-                        table = np.where(
-                            rates > ROS_EPSILON,
-                            self._distances[:, None] / rates,
-                            np.inf,
-                        )  # (D, u)
-                    # Blocked cells never enter the heap, so sharing a
-                    # table row with open cells cannot leak fire out of
-                    # them — no per-cell blocked override needed.
-                    times = grid.run_table(
-                        table.T.tolist(),
-                        class_flat,
-                        seeded,
-                        horizon=spec.horizon,
-                    )
-                else:
-                    rates = ros_at_azimuth(
-                        ros[k][box_classes][None],
-                        dir_[k][box_classes][None],
-                        ecc[k][box_classes][None],
-                        self._azimuths[:, None, None],
-                    )
-                    with np.errstate(divide="ignore"):
-                        travel = np.where(
-                            rates > ROS_EPSILON,
-                            self._distances[:, None, None] / rates,
-                            np.inf,
-                        )  # (D, bh, bw)
-                    travel[:, self._blocked[box]] = np.inf
-                    times = grid.run_raster(
-                        travel, seeded, horizon=spec.horizon
-                    )
+                times = grid.run_table(
+                    tables,
+                    cell_class.reshape(grid.rows, grid.cols),
+                    self._start[box],
+                    horizon,
+                )
                 _KERNEL_COSTS.observe(
-                    kernel,
-                    self._n_classes,
-                    box_classes.size,
-                    n_dirs,
+                    "raster",
+                    tables.shape[1] * times.size,
                     time.perf_counter() - start,
                 )
-                self.kernel_calls[kernel] += 1
-                maps[lo + k][box] = times <= spec.horizon
+                maps[lo + rows, box[0], box[1]] = times <= horizon
         return maps
 
     def _unique_burned(self, genomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -836,20 +665,8 @@ class VectorizedBackend(EngineBackend):
         genomes = np.atleast_2d(np.asarray(genomes, dtype=np.float64))
         uniq, inverse = np.unique(genomes, axis=0, return_inverse=True)
         scenarios = [self.spec.space.decode(g) for g in uniq]
-        if self._mode == "raster":
-            return self._raster_burned(scenarios), inverse.reshape(-1)
-        weight_rows = (
-            self._uniform_weight_matrix(scenarios)
-            if self._mode == "uniform"
-            else None
-        )
-        maps = np.empty((len(scenarios), *self.spec.terrain.shape), dtype=bool)
-        for k, sc in enumerate(scenarios):
-            times = self._ignition_times(
-                sc, weight_rows[k] if weight_rows is not None else None
-            )
-            maps[k] = times <= self.spec.horizon
-        return maps, inverse.reshape(-1)
+        burned = self._uniform_burned if self._uniform else self._raster_burned
+        return burned(scenarios), inverse.reshape(-1)
 
     # ------------------------------------------------------------------
     def fitness_batch(self, genomes: np.ndarray) -> np.ndarray:

@@ -1,59 +1,116 @@
-"""Flat-index Dijkstra kernels for the batched simulation engine.
+"""Genome-batched propagation kernel for the simulation engine.
 
-:func:`repro.firelib.propagation.propagate` spends nearly all of its
-time in the heap loop, where every relaxation performs two NumPy scalar
-index operations (``tt[d, r, c]`` and ``times[nr, nc]``) — each an
-order of magnitude slower than a plain ``list`` access. The kernels
-here run the *same* algorithm over flattened Python lists:
+:func:`repro.firelib.propagation.propagate` runs Dijkstra's algorithm
+one scenario at a time through a Python heap loop. The engine instead
+propagates a whole chunk of genomes at once with one label-correcting
+kernel over a ``(genomes, rows, cols)`` arrival-time array:
 
-* the grid is padded with a border so neighbour offsets become a single
-  flat-index addition (no bounds checks in the hot loop);
-* blocked and border cells hold a ``-inf`` arrival-time sentinel, so
-  "can the fire enter this cell" collapses into the ordinary
-  ``nt < times[ni]`` relaxation test (always false against ``-inf``);
-* travel times are plain Python floats (``np.float64 → float`` is an
-  exact conversion, so every addition and comparison produces the same
-  IEEE-754 double bit pattern as the reference loop);
-* for spatially-uniform scenarios the ``(D, H, W)`` travel-time array
-  collapses to ``D`` scalars, skipping the array assembly entirely;
-* a :class:`FlatGrid` amortises the padded-grid and ignition-seed setup
-  across a whole genome batch (the geometry and the step-start burned
-  region never change within a batch).
+* a *sweep* visits every stencil direction ``d`` and relaxes all cells
+  at once on shifted views,
+  ``T[dst] = min(T[dst], T[src] + W[:, d, src])``;
+* travel times carry ``inf`` on every edge that leaves or enters a
+  blocked cell, so blocked cells are never entered and need no branch;
+* candidates above the horizon are clipped to ``inf`` after each
+  sweep, so the fire never spreads past the horizon;
+* each sweep recomputes only the bounding box of the cells the previous
+  sweep changed, grown by the stencil reach (the *frontier box*), and
+  the kernel stops when a sweep changes nothing.
 
-Dijkstra settles each cell at its unique minimum arrival time
-regardless of heap tie order, and every candidate arrival is the same
-left-to-right float sum along its path, so the returned ignition-time
-maps are **bitwise identical** to the reference propagation — the
-property-test suite asserts this for all 13 NFFL fuel models.
+Why the result is **bitwise identical** to the reference Dijkstra:
+travel times are non-negative and IEEE-754 addition is monotone
+(``a <= b`` implies ``a + w <= b + w``), so both methods converge to
+the same fixed point — every cell's minimum, over all walks from a
+seed, of the left-to-right float sum along the walk. Dijkstra's output
+is a fixed point of the same relaxation, every value it holds is such
+a walk sum, and it lower-bounds every walk's sum by induction along the
+walk; the same argument holds for the sweeps' fixed point. ``min``
+itself never rounds. A walk whose sum ends at or below the horizon has
+every prefix at or below it, so clipping above the horizon changes no
+such cell. The property-test suite asserts equality for all 13 NFFL
+fuel models and both stencils.
+
+Each kernel call holds the chunk's ``(genomes, D, rows, cols)`` travel
+array, so callers cut genome batches into chunks of
+:attr:`FlatGrid.chunk` genomes, keeping that array under
+:data:`CHUNK_ELEMENTS` elements.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import SimulationError
 
-__all__ = ["FlatGrid", "propagate_uniform", "propagate_raster"]
+__all__ = ["CHUNK_ELEMENTS", "FlatGrid", "propagate_uniform", "propagate_raster"]
 
-_INF = float("inf")
-_BLOCKED = float("-inf")
+#: Element budget of one kernel call's ``(genomes, D, rows, cols)``
+#: travel array (float64: 512 KiB). Larger chunks save little per-sweep
+#: overhead and raise the process's peak memory.
+CHUNK_ELEMENTS = 1 << 16
+
+
+def _bbox(mask: np.ndarray) -> tuple[int, int, int, int] | None:
+    """``(r0, r1, c0, c1)`` bounds of a 2-D mask's true cells, or None."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(mask.any(axis=0))
+    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+
+
+def _relax(
+    times: np.ndarray,
+    travel: np.ndarray,
+    offsets: Sequence[tuple[int, int]],
+    horizon: float | None,
+) -> None:
+    """Label-correcting sweeps to the fixed point, in place.
+
+    ``times`` is ``(g, rows + 2p, cols + 2p)`` with a border of ``p`` =
+    the stencil reach: seed arrival times, ``inf`` elsewhere, already
+    clipped to the horizon. ``travel`` is ``(g, D, rows, cols)``:
+    genome ``k``'s time from cell ``(r, c)`` along ``offsets[d]``,
+    ``inf`` on closed edges (including every edge off the grid, so the
+    border stays ``inf`` and no slice needs bounds checks).
+    """
+    p = (times.shape[1] - travel.shape[2]) // 2
+    box = _bbox(np.isfinite(times).any(axis=0))
+    while box is not None:
+        r0, r1, c0, c1 = box
+        region = times[:, r0 - p : r1 + p, c0 - p : c1 + p]
+        before = region.copy()
+        sources = times[:, r0:r1, c0:c1]
+        for d, (dr, dc) in enumerate(offsets):
+            candidate = sources + travel[:, d, r0 - p : r1 - p, c0 - p : c1 - p]
+            target = times[:, r0 + dr : r1 + dr, c0 + dc : c1 + dc]
+            np.minimum(target, candidate, out=target)
+        if horizon is not None:
+            region[region > horizon] = np.inf
+        changed = _bbox((region != before).any(axis=0))
+        if changed is None:
+            return
+        top, left = r0 - p, c0 - p  # region origin in the padded array
+        box = (
+            changed[0] + top, changed[1] + top, changed[2] + left, changed[3] + left
+        )
 
 
 class FlatGrid:
-    """Padded flat-index view of a grid, reusable across a batch.
+    """One grid's stencil geometry, shared by every chunk on it.
 
     Parameters
     ----------
     shape:
         Grid shape ``(rows, cols)``.
     offsets:
-        Stencil offsets ``(drow, dcol)``; padding is sized to the
-        largest offset so neighbour arithmetic never leaves the array.
+        Stencil offsets ``(drow, dcol)``.
     blocked:
         Optional boolean mask of cells fire can never enter.
+
+    The three ``run_*`` methods assemble one chunk's travel array from
+    a different input form and call the kernel once.
     """
 
     def __init__(
@@ -65,41 +122,41 @@ class FlatGrid:
         rows, cols = shape
         self.rows, self.cols = rows, cols
         self.offsets = tuple(offsets)
-        self.pad = max(max(abs(dr), abs(dc)) for dr, dc in self.offsets)
-        self.width = cols + 2 * self.pad
-        self.flat_offsets = [dr * self.width + dc for dr, dc in self.offsets]
-
-        mask = np.ones((rows + 2 * self.pad, self.width), dtype=bool)
-        inner = (
+        blocked = (
             np.zeros((rows, cols), dtype=bool)
             if blocked is None
             else np.asarray(blocked, dtype=bool)
         )
-        if inner.shape != (rows, cols):
+        if blocked.shape != (rows, cols):
             raise SimulationError(
-                f"blocked mask shape {inner.shape} != grid {(rows, cols)}"
+                f"blocked mask shape {blocked.shape} != grid {(rows, cols)}"
             )
-        mask[self.pad : self.pad + rows, self.pad : self.pad + cols] = inner
-        # -inf sentinel: the relaxation test nt < times[ni] is always
-        # false against it, so blocked cells need no dedicated branch.
-        self._template = np.where(mask, _BLOCKED, _INF).reshape(-1).tolist()
+        self.blocked = blocked
+        # 0.0 on open edges, inf on edges out of a blocked cell or into
+        # a blocked or off-grid one; adding it to travel times is exact
+        # (w + 0.0 == w).
+        self.reach = reach = max(max(abs(dr), abs(dc)) for dr, dc in self.offsets)
+        open_ = np.zeros((rows + 2 * reach, cols + 2 * reach), dtype=bool)
+        open_[reach : reach + rows, reach : reach + cols] = out_of = ~blocked
+        self._closed = np.full((len(self.offsets), rows, cols), np.inf)
+        for d, (dr, dc) in enumerate(self.offsets):
+            into = open_[
+                reach + dr : reach + dr + rows, reach + dc : reach + dc + cols
+            ]
+            self._closed[d][out_of & into] = 0.0
+        #: Genomes per kernel call on this grid (see CHUNK_ELEMENTS).
+        self.chunk = max(1, CHUNK_ELEMENTS // self._closed.size)
 
     # ------------------------------------------------------------------
-    def flat_index(self, row: int, col: int) -> int:
-        """Flat padded index of cell ``(row, col)``."""
-        return (row + self.pad) * self.width + (col + self.pad)
-
     def seed(
         self,
         ignitions: Iterable[tuple[int, int]] | Mapping[tuple[int, int], float],
-    ) -> tuple[list[float], list[tuple[float, int]]]:
-        """Initial ``(times, heap)`` state for one propagation run.
+    ) -> np.ndarray:
+        """Initial ``(rows, cols)`` arrival times for the ``run_*`` methods.
 
         Validation matches :func:`repro.firelib.propagation.propagate`:
         out-of-grid cells and negative start times raise, igniting a
-        blocked cell is a no-op. The returned lists are templates —
-        copy them (:meth:`prepared`) when running many propagations
-        from the same ignition set.
+        blocked cell is a no-op.
         """
         if isinstance(ignitions, Mapping):
             seeds = {(int(r), int(c)): float(t) for (r, c), t in ignitions.items()}
@@ -107,8 +164,7 @@ class FlatGrid:
             seeds = {(int(r), int(c)): 0.0 for (r, c) in ignitions}
         if not seeds:
             raise SimulationError("at least one ignition cell is required")
-        times = self._template.copy()
-        heap: list[tuple[float, int]] = []
+        times = np.full((self.rows, self.cols), np.inf)
         for (r, c), t0 in seeds.items():
             if not (0 <= r < self.rows and 0 <= c < self.cols):
                 raise SimulationError(
@@ -118,158 +174,101 @@ class FlatGrid:
                 raise SimulationError(
                     f"ignition time must be non-negative, got {t0}"
                 )
-            i = self.flat_index(r, c)
-            if t0 < times[i]:  # false for blocked cells (-inf sentinel)
-                times[i] = t0
-                heapq.heappush(heap, (t0, i))
-        return times, heap
+            if not self.blocked[r, c]:
+                times[r, c] = t0
+        return times
 
     # ------------------------------------------------------------------
     def run_uniform(
         self,
-        weights: Sequence[float],
-        seeded: tuple[list[float], list[tuple[float, int]]],
+        weights: np.ndarray,
+        seeded: np.ndarray,
         horizon: float | None = None,
     ) -> np.ndarray:
-        """Propagate with one travel time per direction (uniform terrain).
+        """Propagate with one travel time per genome and direction.
 
-        ``seeded`` is a ``(times, heap)`` template from :meth:`seed`;
-        it is copied, not consumed.
+        ``weights`` is ``(g, D)`` (uniform terrain); returns the
+        ``(g, rows, cols)`` arrival times, ``inf`` where unburned.
         """
-        if len(weights) != len(self.flat_offsets):
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.ndim != 2 or weights.shape[1] != len(self.offsets):
             raise SimulationError(
-                f"{len(weights)} weights for {len(self.flat_offsets)} "
-                "stencil directions"
+                f"weights shape {weights.shape} != (g, {len(self.offsets)})"
             )
-        times, heap = seeded[0].copy(), seeded[1].copy()
-        edges = [
-            (off, float(w))
-            for off, w in zip(self.flat_offsets, weights)
-            if w < _INF
-        ]
-        limit = _INF if horizon is None else float(horizon)
-        push, pop = heapq.heappush, heapq.heappop
-        while heap:
-            t, i = pop(heap)
-            if t > times[i]:
-                continue  # stale entry
-            if t > limit:
-                break  # all remaining arrivals exceed the horizon
-            for off, w in edges:
-                ni = i + off
-                nt = t + w
-                if nt < times[ni]:
-                    times[ni] = nt
-                    push(heap, (nt, ni))
-        return self._finish(times, horizon)
+        return self._run(weights[:, :, None, None] + self._closed, seeded, horizon)
 
     def run_table(
         self,
-        weight_table: Sequence[Sequence[float]],
-        class_flat: Sequence[int],
-        seeded: tuple[list[float], list[tuple[float, int]]],
+        tables: np.ndarray,
+        classes: np.ndarray,
+        seeded: np.ndarray,
         horizon: float | None = None,
     ) -> np.ndarray:
         """Propagate with per-cell-class travel times.
 
-        ``class_flat[i]`` indexes ``weight_table`` for the padded flat
-        cell ``i``; ``weight_table[k]`` holds the ``D`` per-direction
-        travel times of class ``k``. This is the fuel-raster case: at
-        most 13 distinct Rothermel ellipses exist per scenario, so the
-        ``(D, H, W)`` travel array collapses to a ``K × D`` table.
+        ``tables`` is ``(g, D, K)``: genome ``k``'s travel time along
+        direction ``d`` out of a class-``j`` cell; ``classes`` is the
+        ``(rows, cols)`` class index of every cell.
         """
-        for row in weight_table:
-            if len(row) != len(self.flat_offsets):
-                raise SimulationError(
-                    f"weight row has {len(row)} entries for "
-                    f"{len(self.flat_offsets)} stencil directions"
-                )
-        times, heap = seeded[0].copy(), seeded[1].copy()
-        class_edges = [
-            list(zip(self.flat_offsets, (float(w) for w in row)))
-            for row in weight_table
-        ]
-        limit = _INF if horizon is None else float(horizon)
-        push, pop = heapq.heappush, heapq.heappop
-        while heap:
-            t, i = pop(heap)
-            if t > times[i]:
-                continue  # stale entry
-            if t > limit:
-                break
-            for off, w in class_edges[class_flat[i]]:
-                ni = i + off
-                nt = t + w
-                if nt < times[ni]:
-                    times[ni] = nt
-                    push(heap, (nt, ni))
-        return self._finish(times, horizon)
+        tables = np.asarray(tables, dtype=np.float64)
+        if tables.ndim != 3 or tables.shape[1] != len(self.offsets):
+            raise SimulationError(
+                f"tables shape {tables.shape} != (g, {len(self.offsets)}, K)"
+            )
+        if classes.shape != (self.rows, self.cols):
+            raise SimulationError(
+                f"classes shape {classes.shape} != grid {(self.rows, self.cols)}"
+            )
+        travel = np.take(tables, classes, axis=2)
+        travel += self._closed
+        return self._run(travel, seeded, horizon)
 
     def run_raster(
         self,
         travel_time: np.ndarray,
-        seeded: tuple[list[float], list[tuple[float, int]]],
+        seeded: np.ndarray,
         horizon: float | None = None,
     ) -> np.ndarray:
-        """Propagate with per-cell ``(D, H, W)`` travel times."""
+        """Propagate with per-cell ``(g, D, rows, cols)`` travel times."""
         travel_time = np.asarray(travel_time, dtype=np.float64)
-        if travel_time.shape != (
-            len(self.flat_offsets),
-            self.rows,
-            self.cols,
-        ):
+        if travel_time.ndim != 4 or travel_time.shape[1:] != self._closed.shape:
             raise SimulationError(
                 f"travel_time shape {travel_time.shape} != "
-                f"({len(self.flat_offsets)}, {self.rows}, {self.cols})"
+                f"(g, {len(self.offsets)}, {self.rows}, {self.cols})"
             )
-        # Embed each direction's plane into the padded flat grid
-        # (padding value is irrelevant: padded cells stay blocked).
-        padded = np.full(
-            (travel_time.shape[0], self.rows + 2 * self.pad, self.width),
-            np.inf,
-            dtype=np.float64,
-        )
-        padded[
-            :, self.pad : self.pad + self.rows, self.pad : self.pad + self.cols
-        ] = travel_time
-        edges = [
-            (off, plane.reshape(-1).tolist())
-            for off, plane in zip(self.flat_offsets, padded)
-        ]
-
-        times, heap = seeded[0].copy(), seeded[1].copy()
-        limit = _INF if horizon is None else float(horizon)
-        push, pop = heapq.heappush, heapq.heappop
-        while heap:
-            t, i = pop(heap)
-            if t > times[i]:
-                continue  # stale entry
-            if t > limit:
-                break
-            for off, plane in edges:
-                ni = i + off
-                nt = t + plane[i]
-                if nt < times[ni]:
-                    times[ni] = nt
-                    push(heap, (nt, ni))
-        return self._finish(times, horizon)
+        return self._run(travel_time + self._closed, seeded, horizon)
 
     # ------------------------------------------------------------------
-    def _finish(self, times: list[float], horizon: float | None) -> np.ndarray:
-        out = np.asarray(times, dtype=np.float64).reshape(
-            self.rows + 2 * self.pad, self.width
-        )[self.pad : self.pad + self.rows, self.pad : self.pad + self.cols].copy()
-        out[np.isneginf(out)] = np.inf  # blocked cells: never ignited
+    def _run(
+        self, travel: np.ndarray, seeded: np.ndarray, horizon: float | None
+    ) -> np.ndarray:
+        p = self.reach
+        times = np.full(
+            (travel.shape[0], self.rows + 2 * p, self.cols + 2 * p), np.inf
+        )
+        inner = times[:, p : p + self.rows, p : p + self.cols]
+        inner[...] = seeded
         if horizon is not None:
-            out[out > horizon] = np.inf
-        return out
+            inner[inner > horizon] = np.inf
+        _relax(times, travel, self.offsets, horizon)
+        return inner
 
 
 # ----------------------------------------------------------------------
-# One-shot functional wrappers (tests, ad-hoc use)
+# Functional wrappers (tests, ad-hoc use)
 # ----------------------------------------------------------------------
+def _chunked(run, inputs: np.ndarray, single_ndim: int, chunk: int) -> np.ndarray:
+    """Run a one-genome input or a batch, one kernel call per chunk."""
+    single = inputs.ndim == single_ndim
+    batch = inputs[None] if single else inputs
+    out = np.concatenate(
+        [run(batch[lo : lo + chunk]) for lo in range(0, len(batch), chunk)]
+    )
+    return out[0] if single else out
+
+
 def propagate_uniform(
-    weights: Sequence[float],
+    weights: Sequence[float] | np.ndarray,
     shape: tuple[int, int],
     offsets: Sequence[tuple[int, int]],
     ignitions: Iterable[tuple[int, int]] | Mapping[tuple[int, int], float],
@@ -280,11 +279,18 @@ def propagate_uniform(
 
     ``weights[d]`` is the travel time (minutes) along ``offsets[d]``
     from *any* cell — the homogeneous-terrain case where the Rothermel
-    ellipse is the same everywhere. Semantics (including the horizon
-    clip to ``inf``) match :func:`repro.firelib.propagation.propagate`.
+    ellipse is the same everywhere; a ``(n, D)`` batch returns
+    ``(n, rows, cols)``. Semantics (including the horizon clip to
+    ``inf``) match :func:`repro.firelib.propagation.propagate`.
     """
     grid = FlatGrid(shape, offsets, blocked)
-    return grid.run_uniform(weights, grid.seed(ignitions), horizon)
+    seeded = grid.seed(ignitions)
+    return _chunked(
+        lambda w: grid.run_uniform(w, seeded, horizon),
+        np.asarray(weights, dtype=np.float64),
+        1,
+        grid.chunk,
+    )
 
 
 def propagate_raster(
@@ -297,18 +303,24 @@ def propagate_raster(
     """Earliest-arrival times from a ``(D, H, W)`` travel-time array.
 
     The heterogeneous-terrain case: same inputs and semantics as
-    :func:`repro.firelib.propagation.propagate`, with the heap loop run
-    over flattened Python lists.
+    :func:`repro.firelib.propagation.propagate`; a ``(n, D, H, W)``
+    batch returns ``(n, H, W)``.
     """
     travel_time = np.asarray(travel_time, dtype=np.float64)
-    if travel_time.ndim != 3:
+    if travel_time.ndim not in (3, 4):
         raise SimulationError(
             f"travel_time must be (D, H, W), got shape {travel_time.shape}"
         )
-    if travel_time.shape[0] != len(offsets):
+    if travel_time.shape[-3] != len(offsets):
         raise SimulationError(
             f"stencil size {len(offsets)} != travel_time directions "
-            f"{travel_time.shape[0]}"
+            f"{travel_time.shape[-3]}"
         )
-    grid = FlatGrid(travel_time.shape[1:], offsets, blocked)
-    return grid.run_raster(travel_time, grid.seed(ignitions), horizon)
+    grid = FlatGrid(travel_time.shape[-2:], offsets, blocked)
+    seeded = grid.seed(ignitions)
+    return _chunked(
+        lambda t: grid.run_raster(t, seeded, horizon),
+        travel_time,
+        3,
+        grid.chunk,
+    )

@@ -4,7 +4,9 @@ The full ``benchmarks/bench_engine_backends.py`` harness runs at
 realistic sizes under pytest-benchmark; these tests import its smoke
 mode (tiny grids, 2 generations, no timing assertions) so a backend
 regression — a bitwise divergence or a broken pipeline rewire — fails
-the ordinary test run fast.
+the ordinary test run fast. The smoke bodies write their report
+sections to a temporary directory: only an explicit bench command
+writes the committed ``benchmarks/reports/``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,12 @@ if _BENCH_DIR not in sys.path:
     sys.path.insert(0, _BENCH_DIR)
 
 bench = pytest.importorskip("bench_engine_backends")
+import _report  # noqa: E402  (the bench helper, importable once bench is)
+
+
+@pytest.fixture(autouse=True)
+def _reports_to_tmp(tmp_path, monkeypatch):
+    monkeypatch.setattr(_report, "_REPORT_DIR", str(tmp_path))
 
 
 class TestEngineBenchSmoke:

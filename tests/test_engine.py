@@ -337,8 +337,8 @@ class TestMasterWorkerBackend:
             MasterWorkerEngine(toy_problem, n_workers=1, backend="vectorized")
 
 
-class TestAdaptiveKernelChoice:
-    """The measured-cost kernel model of the heterogeneous-raster path."""
+class TestKernelCostTelemetry:
+    """The measured kernel rates that feed the fleet's cost model."""
 
     @pytest.fixture()
     def ridge_problem(self):
@@ -360,95 +360,41 @@ class TestAdaptiveKernelChoice:
         )
 
     @pytest.fixture(autouse=True)
-    def _fresh_model(self, monkeypatch):
-        from repro.engine.backends import FORCE_KERNEL_ENV, reset_kernel_costs
+    def _fresh_model(self):
+        from repro.engine.backends import reset_kernel_costs
 
-        monkeypatch.delenv(FORCE_KERNEL_ENV, raising=False)
         reset_kernel_costs()
         yield
         reset_kernel_costs()
 
-    def _values_and_calls(self, problem, genomes):
+    def test_raster_run_snapshot_restores_and_folds(self, ridge_problem):
+        from repro.engine.backends import KernelCostModel, kernel_costs
+        from repro.experiments import BudgetSpec, CaseSpec, ExperimentPlan
+        from repro.experiments.costs import plan_cost_model
+
         with SimulationEngine.from_problem(
-            problem, backend="vectorized"
+            ridge_problem, backend="vectorized"
         ) as engine:
-            values = engine(genomes)
-            calls = dict(engine._backend.kernel_calls)
-        return values, calls
+            engine(SPACE.sample(12, 31))
+        snapshot = kernel_costs().snapshot()
+        assert snapshot and all(rate > 0 for rate in snapshot.values())
 
-    def test_force_hatch_pins_each_kernel_bitwise_equal(
-        self, ridge_problem, monkeypatch
-    ):
-        from repro.engine.backends import FORCE_KERNEL_ENV
+        restored = KernelCostModel()
+        restored.restore(snapshot)
+        assert restored.snapshot() == snapshot
 
-        genomes = SPACE.sample(12, 31)
-        monkeypatch.setenv(FORCE_KERNEL_ENV, "table")
-        table_values, table_calls = self._values_and_calls(
-            ridge_problem, genomes
+        plan = ExperimentPlan(
+            name="kernel-costs",
+            systems=("ess",),
+            cases=(CaseSpec("grassland", size=20, steps=2),),
+            seeds=(0,),
+            backends=("vectorized",),
+            budget=BudgetSpec(population=8, generations=2),
         )
-        assert table_calls == {"table": 12, "raster": 0}
-        monkeypatch.setenv(FORCE_KERNEL_ENV, "raster")
-        raster_values, raster_calls = self._values_and_calls(
-            ridge_problem, genomes
-        )
-        assert raster_calls == {"table": 0, "raster": 12}
-        assert np.array_equal(table_values, raster_values)
-
-    def test_adaptive_choice_measures_both_then_matches(self, ridge_problem):
-        genomes = SPACE.sample(16, 32)
-        adaptive_values, calls = self._values_and_calls(ridge_problem, genomes)
-        from repro.engine.backends import _KERNEL_COSTS, FORCE_KERNEL_ENV
-
-        # after a deduplicated batch both kernels have measured rates
-        assert set(_KERNEL_COSTS.rates) == {"table", "raster"}
-        assert calls["table"] + calls["raster"] == 16
-        import os
-
-        os.environ[FORCE_KERNEL_ENV] = "table"
-        try:
-            forced_values, _ = self._values_and_calls(ridge_problem, genomes)
-        finally:
-            del os.environ[FORCE_KERNEL_ENV]
-        assert np.array_equal(adaptive_values, forced_values)
-
-    def test_cost_model_prediction_logic(self):
-        from repro.engine.backends import KernelCostModel
-
-        model = KernelCostModel(alpha=0.5)
-        # un-primed: static ratio rule
-        assert model.choose(10, 1000, 8) == "table"  # 4·10 ≤ 1000
-        assert model.choose(500, 100, 8) == "raster"
-        # one sample: measure the unsampled kernel next
-        model.observe("raster", 500, 100, 8, seconds=1e-3)
-        assert model.choose(500, 100, 8) == "table"
-        # both sampled: argmin of predicted cost wins
-        model.observe("table", 10, 100, 8, seconds=1e-6)
-        assert model.choose(10, 1000, 8) == "table"
-        model.observe("table", 10, 100, 8, seconds=10.0)
-        assert model.choose(10, 1000, 8) == "raster"
+        assert plan_cost_model(plan).engine == snapshot
 
     def test_cost_model_validates_alpha(self):
         from repro.engine.backends import KernelCostModel
 
         with pytest.raises(ReproError):
             KernelCostModel(alpha=0.0)
-        with pytest.raises(ReproError):
-            KernelCostModel(probe_interval=-1)
-
-    def test_periodic_probe_keeps_both_kernels_measured(self):
-        """An outlier EMA cannot permanently exclude a kernel: every
-        probe_interval-th adaptive choice takes the other one."""
-        from repro.engine.backends import KernelCostModel
-
-        model = KernelCostModel(alpha=0.5, probe_interval=4)
-        model.observe("table", 10, 100, 8, seconds=1e-6)
-        model.observe("raster", 10, 100, 8, seconds=10.0)  # outlier
-        choices = [model.choose(10, 100, 8) for _ in range(8)]
-        assert choices.count("raster") == 2  # probed, not abandoned
-        assert choices.count("table") == 6
-        no_probe = KernelCostModel(alpha=0.5, probe_interval=0)
-        no_probe.observe("table", 10, 100, 8, seconds=1e-6)
-        no_probe.observe("raster", 10, 100, 8, seconds=10.0)
-        assert all(
-            no_probe.choose(10, 100, 8) == "table" for _ in range(8)
-        )

@@ -4,8 +4,8 @@ The acceptance bar for the engine subsystem is that the ``vectorized``
 backend matches ``SerialEvaluator`` + :class:`FireSimulator` **bit for
 bit** — not approximately — across random scenarios on all 13 NFFL
 fuel models, on homogeneous and heterogeneous terrains, under both
-stencils. The flat-index Dijkstra kernels are additionally checked
-against the reference propagation on random travel-time rasters.
+stencils. The genome-batched propagation kernel is additionally checked
+against the reference Dijkstra on random travel-time rasters.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.scenario import ParameterSpace
 from repro.engine import SimulationEngine
-from repro.engine.fastprop import propagate_raster, propagate_uniform
+from repro.engine.fastprop import FlatGrid, propagate_raster, propagate_uniform
 from repro.firelib.propagation import (
     _offset_azimuth_deg,
     propagate,
@@ -275,3 +275,104 @@ class TestFlatKernelsMatchReference:
     def test_offset_azimuths_cover_compass(self):
         azimuths = [_offset_azimuth_deg(dr, dc) for dr, dc in stencil(8)]
         assert azimuths == pytest.approx([0, 45, 90, 135, 180, 225, 270, 315])
+
+
+# ----------------------------------------------------------------------
+# The batched kernel against the reference Dijkstra, genome by genome
+# ----------------------------------------------------------------------
+SHAPE = (11, 13)
+#: Mapping ignitions with non-zero start times; (5, 5) is blocked below.
+SEEDS = {(1, 2): 0.0, (8, 10): 3.5, (5, 5): 1.25, (9, 1): 30.0}
+
+
+def _random_case(n: int, n_neighbors: int, seed: int):
+    """``n`` random travel arrays (inf edges, last genome all-inf) and a
+    random blocked mask."""
+    rng = np.random.default_rng(seed)
+    offsets = stencil(n_neighbors)
+    travel = rng.uniform(0.2, 4.0, size=(n, len(offsets), *SHAPE))
+    travel[rng.random(travel.shape) < 0.1] = np.inf
+    travel[-1] = np.inf
+    blocked = rng.random(SHAPE) < 0.15
+    blocked[5, 5] = True
+    blocked[1, 2] = blocked[8, 10] = False
+    return offsets, travel, blocked
+
+
+def _reference(travel, horizon, blocked):
+    return np.stack(
+        [propagate(t, SEEDS, horizon=horizon, blocked=blocked) for t in travel]
+    )
+
+
+class TestBatchedKernelMatchesReference:
+    @pytest.mark.parametrize("n_neighbors", [8, 16])
+    @pytest.mark.parametrize("horizon", [None, 9.5])
+    @pytest.mark.parametrize("batch", ["1", "7", "chunks"])
+    def test_random_travel_bitwise(self, n_neighbors, horizon, batch):
+        chunk = FlatGrid(SHAPE, stencil(n_neighbors)).chunk
+        n = 2 * chunk + 3 if batch == "chunks" else int(batch)
+        offsets, travel, blocked = _random_case(n, n_neighbors, n + n_neighbors)
+        got = propagate_raster(
+            travel, offsets, SEEDS, horizon=horizon, blocked=blocked
+        )
+        assert got.shape == (n, *SHAPE)
+        assert np.array_equal(got, _reference(travel, horizon, blocked))
+        # the all-inf genome burns exactly its open seed cells in time
+        seeds_only = np.full(SHAPE, np.inf)
+        for (r, c), t0 in SEEDS.items():
+            if not blocked[r, c] and (horizon is None or t0 <= horizon):
+                seeds_only[r, c] = t0
+        assert np.array_equal(got[-1], seeds_only)
+
+    @pytest.mark.parametrize("n_neighbors", [8, 16])
+    def test_class_tables_bitwise(self, n_neighbors):
+        rng = np.random.default_rng(40 + n_neighbors)
+        offsets = stencil(n_neighbors)
+        tables = rng.uniform(0.2, 4.0, size=(6, len(offsets), 5))
+        tables[rng.random(tables.shape) < 0.1] = np.inf
+        classes = rng.integers(0, 5, SHAPE)
+        blocked = rng.random(SHAPE) < 0.1
+        grid = FlatGrid(SHAPE, offsets, blocked)
+        got = grid.run_table(tables, classes, grid.seed(SEEDS), horizon=12.0)
+        travel = np.take(tables, classes, axis=2)
+        assert np.array_equal(got, _reference(travel, 12.0, blocked))
+
+    def test_uniform_batch_bitwise(self):
+        rng = np.random.default_rng(50)
+        offsets = stencil(8)
+        weights = rng.uniform(0.5, 3.0, size=(7, 8))
+        weights[2, 3] = np.inf
+        got = propagate_uniform(weights, SHAPE, offsets, SEEDS, horizon=10.0)
+        travel = np.broadcast_to(weights[:, :, None, None], (7, 8, *SHAPE))
+        assert np.array_equal(got, _reference(travel, 10.0, None))
+
+    def test_genome_alone_equals_genome_in_batch(self):
+        offsets, travel, blocked = _random_case(9, 8, 60)
+        batch = propagate_raster(
+            travel, offsets, SEEDS, horizon=9.5, blocked=blocked
+        )
+        reordered = propagate_raster(
+            travel[::-1], offsets, SEEDS, horizon=9.5, blocked=blocked
+        )
+        assert np.array_equal(reordered[::-1], batch)
+        for k in (0, 4, 8):
+            alone = propagate_raster(
+                travel[k], offsets, SEEDS, horizon=9.5, blocked=blocked
+            )
+            assert np.array_equal(alone, batch[k])
+
+    def test_engine_genome_alone_equals_genome_in_batch(self):
+        rng = np.random.default_rng(61)
+        terrain = Terrain(
+            14,
+            14,
+            slope=rng.uniform(0.0, 45.0, (14, 14)),
+            aspect=rng.uniform(0.0, 360.0, (14, 14)),
+        )
+        problem = _problem(terrain, seed=62)
+        genomes = SPACE.sample(9, 63)
+        engine = SimulationEngine.from_problem(problem, backend="vectorized")
+        batch = engine.burned_maps(genomes)
+        for k in (0, 5):
+            assert np.array_equal(engine.burned_maps(genomes[k : k + 1])[0], batch[k])
