@@ -22,8 +22,9 @@ Five commands cover the common workflows without writing a script:
   (aggregate several JSONL results stores into one).
 * ``serve`` — the always-on prediction service
   (:mod:`repro.service`): an HTTP gateway accepting plan submissions
-  from many tenants plus a multi-plan fleet coordinator feeding one
-  elastic worker pool under cost-weighted fair-share scheduling.
+  from many tenants plus the fleet coordinator (the same one
+  ``serve-coordinator`` runs) feeding one elastic worker pool under
+  cost-weighted fair-share scheduling.
 * ``obs`` — observability utilities: ``timeline`` merges the fleet's
   ``--trace`` JSONL files into one Perfetto-loadable Chrome
   trace-event timeline.
@@ -230,6 +231,45 @@ def _teardown_obs(args: argparse.Namespace) -> None:
     obs.shutdown()
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (a clean usage error otherwise)."""
+    value = int(text)  # argparse reports a ValueError as a usage error
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _add_auth_token(parser: argparse.ArgumentParser) -> None:
+    """``--auth-token``: every fleet client and coordinator entry point."""
+    parser.add_argument(
+        "--auth-token",
+        default=os.environ.get("REPRO_FLEET_TOKEN"),
+        help="shared secret for the fleet port's HMAC challenge-"
+        "response handshake; unauthenticated peers are rejected before "
+        "any plan bytes move (default: $REPRO_FLEET_TOKEN; unset "
+        "disables authentication)",
+    )
+
+
+def _add_client(parser: argparse.ArgumentParser) -> None:
+    """``--connect``/``--request-timeout``/``--auth-token`` for the
+    one-shot coordinator clients (``drain`` and ``status``)."""
+    parser.add_argument(
+        "--connect",
+        required=True,
+        metavar="HOST:PORT",
+        help="coordinator address (serve-coordinator's, or repro "
+        "serve's fleet port)",
+    )
+    parser.add_argument(
+        "--request-timeout",
+        type=float,
+        default=10.0,
+        help="seconds to wait for the coordinator's reply",
+    )
+    _add_auth_token(parser)
+
+
 def _add_fleet(parser: argparse.ArgumentParser) -> None:
     """Coordinator address/lease flags shared by sweep and serve."""
     parser.add_argument(
@@ -255,39 +295,20 @@ def _add_fleet(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--min-unit-cells",
-        type=int,
+        type=_positive_int,
         default=1,
-        help="work-stealing floor: when a worker asks and only one "
-        "pending unit remains, it is split in half as long as both "
-        "halves keep at least this many (system, case, seed, backend) "
-        "cells; 0 disables splitting (whole-group leases)",
-    )
-    parser.add_argument(
-        "--scheduling",
-        choices=("cost", "halving"),
-        default="cost",
-        help="lease scheduling policy: 'cost' (default) packs units by "
-        "predicted cost, sizes leases to each worker's measured "
-        "throughput and piggybacks the next lease on every complete "
-        "report; 'halving' restores the original largest-whole/"
-        "split-last policy",
+        help="lease-size floor (>= 1): work is never carved into units "
+        "of fewer (system, case, seed, backend) cells than this",
     )
     parser.add_argument(
         "--target-unit-seconds",
         type=float,
         default=1.0,
-        help="cost scheduling's per-lease wall-clock target: leases "
-        "grow until a unit is predicted to take about this long, with "
-        "--min-unit-cells as the floor",
+        help="per-lease wall-clock target: leases grow until a unit is "
+        "predicted to take about this long, with --min-unit-cells as "
+        "the floor",
     )
-    parser.add_argument(
-        "--auth-token",
-        default=os.environ.get("REPRO_FLEET_TOKEN"),
-        help="shared secret for the coordinator's HMAC challenge-"
-        "response handshake; unauthenticated peers are rejected before "
-        "any plan bytes are sent (default: $REPRO_FLEET_TOKEN; unset "
-        "disables authentication)",
-    )
+    _add_auth_token(parser)
     parser.add_argument(
         "--slow-unit-factor",
         type=float,
@@ -510,9 +531,7 @@ def _make_executor(args: argparse.Namespace):
     for the inline default, which honours ``--shards`` sugar)."""
     if args.executor == "process":
         return ProcessShardExecutor(
-            args.shards,
-            min_unit_cells=args.min_unit_cells,
-            scheduling=args.scheduling,
+            args.shards, min_unit_cells=args.min_unit_cells
         )
     if args.executor == "fleet":
         return FleetExecutor(
@@ -520,7 +539,6 @@ def _make_executor(args: argparse.Namespace):
             port=args.port,
             lease_timeout=args.lease_timeout,
             min_unit_cells=args.min_unit_cells,
-            scheduling=args.scheduling,
             target_unit_seconds=args.target_unit_seconds,
             auth_token=args.auth_token,
             slow_unit_factor=args.slow_unit_factor,
@@ -558,7 +576,6 @@ def _cmd_experiments_serve(args: argparse.Namespace) -> int:
         poll_interval=args.poll_interval,
         timeout=args.timeout,
         min_unit_cells=args.min_unit_cells,
-        scheduling=args.scheduling,
         target_unit_seconds=args.target_unit_seconds,
         auth_token=args.auth_token,
         slow_unit_factor=args.slow_unit_factor,
@@ -667,19 +684,25 @@ def _probe_status(args: argparse.Namespace) -> dict:
 
 def _print_status(reply: dict) -> None:
     """Render one status snapshot (shared by one-shot and --watch)."""
-    progress = reply.get("progress") or {}
-    state = "finished" if reply.get("finished") else "running"
-    print(
-        f"plan {reply.get('plan')!r}: {reply.get('recorded_cells')}/"
-        f"{reply.get('expected_cells')} cells recorded ({state})"
-    )
-    print(
-        f"pending units: {progress.get('pending_units')} "
-        f"({progress.get('pending_cells')} cells), "
-        f"leased: {progress.get('leased')}, "
-        f"requeues: {progress.get('requeues')}, "
-        f"steals: {progress.get('steals')}"
-    )
+    plans = reply.get("plans") or []
+    for job in plans:
+        progress = job.get("progress") or {}
+        print(
+            f"plan {job.get('plan')!r} ({job.get('id')}, "
+            f"{job.get('status')}): {job.get('recorded_cells')}/"
+            f"{job.get('expected_cells')} cells recorded"
+        )
+        print(
+            f"  pending units: {progress.get('pending_units')} "
+            f"({progress.get('pending_cells')} cells), "
+            f"leased: {progress.get('leased')}, "
+            f"requeues: {progress.get('requeues')}, "
+            f"steals: {progress.get('steals')}"
+        )
+    if not plans:
+        print("plans: none admitted yet")
+    if reply.get("finished"):
+        print("coordinator finished: every plan is recorded")
     workers = reply.get("workers") or {}
     if workers:
         print("workers:")
@@ -1033,13 +1056,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--connect",
         required=True,
         metavar="HOST:PORT",
-        help="coordinator address (printed by serve-coordinator)",
+        help="coordinator address (serve-coordinator's, or repro "
+        "serve's fleet port)",
     )
     p_wrk.add_argument(
         "--store",
-        help="worker-local results store; reusing a path across worker "
-        "restarts resumes interrupted groups (default: a fresh "
-        "temporary file)",
+        metavar="DIR",
+        help="directory of worker-local results stores, one "
+        "<plan_id>.jsonl per served plan; reusing it across worker "
+        "restarts resumes interrupted units (default: a fresh "
+        "temporary directory)",
     )
     p_wrk.add_argument(
         "--poll-interval",
@@ -1061,12 +1087,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "capacity-aware scheduling on heterogeneous fleets (default: "
         "$REPRO_WORKER_THROTTLE)",
     )
-    p_wrk.add_argument(
-        "--auth-token",
-        default=os.environ.get("REPRO_FLEET_TOKEN"),
-        help="shared secret matching the coordinator's --auth-token "
-        "(default: $REPRO_FLEET_TOKEN)",
-    )
+    _add_auth_token(p_wrk)
     p_wrk.add_argument(
         "--backoff-base",
         type=float,
@@ -1093,29 +1114,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         "unit, uploads its records and exits with nothing requeued "
         "(elastic scale-down)",
     )
-    p_drn.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="coordinator address (single-plan or service fleet port)",
-    )
+    _add_client(p_drn)
     p_drn.add_argument(
         "--worker",
         required=True,
         help="worker identity to retire (the --id it joined with, "
         "default hostname-pid; see 'repro experiments status')",
-    )
-    p_drn.add_argument(
-        "--auth-token",
-        default=os.environ.get("REPRO_FLEET_TOKEN"),
-        help="shared secret matching the coordinator's --auth-token "
-        "(default: $REPRO_FLEET_TOKEN)",
-    )
-    p_drn.add_argument(
-        "--request-timeout",
-        type=float,
-        default=10.0,
-        help="seconds to wait for the coordinator's reply",
     )
     p_drn.set_defaults(func=_cmd_experiments_drain)
 
@@ -1124,31 +1128,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="query a running coordinator for live fleet progress and "
         "per-worker utilization (read-only; never delays shutdown)",
     )
-    p_st.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="coordinator address (printed by serve-coordinator)",
-    )
-    p_st.add_argument(
-        "--auth-token",
-        default=os.environ.get("REPRO_FLEET_TOKEN"),
-        help="shared secret matching the coordinator's --auth-token "
-        "(default: $REPRO_FLEET_TOKEN)",
-    )
-    p_st.add_argument(
-        "--request-timeout",
-        type=float,
-        default=10.0,
-        help="seconds to wait for the coordinator's reply",
-    )
+    _add_client(p_st)
     p_st.add_argument(
         "--watch",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="re-probe and redraw every SECONDS until the plan "
-        "finishes or the coordinator goes away (default: one snapshot)",
+        help="re-probe and redraw every SECONDS until the coordinator "
+        "finishes (a fleet whose plan is recorded) or goes away; a "
+        "service is watched until interrupted (default: one snapshot)",
     )
     p_st.set_defaults(func=_cmd_experiments_status)
 
@@ -1188,7 +1176,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--host",
         default="127.0.0.1",
         help="listen address for both ports (0.0.0.0 to accept remote "
-        "clients and workers)",
+        "clients and workers; the HTTP gateway is unauthenticated — "
+        "bind it privately)",
     )
     p_svc.add_argument(
         "--port",
@@ -1219,9 +1208,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     p_svc.add_argument(
         "--min-unit-cells",
-        type=int,
+        type=_positive_int,
         default=1,
-        help="work-stealing floor per plan (see serve-coordinator)",
+        help="lease-size floor per plan (see serve-coordinator)",
     )
     p_svc.add_argument(
         "--target-unit-seconds",
@@ -1243,13 +1232,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="workers give every run its own engine session instead "
         "of sharing one per leased group",
     )
-    p_svc.add_argument(
-        "--auth-token",
-        default=os.environ.get("REPRO_FLEET_TOKEN"),
-        help="shared secret for the fleet port's HMAC handshake "
-        "(default: $REPRO_FLEET_TOKEN; unset disables authentication; "
-        "the HTTP gateway is unauthenticated — bind it privately)",
-    )
+    _add_auth_token(p_svc)
     _add_obs(p_svc)
     p_svc.set_defaults(func=_cmd_serve)
 

@@ -11,50 +11,45 @@ at the :class:`~repro.experiments.runner.ExperimentRunner`:
 * :class:`FleetExecutor` — a TCP coordinator
   (``repro experiments serve-coordinator``) leasing units to remote
   ``repro experiments worker`` processes, with cell-level work stealing
-  (the last pending unit splits for an asking worker),
+  (the costliest pending unit is carved for an asking worker),
   heartbeat/lease-timeout requeue, optional shared-secret HMAC
   authentication, worker-local stores and first-writer-wins merging.
+
+The fleet machinery is one coordinator for one plan or many: a
+:class:`PlanQueue` of per-plan :class:`UnitLedger`\\ s behind a
+:class:`FleetCoordinator` TCP server. The fleet executor admits its
+one plan; ``repro serve`` (:mod:`repro.service`) puts an HTTP gateway
+in front of the same pair.
 
 Whatever the executor, resume stays the store's ``(system, case, seed,
 backend)`` contract: a run interrupted anywhere resumes under any
 executor *and any unit granularity*, and all executors produce
 identical store contents (modulo wall-clock timings) for the same plan
 and seeds — unit boundaries never change a cell's bytes.
-
-``GroupExecutor``/``GroupLedger`` remain as migration aliases of
-:class:`WorkExecutor`/:class:`UnitLedger` (the SPI's currency was a
-``(case, backend)`` group index before the unit-of-work redesign).
 """
 
-from repro.distributed.coordinator import (
-    FleetExecutor,
-    GroupLedger,
-    UnitLedger,
-)
+from repro.distributed.coordinator import FleetCoordinator, UnitLedger
 from repro.distributed.executors import (
-    GroupExecutor,
+    FleetExecutor,
     InlineExecutor,
     ProcessShardExecutor,
     WorkExecutor,
-    pending_group_indices,
-    shard_assignments,
 )
 from repro.distributed.protocol import FleetAuthError, FleetError
+from repro.distributed.queue import PlanQueue
 from repro.distributed.worker import backoff_delay, parse_address, run_worker
 
 __all__ = [
     "FleetAuthError",
+    "FleetCoordinator",
     "FleetError",
     "FleetExecutor",
-    "GroupExecutor",
-    "GroupLedger",
     "InlineExecutor",
+    "PlanQueue",
     "ProcessShardExecutor",
     "UnitLedger",
     "WorkExecutor",
     "backoff_delay",
     "parse_address",
-    "pending_group_indices",
     "run_worker",
-    "shard_assignments",
 ]

@@ -1,38 +1,40 @@
 """Fleet coordinator: lease work units to TCP workers, merge stores.
 
-The :class:`FleetExecutor` is the distributed arm of the executor seam
-(:mod:`repro.distributed.executors`): it serves a plan's pending
-:class:`~repro.experiments.work.WorkUnit`\\ s — cell subsets of
-``(case, backend)`` groups — over the length-prefixed-JSON protocol of
-:mod:`repro.distributed.protocol` to any number of
-``repro experiments worker`` processes, on this machine or others.
+Two pieces live here, and every worker-facing coordinator is built from
+them — the single-plan :class:`~repro.distributed.executors.FleetExecutor`
+and the always-on ``repro serve`` service alike:
 
-Scheduling is **cell-level with work stealing**, in one of two modes:
+* :class:`UnitLedger` — the lease/steal/requeue bookkeeping of *one*
+  plan's pending :class:`~repro.experiments.work.WorkUnit`\\ s (cell
+  subsets of ``(case, backend)`` groups);
+* :class:`FleetCoordinator` — the TCP endpoint speaking the
+  length-prefixed-JSON protocol of :mod:`repro.distributed.protocol`
+  (framing, mutual HMAC authentication) and routing every message to a
+  :class:`~repro.distributed.queue.PlanQueue`, which holds one ledger
+  and one results store per admitted plan. A single-plan fleet is a
+  queue holding one plan that the executor closes once its store
+  covers every cell.
 
-* ``cost`` (the default) — predictive packing. A fleet-wide
-  :class:`~repro.experiments.costs.UnitCostModel` (seeded from plan
-  priors and engine kernel snapshots, updated online from the cost
-  reports workers attach to ``complete``/heartbeat messages) prices
-  every pending unit; grants carve a near-target-cost piece off the
-  costliest unit, sized **capacity-aware** — proportional to the
-  asking worker's measured throughput (cells/second) among the live
-  fleet, so a slow machine gets proportionally fewer cells. A worker
-  with no throughput sample yet receives a small probe lease first.
-  Same-group requeued fragments re-merge before re-lease, the
-  ``min_unit_cells`` constant becomes the *floor* under an adaptive
-  minimum (the cells amounting to ``target_unit_seconds`` of predicted
-  work), and the next lease piggybacks on the ``complete`` reply (with
-  the worker's records inline), so a steady-state worker pays zero
-  extra round-trips per unit.
-* ``halving`` — the original policy: grant the largest pending unit
-  whole; when only one unit remains, split it in half for each asker
-  down to the ``min_unit_cells`` floor.
+Scheduling is **cell-level, cost-aware work stealing**. A fleet-wide
+:class:`~repro.experiments.costs.UnitCostModel` (seeded from plan
+priors and engine kernel snapshots, updated online from the cost
+reports workers attach to ``complete``/heartbeat messages) prices every
+pending unit; grants carve a near-target-cost piece off the costliest
+unit, sized **capacity-aware** — proportional to the asking worker's
+measured throughput (cells/second) among the live fleet, so a slow
+machine gets proportionally fewer cells. A worker with no throughput
+sample yet receives a small probe lease first. Same-group requeued
+fragments re-merge before re-lease, the ``min_unit_cells`` constant is
+the *floor* under an adaptive minimum (the cells amounting to
+``target_unit_seconds`` of predicted work), and the next lease
+piggybacks on the ``complete`` reply (with the worker's records
+inline), so a steady-state worker pays one round-trip per unit.
 
 A one-case/many-seeds plan (one big group, the shape that used to pin
 a whole fleet behind a single worker) spreads across every worker that
-asks under either mode. Splitting moves only *where* cells execute:
-every cell is reproducible from ``(plan, seed)`` alone, so the store's
-bytes are identical at any granularity.
+asks. Splitting moves only *where* cells execute: every cell is
+reproducible from ``(plan, seed)`` alone, so the store's bytes are
+identical at any granularity.
 
 Correctness rests on three rules, all enforced by the
 :class:`UnitLedger`:
@@ -45,19 +47,20 @@ Correctness rests on three rules, all enforced by the
   than recompute.
 * **Records live on the worker until the coordinator has them.**
   Workers stream every completed run into their own crash-safe local
-  :class:`~repro.experiments.store.ResultsStore` and upload it when the
-  coordinator asks (``drain``); the coordinator folds uploads into its
-  own store through :meth:`ResultsStore.merge` — first writer wins, so
-  a cell that was executed twice (stale lease, re-run after a death)
-  never duplicates a ``(system, case, seed, backend)`` record.
+  :class:`~repro.experiments.store.ResultsStore` and upload it with
+  their ``complete`` report (or when asked, ``drain``); the coordinator
+  folds uploads into the plan's store through
+  :meth:`ResultsStore.merge` — first writer wins, so a cell that was
+  executed twice (stale lease, re-run after a death) never duplicates a
+  ``(system, case, seed, backend)`` record.
 * **Completion is verified, not assumed.** A unit reported complete
-  counts only tentatively; the run finishes when the *coordinator's
-  store* records every expected cell. Cells stranded on a dead worker
-  (completed but never drained) are detected by this coverage check and
-  requeued as fresh units covering exactly the missing cells.
+  counts only tentatively; a plan finishes when *its store* records
+  every expected cell. Cells stranded on a dead worker (completed but
+  never drained) are detected by this coverage check and requeued as
+  fresh units covering exactly the missing cells.
 
 The coordinator never simulates anything itself: it is bookkeeping plus
-a store, which is what lets one process oversee a fleet of heavyweight
+stores, which is what lets one process oversee a fleet of heavyweight
 workers.
 """
 
@@ -65,27 +68,19 @@ from __future__ import annotations
 
 import itertools
 import logging
-import os
+import socketserver
 import threading
 import time
-import socketserver
 from typing import TYPE_CHECKING, Callable
 
 from repro.experiments.costs import (
     DEFAULT_SLOW_UNIT_FACTOR,
     UnitCostModel,
-    load_cost_model,
-    plan_cost_model,
     record_residual,
-    save_cost_model,
-    seed_plan_priors,
 )
-from repro.experiments.store import record_key
 from repro.experiments.work import WorkSet, WorkUnit, merge_group_units
 from repro.obs import telemetry
-from repro.obs.http import clear_status_provider, set_status_provider
 
-from repro.distributed.executors import _check_process_portable
 from repro.distributed.protocol import (
     FleetError,
     auth_mac,
@@ -97,52 +92,49 @@ from repro.distributed.protocol import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.experiments.runner import ExperimentRunner
+    from repro.distributed.queue import PlanQueue
 
-__all__ = ["FleetExecutor", "GroupLedger", "UnitLedger"]
+__all__ = ["FleetCoordinator", "UnitLedger"]
 
 log = logging.getLogger("repro.distributed.coordinator")
 
 
 class UnitLedger:
-    """Thread-safe lease/steal/requeue bookkeeping for one fleet run.
+    """Thread-safe lease/steal/requeue bookkeeping for one plan.
 
     Parameters
     ----------
     workset:
-        The pending work, compiled from the plan and the coordinator
-        store (unit cells refer to :meth:`ExperimentPlan.groups` order;
-        workers rebuild the same plan from the ``welcome`` payload, so
-        group indices agree — the cells themselves travel explicitly).
+        The pending work, compiled from the plan and the plan's store
+        (unit cells refer to :meth:`ExperimentPlan.groups` order;
+        workers rebuild the same plan from the payload shipped with
+        each grant, so group indices agree — the cells themselves
+        travel explicitly).
     lease_timeout:
         Seconds without a heartbeat (or any other contact) after which
         a lease is revoked and its unit re-leased; also the staleness
         bound after which a silent worker is presumed dead.
     completed_cells:
-        Callable returning the coordinator store's recorded run keys —
-        the ground truth of the end-of-run coverage check.
-    min_unit_cells:
-        Work-stealing floor: when a worker asks and only one pending
-        unit remains, it splits as long as both halves keep at least
-        this many cells. ``0`` disables splitting (whole-group leases,
-        the pre-WorkUnit behaviour). With a ``cost_model`` this is the
-        *floor* under the adaptive minimum derived from measured
-        per-cell cost.
+        Callable returning the plan store's recorded run keys — the
+        ground truth of the end-of-run coverage check.
     cost_model:
-        A :class:`~repro.experiments.costs.UnitCostModel` switches the
-        grant path to predictive cost-aware packing (see the module
-        docstring); ``None`` keeps the original halving policy.
+        The :class:`~repro.experiments.costs.UnitCostModel` pricing
+        every unit (see the module docstring); a
+        :class:`~repro.distributed.queue.PlanQueue` shares one model
+        across its ledgers.
+    min_unit_cells:
+        Lease-size floor (at least 1) under the adaptive minimum
+        derived from measured per-cell cost.
     target_unit_seconds:
-        Cost mode's lease-size target: grants aim for at least this
-        much predicted work per unit once per-cell cost is measured,
-        so tiny sliver leases (one session each, all overhead) stop at
-        a wall-clock bound instead of a guessed cell count.
+        Grants aim for at least this much predicted work per unit once
+        per-cell cost is measured, so tiny sliver leases (one session
+        each, all overhead) stop at a wall-clock bound instead of a
+        guessed cell count.
     slow_unit_factor:
-        Residual monitoring (cost mode): every completed unit's
-        observed/predicted ratio lands in the
-        ``repro_cost_residual_ratio`` histogram, and a unit slower
-        than ``factor × predicted`` emits a ``slow_unit`` trace event
-        naming the worker.
+        Residual monitoring: every completed unit's observed/predicted
+        ratio lands in the ``repro_cost_residual_ratio`` histogram, and
+        a unit slower than ``factor × predicted`` emits a ``slow_unit``
+        trace event naming the worker.
     """
 
     def __init__(
@@ -150,9 +142,9 @@ class UnitLedger:
         workset: WorkSet,
         lease_timeout: float,
         completed_cells: Callable[[], set[tuple[str, str, int, str]]],
+        cost_model: UnitCostModel,
         clock: Callable[[], float] = time.monotonic,
         min_unit_cells: int = 1,
-        cost_model: UnitCostModel | None = None,
         target_unit_seconds: float = 1.0,
         slow_unit_factor: float = DEFAULT_SLOW_UNIT_FACTOR,
     ) -> None:
@@ -160,9 +152,9 @@ class UnitLedger:
             raise FleetError(
                 f"lease timeout must be positive, got {lease_timeout}"
             )
-        if min_unit_cells < 0:
+        if min_unit_cells < 1:
             raise FleetError(
-                f"min_unit_cells must be >= 0, got {min_unit_cells}"
+                f"min_unit_cells must be >= 1, got {min_unit_cells}"
             )
         if target_unit_seconds <= 0:
             raise FleetError(
@@ -178,18 +170,14 @@ class UnitLedger:
         self._leases: dict[int, dict] = {}
         self._lease_ids = itertools.count(1)
         # cells reported complete whose records have not yet been
-        # verified in the coordinator store (a set: re-completion after
-        # a requeue never double-counts)
+        # verified in the plan store (a set: re-completion after a
+        # requeue never double-counts)
         self._tentative: set[tuple[str, str, int, str]] = set()
         self._dirty: set[str] = set()
-        # workers asked to leave gracefully: no new grants, `bye` once
-        # they hold no lease and owe no records
-        self._draining: set[str] = set()
         self._last_seen: dict[str, float] = {}
         # per-worker accounting fed by lease grants plus the telemetry
         # payloads workers attach to heartbeats and complete reports
         self._worker_stats: dict[str, dict] = {}
-        self._told_done: set[str] = set()
         self._lock = threading.Lock()
         self.lease_timeout = float(lease_timeout)
         self.min_unit_cells = int(min_unit_cells)
@@ -198,8 +186,8 @@ class UnitLedger:
         self.cost_model = cost_model
         self.target_unit_seconds = float(target_unit_seconds)
         self.slow_unit_factor = float(slow_unit_factor)
-        # group index -> cost-model kernel key (cost mode prices a
-        # unit by its group's (case, backend) kernel)
+        # group index -> cost-model kernel key (a unit is priced by its
+        # group's (case, backend) kernel)
         self._kernel_of: dict[int, str] = {
             index: UnitCostModel.kernel_key(case.name, backend)
             for index, ((case, backend), _keys) in enumerate(
@@ -211,36 +199,25 @@ class UnitLedger:
         self.steals = 0
 
     # ------------------------------------------------------------------
-    def touch(self, worker: str) -> None:
-        """Record contact from ``worker`` (liveness for drain waits)."""
-        with self._lock:
-            now = self.clock()
-            self._last_seen[worker] = now
-            self._stats(worker, now)["round_trips"] += 1
-
-    def _stats(self, worker: str, now: float) -> dict:
-        """This worker's accounting row (created on first contact)."""
+    def _seen(self, worker: str) -> tuple[float, dict]:
+        """Record contact from ``worker``; returns ``(now, stats row)``."""
+        now = self.clock()
+        self._last_seen[worker] = now
         st = self._worker_stats.get(worker)
         if st is None:
             st = self._worker_stats[worker] = {
-                "first_seen": now,
                 "leases": 0,
                 "units": 0,
                 "cells": 0,
                 "records": 0,
                 "busy_seconds": 0.0,
                 "lease_seconds": 0.0,
-                # wire-exchange accounting: every request this worker
-                # sent (the cost piggybacked granting exists to cut)
-                "round_trips": 0,
-                "lease_requests": 0,
                 "completes": 0,
                 "drains": 0,
-                "piggybacked": 0,
                 # measured capacity, EMA cells/second from unit timings
                 "throughput": None,
             }
-        return st
+        return now, st
 
     def _fold_telemetry(self, worker: str, st: dict, info) -> None:
         """Fold a worker-reported telemetry payload into its stats row.
@@ -263,116 +240,52 @@ class UnitLedger:
         ).set(st["busy_seconds"])
 
     def worker_stats(self) -> dict[str, dict]:
-        """Fleet-wide per-worker view: busy/idle split and utilization.
-
-        ``utilization`` is busy time over the worker's membership span
-        (first to last contact); ``None`` until the span is non-zero.
-        ``lease_seconds`` is coordinator-measured grant-to-complete
-        latency, summed over this worker's completed leases.
-        """
+        """This plan's per-worker work counters: leases, units, cells,
+        records, cumulative reported ``busy_seconds``, grant-to-complete
+        ``lease_seconds``, completes, drains and the throughput EMA.
+        :meth:`PlanQueue.worker_stats
+        <repro.distributed.queue.PlanQueue.worker_stats>` sums them over
+        plans into the fleet view."""
         with self._lock:
-            now = self.clock()
-            out: dict[str, dict] = {}
-            for worker in sorted(self._worker_stats):
-                st = self._worker_stats[worker]
-                last = self._last_seen.get(worker, st["first_seen"])
-                span = max(last - st["first_seen"], 0.0)
-                busy = min(st["busy_seconds"], span) if span > 0 else 0.0
-                out[worker] = {
-                    "leases": st["leases"],
-                    "units": st["units"],
-                    "cells": st["cells"],
-                    "records": st["records"],
-                    "busy_seconds": st["busy_seconds"],
-                    "idle_seconds": max(span - busy, 0.0),
-                    "span_seconds": span,
-                    "lease_seconds": st["lease_seconds"],
-                    "round_trips": st["round_trips"],
-                    "lease_requests": st["lease_requests"],
-                    "completes": st["completes"],
-                    "drains": st["drains"],
-                    "piggybacked": st["piggybacked"],
-                    "throughput": st["throughput"],
-                    "utilization": (busy / span) if span > 0 else None,
-                    "live": now - self._last_seen.get(worker, 0.0)
-                    <= self.lease_timeout,
-                    "draining": worker in self._draining,
-                }
-            return out
+            return {
+                worker: dict(st)
+                for worker, st in sorted(self._worker_stats.items())
+            }
 
     def lease(self, worker: str) -> dict:
-        """Answer one work request; the heart of the scheduling policy."""
+        """Answer one work request: ``unit``, ``drain``, ``wait`` or
+        ``done``."""
         with self._lock:
-            now = self.clock()
-            self._last_seen[worker] = now
-            st = self._stats(worker, now)
-            st["round_trips"] += 1
-            st["lease_requests"] += 1
-            return self._lease_locked(worker, now)
-
-    def _lease_locked(self, worker: str, now: float) -> dict:
-        """The lease decision, lock held — shared by the ``lease``
-        request path and the piggybacked grant on a ``complete``."""
-        self._expire(now)
-        if self.finished.is_set():
-            self._told_done.add(worker)
-            return {"type": "done"}
-        if worker in self._dirty:
-            # collect this worker's records before handing out more
-            # work: the shorter a record's worker-only window, the
-            # less a worker death costs
-            return {"type": "drain"}
-        if worker in self._draining:
-            # graceful leave: records are in (not dirty), so once no
-            # lease is outstanding the worker may go — its leased unit,
-            # if any, finishes first (the sequential worker loop only
-            # asks between units, so an ask while holding a lease means
-            # a heartbeat raced us; waiting is always safe)
-            if any(
-                lease["worker"] == worker
-                for lease in self._leases.values()
-            ):
-                return {"type": "wait"}
-            self._told_done.add(worker)
-            return {"type": "bye"}
-        if self._pending:
-            return self._grant(worker, now)
-        if self._leases:
+            now, _ = self._seen(worker)
+            self._expire(now)
+            if worker in self._dirty and not self.finished.is_set():
+                # collect this worker's records before handing out more
+                # work: the shorter a record's worker-only window, the
+                # less a worker death costs
+                return {"type": "drain"}
+            if self._covered(now):
+                return {"type": "done"}
+            if self._pending:
+                return self._grant(worker, now)
             return {"type": "wait"}
-        if any(
-            now - self._last_seen.get(w, 0.0) <= self.lease_timeout
-            for w in self._dirty
-        ):
-            return {"type": "wait"}  # a live worker still owes records
-        # nothing pending, nothing leased, no live worker undrained:
-        # verify coverage against the store, the only ground truth
-        missing = self._expected - self.completed_cells()
-        if not missing:
-            self.finished.set()
-            self._told_done.add(worker)
-            return {"type": "done"}
-        self._requeue_missing(missing)
-        return self._grant(worker, now)
 
     def heartbeat(self, worker: str, lease_id, info: dict | None = None) -> dict:
         """Renew a lease; ``expired`` once the unit was re-leased.
 
         ``info`` is the worker's optional telemetry payload (cumulative
-        busy seconds), folded into the fleet utilization view so
+        busy seconds, the unit's elapsed time, engine kernel rates),
+        folded into the utilization view and the cost model so
         in-flight work counts, not just completed units.
         """
         with self._lock:
-            now = self.clock()
-            self._last_seen[worker] = now
-            st = self._stats(worker, now)
-            st["round_trips"] += 1
+            now, st = self._seen(worker)
             self._fold_telemetry(worker, st, info)
             self._expire(now)
             lease = self._leases.get(_lease_key(lease_id))
             if lease is None or lease["worker"] != worker:
                 return {"type": "expired"}
             lease["deadline"] = now + self.lease_timeout
-            if self.cost_model is not None and isinstance(info, dict):
+            if isinstance(info, dict):
                 # an in-flight unit's elapsed time bounds its cost from
                 # below — a unit running long teaches the model before
                 # it completes; engine snapshots fold unconditionally
@@ -394,24 +307,15 @@ class UnitLedger:
         lease_id,
         info: dict | None = None,
         drained: bool = False,
-        grant_next: bool = False,
     ) -> dict:
-        """Mark a leased unit tentatively complete.
+        """Mark a leased unit tentatively complete (``ok``/``stale``).
 
         ``drained=True`` means the worker's records arrived inline with
-        this report (piggyback mode) and were already merged into the
-        coordinator store — the worker owes nothing, so it is not
-        marked dirty. ``grant_next=True`` attaches the worker's next
-        lease decision as ``next`` on the reply (even on a stale
-        lease: the worker still wants work), collapsing the
-        complete → drain → records → lease round-trip chain into one
-        exchange.
+        this report and were already merged into the plan store — the
+        worker owes nothing, so it is not marked dirty.
         """
         with self._lock:
-            now = self.clock()
-            self._last_seen[worker] = now
-            st = self._stats(worker, now)
-            st["round_trips"] += 1
+            now, st = self._seen(worker)
             st["completes"] += 1
             self._fold_telemetry(worker, st, info)
             self._expire(now)
@@ -420,11 +324,7 @@ class UnitLedger:
             key = _lease_key(lease_id)
             lease = self._leases.get(key)
             if lease is None or lease["worker"] != worker:
-                reply = {"type": "stale"}
-                if grant_next:
-                    st["piggybacked"] += 1
-                    reply["next"] = self._lease_locked(worker, now)
-                return reply
+                return {"type": "stale"}
             del self._leases[key]
             unit = lease["unit"]
             self._tentative.update(unit.cells)
@@ -450,7 +350,7 @@ class UnitLedger:
                     pass
             if unit_seconds > 0.0:
                 # measured capacity: EMA of cells/second, the input to
-                # cost mode's proportional lease sizing
+                # proportional lease sizing
                 throughput = unit.n_cells / unit_seconds
                 prev = st["throughput"]
                 st["throughput"] = (
@@ -458,23 +358,22 @@ class UnitLedger:
                     if prev is None
                     else prev + 0.5 * (throughput - prev)
                 )
-            if self.cost_model is not None:
-                kernel = self._kernel_of.get(unit.group, "")
-                # residual first: the ratio must judge the prediction
-                # the scheduler actually used, before this unit's own
-                # timing teaches the model
-                record_residual(
-                    self.cost_model,
-                    kernel,
-                    unit.n_cells,
-                    unit_seconds,
-                    slow_factor=self.slow_unit_factor,
-                    worker=worker,
-                    group=unit.group,
-                )
-                self.cost_model.observe(kernel, unit.n_cells, unit_seconds)
-                if isinstance(info, dict):
-                    self.cost_model.fold_engine(info.get("engine_costs"))
+            kernel = self._kernel_of.get(unit.group, "")
+            # residual first: the ratio must judge the prediction the
+            # scheduler actually used, before this unit's own timing
+            # teaches the model
+            record_residual(
+                self.cost_model,
+                kernel,
+                unit.n_cells,
+                unit_seconds,
+                slow_factor=self.slow_unit_factor,
+                worker=worker,
+                group=unit.group,
+            )
+            self.cost_model.observe(kernel, unit.n_cells, unit_seconds)
+            if isinstance(info, dict):
+                self.cost_model.fold_engine(info.get("engine_costs"))
             telemetry().histogram("repro_fleet_unit_seconds").observe(
                 lease_seconds
             )
@@ -494,40 +393,14 @@ class UnitLedger:
                     "lease_seconds": lease_seconds,
                 },
             )
-            reply = {"type": "ok"}
-            if grant_next:
-                st["piggybacked"] += 1
-                reply["next"] = self._lease_locked(worker, now)
-            return reply
+            return {"type": "ok"}
 
     def drained(self, worker: str) -> None:
-        """The worker's local records reached the coordinator store."""
+        """The worker's local records reached the plan store."""
         with self._lock:
-            now = self.clock()
-            self._last_seen[worker] = now
-            st = self._stats(worker, now)
-            st["round_trips"] += 1
+            _, st = self._seen(worker)
             st["drains"] += 1
             self._dirty.discard(worker)
-
-    def drain_worker(self, worker: str) -> None:
-        """Ask ``worker`` to leave gracefully (elastic scale-down).
-
-        The worker keeps any lease it holds and finishes it normally;
-        it just never receives another grant, and once its records are
-        merged its next ask is answered ``bye``. Nothing is requeued —
-        a drain moves zero cells, which is the point (contrast a kill,
-        where the lease expires and its cells re-run elsewhere).
-        """
-        with self._lock:
-            self._draining.add(worker)
-            telemetry().counter("repro_fleet_drains_total").inc()
-            log.info(
-                "worker %s draining (finish leased units, no new "
-                "grants)",
-                worker,
-                extra={"worker": worker},
-            )
 
     def worker_dirty(self, worker: str) -> bool:
         """Whether ``worker`` still owes records (an un-drained store)."""
@@ -546,10 +419,10 @@ class UnitLedger:
     def grantable(self) -> bool:
         """Whether a lease request right now would receive a unit.
 
-        The multi-plan scheduler (:class:`repro.service.PlanQueue`)
-        calls this to shortlist plans before its fair-share pick; the
-        end-of-plan coverage/requeue path is handled by the
-        :meth:`poll_completion` housekeeping it runs first.
+        The plan queue calls this to shortlist plans before its
+        fair-share pick; the end-of-plan coverage/requeue path is
+        handled by the :meth:`poll_completion` housekeeping it runs
+        first.
         """
         with self._lock:
             self._expire(self.clock())
@@ -559,11 +432,11 @@ class UnitLedger:
         """Cost-model prediction of the work not yet verified complete.
 
         Pending plus currently-leased units, priced by the ledger's
-        cost model (zero without one). Admission backpressure derives
-        Retry-After from this; it is a prediction, not a promise.
+        cost model. Admission backpressure derives Retry-After from
+        this; it is a prediction, not a promise.
         """
         with self._lock:
-            if self.cost_model is None or self.finished.is_set():
+            if self.finished.is_set():
                 return 0.0
             units = list(self._pending) + [
                 lease["unit"] for lease in self._leases.values()
@@ -581,78 +454,59 @@ class UnitLedger:
         ``finished`` is normally set while answering a worker's lease
         request — but if the last worker dies right after draining, no
         request ever arrives even though the store already records
-        every cell. The executor polls this while it waits, so a
-        complete run always terminates; cells found missing requeue
-        as units for whichever worker asks next.
+        every cell. Coordinators poll this while they wait, so a
+        complete run always terminates; cells found missing requeue as
+        units for whichever worker asks next.
         """
         with self._lock:
             now = self.clock()
             self._expire(now)
-            if self.finished.is_set():
-                return True
-            if self._pending or self._leases:
-                return False
-            if any(
-                now - self._last_seen.get(w, 0.0) <= self.lease_timeout
-                for w in self._dirty
-            ):
-                return False
-            missing = self._expected - self.completed_cells()
-            if not missing:
-                self.finished.set()
-                return True
-            self._requeue_missing(missing)
-            return False
+            return self._covered(now)
 
     # ------------------------------------------------------------------
-    def _grant(self, worker: str, now: float) -> dict:
-        """Lease one unit — stealing half of the last one if need be.
+    def _covered(self, now: float) -> bool:
+        """The end-of-plan check (lock held): ``True`` once the store
+        covers every expected cell.
 
-        In halving mode: grants the largest pending unit whole while
-        others remain; when it is the *last* pending unit (and
-        splittable above the ``min_unit_cells`` floor), it splits
-        instead — half granted, half kept pending — so every asking
-        worker finds work until the floor is reached. Each split is a
-        steal: work that a single worker would otherwise own mid-group
-        moves to the asker. Cost mode (:meth:`_grant_cost`) replaces
-        the whole-or-half rule with predictive carving.
-
-        The split deliberately does NOT check how many workers exist:
-        fleets grow at any moment and hellos race leases, so gating on
-        known peers could hand the whole group to the first asker and
-        starve everyone who arrives a heartbeat later. The price is
-        that a deliberately lone worker drains a group as O(log cells)
-        units (one engine session each, so less cross-system cache
-        reuse — never different results); single-worker fleets that
-        care should run ``min_unit_cells=0`` or a coarse floor.
+        Only decided when nothing is pending or leased and no live
+        worker still owes records; cells then found missing requeue as
+        fresh units.
         """
-        if self.cost_model is not None:
-            return self._grant_cost(worker, now)
-        i = max(
-            range(len(self._pending)),
-            key=lambda j: self._pending[j].n_cells,
-        )
-        unit = self._pending.pop(i)
-        if (
-            not self._pending
-            and self.min_unit_cells > 0
-            and unit.n_cells >= 2 * self.min_unit_cells
+        if self.finished.is_set():
+            return True
+        if self._pending or self._leases:
+            return False
+        if any(
+            now - self._last_seen.get(w, 0.0) <= self.lease_timeout
+            for w in self._dirty
         ):
-            unit, kept = unit.split()
-            self._pending.append(kept)
-            self._count_steal(worker, unit, kept)
-        return self._issue(worker, unit, now)
+            return False  # a live worker still owes records
+        missing = self._expected - self.completed_cells()
+        if not missing:
+            self.finished.set()
+            return True
+        self._requeue_missing(missing)
+        return False
 
-    def _grant_cost(self, worker: str, now: float) -> dict:
-        """Cost mode's grant: carve a capacity-sized piece off the
-        costliest pending unit.
+    def _grant(self, worker: str, now: float) -> dict:
+        """Lease a capacity-sized piece of the costliest pending unit.
 
         Same-group requeued fragments re-merge first (one carve, one
         engine session, instead of re-leasing slivers); the carve size
         comes from :meth:`_target_cells` — proportional to the asking
         worker's measured share of fleet throughput, floored by the
-        adaptive minimum. ``min_unit_cells=0`` keeps whole-unit grants
-        here too (the operator asked for whole-group leases).
+        adaptive minimum. Each carve that leaves cells pending is a
+        steal: work a single worker would otherwise own mid-group moves
+        to the asker.
+
+        The carve deliberately does NOT check how many workers exist:
+        fleets grow at any moment and hellos race leases, so gating on
+        known peers could hand the whole group to the first asker and
+        starve everyone who arrives a heartbeat later. The price is
+        that a deliberately lone worker drains a group as several
+        units (one engine session each, so less cross-system cache
+        reuse — never different results); single-worker fleets that
+        care should set a coarse ``min_unit_cells`` floor.
         """
         self._pending = merge_group_units(self._pending)
 
@@ -667,13 +521,12 @@ class UnitLedger:
         )
         pending_cells = sum(u.n_cells for u in self._pending)
         unit = self._pending.pop(i)
-        if self.min_unit_cells > 0:
-            target = self._target_cells(worker, unit, pending_cells, now)
-            floor = max(self.min_unit_cells, 1)
-            if target >= floor and unit.n_cells - target >= floor:
-                unit, kept = unit.split_at(target)
-                self._pending.append(kept)
-                self._count_steal(worker, unit, kept)
+        target = self._target_cells(worker, unit, pending_cells, now)
+        floor = self.min_unit_cells
+        if target >= floor and unit.n_cells - target >= floor:
+            unit, kept = unit.split_at(target)
+            self._pending.append(kept)
+            self._count_steal(worker, unit, kept)
         return self._issue(worker, unit, now)
 
     def _target_cells(
@@ -686,14 +539,14 @@ class UnitLedger:
         remaining pending cells. A worker with no sample yet gets a
         small probe (capacity-aware sizing needs a capacity
         measurement); no asker ever receives more than half of what
-        remains, for the same reason the halving policy never checks
-        worker counts — late joiners and hello/lease races must still
-        find work. The floor is the adaptive minimum: the cells
-        amounting to ``target_unit_seconds`` of predicted work, capped
-        by a fair share so small workloads still spread, and never
-        below the configured ``min_unit_cells``.
+        remains, for the same reason grants never check worker counts —
+        late joiners and hello/lease races must still find work. The
+        floor is the adaptive minimum: the cells amounting to
+        ``target_unit_seconds`` of predicted work, capped by a fair
+        share so small workloads still spread, and never below the
+        configured ``min_unit_cells``.
         """
-        floor = max(self.min_unit_cells, 1)
+        floor = self.min_unit_cells
         live = [
             w
             for w, seen in self._last_seen.items()
@@ -756,7 +609,7 @@ class UnitLedger:
             "deadline": now + self.lease_timeout,
             "granted": now,
         }
-        self._stats(worker, now)["leases"] += 1
+        self._worker_stats[worker]["leases"] += 1
         log.info(
             "lease %d granted to %s (group %d, %d cells)",
             lease_id,
@@ -816,16 +669,6 @@ class UnitLedger:
                 extra={"group": index, "cells": len(by_group[index])},
             )
 
-    def all_live_informed(self) -> bool:
-        """Whether every worker still alive has been told ``done``."""
-        with self._lock:
-            now = self.clock()
-            return all(
-                worker in self._told_done
-                or now - seen > self.lease_timeout
-                for worker, seen in self._last_seen.items()
-            )
-
     def progress(self) -> dict:
         """Snapshot for logs and timeout diagnostics."""
         with self._lock:
@@ -840,10 +683,6 @@ class UnitLedger:
             }
 
 
-#: Migration alias — the ledger used to lease whole-group indices.
-GroupLedger = UnitLedger
-
-
 def _lease_key(lease_id) -> int:
     try:
         return int(lease_id)
@@ -851,164 +690,154 @@ def _lease_key(lease_id) -> int:
         return -1
 
 
-class _CoordinatorServer(socketserver.ThreadingTCPServer):
-    """One-request-per-connection JSON server around a ledger + store."""
+class FleetCoordinator:
+    """Serve a :class:`~repro.distributed.queue.PlanQueue` to fleet
+    workers over TCP.
 
-    daemon_threads = True
-    allow_reuse_address = True
+    Parameters
+    ----------
+    queue:
+        The plan queue every message is routed to.
+    host, port:
+        Listen address; port ``0`` lets the OS pick (read it back from
+        :attr:`address` after :meth:`start`).
+    share_sessions, poll_interval:
+        Advertised to workers on ``welcome``: whether a unit's runs
+        share one engine session, and the idle re-ask cadence.
+    auth_token:
+        Shared secret for the mutual challenge–response handshake
+        (``None`` disables authentication) — enforced by the connection
+        handler before any dispatch.
+    """
 
     def __init__(
         self,
-        address: tuple[str, int],
-        ledger: UnitLedger,
-        workset: WorkSet,
-        store,
-        store_lock: threading.Lock,
-        share_sessions: bool,
-        poll_interval: float,
+        queue: "PlanQueue",
+        host: str = "127.0.0.1",
+        port: int = 0,
+        share_sessions: bool = True,
+        poll_interval: float = 0.5,
         auth_token: str | None = None,
-        trace: dict | None = None,
     ) -> None:
-        super().__init__(address, _CoordinatorHandler)
-        plan = workset.plan
-        self.ledger = ledger
-        self.plan_name = plan.name
-        self.plan_payload = plan.to_dict()
-        self.plan_cells = {k.as_tuple() for k in plan.runs()}
-        self.store = store
-        self.store_lock = store_lock
-        self.share_sessions = share_sessions
-        self.poll_interval = poll_interval
-        self.auth_token = auth_token
-        # the run's trace context {trace_id, parent_span} — stamped on
-        # welcome and every lease so workers' spans join one tree
-        self.trace = dict(trace) if trace else None
+        self.queue = queue
+        self.host = host
+        self.port = port
+        self.share_sessions = bool(share_sessions)
+        self.poll_interval = float(poll_interval)
+        self.auth_token = check_auth_token(auth_token)
+        self.address: tuple[str, int] | None = None
+        self._server: _FleetServer | None = None
+        self._thread: threading.Thread | None = None
 
-    def _stamp_trace(self, reply: dict) -> dict:
-        if self.trace is not None and reply.get("type") == "unit":
-            reply["trace"] = dict(self.trace)
-        return reply
+    def start(self) -> tuple[str, int]:
+        """Bind and serve in a daemon thread; returns ``(host, port)``."""
+        server = _FleetServer((self.host, self.port), self)
+        self._server = server
+        self.address = (
+            server.server_address[0],
+            int(server.server_address[1]),
+        )
+        self._thread = threading.Thread(
+            target=server.serve_forever,
+            kwargs={"poll_interval": 0.05},
+            daemon=True,
+            name="fleet-coordinator",
+        )
+        self._thread.start()
+        log.info("fleet coordinator listening on %s:%d", *self.address)
+        return self.address
 
-    def _stamp_clock(self, message: dict, reply: dict) -> dict:
-        """Answer a ``sent_at`` timestamp with the coordinator-measured
-        clock-offset estimate (coordinator time minus worker send time —
-        skewed by one-way latency, plenty for timeline alignment)."""
-        sent = message.get("sent_at")
-        if sent is not None:
-            try:
-                reply["clock_offset"] = time.time() - float(sent)
-            except (TypeError, ValueError):
-                pass
-        return reply
+    def close(self) -> None:
+        """Stop serving and release the socket (idempotent)."""
+        server, self._server = self._server, None
+        thread, self._thread = self._thread, None
+        if server is not None:
+            server.shutdown()
+            server.server_close()
+        if thread is not None:
+            thread.join(timeout=5.0)
 
+    # ------------------------------------------------------------------
     def dispatch(self, message: dict) -> dict:
+        """Route one fleet message to the queue (the handler calls this
+        after framing and, when configured, authentication)."""
         mtype = message.get("type")
         worker = str(message.get("worker", ""))
+        queue = self.queue
         if mtype == "hello":
-            self.ledger.touch(worker)
-            reply = {
+            queue.touch(worker)
+            return {
                 "type": "welcome",
-                "plan": self.plan_payload,
                 "share_sessions": self.share_sessions,
-                "lease_timeout": self.ledger.lease_timeout,
+                "lease_timeout": queue.lease_timeout,
                 "poll_interval": self.poll_interval,
-                # cost mode collapses complete→drain→records→lease into
-                # one exchange: workers that see this flag attach their
-                # records to `complete` and read `next` off the reply
-                "piggyback": self.ledger.cost_model is not None,
             }
-            if self.trace is not None:
-                reply["trace"] = dict(self.trace)
-            return reply
         if mtype == "lease":
-            return self._stamp_trace(self.ledger.lease(worker))
+            return queue.lease(worker)
         if mtype == "heartbeat":
             telemetry().fold_snapshot(message.get("metrics"), worker=worker)
-            reply = self.ledger.heartbeat(
-                worker, message.get("lease"), message.get("telemetry")
-            )
-            return self._stamp_clock(message, reply)
-        if mtype == "complete":
-            telemetry().fold_snapshot(message.get("metrics"), worker=worker)
-            drained = False
-            records = message.get("records")
-            if isinstance(records, list):
-                # piggybacked drain: the worker's records arrive with
-                # the report; merge them BEFORE the ledger sees the
-                # completion so the coverage check already counts them
-                wanted = [
-                    r for r in records if record_key(r) in self.plan_cells
-                ]
-                with self.store_lock:
-                    self.store.merge(wanted)
-                drained = True
-            reply = self.ledger.complete(
+            reply = queue.heartbeat(
                 worker,
+                message.get("plan_id"),
                 message.get("lease"),
                 message.get("telemetry"),
-                drained=drained,
-                grant_next=self.ledger.cost_model is not None,
             )
-            if isinstance(reply.get("next"), dict):
-                self._stamp_trace(reply["next"])
-            return self._stamp_clock(message, reply)
+            return _stamp_clock(message, reply)
+        if mtype == "complete":
+            telemetry().fold_snapshot(message.get("metrics"), worker=worker)
+            reply = queue.complete(
+                worker,
+                message.get("plan_id"),
+                message.get("lease"),
+                message.get("telemetry"),
+                message.get("records"),
+            )
+            return _stamp_clock(message, reply)
+        if mtype == "records":
+            return queue.merge_records(
+                worker, message.get("plan_id"), message.get("records")
+            )
         if mtype == "drain":
             # operator request: gracefully retire ``target`` (elastic
             # scale-down — finish leased units, no new grants, `bye`)
             target = str(message.get("target", "") or worker)
             if not target:
                 raise FleetError("drain message without a target worker")
-            self.ledger.drain_worker(target)
+            queue.drain_worker(target)
             return {"type": "ok", "draining": target}
         if mtype == "status":
-            # read-only fleet snapshot for `repro experiments status`;
-            # deliberately does NOT touch() the asker — a status probe
+            # read-only, never counts as worker contact: a status probe
             # must never register as a worker the shutdown linger then
             # waits to inform
-            with self.store_lock:
-                recorded = len(
-                    {
-                        record_key(r)
-                        for r in self.store.records()
-                    }
-                    & self.plan_cells
-                )
-            return {
-                "type": "status",
-                "plan": self.plan_name,
-                "trace": dict(self.trace) if self.trace else None,
-                "expected_cells": len(self.plan_cells),
-                "recorded_cells": recorded,
-                "finished": self.ledger.finished.is_set(),
-                "progress": self.ledger.progress(),
-                "workers": self.ledger.worker_stats(),
-                "costs": (
-                    self.ledger.cost_model.to_dict()
-                    if self.ledger.cost_model is not None
-                    else None
-                ),
-            }
-        if mtype == "records":
-            records = message.get("records")
-            if not isinstance(records, list):
-                raise FleetError("records message without a record list")
-            # a worker's reused store may hold cells from other plans;
-            # only this plan's cells enter the results artifact
-            wanted = [
-                r for r in records if record_key(r) in self.plan_cells
-            ]
-            with self.store_lock:
-                merged = self.store.merge(wanted)
-            # store first, ledger second — never both locks at once
-            # from this side (lease holds ledger and reads the store)
-            self.ledger.drained(worker)
-            return {
-                "type": "ok",
-                "merged": len(wanted),
-                "ignored": len(records) - len(wanted),
-                "total": merged["records"],
-            }
+            return queue.status()
         raise FleetError(f"unknown fleet message type {mtype!r}")
+
+
+def _stamp_clock(message: dict, reply: dict) -> dict:
+    """Answer a ``sent_at`` timestamp with the coordinator-measured
+    clock-offset estimate (coordinator time minus worker send time —
+    skewed by one-way latency, plenty for timeline alignment)."""
+    sent = message.get("sent_at")
+    if sent is not None:
+        try:
+            reply["clock_offset"] = time.time() - float(sent)
+        except (TypeError, ValueError):
+            pass
+    return reply
+
+
+class _FleetServer(socketserver.ThreadingTCPServer):
+    """One-request-per-connection JSON server around a coordinator."""
+
+    daemon_threads = True
+    allow_reuse_address = True
+
+    def __init__(
+        self, address: tuple[str, int], coordinator: FleetCoordinator
+    ) -> None:
+        super().__init__(address, _CoordinatorHandler)
+        self.auth_token = coordinator.auth_token
+        self.dispatch = coordinator.dispatch
 
 
 class _CoordinatorHandler(socketserver.BaseRequestHandler):
@@ -1084,254 +913,3 @@ class _CoordinatorHandler(socketserver.BaseRequestHandler):
         except OSError:
             # a worker died mid-exchange; its lease will expire
             pass
-
-
-class FleetExecutor:
-    """Serve a plan's work units to TCP workers; the distributed executor.
-
-    Parameters
-    ----------
-    host, port:
-        Listen address; port ``0`` lets the OS pick (read it back from
-        :attr:`address`, or via ``on_bound``).
-    lease_timeout:
-        Seconds of worker silence after which its unit is re-leased.
-        Workers heartbeat at a quarter of this, so it bounds both the
-        cost of a worker death and the end-of-run linger.
-    poll_interval:
-        Advertised to workers as their idle re-ask cadence.
-    timeout:
-        Optional overall wall-clock bound; :class:`FleetError` when the
-        plan is still incomplete after this many seconds (``None``
-        waits forever — workers may join at any time).
-    min_unit_cells:
-        Work-stealing floor (see :class:`UnitLedger`): the last pending
-        unit splits for an asking worker while both halves keep at
-        least this many cells; ``0`` restores whole-group leases.
-    scheduling:
-        ``"cost"`` (the default) prices units with a plan-seeded
-        :class:`~repro.experiments.costs.UnitCostModel` and grants
-        capacity-aware, piggybacked leases; ``"halving"`` restores the
-        original largest-whole/split-last policy.
-    target_unit_seconds:
-        Cost mode's per-lease wall-clock target (see
-        :class:`UnitLedger`).
-    slow_unit_factor:
-        Residual-monitoring threshold (see :class:`UnitLedger`): a
-        completed unit slower than ``factor × predicted`` emits a
-        ``slow_unit`` trace event naming the worker.
-    auth_token:
-        Shared secret for the challenge–response handshake (see
-        :mod:`repro.distributed.protocol`); defaults to
-        ``REPRO_FLEET_TOKEN`` from the environment, and ``None``
-        disables authentication.
-    cost_snapshot:
-        Optional sidecar path for the fleet cost model (cost mode): a
-        snapshot found there is restored on start — measured rates
-        survive coordinator restarts, so the first grants of the next
-        run are already capacity-informed — and the refined model is
-        written back on finish. Missing or unreadable files mean a
-        cold start, never an error.
-    on_bound:
-        Callback invoked with the bound ``(host, port)`` once the
-        coordinator accepts connections (tests and the CLI use it to
-        launch/announce workers).
-    """
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        lease_timeout: float = 30.0,
-        poll_interval: float = 0.5,
-        timeout: float | None = None,
-        min_unit_cells: int = 1,
-        scheduling: str = "cost",
-        target_unit_seconds: float = 1.0,
-        slow_unit_factor: float = DEFAULT_SLOW_UNIT_FACTOR,
-        auth_token: str | None = None,
-        cost_snapshot: str | os.PathLike | None = None,
-        on_bound: Callable[[tuple[str, int]], None] | None = None,
-    ) -> None:
-        if scheduling not in ("cost", "halving"):
-            raise FleetError(
-                f"unknown scheduling mode {scheduling!r}; "
-                "choose 'cost' or 'halving'"
-            )
-        self.host = host
-        self.port = port
-        self.lease_timeout = float(lease_timeout)
-        self.poll_interval = float(poll_interval)
-        self.timeout = timeout
-        self.min_unit_cells = int(min_unit_cells)
-        self.scheduling = scheduling
-        self.target_unit_seconds = float(target_unit_seconds)
-        self.slow_unit_factor = float(slow_unit_factor)
-        self.auth_token = check_auth_token(
-            auth_token
-            if auth_token is not None
-            else os.environ.get("REPRO_FLEET_TOKEN")
-        )
-        self.cost_snapshot = cost_snapshot
-        self.on_bound = on_bound
-        self.address: tuple[str, int] | None = None
-        self.requeues = 0
-        self.steals = 0
-        # per-worker utilization view of the last execute() (see
-        # UnitLedger.worker_stats); also dumped as gauges and a
-        # fleet_summary trace event on finish
-        self.worker_stats: dict[str, dict] = {}
-        # the fleet-wide cost model of the last execute() (cost mode)
-        self.cost_model: UnitCostModel | None = None
-
-    # ------------------------------------------------------------------
-    def execute(
-        self,
-        runner: "ExperimentRunner",
-        workset: WorkSet,
-    ) -> list[dict] | None:
-        _check_process_portable(runner, "fleet execution")
-        if not workset.pending():
-            return []
-        store_lock = threading.Lock()
-
-        def completed_cells() -> set[tuple[str, str, int, str]]:
-            with store_lock:
-                return runner.store.completed()
-
-        if self.scheduling == "cost":
-            self.cost_model = plan_cost_model(workset.plan)
-            if self.cost_snapshot is not None:
-                restored = load_cost_model(self.cost_snapshot)
-                if restored is not None:
-                    # the snapshot's measured rates win; this plan's
-                    # budget priors only fill kernels it never saw
-                    seed_plan_priors(
-                        restored, workset.plan, overwrite=False
-                    )
-                    restored.fold_engine(self.cost_model.engine)
-                    self.cost_model = restored
-        else:
-            self.cost_model = None
-        ledger = UnitLedger(
-            workset,
-            self.lease_timeout,
-            completed_cells,
-            min_unit_cells=self.min_unit_cells,
-            cost_model=self.cost_model,
-            target_unit_seconds=self.target_unit_seconds,
-            slow_unit_factor=self.slow_unit_factor,
-        )
-        server = _CoordinatorServer(
-            (self.host, self.port),
-            ledger=ledger,
-            workset=workset,
-            store=runner.store,
-            store_lock=store_lock,
-            share_sessions=runner.share_sessions,
-            poll_interval=self.poll_interval,
-            auth_token=self.auth_token,
-            # the runner's `plan` root span adopted this context just
-            # before calling us; stamping it on welcome/lease replies
-            # hangs every worker's spans under that root
-            trace=telemetry().trace_context(),
-        )
-        self.address = (server.server_address[0], server.server_address[1])
-        thread = threading.Thread(
-            target=server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            daemon=True,
-            name="fleet-coordinator",
-        )
-        thread.start()
-        # while serving, the observability HTTP endpoint (if any)
-        # mirrors the read-only status message for this run
-        status_provider = lambda: server.dispatch({"type": "status"})  # noqa: E731
-        set_status_provider(status_provider)
-        try:
-            if self.on_bound is not None:
-                self.on_bound(self.address)
-            deadline = (
-                None
-                if self.timeout is None
-                else time.monotonic() + self.timeout
-            )
-            while not ledger.finished.wait(0.25):
-                # catch runs whose last worker died after its drain —
-                # completion is then visible only from this side
-                ledger.poll_completion()
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise FleetError(
-                        f"fleet run timed out after {self.timeout}s: "
-                        f"{ledger.progress()}"
-                    )
-            # linger so idle workers polling for work hear "done"
-            # instead of a connection error, bounded by the same
-            # staleness rule that presumes silent workers dead
-            deadline = time.monotonic() + self.lease_timeout
-            while (
-                not ledger.all_live_informed()
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.05)
-        finally:
-            clear_status_provider(status_provider)
-            self.requeues = ledger.requeues
-            self.steals = ledger.steals
-            self.worker_stats = ledger.worker_stats()
-            self._export_fleet_telemetry()
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5.0)
-            if self.cost_snapshot is not None and self.cost_model is not None:
-                try:
-                    save_cost_model(self.cost_model, self.cost_snapshot)
-                except OSError as exc:  # a hint, never worth failing a run
-                    log.warning(
-                        "could not persist cost snapshot %s: %s",
-                        self.cost_snapshot,
-                        exc,
-                    )
-        return None
-
-    def _export_fleet_telemetry(self) -> None:
-        """Dump the fleet-wide view into the metric registry and sinks."""
-        obs = telemetry()
-        for worker, st in self.worker_stats.items():
-            obs.gauge("repro_fleet_worker_busy_seconds", worker=worker).set(
-                st["busy_seconds"]
-            )
-            obs.gauge("repro_fleet_worker_idle_seconds", worker=worker).set(
-                st["idle_seconds"]
-            )
-            obs.counter("repro_fleet_worker_units_total", worker=worker).inc(
-                st["units"]
-            )
-        obs.emit(
-            {
-                "event": "fleet_summary",
-                "time": time.time(),
-                "requeues": self.requeues,
-                "steals": self.steals,
-                "workers": self.worker_stats,
-            }
-        )
-        log.info(
-            "fleet finished: %d workers, %d requeues, %d steals",
-            len(self.worker_stats),
-            self.requeues,
-            self.steals,
-            extra={
-                "workers": len(self.worker_stats),
-                "requeues": self.requeues,
-                "steals": self.steals,
-            },
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"FleetExecutor(host={self.host!r}, port={self.port}, "
-            f"lease_timeout={self.lease_timeout}, "
-            f"min_unit_cells={self.min_unit_cells}, "
-            f"scheduling={self.scheduling!r})"
-        )

@@ -15,16 +15,17 @@ scaling ladder:
   a results store).
 * :class:`ProcessShardExecutor` — units fanned out to local
   ``multiprocessing`` processes that meet only through the shared
-  JSONL store; units are pre-split (down to ``min_unit_cells``) and
-  packed into near-equal-**cost** shard assignments under a
-  plan-seeded :class:`~repro.experiments.costs.UnitCostModel`
-  (``scheduling="halving"`` restores count-based splitting), so a
-  plan with fewer groups than shards still occupies every shard and
-  shards finish together.
-* :class:`~repro.distributed.coordinator.FleetExecutor` — units leased
-  to remote worker processes over TCP with cell-level work stealing,
-  lease-timeout requeue and store merging (see
-  :mod:`repro.distributed.coordinator`).
+  JSONL store; units are pre-split into near-equal-**cost** pieces and
+  packed into shard assignments (LPT plus swap/shift local search)
+  under a plan-seeded :class:`~repro.experiments.costs.UnitCostModel`,
+  so a plan with fewer groups than shards still occupies every shard
+  and shards finish together.
+* :class:`FleetExecutor` — units leased to remote worker processes
+  over TCP with cell-level work stealing, lease-timeout requeue and
+  store merging: a :class:`~repro.distributed.queue.PlanQueue` holding
+  the one plan, served by a
+  :class:`~repro.distributed.coordinator.FleetCoordinator` — the same
+  pair ``repro serve`` runs.
 
 Executors receive the runner itself: they call back into
 :meth:`ExperimentRunner.run_units` (directly, or from a shard/worker
@@ -33,42 +34,52 @@ store's ``(system, case, seed, backend)`` contract under every policy.
 An executor returns the freshly produced records, or ``None`` when its
 work reached the store through other processes and the runner should
 re-read it.
-
-Migration note: this SPI replaced the group-index ``GroupExecutor``
-protocol (``execute(runner, plan, done)``). Custom executors should
-now implement ``execute(runner, workset)`` and iterate
-``workset.pending()``; ``GroupExecutor`` remains as an alias of
-:class:`WorkExecutor`, and :meth:`ExperimentRunner.run_groups` remains
-as a shim over :meth:`ExperimentRunner.run_units`.
 """
 
 from __future__ import annotations
 
+import logging
 import multiprocessing
-from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
+import os
+import time
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Protocol,
+    Sequence,
+    runtime_checkable,
+)
 
 from repro.errors import ReproError
-from repro.experiments.costs import UnitCostModel, plan_cost_model
+from repro.experiments.costs import (
+    DEFAULT_SLOW_UNIT_FACTOR,
+    UnitCostModel,
+    plan_cost_model,
+)
 from repro.experiments.work import (
     WorkSet,
     WorkUnit,
-    assign_units,
     assign_units_by_cost,
     split_units_by_cost,
 )
+from repro.obs import telemetry
+from repro.obs.http import clear_status_provider, set_status_provider
+
+from repro.distributed.coordinator import FleetCoordinator
+from repro.distributed.protocol import FleetError, check_auth_token
+from repro.distributed.queue import PlanQueue
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.experiments.plan import ExperimentPlan
     from repro.experiments.runner import ExperimentRunner
 
 __all__ = [
-    "GroupExecutor",
+    "FleetExecutor",
     "InlineExecutor",
     "ProcessShardExecutor",
     "WorkExecutor",
-    "pending_group_indices",
-    "shard_assignments",
 ]
+
+log = logging.getLogger("repro.distributed.executors")
 
 
 @runtime_checkable
@@ -86,41 +97,6 @@ class WorkExecutor(Protocol):
         to the runner's store by other processes (the runner re-reads
         the store in that case).
         """
-
-
-#: Migration alias — the SPI used to be named after its old currency,
-#: whole ``(case, backend)`` groups.
-GroupExecutor = WorkExecutor
-
-
-def pending_group_indices(
-    plan: "ExperimentPlan", done: set[tuple[str, str, int, str]]
-) -> list[int]:
-    """Indices of plan groups that still have unrecorded cells.
-
-    Re-expressed over :meth:`WorkSet.pending` so there is exactly one
-    source of truth for "what remains" (compile drops fully recorded
-    groups).
-    """
-    return [unit.group for unit in WorkSet.compile(plan, done).pending()]
-
-
-def shard_assignments(
-    pending: Sequence[int], shards: int
-) -> list[list[int]]:
-    """Round-robin split of pending group indices into shard work lists.
-
-    Kept for group-index callers; unit-level shard planning (the shard
-    executor's path) is :func:`repro.experiments.work.assign_units`
-    over :meth:`WorkSet.pending`. Never yields an empty assignment:
-    asking for more shards than there are pending groups simply
-    produces fewer shards, instead of spawning worker processes with
-    nothing to do.
-    """
-    if shards < 1:
-        raise ReproError(f"shards must be >= 1, got {shards}")
-    assignments = [list(pending[s::shards]) for s in range(shards)]
-    return [a for a in assignments if a]
 
 
 def _check_process_portable(runner: "ExperimentRunner", what: str) -> None:
@@ -160,6 +136,13 @@ class InlineExecutor:
 class ProcessShardExecutor:
     """Fan pending units out to local shard processes.
 
+    Units are pre-split and packed by *predicted cost* — near-equal-cost
+    chunks, LPT assignment plus local swap/shift refinement
+    (:func:`repro.experiments.work.split_units_by_cost` /
+    :func:`~repro.experiments.work.assign_units_by_cost`) under a
+    plan-seeded :class:`~repro.experiments.costs.UnitCostModel` — so
+    shards finish together even when groups differ wildly in cost.
+
     Parameters
     ----------
     shards:
@@ -167,48 +150,29 @@ class ProcessShardExecutor:
         never exceeds the number of schedulable units (empty shards are
         skipped, not spawned).
     min_unit_cells:
-        Split floor when dividing big units so every shard gets work:
-        a unit splits only while both halves keep at least this many
-        cells. ``0`` disables splitting (whole-group shards, the
-        pre-WorkUnit behaviour). Splitting moves only *where* cells
-        run, never what they record.
-    scheduling:
-        ``"cost"`` (the default) pre-splits and packs units by
-        *predicted cost* — near-equal-cost chunks, LPT assignment plus
-        local swap/shift refinement
-        (:func:`repro.experiments.work.split_units_by_cost` /
-        :func:`~repro.experiments.work.assign_units_by_cost`) under a
-        plan-seeded :class:`~repro.experiments.costs.UnitCostModel` —
-        so shards finish together even when groups differ wildly in
-        cost. ``"halving"`` restores cell-count splitting with
-        round-robin assignment.
+        Split floor (at least 1) when dividing big units so every shard
+        gets work: no piece is carved smaller than this many cells.
+        Splitting moves only *where* cells run, never what they record.
     cost_model:
-        Explicit :class:`~repro.experiments.costs.UnitCostModel` for
-        cost scheduling (tests, or a model saved from a previous run);
-        defaults to one seeded from the plan's budgets at execute time.
+        Explicit :class:`~repro.experiments.costs.UnitCostModel` (tests,
+        or a model saved from a previous run); defaults to one seeded
+        from the plan's budgets at execute time.
     """
 
     def __init__(
         self,
         shards: int,
         min_unit_cells: int = 1,
-        scheduling: str = "cost",
         cost_model: UnitCostModel | None = None,
     ) -> None:
         if shards < 1:
             raise ReproError(f"shards must be >= 1, got {shards}")
-        if min_unit_cells < 0:
+        if min_unit_cells < 1:
             raise ReproError(
-                f"min_unit_cells must be >= 0, got {min_unit_cells}"
-            )
-        if scheduling not in ("cost", "halving"):
-            raise ReproError(
-                f"unknown scheduling mode {scheduling!r}; "
-                "choose 'cost' or 'halving'"
+                f"min_unit_cells must be >= 1, got {min_unit_cells}"
             )
         self.shards = shards
         self.min_unit_cells = min_unit_cells
-        self.scheduling = scheduling
         self.cost_model = cost_model
 
     def execute(
@@ -224,37 +188,23 @@ class ProcessShardExecutor:
                 "sharded execution needs lock-serialised store appends, "
                 "unavailable on this platform; use the inline executor"
             )
-        if self.scheduling == "cost":
-            model = self.cost_model or plan_cost_model(workset.plan)
-            kernels = {
-                index: UnitCostModel.kernel_key(case.name, backend)
-                for index, ((case, backend), _keys) in enumerate(
-                    workset.plan.groups()
-                )
-            }
-
-            def rate_of(group: int) -> float:
-                return model.rate(kernels.get(group, ""))
-
-            pending = workset.pending()
-            if self.min_unit_cells > 0:
-                units = split_units_by_cost(
-                    pending, self.shards, rate_of, self.min_unit_cells
-                )
-            else:
-                units = list(pending)  # whole-group shards, as asked
-            assignments = assign_units_by_cost(
-                units, self.shards, rate_of
+        model = self.cost_model or plan_cost_model(workset.plan)
+        kernels = {
+            index: UnitCostModel.kernel_key(case.name, backend)
+            for index, ((case, backend), _keys) in enumerate(
+                workset.plan.groups()
             )
-        else:
-            units = workset.split(
-                self.shards, self.min_unit_cells
-            ).pending()
-            assignments = assign_units(units, self.shards)
+        }
+
+        def rate_of(group: int) -> float:
+            return model.rate(kernels.get(group, ""))
+
+        units = split_units_by_cost(
+            workset.pending(), self.shards, rate_of, self.min_unit_cells
+        )
         if not units:
             return []
-        from repro.obs import telemetry
-
+        assignments = assign_units_by_cost(units, self.shards, rate_of)
         trace = telemetry().trace_context()
         workers = [
             multiprocessing.Process(
@@ -284,8 +234,224 @@ class ProcessShardExecutor:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"ProcessShardExecutor(shards={self.shards}, "
-            f"min_unit_cells={self.min_unit_cells}, "
-            f"scheduling={self.scheduling!r})"
+            f"min_unit_cells={self.min_unit_cells})"
+        )
+
+
+class FleetExecutor:
+    """Serve a plan's work units to TCP workers; the distributed executor.
+
+    The plan is admitted, with the runner's store as its store, into a
+    :class:`~repro.distributed.queue.PlanQueue` served by a
+    :class:`~repro.distributed.coordinator.FleetCoordinator` — the very
+    queue and server of ``repro serve``, holding one plan. Once the
+    store records every cell the queue is closed: every further ask is
+    answered ``done``, and the executor lingers until each live worker
+    has heard it.
+
+    Parameters
+    ----------
+    host, port:
+        Listen address; port ``0`` lets the OS pick (read it back from
+        :attr:`address`, or via ``on_bound``).
+    lease_timeout:
+        Seconds of worker silence after which its unit is re-leased.
+        Workers heartbeat at a quarter of this, so it bounds both the
+        cost of a worker death and the end-of-run linger.
+    poll_interval:
+        Advertised to workers as their idle re-ask cadence.
+    timeout:
+        Optional overall wall-clock bound; :class:`FleetError` when the
+        plan is still incomplete after this many seconds (``None``
+        waits forever — workers may join at any time).
+    min_unit_cells:
+        Lease-size floor, at least 1 (see
+        :class:`~repro.distributed.coordinator.UnitLedger`).
+    target_unit_seconds:
+        Per-lease wall-clock target (see
+        :class:`~repro.distributed.coordinator.UnitLedger`).
+    slow_unit_factor:
+        Residual-monitoring threshold: a completed unit slower than
+        ``factor × predicted`` emits a ``slow_unit`` trace event naming
+        the worker.
+    auth_token:
+        Shared secret for the challenge–response handshake (see
+        :mod:`repro.distributed.protocol`); defaults to
+        ``REPRO_FLEET_TOKEN`` from the environment, and ``None``
+        disables authentication.
+    cost_snapshot:
+        Optional sidecar path for the fleet cost model: a snapshot
+        found there is restored on start — measured rates survive
+        coordinator restarts, so the first grants of the next run are
+        already capacity-informed — and the refined model is written
+        back on finish. Missing or unreadable files mean a cold start,
+        never an error.
+    on_bound:
+        Callback invoked with the bound ``(host, port)`` once the
+        coordinator accepts connections (tests and the CLI use it to
+        launch/announce workers).
+    """
+
+    def __init__(
+        self,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        lease_timeout: float = 30.0,
+        poll_interval: float = 0.5,
+        timeout: float | None = None,
+        min_unit_cells: int = 1,
+        target_unit_seconds: float = 1.0,
+        slow_unit_factor: float = DEFAULT_SLOW_UNIT_FACTOR,
+        auth_token: str | None = None,
+        cost_snapshot: str | os.PathLike | None = None,
+        on_bound: Callable[[tuple[str, int]], None] | None = None,
+    ) -> None:
+        if min_unit_cells < 1:
+            raise FleetError(
+                f"min_unit_cells must be >= 1, got {min_unit_cells}"
+            )
+        self.host = host
+        self.port = port
+        self.lease_timeout = float(lease_timeout)
+        self.poll_interval = float(poll_interval)
+        self.timeout = timeout
+        self.min_unit_cells = int(min_unit_cells)
+        self.target_unit_seconds = float(target_unit_seconds)
+        self.slow_unit_factor = float(slow_unit_factor)
+        self.auth_token = check_auth_token(
+            auth_token
+            if auth_token is not None
+            else os.environ.get("REPRO_FLEET_TOKEN")
+        )
+        self.cost_snapshot = cost_snapshot
+        self.on_bound = on_bound
+        self.address: tuple[str, int] | None = None
+        self.requeues = 0
+        self.steals = 0
+        # per-worker utilization view of the last execute() (see
+        # PlanQueue.worker_stats); also dumped as gauges and a
+        # fleet_summary trace event on finish
+        self.worker_stats: dict[str, dict] = {}
+        # the fleet-wide cost model of the last execute()
+        self.cost_model: UnitCostModel | None = None
+
+    # ------------------------------------------------------------------
+    def execute(
+        self,
+        runner: "ExperimentRunner",
+        workset: WorkSet,
+    ) -> list[dict] | None:
+        _check_process_portable(runner, "fleet execution")
+        if not workset.pending():
+            return []
+        from repro.engine.backends import kernel_costs
+
+        queue = PlanQueue(
+            lease_timeout=self.lease_timeout,
+            min_unit_cells=self.min_unit_cells,
+            target_unit_seconds=self.target_unit_seconds,
+            slow_unit_factor=self.slow_unit_factor,
+        )
+        if self.cost_snapshot is not None:
+            # the snapshot's measured rates win; this plan's budget
+            # priors only fill kernels it never saw (at admission)
+            queue.use_cost_snapshot(self.cost_snapshot)
+        queue.cost_model.fold_engine(kernel_costs().snapshot())
+        self.cost_model = queue.cost_model
+        # the runner's `plan` root span adopted this context just
+        # before calling us; stamping it on every grant hangs every
+        # worker's spans under that root
+        job = queue.admit(
+            workset.plan, runner.store, trace=telemetry().trace_context()
+        )
+        coordinator = FleetCoordinator(
+            queue,
+            host=self.host,
+            port=self.port,
+            share_sessions=runner.share_sessions,
+            poll_interval=self.poll_interval,
+            auth_token=self.auth_token,
+        )
+        self.address = coordinator.start()
+        # while serving, the observability HTTP endpoint (if any)
+        # mirrors the read-only status message for this run
+        set_status_provider(queue.status)
+        try:
+            if self.on_bound is not None:
+                self.on_bound(self.address)
+            deadline = (
+                None
+                if self.timeout is None
+                else time.monotonic() + self.timeout
+            )
+            while not job.ledger.finished.wait(0.25):
+                # catch runs whose last worker died after its drain —
+                # completion is then visible only from this side
+                queue.housekeep()
+                if deadline is not None and time.monotonic() >= deadline:
+                    raise FleetError(
+                        f"fleet run timed out after {self.timeout}s: "
+                        f"{job.ledger.progress()}"
+                    )
+            queue.finish()
+            # linger so idle workers polling for work hear "done"
+            # instead of a connection error, bounded by the same
+            # staleness rule that presumes silent workers dead
+            deadline = time.monotonic() + self.lease_timeout
+            while (
+                not queue.all_live_informed()
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.05)
+        finally:
+            clear_status_provider(queue.status)
+            self.requeues = job.ledger.requeues
+            self.steals = job.ledger.steals
+            self.worker_stats = queue.worker_stats()
+            self._export_fleet_telemetry()
+            coordinator.close()
+            queue.save_costs()
+        return None
+
+    def _export_fleet_telemetry(self) -> None:
+        """Dump the fleet-wide view into the metric registry and sinks."""
+        obs = telemetry()
+        for worker, st in self.worker_stats.items():
+            obs.gauge("repro_fleet_worker_busy_seconds", worker=worker).set(
+                st["busy_seconds"]
+            )
+            obs.gauge("repro_fleet_worker_idle_seconds", worker=worker).set(
+                st["idle_seconds"]
+            )
+            obs.counter("repro_fleet_worker_units_total", worker=worker).inc(
+                st["units"]
+            )
+        obs.emit(
+            {
+                "event": "fleet_summary",
+                "time": time.time(),
+                "requeues": self.requeues,
+                "steals": self.steals,
+                "workers": self.worker_stats,
+            }
+        )
+        log.info(
+            "fleet finished: %d workers, %d requeues, %d steals",
+            len(self.worker_stats),
+            self.requeues,
+            self.steals,
+            extra={
+                "workers": len(self.worker_stats),
+                "requeues": self.requeues,
+                "steals": self.steals,
+            },
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (
+            f"FleetExecutor(host={self.host!r}, port={self.port}, "
+            f"lease_timeout={self.lease_timeout}, "
+            f"min_unit_cells={self.min_unit_cells})"
         )
 
 

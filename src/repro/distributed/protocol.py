@@ -10,27 +10,26 @@ is the failure mode the fleet is built around.
 Message ``type`` values (worker → coordinator, reply in parentheses):
 
 ``hello``
-    Join the fleet (``welcome``: the plan payload, session sharing and
-    the lease timeout — a worker needs no plan file of its own. Under
-    cost scheduling the welcome also advertises ``piggyback: true``,
-    switching the worker to the low-round-trip loop below. When the
-    coordinator runs under a ``plan`` root span, the welcome also
-    carries ``trace`` — ``{"trace_id", "parent_span"}`` — which the
-    worker adopts so every fleet process traces into one tree. A
-    multi-plan service coordinator (:mod:`repro.service`) instead
-    advertises ``multi_plan: true`` and ships no plan: each ``unit``
-    reply then carries ``plan_id`` plus the plan payload inline, and
-    the worker echoes ``plan_id`` on ``heartbeat``/``complete``/
-    ``records`` so the service routes them to the right ledger).
+    Join the fleet (``welcome``: session sharing, the lease timeout and
+    the idle poll interval). The welcome carries no plan: every
+    ``unit`` grant names its plan (``plan_id``) and ships the plan
+    payload inline, so a worker needs no plan file of its own and one
+    worker can serve many plans. The worker echoes ``plan_id`` on
+    ``heartbeat``/``complete``/``records`` so the coordinator routes
+    them to the right ledger and store.
 ``lease``
     Ask for work (``unit``: a leased work-unit descriptor — a group
     index plus the explicit cell subset to run, see
-    :class:`~repro.experiments.work.WorkUnit`; ``wait``: everything is
-    leased or another worker still holds undrained records; ``drain``:
-    the coordinator wants this worker's local records before handing
-    out more work; ``done``: the plan is fully recorded; ``bye``: this
-    worker was asked to leave — see ``drain`` below — and owes
-    nothing, so it may exit; nothing it ran will requeue).
+    :class:`~repro.experiments.work.WorkUnit` — with its ``plan_id``,
+    the plan payload and, when the plan runs under a ``plan`` root
+    span, its ``trace`` context ``{"trace_id", "parent_span"}``, which
+    the worker adopts so every fleet process traces into one tree;
+    ``wait``: nothing is grantable right now; ``drain``: the
+    coordinator wants this worker's local records of ``plan_id`` before
+    handing out more work; ``done``: the coordinator's plans are fully
+    recorded and it is shutting down; ``bye``: this worker was asked
+    to leave — see ``drain`` below — and owes nothing, so it may exit;
+    nothing it ran will requeue).
 ``heartbeat``
     Keep a lease alive while a unit runs (``ok`` / ``expired``). May
     carry a ``telemetry`` payload — the worker's cumulative
@@ -45,30 +44,27 @@ Message ``type`` values (worker → coordinator, reply in parentheses):
     ``clock_offset`` estimate for merged-timeline alignment.
 ``complete``
     Report a leased unit finished (``ok`` / ``stale`` when the lease
-    timed out and the unit was already re-leased). May carry a
+    timed out and the unit was already re-leased). Carries a
     ``telemetry`` payload (``unit_seconds``, cumulative
     ``busy_seconds``, ``records``, ``cells``, ``engine_costs``) for
-    per-worker accounting and online cost-model updates. Under
-    piggyback the request also carries the worker's undrained
-    ``records`` inline (an implicit drain) and the reply carries
-    ``next`` — a full lease decision (``unit``/``wait``/``drain``/
-    ``done``), collapsing complete → drain → records → lease into one
-    round-trip. ``next`` rides ``stale`` replies too: a worker whose
-    lease expired still wants work. Like heartbeats, ``complete``
-    carries ``metrics`` + ``sent_at``; the reply echoes a
-    ``clock_offset``, and ``unit`` replies (direct leases and
-    piggybacked ``next``) are stamped with the coordinator's ``trace``
-    context.
+    per-worker accounting and online cost-model updates, and the
+    worker's undrained ``records`` of that plan inline (an implicit
+    drain). The reply carries ``next`` — a full lease decision
+    (``unit``/``wait``/``drain``/``done``/``bye``), collapsing
+    complete → drain → records → lease into one round-trip. ``next``
+    rides ``stale`` replies too: a worker whose lease expired still
+    wants work. Like heartbeats, ``complete`` carries ``metrics`` +
+    ``sent_at``; the reply echoes a ``clock_offset``.
 ``records``
-    Upload the worker's local store (``ok``; the coordinator merges the
-    records into its own store, first writer wins).
+    Upload the worker's undrained records of ``plan_id`` (``ok``; the
+    coordinator merges them into that plan's store, first writer wins).
 ``status``
-    Read-only fleet snapshot (``status``: plan name,
-    expected/recorded cell counts, ledger progress, per-worker
-    utilization/round-trip accounting, and — under cost scheduling —
-    the fleet-wide cost model as ``costs``). Sent by
-    ``repro experiments status``; never counts as worker contact, so
-    probing a fleet cannot delay its shutdown.
+    Read-only snapshot (``status``: one entry per admitted plan with
+    its expected/recorded cell counts and ledger progress, per-worker
+    utilization/round-trip accounting, the shared cost model as
+    ``costs``, and ``finished`` once the coordinator answers ``done``).
+    Sent by ``repro experiments status``; never counts as worker
+    contact, so probing a fleet cannot delay its shutdown.
 ``drain``
     Operator request (``repro experiments drain``, or the service
     gateway's ``POST /workers/<id>/drain``): gracefully retire the

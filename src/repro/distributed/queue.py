@@ -1,15 +1,20 @@
-"""Multi-plan scheduling: a fair-share queue of independent ledgers.
+"""Plan scheduling: a fair-share queue of independent ledgers.
 
-The single-plan :class:`~repro.distributed.coordinator.UnitLedger`
-answers one question — *which unit does this worker run next?* — for
-one plan. A long-lived service multiplexes many tenants' plans onto
-one shared worker pool, so the :class:`PlanQueue` generalises the
-ledger into a queue of them: every submitted plan becomes a
-:class:`PlanJob` with its own ledger, its own per-plan
-:class:`~repro.experiments.store.ResultsStore` (the resume/idempotency
-contract is per plan), and a keyed job id — the digest of
-``(tenant, plan payload)``, so a client retrying a submission lands on
-the job it already created instead of a duplicate.
+A :class:`~repro.distributed.coordinator.UnitLedger` answers one
+question — *which unit does this worker run next?* — for one plan. The
+:class:`PlanQueue` holds any number of them behind one worker pool:
+every admitted plan becomes a :class:`PlanJob` with its own ledger, its
+own :class:`~repro.experiments.store.ResultsStore` (the
+resume/idempotency contract is per plan), and a keyed job id — the
+digest of ``(tenant, plan payload)``, so a client retrying a
+submission lands on the job it already created instead of a duplicate.
+
+Two coordinators run on it. The always-on ``repro serve`` service
+submits tenants' plans into a spooled queue and never finishes; the
+single-plan :class:`~repro.distributed.executors.FleetExecutor` admits
+its one plan with the caller's store and, once that store covers every
+cell, calls :meth:`PlanQueue.finish` so every further ask is answered
+``done``.
 
 **Fair share.** Grants are arbitrated by cost-model-weighted deficit
 round-robin. Every job carries a deficit counter (predicted seconds it
@@ -28,15 +33,15 @@ their ``priority``, then charged in full to the granted job:
   makes it accrue credit faster, so it overtakes a queued bulk plan
   rather than waiting behind it.
 
-The costs come from one service-wide
+The costs come from one queue-wide
 :class:`~repro.experiments.costs.UnitCostModel` shared by every job's
-ledger (and persisted to a spool sidecar across restarts), so a unit's
-price — and therefore each tenant's measured share — is consistent
-across plans.
+ledger (and persisted to a sidecar across restarts), so a unit's price
+— and therefore each tenant's measured share — is consistent across
+plans.
 
 Scheduling moves only *where and when* cells run. Every record is
 reproducible from ``(plan, seed)`` alone, so a plan run through the
-service is bitwise-identical (in the
+queue is bitwise-identical (in the
 :func:`~repro.experiments.store.parity_view`) to the same plan run
 inline, whatever the interleaving.
 """
@@ -75,11 +80,22 @@ __all__ = [
     "plan_job_id",
 ]
 
-log = logging.getLogger("repro.service.queue")
+log = logging.getLogger("repro.distributed.queue")
+
+#: Per-worker ledger counters that add up across plans.
+_SUMMED = (
+    "leases",
+    "units",
+    "cells",
+    "records",
+    "lease_seconds",
+    "completes",
+    "drains",
+)
 
 
 class ServiceError(ReproError):
-    """A service-layer failure (bad submission, unknown plan, ...)."""
+    """A plan-queue failure (bad submission, unknown plan, ...)."""
 
 
 class UnknownPlanError(ServiceError):
@@ -104,7 +120,8 @@ def plan_job_id(plan_payload: dict, tenant: str) -> str:
 
     Deterministic, so resubmitting the same plan is idempotent — the
     client gets its existing job back (and the per-plan store makes
-    the re-run a no-op resume even across service restarts).
+    the re-run a no-op resume even across service restarts). Workers
+    name their local per-plan stores after it, too.
     """
     blob = json.dumps(
         {"tenant": tenant, "plan": plan_payload}, sort_keys=True
@@ -113,7 +130,12 @@ def plan_job_id(plan_payload: dict, tenant: str) -> str:
 
 
 class PlanJob:
-    """One admitted plan: ledger + store + fair-share accounting."""
+    """One admitted plan: ledger + store + fair-share accounting.
+
+    The queue attaches the job's :class:`UnitLedger` as ``ledger``
+    right after construction (the ledger reads the store through
+    :meth:`completed_cells`, under the job's store lock).
+    """
 
     def __init__(
         self,
@@ -122,7 +144,6 @@ class PlanJob:
         priority: float,
         plan: ExperimentPlan,
         store: ResultsStore,
-        ledger: UnitLedger,
         index: int,
         trace: dict | None = None,
     ) -> None:
@@ -141,7 +162,7 @@ class PlanJob:
         }
         self.store = store
         self.store_lock = threading.Lock()
-        self.ledger = ledger
+        self.ledger: UnitLedger
         self.index = index  # submission order, the fair-share tiebreak
         self.trace = dict(trace) if trace else None
         self.state = "active"  # active | done | cancelled
@@ -155,12 +176,25 @@ class PlanJob:
             return "running" if self.started is not None else "queued"
         return self.state
 
-    def recorded_cells(self) -> int:
+    def completed_cells(self) -> set[tuple[str, str, int, str]]:
         with self.store_lock:
-            return len(self.store.completed() & self.plan_cells)
+            return self.store.completed()
+
+    def merge(self, records: list) -> dict:
+        """Merge a worker upload, keeping only this plan's cells — a
+        reused worker store may hold cells of other plans."""
+        wanted = [r for r in records if record_key(r) in self.plan_cells]
+        with self.store_lock:
+            merged = self.store.merge(wanted)
+        return {
+            "type": "ok",
+            "merged": len(wanted),
+            "ignored": len(records) - len(wanted),
+            "total": merged["records"],
+        }
 
     def snapshot(self) -> dict:
-        """The job as the gateway reports it (JSON-safe)."""
+        """The job as the gateway and ``status`` report it (JSON-safe)."""
         return {
             "id": self.id,
             "tenant": self.tenant,
@@ -168,7 +202,7 @@ class PlanJob:
             "plan": self.plan.name,
             "status": self.status(),
             "expected_cells": len(self.plan_cells),
-            "recorded_cells": self.recorded_cells(),
+            "recorded_cells": len(self.completed_cells() & self.plan_cells),
             "progress": self.ledger.progress(),
             "deficit_seconds": self.deficit,
             "submitted": self.submitted,
@@ -180,7 +214,7 @@ class PlanJob:
 
 
 class PlanQueue:
-    """The multi-plan coordinator state: jobs, workers, fair share.
+    """The coordinator state: jobs, workers, fair share.
 
     Parameters
     ----------
@@ -188,7 +222,9 @@ class PlanQueue:
         Service state directory: ``plans/<id>.json`` (admitted
         submissions, reloaded on restart), ``stores/<id>.jsonl``
         (per-plan results stores) and ``costs.json`` (the persisted
-        cost-model snapshot) live here.
+        cost-model snapshot) live here. ``None`` keeps the queue in
+        memory: plans are admitted with caller-owned stores
+        (:meth:`admit`) and nothing is spooled.
     lease_timeout, min_unit_cells, target_unit_seconds,
     slow_unit_factor:
         Per-plan ledger knobs, identical in meaning to
@@ -208,7 +244,7 @@ class PlanQueue:
 
     def __init__(
         self,
-        spool: str | os.PathLike,
+        spool: str | os.PathLike | None = None,
         lease_timeout: float = 30.0,
         min_unit_cells: int = 1,
         target_unit_seconds: float = 1.0,
@@ -220,28 +256,40 @@ class PlanQueue:
             raise ServiceError(
                 f"max_active must be >= 1, got {max_active}"
             )
-        self.spool = Path(spool)
-        (self.spool / "plans").mkdir(parents=True, exist_ok=True)
-        (self.spool / "stores").mkdir(parents=True, exist_ok=True)
-        self.cost_snapshot_path = self.spool / "costs.json"
+        self.spool = None if spool is None else Path(spool)
         self.lease_timeout = float(lease_timeout)
         self.min_unit_cells = int(min_unit_cells)
         self.target_unit_seconds = float(target_unit_seconds)
         self.slow_unit_factor = float(slow_unit_factor)
         self.max_active = int(max_active)
         self.clock = clock
-        # one cost model for the whole service: rates measured while
-        # serving one tenant's plan inform the next tenant's grants,
-        # and the snapshot survives restarts (ROADMAP item 3)
-        self.cost_model = (
-            load_cost_model(self.cost_snapshot_path) or UnitCostModel()
-        )
+        # one cost model for the whole queue: rates measured while
+        # serving one tenant's plan inform the next tenant's grants
+        self.cost_model = UnitCostModel()
+        self.cost_snapshot_path: Path | None = None
         self._jobs: dict[str, PlanJob] = {}
         self._order: list[str] = []
         self._draining: set[str] = set()
-        self._worker_seen: dict[str, float] = {}
+        # per-worker wire accounting: every message a worker sends
+        # counts here exactly once, whichever plan it concerns
+        self._contact: dict[str, dict] = {}
+        self._finished = False
+        self._told_done: set[str] = set()
         self._lock = threading.RLock()
-        self._restore_spool()
+        if self.spool is not None:
+            (self.spool / "plans").mkdir(parents=True, exist_ok=True)
+            (self.spool / "stores").mkdir(parents=True, exist_ok=True)
+            self.use_cost_snapshot(self.spool / "costs.json")
+            self._restore_spool()
+
+    def use_cost_snapshot(self, path: str | os.PathLike) -> None:
+        """Restore the shared cost model from the sidecar at ``path``
+        (a missing or unreadable file is a cold start) and persist it
+        back there from now on. Call before admitting plans."""
+        self.cost_snapshot_path = Path(path)
+        restored = load_cost_model(self.cost_snapshot_path)
+        if restored is not None:
+            self.cost_model = restored
 
     # -- admission -----------------------------------------------------
     def _restore_spool(self) -> None:
@@ -255,7 +303,7 @@ class PlanQueue:
         for path in sorted((self.spool / "plans").glob("*.json")):
             try:
                 data = json.loads(path.read_text(encoding="utf-8"))
-                self._admit_locked(
+                self._submit_locked(
                     data["plan"],
                     str(data.get("tenant", "default")),
                     float(data.get("priority", 1.0)),
@@ -274,7 +322,7 @@ class PlanQueue:
         priority: float = 1.0,
         trace: dict | None = None,
     ) -> tuple[PlanJob, bool]:
-        """Admit a plan; returns ``(job, created)``.
+        """Admit a plan into the spool; returns ``(job, created)``.
 
         Resubmitting an identical ``(tenant, plan)`` returns the
         existing job (``created=False``) whatever its state — the
@@ -304,13 +352,13 @@ class PlanQueue:
                     f"max {self.max_active})",
                     retry_after=retry_after,
                 )
-            job = self._admit_locked(
+            job = self._submit_locked(
                 plan_payload, tenant, priority, trace, persist=True
             )
             telemetry().counter("repro_service_submissions_total").inc()
             return job, True
 
-    def _admit_locked(
+    def _submit_locked(
         self,
         plan_payload: dict,
         tenant: str,
@@ -318,49 +366,19 @@ class PlanQueue:
         trace: dict | None,
         persist: bool,
     ) -> PlanJob:
+        if self.spool is None:
+            raise ServiceError(
+                "this queue has no spool; admit plans with their own "
+                "stores instead"
+            )
         try:
             plan = ExperimentPlan.from_dict(plan_payload)
-        except ServiceError:
-            raise
         except (ReproError, KeyError, TypeError, ValueError) as exc:
             # a malformed plan is the submitter's error (HTTP 400),
             # not a service fault
             raise ServiceError(f"invalid plan payload: {exc}") from exc
         job_id = plan_job_id(plan_payload, tenant)
         store = ResultsStore(self.spool / "stores" / f"{job_id}.jsonl")
-        store_lock = threading.Lock()
-
-        def completed_cells() -> set[tuple[str, str, int, str]]:
-            with store_lock:
-                return store.completed()
-
-        workset = WorkSet.compile(plan, store.completed())
-        # new kernels get this plan's budget priors; kernels the
-        # service has already measured (or restored) keep their rates
-        seed_plan_priors(self.cost_model, plan, overwrite=False)
-        ledger = UnitLedger(
-            workset,
-            self.lease_timeout,
-            completed_cells,
-            clock=self.clock,
-            min_unit_cells=self.min_unit_cells,
-            cost_model=self.cost_model,
-            target_unit_seconds=self.target_unit_seconds,
-            slow_unit_factor=self.slow_unit_factor,
-        )
-        job = PlanJob(
-            job_id,
-            tenant,
-            priority,
-            plan,
-            store,
-            ledger,
-            index=len(self._order),
-            trace=trace,
-        )
-        job.store_lock = store_lock  # the lock the ledger closure holds
-        self._jobs[job_id] = job
-        self._order.append(job_id)
         if persist:
             path = self.spool / "plans" / f"{job_id}.json"
             path.write_text(
@@ -376,6 +394,64 @@ class PlanQueue:
                 + "\n",
                 encoding="utf-8",
             )
+        return self._admit_locked(
+            job_id, plan, store, tenant, priority, trace
+        )
+
+    def admit(
+        self,
+        plan: ExperimentPlan,
+        store: ResultsStore,
+        trace: dict | None = None,
+    ) -> PlanJob:
+        """Admit ``plan`` for the default tenant with a caller-owned
+        ``store`` (nothing is spooled); its pending work is whatever
+        ``store`` does not record yet. ``trace`` is stamped on every
+        grant of the plan. Re-admitting the same plan returns the
+        existing job."""
+        with self._lock:
+            job_id = plan_job_id(plan.to_dict(), "default")
+            existing = self._jobs.get(job_id)
+            if existing is not None:
+                return existing
+            return self._admit_locked(
+                job_id, plan, store, "default", 1.0, trace
+            )
+
+    def _admit_locked(
+        self,
+        job_id: str,
+        plan: ExperimentPlan,
+        store: ResultsStore,
+        tenant: str,
+        priority: float,
+        trace: dict | None,
+    ) -> PlanJob:
+        job = PlanJob(
+            job_id,
+            tenant,
+            priority,
+            plan,
+            store,
+            index=len(self._order),
+            trace=trace,
+        )
+        workset = WorkSet.compile(plan, job.completed_cells())
+        # new kernels get this plan's budget priors; kernels the
+        # queue has already measured (or restored) keep their rates
+        seed_plan_priors(self.cost_model, plan, overwrite=False)
+        job.ledger = UnitLedger(
+            workset,
+            self.lease_timeout,
+            job.completed_cells,
+            self.cost_model,
+            clock=self.clock,
+            min_unit_cells=self.min_unit_cells,
+            target_unit_seconds=self.target_unit_seconds,
+            slow_unit_factor=self.slow_unit_factor,
+        )
+        self._jobs[job_id] = job
+        self._order.append(job_id)
         log.info(
             "admitted plan %s (job %s, tenant %s, priority %g, "
             "%d cells pending)",
@@ -405,42 +481,83 @@ class PlanQueue:
                     job.plan.name,
                     extra={"job": job.id, "plan": job.plan.name},
                 )
-            try:
-                (self.spool / "plans" / f"{job_id}.json").unlink()
-            except OSError:
-                pass
+            if self.spool is not None:
+                try:
+                    (self.spool / "plans" / f"{job_id}.json").unlink()
+                except OSError:
+                    pass
             self._export_gauges_locked()
             return job
 
-    # -- worker protocol -----------------------------------------------
-    def touch(self, worker: str) -> None:
-        """Record contact from ``worker`` (service-level liveness)."""
+    def finish(self) -> None:
+        """Close the queue: every further ask is answered ``done``.
+
+        The single-plan fleet's end state, set by its executor once
+        its plan is fully recorded; an always-on service never calls
+        it (new plans may arrive any moment).
+        """
         with self._lock:
-            self._worker_seen[worker] = self.clock()
+            self._finished = True
+
+    def all_live_informed(self) -> bool:
+        """Whether every worker still alive has been told ``done``."""
+        with self._lock:
+            now = self.clock()
+            return all(
+                worker in self._told_done
+                or now - contact["last_seen"] > self.lease_timeout
+                for worker, contact in self._contact.items()
+            )
+
+    # -- worker protocol -----------------------------------------------
+    def _seen_locked(self, worker: str, counter: str | None = None) -> float:
+        """Account one message from ``worker``; returns the time."""
+        now = self.clock()
+        contact = self._contact.get(worker)
+        if contact is None:
+            contact = self._contact[worker] = {
+                "first_seen": now,
+                "round_trips": 0,
+                "lease_requests": 0,
+                "piggybacked": 0,
+            }
+        contact["last_seen"] = now
+        contact["round_trips"] += 1
+        if counter is not None:
+            contact[counter] += 1
+        return now
+
+    def touch(self, worker: str) -> None:
+        """Record contact from ``worker`` (a ``hello``)."""
+        with self._lock:
+            self._seen_locked(worker)
 
     def drain_worker(self, worker: str) -> None:
         """Gracefully retire ``worker``: it finishes leased units and
-        is answered ``bye`` once nothing outstanding remains."""
+        is answered ``bye`` once nothing outstanding remains. Nothing
+        is requeued — a drain moves zero cells (contrast a kill, where
+        the lease expires and its cells re-run elsewhere)."""
         with self._lock:
             self._draining.add(worker)
             telemetry().counter("repro_fleet_drains_total").inc()
             log.info(
-                "worker %s draining from service", worker,
+                "worker %s draining (finish leased units, no new "
+                "grants)",
+                worker,
                 extra={"worker": worker},
             )
 
     def lease(self, worker: str) -> dict:
         """Answer one work request across all plans (the DRR pick)."""
         with self._lock:
-            now = self.clock()
-            self._worker_seen[worker] = now
-            return self._decide_locked(worker, now)
+            self._seen_locked(worker, "lease_requests")
+            return self._decide_locked(worker)
 
     def heartbeat(
         self, worker: str, plan_id, lease_id, info: dict | None = None
     ) -> dict:
         with self._lock:
-            self._worker_seen[worker] = self.clock()
+            self._seen_locked(worker)
             job = self._jobs.get(plan_id)
             if job is None:
                 return {"type": "expired"}
@@ -456,35 +573,23 @@ class PlanQueue:
     ) -> dict:
         """Handle a unit completion; the reply always piggybacks the
         worker's next decision (``next``) — across *all* plans, which
-        is what keeps a steady-state service worker at one round-trip
-        per unit even when its next unit belongs to another tenant."""
+        keeps a steady-state worker at one round-trip per unit even
+        when its next unit belongs to another tenant."""
         with self._lock:
-            now = self.clock()
-            self._worker_seen[worker] = now
+            self._seen_locked(worker, "piggybacked")
             job = self._jobs.get(plan_id)
-            drained = False
-            if job is not None and isinstance(records, list):
-                # merge BEFORE the ledger sees the completion so the
-                # coverage check already counts these records
-                wanted = [
-                    r
-                    for r in records
-                    if record_key(r) in job.plan_cells
-                ]
-                with job.store_lock:
-                    job.store.merge(wanted)
-                drained = True
             if job is None:
                 reply = {"type": "stale"}
             else:
+                drained = isinstance(records, list)
+                if drained:
+                    # merge BEFORE the ledger sees the completion so
+                    # the coverage check already counts these records
+                    job.merge(records)
                 reply = job.ledger.complete(
-                    worker,
-                    lease_id,
-                    info,
-                    drained=drained,
-                    grant_next=False,
+                    worker, lease_id, info, drained=drained
                 )
-            reply["next"] = self._decide_locked(worker, now)
+            reply["next"] = self._decide_locked(worker)
             return reply
 
     def merge_records(
@@ -494,7 +599,7 @@ class PlanQueue:
         if not isinstance(records, list):
             raise FleetError("records message without a record list")
         with self._lock:
-            self._worker_seen[worker] = self.clock()
+            self._seen_locked(worker)
             job = self._jobs.get(plan_id)
             if job is None:
                 # e.g. a drain for a plan cancelled out from under the
@@ -506,26 +611,21 @@ class PlanQueue:
                     "ignored": len(records),
                     "total": 0,
                 }
-            wanted = [
-                r for r in records if record_key(r) in job.plan_cells
-            ]
-            with job.store_lock:
-                merged = job.store.merge(wanted)
+            # store first, ledger second — never both locks at once
+            reply = job.merge(records)
             job.ledger.drained(worker)
-            return {
-                "type": "ok",
-                "merged": len(wanted),
-                "ignored": len(records) - len(wanted),
-                "total": merged["records"],
-            }
+            return reply
 
     # -- the scheduling core -------------------------------------------
-    def _decide_locked(self, worker: str, now: float) -> dict:
-        """The multi-plan lease decision (queue lock held).
+    def _decide_locked(self, worker: str) -> dict:
+        """The lease decision (queue lock held).
 
-        Order of business mirrors the single-plan ledger: collect owed
-        records first, honour drains, then the fair-share grant.
+        Order of business: ``done`` once finished, collect owed
+        records, honour drains, then the fair-share grant.
         """
+        if self._finished:
+            self._told_done.add(worker)
+            return {"type": "done"}
         self._housekeep_locked()
         for job_id in self._order:
             job = self._jobs[job_id]
@@ -549,8 +649,8 @@ class PlanQueue:
             and self._jobs[j].ledger.grantable()
         ]
         if not candidates:
-            # an always-on service never says "done": new plans may
-            # arrive any moment, so idle workers just poll
+            # new work may arrive (a submission, a requeue) any moment,
+            # so idle workers just poll
             return {"type": "wait"}
         job = max(candidates, key=lambda j: (j.deficit, -j.index))
         reply = job.ledger.lease(worker)
@@ -674,8 +774,8 @@ class PlanQueue:
             now = self.clock()
             live = [
                 w
-                for w, seen in self._worker_seen.items()
-                if now - seen <= self.lease_timeout
+                for w, contact in self._contact.items()
+                if now - contact["last_seen"] <= self.lease_timeout
                 and w not in self._draining
             ]
             return total / max(len(live), 1)
@@ -691,20 +791,45 @@ class PlanQueue:
         with self._lock:
             return [self._jobs[j] for j in self._order]
 
-    def workers(self) -> dict[str, dict]:
-        """Service-level worker view (liveness + drain state)."""
+    def worker_stats(self) -> dict[str, dict]:
+        """Per-worker view across all plans: busy/idle split over the
+        membership span, utilization, wire round-trips, liveness.
+
+        Work counters add up over the plans' ledgers; ``busy_seconds``
+        is the worker's own cumulative report (a max, never a sum);
+        ``throughput`` is the mean of its per-plan estimates.
+        """
         with self._lock:
             now = self.clock()
-            return {
-                w: {
-                    "live": now - seen <= self.lease_timeout,
-                    "draining": w in self._draining,
+            per_plan = [j.ledger.worker_stats() for j in self.jobs()]
+            out: dict[str, dict] = {}
+            for worker, contact in sorted(self._contact.items()):
+                rows = [p[worker] for p in per_plan if worker in p]
+                busy = max((r["busy_seconds"] for r in rows), default=0.0)
+                rates = [
+                    r["throughput"]
+                    for r in rows
+                    if r["throughput"] is not None
+                ]
+                span = max(contact["last_seen"] - contact["first_seen"], 0.0)
+                busy_in_span = min(busy, span) if span > 0 else 0.0
+                out[worker] = {
+                    **{k: sum(r[k] for r in rows) for k in _SUMMED},
+                    "busy_seconds": busy,
+                    "idle_seconds": max(span - busy_in_span, 0.0),
+                    "span_seconds": span,
+                    "round_trips": contact["round_trips"],
+                    "lease_requests": contact["lease_requests"],
+                    "piggybacked": contact["piggybacked"],
+                    "throughput": sum(rates) / len(rates) if rates else None,
+                    "utilization": busy_in_span / span if span > 0 else None,
+                    "live": now - contact["last_seen"] <= self.lease_timeout,
+                    "draining": worker in self._draining,
                 }
-                for w, seen in sorted(self._worker_seen.items())
-            }
+            return out
 
     def status(self) -> dict:
-        """The service-wide snapshot (``status`` message, ``/status``)."""
+        """The queue-wide snapshot (``status`` message, ``/status``)."""
         with self._lock:
             self._housekeep_locked()
             active = [
@@ -712,11 +837,11 @@ class PlanQueue:
             ]
             return {
                 "type": "status",
-                "service": True,
+                "finished": self._finished,
                 "plans": [
                     self._jobs[j].snapshot() for j in self._order
                 ],
-                "workers": self.workers(),
+                "workers": self.worker_stats(),
                 "queue": {
                     "active": len(active),
                     "max_active": self.max_active,
@@ -728,10 +853,12 @@ class PlanQueue:
             }
 
     def save_costs(self) -> None:
-        """Persist the shared cost model to the spool sidecar."""
+        """Persist the shared cost model to its sidecar (if any)."""
+        if self.cost_snapshot_path is None:
+            return
         try:
             save_cost_model(self.cost_model, self.cost_snapshot_path)
-        except OSError as exc:  # a hint, never worth failing serving
+        except OSError as exc:  # a hint, never worth failing a run
             log.warning(
                 "could not persist cost snapshot %s: %s",
                 self.cost_snapshot_path,

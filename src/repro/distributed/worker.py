@@ -1,16 +1,29 @@
 """Fleet worker: lease work units, run their cells, upload the records.
 
-``repro experiments worker --connect HOST:PORT`` runs this loop. A
-worker needs no plan file and no shared filesystem: the plan arrives in
-the coordinator's ``welcome`` payload, and every leased
-:class:`~repro.experiments.work.WorkUnit` — a ``(case, backend)`` group
-index plus the *explicit cell subset* to run, possibly a whole group,
-possibly one stolen cell — executes through the worker's own
+``repro experiments worker --connect HOST:PORT`` runs this loop against
+any fleet coordinator — a single-plan ``serve-coordinator`` or the
+always-on ``repro serve`` — since both speak one dialect. A worker
+needs no plan file and no shared filesystem: every ``unit`` grant
+names its plan (``plan_id``) and ships the plan payload inline, and
+the worker keeps one execution context — plan, local store, resume
+index — per plan it has served. Every leased
+:class:`~repro.experiments.work.WorkUnit` — a ``(case, backend)``
+group index plus the *explicit cell subset* to run, possibly a whole
+group, possibly one stolen cell — executes through the worker's own
 :class:`~repro.experiments.runner.ExperimentRunner` (one shared
 :class:`~repro.engine.EngineSession` per unit's group context, exactly
-like a local run). Completed runs stream into a worker-local crash-safe
-:class:`~repro.experiments.store.ResultsStore` that is uploaded when
-the coordinator asks (``drain``) and merged first-writer-wins.
+like a local run). Completed runs stream into a worker-local
+crash-safe :class:`~repro.experiments.store.ResultsStore`,
+``<store>/<plan_id>.jsonl`` under the worker's store directory.
+
+The steady-state loop costs **one round-trip per unit**: every
+``complete`` report carries the plan's not-yet-uploaded records inline,
+and the reply carries the next lease decision (``next``). Each
+``complete`` and heartbeat also ships a cost report (measured unit
+seconds plus the engine's kernel-rate snapshot), feeding the
+coordinator's fleet-wide :class:`~repro.experiments.costs.UnitCostModel`.
+The ``complete``/``heartbeat``/``records`` messages echo ``plan_id``
+so the coordinator routes them to the right ledger and store.
 
 While a unit runs, a background thread heartbeats the lease at a
 quarter of the coordinator's lease timeout; if the worker dies, the
@@ -19,11 +32,11 @@ worker that *outlives* its lease (e.g. a long GC pause) keeps its
 records — the ``complete`` report comes back ``stale``, the re-run
 elsewhere wins the merge, nothing is duplicated.
 
-Re-pointing a worker at the same ``--store`` after a crash resumes: the
-store's ``(system, case, seed, backend)`` contract skips the recorded
-cells of a re-leased unit — the resume granularity is the *cell*, so a
-store recorded under whole-group leases resumes under cell leases and
-vice versa.
+Re-pointing a worker at the same ``--store`` directory after a crash
+resumes: a plan's store keeps the ``(system, case, seed, backend)``
+contract and skips the recorded cells of a re-leased unit — the resume
+granularity is the *cell*, so a store recorded under one unit split
+resumes under any other.
 
 Connection failures retry under capped exponential backoff with
 jitter (see :func:`backoff_delay`), so a worker started *before* its
@@ -34,26 +47,10 @@ With a shared secret configured (``auth_token`` /
 ``REPRO_FLEET_TOKEN``), every exchange answers the coordinator's HMAC
 challenge first (see :mod:`repro.distributed.protocol`).
 
-When the coordinator's ``welcome`` advertises ``piggyback`` (cost
-scheduling), the worker collapses its steady-state loop to **one
-round-trip per unit**: every ``complete`` report carries the local
-store's not-yet-uploaded records inline, and the reply carries the
-next lease decision (``next``) — no separate ``drain``/``records``/
-``lease`` exchanges while work flows. Each ``complete`` and heartbeat
-also ships a cost report (measured unit seconds plus the engine's
-kernel-rate snapshot), feeding the coordinator's fleet-wide
-:class:`~repro.experiments.costs.UnitCostModel`.
-
-A ``welcome`` advertising ``multi_plan`` (the always-on
-:mod:`repro.service` coordinator) carries no plan of its own: each
-``unit`` reply names its plan (``plan_id``) and ships the plan payload
-inline, and the worker keeps one execution context — plan, local
-store, resume index — per plan it has served. The worker's
-``complete``/``heartbeat``/``records`` messages echo ``plan_id`` so
-the service routes them to the right ledger and store. A worker asked
-to leave (the service's drain lifecycle) receives ``bye`` once its
-leases are finished and its records merged, and returns its summary
-with ``drained: true``.
+The worker exits on ``done`` (its coordinator's plans are recorded) or
+``bye`` (it was asked to leave — the drain lifecycle — and its leases
+are finished and its records merged; the summary then says
+``drained: true``).
 
 ``REPRO_WORKER_THROTTLE`` (seconds per cell, or the ``throttle``
 parameter) artificially slows a worker down — a test/CI knob for
@@ -145,10 +142,12 @@ class _LeaseHeartbeat:
         metrics: Callable[[], list] | None = None,
         plan_id: str | None = None,
     ) -> None:
-        self._payload = {"type": "heartbeat", "worker": worker, "lease": lease}
-        if plan_id is not None:
-            # multi-plan coordinators route the beat by plan
-            self._payload["plan_id"] = plan_id
+        self._payload = {
+            "type": "heartbeat",
+            "worker": worker,
+            "lease": lease,
+            "plan_id": plan_id,
+        }
         self._address = address
         self._interval = interval
         self._request_timeout = request_timeout
@@ -225,18 +224,18 @@ def run_worker(
     backoff_base: float = 0.5,
     backoff_cap: float = 5.0,
 ) -> dict:
-    """Serve one coordinator until its plan is fully recorded.
+    """Serve one coordinator until it answers ``done`` (or ``bye``).
 
     Parameters
     ----------
     address:
         Coordinator ``HOST:PORT`` (string or tuple).
     store_path:
-        Worker-local results store; a fresh temporary file when omitted.
-        Reusing a path across worker restarts resumes interrupted
-        units instead of recomputing them. Serving a multi-plan
-        coordinator this is a *directory* (one store per plan inside);
-        created if missing.
+        Directory of worker-local results stores, one
+        ``<plan_id>.jsonl`` per served plan; created if missing, a
+        fresh temporary directory when omitted. Reusing it across
+        worker restarts resumes interrupted units instead of
+        recomputing them.
     poll_interval:
         Idle re-ask cadence; defaults to what the coordinator
         advertises.
@@ -269,7 +268,7 @@ def run_worker(
     Returns a summary dict: ``units``/``records`` executed,
     ``busy_seconds`` spent inside unit execution (the idle-time metric
     of ``benchmarks/bench_executors.py``), the derived
-    ``idle_seconds``/``wall_seconds``, the local ``store`` path, and
+    ``idle_seconds``/``wall_seconds``, the local ``store`` directory, and
     ``drained`` — True when the exit was a graceful ``bye`` after a
     drain rather than plan completion.
     The same busy/idle split lands in the process metric registry as
@@ -341,7 +340,7 @@ def run_worker(
     registry.set_span_prefix(worker)
 
     def adopt_trace(payload: dict) -> None:
-        """Join the coordinator's trace (stamped on welcome/leases):
+        """Join the plan's trace (stamped on every unit grant):
         this worker's spans then carry the fleet-wide trace_id and
         parent onto the coordinator's `plan` root span."""
         trace = payload.get("trace")
@@ -368,19 +367,20 @@ def run_worker(
     welcome = rpc({"type": "hello", "worker": worker})
     if welcome.get("type") != "welcome":
         raise FleetError(f"expected welcome, got {welcome.get('type')!r}")
-    adopt_trace(welcome)
-    multi_plan = bool(welcome.get("multi_plan", False))
     share_sessions = bool(welcome.get("share_sessions", True))
     lease_timeout = float(welcome.get("lease_timeout", 30.0))
-    piggyback = bool(welcome.get("piggyback", False))
     if poll_interval is None:
         poll_interval = float(welcome.get("poll_interval", 0.5))
     if store_path is None:
-        tmpdir = tempfile.mkdtemp(prefix="repro-fleet-worker-")
-        store_path = tmpdir if multi_plan else os.path.join(
-            tmpdir, "store.jsonl"
-        )
+        store_path = tempfile.mkdtemp(prefix="repro-fleet-worker-")
     heartbeat_interval = max(lease_timeout / 4.0, 0.05)
+    log.info(
+        "worker %s joined fleet at %s:%d",
+        worker,
+        addr[0],
+        addr[1],
+        extra={"worker": worker},
+    )
 
     class PlanContext:
         """One plan's execution state: the plan, its group table, the
@@ -417,16 +417,12 @@ def run_worker(
                 if key in self.plan_cells and key not in self.drained_cells
             ]
 
-    contexts: dict[object, PlanContext] = {}
+    contexts: dict[str, PlanContext] = {}
 
     def context_for(plan_id, payload) -> PlanContext:
-        """The (cached) execution context of one plan.
-
-        Single-plan coordinators key the lone context under ``None``
-        (built once from the welcome); a multi-plan service names the
-        plan on every unit and ships its payload inline, and each
-        plan's store lives in its own file under the store directory.
-        """
+        """The (cached) execution context of one plan, built from the
+        payload its first unit ships; the plan's store lives in its
+        own file under the store directory."""
         if plan_id in contexts:
             return contexts[plan_id]
         if not isinstance(payload, dict):
@@ -447,26 +443,6 @@ def run_worker(
         )
         return context
 
-    if multi_plan:
-        log.info(
-            "worker %s joined multi-plan service at %s:%d",
-            worker,
-            addr[0],
-            addr[1],
-            extra={"worker": worker},
-        )
-    else:
-        plan = ExperimentPlan.from_dict(welcome["plan"])
-        contexts[None] = PlanContext(plan, store_path)
-        log.info(
-            "worker %s joined fleet at %s:%d (plan %s)",
-            worker,
-            addr[0],
-            addr[1],
-            plan.name,
-            extra={"worker": worker, "plan": plan.name},
-        )
-
     units_run = 0
     records_run = 0
     busy_seconds = 0.0
@@ -483,10 +459,9 @@ def run_worker(
         payload = {
             "type": "records",
             "worker": worker,
+            "plan_id": plan_id,
             "records": fresh_records,
         }
-        if plan_id is not None:
-            payload["plan_id"] = plan_id
         rpc(payload)
         ctx.drained_cells.update(record_key(r) for r in fresh_records)
         return len(fresh_records)
@@ -543,8 +518,8 @@ def run_worker(
             "store": str(store_path),
         }
 
-    # piggyback mode threads the next lease decision through each
-    # `complete` reply; `reply = None` means "ask the coordinator"
+    # each `complete` reply carries the next lease decision;
+    # `reply = None` means "ask the coordinator"
     reply: dict | None = None
     while True:
         message = reply or rpc({"type": "lease", "worker": worker})
@@ -553,7 +528,7 @@ def run_worker(
         if kind == "unit":
             adopt_trace(message)
             lease = message.get("lease")
-            plan_id = message.get("plan_id") if multi_plan else None
+            plan_id = message.get("plan_id")
             ctx = context_for(plan_id, message.get("plan"))
             unit = WorkUnit.from_dict(message.get("unit") or {})
             log.info(
@@ -631,6 +606,7 @@ def run_worker(
             payload = {
                 "type": "complete",
                 "worker": worker,
+                "plan_id": plan_id,
                 "lease": lease,
                 # per-unit timing + cumulative busy accounting + the
                 # engine's kernel-rate snapshot: the coordinator folds
@@ -644,17 +620,14 @@ def run_worker(
                 },
                 "metrics": metrics_delta(),
                 "sent_at": time.time(),
-            }
-            if plan_id is not None:
-                payload["plan_id"] = plan_id
-            uploaded: list[dict] = []
-            if piggyback:
                 # inline drain: the records ride the report, so the
                 # worker owes nothing if it dies right after this
-                uploaded = ctx.undrained_records()
-                payload["records"] = uploaded
+                "records": ctx.undrained_records(),
+            }
             completion = rpc(payload)
-            ctx.drained_cells.update(record_key(r) for r in uploaded)
+            ctx.drained_cells.update(
+                record_key(r) for r in payload["records"]
+            )
             offset = completion.get("clock_offset")
             if isinstance(offset, (int, float)):
                 # coordinator-measured clock offset: timeline export
@@ -672,8 +645,8 @@ def run_worker(
                     )
             nxt = completion.get("next")
             if isinstance(nxt, dict):
-                # piggybacked grant: the reply already decided our next
-                # move — no separate lease round-trip
+                # the reply already decided our next move — no separate
+                # lease round-trip
                 reply = nxt
             if after_complete is not None:
                 after_complete(unit.group)

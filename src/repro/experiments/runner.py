@@ -299,7 +299,7 @@ class ExperimentRunner:
         The run key names a cell but not its shape: without this check,
         re-running a grid with a changed case size/steps or budget
         against an old store would silently serve the stale results.
-        Part of the executor SPI alongside :meth:`run_groups` — fleet
+        Part of the executor SPI alongside :meth:`run_units` — fleet
         workers apply it to their *local* store before resuming a
         leased group, so a reused worker store is held to the same
         contract as a coordinator store.
@@ -316,26 +316,6 @@ class ExperimentRunner:
                     "by the entry point that wrote it); use a fresh store "
                     "path or the original invocation"
                 )
-
-    def run_groups(
-        self,
-        plan: ExperimentPlan,
-        group_indices: Sequence[int],
-        done: set[tuple[str, str, int, str]],
-    ) -> list[dict]:
-        """Execute the pending cells of the named plan groups, in order.
-
-        Compatibility shim over :meth:`run_units` (the execution SPI
-        since the unit-of-work redesign): each named group becomes one
-        whole-group :class:`WorkUnit`. Prefer :meth:`run_units` in new
-        code — it can execute arbitrary cell subsets.
-        """
-        groups = plan.groups()
-        units = [
-            WorkUnit(index, tuple(k.as_tuple() for k in groups[index][1]))
-            for index in group_indices
-        ]
-        return self.run_units(plan, units, done)
 
     def run_units(
         self,

@@ -42,7 +42,6 @@ __all__ = [
     "backends_by_system",
     "parity_view",
     "record_key",
-    "strip_wallclock",
     "system_label",
 ]
 
@@ -112,12 +111,6 @@ def parity_view(record: dict) -> dict:
     run["steps"] = steps
     out["run"] = run
     return out
-
-
-#: Migration alias — the parity view once stripped only wall-clock
-#: fields; unit-level scheduling made session-reuse accounting equally
-#: execution-dependent, so the one shared view now strips both.
-strip_wallclock = parity_view
 
 
 def backends_by_system(records: Iterable[dict]) -> dict[str, dict[str, None]]:

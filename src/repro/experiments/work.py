@@ -39,7 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 __all__ = [
     "WorkUnit",
     "WorkSet",
-    "assign_units",
     "assign_units_by_cost",
     "improve_assignment",
     "merge_group_units",
@@ -228,15 +227,6 @@ class WorkSet:
         return len(self.units)
 
     # ------------------------------------------------------------------
-    def split(self, parts: int, min_unit_cells: int = 1) -> "WorkSet":
-        """Copy with units split toward ``parts`` schedulable pieces
-        (see :func:`split_units`); cells and results are unchanged."""
-        return WorkSet(
-            plan=self.plan,
-            units=tuple(split_units(self.units, parts, min_unit_cells)),
-        )
-
-    # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """Stable JSON wire form: the plan plus its pending units."""
         return {
@@ -261,22 +251,27 @@ class WorkSet:
 # Unit scheduling helpers (shared by the shard executor and the fleet
 # ledger, so "how work divides" has one implementation).
 # ----------------------------------------------------------------------
+def _check_split_args(parts: int, min_unit_cells: int) -> None:
+    if parts < 1:
+        raise ReproError(f"parts must be >= 1, got {parts}")
+    if min_unit_cells < 1:
+        raise ReproError(
+            f"min_unit_cells must be >= 1, got {min_unit_cells}"
+        )
+
+
 def split_units(
     units: Sequence[WorkUnit], parts: int, min_unit_cells: int = 1
 ) -> list[WorkUnit]:
     """Split the largest unit, repeatedly, until there are ``parts``
     units or nothing may split further.
 
-    ``min_unit_cells`` is the split floor: a unit only splits while
-    both halves would keep at least that many cells; ``0`` disables
-    splitting entirely (whole-group granularity, the pre-WorkUnit
-    behaviour). Deterministic: ties break toward the earliest unit.
+    ``min_unit_cells`` (at least 1) is the split floor: a unit only
+    splits while both halves would keep at least that many cells.
+    Deterministic: ties break toward the earliest unit.
     """
-    if parts < 1:
-        raise ReproError(f"parts must be >= 1, got {parts}")
+    _check_split_args(parts, min_unit_cells)
     out = list(units)
-    if min_unit_cells < 1:
-        return out
     while len(out) < parts:
         i = max(range(len(out)), key=lambda j: out[j].n_cells)
         if out[i].n_cells < 2 * min_unit_cells:
@@ -284,30 +279,6 @@ def split_units(
         first, second = out.pop(i).split()
         out += [first, second]
     return out
-
-
-def assign_units(
-    units: Sequence[WorkUnit], parts: int
-) -> list[list[WorkUnit]]:
-    """Cell-balanced assignment of units to at most ``parts`` buckets.
-
-    Greedy longest-processing-time: units are placed largest-first
-    into the least-loaded bucket (ties toward the lowest bucket), so
-    bucket cell-loads stay within one unit of each other. Never yields
-    an empty bucket — fewer units than ``parts`` produce fewer buckets
-    instead of idle workers.
-    """
-    if parts < 1:
-        raise ReproError(f"parts must be >= 1, got {parts}")
-    buckets: list[list[WorkUnit]] = [
-        [] for _ in range(min(parts, len(units)))
-    ]
-    loads = [0] * len(buckets)
-    for unit in sorted(units, key=lambda u: -u.n_cells):
-        k = min(range(len(buckets)), key=loads.__getitem__)
-        buckets[k].append(unit)
-        loads[k] += unit.n_cells
-    return buckets
 
 
 # ----------------------------------------------------------------------
@@ -342,14 +313,11 @@ def split_units_by_cost(
     of the total predicted cost (LPT-friendly: expensive groups yield
     more pieces, cheap ones stay whole), so downstream assignment can
     balance *time*, not cell counts. ``min_unit_cells`` keeps the same
-    floor semantics as :func:`split_units` (``0`` disables splitting);
-    deterministic for a given rate function. Splitting never changes
-    what any cell records — only where it may run.
+    floor semantics as :func:`split_units`; deterministic for a given
+    rate function. Splitting never changes what any cell records — only
+    where it may run.
     """
-    if parts < 1:
-        raise ReproError(f"parts must be >= 1, got {parts}")
-    if min_unit_cells < 1:
-        return list(units)
+    _check_split_args(parts, min_unit_cells)
     total = sum(rate_of(u.group) * u.n_cells for u in units)
     if total <= 0.0:
         return split_units(units, parts, min_unit_cells)
@@ -452,11 +420,13 @@ def assign_units_by_cost(
 ) -> list[list[WorkUnit]]:
     """Cost-balanced assignment: LPT by predicted cost, then polish.
 
-    Like :func:`assign_units` but greedy on ``rate_of``-predicted unit
-    cost instead of cell count, followed by the
-    :func:`improve_assignment` neighborhood pass. Never yields an empty
-    bucket; deterministic (ties break toward the earlier unit and the
-    lower bucket).
+    Greedy longest-processing-time on ``rate_of``-predicted unit cost
+    (units placed costliest-first into the least-loaded bucket),
+    followed by the :func:`improve_assignment` neighborhood pass — the
+    shift/swap moves of colored-bin-packing local search. Never yields
+    an empty bucket (fewer units than ``parts`` produce fewer buckets
+    instead of idle workers); deterministic (ties break toward the
+    earlier unit and the lower bucket).
     """
     if parts < 1:
         raise ReproError(f"parts must be >= 1, got {parts}")

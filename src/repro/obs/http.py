@@ -46,10 +46,12 @@ def set_status_provider(provider) -> None:
 
 def clear_status_provider(provider=None) -> None:
     """Remove the status provider; passing the provider makes the call
-    conditional, so a finishing run never clears a newer run's hook."""
+    conditional, so a finishing run never clears a newer run's hook.
+    (Compared with ``==``: each ``obj.method`` access builds a new
+    bound method, equal to but not identical with the installed one.)"""
     global _status_provider
     with _provider_lock:
-        if provider is None or _status_provider is provider:
+        if provider is None or _status_provider == provider:
             _status_provider = None
 
 

@@ -2,22 +2,20 @@
 
 Everything below :mod:`repro.experiments` answers "run *this plan* to
 completion". This package answers the serving question instead: keep a
-worker fleet warm and feed it plans as tenants submit them —
+worker fleet warm and feed it plans as tenants submit them. The
+scheduling core is the fleet's own — a spooled
+:class:`~repro.distributed.queue.PlanQueue` (one ledger and one
+results store per submitted plan, cost-model-weighted deficit
+round-robin fair share, keyed idempotent job ids, admission
+backpressure) served to workers by a
+:class:`~repro.distributed.coordinator.FleetCoordinator`, exactly as a
+single-plan ``serve-coordinator`` serves its one plan. What this
+package adds is the client side:
 
-* :class:`PlanQueue` — the multi-plan coordinator state: one
-  :class:`~repro.distributed.coordinator.UnitLedger` and one
-  :class:`~repro.experiments.store.ResultsStore` per submitted plan,
-  arbitrated by cost-model-weighted deficit-round-robin fair share
-  (per-tenant ``priority``), with keyed idempotent job ids, admission
-  backpressure, and a spool directory that survives restarts;
-* :class:`ServiceCoordinator` — the worker-facing TCP endpoint,
-  speaking the unchanged fleet wire protocol (multi-plan variant:
-  ``unit`` grants name their plan and ship its payload inline);
-* :class:`ServiceGateway` — the client-facing asyncio HTTP API
-  (submit, poll, stream records with resume-by-offset, cancel, drain
-  workers, ``/metrics``);
+* :class:`ServiceGateway` — the asyncio HTTP API (submit, poll, stream
+  records with resume-by-offset, cancel, drain workers, ``/metrics``);
 * :class:`PredictionService` — the assembled service behind
-  ``repro serve``.
+  ``repro serve``: spool, fleet port, HTTP port, housekeeping timer.
 
 The service schedules; it never simulates. Every record a plan
 produces through the service is bitwise-identical (in the
@@ -25,10 +23,7 @@ produces through the service is bitwise-identical (in the
 plan produces inline — whichever tenants it shared the fleet with.
 """
 
-from repro.service.app import PredictionService
-from repro.service.coordinator import ServiceCoordinator
-from repro.service.gateway import ServiceGateway
-from repro.service.queue import (
+from repro.distributed.queue import (
     AdmissionError,
     PlanJob,
     PlanQueue,
@@ -36,13 +31,14 @@ from repro.service.queue import (
     UnknownPlanError,
     plan_job_id,
 )
+from repro.service.app import PredictionService
+from repro.service.gateway import ServiceGateway
 
 __all__ = [
     "AdmissionError",
     "PlanJob",
     "PlanQueue",
     "PredictionService",
-    "ServiceCoordinator",
     "ServiceError",
     "ServiceGateway",
     "UnknownPlanError",

@@ -3,10 +3,10 @@
 :class:`PredictionService` wires the three service pieces together and
 owns their lifecycles — what ``repro serve`` runs:
 
-* a :class:`~repro.service.queue.PlanQueue` holding the spool, the
+* a :class:`~repro.distributed.queue.PlanQueue` holding the spool, the
   shared cost model and the fair-share scheduler state;
-* a :class:`~repro.service.coordinator.ServiceCoordinator` serving the
-  fleet wire protocol to ``repro experiments worker`` processes;
+* a :class:`~repro.distributed.coordinator.FleetCoordinator` serving
+  the fleet wire protocol to ``repro experiments worker`` processes;
 * a :class:`~repro.service.gateway.ServiceGateway` serving HTTP to
   clients, hosted on a private event loop in a background thread (the
   service embeds in synchronous callers — the CLI, tests — without
@@ -28,11 +28,11 @@ import os
 import signal
 import threading
 
+from repro.distributed.coordinator import FleetCoordinator
+from repro.distributed.queue import PlanQueue
 from repro.obs.http import clear_status_provider, set_status_provider
 
-from repro.service.coordinator import ServiceCoordinator
 from repro.service.gateway import ServiceGateway
-from repro.service.queue import PlanQueue
 
 __all__ = ["PredictionService"]
 
@@ -75,7 +75,7 @@ class PredictionService:
             target_unit_seconds=target_unit_seconds,
             max_active=max_active,
         )
-        self.coordinator = ServiceCoordinator(
+        self.coordinator = FleetCoordinator(
             self.queue,
             host=host,
             port=fleet_port,

@@ -46,14 +46,13 @@ import json
 import logging
 from urllib.parse import parse_qs, unquote, urlsplit
 
-from repro.obs import span, telemetry
-
-from repro.service.queue import (
+from repro.distributed.queue import (
     AdmissionError,
     PlanQueue,
     ServiceError,
     UnknownPlanError,
 )
+from repro.obs import span, telemetry
 
 __all__ = ["ServiceGateway"]
 

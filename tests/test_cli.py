@@ -166,6 +166,25 @@ class TestCompareCommand:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep"],
+            ["compare"],
+            ["experiments", "serve-coordinator", "--plan", "p.json",
+             "--results", "r.jsonl"],
+            ["serve", "--spool", "spool"],
+        ],
+        ids=["sweep", "compare", "serve-coordinator", "serve"],
+    )
+    def test_min_unit_cells_below_one_is_a_usage_error(self, argv, capsys):
+        """The lease floor is at least one cell: 0 (the retired
+        whole-group mode) is refused by argparse, not a traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--min-unit-cells", "0"])
+        assert excinfo.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     _ARGS = [

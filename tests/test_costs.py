@@ -198,9 +198,8 @@ class TestCostScheduling:
         units = _units(8)
         out = split_units_by_cost(units, 8, lambda g: 1.0, 3)
         assert all(u.n_cells >= 3 for u in out)
-        assert split_units_by_cost(units, 8, lambda g: 1.0, 0) == list(
-            units
-        )
+        with pytest.raises(ReproError, match="min_unit_cells"):
+            split_units_by_cost(units, 8, lambda g: 1.0, 0)
         with pytest.raises(ReproError, match="parts"):
             split_units_by_cost(units, 0, lambda g: 1.0)
 
@@ -373,7 +372,7 @@ class TestCostSnapshotPersistence:
                 target=run_worker,
                 args=(address,),
                 kwargs={
-                    "store_path": tmp_path / "worker.jsonl",
+                    "store_path": tmp_path / "worker",
                     "worker_id": "snapshot-w0",
                 },
             )

@@ -3,7 +3,9 @@
 Covers the wire protocol (framing, EOF, oversize rejection, the HMAC
 challenge-response handshake), the shard assignment rules (never an
 empty shard), executor validation, the cell-leasing unit ledger
-(split-on-demand stealing, stale-lease requeue of exact cell subsets),
+(carve-on-demand stealing, stale-lease requeue of exact cell subsets),
+the one fleet coordinator (a plan queue behind one TCP server, its
+status snapshot and the ``done`` it answers once the plan is recorded),
 and the acceptance properties of the subsystem: all executors — inline,
 process shards, and TCP fleets of every size — produce bitwise-identical
 sorted store records for the same plan and seeds (in the shared
@@ -26,15 +28,15 @@ import pytest
 
 from repro.distributed import (
     FleetAuthError,
+    FleetCoordinator,
     FleetError,
     FleetExecutor,
     InlineExecutor,
+    PlanQueue,
     ProcessShardExecutor,
     UnitLedger,
     parse_address,
-    pending_group_indices,
     run_worker,
-    shard_assignments,
 )
 from repro.distributed.protocol import (
     MAX_MESSAGE_BYTES,
@@ -55,6 +57,8 @@ from repro.experiments import (
     record_key,
 )
 from repro.experiments.store import HAS_APPEND_LOCK, parity_view
+from repro.experiments.work import assign_units_by_cost
+from repro.distributed.queue import plan_job_id
 
 needs_fork = pytest.mark.skipif(
     not HAS_APPEND_LOCK
@@ -95,6 +99,12 @@ def _one_group_plan(n_seeds: int = 8) -> ExperimentPlan:
         cases=(CaseSpec("grassland", size=20, steps=2),),
         seeds=tuple(range(n_seeds)),
     )
+
+
+def _fleet_plan_id(plan: ExperimentPlan) -> str:
+    """The job id a FleetExecutor admits ``plan`` under — the name of
+    each worker's local store file for it."""
+    return plan_job_id(plan.to_dict(), "default")
 
 
 def _sorted_normalized(store: ResultsStore) -> list[dict]:
@@ -162,20 +172,29 @@ class TestProtocol:
 # ----------------------------------------------------------------------
 # Shard assignment (the empty-shard fix)
 # ----------------------------------------------------------------------
+def _single_cell_units(n: int) -> list[WorkUnit]:
+    return [
+        WorkUnit(i, (("ess", "grassland", i, "vectorized"),))
+        for i in range(n)
+    ]
+
+
 class TestShardAssignments:
     @pytest.mark.parametrize("n_pending", [1, 2, 3, 7])
     @pytest.mark.parametrize("shards", [1, 2, 3, 5, 16])
     def test_never_empty_covers_all_disjoint(self, n_pending, shards):
-        pending = list(range(100, 100 + n_pending))
-        assignments = shard_assignments(pending, shards)
+        units = _single_cell_units(n_pending)
+        assignments = assign_units_by_cost(units, shards, lambda g: 1.0)
         assert all(assignments), "no shard may be spawned empty"
         assert len(assignments) == min(shards, n_pending)
-        flat = [i for a in assignments for i in a]
-        assert sorted(flat) == sorted(pending)
+        flat = [u for a in assignments for u in a]
+        assert sorted(flat, key=lambda u: u.group) == units
 
     def test_invalid_shards_raise(self):
         with pytest.raises(ReproError):
-            shard_assignments([1], 0)
+            assign_units_by_cost(_single_cell_units(1), 0, lambda g: 1.0)
+        with pytest.raises(ReproError):
+            ProcessShardExecutor(0)
 
     @needs_fork
     def test_more_shards_than_groups_runs_clean(self, tmp_path):
@@ -194,12 +213,14 @@ class TestShardAssignments:
 # Executor seam
 # ----------------------------------------------------------------------
 class TestExecutorSeam:
-    def test_pending_group_indices(self, tmp_path):
+    def test_compile_drops_fully_recorded_groups(self, tmp_path):
         plan = _plan()
-        assert pending_group_indices(plan, set()) == [0, 1]
+        groups = lambda done: [  # noqa: E731
+            u.group for u in WorkSet.compile(plan, done).pending()
+        ]
+        assert groups(set()) == [0, 1]
         (_, keys0), _ = plan.groups()
-        done = {k.as_tuple() for k in keys0}
-        assert pending_group_indices(plan, done) == [1]
+        assert groups({k.as_tuple() for k in keys0}) == [1]
 
     def test_shards_and_executor_are_exclusive(self):
         with pytest.raises(ReproError, match="not both"):
@@ -231,13 +252,15 @@ class TestExecutorSeam:
 # Lease ledger (no sockets: fake clock, fake store coverage)
 # ----------------------------------------------------------------------
 class TestUnitLedger:
-    def _ledger(self, covered: set, clock: list, min_unit_cells: int = 0):
+    def _ledger(self, covered: set, clock: list):
+        # a floor of 2 cells keeps each 2-cell group whole
         return UnitLedger(
             WorkSet.compile(_plan(), set()),
             lease_timeout=5.0,
             completed_cells=lambda: set(covered),
+            cost_model=UnitCostModel(),
             clock=lambda: clock[0],
-            min_unit_cells=min_unit_cells,
+            min_unit_cells=2,
         )
 
     def test_poll_completion_detects_coverage_without_a_request(self):
@@ -302,13 +325,14 @@ class TestUnitLedger:
 
     def test_last_pending_unit_splits_for_an_asking_worker(self):
         """Work stealing: one big group spreads over every asker by
-        halving the last pending unit down to the min_unit_cells floor."""
+        carving a probe lease off the pending unit for each of them."""
         plan = _one_group_plan(n_seeds=4)  # 8 cells, one group
         clock = [0.0]
         ledger = UnitLedger(
             WorkSet.compile(plan, set()),
             lease_timeout=5.0,
             completed_cells=set,
+            cost_model=UnitCostModel(),
             clock=lambda: clock[0],
             min_unit_cells=1,
         )
@@ -319,28 +343,16 @@ class TestUnitLedger:
             assert grant["type"] == "unit"
             grants.append(grant)
             sizes.append(len(grant["unit"]["cells"]))
-        # every asker got work from the single group: 4, 2, 1, 1
-        assert sizes == [4, 2, 1, 1]
-        assert ledger.steals == 3
-        # the four leases tile the group exactly — no loss, no overlap
+        # every asker got work from the single group: a quarter of its
+        # fair share each, never below the 1-cell floor
+        assert sizes == [2, 1, 1, 1]
+        assert ledger.steals == 4
+        # the leases and the pending rest tile the group exactly — no
+        # loss, no overlap
         cells = [tuple(c) for g in grants for c in g["unit"]["cells"]]
-        assert sorted(cells) == sorted(k.as_tuple() for k in plan.runs())
         assert len(set(cells)) == len(cells)
-        # everything is leased: a further asker waits
-        assert ledger.lease("w5") == {"type": "wait"}
-
-    def test_min_unit_cells_zero_keeps_whole_group_leases(self):
-        plan = _one_group_plan(n_seeds=4)
-        ledger = UnitLedger(
-            WorkSet.compile(plan, set()),
-            lease_timeout=5.0,
-            completed_cells=set,
-            min_unit_cells=0,
-        )
-        grant = ledger.lease("w1")
-        assert len(grant["unit"]["cells"]) == plan.n_runs
-        assert ledger.steals == 0
-        assert ledger.lease("w2") == {"type": "wait"}
+        assert set(cells) <= {k.as_tuple() for k in plan.runs()}
+        assert ledger.progress()["pending_cells"] == plan.n_runs - len(cells)
 
     def test_stale_lease_of_half_recorded_unit_requeues_missing_only(self):
         """A worker that recorded half a unit and then died: the lease
@@ -356,8 +368,9 @@ class TestUnitLedger:
             WorkSet.compile(plan, set()),
             lease_timeout=5.0,
             completed_cells=lambda: set(covered),
+            cost_model=UnitCostModel(),
             clock=lambda: clock[0],
-            min_unit_cells=0,
+            min_unit_cells=plan.n_runs,  # the floor keeps the unit whole
         )
         grant = ledger.lease("w1")
         # w1 drains half the unit's records, then goes silent
@@ -420,7 +433,6 @@ def _run_fleet(
     targets,
     lease_timeout,
     timeout=180.0,
-    scheduling="cost",
 ):
     """Run a fleet of worker processes against a loopback coordinator."""
     procs: list = []
@@ -429,7 +441,7 @@ def _run_fleet(
         for i, target in enumerate(targets):
             proc = _FORK.Process(
                 target=target,
-                args=(address, str(tmp_path / f"worker{i}.jsonl")),
+                args=(address, str(tmp_path / f"worker{i}")),
             )
             proc.start()
             procs.append(proc)
@@ -438,7 +450,6 @@ def _run_fleet(
         lease_timeout=lease_timeout,
         poll_interval=0.05,
         timeout=timeout,
-        scheduling=scheduling,
         on_bound=on_bound,
     )
     try:
@@ -515,21 +526,20 @@ class TestExecutorParity:
 
 @needs_fork
 class TestFleetFailureRecovery:
-    @pytest.mark.parametrize("scheduling", ["cost", "halving"])
     @pytest.mark.parametrize(
         "dier",
         [_worker_dying_mid_group, _worker_dying_after_complete],
         ids=["killed-mid-group", "killed-after-complete-undrained"],
     )
     def test_killed_worker_requeues_and_completes(
-        self, dier, scheduling, inline_store, tmp_path
+        self, dier, inline_store, tmp_path
     ):
         """Acceptance: a fleet run with one worker killed mid-run
         completes after lease-timeout requeue with zero lost or
-        duplicated (system, case, seed, backend) cells — under both
-        scheduling policies (under cost/piggyback the after-complete
-        death is lossless for the *reported* unit, but the dier also
-        abandons its piggybacked next lease, which must requeue)."""
+        duplicated (system, case, seed, backend) cells (the
+        after-complete death is lossless for the *reported* unit, whose
+        records rode the report, but the dier also abandons its
+        piggybacked next lease, which must requeue)."""
         plan = _plan()
         store = ResultsStore(tmp_path / "fleet.jsonl")
         result, executor, procs = _run_fleet(
@@ -541,7 +551,6 @@ class TestFleetFailureRecovery:
                 lambda addr, path: _worker(addr, path, "survivor"),
             ],
             lease_timeout=2.0,
-            scheduling=scheduling,
         )
         assert executor.requeues >= 1
         exit_codes = sorted(p.exitcode for p in procs)
@@ -566,7 +575,8 @@ class TestFleetFailureRecovery:
 
 # ----------------------------------------------------------------------
 # Worker against an in-thread coordinator (no subprocess): CLI-free
-# round-trip of the welcome payload, including per-system budgets.
+# round-trip of the plan payload a grant ships, including per-system
+# budgets.
 # ----------------------------------------------------------------------
 class TestWorkerInThread:
     def test_worker_receives_plan_and_budgets_over_the_wire(self, tmp_path):
@@ -581,7 +591,7 @@ class TestWorkerInThread:
             summary_box.update(
                 run_worker(
                     address,
-                    store_path=tmp_path / "worker.jsonl",
+                    store_path=tmp_path / "worker",
                     worker_id="in-thread",
                 )
             )
@@ -624,7 +634,6 @@ def _run_thread_fleet(
     min_unit_cells=1,
     auth_token=None,
     worker_tokens=None,
-    scheduling="cost",
     worker_throttles=None,
 ):
     """In-thread fleet: N run_worker threads against a loopback
@@ -662,7 +671,6 @@ def _run_thread_fleet(
         poll_interval=0.05,
         timeout=timeout,
         min_unit_cells=min_unit_cells,
-        scheduling=scheduling,
         auth_token=auth_token,
         on_bound=on_bound,
     )
@@ -693,7 +701,7 @@ class TestCellLeasing:
         result, executor, summaries, errors = _run_thread_fleet(
             plan,
             store,
-            [tmp_path / f"w{i}.jsonl" for i in range(4)],
+            [tmp_path / f"w{i}" for i in range(4)],
         )
         assert errors == []
         assert len(summaries) == 4
@@ -711,7 +719,7 @@ class TestCellLeasing:
         ExperimentRunner(store=inline).run(plan)
         store = ResultsStore(tmp_path / "fleet.jsonl")
         result, executor, summaries, errors = _run_thread_fleet(
-            plan, store, [tmp_path / "w0.jsonl", tmp_path / "w1.jsonl"]
+            plan, store, [tmp_path / "w0", tmp_path / "w1"]
         )
         assert errors == []
         # the first ask always splits the lone pending unit: a steal
@@ -738,7 +746,7 @@ class TestMixedGranularityResume:
             if record_key(record) in done:
                 store.append(record)
         result, executor, summaries, errors = _run_thread_fleet(
-            plan, store, [tmp_path / "w0.jsonl", tmp_path / "w1.jsonl"]
+            plan, store, [tmp_path / "w0", tmp_path / "w1"]
         )
         assert errors == []
         assert result.n_resumed == len(done)
@@ -780,7 +788,7 @@ class TestFleetAuth:
         result, executor, summaries, errors = _run_thread_fleet(
             plan,
             store,
-            [tmp_path / "w0.jsonl"],
+            [tmp_path / "w0"],
             auth_token="fleet-secret",
         )
         assert errors == []
@@ -795,7 +803,7 @@ class TestFleetAuth:
             _run_thread_fleet(
                 plan,
                 store,
-                [tmp_path / "w0.jsonl"],
+                [tmp_path / "w0"],
                 timeout=3.0,
                 lease_timeout=1.0,
                 auth_token="fleet-secret",
@@ -815,7 +823,7 @@ class TestFleetAuth:
                 try:
                     run_worker(
                         address,
-                        store_path=tmp_path / "w.jsonl",
+                        store_path=tmp_path / "w",
                         worker_id="intruder",
                         auth_token="WRONG",
                         max_failures=1000,  # an auth error must not retry
@@ -850,7 +858,7 @@ class TestFleetAuth:
             with conn:
                 received.append(recv_message(conn))
                 # no proof — just an inviting reply
-                send_message(conn, {"type": "welcome", "plan": {}})
+                send_message(conn, {"type": "welcome"})
 
         thread = threading.Thread(target=rogue)
         thread.start()
@@ -877,8 +885,9 @@ class TestFleetAuth:
             request(("127.0.0.1", 1), {"type": "hello"}, token="")
 
     def test_unauthenticated_probe_sees_only_a_challenge(self, tmp_path):
-        """The welcome payload (the plan!) must never reach a peer that
-        has not answered the challenge."""
+        """Plan bytes ride on ``unit`` grants: a peer that has not
+        answered the challenge must never get one — its hello and its
+        lease ask are both answered with a bare challenge."""
         plan = _one_group_plan(n_seeds=2)
         store = ResultsStore(tmp_path / "coord.jsonl")
         probe_replies: list = []
@@ -886,10 +895,11 @@ class TestFleetAuth:
         def on_bound(address):
             def probe():
                 # a tokenless client: request() raises on the challenge
-                try:
-                    request(address, {"type": "hello", "worker": "spy"})
-                except FleetAuthError as exc:
-                    probe_replies.append(exc)
+                for mtype in ("hello", "lease"):
+                    try:
+                        request(address, {"type": mtype, "worker": "spy"})
+                    except FleetAuthError as exc:
+                        probe_replies.append(exc)
 
             thread = threading.Thread(target=probe)
             thread.start()
@@ -904,8 +914,9 @@ class TestFleetAuth:
         )
         with pytest.raises(FleetError, match="timed out"):
             ExperimentRunner(store=store).run(plan, executor=executor)
-        assert probe_replies, "the probe must have been challenged"
-        assert "auth token" in str(probe_replies[0])
+        assert len(probe_replies) == 2, "every probe must be challenged"
+        assert all("auth token" in str(exc) for exc in probe_replies)
+        assert store.records() == []
 
 
 class TestWorkerStoreHygiene:
@@ -947,9 +958,13 @@ class TestWorkerStoreHygiene:
 
     def test_foreign_records_never_reach_the_coordinator(self, tmp_path):
         """Regression: a worker store holding cells of other plans must
-        not pollute the coordinator's results artifact on drain."""
+        not pollute the coordinator's results artifact on drain — even
+        when the foreign records sit in the plan's own per-plan file."""
         plan = _plan(cases=(CaseSpec("grassland", size=20, steps=2),))
-        worker_store = ResultsStore(tmp_path / "worker.jsonl")
+        worker_dir = tmp_path / "worker"
+        worker_store = ResultsStore(
+            worker_dir / f"{_fleet_plan_id(plan)}.jsonl"
+        )
         foreign = {
             "plan": "last-week",
             "system": "ess",
@@ -961,10 +976,11 @@ class TestWorkerStoreHygiene:
             "seconds": 0.1,
             "run": {"system": "ESS", "steps": [], "session": {}},
         }
+        worker_dir.mkdir()
         worker_store.append(foreign)
         coord_store = ResultsStore(tmp_path / "coord.jsonl")
         result, worker_errors = self._run_in_thread_fleet(
-            plan, coord_store, worker_store.path, timeout=120.0
+            plan, coord_store, worker_dir, timeout=120.0
         )
         assert worker_errors == []
         assert len(result.records) == plan.n_runs
@@ -977,14 +993,19 @@ class TestWorkerStoreHygiene:
         per-system config-digest check — a store recorded under another
         budget is refused instead of silently served."""
         plan_old = _plan(cases=(CaseSpec("grassland", size=20, steps=2),))
-        worker_store = ResultsStore(tmp_path / "worker.jsonl")
-        ExperimentRunner(store=worker_store).run(plan_old)
         rebudgeted = _plan(
             cases=(CaseSpec("grassland", size=20, steps=2),),
             budget=BudgetSpec(
                 population=8, generations=3, session_cache_size=2048
             ),
         )
+        # the old budget's records sit in the rebudgeted plan's file
+        worker_dir = tmp_path / "worker"
+        worker_dir.mkdir()
+        worker_store = ResultsStore(
+            worker_dir / f"{_fleet_plan_id(rebudgeted)}.jsonl"
+        )
+        ExperimentRunner(store=worker_store).run(plan_old)
         coord_store = ResultsStore(tmp_path / "coord.jsonl")
         worker_errors: list[Exception] = []
         with pytest.raises(FleetError, match="timed out"):
@@ -992,7 +1013,7 @@ class TestWorkerStoreHygiene:
             self._run_in_thread_fleet(
                 rebudgeted,
                 coord_store,
-                worker_store.path,
+                worker_dir,
                 timeout=4.0,
                 worker_errors=worker_errors,
             )
@@ -1004,29 +1025,29 @@ class TestWorkerStoreHygiene:
 # Fleet telemetry: per-worker utilization and the status snapshot
 # ----------------------------------------------------------------------
 class TestFleetTelemetry:
-    def _ledger(self, clock: list, covered: set | None = None):
-        covered = set() if covered is None else covered
-        return UnitLedger(
-            WorkSet.compile(_plan(), set()),
-            lease_timeout=5.0,
-            completed_cells=lambda: set(covered),
-            clock=lambda: clock[0],
-            min_unit_cells=0,
+    def _queue(self, tmp_path, clock: list):
+        """A one-plan queue over a single 2-cell group that a 2-cell
+        floor keeps whole: one grant covers the plan."""
+        queue = PlanQueue(
+            lease_timeout=5.0, min_unit_cells=2, clock=lambda: clock[0]
         )
+        plan = _plan(cases=(CaseSpec("grassland", size=20, steps=2),))
+        job = queue.admit(plan, ResultsStore(tmp_path / "coord.jsonl"))
+        return queue, job
 
-    def test_worker_stats_utilization_math(self):
+    def test_worker_stats_utilization_math(self, tmp_path):
         """busy/idle split over the membership span, fed by the
         telemetry payloads workers attach to heartbeats/completes."""
         clock = [0.0]
-        ledger = self._ledger(clock)
-        grant = ledger.lease("w")  # first seen at t=0
+        queue, job = self._queue(tmp_path, clock)
+        grant = queue.lease("w")  # first seen at t=0
         clock[0] = 2.0
-        ledger.heartbeat("w", grant["lease"], {"busy_seconds": 1.5})
+        queue.heartbeat("w", job.id, grant["lease"], {"busy_seconds": 1.5})
         clock[0] = 4.0
-        ledger.complete(
-            "w", grant["lease"], {"busy_seconds": 3.5, "records": 2}
+        queue.complete(
+            "w", job.id, grant["lease"], {"busy_seconds": 3.5, "records": 2}
         )
-        st = ledger.worker_stats()["w"]
+        st = queue.worker_stats()["w"]
         assert st["leases"] == 1 and st["units"] == 1
         assert st["cells"] == 2 and st["records"] == 2
         assert st["busy_seconds"] == pytest.approx(3.5)
@@ -1036,120 +1057,96 @@ class TestFleetTelemetry:
         assert st["lease_seconds"] == pytest.approx(4.0)
         assert st["live"] is True
         clock[0] = 30.0  # long silent: presumed dead
-        assert ledger.worker_stats()["w"]["live"] is False
+        assert queue.worker_stats()["w"]["live"] is False
 
-    def test_cumulative_busy_folds_with_max(self):
+    def test_cumulative_busy_folds_with_max(self, tmp_path):
         """Late or duplicate reports carry *cumulative* busy time, so
         folding is a max — utilization can never be inflated by a
         heartbeat racing the complete report."""
         clock = [0.0]
-        ledger = self._ledger(clock)
-        grant = ledger.lease("w")
+        queue, job = self._queue(tmp_path, clock)
+        grant = queue.lease("w")
         clock[0] = 4.0
-        ledger.heartbeat("w", grant["lease"], {"busy_seconds": 3.0})
+        beat = lambda info: queue.heartbeat(  # noqa: E731
+            "w", job.id, grant["lease"], info
+        )
+        beat({"busy_seconds": 3.0})
         # a delayed, lower cumulative report arrives after
-        ledger.heartbeat("w", grant["lease"], {"busy_seconds": 1.0})
-        assert ledger.worker_stats()["w"]["busy_seconds"] == pytest.approx(
+        beat({"busy_seconds": 1.0})
+        assert queue.worker_stats()["w"]["busy_seconds"] == pytest.approx(
             3.0
         )
         # garbage telemetry is ignored, not fatal
-        ledger.heartbeat("w", grant["lease"], {"busy_seconds": "soon"})
-        ledger.heartbeat("w", grant["lease"], "not a dict")
-        assert ledger.worker_stats()["w"]["busy_seconds"] == pytest.approx(
+        beat({"busy_seconds": "soon"})
+        beat("not a dict")
+        assert queue.worker_stats()["w"]["busy_seconds"] == pytest.approx(
             3.0
         )
 
-    def test_busy_clamped_to_membership_span(self):
+    def test_busy_clamped_to_membership_span(self, tmp_path):
         """A worker whose clock disagrees wildly cannot report more
         busy time than it was even a member for."""
         clock = [0.0]
-        ledger = self._ledger(clock)
-        grant = ledger.lease("w")
+        queue, job = self._queue(tmp_path, clock)
+        grant = queue.lease("w")
         clock[0] = 2.0
-        ledger.heartbeat("w", grant["lease"], {"busy_seconds": 100.0})
-        st = ledger.worker_stats()["w"]
+        queue.heartbeat("w", job.id, grant["lease"], {"busy_seconds": 100.0})
+        st = queue.worker_stats()["w"]
         assert st["busy_seconds"] == pytest.approx(100.0)  # as reported
         assert st["idle_seconds"] == 0.0  # but never negative idle
         assert st["utilization"] == pytest.approx(1.0)  # clamped to span
 
-    def _server(self, tmp_path, covered: set | None = None):
-        from repro.distributed.coordinator import _CoordinatorServer
-
+    def _coordinator(self, tmp_path):
+        """A one-plan queue (the fleet executor's shape) behind the
+        fleet server, not yet listening."""
         plan = _plan()
-        workset = WorkSet.compile(plan, set())
-        ledger = UnitLedger(
-            workset,
-            lease_timeout=5.0,
-            completed_cells=lambda: set(covered or set()),
-        )
         store = ResultsStore(tmp_path / "coord.jsonl")
-        return (
-            _CoordinatorServer(
-                ("127.0.0.1", 0),
-                ledger=ledger,
-                workset=workset,
-                store=store,
-                store_lock=threading.Lock(),
-                share_sessions=True,
-                poll_interval=0.05,
-            ),
-            plan,
-            store,
-        )
+        queue = PlanQueue(lease_timeout=5.0)
+        job = queue.admit(plan, store)
+        return FleetCoordinator(queue, poll_interval=0.05), job, store
 
     def test_status_dispatch_is_read_only(self, tmp_path):
         """The status snapshot reports progress without registering the
         asker as a worker — probing a fleet must never extend its
         shutdown linger."""
-        server, plan, store = self._server(tmp_path)
-        try:
-            ledger = server.ledger
-            grant = ledger.lease("w1")
-            ledger.complete("w1", grant["lease"], {"records": 2})
-            reply = server.dispatch({"type": "status", "worker": "probe"})
-            assert reply["type"] == "status"
-            assert reply["plan"] == plan.name
-            assert reply["expected_cells"] == plan.n_runs
-            assert reply["recorded_cells"] == 0  # store still empty
-            assert reply["finished"] is False
-            assert reply["progress"]["workers"] == 1  # w1, not the probe
-            assert set(reply["workers"]) == {"w1"}
-            assert reply["workers"]["w1"]["units"] == 1
-        finally:
-            server.server_close()
+        coordinator, job, _ = self._coordinator(tmp_path)
+        queue = coordinator.queue
+        grant = queue.lease("w1")
+        queue.complete("w1", job.id, grant["lease"], {"records": 2})
+        reply = coordinator.dispatch({"type": "status", "worker": "probe"})
+        assert reply["type"] == "status"
+        assert reply["finished"] is False
+        [snapshot] = reply["plans"]
+        assert snapshot["plan"] == job.plan.name
+        assert snapshot["expected_cells"] == job.plan.n_runs
+        assert snapshot["recorded_cells"] == 0  # store still empty
+        assert snapshot["progress"]["workers"] == 1  # w1, not the probe
+        assert set(reply["workers"]) == {"w1"}
+        assert reply["workers"]["w1"]["units"] == 1
 
     def test_status_counts_only_this_plans_recorded_cells(self, tmp_path):
-        server, plan, store = self._server(tmp_path)
-        try:
-            record = {
-                "system": "ess",
-                "case": "grassland",
-                "seed": 0,
-                "backend": "vectorized",
-                "run": {"steps": []},
-            }
-            store.append(record)
-            store.append({**record, "case": "other-plan-case"})
-            reply = server.dispatch({"type": "status"})
-            assert reply["recorded_cells"] == 1
-            assert reply["expected_cells"] == plan.n_runs
-        finally:
-            server.server_close()
+        coordinator, job, store = self._coordinator(tmp_path)
+        record = {
+            "system": "ess",
+            "case": "grassland",
+            "seed": 0,
+            "backend": "vectorized",
+            "run": {"steps": []},
+        }
+        store.append(record)
+        store.append({**record, "case": "other-plan-case"})
+        [snapshot] = coordinator.dispatch({"type": "status"})["plans"]
+        assert snapshot["recorded_cells"] == 1
+        assert snapshot["expected_cells"] == job.plan.n_runs
 
     def test_status_cli_against_a_live_coordinator(self, tmp_path, capsys):
         """`repro experiments status` end to end over the real socket."""
         from repro.cli import main
 
-        server, plan, _ = self._server(tmp_path)
-        thread = threading.Thread(
-            target=server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            daemon=True,
-        )
-        thread.start()
+        coordinator, job, _ = self._coordinator(tmp_path)
+        host, port = coordinator.start()
         try:
-            server.ledger.lease("w1")
-            host, port = server.server_address[:2]
+            coordinator.queue.lease("w1")
             assert (
                 main(
                     ["experiments", "status", "--connect", f"{host}:{port}"]
@@ -1157,15 +1154,38 @@ class TestFleetTelemetry:
                 == 0
             )
             out = capsys.readouterr().out
-            assert plan.name in out
-            assert f"0/{plan.n_runs} cells recorded" in out
+            assert job.plan.name in out
+            assert f"0/{job.plan.n_runs} cells recorded" in out
             assert "w1" in out
             # the probe itself never became a worker
-            assert server.ledger.progress()["workers"] == 1
+            assert job.ledger.progress()["workers"] == 1
+            assert set(coordinator.queue.worker_stats()) == {"w1"}
         finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+            coordinator.close()
+
+    def test_status_cli_renders_a_service_queue(self, tmp_path, capsys):
+        """Regression: a spooled multi-plan queue whose only worker has
+        just said hello renders (no KeyError on its stats), and
+        ``--watch`` returns once the coordinator answers ``done``."""
+        from repro.cli import main
+
+        queue = PlanQueue(tmp_path / "spool", lease_timeout=5.0)
+        queue.submit(_plan(name="svc-a").to_dict(), tenant="alice")
+        queue.submit(_plan(name="svc-b").to_dict(), tenant="bob")
+        queue.touch("w9")
+        coordinator = FleetCoordinator(queue)
+        host, port = coordinator.start()
+        argv = ["experiments", "status", "--connect", f"{host}:{port}"]
+        try:
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert "'svc-a'" in out and "'svc-b'" in out
+            assert "w9" in out and "0 units" in out
+            queue.finish()
+            assert main([*argv, "--watch", "0.2"]) == 0
+            assert "coordinator finished" in capsys.readouterr().out
+        finally:
+            coordinator.close()
 
     def test_status_cli_fails_cleanly_without_a_coordinator(self):
         from repro.cli import main
@@ -1186,7 +1206,7 @@ class TestFleetTelemetry:
 # Cost-aware scheduling: the predictive grant path of the unit ledger
 # ----------------------------------------------------------------------
 class TestCostLedger:
-    """Deterministic (fake-clock) coverage of the cost-mode grant path:
+    """Deterministic (fake-clock) coverage of the cost-aware grant path:
     probe-first sizing, throughput-proportional leases, piggybacked
     granting, fragment re-merge, and snapshot determinism."""
 
@@ -1240,39 +1260,41 @@ class TestCostLedger:
         assert stats["w1"]["throughput"] == pytest.approx(4.0)
         assert stats["w2"]["throughput"] == pytest.approx(1.0)
 
-    def test_piggybacked_complete_carries_the_next_lease(self):
-        """complete(drained=True, grant_next=True) collapses
+    def _queue(self, tmp_path, clock: list):
+        queue = PlanQueue(lease_timeout=5.0, clock=lambda: clock[0])
+        job = queue.admit(
+            _one_group_plan(n_seeds=8), ResultsStore(tmp_path / "s.jsonl")
+        )
+        return queue, job
+
+    def test_piggybacked_complete_carries_the_next_lease(self, tmp_path):
+        """A complete carrying its records collapses
         complete -> drain -> lease into one exchange and the round-trip
         accounting shows it."""
         clock = [0.0]
-        ledger = self._ledger(set(), clock)
-        grant = ledger.lease("w1")
-        reply = ledger.complete(
-            "w1",
-            grant["lease"],
-            {"unit_seconds": 0.5},
-            drained=True,
-            grant_next=True,
+        queue, job = self._queue(tmp_path, clock)
+        grant = queue.lease("w1")
+        reply = queue.complete(
+            "w1", job.id, grant["lease"], {"unit_seconds": 0.5}, []
         )
         assert reply["type"] == "ok"
         assert reply["next"]["type"] == "unit"
-        st = ledger.worker_stats()["w1"]
+        assert reply["next"]["plan_id"] == job.id
+        st = queue.worker_stats()["w1"]
         assert st["lease_requests"] == 1  # only the explicit ask
         assert st["piggybacked"] == 1
         assert st["completes"] == 1
         assert st["drains"] == 0  # the drain rode the complete
         assert st["round_trips"] == 2
 
-    def test_stale_complete_still_grants_next(self):
+    def test_stale_complete_still_grants_next(self, tmp_path):
         """A worker whose lease expired still wants work: ``next``
         rides the stale reply too."""
         clock = [0.0]
-        ledger = self._ledger(set(), clock)
-        grant = ledger.lease("w1")
+        queue, job = self._queue(tmp_path, clock)
+        grant = queue.lease("w1")
         clock[0] = 20.0  # lease long dead
-        reply = ledger.complete(
-            "w1", grant["lease"], drained=True, grant_next=True
-        )
+        reply = queue.complete("w1", job.id, grant["lease"], None, [])
         assert reply["type"] == "stale"
         assert reply["next"]["type"] == "unit"
 
@@ -1314,14 +1336,10 @@ class TestCostLedger:
             ledger.complete(
                 "w1", g1["lease"], {"unit_seconds": 0.5}, drained=True
             )
-            reply = ledger.complete(
-                "w2",
-                g2["lease"],
-                {"unit_seconds": 2.0},
-                drained=True,
-                grant_next=True,
+            ledger.complete(
+                "w2", g2["lease"], {"unit_seconds": 2.0}, drained=True
             )
-            grants.append(reply["next"]["unit"])
+            grants.append(ledger.lease("w2")["unit"])
             grants.append(ledger.lease("w1")["unit"])
             transcripts.append(grants)
         assert transcripts[0] == transcripts[1]
@@ -1329,16 +1347,17 @@ class TestCostLedger:
     def test_target_unit_seconds_must_be_positive(self):
         with pytest.raises(FleetError, match="target_unit_seconds"):
             self._ledger(set(), [0.0], target_unit_seconds=0.0)
-        with pytest.raises(FleetError, match="scheduling"):
-            FleetExecutor(scheduling="bogus")
-        with pytest.raises(ReproError, match="scheduling"):
-            ProcessShardExecutor(2, scheduling="bogus")
+        # whole-group leases are gone: the floor is at least one cell
+        with pytest.raises(FleetError, match="min_unit_cells"):
+            FleetExecutor(min_unit_cells=0)
+        with pytest.raises(ReproError, match="min_unit_cells"):
+            ProcessShardExecutor(2, min_unit_cells=0)
 
 
 class TestCostFleetEndToEnd:
-    """Thread fleets under the default cost scheduling: piggybacked
-    round-trips happen, legacy halving still works, and a throttled
-    worker receives proportionally fewer cells — all bitwise-clean."""
+    """Thread fleets end to end: piggybacked round-trips happen, every
+    worker hears ``done``, and a throttled worker receives
+    proportionally fewer cells — all bitwise-clean."""
 
     def test_cost_fleet_piggybacks_and_matches_inline(self, tmp_path):
         plan = _one_group_plan(n_seeds=8)
@@ -1346,7 +1365,7 @@ class TestCostFleetEndToEnd:
         ExperimentRunner(store=inline).run(plan)
         store = ResultsStore(tmp_path / "fleet.jsonl")
         result, executor, summaries, errors = _run_thread_fleet(
-            plan, store, [tmp_path / f"w{i}.jsonl" for i in range(2)]
+            plan, store, [tmp_path / f"w{i}" for i in range(2)]
         )
         assert errors == []
         stats = executor.worker_stats
@@ -1357,24 +1376,30 @@ class TestCostFleetEndToEnd:
         assert all(s["round_trips"] >= 1 for s in stats.values())
         assert _sorted_normalized(store) == _sorted_normalized(inline)
 
-    def test_halving_fleet_still_matches_inline(self, tmp_path):
-        """scheduling="halving" keeps the PR 6 behaviour end to end:
-        no piggybacking, explicit drains, identical records."""
-        plan = _one_group_plan(n_seeds=4)
-        inline = ResultsStore(tmp_path / "inline.jsonl")
-        ExperimentRunner(store=inline).run(plan)
+    def test_fleet_workers_hear_done_and_keep_per_plan_stores(
+        self, tmp_path
+    ):
+        """The single-plan fleet is a one-plan queue: both workers end
+        on ``done`` (not ``bye``) once the plan is recorded, and each
+        worker's local records sit in ``<store>/<plan_id>.jsonl``."""
+        plan = _one_group_plan(n_seeds=8)
         store = ResultsStore(tmp_path / "fleet.jsonl")
+        worker_dirs = [tmp_path / f"w{i}" for i in range(2)]
         result, executor, summaries, errors = _run_thread_fleet(
-            plan,
-            store,
-            [tmp_path / f"w{i}.jsonl" for i in range(2)],
-            scheduling="halving",
+            plan, store, worker_dirs
         )
         assert errors == []
-        stats = executor.worker_stats
-        assert sum(s["piggybacked"] for s in stats.values()) == 0
-        assert sum(s["drains"] for s in stats.values()) >= 1
-        assert _sorted_normalized(store) == _sorted_normalized(inline)
+        assert len(result.records) == plan.n_runs
+        assert len(summaries) == 2
+        assert not any(s["drained"] for s in summaries)  # both saw done
+        by_worker = {s["worker"]: s for s in summaries}
+        for index, worker_dir in enumerate(worker_dirs):
+            summary = by_worker[f"thread-w{index}"]
+            assert summary["store"] == str(worker_dir)
+            assert summary["units"] >= 1
+            local = ResultsStore(worker_dir / f"{_fleet_plan_id(plan)}.jsonl")
+            assert len(local.records()) == summary["records"]
+        assert sum(s["records"] for s in summaries) == plan.n_runs
 
     def test_heterogeneous_fleet_respects_capacity(self, tmp_path):
         """Acceptance: in a 3-worker fleet with one worker throttled to
@@ -1389,7 +1414,7 @@ class TestCostFleetEndToEnd:
         result, executor, summaries, errors = _run_thread_fleet(
             plan,
             store,
-            [tmp_path / f"w{i}.jsonl" for i in range(3)],
+            [tmp_path / f"w{i}" for i in range(3)],
             worker_throttles={0: 0.5},  # +0.5 s per cell on worker 0
         )
         assert errors == []

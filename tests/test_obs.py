@@ -56,6 +56,7 @@ from repro.obs.http import (
     ObsHTTPServer,
     clear_status_provider,
     set_status_provider,
+    status_payload,
 )
 from repro.obs.timeline import build_timeline, export_timeline
 
@@ -416,7 +417,7 @@ class TestInstrumentationParity:
             summaries.append(
                 run_worker(
                     address,
-                    store_path=str(tmp_path / f"w{index}.jsonl"),
+                    store_path=str(tmp_path / f"w{index}"),
                     worker_id=f"obs-w{index}",
                 )
             )
@@ -450,8 +451,8 @@ class TestInstrumentationParity:
         events = _trace_events(trace)
         unit_spans = [e for e in events if e.get("span") == "unit"]
         assert len(unit_spans) == sum(s["units"] for s in summaries)
-        # the coordinator's trace id propagates through the welcome and
-        # lease replies, so every span of the fleet shares one trace
+        # the coordinator's trace id propagates on every unit grant,
+        # so every span of the fleet shares one trace
         trace_ids = {
             e.get("trace_id") for e in events if e.get("event") == "span"
         }
@@ -813,6 +814,25 @@ class TestObsHTTPServer:
             assert json.loads(text) == {"status": "idle"}
         finally:
             server.close()
+            clear_status_provider()
+
+    def test_bound_method_provider_clears_by_equality(self):
+        """Regression: ``obj.status`` builds a new bound method on every
+        access, so clearing with a second access must still match."""
+
+        class Coordinator:
+            def status(self):
+                return {"type": "status", "plan": "p10"}
+
+        coordinator = Coordinator()
+        set_status_provider(coordinator.status)
+        try:
+            assert status_payload()["plan"] == "p10"
+            clear_status_provider(Coordinator().status)  # another owner
+            assert status_payload()["plan"] == "p10"
+            clear_status_provider(coordinator.status)
+            assert status_payload() == {"status": "idle"}
+        finally:
             clear_status_provider()
 
 

@@ -239,6 +239,24 @@ class TestPlanQueueScheduling:
         assert restored.tenant == "alice"
         assert restored.status() == "queued"
 
+    def test_finish_answers_done_to_every_ask(self, tmp_path):
+        """The single-plan fleet's end state: once its executor closes
+        the queue, every worker — leasing or completing — hears
+        ``done``, and the linger can tell when all live ones have."""
+        queue = PlanQueue(tmp_path / "spool", lease_timeout=60.0)
+        job, _ = queue.submit(_plan(name="closing").to_dict())
+        grant = queue.lease("w0")
+        queue.touch("w1")
+        assert not queue.status()["finished"]
+        queue.finish()
+        assert queue.status()["finished"]
+        assert not queue.all_live_informed()  # nobody told yet
+        reply = queue.complete("w0", job.id, grant["lease"], None, [])
+        assert reply["next"] == {"type": "done"}
+        assert not queue.all_live_informed()  # w1 still polling
+        assert queue.lease("w1") == {"type": "done"}
+        assert queue.all_live_informed()
+
     def test_drained_worker_gets_bye_only_when_clean(self, tmp_path):
         queue = PlanQueue(tmp_path / "spool", lease_timeout=60.0)
         queue.submit(_plan(name="drainer", seeds=(0, 1, 2)).to_dict())
@@ -505,7 +523,7 @@ class TestDrainLifecycle:
                 summaries.append(
                     run_worker(
                         address_box["addr"],
-                        store_path=tmp_path / f"worker{index}.jsonl",
+                        store_path=tmp_path / f"worker{index}",
                         worker_id=f"drain-w{index}",
                         poll_interval=0.05,
                         after_complete=(

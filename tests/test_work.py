@@ -24,7 +24,7 @@ from repro.experiments import (
     record_key,
 )
 from repro.experiments.store import parity_view
-from repro.experiments.work import assign_units, split_units
+from repro.experiments.work import assign_units_by_cost, split_units
 
 
 def _plan(**overrides) -> ExperimentPlan:
@@ -132,7 +132,7 @@ class TestWorkSet:
 
     def test_wire_round_trip(self):
         plan = _plan()
-        workset = WorkSet.compile(plan).split(4)
+        workset = WorkSet(plan, split_units(WorkSet.compile(plan).units, 4))
         clone = WorkSet.from_dict(workset.to_dict())
         assert clone == workset
         assert clone.plan == plan
@@ -146,8 +146,9 @@ class TestScheduling:
         assert sorted(u.n_cells for u in split) == [2, 2, 2, 2]
         # floor: with min_unit_cells=2 an 8-cell unit yields 4 at most
         assert len(split_units(units, 16, min_unit_cells=2)) == 4
-        # 0 disables splitting entirely (whole-group behaviour)
-        assert split_units(units, 16, min_unit_cells=0) == units
+        # the floor is at least one cell: whole-group mode is gone
+        with pytest.raises(ReproError, match="min_unit_cells"):
+            split_units(units, 16, min_unit_cells=0)
         # unsplittable singles stop the loop instead of spinning
         assert len(split_units(units, 100)) == 8
 
@@ -159,17 +160,20 @@ class TestScheduling:
         )
 
     def test_assign_units_balances_and_never_leaves_empty(self):
+        """At a uniform per-cell rate, cost-balanced assignment is
+        cell-balanced."""
         units = split_units([_unit(8)], 4) + [_unit(2, group=1)]
-        buckets = assign_units(units, 3)
+        uniform = lambda group: 1.0  # noqa: E731
+        buckets = assign_units_by_cost(units, 3, uniform)
         assert len(buckets) == 3
         assert all(buckets)
         loads = sorted(sum(u.n_cells for u in b) for b in buckets)
         assert loads == [2, 4, 4]
         # fewer units than buckets: no empties
-        assert len(assign_units([_unit(4)], 5)) == 1
-        assert assign_units([], 3) == []
+        assert len(assign_units_by_cost([_unit(4)], 5, uniform)) == 1
+        assert assign_units_by_cost([], 3, uniform) == []
         with pytest.raises(ReproError):
-            assign_units(units, 0)
+            assign_units_by_cost(units, 0, uniform)
 
 
 class TestRunUnits:
@@ -209,16 +213,3 @@ class TestRunUnits:
                 [WorkUnit(0, (("ess", "grassland", 99, "vectorized"),))],
                 set(),
             )
-
-    def test_run_groups_shim_equals_run_units(self, tmp_path):
-        plan = _plan(cases=(CaseSpec("grassland", size=20, steps=2),))
-        a = ResultsStore(tmp_path / "groups.jsonl")
-        ExperimentRunner(store=a).run_groups(plan, [0], set())
-        b = ResultsStore(tmp_path / "units.jsonl")
-        ExperimentRunner(store=b).run_units(
-            plan, WorkSet.compile(plan).pending(), set()
-        )
-        norm = lambda store: [
-            parity_view(r) for r in sorted(store.records(), key=record_key)
-        ]
-        assert norm(a) == norm(b)
