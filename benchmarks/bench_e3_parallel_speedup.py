@@ -2,11 +2,10 @@
 
 The paper's first version parallelises exactly the scenario simulations
 (§III-B "parallelism will only be implemented in the evaluation of the
-scenarios"). This bench measures that stage serially, via the process
-pool and via the explicit message engine, and prints the speedup/
-efficiency table. On a single-core host the exercise degenerates to a
-correctness check (all backends bit-identical); the table still records
-the overhead structure.
+scenarios"). This bench measures that stage serially and via the
+process pool, and prints the speedup/efficiency table. On a single-core
+host the exercise degenerates to a correctness check (pool and serial
+bit-identical); the table still records the overhead structure.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import numpy as np
 from repro.analysis.metrics import speedup_table
 from repro.analysis.reporting import format_table
 from repro.parallel.executor import ProcessPoolEvaluator, SerialEvaluator
-from repro.parallel.master_worker import MasterWorkerEngine
 
 from _report import report, run_once
 
@@ -44,26 +42,17 @@ def test_e3_speedup_report(benchmark, bench_problem, space):
                 parallel_seconds[workers] = time.perf_counter() - t0
             identical[workers] = bool(np.allclose(values, reference))
 
-        with MasterWorkerEngine(bench_problem, n_workers=2, chunk_size=2) as eng:
-            t0 = time.perf_counter()
-            values = eng(genomes)
-            engine_seconds = time.perf_counter() - t0
-            imbalance = eng.load_imbalance()
-        engine_identical = bool(np.allclose(values, reference))
-
         rows = speedup_table(serial_seconds, parallel_seconds)
         table = format_table(
             ["workers", "seconds", "speedup", "efficiency"],
             [[r["workers"], r["seconds"], r["speedup"], r["efficiency"]] for r in rows],
         )
         extra = (
-            f"\nmessage engine (2 workers, chunk 2): {engine_seconds:.4f}s, "
-            f"imbalance {imbalance:.2f}, identical={engine_identical}"
             f"\nhost cpu count: {os.cpu_count()}"
             f"\nall pool results identical to serial: {identical}"
         )
         report("E3_speedup", table + extra)
-        assert all(identical.values()) and engine_identical
+        assert all(identical.values())
 
 
     run_once(benchmark, _body)

@@ -1,7 +1,8 @@
 """Engine backends — throughput of the batched simulation engine.
 
-Compares the ``reference``, ``vectorized`` and ``process`` backends on
-the synthetic (homogeneous grassland), mosaic (random fuel patches) and
+Compares the ``reference`` and ``vectorized`` kernels in-process, and
+the vectorized kernel in a 2-worker pool (``vectorized x2``), on the
+synthetic (homogeneous grassland), mosaic (random fuel patches) and
 ridge (heterogeneous slope/aspect rasters) workloads at GA-realistic
 population sizes, measures what the scenario-result cache adds under an
 elitist duplicate pattern, and times per-step engines against one
@@ -11,7 +12,7 @@ Acceptance bars (asserted here): on the synthetic workload at
 population ≥ 64 the vectorized backend is ≥ 3× faster than the
 reference backend; on the heterogeneous-raster workload it is ≥ 2×;
 both with bitwise-identical fitness values. The persistent session is
-strictly faster than per-step engines on the process backend.
+strictly faster than per-step engines on a 2-worker pool.
 
 ``smoke_*`` functions run the same comparisons at tiny sizes with no
 timing assertions; ``tests/test_bench_engine_smoke.py`` wires them into
@@ -81,19 +82,24 @@ def _step_problem(fire: ReferenceFire) -> PredictionStepProblem:
     )
 
 
+def _label(backend: str, n_workers: int) -> str:
+    """Row label: the kernel name, suffixed ``xN`` when pooled."""
+    return backend if n_workers == 1 else f"{backend} x{n_workers}"
+
+
 def _time_backend(
     problem: PredictionStepProblem,
     backend: str,
+    n_workers: int,
     genomes: np.ndarray,
     repeats: int,
-    cache_size: int = 0,
 ) -> tuple[float, np.ndarray]:
     """Best-of-``repeats`` wall-clock and the fitness vector."""
     best = float("inf")
     values = None
     for _ in range(repeats):
         with SimulationEngine.from_problem(
-            problem, backend=backend, cache_size=cache_size
+            problem, backend=backend, n_workers=n_workers
         ) as engine:
             start = time.perf_counter()
             values = engine(genomes)
@@ -107,25 +113,32 @@ def compare_backends(
     population: int,
     seed: int = 7,
     repeats: int = 1,
-    backends: tuple[str, ...] = ("reference", "vectorized", "process"),
+    backends: tuple[tuple[str, int], ...] = (
+        ("reference", 1),
+        ("vectorized", 1),
+        ("vectorized", 2),
+    ),
 ) -> list[dict]:
-    """Time each backend on one batch; assert bitwise-equal fitness."""
+    """Time each ``(kernel, n_workers)`` on one batch; assert equal fitness."""
     problem = _step_problem(fire)
     genomes = SPACE.sample(population, seed)
     rows: list[dict] = []
     baseline = None
-    for backend in backends:
-        seconds, values = _time_backend(problem, backend, genomes, repeats)
+    for backend, n_workers in backends:
+        seconds, values = _time_backend(
+            problem, backend, n_workers, genomes, repeats
+        )
+        label = _label(backend, n_workers)
         if baseline is None:
             baseline = (seconds, values)
         else:
             assert np.array_equal(values, baseline[1]), (
-                f"{backend} fitness differs from {backends[0]}"
+                f"{label} fitness differs from {_label(*backends[0])}"
             )
         rows.append(
             {
                 "workload": fire.description,
-                "backend": backend,
+                "backend": label,
                 "population": population,
                 "seconds": seconds,
                 "speedup": baseline[0] / seconds,
@@ -140,7 +153,7 @@ def session_rows(
     population: int,
     n_steps: int = 3,
     seed: int = 13,
-    backend: str = "process",
+    backend: str = "vectorized",
     n_workers: int = 2,
     repeats: int = 1,
 ) -> list[dict]:
@@ -200,7 +213,7 @@ def session_rows(
             {
                 "workload": fire.description,
                 "mode": mode,
-                "backend": backend,
+                "backend": _label(backend, n_workers),
                 "steps": len(problems),
                 "population": population,
                 "seconds": best,
@@ -227,7 +240,7 @@ def sweep_session_rows(
     the experiment runner; the per-system mode gives every run its own
     :class:`~repro.engine.EngineSession`, the shared mode one session
     per (case, backend) group — cross-system repeats of the same step
-    context skip the simulator, and on the pooled backends the group
+    context skip the simulator, and with ``n_workers > 1`` the group
     forks **one** worker pool where per-system sessions fork one per
     run. Fitness trajectories are asserted bitwise-identical between
     the modes.
@@ -279,7 +292,7 @@ def sweep_session_rows(
             {
                 "workload": f"grassland {size}x{size}",
                 "mode": mode,
-                "backend": backend,
+                "backend": _label(backend, n_workers),
                 "runs": len(result.records),
                 "population": population,
                 "seconds": best[mode],
@@ -511,17 +524,17 @@ def test_engine_backend_comparison_report(benchmark):
         )
         swrows = sweep_session_rows(
             size=40, steps=3, population=32, generations=4, seeds=(0, 1),
-            backend="process", n_workers=2, repeats=3,
+            backend="vectorized", n_workers=2, repeats=3,
         )
         text = (
             backend_table(rows)
             + "\n\nscenario-result cache (25% duplicates, 2 generations):\n"
             + cache_table(crows)
             + "\n\nper-step engines vs persistent EngineSession "
-            + "(process backend, 2 workers):\n"
+            + "(vectorized kernel, 2 workers):\n"
             + session_table(srows)
             + "\n\nexperiment sweeps: per-system sessions vs one shared "
-            + "session per (case, backend) group (process backend, 2 "
+            + "session per (case, backend) group (vectorized kernel, 2 "
             + "workers):\n"
             + sweep_session_table(swrows)
         )
@@ -558,7 +571,8 @@ def test_engine_backend_comparison_report(benchmark):
             {
                 "workload": dict(
                     size=40, steps=3, population=32, generations=4,
-                    seeds=[0, 1], backend="process", n_workers=2, repeats=3,
+                    seeds=[0, 1], backend="vectorized", n_workers=2,
+                    repeats=3,
                 ),
                 "rows": swrows,
             },

@@ -4,12 +4,12 @@
 The paper's first version parallelises exactly one thing: the scenario
 simulations + fitness computation, under a Master/Worker design. This
 example measures that stage in isolation — the same batch of scenarios
-evaluated serially, by the process pool, and by the explicit
-message-passing Master/Worker engine — and prints the speedup table.
+evaluated serially and by the process pool at each worker count — and
+prints the speedup table.
 
 On a single-core container the speedup is expectedly ≤ 1 (the exercise
-then demonstrates correctness: every backend returns bit-identical
-fitness vectors); on a multi-core machine the pool approaches linear
+then demonstrates correctness: every pool returns the serial fitness
+vector bit for bit); on a multi-core machine the pool approaches linear
 scaling because scenario simulations are embarrassingly parallel.
 
 Usage::
@@ -25,7 +25,6 @@ import time
 import numpy as np
 
 from repro import (
-    MasterWorkerEngine,
     ParameterSpace,
     PredictionStepProblem,
     ProcessPoolEvaluator,
@@ -72,15 +71,6 @@ def main() -> None:
             parallel_seconds[workers] = time.perf_counter() - t0
         assert np.allclose(values, reference), "pool must match serial exactly"
 
-    with MasterWorkerEngine(problem, n_workers=2, chunk_size=4) as engine:
-        values = engine(genomes)
-        assert np.allclose(values, reference), "engine must match serial exactly"
-        print(
-            f"message engine (2 workers): load imbalance "
-            f"{engine.load_imbalance():.2f}, "
-            f"tasks per worker {[s.tasks_completed for s in engine.stats]}"
-        )
-
     rows = speedup_table(serial_seconds, parallel_seconds)
     print()
     print(
@@ -89,7 +79,7 @@ def main() -> None:
             [[r["workers"], r["seconds"], r["speedup"], r["efficiency"]] for r in rows],
         )
     )
-    print("\nall backends returned identical fitness vectors ✓")
+    print("\nevery pool returned identical fitness vectors ✓")
 
 
 if __name__ == "__main__":

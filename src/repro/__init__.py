@@ -61,7 +61,6 @@ from repro.ea import (
 from repro.parallel import (
     SerialEvaluator,
     ProcessPoolEvaluator,
-    MasterWorkerEngine,
     IslandModel,
     IslandModelConfig,
 )
@@ -130,7 +129,6 @@ __all__ = [
     # parallel
     "SerialEvaluator",
     "ProcessPoolEvaluator",
-    "MasterWorkerEngine",
     "IslandModel",
     "IslandModelConfig",
     # stages & systems

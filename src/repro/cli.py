@@ -71,6 +71,7 @@ from repro.experiments import (
     BudgetSpec,
     CaseSpec,
     ExperimentPlan,
+    ExperimentResult,
     ExperimentRunner,
     ResultsStore,
 )
@@ -125,8 +126,8 @@ def _add_budget(parser: argparse.ArgumentParser) -> None:
         "--backend",
         choices=backend_names(),
         default="reference",
-        help="simulation-engine backend for fitness evaluation "
-        "(pair 'process' with --workers for a real pool size)",
+        help="simulation-engine kernel for fitness evaluation "
+        "(--workers N > 1 evaluates it in an N-process pool)",
     )
     parser.add_argument(
         "--cache-size",
@@ -423,18 +424,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         store = _open_results_store(args.results) if args.results else None
     except _USER_ERRORS as exc:
         raise SystemExit(str(exc)) from exc
-    runner = ExperimentRunner(
-        store=store, share_sessions=not args.isolated_sessions
-    )
-    try:
-        executor = _make_executor(args)
-        if executor is not None:
-            result = runner.run(plan, executor=executor)
-        else:
-            result = runner.run(plan, shards=args.shards)
-    except ReproError as exc:
-        _exit_on_user_error(exc)
-        raise
+    result = _run_plan(args, plan, store)
     case = plan.cases[0]
     print(f"case: {case.name} {case.size}x{case.size}, {case.steps} steps")
     print(format_comparison(compare_runs(result.runs())))
@@ -497,19 +487,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 pass
     except _USER_ERRORS as exc:
         raise SystemExit(str(exc)) from exc
-    runner = ExperimentRunner(
-        store=store, share_sessions=not args.isolated_sessions
-    )
-    try:
-        executor = _make_executor(args)
-        if executor is not None:
-            result = runner.run(plan, executor=executor)
-        else:
-            # --shards N stays sugar for the process executor
-            result = runner.run(plan, shards=args.shards)
-    except ReproError as exc:
-        _exit_on_user_error(exc)
-        raise
+    result = _run_plan(args, plan, store)
     sweep = SweepResult.from_records(
         result.records,
         systems=list(plan.systems),
@@ -524,6 +502,28 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise SystemExit(str(exc)) from exc
         print(f"saved: {args.output}")
     return 0
+
+
+def _run_plan(
+    args: argparse.Namespace, plan: ExperimentPlan, store: ResultsStore | None
+) -> ExperimentResult:
+    """Run ``plan`` under the ``--executor``/``--shards`` flags.
+
+    Shared by ``compare`` and ``sweep``; a plain :class:`ReproError`
+    becomes a clean one-line exit (see :func:`_exit_on_user_error`).
+    """
+    runner = ExperimentRunner(
+        store=store, share_sessions=not args.isolated_sessions
+    )
+    try:
+        executor = _make_executor(args)
+        if executor is not None:
+            return runner.run(plan, executor=executor)
+        # --shards N stays sugar for the process executor
+        return runner.run(plan, shards=args.shards)
+    except ReproError as exc:
+        _exit_on_user_error(exc)
+        raise
 
 
 def _make_executor(args: argparse.Namespace):
@@ -653,18 +653,19 @@ def _format_worker_stats(workers: dict[str, dict]) -> str:
     return "\n".join(lines)
 
 
-def _probe_status(args: argparse.Namespace) -> dict:
-    """One read-only ``status`` exchange with a coordinator.
+def _coordinator_request(
+    args: argparse.Namespace, message: dict, expect: str, action: str
+) -> dict:
+    """One request/reply exchange with the coordinator at ``--connect``.
 
     Raises :class:`SystemExit` with a clean one-line message on any
-    failure — no coordinator listening, auth mismatch, or a non-status
-    reply.
+    failure — no coordinator listening, auth mismatch, or a reply whose
+    type is not ``expect`` (``action`` names the request in it).
     """
     try:
-        addr = parse_address(args.connect)
         reply = _fleet_request(
-            addr,
-            {"type": "status"},
+            parse_address(args.connect),
+            message,
             timeout=args.request_timeout,
             token=args.auth_token,
         )
@@ -674,12 +675,19 @@ def _probe_status(args: argparse.Namespace) -> dict:
         raise SystemExit(
             f"no coordinator answering at {args.connect}: {exc}"
         ) from exc
-    if reply.get("type") != "status":
+    if reply.get("type") != expect:
         raise SystemExit(
-            f"coordinator rejected the status probe: "
+            f"coordinator rejected the {action}: "
             f"{reply.get('error', reply.get('type'))}"
         )
     return reply
+
+
+def _probe_status(args: argparse.Namespace) -> dict:
+    """One read-only ``status`` exchange with a coordinator."""
+    return _coordinator_request(
+        args, {"type": "status"}, expect="status", action="status probe"
+    )
 
 
 def _print_status(reply: dict) -> None:
@@ -784,25 +792,12 @@ def _cmd_experiments_worker(args: argparse.Namespace) -> int:
 
 def _cmd_experiments_drain(args: argparse.Namespace) -> int:
     """Ask a coordinator to gracefully retire one worker."""
-    try:
-        addr = parse_address(args.connect)
-        reply = _fleet_request(
-            addr,
-            {"type": "drain", "target": args.worker},
-            timeout=args.request_timeout,
-            token=args.auth_token,
-        )
-    except FleetError as exc:
-        raise SystemExit(str(exc)) from exc
-    except OSError as exc:
-        raise SystemExit(
-            f"no coordinator answering at {args.connect}: {exc}"
-        ) from exc
-    if reply.get("type") != "ok":
-        raise SystemExit(
-            f"coordinator rejected the drain: "
-            f"{reply.get('error', reply.get('type'))}"
-        )
+    reply = _coordinator_request(
+        args,
+        {"type": "drain", "target": args.worker},
+        expect="ok",
+        action="drain",
+    )
     print(
         f"worker {reply.get('draining')} draining: it finishes its "
         "leased unit, uploads its records and exits — nothing requeues"

@@ -1,7 +1,7 @@
-"""Pluggable execution backends for the batched simulation engine.
+"""Execution backends for the batched simulation engine.
 
 A backend turns a genome batch into Eq. 3 fitness values (and burned
-maps) for one prediction step. Three implementations ship:
+maps) for one prediction step. Two kernels ship, selectable by name:
 
 * ``reference`` — wraps today's per-scenario
   :class:`~repro.firelib.simulator.FireSimulator`; the semantics every
@@ -11,15 +11,13 @@ maps) for one prediction step. Three implementations ship:
   every spatially-uniform scenario), deduplicates bitwise-equal
   genomes, and runs the propagation through the genome-batched kernel
   of :mod:`repro.engine.fastprop`.
-* ``process`` — fans the batch out to a multiprocess pool layered on
-  :class:`~repro.parallel.executor.ProcessPoolEvaluator`; each worker
-  receives the step spec once (copy-on-write shared rasters under the
-  ``fork`` start method) and evaluates its chunk with the vectorized
-  kernel.
 
-Backends register themselves in a name → class registry so new
-execution strategies (GPU kernels, remote workers) plug in without
-touching the engine facade.
+:class:`ProcessBackend` is not a third name: it is the pool wrapper
+the engine builds over either kernel whenever ``n_workers > 1``. It
+fans fitness batches out to a
+:class:`~repro.parallel.executor.ProcessPoolEvaluator` whose workers
+each receive the step spec once (copy-on-write shared rasters under the
+``fork`` start method) and evaluate their chunk with that kernel.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ __all__ = [
     "ReferenceBackend",
     "VectorizedBackend",
     "ProcessBackend",
-    "register_backend",
     "backend_names",
     "create_backend",
     "kernel_costs",
@@ -201,9 +198,6 @@ class StepSpec:
 class EngineBackend(ABC):
     """One execution strategy for a step's genome batches."""
 
-    #: Registry name (set by :func:`register_backend`).
-    name: str = "?"
-
     def __init__(self, spec: StepSpec) -> None:
         self.spec = spec
 
@@ -220,44 +214,8 @@ class EngineBackend(ABC):
 
 
 # ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-_REGISTRY: dict[str, type[EngineBackend]] = {}
-
-
-def register_backend(name: str):
-    """Class decorator adding a backend to the registry under ``name``."""
-
-    def deco(cls: type[EngineBackend]) -> type[EngineBackend]:
-        if name in _REGISTRY:
-            raise ReproError(f"backend {name!r} is already registered")
-        cls.name = name
-        _REGISTRY[name] = cls
-        return cls
-
-    return deco
-
-
-def backend_names() -> tuple[str, ...]:
-    """Registered backend names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def create_backend(name: str, spec: StepSpec, **kwargs) -> EngineBackend:
-    """Instantiate a registered backend by name."""
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise ReproError(
-            f"unknown engine backend {name!r}; choose from {backend_names()}"
-        ) from None
-    return cls(spec, **kwargs)
-
-
-# ----------------------------------------------------------------------
 # reference
 # ----------------------------------------------------------------------
-@register_backend("reference")
 class ReferenceBackend(EngineBackend):
     """Per-scenario evaluation through :class:`FireSimulator`.
 
@@ -296,7 +254,6 @@ class ReferenceBackend(EngineBackend):
 # ----------------------------------------------------------------------
 # vectorized
 # ----------------------------------------------------------------------
-@register_backend("vectorized")
 class VectorizedBackend(EngineBackend):
     """Batched NumPy fields + genome-batched propagation kernel.
 
@@ -682,7 +639,7 @@ class VectorizedBackend(EngineBackend):
 
 
 # ----------------------------------------------------------------------
-# process
+# worker pool over either kernel
 # ----------------------------------------------------------------------
 class _SpecProblem:
     """Picklable shim shipping a :class:`StepSpec` into pool workers.
@@ -711,14 +668,14 @@ class _SpecProblem:
         return self._get_backend().fitness_batch(genomes)
 
 
-@register_backend("process")
 class ProcessBackend(EngineBackend):
-    """Multiprocess fan-out layered on the executor's pool machinery.
+    """Multiprocess fan-out over one kernel, for ``n_workers > 1``.
 
-    Fitness batches are chunked across a
+    Not selectable by name: :class:`~repro.engine.core.SimulationEngine`
+    wraps the chosen kernel in this class whenever it is given more
+    than one worker. Fitness batches are chunked across a
     :class:`~repro.parallel.executor.ProcessPoolEvaluator` whose
-    workers each hold one ``inner``-backend instance (``vectorized`` by
-    default, so every worker also gets the batched kernel). Burned-map
+    workers each hold one ``inner``-kernel instance. Burned-map
     batches — the small per-step Statistical Stage calls — run on a
     local inner backend to avoid shipping ``(n, H, W)`` masks back
     through the pipe.
@@ -733,14 +690,11 @@ class ProcessBackend(EngineBackend):
     def __init__(
         self,
         spec: StepSpec,
-        inner: str = "vectorized",
+        inner: str,
         n_workers: int | None = None,
-        chunks_per_worker: int = 4,
         pool=None,
     ) -> None:
         super().__init__(spec)
-        if inner == self.name:
-            raise ReproError("process backend cannot nest itself")
         self.inner = inner
         self._local: EngineBackend | None = None  # built on first map batch
         if pool is not None:
@@ -754,9 +708,7 @@ class ProcessBackend(EngineBackend):
 
             self._owns_pool = True
             self._pool = ProcessPoolEvaluator(
-                _SpecProblem(spec, inner),
-                n_workers=n_workers,
-                chunks_per_worker=chunks_per_worker,
+                _SpecProblem(spec, inner), n_workers=n_workers
             )
         self.n_workers = self._pool.n_workers
 
@@ -771,3 +723,28 @@ class ProcessBackend(EngineBackend):
     def close(self) -> None:
         if self._owns_pool:
             self._pool.close()
+
+
+# ----------------------------------------------------------------------
+# lookup by name
+# ----------------------------------------------------------------------
+_KERNELS: dict[str, type[EngineBackend]] = {
+    "reference": ReferenceBackend,
+    "vectorized": VectorizedBackend,
+}
+
+
+def backend_names() -> tuple[str, ...]:
+    """Selectable backend names, sorted."""
+    return tuple(sorted(_KERNELS))
+
+
+def create_backend(name: str, spec: StepSpec, **kwargs) -> EngineBackend:
+    """Instantiate a backend kernel by name."""
+    try:
+        cls = _KERNELS[name]
+    except KeyError:
+        raise ReproError(
+            f"unknown engine backend {name!r}; choose from {backend_names()}"
+        ) from None
+    return cls(spec, **kwargs)

@@ -6,8 +6,9 @@ hot path. It composes three layers:
 1. an LRU :class:`~repro.engine.cache.ScenarioResultCache` keyed on
    quantized genomes, so repeated individuals (GA elitism, DE
    restarts) skip simulation entirely;
-2. a pluggable :class:`~repro.engine.backends.EngineBackend` selected
-   by name (``reference`` / ``vectorized`` / ``process``);
+2. an :class:`~repro.engine.backends.EngineBackend` kernel selected
+   by name (``reference`` / ``vectorized``), run in-process or, with
+   ``n_workers > 1``, in a worker pool;
 3. evaluation accounting (requests vs. actual simulations) surfaced to
    the per-step results and the reporting layer.
 
@@ -24,7 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engine.backends import StepSpec, backend_names, create_backend
+from repro.engine.backends import (
+    ProcessBackend,
+    StepSpec,
+    backend_names,
+    create_backend,
+)
 from repro.engine.cache import (
     DEFAULT_CACHE_DECIMALS,
     CacheStats,
@@ -75,14 +81,11 @@ class SimulationEngine:
         The step description (terrain, start/real burned regions,
         horizon, parameter space, stencil).
     backend:
-        Registered backend name. ``process`` fans out to a pool of
-        exactly ``n_workers`` processes with the vectorized kernel
-        inside each worker (pair it with a real worker count); any
-        other backend combined with ``n_workers > 1`` is likewise
-        wrapped in the pool with itself as the worker-side kernel.
+        Kernel name (``reference`` or ``vectorized``).
     n_workers:
-        Worker processes (1 = in-process for the serial backends, a
-        single-worker pool for ``process``).
+        Worker processes: 1 evaluates in-process; above 1 the kernel
+        runs inside each worker of a
+        :class:`~repro.engine.backends.ProcessBackend` pool.
     cache_size:
         LRU capacity of the scenario-result cache; 0 disables caching
         (the default — cached runs are not bitwise-reproducible, see
@@ -97,7 +100,7 @@ class SimulationEngine:
     pool:
         Optional externally-owned
         :class:`~repro.parallel.executor.ProcessPoolEvaluator` reused
-        for the pooled backends; the engine then never forks its own
+        when ``n_workers > 1``; the engine then never forks its own
         workers and ``close()`` leaves the pool running.
     """
 
@@ -118,13 +121,9 @@ class SimulationEngine:
                 f"unknown engine backend {backend!r}; choose from {backend_names()}"
             )
         self.spec = spec
-        if backend == "process":
-            self._backend = create_backend(
-                "process", spec, n_workers=n_workers, pool=pool
-            )
-        elif n_workers > 1:
-            self._backend = create_backend(
-                "process", spec, inner=backend, n_workers=n_workers, pool=pool
+        if n_workers > 1:
+            self._backend = ProcessBackend(
+                spec, inner=backend, n_workers=n_workers, pool=pool
             )
         else:
             self._backend = create_backend(backend, spec)
@@ -168,7 +167,7 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     @property
     def backend_name(self) -> str:
-        """The selected backend's registry name."""
+        """The selected kernel's name."""
         return self.stats.backend
 
     @property

@@ -6,8 +6,7 @@ cache, precomputed tables — inside the hot loop, once per step. An
 :class:`EngineSession` owns everything whose lifetime is really the
 *run*:
 
-* the **worker pool** (``process`` backend, or any backend wrapped by
-  ``n_workers > 1``): forked once, then each step's terrain reaches the
+* the **worker pool** (whenever ``n_workers > 1``): forked once, then each step's terrain reaches the
   standing workers as a lightweight update message
   (:meth:`~repro.parallel.executor.ProcessPoolEvaluator.update_problem`)
   instead of a re-fork;
@@ -236,10 +235,11 @@ class EngineSession:
     Parameters
     ----------
     backend:
-        Registered backend name, applied to every step view.
+        Kernel name (``reference`` or ``vectorized``), applied to every
+        step view.
     n_workers:
-        Worker processes; above 1 (or with ``backend="process"``) one
-        pool is forked lazily and reused by every step.
+        Worker processes; above 1 one pool is forked lazily and reused
+        by every step.
     cache_size:
         Per-step LRU capacity used only when the session cache is off
         (``session_cache_size == 0``); each step view then gets its own
@@ -393,7 +393,7 @@ class EngineSession:
                 step_context_digest(spec), self._steps, scope
             )
         pool = None
-        if self.backend == "process" or self.n_workers > 1:
+        if self.n_workers > 1:
             pool = self._ensure_pool()
         return SimulationEngine(
             spec,

@@ -6,14 +6,11 @@ the fitness function" under a one-level Master/Worker design (§III-A).
 This package provides that runtime plus the two-level Monitor/Masters/
 Workers hierarchy the ESSIM systems use:
 
-* :mod:`~repro.parallel.executor` — batch fitness backends: in-process
-  (:class:`SerialEvaluator`) and process-pool
-  (:class:`ProcessPoolEvaluator`). Both are drop-in
-  ``FitnessFunction`` callables for the algorithms in :mod:`repro.ea`.
-* :mod:`~repro.parallel.master_worker` — an explicit message-passing
-  Master/Worker engine with on-demand (self-scheduling) task
-  distribution, mirroring the mpi4py send/recv idiom over
-  ``multiprocessing`` pipes.
+* :mod:`~repro.parallel.executor` — batch fitness evaluators: the
+  one worker pool (:class:`ProcessPoolEvaluator`, which the engine
+  runs on whenever ``n_workers > 1``) and its in-process reference
+  (:class:`SerialEvaluator`). Both are drop-in ``FitnessFunction``
+  callables for the algorithms in :mod:`repro.ea`.
 * :mod:`~repro.parallel.islands` — epoch-based island model with
   migration (ring/broadcast topologies) used by ESSIM-EA / ESSIM-DE.
 * :mod:`~repro.parallel.timing` — wall-clock instrumentation, speedup
@@ -24,9 +21,7 @@ from repro.parallel.executor import (
     BatchProblem,
     SerialEvaluator,
     ProcessPoolEvaluator,
-    make_evaluator,
 )
-from repro.parallel.master_worker import MasterWorkerEngine, WorkerStats
 from repro.parallel.islands import IslandModel, IslandModelConfig, IslandResult
 from repro.parallel.timing import Timer, StageTimings, speedup, efficiency
 
@@ -34,9 +29,6 @@ __all__ = [
     "BatchProblem",
     "SerialEvaluator",
     "ProcessPoolEvaluator",
-    "make_evaluator",
-    "MasterWorkerEngine",
-    "WorkerStats",
     "IslandModel",
     "IslandModelConfig",
     "IslandResult",

@@ -31,7 +31,6 @@ __all__ = [
     "BatchProblem",
     "SerialEvaluator",
     "ProcessPoolEvaluator",
-    "make_evaluator",
     "default_worker_count",
 ]
 
@@ -234,16 +233,3 @@ class ProcessPoolEvaluator:
         except Exception:
             pass
 
-
-def make_evaluator(
-    problem: BatchProblem, n_workers: int | None = None, **kwargs
-) -> SerialEvaluator | ProcessPoolEvaluator:
-    """Build the right backend for a worker count.
-
-    ``n_workers in (None, 0, 1)`` yields the serial backend; anything
-    larger a process pool. This is the single switch the prediction
-    systems expose as their ``n_workers`` parameter.
-    """
-    if not n_workers or n_workers == 1:
-        return SerialEvaluator(problem)
-    return ProcessPoolEvaluator(problem, n_workers=n_workers, **kwargs)

@@ -80,8 +80,9 @@ class PredictionSystem(ABC):
     space:
         Scenario space (defaults to Table I).
     backend:
-        Simulation-engine backend evaluating the genome batches
-        (``reference`` / ``vectorized`` / ``process``).
+        Simulation-engine kernel evaluating the genome batches
+        (``reference`` / ``vectorized``); ``n_workers`` decides whether
+        it runs in-process or in a worker pool.
     cache_size:
         LRU capacity of the per-step scenario-result cache (0 = off;
         ignored while the session cache is on).

@@ -57,11 +57,10 @@ class PredictionStepProblem:
     n_neighbors:
         Propagation stencil for the simulator.
     backend:
-        Engine backend evaluating this problem's batches. ``process``
-        is mapped to ``vectorized`` here — the problem's own engine is
-        always in-process (pool fan-out happens one level up, in
-        :class:`~repro.engine.SimulationEngine` or the Master/Worker
-        engine), so workers never nest pools.
+        Engine kernel evaluating this problem's batches. The problem's
+        own engine is always in-process; pool fan-out happens one level
+        up, in a :class:`~repro.engine.SimulationEngine` with
+        ``n_workers > 1``.
     cache_size:
         LRU capacity of the scenario-result cache (0 = off). Each
         process holds its own cache.
@@ -143,11 +142,8 @@ class PredictionStepProblem:
             if self._session is not None:
                 self._engine = self._session.for_step(self)
             else:
-                backend = (
-                    "vectorized" if self.backend == "process" else self.backend
-                )
                 self._engine = SimulationEngine.from_problem(
-                    self, backend=backend, cache_size=self.cache_size
+                    self, backend=self.backend, cache_size=self.cache_size
                 )
         return self._engine
 

@@ -57,7 +57,7 @@ class TestEngineBenchSmoke:
     def test_tables_render(self):
         rows = bench.smoke_backends()
         table = bench.backend_table(rows)
-        assert "vectorized" in table and "process" in table
+        assert "vectorized" in table and "vectorized x2" in table
         crows = bench.cache_rows(
             bench.grassland_case(size=24, n_steps=2), population=12
         )

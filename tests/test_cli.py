@@ -83,8 +83,9 @@ class TestRunCommand:
         assert "cache-hits=" in out
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["run", "ess", "--backend", "quantum"])
+        for name in ("quantum", "process"):
+            with pytest.raises(SystemExit):
+                main(["run", "ess", "--backend", name])
 
     def test_run_saves_json(self, capsys, tmp_path):
         path = tmp_path / "run.json"

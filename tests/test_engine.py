@@ -8,12 +8,12 @@ import pytest
 from repro.analysis.reporting import format_engine_totals
 from repro.core.scenario import ParameterSpace
 from repro.engine import (
+    ProcessBackend,
     ScenarioResultCache,
     SimulationEngine,
     StepSpec,
     backend_names,
     create_backend,
-    register_backend,
 )
 from repro.engine.cache import CacheStats
 from repro.errors import ParallelError, ReproError, SimulationError
@@ -94,19 +94,12 @@ class TestCache:
 
 class TestRegistry:
     def test_builtin_names(self):
-        assert {"reference", "vectorized", "process"} <= set(backend_names())
+        assert backend_names() == ("reference", "vectorized")
 
     def test_unknown_backend_raises(self, spec):
-        with pytest.raises(ReproError, match="unknown engine backend"):
-            create_backend("gpu", spec)
-
-    def test_duplicate_registration_raises(self):
-        with pytest.raises(ReproError, match="already registered"):
-            register_backend("reference")(type("Dup", (), {}))
-
-    def test_process_cannot_nest_itself(self, spec):
-        with pytest.raises(ReproError, match="cannot nest"):
-            create_backend("process", spec, inner="process")
+        for name in ("gpu", "process"):
+            with pytest.raises(ReproError, match="unknown engine backend"):
+                create_backend(name, spec)
 
 
 class TestStepSpec:
@@ -182,20 +175,16 @@ class TestSimulationEngine:
         with pytest.raises(ParallelError):
             engine(SPACE.sample(1, 0))
 
-    def test_process_backend_matches_serial(self, step1_problem):
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_n_workers_wraps_any_backend_in_pool(self, step1_problem, backend):
         genomes = SPACE.sample(8, 8)
         expected = SimulationEngine.from_problem(step1_problem)(genomes)
         with SimulationEngine.from_problem(
-            step1_problem, backend="process", n_workers=2
+            step1_problem, backend=backend, n_workers=2
         ) as engine:
-            assert np.array_equal(engine(genomes), expected)
-
-    def test_n_workers_wraps_any_backend_in_pool(self, step1_problem):
-        genomes = SPACE.sample(6, 9)
-        expected = SimulationEngine.from_problem(step1_problem)(genomes)
-        with SimulationEngine.from_problem(
-            step1_problem, backend="vectorized", n_workers=2
-        ) as engine:
+            assert isinstance(engine._backend, ProcessBackend)
+            assert engine._backend.inner == backend
+            assert engine.stats.backend == backend
             assert np.array_equal(engine(genomes), expected)
 
 
@@ -218,10 +207,6 @@ class TestProblemIntegration:
         clone = pickle.loads(pickle.dumps(step1_problem))
         assert clone._engine is None and clone._simulator is None
         assert np.array_equal(clone.evaluate_batch(genomes), before)
-
-    def test_process_backend_maps_to_local_vectorized(self, step1_problem):
-        prob = step1_problem.with_backend("process")
-        assert prob.engine.backend_name == "vectorized"
 
 
 class TestEngineReporting:
@@ -317,24 +302,6 @@ class TestSystemRunEngine:
             ESS(backend="warp-drive")
         with pytest.raises(ReproError):
             ESS(cache_size=-5)
-
-
-class TestMasterWorkerBackend:
-    def test_backend_retarget(self, step1_problem):
-        from repro.parallel.master_worker import MasterWorkerEngine
-
-        genomes = SPACE.sample(6, 12)
-        expected = SimulationEngine.from_problem(step1_problem)(genomes)
-        with MasterWorkerEngine(
-            step1_problem, n_workers=2, chunk_size=2, backend="vectorized"
-        ) as engine:
-            assert np.array_equal(engine(genomes), expected)
-
-    def test_backend_requires_retargetable_problem(self, toy_problem):
-        from repro.parallel.master_worker import MasterWorkerEngine
-
-        with pytest.raises(ParallelError, match="with_backend"):
-            MasterWorkerEngine(toy_problem, n_workers=1, backend="vectorized")
 
 
 class TestKernelCostTelemetry:

@@ -24,7 +24,6 @@ from repro.engine.cache import CacheStats
 from repro.engine.session import SessionStats
 from repro.errors import ParallelError, ReproError
 from repro.parallel.executor import ProcessPoolEvaluator
-from repro.parallel.master_worker import MasterWorkerEngine
 from repro.systems.problem import PredictionStepProblem
 from repro.systems.results import RunResult
 
@@ -195,7 +194,7 @@ class TestProcessBackendLifecycle:
             horizon=small_fire.step_horizon(2),
         )
         expected2 = SimulationEngine.from_problem(step2)(genomes)
-        with EngineSession(backend="process", n_workers=2) as session:
+        with EngineSession(backend="vectorized", n_workers=2) as session:
             e1 = session.for_step(step1_problem)
             assert np.array_equal(e1(genomes), expected)
             e1.close()
@@ -211,14 +210,14 @@ class TestProcessBackendLifecycle:
         assert pool.problem_updates == 2  # one spec broadcast per step
 
     def test_step_view_close_leaves_pool_running(self, step1_problem):
-        with EngineSession(backend="process", n_workers=2) as session:
+        with EngineSession(backend="vectorized", n_workers=2) as session:
             engine = session.for_step(step1_problem)
             engine(SPACE.sample(4, 7))
             engine.close()
             assert not session._pool._closed
 
     def test_session_close_closes_pool_exactly_once(self, step1_problem):
-        session = EngineSession(backend="process", n_workers=2)
+        session = EngineSession(backend="vectorized", n_workers=2)
         engine = session.for_step(step1_problem)
         engine(SPACE.sample(4, 8))
         engine.close()
@@ -232,7 +231,7 @@ class TestProcessBackendLifecycle:
     def test_n_workers_wraps_serial_backend_via_session_pool(self, step1_problem):
         genomes = SPACE.sample(6, 10)
         expected = SimulationEngine.from_problem(step1_problem)(genomes)
-        with EngineSession(backend="vectorized", n_workers=2) as session:
+        with EngineSession(backend="reference", n_workers=2) as session:
             e1 = session.for_step(step1_problem)
             assert np.array_equal(e1(genomes), expected)
             e1.close()
@@ -305,22 +304,6 @@ class TestExecutorUpdateProblem:
         pool.close()
         with pytest.raises(ParallelError):
             pool.update_problem(self._Offset(1.0))
-
-    def test_master_worker_update(self):
-        genomes = np.ones((6, 3))
-        with MasterWorkerEngine(
-            self._Offset(0.0), n_workers=2, chunk_size=2
-        ) as engine:
-            assert np.allclose(engine(genomes), 3.0)
-            engine.update_problem(self._Offset(5.0))
-            assert np.allclose(engine(genomes), 8.0)
-            assert engine.problem_updates == 1
-
-    def test_master_worker_update_after_close_raises(self):
-        engine = MasterWorkerEngine(self._Offset(0.0), n_workers=1)
-        engine.close()
-        with pytest.raises(ParallelError):
-            engine.update_problem(self._Offset(1.0))
 
 
 class TestProblemSessionIntegration:

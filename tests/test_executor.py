@@ -10,7 +10,6 @@ from repro.parallel.executor import (
     ProcessPoolEvaluator,
     SerialEvaluator,
     default_worker_count,
-    make_evaluator,
 )
 
 
@@ -82,16 +81,5 @@ class TestProcessPoolEvaluator:
 
 
 class TestMakeEvaluator:
-    def test_one_worker_is_serial(self, toy_problem):
-        assert isinstance(make_evaluator(toy_problem, 1), SerialEvaluator)
-        assert isinstance(make_evaluator(toy_problem, None), SerialEvaluator)
-
-    def test_many_workers_is_pool(self, toy_problem):
-        ev = make_evaluator(toy_problem, 2)
-        try:
-            assert isinstance(ev, ProcessPoolEvaluator)
-        finally:
-            ev.close()
-
     def test_default_worker_count_positive(self):
         assert default_worker_count() >= 1

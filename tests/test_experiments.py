@@ -85,6 +85,7 @@ class TestExperimentPlan:
             {"seeds": ()},
             {"seeds": (1, 1)},
             {"backends": ("quantum",)},
+            {"backends": ("process",)},
         ],
     )
     def test_invalid_plans_raise(self, overrides):
