@@ -175,17 +175,26 @@ class TestSimulationEngine:
         with pytest.raises(ParallelError):
             engine(SPACE.sample(1, 0))
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-    def test_n_workers_wraps_any_backend_in_pool(self, step1_problem, backend):
+    def test_process_backend_matches_serial(self, step1_problem):
         genomes = SPACE.sample(8, 8)
         expected = SimulationEngine.from_problem(step1_problem)(genomes)
         with SimulationEngine.from_problem(
-            step1_problem, backend=backend, n_workers=2
+            step1_problem, backend="vectorized", n_workers=2
         ) as engine:
             assert isinstance(engine._backend, ProcessBackend)
-            assert engine._backend.inner == backend
-            assert engine.stats.backend == backend
             assert np.array_equal(engine(genomes), expected)
+
+    def test_n_workers_wraps_any_backend_in_pool(self, step1_problem):
+        genomes = SPACE.sample(6, 9)
+        expected = SimulationEngine.from_problem(step1_problem)(genomes)
+        for backend in ("reference", "vectorized"):
+            with SimulationEngine.from_problem(
+                step1_problem, backend=backend, n_workers=2
+            ) as engine:
+                assert isinstance(engine._backend, ProcessBackend)
+                assert engine._backend.inner == backend
+                assert engine.stats.backend == backend
+                assert np.array_equal(engine(genomes), expected)
 
 
 class TestProblemIntegration:
