@@ -236,14 +236,14 @@ def sweep_session_rows(
 ) -> list[dict]:
     """Shared-session sweep vs per-system sessions over a 2-system grid.
 
-    Both modes execute the identical ESS + ESS-NS × seeds grid through
-    the experiment runner; the per-system mode gives every run its own
-    :class:`~repro.engine.EngineSession`, the shared mode one session
-    per (case, backend) group — cross-system repeats of the same step
-    context skip the simulator, and with ``n_workers > 1`` the group
-    forks **one** worker pool where per-system sessions fork one per
-    run. Fitness trajectories are asserted bitwise-identical between
-    the modes.
+    Both modes execute the identical ESS + ESS-NS × seeds grid: the
+    shared mode through the experiment runner (one
+    :class:`~repro.engine.EngineSession` per (case, backend) group), the
+    per-system mode as direct ``system.run`` calls, each building its
+    own session. Cross-system repeats of the same step context skip the
+    simulator, and with ``n_workers > 1`` the group forks **one** worker
+    pool where per-system sessions fork one per run. Fitness
+    trajectories are asserted bitwise-identical between the modes.
     """
     from repro.experiments import (
         BudgetSpec,
@@ -265,40 +265,60 @@ def sweep_session_rows(
             session_cache_size=session_cache,
         ),
     )
-    modes = (("per-system sessions", False), ("shared session", True))
+
+    def per_system_sessions() -> list:
+        return [
+            plan.build_system(k.system, k.backend).run(
+                plan.cases[0].build(), rng=k.seed
+            )
+            for k in plan.runs()
+        ]
+
+    def shared_session() -> list:
+        return ExperimentRunner().run(plan).runs()
+
+    modes = (
+        ("per-system sessions", per_system_sessions),
+        ("shared session", shared_session),
+    )
     best = {mode: float("inf") for mode, _ in modes}
     results = {}
     # repeats are interleaved so clock drift and machine warm-up hit
     # both modes equally
     for _ in range(repeats):
-        for mode, shared in modes:
-            runner = ExperimentRunner(share_sessions=shared)
+        for mode, execute in modes:
             start = time.perf_counter()
-            results[mode] = runner.run(plan)
+            results[mode] = execute()
             best[mode] = min(best[mode], time.perf_counter() - start)
     baseline_mode = modes[0][0]
-    baseline_qualities = [run.qualities() for run in results[baseline_mode].runs()]
+    baseline_qualities = [run.qualities() for run in results[baseline_mode]]
     rows = []
     for mode, _ in modes:
-        result = results[mode]
+        runs = results[mode]
         for ours, theirs in zip(
-            [run.qualities() for run in result.runs()], baseline_qualities
+            [run.qualities() for run in runs], baseline_qualities
         ):
             assert np.array_equal(ours, theirs, equal_nan=True), (
                 f"{mode} qualities differ from {baseline_mode}"
             )
-        totals = result.per_system_totals()
         rows.append(
             {
                 "workload": f"grassland {size}x{size}",
                 "mode": mode,
                 "backend": _label(backend, n_workers),
-                "runs": len(result.records),
+                "runs": len(runs),
                 "population": population,
                 "seconds": best[mode],
                 "speedup": best[baseline_mode] / best[mode],
-                "simulations": sum(t["simulations"] for t in totals.values()),
-                "cross_system_hits": result.cross_system_hits(),
+                "simulations": sum(
+                    int(step.engine.get("simulations", 0))
+                    for run in runs
+                    for step in run.steps
+                ),
+                "cross_system_hits": sum(
+                    int(run.session.get("cross_system_hits", 0))
+                    for run in runs
+                ),
             }
         )
     return rows

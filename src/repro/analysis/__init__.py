@@ -20,7 +20,7 @@ from repro.analysis.metrics import (
     speedup_table,
 )
 from repro.analysis.reporting import format_table, format_run, format_comparison
-from repro.analysis.sweeps import SweepCell, SweepResult, run_sweep
+from repro.analysis.sweeps import SweepCell, SweepResult
 
 __all__ = [
     "genotypic_diversity",
@@ -34,5 +34,4 @@ __all__ = [
     "format_comparison",
     "SweepCell",
     "SweepResult",
-    "run_sweep",
 ]

@@ -2,14 +2,13 @@
 
 The lineage papers report means over repeated runs; this module is the
 aggregation layer for that: one :class:`SweepCell` per (system, case)
-pair, mean ± std over seeds, JSON archival. Execution is delegated to
-the experiment layer — :func:`run_sweep` builds the grid and hands it
-to an :class:`~repro.experiments.runner.ExperimentRunner`, which shares
-one :class:`~repro.engine.EngineSession` per (case, engine-config)
-group and can stream records into a resumable
-:class:`~repro.experiments.store.ResultsStore`. A
-:class:`SweepResult` can equally be rebuilt from such a store
-(:meth:`SweepResult.from_store`) without re-running anything.
+pair, mean ± std over seeds, JSON archival. It runs nothing: a grid is
+an :class:`~repro.experiments.plan.ExperimentPlan` executed by
+:meth:`ExperimentRunner.run <repro.experiments.runner.ExperimentRunner.run>`,
+and :meth:`SweepResult.from_records` aggregates the records it returns
+(or :meth:`SweepResult.from_store` those of a
+:class:`~repro.experiments.store.ResultsStore`, without re-running
+anything).
 """
 
 from __future__ import annotations
@@ -17,15 +16,13 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ReproError
-from repro.systems.base import PredictionSystem
-from repro.workloads.synthetic import ReferenceFire
 
-__all__ = ["SweepCell", "SweepResult", "run_sweep"]
+__all__ = ["SweepCell", "SweepResult"]
 
 
 @dataclass(frozen=True)
@@ -272,58 +269,3 @@ class SweepResult:
         """Read a sweep previously written by :meth:`save_json`."""
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-
-def run_sweep(
-    system_factories: dict[str, Callable[[], PredictionSystem]],
-    cases: dict[str, ReferenceFire],
-    seeds: Sequence[int],
-    seed_offset: int = 0,
-    store=None,
-    share_sessions: bool = True,
-) -> SweepResult:
-    """Run every (system, case) pair over all seeds.
-
-    Execution is delegated to the experiment layer's
-    :class:`~repro.experiments.runner.ExperimentRunner`: systems with
-    identical engine configuration share one
-    :class:`~repro.engine.EngineSession` per case, so cross-system
-    repeats of the same step context hit the shared session cache.
-
-    Parameters
-    ----------
-    system_factories:
-        Label → zero-arg constructor. A fresh system instance is built
-        per run so no state leaks between repetitions.
-    cases:
-        Label → reference fire (pre-built so every system sees the
-        identical ground truth).
-    seeds:
-        The RNG seeds; each run uses ``seed_offset + seed``.
-    store:
-        Optional :class:`~repro.experiments.store.ResultsStore`; when
-        given, completed runs stream into it and re-invoking the same
-        sweep resumes, computing only the missing cells.
-    share_sessions:
-        Share one engine session per (case, engine-config) group
-        (default); pass ``False`` for fully isolated per-run sessions.
-
-    Returns
-    -------
-    SweepResult
-        One cell per (system, case), aggregating the per-seed mean
-        prediction qualities and total cost.
-    """
-    # imported here: analysis aggregates what experiments execute, and
-    # the experiment layer imports analysis-free modules only
-    from repro.experiments.runner import ExperimentRunner
-
-    runner = ExperimentRunner(store=store, share_sessions=share_sessions)
-    result = runner.run_grid(
-        system_factories, cases, seeds, seed_offset=seed_offset
-    )
-    return SweepResult.from_records(
-        result.records,
-        systems=list(system_factories),
-        cases=list(cases),
-    )

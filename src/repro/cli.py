@@ -60,6 +60,7 @@ from repro.core.scenario import Scenario
 from repro.distributed import (
     FleetError,
     FleetExecutor,
+    InlineExecutor,
     ProcessShardExecutor,
     run_worker,
 )
@@ -271,21 +272,9 @@ def _add_client(parser: argparse.ArgumentParser) -> None:
     _add_auth_token(parser)
 
 
-def _add_fleet(parser: argparse.ArgumentParser) -> None:
-    """Coordinator address/lease flags shared by sweep and serve."""
-    parser.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="coordinator listen address (0.0.0.0 to accept remote "
-        "workers)",
-    )
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="coordinator listen port (0 = OS-assigned; the bound "
-        "address is printed either way)",
-    )
+def _add_leasing(parser: argparse.ArgumentParser) -> None:
+    """Lease flags of every fleet coordinator: compare/sweep's fleet
+    executor, ``serve-coordinator`` and ``serve``."""
     parser.add_argument(
         "--lease-timeout",
         type=float,
@@ -309,6 +298,36 @@ def _add_fleet(parser: argparse.ArgumentParser) -> None:
         "predicted to take about this long, with --min-unit-cells as "
         "the floor",
     )
+
+
+def _add_coordinator(parser: argparse.ArgumentParser) -> None:
+    """Lease flags plus the advertised idle cadence: the two standing
+    coordinators, ``serve-coordinator`` and ``serve``."""
+    _add_leasing(parser)
+    parser.add_argument(
+        "--poll-interval",
+        type=float,
+        default=0.5,
+        help="idle re-ask cadence advertised to workers, seconds",
+    )
+
+
+def _add_fleet(parser: argparse.ArgumentParser) -> None:
+    """Coordinator address/auth flags shared by compare, sweep and
+    serve-coordinator (``serve`` has its own ``--host``/``--port``)."""
+    parser.add_argument(
+        "--host",
+        default="127.0.0.1",
+        help="coordinator listen address (0.0.0.0 to accept remote "
+        "workers)",
+    )
+    parser.add_argument(
+        "--port",
+        type=int,
+        default=0,
+        help="coordinator listen port (0 = OS-assigned; the bound "
+        "address is printed either way)",
+    )
     _add_auth_token(parser)
     parser.add_argument(
         "--slow-unit-factor",
@@ -325,23 +344,24 @@ def _add_executor(parser: argparse.ArgumentParser) -> None:
     """``--shards``/``--executor`` + fleet flags (compare and sweep)."""
     parser.add_argument(
         "--shards",
-        type=int,
+        type=_positive_int,
         default=1,
         help="run pending work units in this many local processes "
-        "(requires --results; sugar for --executor process)",
+        "(requires --results; N > 1 selects --executor process)",
     )
     parser.add_argument(
         "--executor",
         choices=("inline", "process", "fleet"),
         default="inline",
         help="where the plan's pending work units execute: in this "
-        "process (inline, honouring --shards), in local shard "
-        "processes (process), or leased cell-by-cell to TCP workers "
-        "started with 'repro experiments worker' (fleet; requires "
-        "--results and honours --host/--port/--lease-timeout/"
+        "process (inline, unless --shards N > 1), in --shards local "
+        "shard processes (process), or leased cell-by-cell to TCP "
+        "workers started with 'repro experiments worker' (fleet; "
+        "requires --results and honours --host/--port/--lease-timeout/"
         "--min-unit-cells/--auth-token)",
     )
     _add_fleet(parser)
+    _add_leasing(parser)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -353,7 +373,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    fire = CASE_BUILDERS[args.case](size=args.size, n_steps=2)
+    if not args.minutes > 0:
+        raise SystemExit(f"--minutes must be positive, got {args.minutes:g}")
+    try:
+        fire = CaseSpec(args.case, size=args.size, steps=2).build()
+    except _USER_ERRORS as exc:
+        raise SystemExit(str(exc)) from exc
     scenario = Scenario(
         model=args.model,
         wind_speed=args.wind_speed,
@@ -379,7 +404,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    fire = CASE_BUILDERS[args.case](size=args.size, n_steps=args.steps)
+    try:
+        fire = CaseSpec(args.case, size=args.size, steps=args.steps).build()
+    except _USER_ERRORS as exc:
+        raise SystemExit(str(exc)) from exc
     system = build_system(
         args.system,
         args.population,
@@ -512,27 +540,18 @@ def _run_plan(
     Shared by ``compare`` and ``sweep``; a plain :class:`ReproError`
     becomes a clean one-line exit (see :func:`_exit_on_user_error`).
     """
-    runner = ExperimentRunner(
-        store=store, share_sessions=not args.isolated_sessions
-    )
     try:
-        executor = _make_executor(args)
-        if executor is not None:
-            return runner.run(plan, executor=executor)
-        # --shards N stays sugar for the process executor
-        return runner.run(plan, shards=args.shards)
+        return ExperimentRunner(store=store).run(
+            plan, executor=_make_executor(args)
+        )
     except ReproError as exc:
         _exit_on_user_error(exc)
         raise
 
 
 def _make_executor(args: argparse.Namespace):
-    """The work executor the ``--executor`` flags describe (or ``None``
-    for the inline default, which honours ``--shards`` sugar)."""
-    if args.executor == "process":
-        return ProcessShardExecutor(
-            args.shards, min_unit_cells=args.min_unit_cells
-        )
+    """The work executor the ``--executor``/``--shards`` flags describe:
+    fleet, process (also for ``--shards N > 1``), else inline."""
     if args.executor == "fleet":
         return FleetExecutor(
             host=args.host,
@@ -544,7 +563,11 @@ def _make_executor(args: argparse.Namespace):
             slow_unit_factor=args.slow_unit_factor,
             on_bound=_announce_coordinator,
         )
-    return None
+    if args.executor == "process" or args.shards > 1:
+        return ProcessShardExecutor(
+            args.shards, min_unit_cells=args.min_unit_cells
+        )
+    return InlineExecutor()
 
 
 def _announce_coordinator(address: tuple[str, int]) -> None:
@@ -582,11 +605,8 @@ def _cmd_experiments_serve(args: argparse.Namespace) -> int:
         cost_snapshot=args.cost_snapshot,
         on_bound=_announce_coordinator,
     )
-    runner = ExperimentRunner(
-        store=store, share_sessions=not args.isolated_sessions
-    )
     try:
-        result = runner.run(plan, executor=executor)
+        result = ExperimentRunner(store=store).run(plan, executor=executor)
     except FleetError as exc:
         raise SystemExit(str(exc)) from exc
     except ReproError as exc:
@@ -820,7 +840,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             min_unit_cells=args.min_unit_cells,
             target_unit_seconds=args.target_unit_seconds,
             max_active=args.max_active,
-            share_sessions=not args.isolated_sessions,
             auth_token=args.auth_token,
         )
     except (ServiceError, FleetError, OSError) as exc:
@@ -918,12 +937,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     _add_common(p_cmp)
     p_cmp.add_argument(
-        "--isolated-sessions",
-        action="store_true",
-        help="give every system its own engine session instead of "
-        "sharing one across the compared systems",
-    )
-    p_cmp.add_argument(
         "--results",
         help="stream one JSONL record per completed run into this file "
         "(resumable; required by --executor process/fleet)",
@@ -978,12 +991,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "missing (system, case, seed) cells",
     )
     _add_executor(p_swp)
-    p_swp.add_argument(
-        "--isolated-sessions",
-        action="store_true",
-        help="give every run its own engine session instead of sharing "
-        "one per (case, backend) group",
-    )
     p_swp.add_argument("--output", help="save the aggregated sweep as JSON")
     _add_obs(p_swp)
     p_swp.set_defaults(func=_cmd_sweep)
@@ -1012,24 +1019,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         "path resumes, computing only the missing cells",
     )
     _add_fleet(p_serve)
-    p_serve.add_argument(
-        "--poll-interval",
-        type=float,
-        default=0.5,
-        help="idle re-ask cadence advertised to workers, seconds",
-    )
+    _add_coordinator(p_serve)
     p_serve.add_argument(
         "--timeout",
         type=float,
         default=None,
         help="abort if the plan is still incomplete after this many "
         "seconds (default: wait forever — workers may join at any time)",
-    )
-    p_serve.add_argument(
-        "--isolated-sessions",
-        action="store_true",
-        help="workers give every run its own engine session instead of "
-        "sharing one per leased group",
     )
     p_serve.add_argument(
         "--cost-snapshot",
@@ -1188,31 +1184,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="worker-facing fleet protocol port (0 = OS-assigned; "
         "point 'repro experiments worker --connect' here)",
     )
-    p_svc.add_argument(
-        "--lease-timeout",
-        type=float,
-        default=30.0,
-        help="seconds of worker silence after which its leased unit "
-        "is handed to another worker",
-    )
-    p_svc.add_argument(
-        "--poll-interval",
-        type=float,
-        default=0.5,
-        help="idle re-ask cadence advertised to workers, seconds",
-    )
-    p_svc.add_argument(
-        "--min-unit-cells",
-        type=_positive_int,
-        default=1,
-        help="lease-size floor per plan (see serve-coordinator)",
-    )
-    p_svc.add_argument(
-        "--target-unit-seconds",
-        type=float,
-        default=1.0,
-        help="per-lease wall-clock target for cost-sized grants",
-    )
+    _add_coordinator(p_svc)
     p_svc.add_argument(
         "--max-active",
         type=int,
@@ -1220,12 +1192,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="admission bound: plans queued or running at once before "
         "submissions are answered 429 with a Retry-After derived "
         "from the cost model's predicted drain time",
-    )
-    p_svc.add_argument(
-        "--isolated-sessions",
-        action="store_true",
-        help="workers give every run its own engine session instead "
-        "of sharing one per leased group",
     )
     _add_auth_token(p_svc)
     _add_obs(p_svc)

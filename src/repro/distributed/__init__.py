@@ -4,10 +4,12 @@ Makes "who executes a pending :class:`~repro.experiments.work.WorkUnit`"
 a pluggable policy behind the :class:`WorkExecutor` protocol — the seam
 at the :class:`~repro.experiments.runner.ExperimentRunner`:
 
-* :class:`InlineExecutor` — in-process, sequential (the default).
+* :class:`InlineExecutor` — in-process, sequential (the default when
+  :meth:`~repro.experiments.runner.ExperimentRunner.run` gets no
+  executor).
 * :class:`ProcessShardExecutor` — local ``multiprocessing`` fan-out of
-  units over a shared JSONL store (``shards=N``), splitting big units
-  so every shard gets work.
+  units over a shared JSONL store (``repro sweep --shards N``),
+  splitting big units so every shard gets work.
 * :class:`FleetExecutor` — a TCP coordinator
   (``repro experiments serve-coordinator``) leasing units to remote
   ``repro experiments worker`` processes, with cell-level work stealing

@@ -701,9 +701,8 @@ class FleetCoordinator:
     host, port:
         Listen address; port ``0`` lets the OS pick (read it back from
         :attr:`address` after :meth:`start`).
-    share_sessions, poll_interval:
-        Advertised to workers on ``welcome``: whether a unit's runs
-        share one engine session, and the idle re-ask cadence.
+    poll_interval:
+        The idle re-ask cadence advertised to workers on ``welcome``.
     auth_token:
         Shared secret for the mutual challenge–response handshake
         (``None`` disables authentication) — enforced by the connection
@@ -715,14 +714,12 @@ class FleetCoordinator:
         queue: "PlanQueue",
         host: str = "127.0.0.1",
         port: int = 0,
-        share_sessions: bool = True,
         poll_interval: float = 0.5,
         auth_token: str | None = None,
     ) -> None:
         self.queue = queue
         self.host = host
         self.port = port
-        self.share_sessions = bool(share_sessions)
         self.poll_interval = float(poll_interval)
         self.auth_token = check_auth_token(auth_token)
         self.address: tuple[str, int] | None = None
@@ -768,7 +765,6 @@ class FleetCoordinator:
             queue.touch(worker)
             return {
                 "type": "welcome",
-                "share_sessions": self.share_sessions,
                 "lease_timeout": queue.lease_timeout,
                 "poll_interval": self.poll_interval,
             }

@@ -213,7 +213,6 @@ class ProcessShardExecutor:
                     workset.plan.to_dict(),
                     [unit.to_dict() for unit in assignment],
                     str(runner.store.path),
-                    runner.share_sessions,
                     trace,
                 ),
             )
@@ -368,7 +367,6 @@ class FleetExecutor:
             queue,
             host=self.host,
             port=self.port,
-            share_sessions=runner.share_sessions,
             poll_interval=self.poll_interval,
             auth_token=self.auth_token,
         )
@@ -459,7 +457,6 @@ def _run_shard(
     plan_payload: dict,
     unit_payloads: Sequence[dict],
     store_path: str,
-    share_sessions: bool,
     trace: dict | None = None,
 ) -> None:
     """Shard-process entry point: execute a subset of a plan's units.
@@ -483,5 +480,5 @@ def _run_shard(
     plan = ExperimentPlan.from_dict(plan_payload)
     units = [WorkUnit.from_dict(payload) for payload in unit_payloads]
     store = ResultsStore(store_path)
-    runner = ExperimentRunner(store=store, share_sessions=share_sessions)
+    runner = ExperimentRunner(store=store)
     runner.run_units(plan, units, store.completed())

@@ -10,8 +10,8 @@ is the failure mode the fleet is built around.
 Message ``type`` values (worker → coordinator, reply in parentheses):
 
 ``hello``
-    Join the fleet (``welcome``: session sharing, the lease timeout and
-    the idle poll interval). The welcome carries no plan: every
+    Join the fleet (``welcome``: the lease timeout and the idle poll
+    interval). The welcome carries no plan: every
     ``unit`` grant names its plan (``plan_id``) and ships the plan
     payload inline, so a worker needs no plan file of its own and one
     worker can serve many plans. The worker echoes ``plan_id`` on

@@ -367,7 +367,6 @@ def run_worker(
     welcome = rpc({"type": "hello", "worker": worker})
     if welcome.get("type") != "welcome":
         raise FleetError(f"expected welcome, got {welcome.get('type')!r}")
-    share_sessions = bool(welcome.get("share_sessions", True))
     lease_timeout = float(welcome.get("lease_timeout", 30.0))
     if poll_interval is None:
         poll_interval = float(welcome.get("poll_interval", 0.5))
@@ -557,11 +556,7 @@ def run_worker(
                 metrics=metrics_delta,
                 plan_id=plan_id,
             ):
-                runner = ExperimentRunner(
-                    store=ctx.store,
-                    share_sessions=share_sessions,
-                    progress=on_record,
-                )
+                runner = ExperimentRunner(store=ctx.store, progress=on_record)
                 # hold the local store to the same resume contract as
                 # any other store: a leased unit only resumes cells
                 # recorded under this plan's per-system config digest

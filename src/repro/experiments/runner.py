@@ -19,13 +19,18 @@ The :class:`ExperimentRunner` turns a declarative
   plan against the same store resumes, computing only the missing
   ``(system, case, seed, backend)`` cells;
 * *where* the pending units execute is a pluggable
-  :class:`~repro.distributed.executors.WorkExecutor` policy — inline
-  (the default), local shard processes (``shards=N``), or a TCP worker
-  fleet (:class:`~repro.distributed.coordinator.FleetExecutor`) that
-  leases units cell-by-cell and steals from big groups by splitting
-  them. Every executor funnels work back through
+  :class:`~repro.distributed.executors.WorkExecutor` policy passed to
+  :meth:`ExperimentRunner.run` — inline (the default), local shard
+  processes (:class:`~repro.distributed.executors.ProcessShardExecutor`),
+  or a TCP worker fleet
+  (:class:`~repro.distributed.executors.FleetExecutor`) that leases
+  units cell-by-cell and steals from big groups by splitting them.
+  Every executor funnels work back through
   :meth:`ExperimentRunner.run_units` so resume semantics stay the
   store's run-key contract.
+
+``run(plan, executor)`` is the one way to run a grid: the CLI, the
+fleet, the service and the benchmarks all go through it.
 
 The runner owns every session it creates: a crash mid-group (a raising
 system, a dying callback) still closes the shared session before the
@@ -34,11 +39,9 @@ exception propagates.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.engine import EngineSession
 from repro.errors import ReproError
@@ -48,7 +51,7 @@ from repro.experiments.costs import (
     plan_cost_model,
     record_residual,
 )
-from repro.experiments.plan import ExperimentPlan, RunKey
+from repro.experiments.plan import CaseSpec, ExperimentPlan, RunKey
 from repro.experiments.store import (
     ResultsStore,
     backends_by_system,
@@ -57,7 +60,6 @@ from repro.experiments.store import (
 )
 from repro.experiments.work import WorkSet, WorkUnit
 from repro.obs import span, telemetry
-from repro.systems.base import PredictionSystem
 from repro.systems.results import RunResult
 from repro.workloads.synthetic import ReferenceFire
 
@@ -156,19 +158,18 @@ class ExperimentResult:
 class ExperimentRunner:
     """Executes experiment grids against shared engine sessions.
 
+    Every work unit runs against one :class:`EngineSession` shared by
+    all its cells; records are bitwise-identical to running each cell
+    on its own session — sharing only moves cache hits.
+
     Parameters
     ----------
     store:
         Optional :class:`ResultsStore`; when given, every completed run
         is streamed into it and already-recorded cells are skipped on
         re-execution (crash-safe resume).
-    share_sessions:
-        When true (the default), each ``(case, backend)`` group runs
-        against one shared :class:`EngineSession`; when false every run
-        builds its own session (the pre-experiment-layer behaviour,
-        kept for A/B comparisons and bitwise-equivalence tests).
     session_factory:
-        Constructor for group sessions (an :class:`EngineSession`
+        Constructor for unit sessions (an :class:`EngineSession`
         subclass or an instrumented test double); receives the same
         keyword arguments as :class:`EngineSession`.
     progress:
@@ -186,13 +187,11 @@ class ExperimentRunner:
     def __init__(
         self,
         store: ResultsStore | None = None,
-        share_sessions: bool = True,
         session_factory: Callable[..., EngineSession] | None = None,
         progress: Callable[[dict], None] | None = None,
         slow_unit_factor: float | None = None,
     ) -> None:
         self.store = store
-        self.share_sessions = share_sessions
         self.session_factory = session_factory or EngineSession
         self.progress = progress
         self.slow_unit_factor = (
@@ -205,27 +204,18 @@ class ExperimentRunner:
     def run(
         self,
         plan: ExperimentPlan,
-        shards: int = 1,
         executor: "WorkExecutor | None" = None,
     ) -> ExperimentResult:
         """Execute (or resume) a plan; returns the full grid's records.
 
         The plan plus the store's recorded cells compile into a
         :class:`WorkSet` of pending units; ``executor`` chooses *where*
-        those units run (see :mod:`repro.distributed`); ``shards=N`` is
-        sugar for ``executor=ProcessShardExecutor(N)`` and the two are
-        mutually exclusive. The resume bookkeeping here is
-        executor-independent: recorded cells are excluded at compile
-        time, configuration digests are checked per system, and the
-        returned records follow plan order.
+        those units run (see :mod:`repro.distributed`; ``None`` means
+        :class:`~repro.distributed.executors.InlineExecutor`). The
+        resume bookkeeping here is executor-independent: recorded cells
+        are excluded at compile time, configuration digests are checked
+        per system, and the returned records follow plan order.
         """
-        if shards < 1:
-            raise ReproError(f"shards must be >= 1, got {shards}")
-        if executor is not None and shards != 1:
-            raise ReproError(
-                "pass either shards=N or an executor, not both — "
-                "shards=N is shorthand for ProcessShardExecutor(N)"
-            )
         recorded = self._recorded_by_key()
         for (case, _), keys in plan.groups():
             for system in plan.systems:
@@ -239,16 +229,9 @@ class ExperimentRunner:
         n_resumed = sum(1 for key in all_keys if key in done)
         if executor is None:
             # imported lazily: repro.distributed imports this module
-            from repro.distributed.executors import (
-                InlineExecutor,
-                ProcessShardExecutor,
-            )
+            from repro.distributed.executors import InlineExecutor
 
-            executor = (
-                InlineExecutor()
-                if shards == 1
-                else ProcessShardExecutor(shards)
-            )
+            executor = InlineExecutor()
         # one `plan` root span per execution: the registry adopts its
         # trace context so every span below — including those emitted by
         # shard processes and fleet workers, which receive the context
@@ -311,10 +294,8 @@ class ExperimentRunner:
                     f"results store {self.store.path} already records "
                     f"{key.as_tuple()} under a different configuration "
                     "(case size/steps or budget changed since it was "
-                    "written — note plan-based and run_grid invocations "
-                    "use different digest schemes, so a store is resumable "
-                    "by the entry point that wrote it); use a fresh store "
-                    "path or the original invocation"
+                    "written); use a fresh store path or the original "
+                    "invocation"
                 )
 
     def run_units(
@@ -361,7 +342,6 @@ class ExperimentRunner:
             if not pending:
                 continue
             fire = case.build()
-            budget = plan.budget
             obs = telemetry()
             obs.counter("repro_units_total", plan=plan.name).inc()
             obs.counter("repro_unit_cells_total", plan=plan.name).inc(
@@ -379,27 +359,8 @@ class ExperimentRunner:
                 case=case.name,
                 backend=backend,
             ) as unit_span:
-                records += self._execute_group(
-                    fire=fire,
-                    keys=pending,
-                    make_system=lambda key, b=backend: plan.build_system(
-                        key.system, b
-                    ),
-                    session_kwargs=dict(
-                        backend=backend,
-                        n_workers=budget.n_workers,
-                        cache_size=budget.cache_size,
-                        session_cache_size=budget.session_cache_size,
-                    ),
-                    plan_name=plan.name,
-                    config={
-                        system: plan.config_digest(case, system)
-                        for system in plan.systems
-                    },
-                    unit_meta={
-                        "unit_group": unit.group,
-                        "unit_cells": unit.n_cells,
-                    },
+                records += self._run_cells(
+                    plan, unit, case, backend, fire, pending
                 )
             # judge the prediction the model held *before* this unit,
             # then teach it — later units in the same batch get
@@ -416,130 +377,36 @@ class ExperimentRunner:
             cost_model.observe(kernel, len(pending), unit_span["seconds"])
         return records
 
-    # ------------------------------------------------------------------
-    def run_grid(
+    def _run_cells(
         self,
-        system_factories: Mapping[str, Callable[[], PredictionSystem]],
-        cases: Mapping[str, ReferenceFire],
-        seeds: Sequence[int],
-        seed_offset: int = 0,
-        name: str = "sweep",
-    ) -> ExperimentResult:
-        """Execute a pre-built grid (the :func:`run_sweep` contract).
-
-        Unlike :meth:`run`, the systems arrive as opaque factories and
-        the cases as materialised fires, so grouping reads each
-        factory's engine configuration off a probe instance: factories
-        with identical ``(backend, workers, cache sizes)`` share one
-        session per case, mismatched ones get their own group. Resume
-        digests are likewise probe-derived (:func:`_grid_digest`), a
-        different scheme than :meth:`ExperimentPlan.config_digest` — a
-        store written here resumes here, not through :meth:`run`, and
-        vice versa.
-        """
-        if not system_factories:
-            raise ReproError("need at least one system")
-        if not cases:
-            raise ReproError("need at least one case")
-        if not seeds:
-            raise ReproError("need at least one seed")
-        recorded = self._recorded_by_key()
-        done = set(recorded)
-        probes = {label: factory() for label, factory in system_factories.items()}
-        configs = {
-            label: _engine_signature(probe) for label, probe in probes.items()
-        }
-        # search-config reprs (dataclass configs render deterministically)
-        # fold the EA budget into the per-label resume digest
-        search = {
-            label: repr(getattr(probe, "config", None))
-            for label, probe in probes.items()
-        }
-        by_signature: dict[tuple, list[str]] = {}
-        for label in system_factories:
-            by_signature.setdefault(configs[label], []).append(label)
-        records: list[dict] = []
-        n_resumed = 0
-        for case_label, fire in cases.items():
-            for signature, labels in by_signature.items():
-                backend, n_workers, cache_size, session_cache_size = signature
-                digests = {
-                    label: _grid_digest(fire, signature, search[label])
-                    for label in labels
-                }
-                keys = [
-                    RunKey(label, case_label, seed_offset + seed, backend)
-                    for label in labels
-                    for seed in seeds
-                ]
-                for label in labels:
-                    self.check_recorded_config(
-                        recorded,
-                        [k for k in keys if k.system == label],
-                        digests[label],
-                    )
-                pending = [k for k in keys if k.as_tuple() not in done]
-                n_resumed += len(keys) - len(pending)
-                if not pending:
-                    continue
-                records += self._execute_group(
-                    fire=fire,
-                    keys=pending,
-                    make_system=lambda key: system_factories[key.system](),
-                    session_kwargs=dict(
-                        backend=backend,
-                        n_workers=n_workers,
-                        cache_size=cache_size,
-                        session_cache_size=session_cache_size,
-                    ),
-                    plan_name=name,
-                    config=digests,
-                )
-        # grid order (system-major) regardless of execution/resume order,
-        # matching ExperimentResult's documented ordering contract
-        by_key = {**recorded, **{record_key(r): r for r in records}}
-        wanted = [
-            RunKey(label, case_label, seed_offset + seed, configs[label][0])
-            for label in system_factories
-            for case_label in cases
-            for seed in seeds
-        ]
-        records = [
-            by_key[k.as_tuple()] for k in wanted if k.as_tuple() in by_key
-        ]
-        return ExperimentResult(
-            plan_name=name, records=records, n_resumed=n_resumed
-        )
-
-    # ------------------------------------------------------------------
-    def _execute_group(
-        self,
+        plan: ExperimentPlan,
+        unit: WorkUnit,
+        case: CaseSpec,
+        backend: str,
         fire: ReferenceFire,
         keys: Sequence[RunKey],
-        make_system: Callable[[RunKey], PredictionSystem],
-        session_kwargs: dict,
-        plan_name: str,
-        config: str | Mapping[str, str] | None = None,
-        unit_meta: dict | None = None,
     ) -> list[dict]:
-        """Run one group's pending cells against one shared session.
+        """Run one unit's pending cells against one shared session.
 
         The ``finally`` is the lifecycle guarantee: whatever dies inside
         the loop — a system run, a store append, a progress callback —
-        the group's shared session is closed before the exception
-        escapes the runner. ``unit_meta`` is the scheduling provenance
-        attached to each record's ``telemetry`` block (and stripped by
-        :func:`~repro.experiments.store.parity_view`).
+        the unit's session is closed before the exception escapes the
+        runner.
         """
-        session = (
-            self.session_factory(**session_kwargs)
-            if self.share_sessions
-            else None
+        budget = plan.budget
+        session = self.session_factory(
+            backend=backend,
+            n_workers=budget.n_workers,
+            cache_size=budget.cache_size,
+            session_cache_size=budget.session_cache_size,
         )
+        # scheduling provenance (which unit delivered each cell) —
+        # execution-dependent by definition, stripped by parity_view
+        provenance = {"unit_group": unit.group, "unit_cells": unit.n_cells}
         records: list[dict] = []
         try:
             for key in keys:
-                system = make_system(key)
+                system = plan.build_system(key.system, backend)
                 start = time.perf_counter()
                 with span(
                     "run",
@@ -554,14 +421,13 @@ class ExperimentRunner:
                         session=session,
                         scope_label=key.system,
                     )
-                seconds = time.perf_counter() - start
-                digest = (
-                    config.get(key.system)
-                    if isinstance(config, Mapping)
-                    else config
-                )
                 record = self._record(
-                    key, run, seconds, plan_name, digest, unit_meta
+                    key,
+                    run,
+                    time.perf_counter() - start,
+                    plan.name,
+                    plan.config_digest(case, key.system),
+                    provenance,
                 )
                 if self.store is not None:
                     self.store.append(record)
@@ -569,21 +435,20 @@ class ExperimentRunner:
                 if self.progress is not None:
                     self.progress(record)
         finally:
-            if session is not None:
-                session.close()
+            session.close()
         return records
 
+    @staticmethod
     def _record(
-        self,
         key: RunKey,
         run: RunResult,
         seconds: float,
         plan_name: str,
-        config: str | None,
-        unit_meta: dict | None = None,
+        config: str,
+        provenance: dict,
     ) -> dict:
         quality = run.mean_quality()
-        record = {
+        return {
             "plan": plan_name,
             "system": key.system,
             "case": key.case,
@@ -597,48 +462,9 @@ class ExperimentRunner:
             # persisted so store round-trips reproduce either view
             "seconds": seconds,
             "run_seconds": run.total_time(),
-            "shared_session": self.share_sessions,
+            # constant record-format field: every run shares its unit's
+            # session, and pinned record digests include the key
+            "shared_session": True,
             "run": run.to_dict(),
+            "telemetry": dict(provenance),
         }
-        if unit_meta is not None:
-            # scheduling provenance (which unit delivered this cell) —
-            # execution-dependent by definition, stripped by parity_view
-            record["telemetry"] = dict(unit_meta)
-        return record
-
-
-def _engine_signature(system: PredictionSystem) -> tuple:
-    """The session-compatibility key of one system instance."""
-    return (
-        system.backend,
-        system.n_workers,
-        system.cache_size,
-        system.session_cache_size,
-    )
-
-
-def _grid_digest(fire: ReferenceFire, signature: tuple, search: str) -> str:
-    """Configuration digest of a pre-built grid cell (``run_grid``).
-
-    Factories are opaque, so the digest covers what is observable: the
-    fire's actual shape (terrain dimensions, cell size, step count —
-    not the free-form description, which need not encode any of it),
-    the engine signature and the probe system's search-config repr
-    (the EA budget). Coarser than
-    :meth:`ExperimentPlan.config_digest` but it catches the common
-    resume foot-guns of re-pointing an old store at a differently
-    shaped grid or a re-budgeted factory.
-    """
-    terrain = fire.terrain
-    payload = json.dumps(
-        {
-            "fire": fire.description,
-            "shape": [int(terrain.rows), int(terrain.cols)],
-            "cell_size": float(terrain.cell_size),
-            "n_steps": int(fire.n_steps),
-            "engine": list(signature),
-            "search": search,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]

@@ -64,7 +64,6 @@ class PredictionService:
         min_unit_cells: int = 1,
         target_unit_seconds: float = 1.0,
         max_active: int = 8,
-        share_sessions: bool = True,
         auth_token: str | None = None,
         housekeep_interval: float = 1.0,
     ) -> None:
@@ -79,7 +78,6 @@ class PredictionService:
             self.queue,
             host=host,
             port=fleet_port,
-            share_sessions=share_sessions,
             poll_interval=poll_interval,
             auth_token=auth_token,
         )

@@ -151,9 +151,9 @@ class PredictionSystem(ABC):
         ``compare``/sweep group, so repeats of the same step context
         hit the shared cache across systems). The session then decides
         the engine configuration: every step evaluates on the
-        *session's* backend, worker pool and caches — including
-        worker-side problem rebuilds, which mirror the session's
-        backend/cache settings — and the system's own
+        *session's* backend, worker pool and caches — each step's
+        problem mirrors the session's backend/cache settings — and the
+        system's own
         ``backend``/``n_workers``/cache settings are not consulted
         (the step records report what actually ran — the session's
         engine). Callers sharing a session across systems should build
@@ -192,12 +192,10 @@ class PredictionSystem(ABC):
                     start = fire.start_mask(step)
                     real = fire.real_mask(step)
                     # the session decides the engine configuration;
-                    # mirroring it into the problem keeps worker-side
-                    # rebuilds (island and pool processes drop the
-                    # session on pickling) consistent with the
-                    # master-side session views when the session was
-                    # borrowed with settings differing from the
-                    # system's own
+                    # mirroring it into the problem makes a copy taken
+                    # without the session (pickling drops it) evaluate
+                    # as the session does, even when a borrowed session
+                    # differs from the system's own settings
                     problem = PredictionStepProblem(
                         terrain=fire.terrain,
                         start_burned=start,

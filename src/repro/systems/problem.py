@@ -1,26 +1,26 @@
 """The OS-Worker job: simulate a scenario and score it (Eq. 3).
 
-:class:`PredictionStepProblem` is the picklable unit shipped to Workers:
-it carries the terrain, the burned region at the step start (RFL_{i−1}),
-the real burned region at the step end (RFL_i) and the step duration.
+:class:`PredictionStepProblem` describes one prediction step: it carries
+the terrain, the burned region at the step start (RFL_{i−1}), the real
+burned region at the step end (RFL_i) and the step duration.
 ``evaluate_batch`` decodes genomes into scenarios, restarts the fire
 simulator from the start region and returns the Jaccard fitness of each
 simulated map — exactly the ``FS`` + ``FF`` box of Figs. 1/3.
 
-Since the engine subsystem landed, the problem no longer loops over the
-simulator itself: every batch goes through a process-local
-:class:`~repro.engine.SimulationEngine` holding the configured backend
-(``reference`` by default) and scenario-result cache. The engine — like
-the embedded :class:`~repro.firelib.simulator.FireSimulator` before it —
-is rebuilt lazily after unpickling, so only rasters cross process
-boundaries once per worker; per-call traffic is genomes and floats.
+The problem does not loop over the simulator itself: every batch goes
+through a :class:`~repro.engine.SimulationEngine` holding the configured
+backend (``reference`` by default) and scenario-result cache, built on
+first use.
 
 With a run-scoped :class:`~repro.engine.EngineSession` attached, the
 problem stops constructing engines altogether: its engine is a
 ``session.for_step(...)`` view sharing the run's worker pool and
-cross-step cache. The session never crosses process boundaries —
-pickling drops it, and unpickled worker-side copies fall back to the
-per-step engine above.
+cross-step cache. The problem itself stays in the process that runs
+the system: island models run in-process
+(:mod:`repro.parallel.islands`), and a pooled engine ships only the
+step's rasters to its workers (see :mod:`repro.engine.backends`).
+Pickling a problem drops its engine and session, which are rebuilt on
+first use.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import numpy as np
 from repro.core.scenario import ParameterSpace
 from repro.engine import SimulationEngine
 from repro.errors import SimulationError
-from repro.firelib.simulator import FireSimulator
 from repro.grid.terrain import Terrain
 
 __all__ = ["PredictionStepProblem"]
@@ -107,28 +106,17 @@ class PredictionStepProblem:
         self.backend = backend
         self.cache_size = cache_size
         self._session = session
-        self._simulator: FireSimulator | None = None
         self._engine: SimulationEngine | None = None
 
     # ------------------------------------------------------------------
-    # Pickling: drop the simulator, engine and session; workers rebuild
-    # lazily (sessions are strictly master-side — they own the pool).
+    # Pickling: drop the engine and session (process-local; the session
+    # owns the run's worker pool) — the engine is rebuilt on first use.
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state["_simulator"] = None
         state["_engine"] = None
         state["_session"] = None
         return state
-
-    @property
-    def simulator(self) -> FireSimulator:
-        """Process-local simulator (built on first use)."""
-        if self._simulator is None:
-            self._simulator = FireSimulator(
-                self.terrain, n_neighbors=self.n_neighbors
-            )
-        return self._simulator
 
     def attach_session(self, session) -> None:
         """Route this problem's engine through a run-scoped session."""

@@ -127,19 +127,19 @@ class TestCompareCommand:
         hits = int(cross[0].split("cross-system-hits=")[1].split()[0])
         assert hits > 0
 
-    def test_compare_isolated_sessions_flag(self, capsys):
-        rc = main(
-            ["compare", "--systems", "ess,ess-ns", "--size", "24",
-             "--steps", "2", "--population", "8", "--generations", "2",
-             "--session-cache-size", "2048", "--isolated-sessions"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "cross-system-hits=0" in out
-
     def test_compare_unknown_system_exits(self):
-        with pytest.raises(SystemExit):
-            main(["compare", "--systems", "ess,warp-drive", "--size", "24"])
+        """Bad grid values end in a one-line exit, not a traceback —
+        on compare and on the commands that build one fire."""
+        for argv in (
+            ["compare", "--systems", "ess,warp-drive", "--size", "24"],
+            ["run", "ess", "--size", "0"],
+            ["run", "ess", "--steps", "0"],
+            ["simulate", "--size", "0"],
+            ["simulate", "--minutes", "-5"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert isinstance(excinfo.value.code, str), argv
 
     def test_compare_results_store_resumes(self, capsys, tmp_path):
         """compare is routed through the executor seam: it streams into
@@ -180,11 +180,21 @@ class TestCompareCommand:
     )
     def test_min_unit_cells_below_one_is_a_usage_error(self, argv, capsys):
         """The lease floor is at least one cell: 0 (the retired
-        whole-group mode) is refused by argparse, not a traceback."""
+        whole-group mode) is refused by argparse, not a traceback —
+        as are ``--shards 0`` and the retired ``--isolated-sessions``."""
         with pytest.raises(SystemExit) as excinfo:
             main([*argv, "--min-unit-cells", "0"])
         assert excinfo.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
+        if argv[0] in ("sweep", "compare"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([*argv, "--shards", "0"])
+            assert excinfo.value.code == 2
+            assert "must be >= 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--isolated-sessions"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSweepCommand:

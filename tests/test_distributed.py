@@ -202,7 +202,9 @@ class TestShardAssignments:
         shard processes instead of spawning idle (or failing) ones."""
         plan = _plan()
         store = ResultsStore(tmp_path / "r.jsonl")
-        result = ExperimentRunner(store=store).run(plan, shards=5)
+        result = ExperimentRunner(store=store).run(
+            plan, executor=ProcessShardExecutor(5)
+        )
         assert len(result.records) == plan.n_runs
         assert {record_key(r) for r in result.records} == {
             k.as_tuple() for k in plan.runs()
@@ -221,12 +223,6 @@ class TestExecutorSeam:
         assert groups(set()) == [0, 1]
         (_, keys0), _ = plan.groups()
         assert groups({k.as_tuple() for k in keys0}) == [1]
-
-    def test_shards_and_executor_are_exclusive(self):
-        with pytest.raises(ReproError, match="not both"):
-            ExperimentRunner().run(
-                _plan(), shards=2, executor=InlineExecutor()
-            )
 
     @pytest.mark.parametrize(
         "executor",

@@ -214,7 +214,7 @@ class TestProblemIntegration:
         genomes = SPACE.sample(3, 11)
         before = step1_problem.evaluate_batch(genomes)
         clone = pickle.loads(pickle.dumps(step1_problem))
-        assert clone._engine is None and clone._simulator is None
+        assert clone._engine is None
         assert np.array_equal(clone.evaluate_batch(genomes), before)
 
 

@@ -2,9 +2,9 @@
 
 Covers the declarative plan (validation, JSON artifact round-trip), the
 streaming results store (crash-tolerant parsing, resume keys), the
-runner (shared-session groups, bitwise equivalence to isolated
-sessions, cross-system cache reuse, crash-safe resume, session
-lifecycle, sharding) and the per-system stat scopes the shared sessions
+runner (shared-session groups, bitwise equivalence to direct per-cell
+runs, cross-system cache reuse, crash-safe resume, session lifecycle,
+sharding) and the per-system stat scopes the shared sessions
 hand out.
 """
 
@@ -15,6 +15,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.distributed import ProcessShardExecutor
 from repro.engine import EngineSession
 from repro.errors import ReproError
 from repro.experiments import (
@@ -359,15 +360,22 @@ class TestBudgetOverrides:
 
 
 class TestSharedSessionEquivalence:
-    """Acceptance: shared-session grids are bitwise-identical to
-    isolated sessions while reusing strictly more from the cache."""
+    """Acceptance: shared-session grids are bitwise-identical to running
+    every cell directly on its own session, while reusing strictly more
+    from the cache."""
 
     def test_shared_equals_isolated_with_more_hits(self):
         plan = _tiny_plan()
-        shared = ExperimentRunner(share_sessions=True).run(plan)
-        isolated = ExperimentRunner(share_sessions=False).run(plan)
-        assert len(shared.records) == len(isolated.records) == plan.n_runs
-        for a, b in zip(shared.runs(), isolated.runs()):
+        shared = ExperimentRunner().run(plan)
+        # each cell run directly: system.run builds its own session
+        isolated = [
+            plan.build_system(k.system, k.backend).run(
+                plan.cases[0].build(), rng=k.seed
+            )
+            for k in plan.runs()
+        ]
+        assert len(shared.records) == len(isolated) == plan.n_runs
+        for a, b in zip(shared.runs(), isolated):
             assert a.system == b.system
             assert np.array_equal(a.qualities(), b.qualities(), equal_nan=True)
             assert [s.kign for s in a.steps] == [s.kign for s in b.steps]
@@ -377,20 +385,18 @@ class TestSharedSessionEquivalence:
         shared_hits = sum(
             r["run"]["session"]["cache"]["hits"] for r in shared.records
         )
-        isolated_hits = sum(
-            r["run"]["session"]["cache"]["hits"] for r in isolated.records
-        )
+        isolated_hits = sum(run.session["cache"]["hits"] for run in isolated)
         assert shared_hits > isolated_hits
         # the reuse only a shared session can provide, and the summary
         # totals that report it
         assert shared.cross_system_hits() > 0
-        assert isolated.cross_system_hits() == 0
+        assert all(run.session["cross_system_hits"] == 0 for run in isolated)
         totals = shared.per_system_totals()
         assert totals["ess-ns"]["cross_system_hits"] > 0
 
     def test_per_system_scope_stats_are_deltas(self):
         plan = _tiny_plan()
-        result = ExperimentRunner(share_sessions=True).run(plan)
+        result = ExperimentRunner().run(plan)
         sessions = [r["run"]["session"] for r in result.records]
         # each run reports its own scope: 2 steps each, not cumulative
         assert [s["steps"] for s in sessions] == [2, 2]
@@ -453,9 +459,11 @@ class TestRunnerLifecycle:
 
     def test_invalid_shards_raise(self):
         with pytest.raises(ReproError):
-            ExperimentRunner().run(_tiny_plan(), shards=0)
+            ProcessShardExecutor(0)
         with pytest.raises(ReproError, match="ResultsStore"):
-            ExperimentRunner().run(_tiny_plan(), shards=2)
+            ExperimentRunner().run(
+                _tiny_plan(), executor=ProcessShardExecutor(2)
+            )
 
 
 class TestResume:
@@ -552,7 +560,9 @@ class TestSharding:
             )
         )
         store = ResultsStore(tmp_path / "r.jsonl")
-        result = ExperimentRunner(store=store).run(plan, shards=2)
+        result = ExperimentRunner(store=store).run(
+            plan, executor=ProcessShardExecutor(2)
+        )
         assert len(result.records) == plan.n_runs
         assert {record_key(r) for r in result.records} == {
             k.as_tuple() for k in plan.runs()

@@ -97,8 +97,3 @@ class TestPickling:
         expected = step1_problem.evaluate_batch(genomes)
         clone = pickle.loads(pickle.dumps(step1_problem))
         assert np.allclose(clone.evaluate_batch(genomes), expected)
-
-    def test_simulator_not_pickled(self, step1_problem):
-        step1_problem.simulator  # force lazy build
-        state = step1_problem.__getstate__()
-        assert state["_simulator"] is None

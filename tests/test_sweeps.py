@@ -1,72 +1,82 @@
-"""Tests for the sweep harness and the ESSIM-DE solution policies."""
+"""Tests for sweep aggregation and the ESSIM-DE solution policies."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.analysis.sweeps import SweepResult, run_sweep
+from repro.analysis.sweeps import SweepResult
 from repro.ea.de import DEConfig
-from repro.ea.ga import GAConfig
 from repro.errors import ReproError
+from repro.experiments import (
+    BudgetSpec,
+    CaseSpec,
+    ExperimentPlan,
+    ExperimentRunner,
+    ResultsStore,
+)
 from repro.parallel.islands import IslandModelConfig
-from repro.systems import ESS, ESSIMDE, ESSConfig, ESSIMDEConfig
+from repro.systems import ESSIMDE, ESSIMDEConfig
 
 
-def _factories():
-    return {
-        "ESS": lambda: ESS(
-            ESSConfig(ga=GAConfig(population_size=8), max_generations=2)
-        ),
-    }
+def _plan(**overrides) -> ExperimentPlan:
+    values = dict(
+        name="sweep",
+        systems=("ess",),
+        cases=(CaseSpec("grassland", size=20, steps=2),),
+        seeds=(0, 1),
+        budget=BudgetSpec(population=8, generations=2),
+    )
+    values.update(overrides)
+    return ExperimentPlan(**values)
+
+
+def _sweep(records, plan: ExperimentPlan) -> SweepResult:
+    return SweepResult.from_records(
+        records,
+        systems=list(plan.systems),
+        cases=[c.name for c in plan.cases],
+    )
+
+
+@pytest.fixture(scope="module")
+def sweep() -> SweepResult:
+    """One tiny plan run, aggregated: ESS on grassland over seeds 0, 1."""
+    plan = _plan()
+    return _sweep(ExperimentRunner().run(plan).records, plan)
 
 
 class TestRunSweep:
-    def test_cells_cover_grid(self, small_fire):
-        sweep = run_sweep(
-            _factories(), {"small": small_fire}, seeds=[0, 1]
-        )
+    def test_cells_cover_grid(self, sweep):
         assert len(sweep.cells) == 1
-        cell = sweep.cell("ESS", "small")
+        cell = sweep.cell("ess", "grassland")
         assert len(cell.qualities) == 2
         assert 0.0 <= cell.mean <= 1.0
         assert cell.std >= 0.0
         assert cell.evaluations > 0
 
-    def test_labels(self, small_fire):
-        sweep = run_sweep(_factories(), {"small": small_fire}, seeds=[0])
-        assert sweep.systems() == ["ESS"]
-        assert sweep.cases() == ["small"]
-        assert sweep.winner("small") == "ESS"
+    def test_labels(self, sweep):
+        assert sweep.systems() == ["ess"]
+        assert sweep.cases() == ["grassland"]
+        assert sweep.winner("grassland") == "ess"
 
-    def test_missing_cell_raises(self, small_fire):
-        sweep = run_sweep(_factories(), {"small": small_fire}, seeds=[0])
+    def test_missing_cell_raises(self, sweep):
         with pytest.raises(ReproError):
-            sweep.cell("ESS", "other")
+            sweep.cell("ess", "other")
         with pytest.raises(ReproError):
             sweep.winner("other")
 
-    @pytest.mark.parametrize(
-        "factories,cases,seeds",
-        [({}, {"x": None}, [0]), ({"a": None}, {}, [0]), ({"a": None}, {"x": None}, [])],
-    )
-    def test_empty_inputs_raise(self, factories, cases, seeds):
-        with pytest.raises(ReproError):
-            run_sweep(factories, cases, seeds)
-
-    def test_table_rows_schema(self, small_fire):
-        sweep = run_sweep(_factories(), {"small": small_fire}, seeds=[0])
+    def test_table_rows_schema(self, sweep):
         rows = sweep.table_rows()
-        assert rows[0][0] == "ESS"
+        assert rows[0][0] == "ess"
         assert "±" in rows[0][2]
 
-    def test_json_roundtrip(self, small_fire, tmp_path):
-        sweep = run_sweep(_factories(), {"small": small_fire}, seeds=[0, 1])
+    def test_json_roundtrip(self, sweep, tmp_path):
         path = tmp_path / "sweep.json"
         sweep.save_json(path)
         back = SweepResult.load_json(path)
-        assert back.cell("ESS", "small").qualities == sweep.cell(
-            "ESS", "small"
+        assert back.cell("ess", "grassland").qualities == sweep.cell(
+            "ess", "grassland"
         ).qualities
 
     def test_malformed_payload_raises(self):
@@ -100,8 +110,7 @@ class TestRunSweep:
                 back.cell(cell.system, cell.case).qualities == cell.qualities
             )
 
-    def test_save_json_bytes_stable(self, small_fire, tmp_path):
-        sweep = run_sweep(_factories(), {"small": small_fire}, seeds=[0])
+    def test_save_json_bytes_stable(self, sweep, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         sweep.save_json(a)
         SweepResult.load_json(a).save_json(b)
@@ -109,45 +118,36 @@ class TestRunSweep:
 
 
 class TestSweepExperimentIntegration:
-    def test_sweep_matches_pre_experiment_layer_execution(self, small_fire):
-        """Delegating to the shared-session runner must not change the
-        aggregated numbers: same seeds → same per-run qualities."""
-        factories = _factories()
-        delegated = run_sweep(factories, {"small": small_fire}, seeds=[0, 1])
-        isolated = run_sweep(
-            factories, {"small": small_fire}, seeds=[0, 1],
-            share_sessions=False,
-        )
-        assert (
-            delegated.cell("ESS", "small").qualities
-            == isolated.cell("ESS", "small").qualities
-        )
+    def test_sweep_matches_pre_experiment_layer_execution(self, sweep):
+        """Aggregating runner records must not change the numbers: the
+        same seeds run directly, each on its own session, give the
+        same per-run qualities."""
+        plan = _plan()
+        (case,) = plan.cases
         expected = tuple(
-            factories["ESS"]().run(small_fire, rng=s).mean_quality()
-            for s in (0, 1)
+            plan.build_system("ess", "reference")
+            .run(case.build(), rng=seed)
+            .mean_quality()
+            for seed in plan.seeds
         )
-        assert delegated.cell("ESS", "small").qualities == expected
+        assert sweep.cell("ess", "grassland").qualities == expected
 
-    def test_sweep_streams_and_resumes_through_store(self, small_fire, tmp_path):
-        from repro.experiments import ResultsStore
-
+    def test_sweep_streams_and_resumes_through_store(self, tmp_path):
         store = ResultsStore(tmp_path / "sweep.jsonl")
-        first = run_sweep(
-            _factories(), {"small": small_fire}, seeds=[0, 1], store=store
-        )
+        plan = _plan()
+        first = _sweep(ExperimentRunner(store=store).run(plan).records, plan)
         assert len(store.records()) == 2
-        again = run_sweep(
-            _factories(), {"small": small_fire}, seeds=[0, 1], store=store
-        )
-        assert len(store.records()) == 2  # nothing re-ran
+        again = ExperimentRunner(store=store).run(plan)
+        assert again.n_resumed == 2  # nothing re-ran
+        assert len(store.records()) == 2
         assert (
-            again.cell("ESS", "small").qualities
-            == first.cell("ESS", "small").qualities
+            _sweep(again.records, plan).cell("ess", "grassland").qualities
+            == first.cell("ess", "grassland").qualities
         )
         rebuilt = SweepResult.from_store(store)
         assert (
-            rebuilt.cell("ESS", "small").qualities
-            == first.cell("ESS", "small").qualities
+            rebuilt.cell("ess", "grassland").qualities
+            == first.cell("ess", "grassland").qualities
         )
 
     def test_multi_backend_records_keep_separate_cells(self):
@@ -234,22 +234,6 @@ class TestSweepExperimentIntegration:
         ]
         with pytest.raises(ReproError, match="mix different configurations"):
             SweepResult.from_records(records)
-
-    def test_sweep_store_rejects_rebudgeted_factories(self, small_fire, tmp_path):
-        """Regression: the resume digest must cover the EA budget, not
-        just the engine config — a re-budgeted factory over an old
-        store must refuse instead of serving stale cells."""
-        from repro.experiments import ResultsStore
-
-        store = ResultsStore(tmp_path / "sweep.jsonl")
-        run_sweep(_factories(), {"small": small_fire}, seeds=[0], store=store)
-        rebudgeted = {
-            "ESS": lambda: ESS(
-                ESSConfig(ga=GAConfig(population_size=8), max_generations=4)
-            ),
-        }
-        with pytest.raises(ReproError, match="different configuration"):
-            run_sweep(rebudgeted, {"small": small_fire}, seeds=[0], store=store)
 
 
 class TestESSIMDESolutionPolicy:
