@@ -1,11 +1,13 @@
-"""Executor comparison: inline vs process shards vs a loopback fleet.
+"""Executor comparison: inline vs ``--shards 2`` vs a loopback fleet.
 
-Measures the wall-clock of the same experiment plan under the three
-:class:`~repro.distributed.executors.WorkExecutor` policies and
-verifies their stores agree bitwise (wall-clock timing fields
-excluded). The multi-process executors parallelise over independent
-``(case, backend)`` groups, so their advantage grows with the number of
-groups and the per-group cost; the fleet additionally pays the TCP
+Measures the wall-clock of the same experiment plan run inline, by
+:class:`~repro.distributed.executors.ProcessShardExecutor` (a fleet
+that starts its own two loopback workers) and by a
+:class:`~repro.distributed.executors.FleetExecutor` with two workers
+forked here, and verifies their stores agree bitwise (wall-clock
+timing fields excluded). The two multi-process rows parallelise over
+cells leased by the same coordinator, so their advantage grows with
+the number of cells and the per-cell cost; both pay the TCP
 lease/drain round-trips, which this bench shows to be negligible
 against real simulation work.
 

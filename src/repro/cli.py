@@ -11,8 +11,8 @@ Five commands cover the common workflows without writing a script:
   so a one-case grid can spread over a worker fleet cell by cell.
 * ``sweep`` — run a full systems × cases × seeds grid and print the
   aggregated table; ``--executor`` picks where the grid's pending work
-  units execute (inline, local shard processes, or a TCP worker
-  fleet).
+  units execute (inline, or a TCP worker fleet — ``--shards N`` starts
+  N local workers for it).
 * ``experiments`` — distributed-execution utilities:
   ``serve-coordinator`` (lease a plan's work units to TCP workers),
   ``worker`` (join a coordinator's fleet), ``status`` (read-only fleet
@@ -346,16 +346,16 @@ def _add_executor(parser: argparse.ArgumentParser) -> None:
         "--shards",
         type=_positive_int,
         default=1,
-        help="run pending work units in this many local processes "
-        "(requires --results; N > 1 selects --executor process)",
+        help="run pending work units in this many local fleet worker "
+        "processes (requires --results; N > 1 selects --executor process)",
     )
     parser.add_argument(
         "--executor",
         choices=("inline", "process", "fleet"),
         default="inline",
         help="where the plan's pending work units execute: in this "
-        "process (inline, unless --shards N > 1), in --shards local "
-        "shard processes (process), or leased cell-by-cell to TCP "
+        "process (inline, unless --shards N > 1), leased to --shards "
+        "local worker processes (process), or leased cell-by-cell to TCP "
         "workers started with 'repro experiments worker' (fleet; "
         "requires --results and honours --host/--port/--lease-timeout/"
         "--min-unit-cells/--auth-token)",

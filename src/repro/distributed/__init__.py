@@ -7,15 +7,16 @@ at the :class:`~repro.experiments.runner.ExperimentRunner`:
 * :class:`InlineExecutor` — in-process, sequential (the default when
   :meth:`~repro.experiments.runner.ExperimentRunner.run` gets no
   executor).
-* :class:`ProcessShardExecutor` — local ``multiprocessing`` fan-out of
-  units over a shared JSONL store (``repro sweep --shards N``),
-  splitting big units so every shard gets work.
-* :class:`FleetExecutor` — a TCP coordinator
-  (``repro experiments serve-coordinator``) leasing units to remote
-  ``repro experiments worker`` processes, with cell-level work stealing
-  (the costliest pending unit is carved for an asking worker),
-  heartbeat/lease-timeout requeue, optional shared-secret HMAC
-  authentication, worker-local stores and first-writer-wins merging.
+* :class:`FleetExecutor` — the one parallel executor: a TCP
+  coordinator (``repro experiments serve-coordinator``) leasing units
+  to ``repro experiments worker`` processes, with cell-level work
+  stealing (the costliest pending unit is carved for an asking
+  worker), heartbeat/lease-timeout requeue, optional shared-secret
+  HMAC authentication, worker-local stores and first-writer-wins
+  merging.
+* :class:`ProcessShardExecutor` — a :class:`FleetExecutor` that starts
+  its own local workers on loopback (``repro sweep --shards N``) and
+  fails, rather than waiting, if all of them die.
 
 The fleet machinery is one coordinator for one plan or many: a
 :class:`PlanQueue` of per-plan :class:`UnitLedger`\\ s behind a

@@ -7,31 +7,28 @@ and compiles it into a :class:`~repro.experiments.work.WorkSet` of
 group index plus an explicit cell subset. An executor decides *where*
 those units run, and is free to reshape them (split big units across
 idle workers, hand out single cells) because unit boundaries never
-change any cell's result. The three built-in policies cover the
-scaling ladder:
+change any cell's result. There is one serial and one parallel
+policy:
 
 * :class:`InlineExecutor` — every unit in the calling process, one
   after another (the default, and the only executor that works without
   a results store).
-* :class:`ProcessShardExecutor` — units fanned out to local
-  ``multiprocessing`` processes that meet only through the shared
-  JSONL store; units are pre-split into near-equal-**cost** pieces and
-  packed into shard assignments (LPT plus swap/shift local search)
-  under a plan-seeded :class:`~repro.experiments.costs.UnitCostModel`,
-  so a plan with fewer groups than shards still occupies every shard
-  and shards finish together.
-* :class:`FleetExecutor` — units leased to remote worker processes
-  over TCP with cell-level work stealing, lease-timeout requeue and
-  store merging: a :class:`~repro.distributed.queue.PlanQueue` holding
-  the one plan, served by a
-  :class:`~repro.distributed.coordinator.FleetCoordinator` — the same
-  pair ``repro serve`` runs.
+* :class:`FleetExecutor` — units leased to worker processes over TCP
+  with cost-sized leases, cell-level work stealing, lease-timeout
+  requeue and first-writer-wins store merging: a
+  :class:`~repro.distributed.queue.PlanQueue` holding the one plan,
+  served by a :class:`~repro.distributed.coordinator.FleetCoordinator`
+  — the same pair ``repro serve`` runs.
+  :class:`ProcessShardExecutor` (``--shards N``) is this executor with
+  its own workers: it starts ``N`` local
+  :func:`~repro.distributed.worker.run_worker` processes on loopback
+  and joins them when the plan is recorded.
 
 Executors receive the runner itself: they call back into
-:meth:`ExperimentRunner.run_units` (directly, or from a shard/worker
-process that rebuilt an equivalent runner) so resume semantics are the
-store's ``(system, case, seed, backend)`` contract under every policy.
-An executor returns the freshly produced records, or ``None`` when its
+:meth:`ExperimentRunner.run_units` (directly, or from a worker process
+that rebuilt an equivalent runner) so resume semantics are the store's
+``(system, case, seed, backend)`` contract under every policy. An
+executor returns the freshly produced records, or ``None`` when its
 work reached the store through other processes and the runner should
 re-read it.
 """
@@ -42,32 +39,18 @@ import logging
 import multiprocessing
 import os
 import time
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Protocol,
-    Sequence,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
 
 from repro.errors import ReproError
-from repro.experiments.costs import (
-    DEFAULT_SLOW_UNIT_FACTOR,
-    UnitCostModel,
-    plan_cost_model,
-)
-from repro.experiments.work import (
-    WorkSet,
-    WorkUnit,
-    assign_units_by_cost,
-    split_units_by_cost,
-)
+from repro.experiments.costs import DEFAULT_SLOW_UNIT_FACTOR, UnitCostModel
+from repro.experiments.work import WorkSet
 from repro.obs import telemetry
 from repro.obs.http import clear_status_provider, set_status_provider
 
 from repro.distributed.coordinator import FleetCoordinator
 from repro.distributed.protocol import FleetError, check_auth_token
-from repro.distributed.queue import PlanQueue
+from repro.distributed.queue import PlanJob, PlanQueue
+from repro.distributed.worker import run_worker
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.experiments.runner import ExperimentRunner
@@ -80,6 +63,10 @@ __all__ = [
 ]
 
 log = logging.getLogger("repro.distributed.executors")
+
+#: Idle re-ask cadence advertised to loopback workers: they share the
+#: host with the coordinator, so polling often costs nothing.
+LOOPBACK_POLL_INTERVAL = 0.05
 
 
 @runtime_checkable
@@ -131,110 +118,6 @@ class InlineExecutor:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return "InlineExecutor()"
-
-
-class ProcessShardExecutor:
-    """Fan pending units out to local shard processes.
-
-    Units are pre-split and packed by *predicted cost* — near-equal-cost
-    chunks, LPT assignment plus local swap/shift refinement
-    (:func:`repro.experiments.work.split_units_by_cost` /
-    :func:`~repro.experiments.work.assign_units_by_cost`) under a
-    plan-seeded :class:`~repro.experiments.costs.UnitCostModel` — so
-    shards finish together even when groups differ wildly in cost.
-
-    Parameters
-    ----------
-    shards:
-        Upper bound on the number of worker processes; the actual count
-        never exceeds the number of schedulable units (empty shards are
-        skipped, not spawned).
-    min_unit_cells:
-        Split floor (at least 1) when dividing big units so every shard
-        gets work: no piece is carved smaller than this many cells.
-        Splitting moves only *where* cells run, never what they record.
-    cost_model:
-        Explicit :class:`~repro.experiments.costs.UnitCostModel` (tests,
-        or a model saved from a previous run); defaults to one seeded
-        from the plan's budgets at execute time.
-    """
-
-    def __init__(
-        self,
-        shards: int,
-        min_unit_cells: int = 1,
-        cost_model: UnitCostModel | None = None,
-    ) -> None:
-        if shards < 1:
-            raise ReproError(f"shards must be >= 1, got {shards}")
-        if min_unit_cells < 1:
-            raise ReproError(
-                f"min_unit_cells must be >= 1, got {min_unit_cells}"
-            )
-        self.shards = shards
-        self.min_unit_cells = min_unit_cells
-        self.cost_model = cost_model
-
-    def execute(
-        self,
-        runner: "ExperimentRunner",
-        workset: WorkSet,
-    ) -> list[dict] | None:
-        _check_process_portable(runner, "sharded execution")
-        from repro.experiments.store import HAS_APPEND_LOCK
-
-        if not HAS_APPEND_LOCK:
-            raise ReproError(
-                "sharded execution needs lock-serialised store appends, "
-                "unavailable on this platform; use the inline executor"
-            )
-        model = self.cost_model or plan_cost_model(workset.plan)
-        kernels = {
-            index: UnitCostModel.kernel_key(case.name, backend)
-            for index, ((case, backend), _keys) in enumerate(
-                workset.plan.groups()
-            )
-        }
-
-        def rate_of(group: int) -> float:
-            return model.rate(kernels.get(group, ""))
-
-        units = split_units_by_cost(
-            workset.pending(), self.shards, rate_of, self.min_unit_cells
-        )
-        if not units:
-            return []
-        assignments = assign_units_by_cost(units, self.shards, rate_of)
-        trace = telemetry().trace_context()
-        workers = [
-            multiprocessing.Process(
-                target=_run_shard,
-                args=(
-                    workset.plan.to_dict(),
-                    [unit.to_dict() for unit in assignment],
-                    str(runner.store.path),
-                    trace,
-                ),
-            )
-            for assignment in assignments
-        ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        failed = [w.exitcode for w in workers if w.exitcode != 0]
-        if failed:
-            raise ReproError(
-                f"{len(failed)} of {len(workers)} experiment shards failed "
-                f"(exit codes {failed}); re-run to resume the missing cells"
-            )
-        return None
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"ProcessShardExecutor(shards={self.shards}, "
-            f"min_unit_cells={self.min_unit_cells})"
-        )
 
 
 class FleetExecutor:
@@ -386,6 +269,8 @@ class FleetExecutor:
                 # catch runs whose last worker died after its drain —
                 # completion is then visible only from this side
                 queue.housekeep()
+                if not job.ledger.finished.is_set():
+                    self._check_workers(job)
                 if deadline is not None and time.monotonic() >= deadline:
                     raise FleetError(
                         f"fleet run timed out after {self.timeout}s: "
@@ -410,6 +295,10 @@ class FleetExecutor:
             coordinator.close()
             queue.save_costs()
         return None
+
+    def _check_workers(self, job: PlanJob) -> None:
+        """Hook run while the plan is incomplete: a plain fleet has no
+        workers of its own to watch — remote ones may join any time."""
 
     def _export_fleet_telemetry(self) -> None:
         """Dump the fleet-wide view into the metric registry and sinks."""
@@ -453,32 +342,81 @@ class FleetExecutor:
         )
 
 
-def _run_shard(
-    plan_payload: dict,
-    unit_payloads: Sequence[dict],
-    store_path: str,
-    trace: dict | None = None,
-) -> None:
-    """Shard-process entry point: execute a subset of a plan's units.
+class ProcessShardExecutor(FleetExecutor):
+    """A loopback fleet that brings its own local workers.
 
-    ``trace`` is the parent process's trace context (trace id + the
-    ``plan`` root span id); adopting it keeps every shard's spans on
-    the same cross-process trace tree. Explicit adoption matters under
-    the ``spawn`` start method, where nothing is inherited; under
-    ``fork`` it also refreshes the span-id prefix so shard span ids
-    never collide with the parent's.
+    Once the coordinator is bound it starts ``min(shards, pending
+    cells)`` :func:`~repro.distributed.worker.run_worker` processes
+    against it, and joins them when the plan is recorded. Scheduling is
+    the fleet's: cost-sized leases, work stealing, and requeue of a
+    killed worker's lease to a survivor. Each worker keeps a throwaway
+    local store, and the runner's store receives every record through
+    the coordinator. If every worker exits before the store covers the
+    plan, the run fails with the exit codes instead of waiting for
+    workers that will never come.
+
+    Parameters
+    ----------
+    shards:
+        Upper bound on the number of worker processes (at least 1).
+    min_unit_cells:
+        Lease-size floor, at least 1 (see :class:`FleetExecutor`).
     """
-    from repro.experiments.plan import ExperimentPlan
-    from repro.experiments.runner import ExperimentRunner
-    from repro.experiments.store import ResultsStore
-    from repro.obs import telemetry
 
-    if isinstance(trace, dict) and trace.get("trace_id"):
-        telemetry().adopt_trace(
-            trace.get("trace_id"), trace.get("parent_span")
+    def __init__(self, shards: int, min_unit_cells: int = 1) -> None:
+        if shards < 1:
+            raise ReproError(f"shards must be >= 1, got {shards}")
+        super().__init__(
+            poll_interval=LOOPBACK_POLL_INTERVAL,
+            min_unit_cells=min_unit_cells,
+            on_bound=self._start_workers,
         )
-    plan = ExperimentPlan.from_dict(plan_payload)
-    units = [WorkUnit.from_dict(payload) for payload in unit_payloads]
-    store = ResultsStore(store_path)
-    runner = ExperimentRunner(store=store)
-    runner.run_units(plan, units, store.completed())
+        self.shards = shards
+        self._n_workers = 0
+        self._workers: list[multiprocessing.Process] = []
+
+    def execute(
+        self,
+        runner: "ExperimentRunner",
+        workset: WorkSet,
+    ) -> list[dict] | None:
+        self._n_workers = min(self.shards, workset.total_cells)
+        self._workers = []
+        try:
+            return super().execute(runner, workset)
+        except BaseException:
+            # the coordinator is closed: nothing waits for their records
+            for worker in self._workers:
+                worker.kill()
+            raise
+        finally:
+            for worker in self._workers:
+                # workers leave as soon as they hear "done"
+                worker.join(timeout=self.lease_timeout)
+                if worker.is_alive():
+                    worker.kill()
+                    worker.join()
+
+    def _start_workers(self, address: tuple[str, int]) -> None:
+        for _ in range(self._n_workers):
+            worker = multiprocessing.Process(target=run_worker, args=(address,))
+            worker.start()
+            self._workers.append(worker)
+
+    def _check_workers(self, job: PlanJob) -> None:
+        if any(worker.is_alive() for worker in self._workers):
+            return
+        missing = len(job.plan_cells - job.completed_cells())
+        if missing:
+            codes = [worker.exitcode for worker in self._workers]
+            raise FleetError(
+                f"all {len(codes)} local workers exited (exit codes "
+                f"{codes}) with {missing} cells unrecorded; re-run to "
+                "resume the missing cells"
+            )
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (
+            f"ProcessShardExecutor(shards={self.shards}, "
+            f"min_unit_cells={self.min_unit_cells})"
+        )

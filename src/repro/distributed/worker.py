@@ -50,7 +50,9 @@ challenge first (see :mod:`repro.distributed.protocol`).
 The worker exits on ``done`` (its coordinator's plans are recorded) or
 ``bye`` (it was asked to leave — the drain lifecycle — and its leases
 are finished and its records merged; the summary then says
-``drained: true``).
+``drained: true``). Either way the coordinator then holds every
+record, so a worker started without a store directory removes the
+temporary one it made.
 
 ``REPRO_WORKER_THROTTLE`` (seconds per cell, or the ``throttle``
 parameter) artificially slows a worker down — a test/CI knob for
@@ -62,6 +64,7 @@ from __future__ import annotations
 import logging
 import os
 import random
+import shutil
 import socket
 import tempfile
 import threading
@@ -232,10 +235,10 @@ def run_worker(
         Coordinator ``HOST:PORT`` (string or tuple).
     store_path:
         Directory of worker-local results stores, one
-        ``<plan_id>.jsonl`` per served plan; created if missing, a
-        fresh temporary directory when omitted. Reusing it across
-        worker restarts resumes interrupted units instead of
-        recomputing them.
+        ``<plan_id>.jsonl`` per served plan; created if missing.
+        Reusing it across worker restarts resumes interrupted units
+        instead of recomputing them. When omitted, a fresh temporary
+        directory is used and removed again on ``done``/``bye``.
     poll_interval:
         Idle re-ask cadence; defaults to what the coordinator
         advertises.
@@ -268,7 +271,8 @@ def run_worker(
     Returns a summary dict: ``units``/``records`` executed,
     ``busy_seconds`` spent inside unit execution (the idle-time metric
     of ``benchmarks/bench_executors.py``), the derived
-    ``idle_seconds``/``wall_seconds``, the local ``store`` directory, and
+    ``idle_seconds``/``wall_seconds``, the local ``store`` directory
+    (already removed if it was a temporary one), and
     ``drained`` — True when the exit was a graceful ``bye`` after a
     drain rather than plan completion.
     The same busy/idle split lands in the process metric registry as
@@ -350,7 +354,9 @@ def run_worker(
             )
 
     metrics_lock = threading.Lock()
-    last_metrics: list = []
+    # ship only what moves from here on: a forked worker inherits its
+    # parent's counters, which are not this worker's work
+    last_metrics: list = registry.snapshot()
 
     def metrics_delta() -> list:
         """Registry movement since the last shipped snapshot (shared by
@@ -370,7 +376,8 @@ def run_worker(
     lease_timeout = float(welcome.get("lease_timeout", 30.0))
     if poll_interval is None:
         poll_interval = float(welcome.get("poll_interval", 0.5))
-    if store_path is None:
+    own_store = store_path is None
+    if own_store:
         store_path = tempfile.mkdtemp(prefix="repro-fleet-worker-")
     heartbeat_interval = max(lease_timeout / 4.0, 0.05)
     log.info(
@@ -660,11 +667,13 @@ def run_worker(
             )
         elif kind == "wait":
             time.sleep(poll_interval)
-        elif kind == "done":
-            return summary(drained=False)
-        elif kind == "bye":
-            # graceful leave: the coordinator confirmed every lease is
-            # finished and every record merged — nothing requeues
-            return summary(drained=True)
+        elif kind in ("done", "bye"):
+            # "bye" is a graceful leave: every lease finished, every
+            # record merged, nothing requeues. After either reply the
+            # coordinator holds every record, so a temporary store
+            # has nothing left to resume.
+            if own_store:
+                shutil.rmtree(store_path, ignore_errors=True)
+            return summary(drained=kind == "bye")
         else:
             raise FleetError(f"unexpected coordinator reply {kind!r}")

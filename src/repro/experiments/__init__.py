@@ -11,9 +11,9 @@ the same plan resumes by skipping recorded cells). Execution's currency
 is the sliceable :class:`WorkUnit` — a group plus an explicit cell
 subset (:mod:`repro.experiments.work`); *where* the pending units
 execute is a pluggable :mod:`repro.distributed` executor policy:
-inline, local shard processes, or a TCP worker fleet with cell-level
-leasing and within-group work stealing — resume stays the store's
-run-key contract under all of them.
+inline, or a TCP worker fleet (remote workers, or local ones on
+loopback) with cell-level leasing and within-group work stealing —
+resume stays the store's run-key contract under both.
 
 See :mod:`repro.experiments.plan`, :mod:`repro.experiments.runner`,
 :mod:`repro.experiments.work`, :mod:`repro.experiments.store` and

@@ -14,7 +14,7 @@ relies on: runs are grouped by ``(case, backend)``, because every run
 in such a group evaluates genomes against the *same* step contexts —
 the unit that can share one :class:`~repro.engine.EngineSession` (and
 its cross-system result cache) — while distinct groups are fully
-independent and can execute in separate shard processes.
+independent and can execute in separate worker processes.
 """
 
 from __future__ import annotations
@@ -299,7 +299,7 @@ class ExperimentPlan:
         same backend, so one shared :class:`~repro.engine.EngineSession`
         serves the whole group and cross-system repeats hit its cache.
         Groups touch disjoint run keys, so they are independent — the
-        runner may execute them in separate shard processes.
+        runner may execute them in separate worker processes.
         """
         out: list[tuple[tuple[CaseSpec, str], list[RunKey]]] = []
         for case in self.cases:

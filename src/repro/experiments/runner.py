@@ -20,11 +20,12 @@ The :class:`ExperimentRunner` turns a declarative
   ``(system, case, seed, backend)`` cells;
 * *where* the pending units execute is a pluggable
   :class:`~repro.distributed.executors.WorkExecutor` policy passed to
-  :meth:`ExperimentRunner.run` — inline (the default), local shard
-  processes (:class:`~repro.distributed.executors.ProcessShardExecutor`),
-  or a TCP worker fleet
-  (:class:`~repro.distributed.executors.FleetExecutor`) that leases
-  units cell-by-cell and steals from big groups by splitting them.
+  :meth:`ExperimentRunner.run` — inline (the default), or a TCP worker
+  fleet (:class:`~repro.distributed.executors.FleetExecutor`) that
+  leases units cell-by-cell and steals from big groups by splitting
+  them; ``--shards N``
+  (:class:`~repro.distributed.executors.ProcessShardExecutor`) is that
+  fleet with N local workers of its own on loopback.
   Every executor funnels work back through
   :meth:`ExperimentRunner.run_units` so resume semantics stay the
   store's run-key contract.
@@ -234,8 +235,8 @@ class ExperimentRunner:
             executor = InlineExecutor()
         # one `plan` root span per execution: the registry adopts its
         # trace context so every span below — including those emitted by
-        # shard processes and fleet workers, which receive the context
-        # over the wire — hangs off this root under one trace_id
+        # fleet workers, which receive the context over the wire —
+        # hangs off this root under one trace_id
         registry = telemetry()
         previous = registry.trace_context()
         trace_id = (previous or {}).get("trace_id") or registry.new_trace_id()
@@ -306,8 +307,8 @@ class ExperimentRunner:
     ) -> list[dict]:
         """Execute the pending cells of the given work units, in order.
 
-        The executor SPI: every execution policy — inline, a shard
-        process, a fleet worker — ultimately calls this with the units
+        The executor SPI: every execution policy — inline or a fleet
+        worker — ultimately calls this with the units
         it is responsible for, so the session-sharing and
         store-streaming semantics are identical everywhere. Each unit
         runs against one shared :class:`EngineSession` built for its

@@ -11,9 +11,9 @@ only the missing cells.
 Durability/concurrency contract:
 
 * every record is written as a single ``write`` to a file opened in
-  append mode, under an exclusive ``flock``, then flushed and fsynced —
-  shard processes of one experiment can append to the same store
-  concurrently without interleaving lines;
+  append mode, under an exclusive ``flock`` (on POSIX), then flushed
+  and fsynced — two processes pointed at the same store path (say, two
+  ``repro sweep --results`` runs) append without interleaving lines;
 * a crash can at worst leave one unterminated *final* line (no
   trailing newline), which :meth:`ResultsStore.records` detects and
   ignores — even when its payload happens to parse — and which the
@@ -31,24 +31,18 @@ from typing import Iterable
 
 from repro.errors import ReproError
 
-try:  # POSIX: appends are flock-serialised across shard processes
+try:  # POSIX: appends are flock-serialised across processes
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
 __all__ = [
-    "HAS_APPEND_LOCK",
     "ResultsStore",
     "backends_by_system",
     "parity_view",
     "record_key",
     "system_label",
 ]
-
-#: Whether concurrent appends from several processes are safe on this
-#: platform (the sharded runner refuses multi-process fan-out without
-#: it rather than risk interleaved, store-corrupting writes).
-HAS_APPEND_LOCK = fcntl is not None
 
 
 def record_key(record: dict) -> tuple[str, str, int, str]:
@@ -145,8 +139,7 @@ class ResultsStore:
     ----------
     path:
         The ``.jsonl`` file; created (with parent directories) on the
-        first append. The same path may be handed to several shard
-        processes of one experiment.
+        first append. Several processes may append to the same path.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
@@ -172,7 +165,7 @@ class ResultsStore:
         data = (json.dumps(record, sort_keys=True) + "\n").encode()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "ab+") as fh:
-            if fcntl is not None:  # serialise concurrent shard appends
+            if fcntl is not None:  # serialise concurrent appends
                 fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
             self._drop_partial_tail(fh)
             fh.write(data)

@@ -11,8 +11,7 @@ the *context* that decides which cells may share one
 
 * a :class:`WorkUnit` is a group index plus an **explicit cell
   subset** of that group — splittable in half, mergeable with its
-  sibling, JSON-serializable (the fleet wire form and the shard-process
-  hand-off are the same payload);
+  sibling, JSON-serializable (the payload a fleet lease ships);
 * a :class:`WorkSet` compiles an
   :class:`~repro.experiments.plan.ExperimentPlan` plus the already
   recorded cells into the pending units — the single source of truth
@@ -29,22 +28,14 @@ re-run after stale leases without changing a byte of the results store.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.experiments.plan import ExperimentPlan
 
-__all__ = [
-    "WorkUnit",
-    "WorkSet",
-    "assign_units_by_cost",
-    "improve_assignment",
-    "merge_group_units",
-    "split_units",
-    "split_units_by_cost",
-]
+__all__ = ["WorkUnit", "WorkSet", "merge_group_units"]
 
 #: One results-store cell: ``(system, case, seed, backend)``.
 Cell = tuple[str, str, int, str]
@@ -136,7 +127,7 @@ class WorkUnit:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """Stable JSON wire form (the fleet/shard hand-off payload)."""
+        """Stable JSON wire form (the payload a fleet lease ships)."""
         return {"group": self.group, "cells": [list(c) for c in self.cells]}
 
     @classmethod
@@ -247,90 +238,6 @@ class WorkSet:
         return cls(plan=plan, units=units)
 
 
-# ----------------------------------------------------------------------
-# Unit scheduling helpers (shared by the shard executor and the fleet
-# ledger, so "how work divides" has one implementation).
-# ----------------------------------------------------------------------
-def _check_split_args(parts: int, min_unit_cells: int) -> None:
-    if parts < 1:
-        raise ReproError(f"parts must be >= 1, got {parts}")
-    if min_unit_cells < 1:
-        raise ReproError(
-            f"min_unit_cells must be >= 1, got {min_unit_cells}"
-        )
-
-
-def split_units(
-    units: Sequence[WorkUnit], parts: int, min_unit_cells: int = 1
-) -> list[WorkUnit]:
-    """Split the largest unit, repeatedly, until there are ``parts``
-    units or nothing may split further.
-
-    ``min_unit_cells`` (at least 1) is the split floor: a unit only
-    splits while both halves would keep at least that many cells.
-    Deterministic: ties break toward the earliest unit.
-    """
-    _check_split_args(parts, min_unit_cells)
-    out = list(units)
-    while len(out) < parts:
-        i = max(range(len(out)), key=lambda j: out[j].n_cells)
-        if out[i].n_cells < 2 * min_unit_cells:
-            break  # even the largest unit is at the floor
-        first, second = out.pop(i).split()
-        out += [first, second]
-    return out
-
-
-# ----------------------------------------------------------------------
-# Cost-aware scheduling: the same split/assign decisions driven by a
-# predicted per-cell cost instead of raw cell counts. Rates arrive as a
-# ``rate_of(group) -> seconds-per-cell`` callable (usually a
-# :class:`~repro.experiments.costs.UnitCostModel` bound to the plan's
-# kernel keys) so this module stays free of model dependencies.
-# ----------------------------------------------------------------------
-def _carve(unit: WorkUnit, parts: int) -> list[WorkUnit]:
-    """Carve a unit into ``parts`` contiguous near-equal-cell chunks."""
-    parts = max(1, min(int(parts), unit.n_cells))
-    base, extra = divmod(unit.n_cells, parts)
-    out: list[WorkUnit] = []
-    start = 0
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        out.append(WorkUnit(unit.group, unit.cells[start : start + size]))
-        start += size
-    return out
-
-
-def split_units_by_cost(
-    units: Sequence[WorkUnit],
-    parts: int,
-    rate_of: Callable[[int], float],
-    min_unit_cells: int = 1,
-) -> list[WorkUnit]:
-    """Pre-split units into near-equal-*cost* pieces, ``parts`` total.
-
-    Each unit is carved into contiguous chunks whose count is its share
-    of the total predicted cost (LPT-friendly: expensive groups yield
-    more pieces, cheap ones stay whole), so downstream assignment can
-    balance *time*, not cell counts. ``min_unit_cells`` keeps the same
-    floor semantics as :func:`split_units`; deterministic for a given
-    rate function. Splitting never changes what any cell records — only
-    where it may run.
-    """
-    _check_split_args(parts, min_unit_cells)
-    total = sum(rate_of(u.group) * u.n_cells for u in units)
-    if total <= 0.0:
-        return split_units(units, parts, min_unit_cells)
-    target = total / parts
-    out: list[WorkUnit] = []
-    for unit in units:
-        cost = rate_of(unit.group) * unit.n_cells
-        pieces = max(1, round(cost / target))
-        pieces = min(pieces, max(unit.n_cells // min_unit_cells, 1))
-        out.extend(_carve(unit, pieces))
-    return out
-
-
 def merge_group_units(units: Sequence[WorkUnit]) -> list[WorkUnit]:
     """Re-merge same-group fragments into one unit per group.
 
@@ -350,99 +257,3 @@ def merge_group_units(units: Sequence[WorkUnit]) -> list[WorkUnit]:
             by_group[unit.group] = unit
             order.append(unit.group)
     return [by_group[group] for group in order]
-
-
-def improve_assignment(
-    buckets: Sequence[Sequence[WorkUnit]],
-    cost_of: Callable[[WorkUnit], float],
-    max_rounds: int = 32,
-) -> list[list[WorkUnit]]:
-    """Cheap neighborhood search over an assignment: shift and swap.
-
-    Classic bin-packing local moves applied to the makespan (the
-    most-loaded bucket): each round considers *shifting* one unit from
-    the most- to the least-loaded bucket and *swapping* a unit pair
-    between the two most-loaded buckets, applies the best strictly
-    improving move, and stops when none exists (or after
-    ``max_rounds``). Bounded and deterministic — a polish pass over the
-    greedy LPT seed, not an exact solver.
-    """
-    out = [list(bucket) for bucket in buckets]
-    if len(out) < 2:
-        return out
-    loads = [sum(cost_of(u) for u in bucket) for bucket in out]
-    for _ in range(max_rounds):
-        order = sorted(range(len(out)), key=lambda i: (-loads[i], i))
-        hi, lo = order[0], order[-1]
-        pair_max = loads[hi]
-        best: tuple | None = None
-        for j, unit in enumerate(out[hi]):
-            cost = cost_of(unit)
-            new_max = max(loads[hi] - cost, loads[lo] + cost)
-            if new_max < pair_max and (best is None or new_max < best[0]):
-                best = (new_max, "shift", j, -1)
-        second = order[1]
-        for j, unit in enumerate(out[hi]):
-            cost_u = cost_of(unit)
-            for k, other in enumerate(out[second]):
-                cost_v = cost_of(other)
-                if cost_u <= cost_v:
-                    continue
-                new_max = max(
-                    loads[hi] - cost_u + cost_v,
-                    loads[second] - cost_v + cost_u,
-                )
-                if new_max < pair_max and (
-                    best is None or new_max < best[0]
-                ):
-                    best = (new_max, "swap", j, k)
-        if best is None:
-            break
-        _, kind, j, k = best
-        if kind == "shift":
-            unit = out[hi].pop(j)
-            out[lo].append(unit)
-            loads[hi] -= cost_of(unit)
-            loads[lo] += cost_of(unit)
-        else:
-            unit, other = out[hi][j], out[second][k]
-            out[hi][j], out[second][k] = other, unit
-            delta = cost_of(unit) - cost_of(other)
-            loads[hi] -= delta
-            loads[second] += delta
-    return out
-
-
-def assign_units_by_cost(
-    units: Sequence[WorkUnit],
-    parts: int,
-    rate_of: Callable[[int], float],
-) -> list[list[WorkUnit]]:
-    """Cost-balanced assignment: LPT by predicted cost, then polish.
-
-    Greedy longest-processing-time on ``rate_of``-predicted unit cost
-    (units placed costliest-first into the least-loaded bucket),
-    followed by the :func:`improve_assignment` neighborhood pass — the
-    shift/swap moves of colored-bin-packing local search. Never yields
-    an empty bucket (fewer units than ``parts`` produce fewer buckets
-    instead of idle workers); deterministic (ties break toward the
-    earlier unit and the lower bucket).
-    """
-    if parts < 1:
-        raise ReproError(f"parts must be >= 1, got {parts}")
-
-    def cost_of(unit: WorkUnit) -> float:
-        return rate_of(unit.group) * unit.n_cells
-
-    buckets: list[list[WorkUnit]] = [
-        [] for _ in range(min(parts, len(units)))
-    ]
-    loads = [0.0] * len(buckets)
-    ranked = sorted(
-        range(len(units)), key=lambda i: (-cost_of(units[i]), i)
-    )
-    for i in ranked:
-        k = min(range(len(buckets)), key=lambda j: (loads[j], j))
-        buckets[k].append(units[i])
-        loads[k] += cost_of(units[i])
-    return [b for b in improve_assignment(buckets, cost_of) if b]

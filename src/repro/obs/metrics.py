@@ -331,7 +331,7 @@ class Telemetry:
         pid = os.getpid()
         if self._span_prefix is None or self._span_prefix_pid != pid:
             # Regenerating when the pid changes covers fork-started
-            # shard children, which inherit the parent registry whole.
+            # children, which inherit the parent registry whole.
             self._span_prefix = f"{pid:x}p{next(_PREFIX_SEQ)}"
             self._span_prefix_pid = pid
         return self._span_prefix

@@ -11,7 +11,7 @@ or ``chrome://tracing`` opens directly:
   the worker that wrote it (taken from its ``clock_sync`` events) or
   the file stem;
 * span events become complete (``ph: "X"``) slices; the emitting
-  thread becomes the track's ``tid`` so concurrent shard/heartbeat
+  thread becomes the track's ``tid`` so concurrent unit/heartbeat
   work nests correctly;
 * worker timestamps are shifted by the file's last ``clock_sync``
   offset — the coordinator-measured estimate shipped on ``complete``

@@ -9,7 +9,7 @@ matched-budget conventions of the papers' comparisons baked in: the
 island systems split the population across two islands, novelty search
 derives its neighbourhood and bestSet sizes from the population.
 
-Moved here from ``repro.cli`` so experiment plans (and their shard
+Moved here from ``repro.cli`` so experiment plans (and their fleet
 worker processes) can rebuild systems without importing the CLI.
 """
 

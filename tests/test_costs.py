@@ -1,11 +1,10 @@
-"""Tests for the predictive unit cost model (`repro.experiments.costs`)
-and the cost-aware scheduling helpers of `repro.experiments.work`.
+"""Tests for the predictive unit cost model (`repro.experiments.costs`).
 
 The scheduling contract under test: cost estimates decide *where and
 in what chunks* cells run — never what they record — so every
-cost-driven split/merge/assignment must preserve the exact cell
-multiset, be deterministic for a given model snapshot (two schedulers
-built from identical state make identical decisions), and produce
+split/merge must preserve the exact cell multiset, the model must
+round-trip through its snapshot (two schedulers built from identical
+state make identical decisions), and unit boundaries must produce
 bitwise-identical stores in the parity view at any granularity.
 """
 
@@ -32,12 +31,7 @@ from repro.experiments.costs import (
     seed_plan_priors,
 )
 from repro.experiments.store import parity_view
-from repro.experiments.work import (
-    assign_units_by_cost,
-    improve_assignment,
-    merge_group_units,
-    split_units_by_cost,
-)
+from repro.experiments.work import merge_group_units
 
 
 def _plan(**overrides) -> ExperimentPlan:
@@ -166,7 +160,7 @@ class TestUnitCostModel:
 
 
 # ----------------------------------------------------------------------
-# Cost-aware splitting / merging / assignment
+# Re-merging requeued fragments
 # ----------------------------------------------------------------------
 def _units(*sizes: int) -> list[WorkUnit]:
     return [
@@ -176,60 +170,6 @@ def _units(*sizes: int) -> list[WorkUnit]:
 
 
 class TestCostScheduling:
-    def test_split_preserves_cells_exactly(self):
-        units = _units(7, 3, 5)
-        rate_of = {0: 1.0, 1: 10.0, 2: 0.1}.__getitem__
-        out = split_units_by_cost(units, 4, rate_of)
-        assert sorted(c for u in out for c in u.cells) == sorted(
-            c for u in units for c in u.cells
-        )
-        for piece in out:
-            assert set(piece.cells) <= set(units[piece.group].cells)
-
-    def test_expensive_groups_yield_more_pieces(self):
-        units = _units(8, 8)
-        rate_of = {0: 10.0, 1: 0.01}.__getitem__
-        out = split_units_by_cost(units, 4, rate_of)
-        pieces = {g: [u for u in out if u.group == g] for g in (0, 1)}
-        assert len(pieces[0]) > len(pieces[1])
-        assert len(pieces[1]) == 1  # the cheap group stays whole
-
-    def test_split_floor_semantics_match_split_units(self):
-        units = _units(8)
-        out = split_units_by_cost(units, 8, lambda g: 1.0, 3)
-        assert all(u.n_cells >= 3 for u in out)
-        with pytest.raises(ReproError, match="min_unit_cells"):
-            split_units_by_cost(units, 8, lambda g: 1.0, 0)
-        with pytest.raises(ReproError, match="parts"):
-            split_units_by_cost(units, 0, lambda g: 1.0)
-
-    def test_split_deterministic_from_identical_snapshots(self):
-        """Two schedulers built from identical serialized cost state
-        must carve identically — the property that makes cost-aware
-        scheduling reproducible and debuggable."""
-        source = UnitCostModel()
-        source.observe("g0", 4, 2.0)
-        source.observe("g1", 4, 0.1)
-        payload = source.to_dict()
-        units = _units(9, 6)
-        results = []
-        for _ in range(2):
-            model = UnitCostModel.from_dict(payload)
-            rate_of = lambda g: model.rate(f"g{g}")  # noqa: E731
-            split = split_units_by_cost(units, 3, rate_of)
-            results.append(
-                (
-                    [u.to_dict() for u in split],
-                    [
-                        [u.to_dict() for u in bucket]
-                        for bucket in assign_units_by_cost(
-                            split, 3, rate_of
-                        )
-                    ],
-                )
-            )
-        assert results[0] == results[1]
-
     def test_merge_group_units(self):
         units = _units(6, 2)
         a, b = units[0].split()
@@ -238,62 +178,27 @@ class TestCostScheduling:
         assert sorted(merged[0].cells) == sorted(units[0].cells)
         assert merged[1] == units[1]
 
-    def test_improve_assignment_reduces_makespan(self):
-        units = _units(1, 1, 1, 1)
-        cost = {0: 8.0, 1: 7.0, 2: 1.0, 3: 1.0}
-
-        def cost_of(u: WorkUnit) -> float:
-            return cost[u.group]
-
-        # a deliberately bad seed: both heavy units in one bucket
-        bad = [[units[0], units[1]], [units[2], units[3]]]
-        out = improve_assignment(bad, cost_of)
-        loads = [sum(cost_of(u) for u in b) for b in out]
-        assert max(loads) < 15.0
-        assert sorted(u.group for b in out for u in b) == [0, 1, 2, 3]
-
-    def test_assign_units_by_cost_balances_time_not_cells(self):
-        # 1 expensive 4-cell unit vs 4 cheap 4-cell units: count-based
-        # assignment would pair the expensive one with a cheap one
-        units = _units(4, 4, 4, 4, 4)
-        rate_of = {0: 10.0, 1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0}.__getitem__
-        buckets = assign_units_by_cost(units, 2, rate_of)
-        assert all(buckets)
-        heavy = next(
-            b for b in buckets if any(u.group == 0 for u in b)
-        )
-        assert len(heavy) == 1  # the expensive unit rides alone
-        with pytest.raises(ReproError, match="parts"):
-            assign_units_by_cost(units, 0, rate_of)
-
-    def test_never_more_buckets_than_units(self):
-        buckets = assign_units_by_cost(_units(2, 2), 5, lambda g: 1.0)
-        assert len(buckets) == 2 and all(buckets)
-
 
 # ----------------------------------------------------------------------
 # Parity: cost-driven unit boundaries never change any record
 # ----------------------------------------------------------------------
 class TestCostSplitParity:
     def test_forced_uneven_cost_split_is_results_inert(self, tmp_path):
-        """Property: run the same plan whole and carved by a wildly
-        uneven cost model; the stores agree bitwise in the parity
-        view, cell for cell."""
-        plan = _plan(seeds=(0,))
+        """Property: run the same plan whole and carved unevenly, the
+        way a cost-sized lease carves an expensive group; the stores
+        agree bitwise in the parity view, cell for cell."""
+        plan = _plan(seeds=(0, 1))
         whole = ResultsStore(tmp_path / "whole.jsonl")
         ExperimentRunner(store=whole).run(plan)
 
-        rate_of = {0: 50.0, 1: 0.001}.__getitem__
-        units = split_units_by_cost(
-            WorkSet.compile(plan, set()).pending(), 4, rate_of
-        )
-        assert len(units) > len(plan.groups()) - 1  # actually split
+        expensive, cheap = WorkSet.compile(plan, set()).pending()
+        probe, rest = expensive.split_at(1)
         carved = ResultsStore(tmp_path / "carved.jsonl")
         runner = ExperimentRunner(store=carved)
-        # buckets run sequentially in-process: same records must land
-        # regardless of the assignment shape
-        for bucket in assign_units_by_cost(units, 3, rate_of):
-            runner.run_units(plan, bucket, carved.completed())
+        # one cell, then a whole group, then the rest: same records
+        # must land regardless of the carve or the delivery order
+        for unit in (probe, cheap, rest):
+            runner.run_units(plan, [unit], carved.completed())
 
         def normalized(store: ResultsStore) -> list[dict]:
             return [

@@ -1,13 +1,14 @@
 """Tests for the distributed execution subsystem.
 
 Covers the wire protocol (framing, EOF, oversize rejection, the HMAC
-challenge-response handshake), the shard assignment rules (never an
-empty shard), executor validation, the cell-leasing unit ledger
-(carve-on-demand stealing, stale-lease requeue of exact cell subsets),
+challenge-response handshake), local shards (never an idle worker;
+a killed one requeues, all dead fails the run), executor validation,
+the cell-leasing unit ledger (carve-on-demand stealing, stale-lease
+requeue of exact cell subsets),
 the one fleet coordinator (a plan queue behind one TCP server, its
 status snapshot and the ``done`` it answers once the plan is recorded),
 and the acceptance properties of the subsystem: all executors — inline,
-process shards, and TCP fleets of every size — produce bitwise-identical
+local shards, and TCP fleets of every size — produce bitwise-identical
 sorted store records for the same plan and seeds (in the shared
 ``parity_view``: wall-clock and session-reuse accounting excluded,
 nothing else may differ, at *any* unit granularity), a one-group plan
@@ -22,10 +23,12 @@ from __future__ import annotations
 import multiprocessing
 import os
 import socket
+import tempfile
 import threading
 
 import pytest
 
+from repro.distributed import executors
 from repro.distributed import (
     FleetAuthError,
     FleetCoordinator,
@@ -56,14 +59,12 @@ from repro.experiments import (
     WorkUnit,
     record_key,
 )
-from repro.experiments.store import HAS_APPEND_LOCK, parity_view
-from repro.experiments.work import assign_units_by_cost
+from repro.experiments.store import parity_view
 from repro.distributed.queue import plan_job_id
 
 needs_fork = pytest.mark.skipif(
-    not HAS_APPEND_LOCK
-    or "fork" not in multiprocessing.get_all_start_methods(),
-    reason="needs POSIX store locking and fork-start processes",
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs fork-start processes",
 )
 
 _FORK = (
@@ -170,29 +171,36 @@ class TestProtocol:
 
 
 # ----------------------------------------------------------------------
-# Shard assignment (the empty-shard fix)
+# Local shards: a loopback fleet never starts an idle worker
 # ----------------------------------------------------------------------
-def _single_cell_units(n: int) -> list[WorkUnit]:
-    return [
-        WorkUnit(i, (("ess", "grassland", i, "vectorized"),))
-        for i in range(n)
-    ]
-
-
 class TestShardAssignments:
     @pytest.mark.parametrize("n_pending", [1, 2, 3, 7])
     @pytest.mark.parametrize("shards", [1, 2, 3, 5, 16])
     def test_never_empty_covers_all_disjoint(self, n_pending, shards):
-        units = _single_cell_units(n_pending)
-        assignments = assign_units_by_cost(units, shards, lambda g: 1.0)
-        assert all(assignments), "no shard may be spawned empty"
-        assert len(assignments) == min(shards, n_pending)
-        flat = [u for a in assignments for u in a]
-        assert sorted(flat, key=lambda u: u.group) == units
+        """ProcessShardExecutor starts min(shards, pending cells)
+        workers. Each one's first ask gets a non-empty lease, even from
+        a single group, and the leases tile the pending cells."""
+        plan = _plan(
+            systems=("ess",),
+            cases=(CaseSpec("grassland", size=20, steps=2),),
+            seeds=tuple(range(n_pending)),
+        )
+        ledger = UnitLedger(
+            WorkSet.compile(plan, set()),
+            lease_timeout=5.0,
+            completed_cells=set,
+            cost_model=UnitCostModel(),
+            clock=lambda: 0.0,
+        )
+        workers = [f"w{i}" for i in range(min(shards, n_pending))]
+        grants = [ledger.lease(worker) for worker in workers]
+        assert all(g["type"] == "unit" for g in grants), "an idle worker"
+        while (grant := ledger.lease(workers[0]))["type"] == "unit":
+            grants.append(grant)
+        cells = [tuple(c) for g in grants for c in g["unit"]["cells"]]
+        assert sorted(cells) == sorted(k.as_tuple() for k in plan.runs())
 
     def test_invalid_shards_raise(self):
-        with pytest.raises(ReproError):
-            assign_units_by_cost(_single_cell_units(1), 0, lambda g: 1.0)
         with pytest.raises(ReproError):
             ProcessShardExecutor(0)
 
@@ -559,6 +567,49 @@ class TestFleetFailureRecovery:
         # and the re-run groups match the inline ground truth bitwise
         assert _sorted_normalized(store) == _sorted_normalized(inline_store)
         assert len(result.records) == plan.n_runs
+
+    def test_killed_loopback_worker_is_requeued(self, tmp_path, monkeypatch):
+        """A local shard that dies after its first complete abandons the
+        piggybacked next lease; the lease requeues to the surviving
+        shard and the run completes, equal to inline."""
+        plan = _one_group_plan(n_seeds=4)  # enough cells for a next lease
+        inline = ResultsStore(tmp_path / "inline.jsonl")
+        ExperimentRunner(store=inline).run(plan)
+        claimed = _FORK.Value("i", 0)
+
+        def target(address, **kwargs):
+            with claimed.get_lock():
+                index = claimed.value
+                claimed.value += 1
+            if index == 0:
+                kwargs["after_complete"] = lambda group: os._exit(1)
+            return run_worker(address, **kwargs)
+
+        monkeypatch.setattr(executors, "run_worker", target)
+        store = ResultsStore(tmp_path / "sharded.jsonl")
+        executor = ProcessShardExecutor(2)
+        executor.lease_timeout = 2.0
+        result = ExperimentRunner(store=store).run(plan, executor=executor)
+        assert executor.requeues >= 1
+        assert sorted(w.exitcode for w in executor._workers) == [0, 1]
+        assert len(result.records) == plan.n_runs
+        assert _sorted_normalized(store) == _sorted_normalized(inline)
+
+    def test_all_loopback_workers_dead_raises(self, tmp_path, monkeypatch):
+        """With every local shard gone, no worker will ever come: the
+        run fails with their exit codes instead of waiting forever."""
+
+        def target(address, **kwargs):
+            os._exit(3)
+
+        monkeypatch.setattr(executors, "run_worker", target)
+        store = ResultsStore(tmp_path / "sharded.jsonl")
+        with pytest.raises(ReproError, match=r"exit codes \[3, 3\]") as info:
+            ExperimentRunner(store=store).run(
+                _plan(), executor=ProcessShardExecutor(2)
+            )
+        assert "re-run to resume" in str(info.value)
+        assert store.records() == []
 
     def test_timeout_without_workers_raises(self, tmp_path):
         store = ResultsStore(tmp_path / "r.jsonl")
@@ -1396,6 +1447,30 @@ class TestCostFleetEndToEnd:
             local = ResultsStore(worker_dir / f"{_fleet_plan_id(plan)}.jsonl")
             assert len(local.records()) == summary["records"]
         assert sum(s["records"] for s in summaries) == plan.n_runs
+
+    def test_default_worker_store_is_removed_on_done(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker started without a store directory makes a temporary
+        one and removes it once the coordinator holds every record; a
+        directory the caller named is kept."""
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        plan = _one_group_plan(n_seeds=4)
+        store = ResultsStore(tmp_path / "fleet.jsonl")
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        result, executor, summaries, errors = _run_thread_fleet(
+            plan, store, [None, kept]
+        )
+        assert errors == []
+        assert len(result.records) == plan.n_runs
+        by_worker = {s["worker"]: s for s in summaries}
+        assert by_worker["thread-w0"]["store"].startswith(str(scratch))
+        assert list(scratch.iterdir()) == []
+        assert by_worker["thread-w1"]["store"] == str(kept)
+        assert kept.is_dir()
 
     def test_heterogeneous_fleet_respects_capacity(self, tmp_path):
         """Acceptance: in a 3-worker fleet with one worker throttled to

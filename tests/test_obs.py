@@ -40,7 +40,7 @@ from repro.experiments.costs import (
     UnitCostModel,
     record_residual,
 )
-from repro.experiments.store import HAS_APPEND_LOCK, parity_view
+from repro.experiments.store import parity_view
 from repro.obs import (
     DEFAULT_BUCKETS,
     JsonlSink,
@@ -61,9 +61,8 @@ from repro.obs.http import (
 from repro.obs.timeline import build_timeline, export_timeline
 
 needs_fork = pytest.mark.skipif(
-    not HAS_APPEND_LOCK
-    or "fork" not in multiprocessing.get_all_start_methods(),
-    reason="needs POSIX store locking and fork-start processes",
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs fork-start processes",
 )
 
 
@@ -400,6 +399,41 @@ class TestInstrumentationParity:
         prefixes = {e["id"].rsplit("-", 1)[0] for e in events}
         assert len(prefixes) >= 2  # parent plus at least one shard
 
+    @needs_fork
+    def test_sharded_sweep_metrics_carry_worker_counters(self, tmp_path):
+        """Loopback shards ship registry deltas to the coordinator, so a
+        ``--shards`` run's metrics dump holds their unit and engine
+        counters, labelled by worker (and only their own work, not what
+        they inherited from the parent at fork)."""
+        from repro.cli import main
+
+        # cells this process ran before: the forked workers inherit
+        # the counter but must not ship it as their own
+        obs.telemetry().counter("repro_unit_cells_total", plan="earlier").inc(9)
+        metrics = tmp_path / "m.prom"
+        main(
+            [
+                "sweep", "--systems", "ess,ess-ns", "--cases", "grassland",
+                "--size", "20", "--steps", "2", "--seeds", "0,1",
+                "--population", "8", "--generations", "2",
+                "--backend", "vectorized", "--shards", "2",
+                "--results", str(tmp_path / "r.jsonl"),
+                "--metrics", str(metrics),
+            ]
+        )
+        parsed = parse_prometheus_text(metrics.read_text())
+        cells = [
+            e
+            for e in parsed
+            if e["name"] == "repro_unit_cells_total" and "worker" in e["labels"]
+        ]
+        assert sum(e["value"] for e in cells) == 4
+        simulations = [
+            e for e in parsed if e["name"] == "repro_engine_simulations_total"
+        ]
+        assert simulations
+        assert all("worker" in e["labels"] for e in simulations)
+
     def test_traced_fleet_matches_untraced_inline(self, tmp_path):
         plan = _tiny_plan()
         plain = ResultsStore(tmp_path / "plain.jsonl")
@@ -524,9 +558,9 @@ class TestSpanIdentity:
 
     @needs_fork
     def test_forked_children_get_fresh_prefixes(self):
-        # ProcessShardExecutor's children inherit the parent registry
-        # (and its span counter) wholesale under fork; their ids must
-        # still be globally unique
+        # forked children (the loopback workers ProcessShardExecutor
+        # starts, say) inherit the parent registry and its span counter
+        # wholesale; their ids must still be globally unique
         t = obs.telemetry()
         sink = ListSink()
         t.add_sink(sink)

@@ -3,8 +3,7 @@
 WorkUnit/WorkSet are the currency of execution: these tests pin the
 algebra (split/merge round-trips, validation), the stable JSON wire
 form, compile-from-store semantics (the one source of truth for "what
-remains"), the scheduling helpers shared by the shard executor and the
-fleet ledger, and the runner-facing invariant that a cell's record is
+remains") and the runner-facing invariant that a cell's record is
 independent of which unit delivered it.
 """
 
@@ -24,7 +23,6 @@ from repro.experiments import (
     record_key,
 )
 from repro.experiments.store import parity_view
-from repro.experiments.work import assign_units_by_cost, split_units
 
 
 def _plan(**overrides) -> ExperimentPlan:
@@ -132,48 +130,12 @@ class TestWorkSet:
 
     def test_wire_round_trip(self):
         plan = _plan()
-        workset = WorkSet(plan, split_units(WorkSet.compile(plan).units, 4))
+        halves = [h for u in WorkSet.compile(plan).units for h in u.split()]
+        workset = WorkSet(plan, halves)
+        assert len(workset) == 4
         clone = WorkSet.from_dict(workset.to_dict())
         assert clone == workset
         assert clone.plan == plan
-
-
-class TestScheduling:
-    def test_split_units_reaches_target_and_respects_floor(self):
-        units = [_unit(8)]
-        assert [u.n_cells for u in split_units(units, 1)] == [8]
-        split = split_units(units, 4)
-        assert sorted(u.n_cells for u in split) == [2, 2, 2, 2]
-        # floor: with min_unit_cells=2 an 8-cell unit yields 4 at most
-        assert len(split_units(units, 16, min_unit_cells=2)) == 4
-        # the floor is at least one cell: whole-group mode is gone
-        with pytest.raises(ReproError, match="min_unit_cells"):
-            split_units(units, 16, min_unit_cells=0)
-        # unsplittable singles stop the loop instead of spinning
-        assert len(split_units(units, 100)) == 8
-
-    def test_split_units_preserves_cells_exactly(self):
-        units = [_unit(7, group=0), _unit(3, group=1)]
-        split = split_units(units, 6)
-        assert sorted(c for u in split for c in u.cells) == sorted(
-            c for u in units for c in u.cells
-        )
-
-    def test_assign_units_balances_and_never_leaves_empty(self):
-        """At a uniform per-cell rate, cost-balanced assignment is
-        cell-balanced."""
-        units = split_units([_unit(8)], 4) + [_unit(2, group=1)]
-        uniform = lambda group: 1.0  # noqa: E731
-        buckets = assign_units_by_cost(units, 3, uniform)
-        assert len(buckets) == 3
-        assert all(buckets)
-        loads = sorted(sum(u.n_cells for u in b) for b in buckets)
-        assert loads == [2, 4, 4]
-        # fewer units than buckets: no empties
-        assert len(assign_units_by_cost([_unit(4)], 5, uniform)) == 1
-        assert assign_units_by_cost([], 3, uniform) == []
-        with pytest.raises(ReproError):
-            assign_units_by_cost(units, 0, uniform)
 
 
 class TestRunUnits:
@@ -188,8 +150,12 @@ class TestRunUnits:
         sliced = ResultsStore(tmp_path / "sliced.jsonl")
         runner = ExperimentRunner(store=sliced)
         workset = WorkSet.compile(plan)
-        singles = split_units(workset.pending(), plan.n_runs)
-        assert all(u.n_cells == 1 for u in singles)
+        singles = [
+            WorkUnit(unit.group, (cell,))
+            for unit in workset.pending()
+            for cell in unit.cells
+        ]
+        assert len(singles) == plan.n_runs
         # deliver the cells one unit at a time, in shuffled order
         for unit in reversed(singles):
             runner.run_units(plan, [unit], sliced.completed())
