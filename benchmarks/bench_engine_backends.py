@@ -352,9 +352,10 @@ def cache_rows(fire: ReferenceFire, population: int, seed: int = 11) -> list[dic
     genomes[rng.choice(population, n_dup, replace=False)] = genomes[0]
     rows = []
     for cache_size in (0, 4 * population):
-        with SimulationEngine.from_problem(
-            problem, backend="vectorized", cache_size=cache_size
-        ) as engine:
+        # the per-step tier: a one-step SessionResultCache view
+        with EngineSession(
+            backend="vectorized", cache_size=cache_size
+        ).for_step(problem) as engine:
             start = time.perf_counter()
             engine(genomes)
             engine(genomes)  # the next generation resubmits survivors

@@ -273,7 +273,7 @@ class UnitLedger:
         """Renew a lease; ``expired`` once the unit was re-leased.
 
         ``info`` is the worker's optional telemetry payload (cumulative
-        busy seconds, the unit's elapsed time, engine kernel rates),
+        busy seconds, the unit's elapsed time; other keys are ignored),
         folded into the utilization view and the cost model so
         in-flight work counts, not just completed units.
         """
@@ -288,7 +288,7 @@ class UnitLedger:
             if isinstance(info, dict):
                 # an in-flight unit's elapsed time bounds its cost from
                 # below — a unit running long teaches the model before
-                # it completes; engine snapshots fold unconditionally
+                # it completes
                 unit = lease["unit"]
                 kernel = self._kernel_of.get(unit.group, "")
                 try:
@@ -298,7 +298,6 @@ class UnitLedger:
                 self.cost_model.observe_lower_bound(
                     kernel, unit.n_cells, elapsed
                 )
-                self.cost_model.fold_engine(info.get("engine_costs"))
             return {"type": "ok"}
 
     def complete(
@@ -372,8 +371,6 @@ class UnitLedger:
                 group=unit.group,
             )
             self.cost_model.observe(kernel, unit.n_cells, unit_seconds)
-            if isinstance(info, dict):
-                self.cost_model.fold_engine(info.get("engine_costs"))
             telemetry().histogram("repro_fleet_unit_seconds").observe(
                 lease_seconds
             )

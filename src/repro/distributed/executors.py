@@ -226,8 +226,6 @@ class FleetExecutor:
         _check_process_portable(runner, "fleet execution")
         if not workset.pending():
             return []
-        from repro.engine.backends import kernel_costs
-
         queue = PlanQueue(
             lease_timeout=self.lease_timeout,
             min_unit_cells=self.min_unit_cells,
@@ -238,7 +236,6 @@ class FleetExecutor:
             # the snapshot's measured rates win; this plan's budget
             # priors only fill kernels it never saw (at admission)
             queue.use_cost_snapshot(self.cost_snapshot)
-        queue.cost_model.fold_engine(kernel_costs().snapshot())
         self.cost_model = queue.cost_model
         # the runner's `plan` root span adopted this context just
         # before calling us; stamping it on every grant hangs every

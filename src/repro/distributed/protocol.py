@@ -33,10 +33,10 @@ Message ``type`` values (worker → coordinator, reply in parentheses):
 ``heartbeat``
     Keep a lease alive while a unit runs (``ok`` / ``expired``). May
     carry a ``telemetry`` payload — the worker's cumulative
-    ``busy_seconds``, the in-flight unit's elapsed time, and an
-    ``engine_costs`` kernel-rate snapshot — folded into the
-    coordinator's live utilization view and its unit cost model (an
-    in-flight unit's elapsed time bounds its cost from below). Also
+    ``busy_seconds`` and the in-flight unit's elapsed time — folded
+    into the coordinator's live utilization view and its unit cost
+    model (an in-flight unit's elapsed time bounds its cost from
+    below). Unknown telemetry keys are ignored. Also
     carries ``metrics`` (a delta-encoded registry snapshot, see
     :func:`repro.obs.snapshot_delta`) which the coordinator folds into
     its fleet registry labelled by worker, and ``sent_at`` (the
@@ -46,7 +46,7 @@ Message ``type`` values (worker → coordinator, reply in parentheses):
     Report a leased unit finished (``ok`` / ``stale`` when the lease
     timed out and the unit was already re-leased). Carries a
     ``telemetry`` payload (``unit_seconds``, cumulative
-    ``busy_seconds``, ``records``, ``cells``, ``engine_costs``) for
+    ``busy_seconds``, ``records``, ``cells``) for
     per-worker accounting and online cost-model updates, and the
     worker's undrained ``records`` of that plan inline (an implicit
     drain). The reply carries ``next`` — a full lease decision

@@ -141,7 +141,6 @@ class _LeaseHeartbeat:
         request_timeout: float,
         token: str | None = None,
         busy_base: float = 0.0,
-        engine_costs: Callable[[], dict] | None = None,
         metrics: Callable[[], list] | None = None,
         plan_id: str | None = None,
     ) -> None:
@@ -156,7 +155,6 @@ class _LeaseHeartbeat:
         self._request_timeout = request_timeout
         self._token = token
         self._busy_base = busy_base
-        self._engine_costs = engine_costs
         self._metrics = metrics
         self._started = time.perf_counter()
         self._stop = threading.Event()
@@ -182,13 +180,6 @@ class _LeaseHeartbeat:
                 "busy_seconds": self._busy_base + elapsed,
                 "unit_seconds": elapsed,
             }
-            if self._engine_costs is not None:
-                # in-flight cost report: elapsed time bounds the unit's
-                # cost from below, and the engine's kernel rates give
-                # the coordinator's model its pre-measurement priors
-                self._payload["telemetry"]["engine_costs"] = (
-                    self._engine_costs()
-                )
             if self._metrics is not None:
                 # metric delta since the last shipped snapshot; the
                 # coordinator folds it worker-labelled into the fleet
@@ -282,7 +273,6 @@ def run_worker(
     """
     # imported here: repro.experiments lazily imports this package's
     # executors, so the worker stays import-cycle-free at module level
-    from repro.engine.backends import kernel_costs
     from repro.experiments.plan import ExperimentPlan
     from repro.experiments.runner import ExperimentRunner
     from repro.experiments.store import ResultsStore, record_key
@@ -559,7 +549,6 @@ def run_worker(
                 request_timeout,
                 token=auth_token,
                 busy_base=busy_seconds,
-                engine_costs=lambda: kernel_costs().snapshot(),
                 metrics=metrics_delta,
                 plan_id=plan_id,
             ):
@@ -610,15 +599,14 @@ def run_worker(
                 "worker": worker,
                 "plan_id": plan_id,
                 "lease": lease,
-                # per-unit timing + cumulative busy accounting + the
-                # engine's kernel-rate snapshot: the coordinator folds
-                # these into its utilization view and cost model
+                # per-unit timing + cumulative busy accounting: the
+                # coordinator folds these into its utilization view and
+                # cost model
                 "telemetry": {
                     "unit_seconds": unit_seconds,
                     "busy_seconds": busy_seconds,
                     "records": len(fresh),
                     "cells": unit.n_cells,
-                    "engine_costs": kernel_costs().snapshot(),
                 },
                 "metrics": metrics_delta(),
                 "sent_at": time.time(),

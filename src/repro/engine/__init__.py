@@ -4,9 +4,10 @@ The engine layer sits between the evolutionary systems and the fire
 simulator: a :class:`SimulationEngine` evaluates an entire ``(n, 9)``
 genome batch in one call through one of two kernels (``reference`` or
 ``vectorized``), in-process or in a worker pool when ``n_workers > 1``,
-with an LRU scenario-result cache in front. An :class:`EngineSession`
-scopes the expensive parts — worker pool, cross-step result cache — to
-a whole multi-step run, handing out per-step engine views. See :mod:`repro.engine.core` for the facade,
+with an optional LRU result-cache view in front. An
+:class:`EngineSession` scopes the expensive parts — worker pool,
+cross-step result cache — to a whole multi-step run, handing out
+per-step engine views. See :mod:`repro.engine.core` for the facade,
 :mod:`repro.engine.backends` for the kernels,
 :mod:`repro.engine.cache` for the cache semantics and
 :mod:`repro.engine.session` for the run-scoped lifetime.
@@ -23,7 +24,6 @@ from repro.engine.backends import (
 )
 from repro.engine.cache import (
     CacheStats,
-    ScenarioResultCache,
     SessionCacheView,
     SessionResultCache,
 )
@@ -49,7 +49,6 @@ __all__ = [
     "ProcessBackend",
     "backend_names",
     "create_backend",
-    "ScenarioResultCache",
     "SessionResultCache",
     "SessionCacheView",
     "CacheStats",

@@ -23,7 +23,6 @@ each receive the step spec once (copy-on-write shared rasters under the
 from __future__ import annotations
 
 import math
-import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Sequence
@@ -40,7 +39,6 @@ from repro.firelib.propagation import _offset_azimuth_deg, stencil
 from repro.firelib.rothermel import ROS_EPSILON, FuelBed, spread
 from repro.firelib.simulator import FireSimulator
 from repro.grid.terrain import Terrain
-from repro.obs import telemetry
 from repro.units import METERS_TO_FEET, MPH_TO_FTMIN
 
 #: Element budget for the three batched ``(chunk, n_classes)`` field
@@ -50,88 +48,12 @@ _RASTER_BLOCK_ELEMENTS = 4_000_000
 __all__ = [
     "StepSpec",
     "EngineBackend",
-    "KernelCostModel",
     "ReferenceBackend",
     "VectorizedBackend",
     "ProcessBackend",
     "backend_names",
     "create_backend",
-    "kernel_costs",
-    "reset_kernel_costs",
 ]
-
-
-class KernelCostModel:
-    """Measured per-unit propagation costs, EMA-smoothed over prior calls.
-
-    Every heterogeneous-terrain kernel call folds its seconds per work
-    unit (genomes × box cells × stencil directions) into an exponential
-    moving average per kernel name. Workers ship :meth:`snapshot` with
-    their telemetry, so a coordinator's
-    :class:`~repro.experiments.costs.UnitCostModel` can scale plan
-    priors to seconds measured anywhere in the fleet.
-    """
-
-    def __init__(self, alpha: float = 0.2) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ReproError(f"EMA alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
-        self.rates: dict[str, float] = {}
-
-    def observe(self, kernel: str, work: int, seconds: float) -> None:
-        """Fold one measured invocation into the kernel's EMA rate."""
-        if work <= 0 or seconds <= 0.0:
-            return
-        obs = telemetry()
-        obs.histogram("repro_engine_kernel_seconds", kernel=kernel).observe(
-            seconds
-        )
-        obs.counter("repro_engine_kernel_calls_total", kernel=kernel).inc()
-        rate = seconds / work
-        prev = self.rates.get(kernel)
-        self.rates[kernel] = (
-            rate if prev is None else prev + self.alpha * (rate - prev)
-        )
-
-    def snapshot(self) -> dict[str, float]:
-        """Serializable copy of the measured rates (fleet cost reports)."""
-        return dict(self.rates)
-
-    def restore(self, snapshot) -> None:
-        """Fold a :meth:`snapshot` back in (existing rates EMA-merge).
-
-        Unknown kernels adopt the snapshot rate outright; already
-        measured kernels move toward it by ``alpha``, so restoring a
-        stale snapshot cannot erase fresher local measurements.
-        """
-        if not isinstance(snapshot, dict):
-            return
-        for kernel, rate in snapshot.items():
-            try:
-                rate = float(rate)
-            except (TypeError, ValueError):
-                continue
-            if rate <= 0.0:
-                continue
-            prev = self.rates.get(kernel)
-            self.rates[str(kernel)] = (
-                rate if prev is None else prev + self.alpha * (rate - prev)
-            )
-
-
-#: Process-wide cost model: measurements survive step and session
-#: boundaries, so later steps start from calibrated rates.
-_KERNEL_COSTS = KernelCostModel()
-
-
-def kernel_costs() -> KernelCostModel:
-    """The process-wide kernel cost model (snapshot it for the wire)."""
-    return _KERNEL_COSTS
-
-
-def reset_kernel_costs() -> None:
-    """Drop all measured kernel rates (tests and benchmarks)."""
-    _KERNEL_COSTS.rates.clear()
 
 
 @dataclass(frozen=True)
@@ -602,17 +524,11 @@ class VectorizedBackend(EngineBackend):
                         self._distances[None, :, None] / rates,
                         np.inf,
                     )  # (g, D, classes)
-                start = time.perf_counter()
                 times = grid.run_table(
                     tables,
                     cell_class.reshape(grid.rows, grid.cols),
                     self._start[box],
                     horizon,
-                )
-                _KERNEL_COSTS.observe(
-                    "raster",
-                    tables.shape[1] * times.size,
-                    time.perf_counter() - start,
                 )
                 maps[lo + rows, box[0], box[1]] = times <= horizon
         return maps

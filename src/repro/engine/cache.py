@@ -7,12 +7,19 @@ every coordinate rounded to ``decimals`` decimal places — to its Eq. 3
 fitness, so exact repeats and sub-resolution perturbations both skip
 the simulator.
 
+There is one cache class, :class:`SessionResultCache`, and the engine
+reads it through a per-step :class:`SessionCacheView`. Both tiers are
+instances of it: an :class:`~repro.engine.session.EngineSession`'s
+run-scoped cache (``session_cache_size``) keeps entries across steps,
+and without one each step gets a throwaway instance of
+``cache_size`` entries that dies with the step.
+
 Quantization semantics: two genomes that round to the same key share
 one fitness value. At the default ``decimals=8`` the merged genomes
 differ by less than 5·10⁻⁹ in every Table I coordinate — far below any
 physically meaningful resolution — but a cached run is *not* guaranteed
 bitwise-equal to an uncached one. Backends are only bitwise-verified
-against each other with the cache disabled (``capacity=0``).
+against each other with the cache disabled.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from repro.errors import ReproError
 
 __all__ = [
     "CacheStats",
-    "ScenarioResultCache",
     "SessionResultCache",
     "SessionCacheView",
     "DEFAULT_CACHE_DECIMALS",
@@ -34,23 +40,6 @@ __all__ = [
 
 #: Default quantization, decimal places per genome coordinate.
 DEFAULT_CACHE_DECIMALS = 8
-
-
-def _validate_cache_params(capacity: int, decimals: int) -> None:
-    if capacity < 0:
-        raise ReproError(f"cache capacity must be >= 0, got {capacity}")
-    if decimals < 0:
-        raise ReproError(f"cache decimals must be >= 0, got {decimals}")
-
-
-def _quantized_key(genome: np.ndarray, decimals: int) -> bytes:
-    """Quantized byte key of one genome — shared by both cache tiers.
-
-    Adding ``0.0`` after rounding folds ``-0.0`` into ``+0.0`` so the
-    two byte patterns of zero share one cache entry.
-    """
-    q = np.round(np.asarray(genome, dtype=np.float64), decimals) + 0.0
-    return q.tobytes()
 
 
 @dataclass
@@ -86,14 +75,21 @@ class CacheStats:
 
 
 @dataclass
-class ScenarioResultCache:
-    """Bounded LRU map from quantized genomes to fitness values.
+class SessionResultCache:
+    """Bounded LRU keyed on ``(step-context digest, quantized genome)``.
+
+    Every step engine reads it through a :class:`SessionCacheView` that
+    bakes in the step's context digest. When one instance lives for a
+    whole :class:`~repro.engine.session.EngineSession`, entries inserted
+    by one step survive into later steps, so repeated evaluations of the
+    same step context (re-calibration, system comparison on the same
+    fire, sweep repeats) skip the simulator across step boundaries.
 
     Parameters
     ----------
     capacity:
-        Maximum number of entries; 0 disables the cache (every lookup
-        misses, nothing is stored).
+        Maximum number of entries across *all* contexts; 0 disables
+        (every lookup misses, nothing is stored).
     decimals:
         Quantization applied to every genome coordinate before keying.
     """
@@ -103,78 +99,14 @@ class ScenarioResultCache:
     stats: CacheStats = field(default_factory=CacheStats)
 
     def __post_init__(self) -> None:
-        _validate_cache_params(self.capacity, self.decimals)
-        self._data: OrderedDict[bytes, float] = OrderedDict()
-
-    # ------------------------------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        """Whether the cache can store anything."""
-        return self.capacity > 0
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def key(self, genome: np.ndarray) -> bytes:
-        """Quantized byte key of one genome."""
-        return _quantized_key(genome, self.decimals)
-
-    def get(self, key: bytes) -> float | None:
-        """Cached fitness for ``key``, or ``None`` on a miss."""
-        value = self._data.get(key)
-        if value is None:
-            self.stats.misses += 1
-            return None
-        self._data.move_to_end(key)
-        self.stats.hits += 1
-        return value
-
-    def put(self, key: bytes, fitness: float) -> None:
-        """Insert (or refresh) one entry, evicting the LRU tail if full."""
-        if not self.enabled:
-            return
-        if key in self._data:
-            self._data.move_to_end(key)
-        self._data[key] = float(fitness)
-        while len(self._data) > self.capacity:
-            self._data.popitem(last=False)
-            self.stats.evictions += 1
-
-    def clear(self) -> None:
-        """Drop all entries (statistics are kept)."""
-        self._data.clear()
-
-
-# ----------------------------------------------------------------------
-# Cross-step (session) tier
-# ----------------------------------------------------------------------
-@dataclass
-class SessionResultCache:
-    """Run-scoped LRU keyed on ``(step-context digest, quantized genome)``.
-
-    One instance lives for a whole :class:`~repro.engine.session.
-    EngineSession`; every step engine reads it through a
-    :class:`SessionCacheView` that bakes in the step's context digest.
-    Entries inserted by one step survive into later steps, so repeated
-    evaluations of the same step context (re-calibration, system
-    comparison on the same fire, sweep repeats) skip the simulator
-    across step boundaries — the cross-step reuse the per-step
-    :class:`ScenarioResultCache` could never provide.
-
-    Parameters
-    ----------
-    capacity:
-        Maximum number of entries across *all* contexts; 0 disables.
-    decimals:
-        Genome quantization, identical semantics to the per-step cache.
-    """
-
-    capacity: int = 0
-    decimals: int = DEFAULT_CACHE_DECIMALS
-    stats: CacheStats = field(default_factory=CacheStats)
-
-    def __post_init__(self) -> None:
-        _validate_cache_params(self.capacity, self.decimals)
+        if self.capacity < 0:
+            raise ReproError(
+                f"cache capacity must be >= 0, got {self.capacity}"
+            )
+        if self.decimals < 0:
+            raise ReproError(
+                f"cache decimals must be >= 0, got {self.decimals}"
+            )
         # (context digest, genome key)
         #   -> (fitness, inserting step serial, inserting scope serial)
         self._data: OrderedDict[
@@ -199,8 +131,13 @@ class SessionResultCache:
         return len(self._data)
 
     def key(self, genome: np.ndarray) -> bytes:
-        """Quantized byte key of one genome (same folding as per-step)."""
-        return _quantized_key(genome, self.decimals)
+        """Quantized byte key of one genome.
+
+        Adding ``0.0`` after rounding folds ``-0.0`` into ``+0.0`` so the
+        two byte patterns of zero share one cache entry.
+        """
+        q = np.round(np.asarray(genome, dtype=np.float64), self.decimals) + 0.0
+        return q.tobytes()
 
     def view(self, context: bytes, step: int, scope: int = 0) -> "SessionCacheView":
         """Per-step facade bound to one context digest.
@@ -255,8 +192,8 @@ class SessionResultCache:
 class SessionCacheView:
     """One step's window onto a :class:`SessionResultCache`.
 
-    Exposes the :class:`ScenarioResultCache` interface the engine
-    consumes (``enabled`` / ``key`` / ``get`` / ``put`` / ``stats``);
+    Exposes the interface the engine consumes (``enabled`` / ``key`` /
+    ``get`` / ``put`` / ``stats``);
     ``stats`` counts this step's traffic only, while the shared store
     accumulates the run totals.
     """

@@ -3,9 +3,11 @@
 The engine is the single entry point the prediction systems use on the
 hot path. It composes three layers:
 
-1. an LRU :class:`~repro.engine.cache.ScenarioResultCache` keyed on
-   quantized genomes, so repeated individuals (GA elitism, DE
-   restarts) skip simulation entirely;
+1. an optional result-cache view (a
+   :class:`~repro.engine.cache.SessionCacheView` onto a
+   :class:`~repro.engine.cache.SessionResultCache`) keyed on quantized
+   genomes, so repeated individuals (GA elitism, DE restarts) skip
+   simulation entirely;
 2. an :class:`~repro.engine.backends.EngineBackend` kernel selected
    by name (``reference`` / ``vectorized``), run in-process or, with
    ``n_workers > 1``, in a worker pool;
@@ -31,11 +33,7 @@ from repro.engine.backends import (
     backend_names,
     create_backend,
 )
-from repro.engine.cache import (
-    DEFAULT_CACHE_DECIMALS,
-    CacheStats,
-    ScenarioResultCache,
-)
+from repro.engine.cache import CacheStats
 from repro.errors import ParallelError, ReproError
 from repro.obs import telemetry
 
@@ -86,17 +84,12 @@ class SimulationEngine:
         Worker processes: 1 evaluates in-process; above 1 the kernel
         runs inside each worker of a
         :class:`~repro.engine.backends.ProcessBackend` pool.
-    cache_size:
-        LRU capacity of the scenario-result cache; 0 disables caching
-        (the default — cached runs are not bitwise-reproducible, see
-        :mod:`repro.engine.cache`).
-    cache_decimals:
-        Genome quantization used for cache keys.
     cache:
-        Optional externally-owned cache (a
-        :class:`~repro.engine.cache.SessionCacheView` from an
-        :class:`~repro.engine.session.EngineSession`); overrides
-        ``cache_size``/``cache_decimals`` when given.
+        Optional result-cache view (a
+        :class:`~repro.engine.cache.SessionCacheView`, handed out by
+        :meth:`~repro.engine.session.EngineSession.for_step`); ``None``
+        (the default) evaluates without a cache — cached runs are not
+        bitwise-reproducible, see :mod:`repro.engine.cache`.
     pool:
         Optional externally-owned
         :class:`~repro.parallel.executor.ProcessPoolEvaluator` reused
@@ -109,8 +102,6 @@ class SimulationEngine:
         spec: StepSpec,
         backend: str = "reference",
         n_workers: int = 1,
-        cache_size: int = 0,
-        cache_decimals: int = DEFAULT_CACHE_DECIMALS,
         cache=None,
         pool=None,
     ) -> None:
@@ -127,15 +118,11 @@ class SimulationEngine:
             )
         else:
             self._backend = create_backend(backend, spec)
-        self._cache = (
-            cache
-            if cache is not None
-            else ScenarioResultCache(capacity=cache_size, decimals=cache_decimals)
-        )
+        self._cache = cache if cache is not None and cache.enabled else None
         self.stats = EngineStats(
             backend=backend,
             n_workers=getattr(self._backend, "n_workers", 1),
-            cache=self._cache.stats,
+            cache=cache.stats if cache is not None else CacheStats(),
         )
         self._closed = False
 
@@ -146,22 +133,17 @@ class SimulationEngine:
         problem,
         backend: str = "reference",
         n_workers: int = 1,
-        cache_size: int = 0,
-        cache_decimals: int = DEFAULT_CACHE_DECIMALS,
     ) -> "SimulationEngine":
         """Build an engine from anything shaped like a step problem.
 
         ``problem`` must expose ``terrain``, ``start_burned``,
         ``real_burned``, ``horizon``, ``space`` and ``n_neighbors`` —
-        :class:`repro.systems.problem.PredictionStepProblem` does.
+        :class:`repro.systems.problem.PredictionStepProblem` does. The
+        engine has no cache; :meth:`~repro.engine.session.EngineSession.
+        for_step` builds cached ones.
         """
-        spec = StepSpec.from_problem(problem)
         return cls(
-            spec,
-            backend=backend,
-            n_workers=n_workers,
-            cache_size=cache_size,
-            cache_decimals=cache_decimals,
+            StepSpec.from_problem(problem), backend=backend, n_workers=n_workers
         )
 
     # ------------------------------------------------------------------
@@ -178,7 +160,7 @@ class SimulationEngine:
     @property
     def cache_stats(self) -> CacheStats:
         """Hit/miss counters of the scenario-result cache."""
-        return self._cache.stats
+        return self.stats.cache
 
     # ------------------------------------------------------------------
     def __call__(self, genomes: np.ndarray) -> np.ndarray:
@@ -198,7 +180,7 @@ class SimulationEngine:
             "repro_engine_evaluations_total", backend=self.backend_name
         ).inc(n)
 
-        if not self._cache.enabled:
+        if self._cache is None:
             values = self._timed_fitness(genomes, n, obs)
             self.stats.simulations += n
             obs.counter(

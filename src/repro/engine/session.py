@@ -15,14 +15,17 @@ cache, precomputed tables — inside the hot loop, once per step. An
   ``(step-context digest, quantized genome)`` so results survive step
   boundaries and repeated step contexts — re-calibration, comparing
   systems on the same fire, sweep repeats — skip the simulator
-  entirely;
+  entirely. With it off, a positive ``cache_size`` gives each step a
+  throwaway instance of the same class that dies with the step;
 * run-level accounting (:class:`SessionStats`) threaded into
   :class:`~repro.systems.results.RunResult` and the reporting layer.
 
 Per step, :meth:`EngineSession.for_step` hands out an ordinary
 :class:`~repro.engine.core.SimulationEngine` view wired to the shared
 pool and cache; closing the view is cheap and never tears down the
-session-owned resources.
+session-owned resources. It is the one place cached engines are built:
+a :class:`~repro.systems.problem.PredictionStepProblem` without a
+session gets its engine from a throwaway session too.
 
 Sessions can also be shared *across systems* (the experiment layer's
 ``compare``/sweep groups): each
@@ -43,11 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.engine.backends import StepSpec, backend_names
-from repro.engine.cache import (
-    DEFAULT_CACHE_DECIMALS,
-    CacheStats,
-    SessionResultCache,
-)
+from repro.engine.cache import CacheStats, SessionResultCache
 from repro.engine.core import SimulationEngine
 from repro.errors import ReproError
 from repro.obs import telemetry
@@ -242,13 +241,11 @@ class EngineSession:
         by every step.
     cache_size:
         Per-step LRU capacity used only when the session cache is off
-        (``session_cache_size == 0``); each step view then gets its own
-        throwaway :class:`~repro.engine.cache.ScenarioResultCache`.
+        (``session_cache_size == 0``); each step view then reads its own
+        throwaway :class:`~repro.engine.cache.SessionResultCache`.
     session_cache_size:
         Capacity of the run-scoped cross-step cache; when positive it
         replaces the per-step cache entirely (one lookup path).
-    cache_decimals:
-        Genome quantization for either cache tier.
     """
 
     def __init__(
@@ -257,7 +254,6 @@ class EngineSession:
         n_workers: int = 1,
         cache_size: int = 0,
         session_cache_size: int = 0,
-        cache_decimals: int = DEFAULT_CACHE_DECIMALS,
     ) -> None:
         if backend not in backend_names():
             raise ReproError(
@@ -274,11 +270,8 @@ class EngineSession:
         self.backend = backend
         self.n_workers = n_workers
         self.cache_size = cache_size
-        self.cache_decimals = cache_decimals
         self._store = (
-            SessionResultCache(
-                capacity=session_cache_size, decimals=cache_decimals
-            )
+            SessionResultCache(capacity=session_cache_size)
             if session_cache_size > 0
             else None
         )
@@ -378,7 +371,9 @@ class EngineSession:
         ``n_neighbors`` — or an actual :class:`StepSpec`). The returned
         engine is a full :class:`SimulationEngine`; its ``close()``
         releases only per-step state, never the pool or the cross-step
-        cache.
+        cache. With the session cache off and ``cache_size > 0`` the
+        engine reads a one-step :class:`SessionResultCache` of that
+        capacity, so both tiers share one cache class.
         """
         if self._closed:
             raise ReproError(
@@ -392,6 +387,12 @@ class EngineSession:
             cache = self._store.view(
                 step_context_digest(spec), self._steps, scope
             )
+        elif self.cache_size > 0:
+            # the store lives as long as this step's engine: one
+            # context, so no digest is needed to tell steps apart
+            cache = SessionResultCache(capacity=self.cache_size).view(
+                b"", self._steps
+            )
         pool = None
         if self.n_workers > 1:
             pool = self._ensure_pool()
@@ -399,8 +400,6 @@ class EngineSession:
             spec,
             backend=self.backend,
             n_workers=self.n_workers,
-            cache_size=self.cache_size,
-            cache_decimals=self.cache_decimals,
             cache=cache,
             pool=pool,
         )

@@ -10,13 +10,14 @@ EMA-smoothed per-cell rate per kernel key:
   every ``(kernel, cells, seconds)`` cost report a worker attaches to
   its ``complete``/heartbeat messages, so the model is fleet-wide, not
   per-process;
-* before a kernel has a sample, the estimate falls back to an
-  **engine-derived prior**: workers also ship
-  :meth:`~repro.engine.backends.KernelCostModel.snapshot` rates
-  (seconds per engine work unit), which — multiplied by a per-kernel
-  ``prior_work`` magnitude derived from the plan's budget — give a
-  relative ordering across groups of different shapes;
-* with neither, the mean of the measured rates of *other* kernels, and
+* before a kernel has a sample, the estimate falls back to a
+  **scaled prior**: each kernel carries a ``prior_work`` magnitude
+  derived from the plan's budget, and the kernels measured so far say
+  how many seconds one unit of prior work costs (their summed rates
+  over their summed priors), which gives a relative ordering across
+  groups of different shapes; before any measurement, a fixed
+  ``default_engine_rate`` scales the prior instead;
+* with no prior, the mean of the measured rates of *other* kernels, and
   finally a fixed default, so an estimate always exists.
 
 The model is plain serializable state (:meth:`to_dict` /
@@ -39,7 +40,6 @@ import json
 import logging
 import os
 import time
-from typing import Mapping
 
 from repro.errors import ReproError
 
@@ -86,13 +86,13 @@ class UnitCostModel:
     Parameters
     ----------
     alpha:
-        EMA smoothing factor for measured per-cell rates (and folded
-        engine rates): ``rate += alpha * (sample - rate)``.
+        EMA smoothing factor for measured per-cell rates:
+        ``rate += alpha * (sample - rate)``.
     default_rate:
         Per-cell seconds assumed when nothing at all is known.
     default_engine_rate:
-        Seconds per engine work unit assumed when priors exist but no
-        engine kernel rate has been folded yet.
+        Seconds per unit of prior work assumed when priors exist but no
+        kernel with a prior has been measured yet.
     """
 
     def __init__(
@@ -112,8 +112,6 @@ class UnitCostModel:
         self.rates: dict[str, float] = {}
         #: number of measured unit timings folded per kernel key
         self.samples: dict[str, int] = {}
-        #: folded engine kernel rates (seconds per engine work unit)
-        self.engine: dict[str, float] = {}
         #: per-kernel prior work magnitude (engine work units per cell)
         self.prior_work: dict[str, float] = {}
 
@@ -156,41 +154,29 @@ class UnitCostModel:
         if float(seconds) / int(cells) > self.rate(kernel):
             self.observe(kernel, cells, seconds)
 
-    def fold_engine(self, snapshot) -> None:
-        """Fold a worker-shipped :class:`KernelCostModel` snapshot.
-
-        ``snapshot`` maps engine kernel names to measured seconds per
-        engine work unit; malformed payloads (wire input) are ignored.
-        """
-        if not isinstance(snapshot, Mapping):
-            return
-        for kernel, rate in snapshot.items():
-            try:
-                rate = float(rate)
-            except (TypeError, ValueError):
-                continue
-            if rate <= 0.0:
-                continue
-            prev = self.engine.get(str(kernel))
-            self.engine[str(kernel)] = (
-                rate if prev is None else prev + self.alpha * (rate - prev)
-            )
-
     # ------------------------------------------------------------------
     def rate(self, kernel: str) -> float:
-        """Per-cell seconds for ``kernel``: measured, else prior, else
-        the mean measured rate, else the default — never zero."""
+        """Per-cell seconds for ``kernel``: measured, else the scaled
+        prior, else the mean measured rate, else the default — never
+        zero.
+
+        The scaled prior is ``prior_work[kernel] × Σ rates / Σ
+        prior_work`` over the kernels measured so far that have priors:
+        the fleet's pooled seconds per unit of prior work. With no such
+        kernel it is ``prior_work[kernel] × default_engine_rate``.
+        """
         measured = self.rates.get(kernel)
         if measured is not None:
             return measured
         prior = self.prior_work.get(kernel)
         if prior is not None:
-            engine_rate = (
-                sum(self.engine.values()) / len(self.engine)
-                if self.engine
-                else self.default_engine_rate
+            pooled = [k for k in self.rates if k in self.prior_work]
+            if not pooled:
+                return prior * self.default_engine_rate
+            return prior * (
+                sum(self.rates[k] for k in pooled)
+                / sum(self.prior_work[k] for k in pooled)
             )
-            return prior * engine_rate
         if self.rates:
             return sum(self.rates.values()) / len(self.rates)
         return self.default_rate
@@ -225,13 +211,16 @@ class UnitCostModel:
             "default_engine_rate": self.default_engine_rate,
             "rates": dict(sorted(self.rates.items())),
             "samples": dict(sorted(self.samples.items())),
-            "engine": dict(sorted(self.engine.items())),
             "prior_work": dict(sorted(self.prior_work.items())),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "UnitCostModel":
-        """Inverse of :meth:`to_dict`, with validation."""
+        """Inverse of :meth:`to_dict`, with validation.
+
+        Unknown keys are ignored, so sidecars that still carry an
+        ``engine`` map of kernel rates load as before.
+        """
         try:
             model = cls(
                 alpha=float(data.get("alpha", 0.3)),
@@ -247,10 +236,6 @@ class UnitCostModel:
             model.samples = {
                 str(k): int(v)
                 for k, v in dict(data.get("samples", {})).items()
-            }
-            model.engine = {
-                str(k): float(v)
-                for k, v in dict(data.get("engine", {})).items()
             }
             model.prior_work = {
                 str(k): float(v)
@@ -328,16 +313,12 @@ def plan_cost_model(plan) -> UnitCostModel:
     ``steps`` steps of a ``size²`` grid with an 8-cell neighborhood.
     That product — averaged over the plan's systems, whose budgets may
     differ — seeds each kernel's ``prior_work``, so groups order
-    correctly by *relative* cost from the first grant. The local
-    engine's measured kernel rates
-    (:func:`repro.engine.backends.kernel_costs`) are folded in when
-    available to scale the prior toward real seconds.
+    correctly by *relative* cost from the first grant. Measured unit
+    timings later scale those priors to seconds
+    (:meth:`UnitCostModel.rate`).
     """
-    from repro.engine.backends import kernel_costs
-
     model = UnitCostModel()
     seed_plan_priors(model, plan)
-    model.fold_engine(kernel_costs().snapshot())
     return model
 
 

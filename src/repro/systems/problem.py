@@ -9,14 +9,13 @@ simulated map — exactly the ``FS`` + ``FF`` box of Figs. 1/3.
 
 The problem does not loop over the simulator itself: every batch goes
 through a :class:`~repro.engine.SimulationEngine` holding the configured
-backend (``reference`` by default) and scenario-result cache, built on
-first use.
-
-With a run-scoped :class:`~repro.engine.EngineSession` attached, the
-problem stops constructing engines altogether: its engine is a
-``session.for_step(...)`` view sharing the run's worker pool and
-cross-step cache. The problem itself stays in the process that runs
-the system: island models run in-process
+backend (``reference`` by default) and result cache, built on first
+use. Engines come from one place, ``EngineSession.for_step(...)``:
+with a run-scoped :class:`~repro.engine.EngineSession` attached, the
+engine is a view sharing the run's worker pool and cross-step cache;
+without one, a throwaway in-process session builds it with a per-step
+cache of ``cache_size`` entries. The problem itself stays in the
+process that runs the system: island models run in-process
 (:mod:`repro.parallel.islands`), and a pooled engine ships only the
 step's rasters to its workers (see :mod:`repro.engine.backends`).
 Pickling a problem drops its engine and session, which are rebuilt on
@@ -28,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.scenario import ParameterSpace
-from repro.engine import SimulationEngine
+from repro.engine import EngineSession, SimulationEngine
 from repro.errors import SimulationError
 from repro.grid.terrain import Terrain
 
@@ -61,8 +60,8 @@ class PredictionStepProblem:
         up, in a :class:`~repro.engine.SimulationEngine` with
         ``n_workers > 1``.
     cache_size:
-        LRU capacity of the scenario-result cache (0 = off). Each
-        process holds its own cache.
+        LRU capacity of the per-step result cache used when no session
+        is attached (0 = off). Each process holds its own cache.
     session:
         Optional run-scoped :class:`~repro.engine.EngineSession`; when
         given, :attr:`engine` is a ``session.for_step(self)`` view
@@ -127,17 +126,13 @@ class PredictionStepProblem:
     def engine(self) -> SimulationEngine:
         """Process-local simulation engine (built on first use)."""
         if self._engine is None:
-            if self._session is not None:
-                self._engine = self._session.for_step(self)
-            else:
-                self._engine = SimulationEngine.from_problem(
-                    self, backend=self.backend, cache_size=self.cache_size
-                )
+            session = self._session or EngineSession(
+                backend=self.backend, cache_size=self.cache_size
+            )
+            self._engine = session.for_step(self)
         return self._engine
 
-    def with_backend(
-        self, backend: str, cache_size: int | None = None
-    ) -> "PredictionStepProblem":
+    def with_backend(self, backend: str) -> "PredictionStepProblem":
         """Copy of this problem evaluating through another backend."""
         return PredictionStepProblem(
             terrain=self.terrain,
@@ -147,7 +142,7 @@ class PredictionStepProblem:
             space=self.space,
             n_neighbors=self.n_neighbors,
             backend=backend,
-            cache_size=self.cache_size if cache_size is None else cache_size,
+            cache_size=self.cache_size,
         )
 
     # ------------------------------------------------------------------

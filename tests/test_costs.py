@@ -95,24 +95,89 @@ class TestUnitCostModel:
         )
         # nothing known at all: the fixed default
         assert model.rate("k") == pytest.approx(7.0)
-        # a prior magnitude without engine rates: default engine rate
+        # a prior magnitude, no measured kernel: default engine rate
         model.set_prior_work("k", 2_000_000.0)
         assert model.rate("k") == pytest.approx(2.0)
-        # folded engine rates rescale the prior
-        model.fold_engine({"kernel": 2e-6})
-        assert model.rate("k") == pytest.approx(4.0)
+        # a measured kernel without a prior does not scale priors...
+        model.observe("bare", 1, 9.0)
+        assert model.rate("k") == pytest.approx(2.0)
+        # ...but an unknown kernel without a prior borrows the measured
+        # mean
+        assert model.rate("other") == pytest.approx(9.0)
+        # a measured kernel with a prior: pooled seconds per prior unit
+        model.set_prior_work("j", 1_000_000.0)
+        model.observe("j", 10, 5.0)  # 0.5 s/cell over 1e6 prior units
+        assert model.rate("k") == pytest.approx(1.0)
         # measured beats everything
-        model.observe("k", 10, 5.0)
-        assert model.rate("k") == pytest.approx(0.5)
-        # an unknown kernel without a prior borrows the measured mean
-        assert model.rate("other") == pytest.approx(0.5)
+        model.observe("k", 10, 3.0)
+        assert model.rate("k") == pytest.approx(0.3)
+        # the pool sums rates and priors over every measured kernel
+        model.set_prior_work("m", 3_000_000.0)
+        assert model.rate("m") == pytest.approx(3e6 * 0.8 / 3e6)
+        assert model.rate("other") == pytest.approx((9.0 + 0.5 + 0.3) / 3)
 
-    def test_fold_engine_ignores_malformed_wire_input(self):
-        model = UnitCostModel()
-        model.fold_engine(None)
-        model.fold_engine("garbage")
-        model.fold_engine({"k": "soon", "j": -1.0, "ok": 2e-6})
-        assert model.engine == {"ok": pytest.approx(2e-6)}
+    def test_unmeasured_kernel_borrows_measured_rate_at_equal_priors(self):
+        """The study-grid shape: two same-sized cases carry equal
+        priors, so once one kernel is measured the other is estimated
+        at exactly that rate."""
+        plan = ExperimentPlan(
+            name="study-shape",
+            systems=("ess", "ess-ns"),
+            cases=(
+                CaseSpec("river_gap", size=40, steps=3),
+                CaseSpec("heterogeneous", size=40, steps=3),
+            ),
+            seeds=(0,),
+            backends=("vectorized",),
+            budget=BudgetSpec(population=16, generations=6),
+        )
+        model = plan_cost_model(plan)
+        assert model.prior_work == {
+            "heterogeneous:vectorized": 3_686_400.0,
+            "river_gap:vectorized": 3_686_400.0,
+        }
+        model.observe("river_gap:vectorized", 5, 1.79)
+        assert model.rate("heterogeneous:vectorized") == pytest.approx(0.358)
+
+    def test_parent_era_engine_costs_are_ignored_by_the_ledger(self):
+        """A worker that still ships an ``engine_costs`` kernel-rate
+        snapshot on heartbeat and ``complete`` is served as usual, and
+        the key leaves no trace in the cost model."""
+        from repro.distributed.coordinator import UnitLedger
+
+        plan = _plan(cases=(CaseSpec("grassland", size=20, steps=2),))
+
+        def drive(extra: dict) -> tuple[list, dict]:
+            ledger = UnitLedger(
+                WorkSet.compile(plan, set()),
+                lease_timeout=5.0,
+                completed_cells=set,
+                clock=lambda: 0.0,
+                min_unit_cells=1,
+                cost_model=plan_cost_model(plan),
+            )
+            grant = ledger.lease("w")
+            replies = [
+                ledger.heartbeat(
+                    "w",
+                    grant["lease"],
+                    {"busy_seconds": 0.2, "unit_seconds": 0.2, **extra},
+                ),
+                ledger.complete(
+                    "w",
+                    grant["lease"],
+                    {"unit_seconds": 0.5, "busy_seconds": 0.5, **extra},
+                    drained=True,
+                ),
+            ]
+            return replies, ledger.cost_model.to_dict()
+
+        old_replies, old_model = drive({"engine_costs": {"raster": 7e-8}})
+        replies, model = drive({})
+        assert [r["type"] for r in old_replies] == ["ok", "ok"]
+        assert old_replies == replies
+        assert old_model == model
+        assert "engine" not in old_model
 
     def test_min_cells_for_tracks_measured_rate(self):
         model = UnitCostModel()
@@ -126,7 +191,6 @@ class TestUnitCostModel:
         model = UnitCostModel(alpha=0.4)
         model.observe("a:ref", 4, 2.0)
         model.set_prior_work("b:ref", 100.0)
-        model.fold_engine({"kernel": 3e-7})
         clone = UnitCostModel.from_dict(model.to_dict())
         assert clone.to_dict() == model.to_dict()
         assert clone.rate("a:ref") == model.rate("a:ref")
@@ -217,7 +281,6 @@ class TestCostSnapshotPersistence:
         model = UnitCostModel()
         model.observe("grassland:vectorized", 10, 2.0)
         model.observe("river_gap:vectorized", 4, 1.0)
-        model.fold_engine({"spread": 1e-7})
         model.set_prior_work("forest:vectorized", 123.0)
         path = tmp_path / "costs.json"
         save_cost_model(model, path)
@@ -228,6 +291,34 @@ class TestCostSnapshotPersistence:
         assert restored.estimate("grassland:vectorized", 7) == (
             model.estimate("grassland:vectorized", 7)
         )
+
+    def test_older_sidecar_with_engine_rates_still_loads(self, tmp_path):
+        """A sidecar written while the model still folded engine kernel
+        rates keeps its rates, samples and priors; the ``engine`` map
+        is dropped and not written back."""
+        path = tmp_path / "costs.json"
+        path.write_text(
+            """{
+  "alpha": 0.3,
+  "default_engine_rate": 1e-08,
+  "default_rate": 0.001,
+  "engine": {"raster": 7e-08},
+  "prior_work": {"grassland:vectorized": 204800.0},
+  "rates": {"grassland:vectorized": 0.25},
+  "samples": {"grassland:vectorized": 3}
+}
+""",
+            encoding="utf-8",
+        )
+        restored = load_cost_model(path)
+        assert restored is not None
+        assert restored.rates == {"grassland:vectorized": 0.25}
+        assert restored.samples == {"grassland:vectorized": 3}
+        assert restored.prior_work == {"grassland:vectorized": 204800.0}
+        assert restored.default_engine_rate == 1e-8
+        assert "engine" not in restored.to_dict()
+        save_cost_model(restored, path)
+        assert '"engine"' not in path.read_text(encoding="utf-8")
 
     def test_missing_snapshot_is_a_cold_start(self, tmp_path):
         assert load_cost_model(tmp_path / "absent.json") is None

@@ -8,8 +8,9 @@ import pytest
 from repro.analysis.reporting import format_engine_totals
 from repro.core.scenario import ParameterSpace
 from repro.engine import (
+    EngineSession,
     ProcessBackend,
-    ScenarioResultCache,
+    SessionResultCache,
     SimulationEngine,
     StepSpec,
     backend_names,
@@ -17,8 +18,6 @@ from repro.engine import (
 )
 from repro.engine.cache import CacheStats
 from repro.errors import ParallelError, ReproError, SimulationError
-from repro.grid.terrain import Terrain
-from repro.systems.problem import PredictionStepProblem
 from repro.systems.results import RunResult, StepResult
 
 SPACE = ParameterSpace()
@@ -36,17 +35,25 @@ def spec(step1_problem) -> StepSpec:
     )
 
 
+def _view(capacity: int = 0, decimals: int = 8):
+    """A one-step view onto a fresh result cache (the per-step tier)."""
+    return SessionResultCache(capacity=capacity, decimals=decimals).view(
+        b"step", 1
+    )
+
+
 class TestCache:
     def test_disabled_by_default(self):
-        cache = ScenarioResultCache()
-        assert not cache.enabled
+        store = SessionResultCache()
+        cache = store.view(b"step", 1)
+        assert not store.enabled and not cache.enabled
         key = cache.key(SPACE.sample(1, 0)[0])
         cache.put(key, 0.5)
         assert cache.get(key) is None
-        assert len(cache) == 0
+        assert len(store) == 0
 
     def test_hit_after_put(self):
-        cache = ScenarioResultCache(capacity=4)
+        cache = _view(capacity=4)
         g = SPACE.sample(1, 1)[0]
         key = cache.key(g)
         assert cache.get(key) is None
@@ -56,18 +63,18 @@ class TestCache:
         assert cache.stats.misses == 1
 
     def test_quantization_merges_close_genomes(self):
-        cache = ScenarioResultCache(capacity=4, decimals=4)
+        cache = _view(capacity=4, decimals=4)
         g = SPACE.sample(1, 2)[0]
         cache.put(cache.key(g), 0.5)
         assert cache.get(cache.key(g + 1e-9)) == 0.5
         assert cache.get(cache.key(g + 1e-2)) is None
 
     def test_negative_zero_folds_into_zero(self):
-        cache = ScenarioResultCache(capacity=2)
+        cache = _view(capacity=2)
         assert cache.key(np.array([-0.0, 1.0])) == cache.key(np.array([0.0, 1.0]))
 
     def test_lru_eviction_order(self):
-        cache = ScenarioResultCache(capacity=2)
+        cache = _view(capacity=2)
         keys = [cache.key(np.full(9, float(i))) for i in range(3)]
         cache.put(keys[0], 0.0)
         cache.put(keys[1], 1.0)
@@ -79,9 +86,9 @@ class TestCache:
 
     def test_invalid_params_raise(self):
         with pytest.raises(ReproError):
-            ScenarioResultCache(capacity=-1)
+            SessionResultCache(capacity=-1)
         with pytest.raises(ReproError):
-            ScenarioResultCache(capacity=1, decimals=-2)
+            SessionResultCache(capacity=1, decimals=-2)
 
     def test_stats_merge_and_rate(self):
         a = CacheStats(hits=3, misses=1)
@@ -147,8 +154,8 @@ class TestSimulationEngine:
         assert engine(np.zeros((0, 9))).shape == (0,)
 
     def test_cache_skips_repeat_simulations(self, step1_problem):
-        engine = SimulationEngine.from_problem(
-            step1_problem, backend="vectorized", cache_size=64
+        engine = EngineSession(backend="vectorized", cache_size=64).for_step(
+            step1_problem
         )
         genomes = SPACE.sample(5, 5)
         first = engine(genomes)
@@ -159,8 +166,8 @@ class TestSimulationEngine:
         assert engine.cache_stats.hits == 5
 
     def test_cache_dedupes_within_batch(self, step1_problem):
-        engine = SimulationEngine.from_problem(
-            step1_problem, backend="reference", cache_size=64
+        engine = EngineSession(backend="reference", cache_size=64).for_step(
+            step1_problem
         )
         g = SPACE.sample(3, 6)
         batch = np.vstack([g, g])
@@ -199,9 +206,9 @@ class TestSimulationEngine:
 
 class TestProblemIntegration:
     def test_with_backend_copies(self, step1_problem):
-        fast = step1_problem.with_backend("vectorized", cache_size=16)
+        fast = step1_problem.with_backend("vectorized")
         assert fast.backend == "vectorized"
-        assert fast.cache_size == 16
+        assert fast.cache_size == step1_problem.cache_size
         assert step1_problem.backend == "reference"
         genomes = SPACE.sample(4, 10)
         assert np.array_equal(
@@ -311,66 +318,3 @@ class TestSystemRunEngine:
             ESS(backend="warp-drive")
         with pytest.raises(ReproError):
             ESS(cache_size=-5)
-
-
-class TestKernelCostTelemetry:
-    """The measured kernel rates that feed the fleet's cost model."""
-
-    @pytest.fixture()
-    def ridge_problem(self):
-        from repro.core.scenario import Scenario
-        from repro.workloads.synthetic import make_reference_fire
-
-        terrain = Terrain.with_ridge(24, 24, max_slope=35.0)
-        scenario = Scenario(
-            model=1, wind_speed=8.0, wind_dir=90.0, m1=6.0, m10=8.0,
-            m100=10.0, mherb=60.0, slope=5.0, aspect=270.0,
-        )
-        fire = make_reference_fire(
-            terrain, scenario, ignition=[(12, 6)], n_steps=2,
-            step_minutes=25.0, description="ridge",
-        )
-        return PredictionStepProblem(
-            terrain, fire.start_mask(1), fire.real_mask(1),
-            fire.step_horizon(1),
-        )
-
-    @pytest.fixture(autouse=True)
-    def _fresh_model(self):
-        from repro.engine.backends import reset_kernel_costs
-
-        reset_kernel_costs()
-        yield
-        reset_kernel_costs()
-
-    def test_raster_run_snapshot_restores_and_folds(self, ridge_problem):
-        from repro.engine.backends import KernelCostModel, kernel_costs
-        from repro.experiments import BudgetSpec, CaseSpec, ExperimentPlan
-        from repro.experiments.costs import plan_cost_model
-
-        with SimulationEngine.from_problem(
-            ridge_problem, backend="vectorized"
-        ) as engine:
-            engine(SPACE.sample(12, 31))
-        snapshot = kernel_costs().snapshot()
-        assert snapshot and all(rate > 0 for rate in snapshot.values())
-
-        restored = KernelCostModel()
-        restored.restore(snapshot)
-        assert restored.snapshot() == snapshot
-
-        plan = ExperimentPlan(
-            name="kernel-costs",
-            systems=("ess",),
-            cases=(CaseSpec("grassland", size=20, steps=2),),
-            seeds=(0,),
-            backends=("vectorized",),
-            budget=BudgetSpec(population=8, generations=2),
-        )
-        assert plan_cost_model(plan).engine == snapshot
-
-    def test_cost_model_validates_alpha(self):
-        from repro.engine.backends import KernelCostModel
-
-        with pytest.raises(ReproError):
-            KernelCostModel(alpha=0.0)

@@ -244,8 +244,8 @@ class TestProcessBackendLifecycle:
 class TestStatsFreezeOnClose:
     def test_close_detaches_stats_from_live_cache(self, step1_problem):
         """Regression: stats read after close must not see later mutation."""
-        engine = SimulationEngine.from_problem(
-            step1_problem, backend="vectorized", cache_size=64
+        engine = EngineSession(backend="vectorized", cache_size=64).for_step(
+            step1_problem
         )
         genomes = SPACE.sample(5, 11)
         engine(genomes)
