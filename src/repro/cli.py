@@ -64,7 +64,10 @@ from repro.distributed import (
     ProcessShardExecutor,
     run_worker,
 )
-from repro.distributed.protocol import request as _fleet_request
+from repro.distributed.protocol import (
+    check_poll_interval,
+    request as _fleet_request,
+)
 from repro.distributed.worker import parse_address
 from repro.engine import backend_names
 from repro.errors import ReproError
@@ -241,6 +244,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _poll_seconds(text: str) -> float:
+    """argparse type: a poll interval (finite seconds > 0)."""
+    try:
+        return check_poll_interval(text)
+    except FleetError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _add_auth_token(parser: argparse.ArgumentParser) -> None:
     """``--auth-token``: every fleet client and coordinator entry point."""
     parser.add_argument(
@@ -306,9 +317,12 @@ def _add_coordinator(parser: argparse.ArgumentParser) -> None:
     _add_leasing(parser)
     parser.add_argument(
         "--poll-interval",
-        type=float,
+        type=_poll_seconds,
         default=0.5,
-        help="idle re-ask cadence advertised to workers, seconds",
+        help="the longest an idle worker's lease request is held open "
+        "before it is answered 'wait' (work reaches held workers as "
+        "soon as it exists); also the re-ask cadence advertised to "
+        "older workers that cannot hold, seconds",
     )
 
 
@@ -1060,10 +1074,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     p_wrk.add_argument(
         "--poll-interval",
-        type=float,
+        type=_poll_seconds,
         default=None,
-        help="idle re-ask cadence, seconds (default: what the "
-        "coordinator advertises)",
+        help="the longest this worker lets an idle lease request be "
+        "held (the coordinator's own poll interval caps it); against "
+        "older coordinators that cannot hold, the sleep between asks, "
+        "seconds (default: what the coordinator advertises)",
     )
     p_wrk.add_argument(
         "--id", help="stable worker identity (default: hostname-pid)"

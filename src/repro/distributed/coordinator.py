@@ -17,8 +17,8 @@ and the always-on ``repro serve`` service alike:
 
 Scheduling is **cell-level, cost-aware work stealing**. A fleet-wide
 :class:`~repro.experiments.costs.UnitCostModel` (seeded from plan
-priors and engine kernel snapshots, updated online from the cost
-reports workers attach to ``complete``/heartbeat messages) prices every
+priors, updated online from the cost reports workers attach to
+``complete``/heartbeat messages) prices every
 pending unit; grants carve a near-target-cost piece off the costliest
 unit, sized **capacity-aware** — proportional to the asking worker's
 measured throughput (cells/second) among the live fleet, so a slow
@@ -28,7 +28,12 @@ fragments re-merge before re-lease, the ``min_unit_cells`` constant is
 the *floor* under an adaptive minimum (the cells amounting to
 ``target_unit_seconds`` of predicted work), and the next lease
 piggybacks on the ``complete`` reply (with the worker's records
-inline), so a steady-state worker pays one round-trip per unit.
+inline), so a steady-state worker pays one round-trip per unit. An
+idle worker's ask is *held* rather than answered ``wait`` at once: the
+coordinator keeps the request open until the queue changes (a
+submission, a completion, a requeue, a drain, the end of the plan) or
+its poll interval runs out, so new work reaches an idle worker as
+soon as it exists instead of after the worker's next sleep.
 
 A one-case/many-seeds plan (one big group, the shape that used to pin
 a whole fleet behind a single worker) spreads across every worker that
@@ -86,6 +91,7 @@ from repro.distributed.protocol import (
     auth_mac,
     auth_nonce,
     check_auth_token,
+    check_poll_interval,
     recv_message,
     send_message,
     verify_auth,
@@ -699,7 +705,11 @@ class FleetCoordinator:
         Listen address; port ``0`` lets the OS pick (read it back from
         :attr:`address` after :meth:`start`).
     poll_interval:
-        The idle re-ask cadence advertised to workers on ``welcome``.
+        The longest an idle lease request is held before it is
+        answered ``wait`` (the hold a worker asks for is capped by
+        it), and the re-ask cadence advertised on ``welcome`` to
+        workers that cannot hold. A positive, finite number of
+        seconds.
     auth_token:
         Shared secret for the mutual challenge–response handshake
         (``None`` disables authentication) — enforced by the connection
@@ -717,7 +727,7 @@ class FleetCoordinator:
         self.queue = queue
         self.host = host
         self.port = port
-        self.poll_interval = float(poll_interval)
+        self.poll_interval = check_poll_interval(poll_interval)
         self.auth_token = check_auth_token(auth_token)
         self.address: tuple[str, int] | None = None
         self._server: _FleetServer | None = None
@@ -764,9 +774,10 @@ class FleetCoordinator:
                 "type": "welcome",
                 "lease_timeout": queue.lease_timeout,
                 "poll_interval": self.poll_interval,
+                "hold": True,
             }
         if mtype == "lease":
-            return queue.lease(worker)
+            return queue.lease(worker, hold=self._hold(message.get("hold")))
         if mtype == "heartbeat":
             telemetry().fold_snapshot(message.get("metrics"), worker=worker)
             reply = queue.heartbeat(
@@ -804,6 +815,16 @@ class FleetCoordinator:
             # waits to inform
             return queue.status()
         raise FleetError(f"unknown fleet message type {mtype!r}")
+
+    def _hold(self, asked) -> float:
+        """The hold granted to a ``lease``: what the worker asked for,
+        capped by the poll interval; 0 (answer at once) when it asked
+        for none — the wire form of a worker that cannot hold."""
+        try:
+            asked = float(asked)
+        except (TypeError, ValueError):
+            return 0.0
+        return min(asked, self.poll_interval) if asked > 0 else 0.0
 
 
 def _stamp_clock(message: dict, reply: dict) -> dict:

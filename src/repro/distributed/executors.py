@@ -18,7 +18,10 @@ policy:
   requeue and first-writer-wins store merging: a
   :class:`~repro.distributed.queue.PlanQueue` holding the one plan,
   served by a :class:`~repro.distributed.coordinator.FleetCoordinator`
-  — the same pair ``repro serve`` runs.
+  — the same pair ``repro serve`` runs. Idle workers' lease requests
+  are held until work exists, and once the plan is recorded the
+  executor waits only until every live worker has heard ``done``:
+  no step between the last record and the return sleeps on a timer.
   :class:`ProcessShardExecutor` (``--shards N``) is this executor with
   its own workers: it starts ``N`` local
   :func:`~repro.distributed.worker.run_worker` processes on loopback
@@ -48,7 +51,11 @@ from repro.obs import telemetry
 from repro.obs.http import clear_status_provider, set_status_provider
 
 from repro.distributed.coordinator import FleetCoordinator
-from repro.distributed.protocol import FleetError, check_auth_token
+from repro.distributed.protocol import (
+    FleetError,
+    check_auth_token,
+    check_poll_interval,
+)
 from repro.distributed.queue import PlanJob, PlanQueue
 from repro.distributed.worker import run_worker
 
@@ -64,8 +71,8 @@ __all__ = [
 
 log = logging.getLogger("repro.distributed.executors")
 
-#: Idle re-ask cadence advertised to loopback workers: they share the
-#: host with the coordinator, so polling often costs nothing.
+#: Poll interval of loopback fleets: the longest an idle lease request
+#: is held, and the re-ask cadence advertised to their workers.
 LOOPBACK_POLL_INTERVAL = 0.05
 
 
@@ -141,7 +148,9 @@ class FleetExecutor:
         Workers heartbeat at a quarter of this, so it bounds both the
         cost of a worker death and the end-of-run linger.
     poll_interval:
-        Advertised to workers as their idle re-ask cadence.
+        The longest an idle worker's lease request is held before it is
+        answered ``wait``; advertised to workers as their re-ask
+        cadence. A positive, finite number of seconds.
     timeout:
         Optional overall wall-clock bound; :class:`FleetError` when the
         plan is still incomplete after this many seconds (``None``
@@ -195,7 +204,7 @@ class FleetExecutor:
         self.host = host
         self.port = port
         self.lease_timeout = float(lease_timeout)
-        self.poll_interval = float(poll_interval)
+        self.poll_interval = check_poll_interval(poll_interval)
         self.timeout = timeout
         self.min_unit_cells = int(min_unit_cells)
         self.target_unit_seconds = float(target_unit_seconds)
@@ -274,15 +283,10 @@ class FleetExecutor:
                         f"{job.ledger.progress()}"
                     )
             queue.finish()
-            # linger so idle workers polling for work hear "done"
-            # instead of a connection error, bounded by the same
-            # staleness rule that presumes silent workers dead
-            deadline = time.monotonic() + self.lease_timeout
-            while (
-                not queue.all_live_informed()
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.05)
+            # linger so idle workers hear "done" instead of a
+            # connection error, bounded by the same staleness rule
+            # that presumes silent workers dead
+            queue.wait_all_informed(self.lease_timeout)
         finally:
             clear_status_provider(queue.status)
             self.requeues = job.ledger.requeues

@@ -10,8 +10,9 @@ is the failure mode the fleet is built around.
 Message ``type`` values (worker → coordinator, reply in parentheses):
 
 ``hello``
-    Join the fleet (``welcome``: the lease timeout and the idle poll
-    interval). The welcome carries no plan: every
+    Join the fleet (``welcome``: the lease timeout, the idle poll
+    interval and ``"hold": true`` — this coordinator holds idle lease
+    requests, see ``lease``). The welcome carries no plan: every
     ``unit`` grant names its plan (``plan_id``) and ships the plan
     payload inline, so a worker needs no plan file of its own and one
     worker can serve many plans. The worker echoes ``plan_id`` on
@@ -29,7 +30,16 @@ Message ``type`` values (worker → coordinator, reply in parentheses):
     handing out more work; ``done``: the coordinator's plans are fully
     recorded and it is shutting down; ``bye``: this worker was asked
     to leave — see ``drain`` below — and owes nothing, so it may exit;
-    nothing it ran will requeue).
+    nothing it ran will requeue). A ``lease`` may carry ``"hold":
+    <seconds>``: while the answer would be ``wait``, the coordinator
+    holds the request open until something changes what the worker
+    would be told (a submission, a completion, a requeue, a drain, the
+    end of the plan) or the hold runs out — capped by its own poll
+    interval — so an idle worker hears of new work when it exists, not
+    at its next poll. A worker re-asks at once after a held ``wait``.
+    A ``lease`` without ``hold`` is answered at once, and a worker
+    whose ``welcome`` lacks ``hold`` sleeps its poll interval between
+    asks, so a fleet mixing holding and non-holding peers still works.
 ``heartbeat``
     Keep a lease alive while a unit runs (``ok`` / ``expired``). May
     carry a ``telemetry`` payload — the worker's cumulative
@@ -105,6 +115,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import json
+import math
 import secrets
 import socket
 import struct
@@ -118,6 +129,7 @@ __all__ = [
     "auth_mac",
     "auth_nonce",
     "check_auth_token",
+    "check_poll_interval",
     "recv_message",
     "request",
     "send_message",
@@ -180,6 +192,26 @@ def check_auth_token(token: str | None) -> str | None:
             "authentication instead"
         )
     return token
+
+
+def check_poll_interval(seconds) -> float:
+    """Validate an idle poll interval: a finite number of seconds > 0.
+
+    The interval is both the longest a coordinator holds an idle lease
+    request and the sleep between asks of peers that cannot hold, so 0
+    would turn either into a busy loop and a negative value into a
+    ``time.sleep`` error deep inside a worker.
+    """
+    try:
+        value = float(seconds)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise FleetError(
+            f"poll interval must be a finite number of seconds > 0, "
+            f"got {seconds!r}"
+        )
+    return value
 
 
 def send_message(sock: socket.socket, payload: dict) -> None:

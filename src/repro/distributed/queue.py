@@ -16,6 +16,18 @@ its one plan with the caller's store and, once that store covers every
 cell, calls :meth:`PlanQueue.finish` so every further ask is answered
 ``done``.
 
+**Held leases.** An idle worker's ask need not be answered ``wait`` at
+once: :meth:`PlanQueue.lease` with a ``hold`` re-decides every time
+the queue changes in a way that could change the answer — a
+submission, a completion, a heartbeat or housekeeping tick that
+requeues an expired lease, a drain, a cancel, the end of the plan —
+and returns as soon as the answer is no longer ``wait``, or with
+``wait`` once the hold runs out. Every such change notifies one
+condition on the queue lock, so new work reaches an idle worker as
+soon as it exists rather than at its next poll; the same condition
+tells :meth:`PlanQueue.wait_all_informed` when a worker heard
+``done``.
+
 **Fair share.** Grants are arbitrated by cost-model-weighted deficit
 round-robin. Every job carries a deficit counter (predicted seconds it
 is owed). When a grant of predicted cost ``c`` is issued, ``c`` is
@@ -276,6 +288,9 @@ class PlanQueue:
         self._finished = False
         self._told_done: set[str] = set()
         self._lock = threading.RLock()
+        # notified on every change that can alter a lease decision:
+        # held lease requests and the end-of-plan linger wait on it
+        self._changed = threading.Condition(self._lock)
         if self.spool is not None:
             (self.spool / "plans").mkdir(parents=True, exist_ok=True)
             (self.spool / "stores").mkdir(parents=True, exist_ok=True)
@@ -356,6 +371,7 @@ class PlanQueue:
                 plan_payload, tenant, priority, trace, persist=True
             )
             telemetry().counter("repro_service_submissions_total").inc()
+            self._changed.notify_all()
             return job, True
 
     def _submit_locked(
@@ -414,9 +430,11 @@ class PlanQueue:
             existing = self._jobs.get(job_id)
             if existing is not None:
                 return existing
-            return self._admit_locked(
+            job = self._admit_locked(
                 job_id, plan, store, "default", 1.0, trace
             )
+            self._changed.notify_all()
+            return job
 
     def _admit_locked(
         self,
@@ -487,6 +505,7 @@ class PlanQueue:
                 except OSError:
                     pass
             self._export_gauges_locked()
+            self._changed.notify_all()
             return job
 
     def finish(self) -> None:
@@ -498,16 +517,43 @@ class PlanQueue:
         """
         with self._lock:
             self._finished = True
+            self._changed.notify_all()
 
     def all_live_informed(self) -> bool:
         """Whether every worker still alive has been told ``done``."""
         with self._lock:
-            now = self.clock()
-            return all(
-                worker in self._told_done
-                or now - contact["last_seen"] > self.lease_timeout
-                for worker, contact in self._contact.items()
-            )
+            return self._uninformed_locked() is None
+
+    def _uninformed_locked(self) -> float | None:
+        """``None`` when every live worker has been told ``done``;
+        otherwise the clock time at which the first live but uninformed
+        worker turns stale (presumed dead, so no longer waited for)."""
+        now = self.clock()
+        stale_at = [
+            contact["last_seen"] + self.lease_timeout
+            for worker, contact in self._contact.items()
+            if worker not in self._told_done
+            and now - contact["last_seen"] <= self.lease_timeout
+        ]
+        return min(stale_at) if stale_at else None
+
+    def wait_all_informed(self, timeout: float) -> bool:
+        """Block until every live worker has been told ``done`` (or
+        ``timeout`` seconds pass); returns :meth:`all_live_informed`.
+
+        Woken each time a worker hears ``done``; a worker that falls
+        silent stops being waited for once it turns stale.
+        """
+        deadline = time.monotonic() + timeout
+        with self._lock:
+            while True:
+                stale_at = self._uninformed_locked()
+                remaining = deadline - time.monotonic()
+                if stale_at is None or remaining <= 0:
+                    return stale_at is None
+                self._changed.wait(
+                    min(remaining, max(stale_at - self.clock(), 0.0))
+                )
 
     # -- worker protocol -----------------------------------------------
     def _seen_locked(self, worker: str, counter: str | None = None) -> float:
@@ -539,6 +585,7 @@ class PlanQueue:
         the lease expires and its cells re-run elsewhere)."""
         with self._lock:
             self._draining.add(worker)
+            self._changed.notify_all()
             telemetry().counter("repro_fleet_drains_total").inc()
             log.info(
                 "worker %s draining (finish leased units, no new "
@@ -547,11 +594,26 @@ class PlanQueue:
                 extra={"worker": worker},
             )
 
-    def lease(self, worker: str) -> dict:
-        """Answer one work request across all plans (the DRR pick)."""
+    def lease(self, worker: str, hold: float = 0.0) -> dict:
+        """Answer one work request across all plans (the DRR pick).
+
+        With ``hold > 0`` a ``wait`` is not answered at once: the
+        decision is re-made on every queue change until it is something
+        else, or ``hold`` seconds pass (the longest ``wait`` is late).
+        """
         with self._lock:
             self._seen_locked(worker, "lease_requests")
-            return self._decide_locked(worker)
+            reply = self._decide_locked(worker)
+            deadline = time.monotonic() + (hold if hold > 0 else 0.0)
+            while reply["type"] == "wait":
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                self._changed.wait(remaining)
+                # a held request is live contact, not a fresh round-trip
+                self._contact[worker]["last_seen"] = self.clock()
+                reply = self._decide_locked(worker)
+            return reply
 
     def heartbeat(
         self, worker: str, plan_id, lease_id, info: dict | None = None
@@ -561,7 +623,10 @@ class PlanQueue:
             job = self._jobs.get(plan_id)
             if job is None:
                 return {"type": "expired"}
-            return job.ledger.heartbeat(worker, lease_id, info)
+            # renewing expires any other overdue lease: requeued work
+            reply = job.ledger.heartbeat(worker, lease_id, info)
+            self._changed.notify_all()
+            return reply
 
     def complete(
         self,
@@ -590,6 +655,7 @@ class PlanQueue:
                     worker, lease_id, info, drained=drained
                 )
             reply["next"] = self._decide_locked(worker)
+            self._changed.notify_all()
             return reply
 
     def merge_records(
@@ -614,6 +680,7 @@ class PlanQueue:
             # store first, ledger second — never both locks at once
             reply = job.merge(records)
             job.ledger.drained(worker)
+            self._changed.notify_all()
             return reply
 
     # -- the scheduling core -------------------------------------------
@@ -625,6 +692,7 @@ class PlanQueue:
         """
         if self._finished:
             self._told_done.add(worker)
+            self._changed.notify_all()  # wakes wait_all_informed
             return {"type": "done"}
         self._housekeep_locked()
         for job_id in self._order:
@@ -649,8 +717,9 @@ class PlanQueue:
             and self._jobs[j].ledger.grantable()
         ]
         if not candidates:
-            # new work may arrive (a submission, a requeue) any moment,
-            # so idle workers just poll
+            # new work may arrive (a submission, a requeue) any moment:
+            # a held request waits for the change that brings it, an
+            # unheld one is told to ask again
             return {"type": "wait"}
         job = max(candidates, key=lambda j: (j.deficit, -j.index))
         reply = job.ledger.lease(worker)
@@ -719,9 +788,12 @@ class PlanQueue:
     # -- housekeeping and introspection --------------------------------
     def housekeep(self) -> None:
         """Advance job states without worker traffic (timer-driven):
-        lease expiry, coverage checks, done transitions."""
+        lease expiry, coverage checks, done transitions. Held lease
+        requests re-decide afterwards, so work requeued here reaches
+        an idle worker at once."""
         with self._lock:
             self._housekeep_locked()
+            self._changed.notify_all()
 
     def _housekeep_locked(self) -> None:
         for job_id in self._order:

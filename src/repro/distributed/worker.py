@@ -20,10 +20,18 @@ The steady-state loop costs **one round-trip per unit**: every
 ``complete`` report carries the plan's not-yet-uploaded records inline,
 and the reply carries the next lease decision (``next``). Each
 ``complete`` and heartbeat also ships a cost report (measured unit
-seconds plus the engine's kernel-rate snapshot), feeding the
-coordinator's fleet-wide :class:`~repro.experiments.costs.UnitCostModel`.
+seconds), feeding the coordinator's fleet-wide
+:class:`~repro.experiments.costs.UnitCostModel`.
 The ``complete``/``heartbeat``/``records`` messages echo ``plan_id``
 so the coordinator routes them to the right ledger and store.
+
+An idle worker does not sleep between asks when its coordinator holds
+lease requests (its ``welcome`` says ``"hold": true``): each ``lease``
+asks for a hold of its poll interval (capped at half the request
+timeout, so the socket never times out first) and a held ``wait`` is
+followed by the next ask at once — the coordinator answers the moment
+work exists. Against a coordinator that cannot hold, the worker sleeps
+its poll interval after every ``wait``.
 
 While a unit runs, a background thread heartbeats the lease at a
 quarter of the coordinator's lease timeout; if the worker dies, the
@@ -75,6 +83,7 @@ from repro.distributed.protocol import (
     FleetAuthError,
     FleetError,
     check_auth_token,
+    check_poll_interval,
     request,
 )
 from repro.obs import snapshot_delta, telemetry
@@ -231,8 +240,11 @@ def run_worker(
         instead of recomputing them. When omitted, a fresh temporary
         directory is used and removed again on ``done``/``bye``.
     poll_interval:
-        Idle re-ask cadence; defaults to what the coordinator
-        advertises.
+        The hold asked for on each idle ``lease`` (capped at half of
+        ``request_timeout``; the coordinator caps it by its own poll
+        interval), and the sleep between asks against a coordinator
+        that cannot hold requests. Defaults to what the coordinator
+        advertises; a positive, finite number of seconds.
     worker_id:
         Stable identity in coordinator bookkeeping (default
         ``hostname-pid``).
@@ -279,6 +291,8 @@ def run_worker(
     from repro.experiments.work import WorkUnit
 
     addr = parse_address(address)
+    if poll_interval is not None:
+        poll_interval = check_poll_interval(poll_interval)
     worker = worker_id or _default_worker_id()
     if auth_token is None:
         auth_token = os.environ.get("REPRO_FLEET_TOKEN")
@@ -365,7 +379,13 @@ def run_worker(
         raise FleetError(f"expected welcome, got {welcome.get('type')!r}")
     lease_timeout = float(welcome.get("lease_timeout", 30.0))
     if poll_interval is None:
-        poll_interval = float(welcome.get("poll_interval", 0.5))
+        poll_interval = check_poll_interval(welcome.get("poll_interval", 0.5))
+    # a holding coordinator answers an idle ask once work exists (or
+    # the hold runs out), so a `wait` is followed by the next ask at
+    # once; an older one answers at once and the worker sleeps instead
+    lease_ask: dict = {"type": "lease", "worker": worker}
+    if welcome.get("hold") is True:
+        lease_ask["hold"] = min(poll_interval, request_timeout / 2.0)
     own_store = store_path is None
     if own_store:
         store_path = tempfile.mkdtemp(prefix="repro-fleet-worker-")
@@ -518,7 +538,7 @@ def run_worker(
     # `reply = None` means "ask the coordinator"
     reply: dict | None = None
     while True:
-        message = reply or rpc({"type": "lease", "worker": worker})
+        message = reply or rpc(lease_ask)
         reply = None
         kind = message.get("type")
         if kind == "unit":
@@ -654,7 +674,8 @@ def run_worker(
                 extra={"worker": worker, "records": drained_n},
             )
         elif kind == "wait":
-            time.sleep(poll_interval)
+            if "hold" not in lease_ask:
+                time.sleep(poll_interval)
         elif kind in ("done", "bye"):
             # "bye" is a graceful leave: every lease finished, every
             # record merged, nothing requeues. After either reply the

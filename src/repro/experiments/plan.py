@@ -19,6 +19,7 @@ independent and can execute in separate worker processes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -56,8 +57,17 @@ class CaseSpec:
             raise ReproError(f"case steps must be >= 2, got {self.steps}")
 
     def build(self) -> ReferenceFire:
-        """Materialise the reference fire this spec describes."""
-        return CASE_BUILDERS[self.name](size=self.size, n_steps=self.steps)
+        """The reference fire this spec describes, built once per process.
+
+        Building runs the reference simulator, and every work unit of a
+        ``(case, backend)`` group needs the same fire, so equal specs
+        share one cached object (the last 16 distinct specs are kept;
+        case builders draw no random numbers, so a rebuild would be
+        identical). The shared fire's burned masks and terrain rasters
+        are read-only: a consumer that writes to them raises
+        ``ValueError`` instead of corrupting every later run.
+        """
+        return _build_case(self.name, self.size, self.steps)
 
     def to_dict(self) -> dict:
         """JSON-safe representation."""
@@ -73,6 +83,17 @@ class CaseSpec:
             size=int(data.get("size", 44)),
             steps=int(data.get("steps", 3)),
         )
+
+
+@functools.lru_cache(maxsize=16)
+def _build_case(name: str, size: int, steps: int) -> ReferenceFire:
+    fire = CASE_BUILDERS[name](size=size, n_steps=steps)
+    terrain = fire.terrain
+    rasters = (terrain.fuel, terrain.slope, terrain.aspect, terrain.unburnable)
+    for array in (*fire.burned_masks, *rasters):
+        if array is not None:
+            array.setflags(write=False)
+    return fire
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,29 @@ class TestSimulateCommand:
         assert "burned cells: 1 /" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("case", ["heterogeneous", "river_gap"])
+    def test_simulate_on_a_cached_case(self, case, capsys):
+        """The case's fire comes from the shared read-only cache; the
+        simulator only reads its terrain."""
+        for _ in range(2):
+            rc = main(["simulate", "--case", case, "--size", "24",
+                       "--minutes", "20"])
+            assert rc == 0
+        assert f"terrain: {case} (24, 24)" in capsys.readouterr().out
+
+
 class TestRunCommand:
+    @pytest.mark.parametrize("case", ["heterogeneous", "river_gap"])
+    def test_run_on_a_cached_case(self, case, capsys):
+        argv = ["run", "ess", "--case", case, "--size", "20", "--steps",
+                "2", "--population", "8", "--generations", "2",
+                "--backend", "vectorized"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        # the second run reads the cached, read-only fire
+        assert main(argv) == 0
+        assert capsys.readouterr().out.count("Kign") == first.count("Kign")
+
     def test_run_table(self, capsys):
         rc = main(
             ["run", "ess-ns", "--size", "28", "--steps", "2",
@@ -197,6 +219,30 @@ class TestCompareCommand:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("bad", ["0", "-1", "nan", "inf", "soon"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiments", "serve-coordinator", "--plan", "p.json",
+             "--results", "r.jsonl"],
+            ["serve", "--spool", "spool"],
+            ["experiments", "worker", "--connect", "127.0.0.1:9"],
+        ],
+        ids=["serve-coordinator", "serve", "worker"],
+    )
+    def test_non_positive_poll_interval_is_a_usage_error(
+        self, argv, bad, capsys
+    ):
+        """0 would make an idle worker re-ask in a busy loop; negative
+        or non-finite values are refused before anything starts."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--poll-interval", bad])
+        assert excinfo.value.code == 2
+        assert "poll interval must be a finite number of seconds > 0" in (
+            capsys.readouterr().err
+        )
+
+
 class TestSweepCommand:
     _ARGS = [
         "sweep", "--systems", "ess,ess-ns", "--cases", "grassland",
@@ -300,6 +346,40 @@ class TestSweepCommand:
                  "--population", "8", "--generations", "2",
                  "--results", str(target / "r.jsonl")]
             )
+
+
+class TestSweepWithCachedFires:
+    _ARGS = [
+        "sweep", "--systems", "ess,ess-ns", "--cases",
+        "grassland,river_gap", "--size", "20", "--steps", "2",
+        "--seeds", "0", "--population", "8", "--generations", "2",
+        "--backend", "vectorized",
+    ]
+
+    def test_store_equal_cold_warm_and_sharded(self, tmp_path, capsys):
+        """A 2x2 sweep's store is the same whether the reference fires
+        are built fresh, read from this process's cache, or inherited
+        by forked --shards workers."""
+        from repro.experiments import ResultsStore, record_key
+        from repro.experiments.plan import _build_case
+        from repro.experiments.store import parity_view
+
+        def store_of(name, *extra):
+            path = tmp_path / f"{name}.jsonl"
+            assert main([*self._ARGS, "--results", str(path), *extra]) == 0
+            return [
+                parity_view(r)
+                for r in sorted(ResultsStore(path).records(), key=record_key)
+            ]
+
+        _build_case.cache_clear()
+        cold = store_of("cold")
+        assert _build_case.cache_info().currsize >= 2
+        warm = store_of("warm")
+        sharded = store_of("sharded", "--shards", "2")
+        capsys.readouterr()
+        assert len(cold) == 4
+        assert cold == warm == sharded
 
 
 class TestSerializationRoundtrip:

@@ -25,10 +25,13 @@ import os
 import socket
 import tempfile
 import threading
+import time
+import types
 
 import pytest
 
 from repro.distributed import executors
+from repro.distributed import worker as worker_module
 from repro.distributed import (
     FleetAuthError,
     FleetCoordinator,
@@ -1507,3 +1510,234 @@ class TestCostFleetEndToEnd:
         monkeypatch.delenv("REPRO_WORKER_THROTTLE")
         with pytest.raises(FleetError, match="throttle"):
             run_worker(("127.0.0.1", 9), throttle=-0.1)
+
+
+# ----------------------------------------------------------------------
+# Held leases on the wire: idle workers hear of work when it exists
+# ----------------------------------------------------------------------
+class _GrantProbe(PlanQueue):
+    """A plan queue that signals its first ``wait`` decision and its
+    first grant of any plan. A held request keeps the queue lock from
+    its ``wait`` decision until it parks on the queue's condition, so
+    any queue call made after ``told_wait`` lands while it is held."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.told_wait = threading.Event()
+        self.granted = threading.Event()
+
+    def _decide_locked(self, worker: str) -> dict:
+        reply = super()._decide_locked(worker)
+        if reply["type"] == "wait":
+            self.told_wait.set()
+        return reply
+
+    def _first_grant_locked(self, job, worker: str) -> None:
+        super()._first_grant_locked(job, worker)
+        self.granted.set()
+
+
+def _scripted_worker(monkeypatch, welcome: dict) -> tuple[list, list]:
+    """Run a worker against a scripted coordinator (welcome, one
+    ``wait``, then ``done``); returns the payloads it sent and the
+    sleeps it took."""
+    replies = iter([welcome, {"type": "wait"}, {"type": "done"}])
+    sent: list[dict] = []
+    slept: list[float] = []
+
+    def scripted(address, payload, timeout=30.0, token=None):
+        sent.append(dict(payload))
+        return next(replies)
+
+    monkeypatch.setattr(worker_module, "request", scripted)
+    monkeypatch.setattr(
+        worker_module,
+        "time",
+        types.SimpleNamespace(
+            sleep=slept.append, perf_counter=time.perf_counter, time=time.time
+        ),
+    )
+    run_worker(("127.0.0.1", 9), poll_interval=5.0, request_timeout=4.0)
+    return sent, slept
+
+
+class TestHeldLeaseWire:
+    def test_idle_worker_gets_new_work_within_a_second(self, tmp_path):
+        """The headline regression: a worker polling every 5 s, told
+        ``wait`` on an empty queue, receives a plan admitted afterwards
+        at once — its ask is held open and woken by the admission, not
+        answered after the worker's next sleep."""
+        queue = _GrantProbe(lease_timeout=10.0)
+        coordinator = FleetCoordinator(queue, poll_interval=5.0)
+        address = coordinator.start()
+        box: dict = {}
+
+        def work() -> None:
+            box["summary"] = run_worker(
+                address,
+                store_path=tmp_path / "worker",
+                worker_id="idle-w",
+                poll_interval=5.0,
+            )
+
+        thread = threading.Thread(target=work, daemon=True)
+        thread.start()
+        try:
+            assert queue.told_wait.wait(30)
+            assert queue.worker_stats()["idle-w"]["lease_requests"] >= 1
+            plan = _plan(
+                systems=("ess",),
+                cases=(CaseSpec("grassland", size=20, steps=2),),
+            )
+            job = queue.admit(plan, ResultsStore(tmp_path / "coord.jsonl"))
+            assert queue.granted.wait(1.0), "the idle worker slept"
+            assert job.ledger.finished.wait(60)
+            queue.finish()
+            thread.join(10)
+            assert not thread.is_alive()
+        finally:
+            coordinator.close()
+        assert box["summary"]["units"] == 1
+
+    def test_welcome_advertises_hold(self):
+        coordinator = FleetCoordinator(PlanQueue(), poll_interval=1.0)
+        welcome = coordinator.dispatch({"type": "hello", "worker": "w"})
+        assert welcome["hold"] is True
+
+    def test_hold_is_capped_by_the_poll_interval_and_the_ask(self):
+        """No request is held longer than min(poll interval, asked)."""
+        coordinator = FleetCoordinator(PlanQueue(), poll_interval=1.0)
+        ask = {"type": "lease", "worker": "w"}
+        started = time.monotonic()
+        assert coordinator.dispatch({**ask, "hold": 60.0}) == {"type": "wait"}
+        held = time.monotonic() - started
+        assert 1.0 <= held < 5.0
+        started = time.monotonic()
+        assert coordinator.dispatch({**ask, "hold": 0.1}) == {"type": "wait"}
+        assert 0.1 <= time.monotonic() - started < 1.0
+
+    def test_lease_without_hold_is_answered_at_once(self):
+        """An older worker's ``lease`` (no ``hold``) — or a garbage
+        one — is answered ``wait`` immediately, as before."""
+        coordinator = FleetCoordinator(PlanQueue(), poll_interval=30.0)
+        started = time.monotonic()
+        for extra in ({}, {"hold": "soon"}, {"hold": -1}, {"hold": 0}):
+            reply = coordinator.dispatch(
+                {"type": "lease", "worker": "w", **extra}
+            )
+            assert reply == {"type": "wait"}
+        assert time.monotonic() - started < 1.0
+
+    def test_close_returns_while_a_request_is_held(self):
+        queue = _GrantProbe()
+        coordinator = FleetCoordinator(queue, poll_interval=2.0)
+        address = coordinator.start()
+        box: dict = {}
+
+        def ask() -> None:
+            box["reply"] = request(
+                address, {"type": "lease", "worker": "w", "hold": 2.0}
+            )
+
+        thread = threading.Thread(target=ask, daemon=True)
+        thread.start()
+        assert queue.told_wait.wait(10)
+        started = time.monotonic()
+        coordinator.close()
+        assert time.monotonic() - started < 2.0
+        thread.join(10)
+        assert box["reply"] == {"type": "wait"}  # answered at hold's end
+
+    def test_worker_asks_for_holds_when_welcomed_with_hold(
+        self, monkeypatch
+    ):
+        sent, slept = _scripted_worker(
+            monkeypatch,
+            {"type": "welcome", "lease_timeout": 30.0, "hold": True},
+        )
+        leases = [p for p in sent if p["type"] == "lease"]
+        assert len(leases) == 2
+        # its poll interval, capped at half the request timeout
+        assert all(p["hold"] == 2.0 for p in leases)
+        assert slept == []  # a held wait is followed by the next ask
+
+    def test_worker_sleeps_when_welcomed_without_hold(self, monkeypatch):
+        sent, slept = _scripted_worker(
+            monkeypatch, {"type": "welcome", "lease_timeout": 30.0}
+        )
+        leases = [p for p in sent if p["type"] == "lease"]
+        assert len(leases) == 2
+        assert not any("hold" in p for p in leases)
+        assert slept == [5.0]
+
+
+class TestMixedVersionFleets:
+    """A fleet upgraded one side at a time still completes plans."""
+
+    def test_parent_era_worker_against_a_holding_coordinator(
+        self, tmp_path, monkeypatch, inline_store
+    ):
+        """The worker ignores the welcome's ``hold``: its leases carry
+        none and it sleeps between asks, as workers did before."""
+        real_request = worker_module.request
+        leases: list[dict] = []
+
+        def parent_era(address, payload, **kwargs):
+            if payload.get("type") == "lease":
+                leases.append(dict(payload))
+            reply = real_request(address, payload, **kwargs)
+            if reply.get("type") == "welcome":
+                reply.pop("hold", None)
+            return reply
+
+        monkeypatch.setattr(worker_module, "request", parent_era)
+        store = ResultsStore(tmp_path / "fleet.jsonl")
+        result, _, summaries, errors = _run_thread_fleet(
+            _plan(), store, [tmp_path / "w0", tmp_path / "w1"]
+        )
+        assert errors == []
+        assert len(summaries) == 2
+        assert leases and not any("hold" in p for p in leases)
+        assert _sorted_normalized(store) == _sorted_normalized(inline_store)
+
+    def test_holding_worker_against_a_parent_era_coordinator(
+        self, tmp_path, monkeypatch, inline_store
+    ):
+        """The coordinator neither advertises nor honours holds: the
+        worker falls back to sleeping its poll interval."""
+        holds: list = []
+
+        class ParentEraCoordinator(FleetCoordinator):
+            def dispatch(self, message: dict) -> dict:
+                if message.get("type") == "lease":
+                    holds.append(message.pop("hold", None))
+                reply = super().dispatch(message)
+                reply.pop("hold", None)
+                return reply
+
+        monkeypatch.setattr(executors, "FleetCoordinator", ParentEraCoordinator)
+        store = ResultsStore(tmp_path / "fleet.jsonl")
+        result, _, summaries, errors = _run_thread_fleet(
+            _plan(), store, [tmp_path / "w0", tmp_path / "w1"]
+        )
+        assert errors == []
+        assert len(summaries) == 2
+        assert holds and set(holds) == {None}
+        assert _sorted_normalized(store) == _sorted_normalized(inline_store)
+
+
+class TestPollIntervalValidation:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_coordinator_rejects(self, bad):
+        with pytest.raises(FleetError, match="poll interval"):
+            FleetCoordinator(PlanQueue(), poll_interval=bad)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_executor_rejects(self, bad):
+        with pytest.raises(FleetError, match="poll interval"):
+            FleetExecutor(poll_interval=bad)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_worker_rejects_before_connecting(self, bad):
+        with pytest.raises(FleetError, match="poll interval"):
+            run_worker(("127.0.0.1", 9), poll_interval=bad, max_failures=1)

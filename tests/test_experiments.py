@@ -108,6 +108,35 @@ class TestExperimentPlan:
         assert system.session_cache_size == 2048
 
 
+class TestReferenceFireCache:
+    """``CaseSpec.build`` runs the reference simulator once per distinct
+    spec per process; the shared fire cannot be written to."""
+
+    def test_equal_specs_share_one_fire(self):
+        fire = CaseSpec("grassland", size=20, steps=2).build()
+        assert CaseSpec("grassland", size=20, steps=2).build() is fire
+        payload = {"name": "grassland", "size": 20, "steps": 2}
+        assert CaseSpec.from_dict(payload).build() is fire
+        # any differing field is a different fire
+        assert CaseSpec("grassland", size=20, steps=3).build() is not fire
+        assert CaseSpec("grassland", size=24, steps=2).build() is not fire
+
+    @pytest.mark.parametrize("case", ["grassland", "heterogeneous"])
+    def test_cached_masks_are_read_only(self, case):
+        fire = CaseSpec(case, size=20, steps=2).build()
+        for mask in fire.burned_masks:
+            with pytest.raises(ValueError, match="read-only"):
+                mask[0, 0] = True
+
+    def test_cached_terrain_rasters_are_read_only(self):
+        terrain = CaseSpec("heterogeneous", size=20, steps=2).build().terrain
+        with pytest.raises(ValueError, match="read-only"):
+            terrain.fuel[0, 0] = 1
+        terrain = CaseSpec("river_gap", size=20, steps=2).build().terrain
+        with pytest.raises(ValueError, match="read-only"):
+            terrain.unburnable[0, 0] = False
+
+
 class TestResultsStore:
     def _record(self, seed: int = 0, system: str = "ess") -> dict:
         return {

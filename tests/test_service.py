@@ -274,6 +274,138 @@ class TestPlanQueueScheduling:
         assert queue.lease("w1")["type"] == "unit"
 
 
+class _ProbedQueue(PlanQueue):
+    """A plan queue that signals when it has decided ``wait`` for an
+    ask. A held request keeps the queue lock from that decision until
+    it parks on the queue's condition, so any queue call made after
+    the signal lands while the request is held."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.told_wait = threading.Event()
+
+    def _decide_locked(self, worker: str) -> dict:
+        reply = super()._decide_locked(worker)
+        if reply["type"] == "wait":
+            self.told_wait.set()
+        return reply
+
+
+def _held_lease(queue: PlanQueue, worker: str, hold: float) -> dict:
+    """Start a held ``lease`` on a thread; the returned box gets the
+    ``reply`` and the ``seconds`` it was held once it is answered."""
+    box: dict = {}
+
+    def ask() -> None:
+        started = time.monotonic()
+        box["reply"] = queue.lease(worker, hold=hold)
+        box["seconds"] = time.monotonic() - started
+
+    box["thread"] = threading.Thread(target=ask, daemon=True)
+    box["thread"].start()
+    return box
+
+
+def _answer(box: dict, timeout: float = 10.0) -> dict:
+    box["thread"].join(timeout)
+    assert not box["thread"].is_alive(), "held lease never answered"
+    return box["reply"]
+
+
+# ----------------------------------------------------------------------
+# Held leases: an idle ask is answered when the queue changes
+# ----------------------------------------------------------------------
+class TestHeldLeases:
+    """Every held request below asks for a 60 s hold, so an answer
+    well inside the 10 s join can only come from a notification."""
+
+    @pytest.mark.parametrize("entry", ["submit", "admit"])
+    def test_new_plan_wakes_a_held_lease(self, tmp_path, entry):
+        queue = _ProbedQueue(
+            tmp_path / "spool" if entry == "submit" else None
+        )
+        box = _held_lease(queue, "w0", hold=60.0)
+        assert queue.told_wait.wait(10)
+        if entry == "submit":
+            job, _ = queue.submit(_plan().to_dict())
+        else:
+            job = queue.admit(_plan(), ResultsStore(tmp_path / "s.jsonl"))
+        reply = _answer(box)
+        assert reply["type"] == "unit"
+        assert reply["plan_id"] == job.id
+        assert box["seconds"] < 10
+
+    def test_expired_lease_requeues_to_a_held_lease(self, tmp_path):
+        """Housekeeping requeues a silent worker's lease; the held ask
+        of an idle worker receives exactly those cells."""
+        clock = [0.0]
+        queue = _ProbedQueue(
+            tmp_path / "spool",
+            lease_timeout=5.0,
+            min_unit_cells=2,  # one grant covers the 2-cell plan
+            clock=lambda: clock[0],
+        )
+        queue.submit(_plan().to_dict())
+        first = queue.lease("w0")
+        assert first["type"] == "unit"
+        box = _held_lease(queue, "w1", hold=60.0)
+        assert queue.told_wait.wait(10)
+        clock[0] = 20.0  # w0 fell silent: its lease is overdue
+        queue.housekeep()
+        reply = _answer(box)
+        assert reply["type"] == "unit"
+        assert reply["unit"]["cells"] == first["unit"]["cells"]
+
+    def test_finish_answers_a_held_lease_done(self, tmp_path):
+        queue = _ProbedQueue()
+        box = _held_lease(queue, "w0", hold=60.0)
+        assert queue.told_wait.wait(10)
+        assert not queue.all_live_informed()
+        queue.finish()
+        assert _answer(box) == {"type": "done"}
+        assert queue.wait_all_informed(timeout=10)
+
+    def test_drain_answers_a_held_lease_bye(self, tmp_path):
+        queue = _ProbedQueue()
+        box = _held_lease(queue, "w0", hold=60.0)
+        assert queue.told_wait.wait(10)
+        queue.drain_worker("w0")
+        assert _answer(box) == {"type": "bye"}
+
+    def test_held_lease_without_new_work_waits_out_its_hold(self, tmp_path):
+        queue = PlanQueue(tmp_path / "spool")
+        box = _held_lease(queue, "w0", hold=0.2)
+        assert _answer(box) == {"type": "wait"}
+        assert 0.2 <= box["seconds"] < 5.0
+        assert queue.worker_stats()["w0"]["lease_requests"] == 1
+
+    def test_unheld_lease_answers_wait_at_once(self, tmp_path):
+        queue = PlanQueue(tmp_path / "spool")
+        started = time.monotonic()
+        assert queue.lease("w0") == {"type": "wait"}
+        assert queue.lease("w0", hold=-1.0) == {"type": "wait"}
+        assert queue.lease("w0", hold=float("nan")) == {"type": "wait"}
+        assert time.monotonic() - started < 1.0
+
+    def test_linger_returns_once_the_last_live_worker_hears_done(
+        self, tmp_path
+    ):
+        """``wait_all_informed`` wakes on the ``done`` it waits for."""
+        queue = _ProbedQueue(lease_timeout=60.0)
+        queue.touch("w0")
+        queue.finish()
+        box = {}
+
+        def linger() -> None:
+            box["informed"] = queue.wait_all_informed(timeout=60.0)
+
+        thread = threading.Thread(target=linger, daemon=True)
+        thread.start()
+        assert queue.lease("w0") == {"type": "done"}
+        thread.join(10)
+        assert not thread.is_alive() and box["informed"] is True
+
+
 # ----------------------------------------------------------------------
 # End-to-end over HTTP: two tenants, one worker pool, full parity
 # ----------------------------------------------------------------------
