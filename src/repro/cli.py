@@ -65,7 +65,7 @@ from repro.distributed import (
     run_worker,
 )
 from repro.distributed.protocol import (
-    check_poll_interval,
+    check_seconds,
     request as _fleet_request,
 )
 from repro.distributed.worker import parse_address
@@ -244,12 +244,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _poll_seconds(text: str) -> float:
-    """argparse type: a poll interval (finite seconds > 0)."""
-    try:
-        return check_poll_interval(text)
-    except FleetError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _seconds(what: str):
+    """argparse type of a duration setting named ``what``: finite
+    seconds > 0 (a clean usage error otherwise)."""
+
+    def parse(text: str) -> float:
+        try:
+            return check_seconds(text, what)
+        except FleetError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return parse
 
 
 def _add_auth_token(parser: argparse.ArgumentParser) -> None:
@@ -288,7 +293,7 @@ def _add_leasing(parser: argparse.ArgumentParser) -> None:
     executor, ``serve-coordinator`` and ``serve``."""
     parser.add_argument(
         "--lease-timeout",
-        type=float,
+        type=_seconds("lease timeout"),
         default=30.0,
         help="seconds of worker silence after which its leased work "
         "unit is handed to another worker (workers heartbeat at a "
@@ -303,7 +308,7 @@ def _add_leasing(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--target-unit-seconds",
-        type=float,
+        type=_seconds("target_unit_seconds"),
         default=1.0,
         help="per-lease wall-clock target: leases grow until a unit is "
         "predicted to take about this long, with --min-unit-cells as "
@@ -317,7 +322,7 @@ def _add_coordinator(parser: argparse.ArgumentParser) -> None:
     _add_leasing(parser)
     parser.add_argument(
         "--poll-interval",
-        type=_poll_seconds,
+        type=_seconds("poll interval"),
         default=0.5,
         help="the longest an idle worker's lease request is held open "
         "before it is answered 'wait' (work reaches held workers as "
@@ -1074,7 +1079,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     p_wrk.add_argument(
         "--poll-interval",
-        type=_poll_seconds,
+        type=_seconds("poll interval"),
         default=None,
         help="the longest this worker lets an idle lease request be "
         "held (the coordinator's own poll interval caps it); against "

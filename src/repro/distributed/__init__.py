@@ -19,10 +19,10 @@ at the :class:`~repro.experiments.runner.ExperimentRunner`:
   fails, rather than waiting, if all of them die.
 
 The fleet machinery is one coordinator for one plan or many: a
-:class:`PlanQueue` of per-plan :class:`UnitLedger`\\ s behind a
-:class:`FleetCoordinator` TCP server. The fleet executor admits its
-one plan; ``repro serve`` (:mod:`repro.service`) puts an HTTP gateway
-in front of the same pair.
+:class:`PlanQueue` — the one owner of every plan's lease state, under
+one lock — behind a :class:`FleetCoordinator` TCP server. The fleet
+executor admits its one plan; ``repro serve`` (:mod:`repro.service`)
+puts an HTTP gateway in front of the same pair.
 
 Whatever the executor, resume stays the store's ``(system, case, seed,
 backend)`` contract: a run interrupted anywhere resumes under any
@@ -31,7 +31,7 @@ identical store contents (modulo wall-clock timings) for the same plan
 and seeds — unit boundaries never change a cell's bytes.
 """
 
-from repro.distributed.coordinator import FleetCoordinator, UnitLedger
+from repro.distributed.coordinator import FleetCoordinator
 from repro.distributed.executors import (
     FleetExecutor,
     InlineExecutor,
@@ -50,7 +50,6 @@ __all__ = [
     "InlineExecutor",
     "PlanQueue",
     "ProcessShardExecutor",
-    "UnitLedger",
     "WorkExecutor",
     "backoff_delay",
     "parse_address",

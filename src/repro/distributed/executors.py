@@ -56,7 +56,11 @@ from repro.distributed.protocol import (
     check_auth_token,
     check_poll_interval,
 )
-from repro.distributed.queue import PlanJob, PlanQueue
+from repro.distributed.queue import (
+    PlanJob,
+    PlanQueue,
+    check_lease_settings,
+)
 from repro.distributed.worker import run_worker
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -144,9 +148,10 @@ class FleetExecutor:
         Listen address; port ``0`` lets the OS pick (read it back from
         :attr:`address`, or via ``on_bound``).
     lease_timeout:
-        Seconds of worker silence after which its unit is re-leased.
-        Workers heartbeat at a quarter of this, so it bounds both the
-        cost of a worker death and the end-of-run linger.
+        Seconds of worker silence after which its unit is re-leased,
+        finite and > 0. Workers heartbeat at a quarter of this, so it
+        bounds both the cost of a worker death and the end-of-run
+        linger.
     poll_interval:
         The longest an idle worker's lease request is held before it is
         answered ``wait``; advertised to workers as their re-ask
@@ -157,10 +162,10 @@ class FleetExecutor:
         waits forever — workers may join at any time).
     min_unit_cells:
         Lease-size floor, at least 1 (see
-        :class:`~repro.distributed.coordinator.UnitLedger`).
+        :class:`~repro.distributed.queue.PlanQueue`).
     target_unit_seconds:
-        Per-lease wall-clock target (see
-        :class:`~repro.distributed.coordinator.UnitLedger`).
+        Per-lease wall-clock target, finite seconds > 0 (see
+        :class:`~repro.distributed.queue.PlanQueue`).
     slow_unit_factor:
         Residual-monitoring threshold: a completed unit slower than
         ``factor × predicted`` emits a ``slow_unit`` trace event naming
@@ -197,17 +202,17 @@ class FleetExecutor:
         cost_snapshot: str | os.PathLike | None = None,
         on_bound: Callable[[tuple[str, int]], None] | None = None,
     ) -> None:
-        if min_unit_cells < 1:
-            raise FleetError(
-                f"min_unit_cells must be >= 1, got {min_unit_cells}"
-            )
+        (
+            self.lease_timeout,
+            self.target_unit_seconds,
+            self.min_unit_cells,
+        ) = check_lease_settings(
+            lease_timeout, target_unit_seconds, min_unit_cells
+        )
         self.host = host
         self.port = port
-        self.lease_timeout = float(lease_timeout)
         self.poll_interval = check_poll_interval(poll_interval)
         self.timeout = timeout
-        self.min_unit_cells = int(min_unit_cells)
-        self.target_unit_seconds = float(target_unit_seconds)
         self.slow_unit_factor = float(slow_unit_factor)
         self.auth_token = check_auth_token(
             auth_token
@@ -271,16 +276,17 @@ class FleetExecutor:
                 if self.timeout is None
                 else time.monotonic() + self.timeout
             )
-            while not job.ledger.finished.wait(0.25):
+            while not queue.wait_done(job, 0.25):
                 # catch runs whose last worker died after its drain —
                 # completion is then visible only from this side
                 queue.housekeep()
-                if not job.ledger.finished.is_set():
-                    self._check_workers(job)
+                if job.state == "done":
+                    break
+                self._check_workers(job)
                 if deadline is not None and time.monotonic() >= deadline:
                     raise FleetError(
                         f"fleet run timed out after {self.timeout}s: "
-                        f"{job.ledger.progress()}"
+                        f"{queue.snapshot(job)['progress']}"
                     )
             queue.finish()
             # linger so idle workers hear "done" instead of a
@@ -289,8 +295,9 @@ class FleetExecutor:
             queue.wait_all_informed(self.lease_timeout)
         finally:
             clear_status_provider(queue.status)
-            self.requeues = job.ledger.requeues
-            self.steals = job.ledger.steals
+            progress = queue.snapshot(job)["progress"]
+            self.requeues = progress["requeues"]
+            self.steals = progress["steals"]
             self.worker_stats = queue.worker_stats()
             self._export_fleet_telemetry()
             coordinator.close()

@@ -17,7 +17,7 @@ Message ``type`` values (worker → coordinator, reply in parentheses):
     payload inline, so a worker needs no plan file of its own and one
     worker can serve many plans. The worker echoes ``plan_id`` on
     ``heartbeat``/``complete``/``records`` so the coordinator routes
-    them to the right ledger and store.
+    them to the right plan and its store.
 ``lease``
     Ask for work (``unit``: a leased work-unit descriptor — a group
     index plus the explicit cell subset to run, see
@@ -70,7 +70,7 @@ Message ``type`` values (worker → coordinator, reply in parentheses):
     coordinator merges them into that plan's store, first writer wins).
 ``status``
     Read-only snapshot (``status``: one entry per admitted plan with
-    its expected/recorded cell counts and ledger progress, per-worker
+    its expected/recorded cell counts and lease progress, per-worker
     utilization/round-trip accounting, the shared cost model as
     ``costs``, and ``finished`` once the coordinator answers ``done``).
     Sent by ``repro experiments status``; never counts as worker
@@ -130,6 +130,7 @@ __all__ = [
     "auth_nonce",
     "check_auth_token",
     "check_poll_interval",
+    "check_seconds",
     "recv_message",
     "request",
     "send_message",
@@ -194,6 +195,25 @@ def check_auth_token(token: str | None) -> str | None:
     return token
 
 
+def check_seconds(seconds, what: str) -> float:
+    """Validate a duration setting: a finite number of seconds > 0.
+
+    ``what`` names the setting in the error. NaN fails the ``> 0``
+    test here (it would pass a bare ``<= 0`` check), and infinity is
+    refused too: an infinite lease timeout never expires a lease.
+    """
+    try:
+        value = float(seconds)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise FleetError(
+            f"{what} must be a finite number of seconds > 0, "
+            f"got {seconds!r}"
+        )
+    return value
+
+
 def check_poll_interval(seconds) -> float:
     """Validate an idle poll interval: a finite number of seconds > 0.
 
@@ -202,16 +222,7 @@ def check_poll_interval(seconds) -> float:
     would turn either into a busy loop and a negative value into a
     ``time.sleep`` error deep inside a worker.
     """
-    try:
-        value = float(seconds)
-    except (TypeError, ValueError):
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise FleetError(
-            f"poll interval must be a finite number of seconds > 0, "
-            f"got {seconds!r}"
-        )
-    return value
+    return check_seconds(seconds, "poll interval")
 
 
 def send_message(sock: socket.socket, payload: dict) -> None:

@@ -1,13 +1,14 @@
-"""Plan scheduling: a fair-share queue of independent ledgers.
+"""Plan scheduling: one queue owns every plan's lease state.
 
-A :class:`~repro.distributed.coordinator.UnitLedger` answers one
-question — *which unit does this worker run next?* — for one plan. The
-:class:`PlanQueue` holds any number of them behind one worker pool:
-every admitted plan becomes a :class:`PlanJob` with its own ledger, its
-own :class:`~repro.experiments.store.ResultsStore` (the
-resume/idempotency contract is per plan), and a keyed job id — the
-digest of ``(tenant, plan payload)``, so a client retrying a
-submission lands on the job it already created instead of a duplicate.
+The :class:`PlanQueue` answers one question — *which unit does this
+worker run next?* — for any number of plans behind one worker pool.
+Every admitted plan becomes a :class:`PlanJob`: its pending
+:class:`~repro.experiments.work.WorkUnit`\\ s (cell subsets of
+``(case, backend)`` groups) and leases, its own
+:class:`~repro.experiments.store.ResultsStore` (the resume/idempotency
+contract is per plan), and a keyed job id — the digest of ``(tenant,
+plan payload)``, so a client retrying a submission lands on the job it
+already created instead of a duplicate.
 
 Two coordinators run on it. The always-on ``repro serve`` service
 submits tenants' plans into a spooled queue and never finishes; the
@@ -16,17 +17,59 @@ its one plan with the caller's store and, once that store covers every
 cell, calls :meth:`PlanQueue.finish` so every further ask is answered
 ``done``.
 
+**One lock.** All scheduling state — every job's pending units,
+leases, owed drains and per-plan throughput, and one contact row per
+worker with its wire and work counters — lives under the queue lock.
+The only other lock is each job's store lock, taken inside it around
+store reads and merges. One condition on the queue lock is notified on
+every change that can alter a lease decision, and when a job turns
+``done``.
+
+**Cell-level, cost-aware work stealing.** The queue-wide
+:class:`~repro.experiments.costs.UnitCostModel` (seeded from plan
+priors, updated online from the cost reports workers attach to
+``complete``/heartbeat messages) prices every pending unit; a grant
+carves a piece off the costliest unit of the chosen plan, sized
+**capacity-aware** — proportional to the asking worker's measured
+throughput (cells/second) on that plan among its live workers, so a
+slow machine gets proportionally fewer cells. A worker with no
+throughput sample yet receives a small probe lease first. Same-group
+requeued fragments re-merge before re-lease, and ``min_unit_cells`` is
+the *floor* under an adaptive minimum (the cells amounting to
+``target_unit_seconds`` of predicted work). A one-case/many-seeds plan
+spreads across every worker that asks. Splitting moves only *where*
+cells execute: every cell is reproducible from ``(plan, seed)`` alone,
+so the store's bytes are identical at any granularity.
+
+Correctness rests on three rules:
+
+* **Leases expire.** A worker holds a unit only while it heartbeats; a
+  worker that dies (or loses the network) stops renewing and its unit
+  — the exact cell subset — is re-leased to the next worker that asks.
+  Requeued units re-run from the new worker's own store, so cells a
+  worker had *partially* recorded before a stale lease resume rather
+  than recompute.
+* **Records live on the worker until the coordinator has them.**
+  Workers stream every completed run into their own crash-safe local
+  store and upload it with their ``complete`` report (or when asked,
+  ``drain``); the queue folds uploads into the plan's store through
+  :meth:`ResultsStore.merge` — first writer wins, so a cell executed
+  twice never duplicates a ``(system, case, seed, backend)`` record.
+* **Completion is verified, not assumed.** A unit reported complete
+  counts only tentatively; a plan is ``done`` when *its store* records
+  every expected cell. Cells stranded on a dead worker (completed but
+  never drained) are found by this coverage check and requeued as
+  fresh units covering exactly the missing cells.
+
 **Held leases.** An idle worker's ask need not be answered ``wait`` at
 once: :meth:`PlanQueue.lease` with a ``hold`` re-decides every time
 the queue changes in a way that could change the answer — a
 submission, a completion, a heartbeat or housekeeping tick that
 requeues an expired lease, a drain, a cancel, the end of the plan —
 and returns as soon as the answer is no longer ``wait``, or with
-``wait`` once the hold runs out. Every such change notifies one
-condition on the queue lock, so new work reaches an idle worker as
-soon as it exists rather than at its next poll; the same condition
-tells :meth:`PlanQueue.wait_all_informed` when a worker heard
-``done``.
+``wait`` once the hold runs out. The same condition tells
+:meth:`PlanQueue.wait_all_informed` when a worker heard ``done`` and
+:meth:`PlanQueue.wait_done` when a job finished.
 
 **Fair share.** Grants are arbitrated by cost-model-weighted deficit
 round-robin. Every job carries a deficit counter (predicted seconds it
@@ -45,15 +88,12 @@ their ``priority``, then charged in full to the granted job:
   makes it accrue credit faster, so it overtakes a queued bulk plan
   rather than waiting behind it.
 
-The costs come from one queue-wide
-:class:`~repro.experiments.costs.UnitCostModel` shared by every job's
-ledger (and persisted to a sidecar across restarts), so a unit's price
-— and therefore each tenant's measured share — is consistent across
-plans.
+One cost model prices every job's units (and is persisted to a sidecar
+across restarts), so a unit's price — and therefore each tenant's
+measured share — is consistent across plans.
 
-Scheduling moves only *where and when* cells run. Every record is
-reproducible from ``(plan, seed)`` alone, so a plan run through the
-queue is bitwise-identical (in the
+Scheduling moves only *where and when* cells run, so a plan run
+through the queue is bitwise-identical (in the
 :func:`~repro.experiments.store.parity_view`) to the same plan run
 inline, whatever the interleaving.
 """
@@ -61,6 +101,7 @@ inline, whatever the interleaving.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -68,19 +109,19 @@ import threading
 import time
 from pathlib import Path
 
-from repro.distributed.coordinator import UnitLedger
-from repro.distributed.protocol import FleetError
+from repro.distributed.protocol import FleetError, check_seconds
 from repro.errors import ReproError
 from repro.experiments.costs import (
     DEFAULT_SLOW_UNIT_FACTOR,
     UnitCostModel,
     load_cost_model,
+    record_residual,
     save_cost_model,
     seed_plan_priors,
 )
 from repro.experiments.plan import ExperimentPlan
 from repro.experiments.store import ResultsStore, record_key
-from repro.experiments.work import WorkSet
+from repro.experiments.work import WorkSet, WorkUnit, merge_group_units
 from repro.obs import telemetry
 
 __all__ = [
@@ -89,21 +130,11 @@ __all__ = [
     "PlanQueue",
     "ServiceError",
     "UnknownPlanError",
+    "check_lease_settings",
     "plan_job_id",
 ]
 
 log = logging.getLogger("repro.distributed.queue")
-
-#: Per-worker ledger counters that add up across plans.
-_SUMMED = (
-    "leases",
-    "units",
-    "cells",
-    "records",
-    "lease_seconds",
-    "completes",
-    "drains",
-)
 
 
 class ServiceError(ReproError):
@@ -127,6 +158,31 @@ class AdmissionError(ServiceError):
         self.retry_after = float(retry_after)
 
 
+def check_lease_settings(
+    lease_timeout, target_unit_seconds, min_unit_cells
+) -> tuple[float, float, int]:
+    """Validate the scheduling settings of a queue (and of the fleet
+    executor that builds one); returns them normalized.
+
+    Both times must be finite seconds > 0 — a NaN or infinite lease
+    timeout would never expire a lease — and the lease-size floor an
+    integer >= 1. Raises :class:`FleetError` naming the setting.
+    """
+    try:
+        cells = int(min_unit_cells)
+    except (TypeError, ValueError, OverflowError):
+        cells = 0
+    if cells < 1:
+        raise FleetError(
+            f"min_unit_cells must be >= 1, got {min_unit_cells!r}"
+        )
+    return (
+        check_seconds(lease_timeout, "lease timeout"),
+        check_seconds(target_unit_seconds, "target_unit_seconds"),
+        cells,
+    )
+
+
 def plan_job_id(plan_payload: dict, tenant: str) -> str:
     """The keyed job id: a digest of ``(tenant, plan payload)``.
 
@@ -141,12 +197,20 @@ def plan_job_id(plan_payload: dict, tenant: str) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-class PlanJob:
-    """One admitted plan: ledger + store + fair-share accounting.
+def _lease_key(lease_id) -> int:
+    try:
+        return int(lease_id)
+    except (TypeError, ValueError):
+        return -1
 
-    The queue attaches the job's :class:`UnitLedger` as ``ledger``
-    right after construction (the ledger reads the store through
-    :meth:`completed_cells`, under the job's store lock).
+
+class PlanJob:
+    """One admitted plan: lease state + store + fair-share accounting.
+
+    The lease state is plain fields that the owning
+    :class:`PlanQueue` reads and writes under its lock; the methods
+    that change it take no lock of their own. Only the store has a
+    lock (:attr:`store_lock`), taken around reads and merges.
     """
 
     def __init__(
@@ -157,6 +221,7 @@ class PlanJob:
         plan: ExperimentPlan,
         store: ResultsStore,
         index: int,
+        cost_model: UnitCostModel,
         trace: dict | None = None,
     ) -> None:
         self.id = job_id
@@ -165,16 +230,9 @@ class PlanJob:
         self.plan = plan
         self.plan_payload = plan.to_dict()
         self.plan_cells = {k.as_tuple() for k in plan.runs()}
-        # a unit is priced by its group's (case, backend) kernel —
-        # the same mapping the ledger uses, duplicated here because
-        # the fair-share charge happens at queue level
-        self.kernel_of = {
-            idx: UnitCostModel.kernel_key(case.name, backend)
-            for idx, ((case, backend), _keys) in enumerate(plan.groups())
-        }
         self.store = store
         self.store_lock = threading.Lock()
-        self.ledger: UnitLedger
+        self.cost_model = cost_model
         self.index = index  # submission order, the fair-share tiebreak
         self.trace = dict(trace) if trace else None
         self.state = "active"  # active | done | cancelled
@@ -182,6 +240,35 @@ class PlanJob:
         self.submitted = time.time()
         self.started: float | None = None
         self.finished: float | None = None
+        # -- lease state (queue lock) ----------------------------------
+        # unit cells refer to plan.groups() order; workers rebuild the
+        # same plan from the payload shipped with each grant
+        units = WorkSet.compile(plan, self.completed_cells()).pending()
+        self.pending: list[WorkUnit] = list(units)
+        self.group_of = {
+            cell: unit.group for unit in units for cell in unit.cells
+        }
+        self.expected = set(self.group_of)
+        # group index -> cost-model kernel key (a unit is priced by its
+        # group's (case, backend) kernel)
+        self.kernel_of = {
+            idx: UnitCostModel.kernel_key(case.name, backend)
+            for idx, ((case, backend), _keys) in enumerate(plan.groups())
+        }
+        self.leases: dict[int, dict] = {}
+        self.lease_ids = itertools.count(1)
+        # cells reported complete whose records have not yet been
+        # verified in the store (a set: re-completion after a requeue
+        # never double-counts)
+        self.tentative: set[tuple[str, str, int, str]] = set()
+        # workers whose local store still holds records of this plan
+        self.dirty: set[str] = set()
+        # per-worker last contact about this plan, and its measured
+        # capacity here (EMA cells/second): the inputs of lease sizing
+        self.seen: dict[str, float] = {}
+        self.throughput: dict[str, float] = {}
+        self.requeues = 0
+        self.steals = 0
 
     def status(self) -> str:
         if self.state == "active":
@@ -205,8 +292,9 @@ class PlanJob:
             "total": merged["records"],
         }
 
-    def snapshot(self) -> dict:
-        """The job as the gateway and ``status`` report it (JSON-safe)."""
+    def snapshot(self, progress: dict) -> dict:
+        """The job as the gateway and ``status`` report it (JSON-safe);
+        ``progress`` is :meth:`progress`, read under the queue lock."""
         return {
             "id": self.id,
             "tenant": self.tenant,
@@ -215,7 +303,7 @@ class PlanJob:
             "status": self.status(),
             "expected_cells": len(self.plan_cells),
             "recorded_cells": len(self.completed_cells() & self.plan_cells),
-            "progress": self.ledger.progress(),
+            "progress": progress,
             "deficit_seconds": self.deficit,
             "submitted": self.submitted,
             "started": self.started,
@@ -223,6 +311,243 @@ class PlanJob:
             "store": str(self.store.path),
             "trace": dict(self.trace) if self.trace else None,
         }
+
+    # -- lease state (every method below: queue lock held) --------------
+    def progress(self) -> dict:
+        """Lease progress for snapshots, logs and timeout diagnostics."""
+        return {
+            "pending_units": len(self.pending),
+            "pending_cells": self.pending_cells(),
+            "leased": len(self.leases),
+            "tentative_cells": len(self.tentative),
+            "workers": len(self.seen),
+            "requeues": self.requeues,
+            "steals": self.steals,
+        }
+
+    def pending_cells(self) -> int:
+        return sum(u.n_cells for u in self.pending)
+
+    def cost(self, unit: WorkUnit) -> float:
+        """The cost model's predicted seconds for ``unit``."""
+        return self.cost_model.estimate(
+            self.kernel_of.get(unit.group, ""), unit.n_cells
+        )
+
+    def predicted_remaining_seconds(self) -> float:
+        """Cost-model prediction of the pending plus leased work.
+
+        Admission backpressure derives Retry-After from this; it is a
+        prediction, not a promise.
+        """
+        units = self.pending + [
+            lease["unit"] for lease in self.leases.values()
+        ]
+        return sum(self.cost(unit) for unit in units)
+
+    def holds_lease(self, worker: str, now: float) -> bool:
+        """Whether ``worker`` holds a lease that has not yet expired."""
+        return any(
+            lease["worker"] == worker and lease["deadline"] >= now
+            for lease in self.leases.values()
+        )
+
+    def expire(self, now: float) -> None:
+        """Requeue every lease whose worker stopped heartbeating."""
+        for lease_id, lease in list(self.leases.items()):
+            if lease["deadline"] < now:
+                del self.leases[lease_id]
+                self.pending.append(lease["unit"])
+                self.requeues += 1
+                telemetry().counter("repro_fleet_requeues_total").inc()
+                log.warning(
+                    "lease %d expired (worker %s silent, group %d, "
+                    "%d cells requeued)",
+                    lease_id,
+                    lease["worker"],
+                    lease["unit"].group,
+                    lease["unit"].n_cells,
+                    extra={
+                        "worker": lease["worker"],
+                        "lease": lease_id,
+                        "group": lease["unit"].group,
+                        "cells": lease["unit"].n_cells,
+                    },
+                )
+
+    def cover(self, now: float, lease_timeout: float) -> bool:
+        """The end-of-plan check: ``True`` once the store covers every
+        expected cell.
+
+        Only decided when nothing is pending or leased and no live
+        worker still owes records; cells then found missing requeue as
+        fresh units.
+        """
+        if self.pending or self.leases:
+            return False
+        if any(
+            now - self.seen.get(w, 0.0) <= lease_timeout
+            for w in self.dirty
+        ):
+            return False  # a live worker still owes records
+        missing = self.expected - self.completed_cells()
+        if not missing:
+            return True
+        self.requeue_missing(missing)
+        return False
+
+    def requeue_missing(
+        self, missing: set[tuple[str, str, int, str]]
+    ) -> None:
+        """Requeue cells whose records died with their worker, as one
+        fresh unit per affected group."""
+        self.tentative -= missing  # their completion was never real
+        by_group: dict[int, list] = {}
+        for cell in sorted(missing & self.expected):
+            by_group.setdefault(self.group_of[cell], []).append(cell)
+        for index in sorted(by_group):
+            self.pending.append(WorkUnit(index, tuple(by_group[index])))
+            self.requeues += 1
+            telemetry().counter("repro_fleet_requeues_total").inc()
+            log.warning(
+                "requeued %d unrecorded cells of group %d (records "
+                "died with their worker)",
+                len(by_group[index]),
+                index,
+                extra={"group": index, "cells": len(by_group[index])},
+            )
+
+    def grant(
+        self,
+        worker: str,
+        now: float,
+        lease_timeout: float,
+        floor: int,
+        target_seconds: float,
+    ) -> tuple[int, WorkUnit]:
+        """Lease a capacity-sized piece of the costliest pending unit;
+        returns ``(lease id, unit)``.
+
+        Same-group requeued fragments re-merge first (one carve, one
+        engine session, instead of re-leasing slivers); the carve size
+        comes from :meth:`_target_cells` — proportional to the asking
+        worker's measured share of this plan's throughput, floored by
+        the adaptive minimum. Each carve that leaves cells pending is a
+        steal: work a single worker would otherwise own mid-group moves
+        to the asker.
+
+        The carve deliberately does NOT check how many workers exist:
+        fleets grow at any moment and hellos race leases, so gating on
+        known peers could hand the whole group to the first asker and
+        starve everyone who arrives a heartbeat later. The price is
+        that a deliberately lone worker drains a group as several
+        units (one engine session each, so less cross-system cache
+        reuse — never different results); single-worker fleets that
+        care should set a coarse ``min_unit_cells`` floor.
+        """
+        self.pending = merge_group_units(self.pending)
+        i = max(
+            range(len(self.pending)),
+            key=lambda j: (self.cost(self.pending[j]), -j),
+        )
+        pending_cells = self.pending_cells()
+        unit = self.pending.pop(i)
+        target = self._target_cells(
+            worker, unit, pending_cells, now, lease_timeout, floor,
+            target_seconds,
+        )
+        if target >= floor and unit.n_cells - target >= floor:
+            unit, kept = unit.split_at(target)
+            self.pending.append(kept)
+            self._count_steal(worker, unit, kept)
+        lease_id = next(self.lease_ids)
+        self.leases[lease_id] = {
+            "unit": unit,
+            "worker": worker,
+            "deadline": now + lease_timeout,
+            "granted": now,
+        }
+        log.info(
+            "lease %d granted to %s (group %d, %d cells)",
+            lease_id,
+            worker,
+            unit.group,
+            unit.n_cells,
+            extra={
+                "worker": worker,
+                "lease": lease_id,
+                "group": unit.group,
+                "cells": unit.n_cells,
+            },
+        )
+        return lease_id, unit
+
+    def _target_cells(
+        self,
+        worker: str,
+        unit: WorkUnit,
+        pending_cells: int,
+        now: float,
+        lease_timeout: float,
+        floor: int,
+        target_seconds: float,
+    ) -> int:
+        """How many cells this worker's next lease should carry.
+
+        Proportional capacity sizing: the worker's EMA throughput over
+        the summed throughput of the plan's live workers, applied to
+        the remaining pending cells. A worker with no sample yet gets a
+        small probe (capacity-aware sizing needs a capacity
+        measurement); no asker ever receives more than half of what
+        remains, for the same reason grants never check worker counts —
+        late joiners and hello/lease races must still find work. The
+        floor is the adaptive minimum: the cells amounting to
+        ``target_seconds`` of predicted work, capped by a fair share so
+        small workloads still spread, and never below ``floor``.
+        """
+        live = [
+            w for w, seen in self.seen.items() if now - seen <= lease_timeout
+        ]
+        n_live = max(len(live), 1)
+        fair = max(pending_cells // n_live, 1)
+        throughput = self.throughput.get(worker)
+        if throughput is None:
+            probe = max(floor, fair // 4)
+            return min(probe, unit.n_cells)
+        known = [
+            self.throughput[w] for w in live if self.throughput.get(w)
+        ]
+        mean = sum(known) / len(known) if known else throughput
+        total = sum(self.throughput.get(w) or mean for w in live)
+        share = throughput / total if total > 0 else 1.0 / n_live
+        adaptive = self.cost_model.min_cells_for(
+            self.kernel_of.get(unit.group, ""), target_seconds, floor
+        )
+        adaptive = max(min(adaptive, fair), floor)
+        half = max(pending_cells // 2, 1)
+        target = max(min(round(pending_cells * share), half), adaptive)
+        return min(target, unit.n_cells)
+
+    def _count_steal(
+        self, worker: str, granted: WorkUnit, kept: WorkUnit
+    ) -> None:
+        """Account one split-for-an-asker (mid-group work movement)."""
+        self.steals += 1
+        telemetry().counter("repro_fleet_steals_total").inc()
+        log.info(
+            "steal: split group %d for %s (%d cells granted, "
+            "%d kept pending)",
+            granted.group,
+            worker,
+            granted.n_cells,
+            kept.n_cells,
+            extra={
+                "worker": worker,
+                "group": granted.group,
+                "cells": granted.n_cells,
+                "kept_cells": kept.n_cells,
+            },
+        )
 
 
 class PlanQueue:
@@ -237,10 +562,23 @@ class PlanQueue:
         cost-model snapshot) live here. ``None`` keeps the queue in
         memory: plans are admitted with caller-owned stores
         (:meth:`admit`) and nothing is spooled.
-    lease_timeout, min_unit_cells, target_unit_seconds,
+    lease_timeout:
+        Seconds without a heartbeat (or any other contact) after which
+        a lease is revoked and its unit re-leased; also the staleness
+        bound after which a silent worker is presumed dead.
+    min_unit_cells:
+        Lease-size floor (at least 1) under the adaptive minimum
+        derived from measured per-cell cost.
+    target_unit_seconds:
+        Grants aim for at least this much predicted work per unit once
+        per-cell cost is measured, so tiny sliver leases (one session
+        each, all overhead) stop at a wall-clock bound instead of a
+        guessed cell count.
     slow_unit_factor:
-        Per-plan ledger knobs, identical in meaning to
-        :class:`~repro.distributed.coordinator.UnitLedger`.
+        Residual monitoring: every completed unit's observed/predicted
+        ratio lands in the ``repro_cost_residual_ratio`` histogram, and
+        a unit slower than ``factor × predicted`` emits a ``slow_unit``
+        trace event naming the worker.
     max_active:
         Admission bound: at most this many jobs queued or running at
         once; beyond it :meth:`submit` raises :class:`AdmissionError`
@@ -249,9 +587,9 @@ class PlanQueue:
     clock:
         Monotonic time source (tests inject a fake).
 
-    Every public method takes the queue lock; per-job ledgers and
-    stores have their own locks nested strictly inside it, so the
-    shared cost model is only ever mutated under the queue lock.
+    The three scheduling settings are checked here, by
+    :func:`check_lease_settings`. Every public method takes the queue
+    lock; job store locks nest strictly inside it.
     """
 
     def __init__(
@@ -268,10 +606,14 @@ class PlanQueue:
             raise ServiceError(
                 f"max_active must be >= 1, got {max_active}"
             )
+        (
+            self.lease_timeout,
+            self.target_unit_seconds,
+            self.min_unit_cells,
+        ) = check_lease_settings(
+            lease_timeout, target_unit_seconds, min_unit_cells
+        )
         self.spool = None if spool is None else Path(spool)
-        self.lease_timeout = float(lease_timeout)
-        self.min_unit_cells = int(min_unit_cells)
-        self.target_unit_seconds = float(target_unit_seconds)
         self.slow_unit_factor = float(slow_unit_factor)
         self.max_active = int(max_active)
         self.clock = clock
@@ -282,14 +624,16 @@ class PlanQueue:
         self._jobs: dict[str, PlanJob] = {}
         self._order: list[str] = []
         self._draining: set[str] = set()
-        # per-worker wire accounting: every message a worker sends
-        # counts here exactly once, whichever plan it concerns
+        # one row per worker: every message it sends counts here
+        # exactly once, whichever plan it concerns, next to the work
+        # counters of all its plans
         self._contact: dict[str, dict] = {}
         self._finished = False
         self._told_done: set[str] = set()
         self._lock = threading.RLock()
-        # notified on every change that can alter a lease decision:
-        # held lease requests and the end-of-plan linger wait on it
+        # notified on every change that can alter a lease decision and
+        # on every done transition: held lease requests, the
+        # end-of-plan linger and wait_done wait on it
         self._changed = threading.Condition(self._lock)
         if self.spool is not None:
             (self.spool / "plans").mkdir(parents=True, exist_ok=True)
@@ -445,6 +789,9 @@ class PlanQueue:
         priority: float,
         trace: dict | None,
     ) -> PlanJob:
+        # new kernels get this plan's budget priors; kernels the
+        # queue has already measured (or restored) keep their rates
+        seed_plan_priors(self.cost_model, plan, overwrite=False)
         job = PlanJob(
             job_id,
             tenant,
@@ -452,21 +799,8 @@ class PlanQueue:
             plan,
             store,
             index=len(self._order),
+            cost_model=self.cost_model,
             trace=trace,
-        )
-        workset = WorkSet.compile(plan, job.completed_cells())
-        # new kernels get this plan's budget priors; kernels the
-        # queue has already measured (or restored) keep their rates
-        seed_plan_priors(self.cost_model, plan, overwrite=False)
-        job.ledger = UnitLedger(
-            workset,
-            self.lease_timeout,
-            job.completed_cells,
-            self.cost_model,
-            clock=self.clock,
-            min_unit_cells=self.min_unit_cells,
-            target_unit_seconds=self.target_unit_seconds,
-            slow_unit_factor=self.slow_unit_factor,
         )
         self._jobs[job_id] = job
         self._order.append(job_id)
@@ -477,7 +811,7 @@ class PlanQueue:
             job_id,
             tenant,
             priority,
-            workset.total_cells,
+            job.pending_cells(),
             extra={"plan": plan.name, "job": job_id, "tenant": tenant},
         )
         self._export_gauges_locked()
@@ -519,10 +853,13 @@ class PlanQueue:
             self._finished = True
             self._changed.notify_all()
 
-    def all_live_informed(self) -> bool:
-        """Whether every worker still alive has been told ``done``."""
+    def wait_done(self, job: PlanJob, timeout: float) -> bool:
+        """Block until ``job`` is done (or ``timeout`` seconds pass);
+        returns whether it is. Woken by the done transition itself."""
         with self._lock:
-            return self._uninformed_locked() is None
+            return self._changed.wait_for(
+                lambda: job.state == "done", timeout
+            )
 
     def _uninformed_locked(self) -> float | None:
         """``None`` when every live worker has been told ``done``;
@@ -539,7 +876,7 @@ class PlanQueue:
 
     def wait_all_informed(self, timeout: float) -> bool:
         """Block until every live worker has been told ``done`` (or
-        ``timeout`` seconds pass); returns :meth:`all_live_informed`.
+        ``timeout`` seconds pass); returns whether they all have.
 
         Woken each time a worker hears ``done``; a worker that falls
         silent stops being waited for once it turns stale.
@@ -566,12 +903,44 @@ class PlanQueue:
                 "round_trips": 0,
                 "lease_requests": 0,
                 "piggybacked": 0,
+                # work counters over all plans, fed by grants and the
+                # telemetry payloads of heartbeats and completes
+                "leases": 0,
+                "units": 0,
+                "cells": 0,
+                "records": 0,
+                "busy_seconds": 0.0,
+                "lease_seconds": 0.0,
+                "completes": 0,
+                "drains": 0,
             }
         contact["last_seen"] = now
         contact["round_trips"] += 1
         if counter is not None:
             contact[counter] += 1
         return now
+
+    def _fold_busy_locked(self, worker: str, info) -> None:
+        """Fold a worker-reported ``busy_seconds`` into its row.
+
+        The report is the worker's *cumulative* busy time, so the fold
+        is a max over every report, whichever plan it came with — late
+        or duplicate reports never inflate (or deflate) utilization.
+        The per-worker busy gauge updates live here, so a
+        ``/metrics`` scrape mid-run already shows
+        ``repro_fleet_worker_busy_seconds{worker=...}``.
+        """
+        if not isinstance(info, dict):
+            return
+        try:
+            busy = float(info.get("busy_seconds", 0.0))
+        except (TypeError, ValueError):
+            return
+        contact = self._contact[worker]
+        contact["busy_seconds"] = max(contact["busy_seconds"], busy)
+        telemetry().gauge(
+            "repro_fleet_worker_busy_seconds", worker=worker
+        ).set(contact["busy_seconds"])
 
     def touch(self, worker: str) -> None:
         """Record contact from ``worker`` (a ``hello``)."""
@@ -618,13 +987,42 @@ class PlanQueue:
     def heartbeat(
         self, worker: str, plan_id, lease_id, info: dict | None = None
     ) -> dict:
+        """Renew a lease; ``expired`` once the unit was re-leased.
+
+        ``info`` is the worker's optional telemetry payload (cumulative
+        busy seconds, the unit's elapsed time; other keys are ignored),
+        folded into the utilization view and the cost model so
+        in-flight work counts, not just completed units. Renewing
+        expires any other overdue lease of the plan: requeued work.
+        """
         with self._lock:
-            self._seen_locked(worker)
+            now = self._seen_locked(worker)
             job = self._jobs.get(plan_id)
             if job is None:
                 return {"type": "expired"}
-            # renewing expires any other overdue lease: requeued work
-            reply = job.ledger.heartbeat(worker, lease_id, info)
+            job.seen[worker] = now
+            self._fold_busy_locked(worker, info)
+            job.expire(now)
+            lease = job.leases.get(_lease_key(lease_id))
+            if lease is None or lease["worker"] != worker:
+                reply = {"type": "expired"}
+            else:
+                lease["deadline"] = now + self.lease_timeout
+                if isinstance(info, dict):
+                    # an in-flight unit's elapsed time bounds its cost
+                    # from below — a unit running long teaches the
+                    # model before it completes
+                    unit = lease["unit"]
+                    try:
+                        elapsed = float(info.get("unit_seconds", 0.0))
+                    except (TypeError, ValueError):
+                        elapsed = 0.0
+                    self.cost_model.observe_lower_bound(
+                        job.kernel_of.get(unit.group, ""),
+                        unit.n_cells,
+                        elapsed,
+                    )
+                reply = {"type": "ok"}
             self._changed.notify_all()
             return reply
 
@@ -636,36 +1034,132 @@ class PlanQueue:
         info: dict | None = None,
         records: list | None = None,
     ) -> dict:
-        """Handle a unit completion; the reply always piggybacks the
-        worker's next decision (``next``) — across *all* plans, which
-        keeps a steady-state worker at one round-trip per unit even
-        when its next unit belongs to another tenant."""
+        """Handle a unit completion (``ok``, or ``stale`` once the
+        lease was re-leased); the unit's cells count only tentatively
+        until the store records them.
+
+        ``records`` are the worker's records of the plan, inline: they
+        are merged into the plan store first, so the worker owes
+        nothing. The reply always piggybacks the worker's next decision
+        (``next``) — across *all* plans, which keeps a steady-state
+        worker at one round-trip per unit even when its next unit
+        belongs to another tenant.
+        """
         with self._lock:
-            self._seen_locked(worker, "piggybacked")
+            now = self._seen_locked(worker, "piggybacked")
             job = self._jobs.get(plan_id)
             if job is None:
                 reply = {"type": "stale"}
             else:
                 drained = isinstance(records, list)
                 if drained:
-                    # merge BEFORE the ledger sees the completion so
-                    # the coverage check already counts these records
+                    # merge BEFORE the completion is counted so the
+                    # coverage check already sees these records
                     job.merge(records)
-                reply = job.ledger.complete(
-                    worker, lease_id, info, drained=drained
+                reply = self._complete_locked(
+                    job, worker, now, lease_id, info, drained
                 )
             reply["next"] = self._decide_locked(worker)
             self._changed.notify_all()
             return reply
 
+    def _complete_locked(
+        self,
+        job: PlanJob,
+        worker: str,
+        now: float,
+        lease_id,
+        info,
+        drained: bool,
+    ) -> dict:
+        job.seen[worker] = now
+        contact = self._contact[worker]
+        contact["completes"] += 1
+        self._fold_busy_locked(worker, info)
+        job.expire(now)
+        if drained:
+            job.dirty.discard(worker)
+        key = _lease_key(lease_id)
+        lease = job.leases.get(key)
+        if lease is None or lease["worker"] != worker:
+            return {"type": "stale"}
+        del job.leases[key]
+        unit = lease["unit"]
+        job.tentative.update(unit.cells)
+        if not drained:
+            job.dirty.add(worker)
+        lease_seconds = max(now - lease["granted"], 0.0)
+        contact["units"] += 1
+        contact["cells"] += unit.n_cells
+        contact["lease_seconds"] += lease_seconds
+        unit_seconds = lease_seconds
+        if isinstance(info, dict):
+            try:
+                contact["records"] += int(info.get("records", 0))
+            except (TypeError, ValueError):
+                pass
+            try:
+                reported = float(info.get("unit_seconds", 0.0))
+                if reported > 0.0:
+                    # the worker's own measurement excludes network and
+                    # queueing — the honest per-unit cost
+                    unit_seconds = reported
+            except (TypeError, ValueError):
+                pass
+        if unit_seconds > 0.0:
+            # measured capacity on this plan: EMA of cells/second, the
+            # input to proportional lease sizing
+            throughput = unit.n_cells / unit_seconds
+            prev = job.throughput.get(worker)
+            job.throughput[worker] = (
+                throughput
+                if prev is None
+                else prev + 0.5 * (throughput - prev)
+            )
+        kernel = job.kernel_of.get(unit.group, "")
+        # residual first: the ratio must judge the prediction the
+        # scheduler actually used, before this unit's own timing
+        # teaches the model
+        record_residual(
+            self.cost_model,
+            kernel,
+            unit.n_cells,
+            unit_seconds,
+            slow_factor=self.slow_unit_factor,
+            worker=worker,
+            group=unit.group,
+        )
+        self.cost_model.observe(kernel, unit.n_cells, unit_seconds)
+        telemetry().histogram("repro_fleet_unit_seconds").observe(
+            lease_seconds
+        )
+        log.info(
+            "unit complete (lease %s, worker %s, group %d, "
+            "%d cells, %.3fs)",
+            key,
+            worker,
+            unit.group,
+            unit.n_cells,
+            lease_seconds,
+            extra={
+                "worker": worker,
+                "lease": key,
+                "group": unit.group,
+                "cells": unit.n_cells,
+                "lease_seconds": lease_seconds,
+            },
+        )
+        return {"type": "ok"}
+
     def merge_records(
         self, worker: str, plan_id, records: list
     ) -> dict:
-        """A ``records`` upload routed to one plan's store."""
+        """A ``records`` upload routed to one plan's store: the worker's
+        records of that plan reached it, so it owes nothing more."""
         if not isinstance(records, list):
             raise FleetError("records message without a record list")
         with self._lock:
-            self._seen_locked(worker)
+            now = self._seen_locked(worker)
             job = self._jobs.get(plan_id)
             if job is None:
                 # e.g. a drain for a plan cancelled out from under the
@@ -677,9 +1171,10 @@ class PlanQueue:
                     "ignored": len(records),
                     "total": 0,
                 }
-            # store first, ledger second — never both locks at once
             reply = job.merge(records)
-            job.ledger.drained(worker)
+            job.seen[worker] = now
+            self._contact[worker]["drains"] += 1
+            job.dirty.discard(worker)
             self._changed.notify_all()
             return reply
 
@@ -697,14 +1192,15 @@ class PlanQueue:
         self._housekeep_locked()
         for job_id in self._order:
             job = self._jobs[job_id]
-            if job.state != "cancelled" and job.ledger.worker_dirty(
-                worker
-            ):
+            if job.state != "cancelled" and worker in job.dirty:
+                # collect this worker's records before handing out
+                # more work: the shorter a record's worker-only window,
+                # the less a worker death costs
                 return {"type": "drain", "plan_id": job.id}
         if worker in self._draining:
+            now = self.clock()
             if any(
-                self._jobs[j].ledger.holds_lease(worker)
-                for j in self._order
+                self._jobs[j].holds_lease(worker, now) for j in self._order
             ):
                 # only reachable when a retried ask races its own
                 # lease; the safe answer is always "come back"
@@ -713,8 +1209,7 @@ class PlanQueue:
         candidates = [
             self._jobs[j]
             for j in self._order
-            if self._jobs[j].state == "active"
-            and self._jobs[j].ledger.grantable()
+            if self._jobs[j].state == "active" and self._jobs[j].pending
         ]
         if not candidates:
             # new work may arrive (a submission, a requeue) any moment:
@@ -722,19 +1217,26 @@ class PlanQueue:
             # unheld one is told to ask again
             return {"type": "wait"}
         job = max(candidates, key=lambda j: (j.deficit, -j.index))
-        reply = job.ledger.lease(worker)
-        if reply.get("type") != "unit":
-            return {"type": "wait"}
-        cells = len((reply.get("unit") or {}).get("cells", ()))
-        group = (reply.get("unit") or {}).get("group", -1)
-        cost = self.cost_model.estimate(
-            job.kernel_of.get(group, ""), cells
+        now = self.clock()
+        job.seen[worker] = now
+        lease_id, unit = job.grant(
+            worker,
+            now,
+            self.lease_timeout,
+            self.min_unit_cells,
+            self.target_unit_seconds,
         )
-        self._charge_locked(job, cost)
+        self._contact[worker]["leases"] += 1
+        self._charge_locked(job, job.cost(unit))
         if job.started is None:
             self._first_grant_locked(job, worker)
-        reply["plan_id"] = job.id
-        reply["plan"] = job.plan_payload
+        reply = {
+            "type": "unit",
+            "unit": unit.to_dict(),
+            "lease": lease_id,
+            "plan_id": job.id,
+            "plan": job.plan_payload,
+        }
         if job.trace is not None:
             reply["trace"] = dict(job.trace)
         return reply
@@ -788,19 +1290,23 @@ class PlanQueue:
     # -- housekeeping and introspection --------------------------------
     def housekeep(self) -> None:
         """Advance job states without worker traffic (timer-driven):
-        lease expiry, coverage checks, done transitions. Held lease
-        requests re-decide afterwards, so work requeued here reaches
-        an idle worker at once."""
+        lease expiry, coverage checks, done transitions. Completion is
+        then visible even when the last worker died right after its
+        drain and no request ever arrives; held lease requests
+        re-decide afterwards, so work requeued here reaches an idle
+        worker at once."""
         with self._lock:
             self._housekeep_locked()
             self._changed.notify_all()
 
     def _housekeep_locked(self) -> None:
+        now = self.clock()
         for job_id in self._order:
             job = self._jobs[job_id]
             if job.state != "active":
                 continue
-            if job.ledger.poll_completion():
+            job.expire(now)
+            if job.cover(now, self.lease_timeout):
                 job.state = "done"
                 job.finished = time.time()
                 log.info(
@@ -814,6 +1320,7 @@ class PlanQueue:
                 # even a crash-stopped service keeps what it learned
                 self.save_costs()
                 self._export_gauges_locked()
+                self._changed.notify_all()  # wakes wait_done
 
     def _export_gauges_locked(self) -> None:
         counts = {"queued": 0, "running": 0, "done": 0, "cancelled": 0}
@@ -827,7 +1334,7 @@ class PlanQueue:
         )
         registry.gauge("repro_service_pending_cells").set(
             sum(
-                j.ledger.progress()["pending_cells"]
+                j.pending_cells()
                 for j in self._jobs.values()
                 if j.state == "active"
             )
@@ -839,7 +1346,7 @@ class PlanQueue:
         the gateway attaches to a 429."""
         with self._lock:
             total = sum(
-                j.ledger.predicted_remaining_seconds()
+                j.predicted_remaining_seconds()
                 for j in self._jobs.values()
                 if j.state == "active"
             )
@@ -863,30 +1370,44 @@ class PlanQueue:
         with self._lock:
             return [self._jobs[j] for j in self._order]
 
-    def worker_stats(self) -> dict[str, dict]:
-        """Per-worker view across all plans: busy/idle split over the
-        membership span, utilization, wire round-trips, liveness.
+    def snapshot(self, job: PlanJob) -> dict:
+        """``job`` as ``/plans`` reports it: its lease progress read
+        under the queue lock, its store read under the store lock
+        only."""
+        with self._lock:
+            progress = job.progress()
+        return job.snapshot(progress)
 
-        Work counters add up over the plans' ledgers; ``busy_seconds``
-        is the worker's own cumulative report (a max, never a sum);
-        ``throughput`` is the mean of its per-plan estimates.
+    def worker_stats(self) -> dict[str, dict]:
+        """Per-worker view across all plans: work counters, busy/idle
+        split over the membership span, utilization, wire round-trips,
+        liveness.
+
+        ``busy_seconds`` is the worker's own cumulative report (a max,
+        never a sum); ``throughput`` is the mean of its per-plan
+        estimates.
         """
         with self._lock:
             now = self.clock()
-            per_plan = [j.ledger.worker_stats() for j in self.jobs()]
+            jobs = self.jobs()
             out: dict[str, dict] = {}
             for worker, contact in sorted(self._contact.items()):
-                rows = [p[worker] for p in per_plan if worker in p]
-                busy = max((r["busy_seconds"] for r in rows), default=0.0)
+                busy = contact["busy_seconds"]
                 rates = [
-                    r["throughput"]
-                    for r in rows
-                    if r["throughput"] is not None
+                    j.throughput[worker]
+                    for j in jobs
+                    if worker in j.throughput
                 ]
                 span = max(contact["last_seen"] - contact["first_seen"], 0.0)
                 busy_in_span = min(busy, span) if span > 0 else 0.0
                 out[worker] = {
-                    **{k: sum(r[k] for r in rows) for k in _SUMMED},
+                    "leases": contact["leases"],
+                    "units": contact["units"],
+                    "cells": contact["cells"],
+                    "records": contact["records"],
+                    "lease_seconds": contact["lease_seconds"],
+                    "completes": contact["completes"],
+                    "drains": contact["drains"],
                     "busy_seconds": busy,
                     "idle_seconds": max(span - busy_in_span, 0.0),
                     "span_seconds": span,
@@ -911,7 +1432,8 @@ class PlanQueue:
                 "type": "status",
                 "finished": self._finished,
                 "plans": [
-                    self._jobs[j].snapshot() for j in self._order
+                    self._jobs[j].snapshot(self._jobs[j].progress())
+                    for j in self._order
                 ],
                 "workers": self.worker_stats(),
                 "queue": {

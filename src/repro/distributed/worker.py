@@ -23,7 +23,7 @@ and the reply carries the next lease decision (``next``). Each
 seconds), feeding the coordinator's fleet-wide
 :class:`~repro.experiments.costs.UnitCostModel`.
 The ``complete``/``heartbeat``/``records`` messages echo ``plan_id``
-so the coordinator routes them to the right ledger and store.
+so the coordinator routes them to the right plan and its store.
 
 An idle worker does not sleep between asks when its coordinator holds
 lease requests (its ``welcome`` says ``"hold": true``): each ``lease``

@@ -4,7 +4,7 @@ Everything below :mod:`repro.experiments` answers "run *this plan* to
 completion". This package answers the serving question instead: keep a
 worker fleet warm and feed it plans as tenants submit them. The
 scheduling core is the fleet's own — a spooled
-:class:`~repro.distributed.queue.PlanQueue` (one ledger and one
+:class:`~repro.distributed.queue.PlanQueue` (lease state and one
 results store per submitted plan, cost-model-weighted deficit
 round-robin fair share, keyed idempotent job ids, admission
 backpressure) served to workers by a

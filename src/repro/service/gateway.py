@@ -199,7 +199,7 @@ class ServiceGateway:
                 return
             if method == "GET":
                 jobs = await asyncio.to_thread(
-                    lambda: [j.snapshot() for j in self.queue.jobs()]
+                    lambda: [self.queue.snapshot(j) for j in self.queue.jobs()]
                 )
                 await self._respond_json(writer, 200, {"plans": jobs})
                 return
@@ -208,13 +208,13 @@ class ServiceGateway:
             job_id = segments[1]
             if method == "GET":
                 snapshot = await asyncio.to_thread(
-                    lambda: self._job(job_id).snapshot()
+                    lambda: self.queue.snapshot(self._job(job_id))
                 )
                 await self._respond_json(writer, 200, snapshot)
                 return
             if method == "DELETE":
                 snapshot = await asyncio.to_thread(
-                    lambda: self.queue.cancel(job_id).snapshot()
+                    lambda: self.queue.snapshot(self.queue.cancel(job_id))
                 )
                 await self._respond_json(writer, 200, snapshot)
                 return
@@ -305,7 +305,7 @@ class ServiceGateway:
                 )
                 ev["attrs"]["plan_id"] = job.id
                 ev["attrs"]["created"] = created
-                return job.snapshot(), created
+                return self.queue.snapshot(job), created
 
         try:
             snapshot, created = await asyncio.to_thread(admit)

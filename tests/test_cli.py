@@ -242,6 +242,33 @@ class TestCompareCommand:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize(
+        "argv, flag, bad, name",
+        [
+            (["serve", "--spool", "spool"], "--lease-timeout", "0",
+             "lease timeout"),
+            (["sweep"], "--target-unit-seconds", "nan",
+             "target_unit_seconds"),
+            (["experiments", "serve-coordinator", "--plan", "p.json",
+              "--results", "r.jsonl"], "--lease-timeout", "inf",
+             "lease timeout"),
+            (["compare"], "--target-unit-seconds", "-1",
+             "target_unit_seconds"),
+        ],
+        ids=["serve", "sweep", "serve-coordinator", "compare"],
+    )
+    def test_lease_times_are_checked_by_argparse(
+        self, argv, flag, bad, name, capsys
+    ):
+        """A zero, negative or non-finite lease time is a usage error
+        before anything starts (or is spooled)."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, flag, bad])
+        assert excinfo.value.code == 2
+        assert f"{name} must be a finite number of seconds > 0" in (
+            capsys.readouterr().err
+        )
+
 
 class TestSweepCommand:
     _ARGS = [

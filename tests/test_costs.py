@@ -139,41 +139,42 @@ class TestUnitCostModel:
         model.observe("river_gap:vectorized", 5, 1.79)
         assert model.rate("heterogeneous:vectorized") == pytest.approx(0.358)
 
-    def test_parent_era_engine_costs_are_ignored_by_the_ledger(self):
+    def test_parent_era_engine_costs_are_ignored_by_the_ledger(
+        self, tmp_path
+    ):
         """A worker that still ships an ``engine_costs`` kernel-rate
         snapshot on heartbeat and ``complete`` is served as usual, and
-        the key leaves no trace in the cost model."""
-        from repro.distributed.coordinator import UnitLedger
+        the key leaves no trace in the plan queue's cost model."""
+        from repro.distributed import PlanQueue
+        from repro.experiments import ResultsStore
 
         plan = _plan(cases=(CaseSpec("grassland", size=20, steps=2),))
 
-        def drive(extra: dict) -> tuple[list, dict]:
-            ledger = UnitLedger(
-                WorkSet.compile(plan, set()),
-                lease_timeout=5.0,
-                completed_cells=set,
-                clock=lambda: 0.0,
-                min_unit_cells=1,
-                cost_model=plan_cost_model(plan),
-            )
-            grant = ledger.lease("w")
+        def drive(extra: dict, store: str) -> tuple[list, dict]:
+            queue = PlanQueue(lease_timeout=5.0, clock=lambda: 0.0)
+            job = queue.admit(plan, ResultsStore(tmp_path / store))
+            grant = queue.lease("w")
             replies = [
-                ledger.heartbeat(
+                queue.heartbeat(
                     "w",
+                    job.id,
                     grant["lease"],
                     {"busy_seconds": 0.2, "unit_seconds": 0.2, **extra},
                 ),
-                ledger.complete(
+                queue.complete(
                     "w",
+                    job.id,
                     grant["lease"],
                     {"unit_seconds": 0.5, "busy_seconds": 0.5, **extra},
-                    drained=True,
+                    [],
                 ),
             ]
-            return replies, ledger.cost_model.to_dict()
+            return replies, queue.cost_model.to_dict()
 
-        old_replies, old_model = drive({"engine_costs": {"raster": 7e-8}})
-        replies, model = drive({})
+        old_replies, old_model = drive(
+            {"engine_costs": {"raster": 7e-8}}, "old.jsonl"
+        )
+        replies, model = drive({}, "new.jsonl")
         assert [r["type"] for r in old_replies] == ["ok", "ok"]
         assert old_replies == replies
         assert old_model == model

@@ -3,8 +3,8 @@
 Covers the wire protocol (framing, EOF, oversize rejection, the HMAC
 challenge-response handshake), local shards (never an idle worker;
 a killed one requeues, all dead fails the run), executor validation,
-the cell-leasing unit ledger (carve-on-demand stealing, stale-lease
-requeue of exact cell subsets),
+a plan's lease state in the plan queue (carve-on-demand stealing,
+stale-lease requeue of exact cell subsets),
 the one fleet coordinator (a plan queue behind one TCP server, its
 status snapshot and the ``done`` it answers once the plan is recorded),
 and the acceptance properties of the subsystem: all executors — inline,
@@ -20,6 +20,7 @@ duplicated cells.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import socket
@@ -40,7 +41,6 @@ from repro.distributed import (
     InlineExecutor,
     PlanQueue,
     ProcessShardExecutor,
-    UnitLedger,
     parse_address,
     run_worker,
 )
@@ -63,7 +63,7 @@ from repro.experiments import (
     record_key,
 )
 from repro.experiments.store import parity_view
-from repro.distributed.queue import plan_job_id
+from repro.distributed.queue import PlanJob, plan_job_id
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -109,6 +109,26 @@ def _fleet_plan_id(plan: ExperimentPlan) -> str:
     """The job id a FleetExecutor admits ``plan`` under — the name of
     each worker's local store file for it."""
     return plan_job_id(plan.to_dict(), "default")
+
+
+def _lease_queue(
+    tmp_path, plan: ExperimentPlan, clock: list, **settings
+) -> tuple[PlanQueue, PlanJob]:
+    """A fake-clock queue holding ``plan`` with an empty tmp store —
+    the lease state of one plan, driven through the queue's worker
+    calls."""
+    queue = PlanQueue(lease_timeout=5.0, clock=lambda: clock[0], **settings)
+    job = queue.admit(plan, ResultsStore(tmp_path / "plan.jsonl"))
+    return queue, job
+
+
+def _records(cells) -> list[dict]:
+    """Minimal store records of ``cells``: what a worker's drain
+    uploads, as far as coverage is concerned."""
+    return [
+        dict(zip(("system", "case", "seed", "backend"), cell))
+        for cell in cells
+    ]
 
 
 def _sorted_normalized(store: ResultsStore) -> list[dict]:
@@ -179,7 +199,9 @@ class TestProtocol:
 class TestShardAssignments:
     @pytest.mark.parametrize("n_pending", [1, 2, 3, 7])
     @pytest.mark.parametrize("shards", [1, 2, 3, 5, 16])
-    def test_never_empty_covers_all_disjoint(self, n_pending, shards):
+    def test_never_empty_covers_all_disjoint(
+        self, n_pending, shards, tmp_path
+    ):
         """ProcessShardExecutor starts min(shards, pending cells)
         workers. Each one's first ask gets a non-empty lease, even from
         a single group, and the leases tile the pending cells."""
@@ -188,17 +210,11 @@ class TestShardAssignments:
             cases=(CaseSpec("grassland", size=20, steps=2),),
             seeds=tuple(range(n_pending)),
         )
-        ledger = UnitLedger(
-            WorkSet.compile(plan, set()),
-            lease_timeout=5.0,
-            completed_cells=set,
-            cost_model=UnitCostModel(),
-            clock=lambda: 0.0,
-        )
+        queue, _ = _lease_queue(tmp_path, plan, [0.0])
         workers = [f"w{i}" for i in range(min(shards, n_pending))]
-        grants = [ledger.lease(worker) for worker in workers]
+        grants = [queue.lease(worker) for worker in workers]
         assert all(g["type"] == "unit" for g in grants), "an idle worker"
-        while (grant := ledger.lease(workers[0]))["type"] == "unit":
+        while (grant := queue.lease(workers[0]))["type"] == "unit":
             grants.append(grant)
         cells = [tuple(c) for g in grants for c in g["unit"]["cells"]]
         assert sorted(cells) == sorted(k.as_tuple() for k in plan.runs())
@@ -256,112 +272,109 @@ class TestExecutorSeam:
 
 
 # ----------------------------------------------------------------------
-# Lease ledger (no sockets: fake clock, fake store coverage)
+# A plan's lease state (no sockets: fake clock, records written to the
+# plan's tmp store by the test)
 # ----------------------------------------------------------------------
 class TestUnitLedger:
-    def _ledger(self, covered: set, clock: list):
+    def _queue(self, tmp_path, clock: list):
         # a floor of 2 cells keeps each 2-cell group whole
-        return UnitLedger(
-            WorkSet.compile(_plan(), set()),
-            lease_timeout=5.0,
-            completed_cells=lambda: set(covered),
-            cost_model=UnitCostModel(),
-            clock=lambda: clock[0],
-            min_unit_cells=2,
-        )
+        return _lease_queue(tmp_path, _plan(), clock, min_unit_cells=2)
 
-    def test_poll_completion_detects_coverage_without_a_request(self):
+    def test_poll_completion_detects_coverage_without_a_request(
+        self, tmp_path
+    ):
         """Regression: the last worker draining everything and then
         dying must not hang the run — completion is visible from the
-        coordinator side via poll_completion."""
+        coordinator side via housekeeping."""
         plan = _plan()
-        covered: set = set()
         clock = [0.0]
-        ledger = self._ledger(covered, clock)
-        g1 = ledger.lease("w")
-        g2 = ledger.lease("w")
+        queue, job = self._queue(tmp_path, clock)
+        g1 = queue.lease("w")
+        g2 = queue.lease("w")
         assert g1["type"] == g2["type"] == "unit"
-        assert ledger.complete("w", g1["lease"]) == {"type": "ok"}
-        assert ledger.complete("w", g2["lease"]) == {"type": "ok"}
-        covered |= {k.as_tuple() for k in plan.runs()}
-        ledger.drained("w")  # ...then the worker dies silently
-        assert not ledger.finished.is_set()
-        assert ledger.poll_completion()
-        assert ledger.finished.is_set()
+        assert queue.complete("w", job.id, g1["lease"])["type"] == "ok"
+        assert queue.complete("w", job.id, g2["lease"])["type"] == "ok"
+        # the worker drains every record, then dies silently
+        queue.merge_records(
+            "w", job.id, _records(k.as_tuple() for k in plan.runs())
+        )
+        assert not queue.wait_done(job, 0)
+        queue.housekeep()
+        assert queue.wait_done(job, 0)
+        assert job.state == "done"
 
-    def test_poll_completion_requeues_stranded_cells(self):
+    def test_poll_completion_requeues_stranded_cells(self, tmp_path):
         """A worker that completed units but died before draining
-        leaves missing cells; polling requeues them as units."""
-        covered: set = set()
+        leaves missing cells; housekeeping requeues them as units."""
         clock = [0.0]
-        ledger = self._ledger(covered, clock)
-        g1 = ledger.lease("w")
-        g2 = ledger.lease("w")
-        ledger.complete("w", g1["lease"])
-        ledger.complete("w", g2["lease"])
+        queue, job = self._queue(tmp_path, clock)
+        g1 = queue.lease("w")
+        g2 = queue.lease("w")
+        queue.complete("w", job.id, g1["lease"])
+        queue.complete("w", job.id, g2["lease"])
         # worker recently seen and undrained: no verdict yet
-        assert not ledger.poll_completion()
+        queue.housekeep()
+        assert job.state == "active"
         clock[0] = 10.0  # past the lease timeout — presumed dead
-        assert not ledger.poll_completion()
-        assert ledger.requeues == 2
+        queue.housekeep()
+        assert job.state == "active"
+        assert job.requeues == 2
         # the requeued units go to whoever asks next
-        assert ledger.lease("w2")["type"] == "unit"
+        assert queue.lease("w2")["type"] == "unit"
 
-    def test_expired_lease_requeues_unit(self):
-        covered: set = set()
+    def test_expired_lease_requeues_unit(self, tmp_path):
         clock = [0.0]
-        ledger = self._ledger(covered, clock)
-        grant = ledger.lease("w")
-        ledger_grant2 = ledger.lease("other")  # second group
-        assert ledger_grant2["type"] == "unit"
+        queue, job = self._queue(tmp_path, clock)
+        grant = queue.lease("w")
+        grant2 = queue.lease("other")  # second group
+        assert grant2["type"] == "unit"
+        beat = lambda: queue.heartbeat(  # noqa: E731
+            "w", job.id, grant["lease"]
+        )
         clock[0] = 3.0
-        assert ledger.heartbeat("w", grant["lease"]) == {"type": "ok"}
+        assert beat() == {"type": "ok"}
         clock[0] = 7.0  # renewed at 3.0, deadline 8.0: still alive
-        assert ledger.heartbeat("w", grant["lease"]) == {"type": "ok"}
+        assert beat() == {"type": "ok"}
         clock[0] = 20.0
-        assert ledger.heartbeat("w", grant["lease"]) == {"type": "expired"}
-        assert ledger.complete("w", grant["lease"]) == {"type": "stale"}
+        assert beat() == {"type": "expired"}
         # both silent workers' units requeued, each the exact original
         # cell subset — re-leased to whoever asks next
-        regrants = [ledger.lease("other"), ledger.lease("other")]
+        regrants = [queue.lease("other"), queue.lease("other")]
         assert all(r["type"] == "unit" for r in regrants)
         assert {tuple(map(tuple, r["unit"]["cells"])) for r in regrants} == {
             tuple(map(tuple, g["unit"]["cells"]))
-            for g in (grant, ledger_grant2)
+            for g in (grant, grant2)
         }
+        # the silent worker's late report no longer counts
+        assert queue.complete("w", job.id, grant["lease"])["type"] == "stale"
 
-    def test_last_pending_unit_splits_for_an_asking_worker(self):
+    def test_last_pending_unit_splits_for_an_asking_worker(self, tmp_path):
         """Work stealing: one big group spreads over every asker by
         carving a probe lease off the pending unit for each of them."""
         plan = _one_group_plan(n_seeds=4)  # 8 cells, one group
-        clock = [0.0]
-        ledger = UnitLedger(
-            WorkSet.compile(plan, set()),
-            lease_timeout=5.0,
-            completed_cells=set,
-            cost_model=UnitCostModel(),
-            clock=lambda: clock[0],
-            min_unit_cells=1,
-        )
+        queue, job = _lease_queue(tmp_path, plan, [0.0], min_unit_cells=1)
         sizes = []
         grants = []
         for worker in ("w1", "w2", "w3", "w4"):
-            grant = ledger.lease(worker)
+            grant = queue.lease(worker)
             assert grant["type"] == "unit"
             grants.append(grant)
             sizes.append(len(grant["unit"]["cells"]))
         # every asker got work from the single group: a quarter of its
         # fair share each, never below the 1-cell floor
         assert sizes == [2, 1, 1, 1]
-        assert ledger.steals == 4
+        assert job.steals == 4
         # the leases and the pending rest tile the group exactly — no
         # loss, no overlap
         cells = [tuple(c) for g in grants for c in g["unit"]["cells"]]
         assert len(set(cells)) == len(cells)
         assert set(cells) <= {k.as_tuple() for k in plan.runs()}
-        assert ledger.progress()["pending_cells"] == plan.n_runs - len(cells)
+        progress = queue.snapshot(job)["progress"]
+        assert progress["pending_cells"] == plan.n_runs - len(cells)
 
-    def test_stale_lease_of_half_recorded_unit_requeues_missing_only(self):
+    def test_stale_lease_of_half_recorded_unit_requeues_missing_only(
+        self, tmp_path
+    ):
         """A worker that recorded half a unit and then died: the lease
         expires and requeues the whole cell subset (the new worker's
         store-resume skips nothing here — its store is its own), while
@@ -369,30 +382,29 @@ class TestUnitLedger:
         records never arrived. Nothing is lost, nothing doubled."""
         plan = _one_group_plan(n_seeds=4)
         all_cells = [k.as_tuple() for k in plan.runs()]
-        covered: set = set()
         clock = [0.0]
-        ledger = UnitLedger(
-            WorkSet.compile(plan, set()),
-            lease_timeout=5.0,
-            completed_cells=lambda: set(covered),
-            cost_model=UnitCostModel(),
-            clock=lambda: clock[0],
+        queue, job = _lease_queue(
+            tmp_path,
+            plan,
+            clock,
             min_unit_cells=plan.n_runs,  # the floor keeps the unit whole
         )
-        grant = ledger.lease("w1")
+        grant = queue.lease("w1")
         # w1 drains half the unit's records, then goes silent
-        covered |= set(map(tuple, grant["unit"]["cells"][:4]))
+        queue.merge_records(
+            "w1", job.id, _records(grant["unit"]["cells"][:4])
+        )
         clock[0] = 20.0
-        regrant = ledger.lease("w2")
+        regrant = queue.lease("w2")
         assert regrant["type"] == "unit"
-        assert ledger.requeues == 1
+        assert job.requeues == 1
         assert regrant["unit"] == grant["unit"]  # exact cell subset
         # w2 completes and drains only the cells w1 never delivered
-        assert ledger.complete("w2", regrant["lease"]) == {"type": "ok"}
-        covered |= set(map(tuple, regrant["unit"]["cells"]))
-        ledger.drained("w2")
-        assert sorted(covered) == sorted(all_cells)
-        assert ledger.poll_completion()
+        assert queue.complete("w2", job.id, regrant["lease"])["type"] == "ok"
+        queue.merge_records("w2", job.id, _records(regrant["unit"]["cells"]))
+        assert sorted(job.completed_cells()) == sorted(all_cells)
+        queue.housekeep()
+        assert job.state == "done"
 
 
 # ----------------------------------------------------------------------
@@ -1146,6 +1158,85 @@ class TestFleetTelemetry:
         assert st["idle_seconds"] == 0.0  # but never negative idle
         assert st["utilization"] == pytest.approx(1.0)  # clamped to span
 
+    def _two_plan_queue(self, tmp_path, clock: list):
+        """Two admitted one-group plans and one grant of each to ``w``
+        (the fair-share pick alternates between the fresh plans)."""
+        queue = PlanQueue(lease_timeout=5.0, clock=lambda: clock[0])
+        jobs = [
+            queue.admit(
+                _plan(
+                    name=name, cases=(CaseSpec("grassland", size=20, steps=2),)
+                ),
+                ResultsStore(tmp_path / f"{name}.jsonl"),
+            )
+            for name in ("plan-a", "plan-b")
+        ]
+        grants = [queue.lease("w"), queue.lease("w")]
+        assert [g["plan_id"] for g in grants] == [j.id for j in jobs]
+        return queue, jobs, grants
+
+    def test_busy_gauge_is_the_worker_max_across_plans(self, tmp_path):
+        """A late heartbeat on one plan's old lease carries a lower
+        cumulative busy time than the worker already reported on
+        another plan; neither the gauge nor ``status`` goes back."""
+        from repro.obs import telemetry
+
+        clock = [0.0]
+        queue, (a, b), (ga, gb) = self._two_plan_queue(tmp_path, clock)
+        clock[0] = 7.0
+        queue.complete("w", a.id, ga["lease"], {"busy_seconds": 6.0})
+        queue.heartbeat("w", b.id, gb["lease"], {"busy_seconds": 6.5})
+        queue.heartbeat("w", a.id, ga["lease"], {"busy_seconds": 5.9})
+        gauge = telemetry().gauge(
+            "repro_fleet_worker_busy_seconds", worker="w"
+        )
+        assert gauge.value == queue.worker_stats()["w"]["busy_seconds"]
+        assert gauge.value == pytest.approx(6.5)
+
+    def test_worker_view_folds_every_plan(self, tmp_path):
+        """The fleet view of a worker serving two plans: work counters
+        add up, ``busy_seconds`` is its largest cumulative report,
+        ``throughput`` the mean of its per-plan estimates, and every
+        plan's progress has the same keys."""
+        clock = [0.0]
+        queue, (a, b), (ga, gb) = self._two_plan_queue(tmp_path, clock)
+        clock[0] = 1.0
+        queue.complete(
+            "w",
+            a.id,
+            ga["lease"],
+            {"unit_seconds": 0.5, "busy_seconds": 0.5, "records": 1},
+        )
+        queue.merge_records("w", a.id, _records(ga["unit"]["cells"]))
+        clock[0] = 3.0
+        queue.complete(
+            "w",
+            b.id,
+            gb["lease"],
+            {"unit_seconds": 2.0, "busy_seconds": 2.5, "records": 1},
+        )
+        queue.merge_records("w", b.id, _records(gb["unit"]["cells"]))
+        st = queue.worker_stats()["w"]
+        cells = len(ga["unit"]["cells"]) + len(gb["unit"]["cells"])
+        assert (st["leases"], st["units"], st["cells"]) == (2, 2, cells)
+        assert (st["records"], st["completes"], st["drains"]) == (2, 2, 2)
+        assert st["lease_seconds"] == pytest.approx(1.0 + 3.0)
+        assert st["busy_seconds"] == pytest.approx(2.5)  # max, not 3.0
+        # per-plan EMAs: 1 cell / 0.5 s on a, 1 cell / 2.0 s on b
+        assert cells == 2
+        assert st["throughput"] == pytest.approx((2.0 + 0.5) / 2)
+        plans = queue.status()["plans"]
+        assert len(plans) == 2
+        assert set(plans[0]["progress"]) == set(plans[1]["progress"]) == {
+            "pending_units",
+            "pending_cells",
+            "leased",
+            "tentative_cells",
+            "workers",
+            "requeues",
+            "steals",
+        }
+
     def _coordinator(self, tmp_path):
         """A one-plan queue (the fleet executor's shape) behind the
         fleet server, not yet listening."""
@@ -1208,7 +1299,8 @@ class TestFleetTelemetry:
             assert f"0/{job.plan.n_runs} cells recorded" in out
             assert "w1" in out
             # the probe itself never became a worker
-            assert job.ledger.progress()["workers"] == 1
+            progress = coordinator.queue.snapshot(job)["progress"]
+            assert progress["workers"] == 1
             assert set(coordinator.queue.worker_stats()) == {"w1"}
         finally:
             coordinator.close()
@@ -1253,60 +1345,54 @@ class TestFleetTelemetry:
             )
 
 # ----------------------------------------------------------------------
-# Cost-aware scheduling: the predictive grant path of the unit ledger
+# Cost-aware scheduling: the predictive grant path of the plan queue
 # ----------------------------------------------------------------------
 class TestCostLedger:
     """Deterministic (fake-clock) coverage of the cost-aware grant path:
     probe-first sizing, throughput-proportional leases, piggybacked
     granting, fragment re-merge, and snapshot determinism."""
 
-    def _ledger(
-        self,
-        covered: set,
-        clock: list,
-        plan=None,
-        model: UnitCostModel | None = None,
-        target_unit_seconds: float = 1.0,
-    ):
-        return UnitLedger(
-            WorkSet.compile(plan or _one_group_plan(n_seeds=8), set()),
-            lease_timeout=5.0,
-            completed_cells=lambda: set(covered),
-            clock=lambda: clock[0],
-            min_unit_cells=1,
-            cost_model=model or UnitCostModel(),
-            target_unit_seconds=target_unit_seconds,
-        )
+    @staticmethod
+    def _complete_then_drain(queue, job, worker, grant, info) -> None:
+        """Complete a unit, then upload its (empty) records: the worker
+        ends clean without a piggybacked grant moving ahead of the
+        next explicit ask."""
+        assert queue.complete(worker, job.id, grant["lease"], info)[
+            "next"
+        ] == {"type": "drain", "plan_id": job.id}
+        queue.merge_records(worker, job.id, [])
 
-    def test_unknown_worker_gets_a_probe_lease(self):
+    def test_unknown_worker_gets_a_probe_lease(self, tmp_path):
         """A worker with no measured throughput gets a small probe (a
         quarter of its fair share), not half of everything — sizing
         information before committing cells."""
         clock = [0.0]
-        ledger = self._ledger(set(), clock)  # 16 cells, one group
-        grant = ledger.lease("w1")
+        queue, _ = self._queue(tmp_path, clock)  # 16 cells, one group
+        grant = queue.lease("w1")
         assert grant["type"] == "unit"
         unit = WorkUnit.from_dict(grant["unit"])
         assert unit.n_cells == 4  # fair share 16, probe = 16 // 4
 
-    def test_measured_throughput_sizes_leases_proportionally(self):
+    def test_measured_throughput_sizes_leases_proportionally(
+        self, tmp_path
+    ):
         """Once both workers have measured throughput, the faster one
         is granted strictly more cells per lease."""
         clock = [0.0]
-        ledger = self._ledger(set(), clock)
-        g1 = ledger.lease("w1")
-        g2 = ledger.lease("w2")
+        queue, job = self._queue(tmp_path, clock)
+        g1 = queue.lease("w1")
+        g2 = queue.lease("w2")
         # identical wall-clock, 4x the cells: w1 measures 4x faster
-        ledger.complete(
-            "w1", g1["lease"], {"unit_seconds": 1.0}, drained=True
+        self._complete_then_drain(
+            queue, job, "w1", g1, {"unit_seconds": 1.0}
         )
-        ledger.complete(
-            "w2", g2["lease"], {"unit_seconds": 1.0}, drained=True
+        self._complete_then_drain(
+            queue, job, "w2", g2, {"unit_seconds": 1.0}
         )
-        fast = WorkUnit.from_dict(ledger.lease("w1")["unit"])
-        slow = WorkUnit.from_dict(ledger.lease("w2")["unit"])
+        fast = WorkUnit.from_dict(queue.lease("w1")["unit"])
+        slow = WorkUnit.from_dict(queue.lease("w2")["unit"])
         assert fast.n_cells > slow.n_cells >= 1
-        stats = ledger.worker_stats()
+        stats = queue.worker_stats()
         assert stats["w1"]["throughput"] == pytest.approx(4.0)
         assert stats["w2"]["throughput"] == pytest.approx(1.0)
 
@@ -1348,55 +1434,60 @@ class TestCostLedger:
         assert reply["type"] == "stale"
         assert reply["next"]["type"] == "unit"
 
-    def test_requeued_fragments_remerge_before_regrant(self):
+    def test_requeued_fragments_remerge_before_regrant(self, tmp_path):
         """Expired sliver leases from the same group fuse back into one
         contiguous unit before the next grant carves it afresh —
         fragmentation does not compound across worker deaths."""
         clock = [0.0]
-        ledger = self._ledger(set(), clock)
-        a = ledger.lease("w1")
-        b = ledger.lease("w2")
+        queue, job = self._queue(tmp_path, clock)
+        a = queue.lease("w1")
+        b = queue.lease("w2")
         assert a["type"] == b["type"] == "unit"
         clock[0] = 20.0  # both leases expire, fragments requeue
-        grant = ledger.lease("w3")
+        grant = queue.lease("w3")
         assert grant["type"] == "unit"
-        assert ledger.requeues == 2
+        assert job.requeues == 2
         # the two fragments and the remainder merged into one unit
         # before w3's probe was carved from it
-        assert ledger.progress()["pending_units"] == 1
+        assert queue.snapshot(job)["progress"]["pending_units"] == 1
 
-    def test_grants_deterministic_from_identical_snapshots(self):
-        """Two ledgers seeded from the same serialized cost model and
+    def test_grants_deterministic_from_identical_snapshots(self, tmp_path):
+        """Two queues seeded from the same serialized cost model and
         driven through the same call sequence make identical grant
         decisions — cell for cell."""
         source = UnitCostModel()
         source.observe("grassland:vectorized", 4, 2.0)
         payload = source.to_dict()
         transcripts = []
-        for _ in range(2):
+        for i in range(2):
+            snapshot = tmp_path / f"costs{i}.json"
+            snapshot.write_text(json.dumps(payload), encoding="utf-8")
             clock = [0.0]
-            ledger = self._ledger(
-                set(), clock, model=UnitCostModel.from_dict(payload)
+            queue = PlanQueue(lease_timeout=5.0, clock=lambda: clock[0])
+            queue.use_cost_snapshot(snapshot)
+            job = queue.admit(
+                _one_group_plan(n_seeds=8),
+                ResultsStore(tmp_path / f"s{i}.jsonl"),
             )
             grants = []
-            g1 = ledger.lease("w1")
+            g1 = queue.lease("w1")
             grants.append(g1["unit"])
-            g2 = ledger.lease("w2")
+            g2 = queue.lease("w2")
             grants.append(g2["unit"])
-            ledger.complete(
-                "w1", g1["lease"], {"unit_seconds": 0.5}, drained=True
+            self._complete_then_drain(
+                queue, job, "w1", g1, {"unit_seconds": 0.5}
             )
-            ledger.complete(
-                "w2", g2["lease"], {"unit_seconds": 2.0}, drained=True
+            self._complete_then_drain(
+                queue, job, "w2", g2, {"unit_seconds": 2.0}
             )
-            grants.append(ledger.lease("w2")["unit"])
-            grants.append(ledger.lease("w1")["unit"])
+            grants.append(queue.lease("w2")["unit"])
+            grants.append(queue.lease("w1")["unit"])
             transcripts.append(grants)
         assert transcripts[0] == transcripts[1]
 
     def test_target_unit_seconds_must_be_positive(self):
         with pytest.raises(FleetError, match="target_unit_seconds"):
-            self._ledger(set(), [0.0], target_unit_seconds=0.0)
+            PlanQueue(target_unit_seconds=0.0)
         # whole-group leases are gone: the floor is at least one cell
         with pytest.raises(FleetError, match="min_unit_cells"):
             FleetExecutor(min_unit_cells=0)
@@ -1591,7 +1682,7 @@ class TestHeldLeaseWire:
             )
             job = queue.admit(plan, ResultsStore(tmp_path / "coord.jsonl"))
             assert queue.granted.wait(1.0), "the idle worker slept"
-            assert job.ledger.finished.wait(60)
+            assert queue.wait_done(job, 60)
             queue.finish()
             thread.join(10)
             assert not thread.is_alive()
@@ -1741,3 +1832,35 @@ class TestPollIntervalValidation:
     def test_worker_rejects_before_connecting(self, bad):
         with pytest.raises(FleetError, match="poll interval"):
             run_worker(("127.0.0.1", 9), poll_interval=bad, max_failures=1)
+
+
+class TestLeaseSettingsValidation:
+    """The queue and the fleet executor check their scheduling settings
+    once, at construction — not at the first admission, after a
+    submission was already spooled."""
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "setting, name",
+        [
+            ("lease_timeout", "lease timeout"),
+            ("target_unit_seconds", "target_unit_seconds"),
+        ],
+        ids=["lease_timeout", "target_unit_seconds"],
+    )
+    @pytest.mark.parametrize("build", [PlanQueue, FleetExecutor])
+    def test_times_must_be_finite_and_positive(
+        self, build, setting, name, bad
+    ):
+        with pytest.raises(FleetError, match=name):
+            build(**{setting: bad})
+
+    @pytest.mark.parametrize("bad", [0, -1, float("nan")])
+    def test_queue_lease_floor_is_at_least_one_cell(self, bad):
+        with pytest.raises(FleetError, match="min_unit_cells"):
+            PlanQueue(min_unit_cells=bad)
+
+    def test_rejected_queue_spools_nothing(self, tmp_path):
+        with pytest.raises(FleetError, match="lease timeout"):
+            PlanQueue(tmp_path / "spool", lease_timeout=0)
+        assert not (tmp_path / "spool").exists()

@@ -250,12 +250,12 @@ class TestPlanQueueScheduling:
         assert not queue.status()["finished"]
         queue.finish()
         assert queue.status()["finished"]
-        assert not queue.all_live_informed()  # nobody told yet
+        assert not queue.wait_all_informed(0)  # nobody told yet
         reply = queue.complete("w0", job.id, grant["lease"], None, [])
         assert reply["next"] == {"type": "done"}
-        assert not queue.all_live_informed()  # w1 still polling
+        assert not queue.wait_all_informed(0)  # w1 still polling
         assert queue.lease("w1") == {"type": "done"}
-        assert queue.all_live_informed()
+        assert queue.wait_all_informed(0)
 
     def test_drained_worker_gets_bye_only_when_clean(self, tmp_path):
         queue = PlanQueue(tmp_path / "spool", lease_timeout=60.0)
@@ -360,7 +360,7 @@ class TestHeldLeases:
         queue = _ProbedQueue()
         box = _held_lease(queue, "w0", hold=60.0)
         assert queue.told_wait.wait(10)
-        assert not queue.all_live_informed()
+        assert not queue.wait_all_informed(0)
         queue.finish()
         assert _answer(box) == {"type": "done"}
         assert queue.wait_all_informed(timeout=10)
