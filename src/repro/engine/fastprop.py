@@ -3,18 +3,25 @@
 :func:`repro.firelib.propagation.propagate` runs Dijkstra's algorithm
 one scenario at a time through a Python heap loop. The engine instead
 propagates a whole chunk of genomes at once with one label-correcting
-kernel over a ``(genomes, rows, cols)`` arrival-time array:
+kernel over the flat ``(genomes, rows, cols)`` arrival-time array
+``T`` and the flat ``(D, genomes, rows, cols)`` travel array ``W``:
 
-* a *sweep* visits every stencil direction ``d`` and relaxes all cells
-  at once on shifted views,
-  ``T[dst] = min(T[dst], T[src] + W[:, d, src])``;
+* a *wave* relaxes every stencil edge out of the *frontier*, the cells
+  whose arrival time fell in the previous wave (the first wave's
+  frontier is every seed): it forms ``T[src] + W[d, src]`` for every
+  direction ``d``, keeps the candidates strictly below ``T[dst]`` and
+  applies them with ``np.minimum.at``; the cells it improves, marked
+  in one reused boolean array, are the next wave's frontier, and the
+  kernel stops after a wave that improves nothing;
+* each wave runs in *slices* of ``CHUNK_ELEMENTS // 32 // D`` frontier
+  cells, so its temporaries stay far below the travel array even when
+  a large seeded region makes the first frontier huge;
 * travel times carry ``inf`` on every edge that leaves or enters a
-  blocked cell, so blocked cells are never entered and need no branch;
-* candidates above the horizon are clipped to ``inf`` after each
-  sweep, so the fire never spreads past the horizon;
-* each sweep recomputes only the bounding box of the cells the previous
-  sweep changed, grown by the stencil reach (the *frontier box*), and
-  the kernel stops when a sweep changes nothing.
+  blocked cell or leaves the grid, so such edges are never kept and
+  need no branch;
+* unburned cells start at the least float above the horizon rather
+  than ``inf``, so "strictly below ``T[dst]``" also means "at or below
+  the horizon"; the kernel maps what is left at that bound to ``inf``.
 
 Why the result is **bitwise identical** to the reference Dijkstra:
 travel times are non-negative and IEEE-754 addition is monotone
@@ -23,13 +30,26 @@ the same fixed point — every cell's minimum, over all walks from a
 seed, of the left-to-right float sum along the walk. Dijkstra's output
 is a fixed point of the same relaxation, every value it holds is such
 a walk sum, and it lower-bounds every walk's sum by induction along the
-walk; the same argument holds for the sweeps' fixed point. ``min``
+walk; the same argument holds for the waves' fixed point, whatever the
+order of the slices, because every value written is a walk sum and a
+cell whose value falls is relaxed again in the next wave. ``min``
 itself never rounds. A walk whose sum ends at or below the horizon has
-every prefix at or below it, so clipping above the horizon changes no
-such cell. The property-test suite asserts equality for all 13 NFFL
-fuel models and both stencils.
+every prefix at or below it, so refusing candidates above the horizon
+changes no such cell. The property-test suite asserts equality for all
+13 NFFL fuel models and both stencils.
 
-Each kernel call holds the chunk's ``(genomes, D, rows, cols)`` travel
+Why it **terminates**, even on zero-weight cycles: after wave ``j``
+every cell holds at most its least sum over walks of ``j`` edges or
+fewer (induction on ``j``: the last edge's source either fell in wave
+``j - 1`` and is relaxed in wave ``j``, or was relaxed with its
+current value earlier). Removing a cycle from a walk never raises its
+sum, so walks of at most ``cells - 1`` edges reach every minimum, and
+no value falls after wave ``cells - 1``. A cell joins the frontier only
+when its value falls strictly, so the wave after that has an empty
+frontier; with ``<=`` instead of ``<``, a zero-weight cycle would keep
+re-marking its cells forever.
+
+Each kernel call holds the chunk's ``(D, genomes, rows, cols)`` travel
 array, so callers cut genome batches into chunks of
 :attr:`FlatGrid.chunk` genomes, keeping that array under
 :data:`CHUNK_ELEMENTS` elements.
@@ -37,6 +57,7 @@ array, so callers cut genome batches into chunks of
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -45,56 +66,61 @@ from repro.errors import SimulationError
 
 __all__ = ["CHUNK_ELEMENTS", "FlatGrid", "propagate_uniform", "propagate_raster"]
 
-#: Element budget of one kernel call's ``(genomes, D, rows, cols)``
-#: travel array (float64: 512 KiB). Larger chunks save little per-sweep
+#: Element budget of one kernel call's ``(D, genomes, rows, cols)``
+#: travel array (float64: 512 KiB). Larger chunks save little per-wave
 #: overhead and raise the process's peak memory.
 CHUNK_ELEMENTS = 1 << 16
 
 
-def _bbox(mask: np.ndarray) -> tuple[int, int, int, int] | None:
-    """``(r0, r1, c0, c1)`` bounds of a 2-D mask's true cells, or None."""
-    rows = np.flatnonzero(mask.any(axis=1))
-    if rows.size == 0:
-        return None
-    cols = np.flatnonzero(mask.any(axis=0))
-    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+def _horizon_bound(horizon: float | None) -> float:
+    """The least float above ``horizon`` (``inf`` without one).
+
+    The kernel starts unburned cells at this bound instead of ``inf``,
+    so ``cand < times[dst]`` also enforces ``cand <= horizon``.
+    """
+    if horizon is None:
+        return np.inf
+    if math.isnan(horizon):
+        raise SimulationError("horizon must be a number or None, got NaN")
+    return float(np.nextafter(float(horizon), np.inf))
 
 
 def _relax(
     times: np.ndarray,
     travel: np.ndarray,
     offsets: Sequence[tuple[int, int]],
-    horizon: float | None,
+    bound: float,
 ) -> None:
-    """Label-correcting sweeps to the fixed point, in place.
+    """Frontier waves to the fixed point, in place.
 
-    ``times`` is ``(g, rows + 2p, cols + 2p)`` with a border of ``p`` =
-    the stencil reach: seed arrival times, ``inf`` elsewhere, already
-    clipped to the horizon. ``travel`` is ``(g, D, rows, cols)``:
+    ``times`` is ``(g, rows, cols)``: seed arrival times below
+    ``bound``, ``bound`` elsewhere. ``travel`` is ``(D, g, rows, cols)``:
     genome ``k``'s time from cell ``(r, c)`` along ``offsets[d]``,
-    ``inf`` on closed edges (including every edge off the grid, so the
-    border stays ``inf`` and no slice needs bounds checks).
+    ``inf`` on closed edges, including every edge off the grid. An
+    off-grid edge's flat target index wraps into a neighbouring row or
+    genome, or past either end (the gather clips it), but its candidate
+    is ``inf`` and never kept.
     """
-    p = (times.shape[1] - travel.shape[2]) // 2
-    box = _bbox(np.isfinite(times).any(axis=0))
-    while box is not None:
-        r0, r1, c0, c1 = box
-        region = times[:, r0 - p : r1 + p, c0 - p : c1 + p]
-        before = region.copy()
-        sources = times[:, r0:r1, c0:c1]
-        for d, (dr, dc) in enumerate(offsets):
-            candidate = sources + travel[:, d, r0 - p : r1 - p, c0 - p : c1 - p]
-            target = times[:, r0 + dr : r1 + dr, c0 + dc : c1 + dc]
-            np.minimum(target, candidate, out=target)
-        if horizon is not None:
-            region[region > horizon] = np.inf
-        changed = _bbox((region != before).any(axis=0))
-        if changed is None:
-            return
-        top, left = r0 - p, c0 - p  # region origin in the padded array
-        box = (
-            changed[0] + top, changed[1] + top, changed[2] + left, changed[3] + left
-        )
+    flat_times = times.reshape(-1)
+    flat_travel = travel.reshape(-1)
+    n_dirs, _, rows, cols = travel.shape
+    planes = (np.arange(n_dirs) * flat_times.size)[:, None]
+    steps = np.array([dr * cols + dc for dr, dc in offsets])[:, None]
+    per_slice = max(1, CHUNK_ELEMENTS // 32 // n_dirs)
+    mark = np.zeros(flat_times.size, dtype=bool)
+    frontier = np.flatnonzero(flat_times < bound)
+    while frontier.size:
+        for lo in range(0, frontier.size, per_slice):
+            src = frontier[lo : lo + per_slice]
+            cand = np.take(flat_travel, planes + src)  # (D, slice)
+            cand += np.take(flat_times, src)
+            dst = steps + src
+            keep = cand < np.take(flat_times, dst, mode="clip")
+            dst = dst[keep]
+            np.minimum.at(flat_times, dst, cand[keep])
+            mark[dst] = True
+        frontier = np.flatnonzero(mark)
+        mark[frontier] = False
 
 
 class FlatGrid:
@@ -135,7 +161,7 @@ class FlatGrid:
         # 0.0 on open edges, inf on edges out of a blocked cell or into
         # a blocked or off-grid one; adding it to travel times is exact
         # (w + 0.0 == w).
-        self.reach = reach = max(max(abs(dr), abs(dc)) for dr, dc in self.offsets)
+        reach = max(max(abs(dr), abs(dc)) for dr, dc in self.offsets)
         open_ = np.zeros((rows + 2 * reach, cols + 2 * reach), dtype=bool)
         open_[reach : reach + rows, reach : reach + cols] = out_of = ~blocked
         self._closed = np.full((len(self.offsets), rows, cols), np.inf)
@@ -155,8 +181,8 @@ class FlatGrid:
         """Initial ``(rows, cols)`` arrival times for the ``run_*`` methods.
 
         Validation matches :func:`repro.firelib.propagation.propagate`:
-        out-of-grid cells and negative start times raise, igniting a
-        blocked cell is a no-op.
+        out-of-grid cells and negative or NaN start times raise,
+        igniting a blocked cell is a no-op.
         """
         if isinstance(ignitions, Mapping):
             seeds = {(int(r), int(c)): float(t) for (r, c), t in ignitions.items()}
@@ -170,7 +196,7 @@ class FlatGrid:
                 raise SimulationError(
                     f"ignition cell {(r, c)} outside {self.rows}x{self.cols} grid"
                 )
-            if t0 < 0:
+            if not t0 >= 0:  # also rejects NaN
                 raise SimulationError(
                     f"ignition time must be non-negative, got {t0}"
                 )
@@ -195,7 +221,9 @@ class FlatGrid:
             raise SimulationError(
                 f"weights shape {weights.shape} != (g, {len(self.offsets)})"
             )
-        return self._run(weights[:, :, None, None] + self._closed, seeded, horizon)
+        travel = self._travel(len(weights))
+        np.add(weights.T[:, :, None, None], self._closed[:, None], out=travel)
+        return self._run(travel, seeded, horizon)
 
     def run_table(
         self,
@@ -219,8 +247,9 @@ class FlatGrid:
             raise SimulationError(
                 f"classes shape {classes.shape} != grid {(self.rows, self.cols)}"
             )
-        travel = np.take(tables, classes, axis=2)
-        travel += self._closed
+        travel = self._travel(len(tables))
+        for d, closed in enumerate(self._closed):
+            np.add(np.take(tables[:, d], classes, axis=1), closed, out=travel[d])
         return self._run(travel, seeded, horizon)
 
     def run_raster(
@@ -236,22 +265,26 @@ class FlatGrid:
                 f"travel_time shape {travel_time.shape} != "
                 f"(g, {len(self.offsets)}, {self.rows}, {self.cols})"
             )
-        return self._run(travel_time + self._closed, seeded, horizon)
+        travel = self._travel(len(travel_time))
+        np.add(
+            travel_time.transpose(1, 0, 2, 3), self._closed[:, None], out=travel
+        )
+        return self._run(travel, seeded, horizon)
 
     # ------------------------------------------------------------------
+    def _travel(self, genomes: int) -> np.ndarray:
+        """An empty ``(D, genomes, rows, cols)`` travel array."""
+        return np.empty((len(self.offsets), genomes, self.rows, self.cols))
+
     def _run(
         self, travel: np.ndarray, seeded: np.ndarray, horizon: float | None
     ) -> np.ndarray:
-        p = self.reach
-        times = np.full(
-            (travel.shape[0], self.rows + 2 * p, self.cols + 2 * p), np.inf
-        )
-        inner = times[:, p : p + self.rows, p : p + self.cols]
-        inner[...] = seeded
-        if horizon is not None:
-            inner[inner > horizon] = np.inf
-        _relax(times, travel, self.offsets, horizon)
-        return inner
+        bound = _horizon_bound(horizon)
+        times = np.empty(travel.shape[1:])
+        np.minimum(seeded, bound, out=times)
+        _relax(times, travel, self.offsets, bound)
+        times[times >= bound] = np.inf
+        return times
 
 
 # ----------------------------------------------------------------------

@@ -152,7 +152,7 @@ def propagate(
         mapping ``{(row, col): start_time}``.
     horizon:
         Simulation horizon in minutes; cells not reached by then are
-        left at ``inf``. ``None`` propagates to exhaustion.
+        left at ``inf``. ``None`` propagates to exhaustion; NaN raises.
     blocked:
         Boolean mask of cells fire can never enter.
 
@@ -195,7 +195,7 @@ def propagate(
     for (r, c), t0 in seeds.items():
         if not (0 <= r < rows and 0 <= c < cols):
             raise SimulationError(f"ignition cell {(r, c)} outside {rows}x{cols} grid")
-        if t0 < 0:
+        if not t0 >= 0:  # also rejects NaN
             raise SimulationError(f"ignition time must be non-negative, got {t0}")
         if blocked_mask[r, c]:
             continue  # igniting an unburnable cell is a no-op
@@ -204,6 +204,8 @@ def propagate(
             heapq.heappush(heap, (t0, r, c))
 
     limit = np.inf if horizon is None else float(horizon)
+    if math.isnan(limit):
+        raise SimulationError("horizon must be a number or None, got NaN")
     tt = travel_time  # local alias for the hot loop
     push, pop = heapq.heappush, heapq.heappop
     while heap:

@@ -10,6 +10,8 @@ against the reference Dijkstra on random travel-time rasters.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,29 @@ class TestFlatKernelsMatchReference:
             propagate_uniform([1.0] * 8, (6, 6), offsets, [(9, 9)])
         with pytest.raises(SimulationError):
             propagate_uniform([1.0] * 8, (6, 6), offsets, {(1, 1): -1.0})
+        # NaN ignition times and a NaN horizon, in every path
+        travel = np.full((8, 6, 6), 1.0)
+        grid = FlatGrid((6, 6), offsets)
+        seeded = grid.seed([(1, 1)])
+        nan_seed = {(1, 1): np.nan}
+        for run in (
+            lambda: propagate(travel, nan_seed),
+            lambda: propagate(travel, [(1, 1)], horizon=np.nan),
+            lambda: grid.seed(nan_seed),
+            lambda: propagate_uniform([1.0] * 8, (6, 6), offsets, nan_seed),
+            lambda: propagate_raster(travel, offsets, nan_seed),
+            lambda: propagate_uniform(
+                [1.0] * 8, (6, 6), offsets, [(1, 1)], horizon=np.nan
+            ),
+            lambda: propagate_raster(travel, offsets, [(1, 1)], horizon=np.nan),
+            lambda: grid.run_uniform(np.ones((2, 8)), seeded, np.nan),
+            lambda: grid.run_table(
+                np.ones((2, 8, 1)), np.zeros((6, 6), dtype=int), seeded, np.nan
+            ),
+            lambda: grid.run_raster(travel[None], seeded, np.nan),
+        ):
+            with pytest.raises(SimulationError):
+                run()
 
     def test_blocked_seed_is_noop(self):
         offsets = stencil(8)
@@ -285,12 +310,28 @@ SHAPE = (11, 13)
 SEEDS = {(1, 2): 0.0, (8, 10): 3.5, (5, 5): 1.25, (9, 1): 30.0}
 
 
-def _random_case(n: int, n_neighbors: int, seed: int):
+#: A large all-0.0 start region: the shape of every step after the first.
+START_REGION = {(r, c): 0.0 for r in range(2, 9) for c in range(2, 11)}
+
+
+def _random_case(n: int, n_neighbors: int, seed: int, kind: str = "uniform"):
     """``n`` random travel arrays (inf edges, last genome all-inf) and a
-    random blocked mask."""
+    random blocked mask.
+
+    ``kind`` picks the finite travel times: ``uniform`` draws them from
+    ``[0.2, 4)``, ``zeros`` makes 30% of those edges exactly ``0.0``
+    (zero-weight cycles) and ``integer`` draws whole minutes ``0..4``
+    (many tied walk sums).
+    """
     rng = np.random.default_rng(seed)
     offsets = stencil(n_neighbors)
-    travel = rng.uniform(0.2, 4.0, size=(n, len(offsets), *SHAPE))
+    size = (n, len(offsets), *SHAPE)
+    if kind == "integer":
+        travel = rng.integers(0, 5, size=size).astype(np.float64)
+    else:
+        travel = rng.uniform(0.2, 4.0, size=size)
+    if kind == "zeros":
+        travel[rng.random(size) < 0.3] = 0.0
     travel[rng.random(travel.shape) < 0.1] = np.inf
     travel[-1] = np.inf
     blocked = rng.random(SHAPE) < 0.15
@@ -299,9 +340,9 @@ def _random_case(n: int, n_neighbors: int, seed: int):
     return offsets, travel, blocked
 
 
-def _reference(travel, horizon, blocked):
+def _reference(travel, horizon, blocked, seeds=SEEDS):
     return np.stack(
-        [propagate(t, SEEDS, horizon=horizon, blocked=blocked) for t in travel]
+        [propagate(t, seeds, horizon=horizon, blocked=blocked) for t in travel]
     )
 
 
@@ -324,6 +365,23 @@ class TestBatchedKernelMatchesReference:
             if not blocked[r, c] and (horizon is None or t0 <= horizon):
                 seeds_only[r, c] = t0
         assert np.array_equal(got[-1], seeds_only)
+
+    @pytest.mark.parametrize("n_neighbors", [8, 16])
+    @pytest.mark.parametrize("horizon", [None, 9.0])
+    @pytest.mark.parametrize(
+        "kind, start",
+        [("zeros", "seeds"), ("integer", "seeds"), ("uniform", "region")],
+    )
+    def test_edge_case_travel_bitwise(self, kind, start, horizon, n_neighbors):
+        """Zero-weight cycles, tied integer walk sums (also tied with the
+        horizon) and a large seeded region, across several chunks."""
+        seeds = START_REGION if start == "region" else SEEDS
+        n = FlatGrid(SHAPE, stencil(n_neighbors)).chunk + 3
+        offsets, travel, blocked = _random_case(n, n_neighbors, n_neighbors, kind)
+        got = propagate_raster(
+            travel, offsets, seeds, horizon=horizon, blocked=blocked
+        )
+        assert np.array_equal(got, _reference(travel, horizon, blocked, seeds))
 
     @pytest.mark.parametrize("n_neighbors", [8, 16])
     def test_class_tables_bitwise(self, n_neighbors):
@@ -376,3 +434,25 @@ class TestBatchedKernelMatchesReference:
         batch = engine.burned_maps(genomes)
         for k in (0, 5):
             assert np.array_equal(engine.burned_maps(genomes[k : k + 1])[0], batch[k])
+
+
+#: ``tracemalloc`` peak, in bytes, of the dense-sweep kernel that the
+#: frontier kernel replaced, for the ``run_raster`` call below.
+DENSE_KERNEL_PEAK = 911_504
+
+
+def test_raster_kernel_peak_memory_within_dense_kernel():
+    """Wave slices keep a large seeded region's first wave (every seeded
+    cell times every direction) from outgrowing the old kernel."""
+    grid = FlatGrid((40, 40), stencil(8))
+    travel = np.random.default_rng(3).uniform(0.2, 4.0, (grid.chunk, 8, 40, 40))
+    seeded = np.full((40, 40), np.inf)
+    seeded[6:34, 6:34] = 0.0
+    grid.run_raster(travel, seeded, 12.0)  # warm up lazy numpy state
+    tracemalloc.start()
+    try:
+        grid.run_raster(travel, seeded, 12.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= DENSE_KERNEL_PEAK
