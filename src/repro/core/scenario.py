@@ -30,7 +30,13 @@ import numpy as np
 from repro.errors import ScenarioError
 from repro.rng import ensure_rng
 
-__all__ = ["ParamSpec", "TABLE_I_SPECS", "ParameterSpace", "Scenario"]
+__all__ = [
+    "ParamSpec",
+    "TABLE_I_SPECS",
+    "ParameterSpace",
+    "Scenario",
+    "ScenarioBatch",
+]
 
 
 @dataclass(frozen=True)
@@ -152,6 +158,35 @@ class Scenario:
         return Scenario(**values)
 
 
+@dataclass(frozen=True)
+class ScenarioBatch:
+    """Decoded scenarios as columns: each field is an ``(n,)`` array.
+
+    Row ``i`` holds the same values as :class:`Scenario` field by field
+    (``model`` as ``int64``); the batched engine reads these columns
+    instead of building one :class:`Scenario` per genome.
+    """
+
+    model: np.ndarray
+    wind_speed: np.ndarray
+    wind_dir: np.ndarray
+    m1: np.ndarray
+    m10: np.ndarray
+    m100: np.ndarray
+    mherb: np.ndarray
+    slope: np.ndarray
+    aspect: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.model)
+
+    def __getitem__(self, index) -> "ScenarioBatch":
+        """The rows ``index`` selects, as a batch."""
+        return ScenarioBatch(
+            **{name: getattr(self, name)[index] for name in _FIELD_ORDER}
+        )
+
+
 class ParameterSpace:
     """The 9-D search box of Table I: sampling, clipping, encode/decode.
 
@@ -239,11 +274,38 @@ class ParameterSpace:
 
     # ------------------------------------------------------------------
     def decode(self, genome: np.ndarray) -> Scenario:
-        """Genome → :class:`Scenario` (rounds ``Model`` to an integer)."""
+        """Genome → :class:`Scenario` (rounds ``Model`` to an integer).
+
+        Raises :class:`ScenarioError` when a coordinate is NaN, or is
+        infinite on a circular parameter (wrapping turns it into NaN).
+        """
         g = self.clip(np.asarray(genome, dtype=np.float64))
+        self._check_finite(g[None])
         values = dict(zip(_FIELD_ORDER, (float(x) for x in g)))
         values["model"] = int(round(values["model"]))
         return Scenario(**values)
+
+    def decode_batch(self, genomes: np.ndarray) -> ScenarioBatch:
+        """Decode a ``(n, dimension)`` matrix in one pass.
+
+        Clips the whole matrix once; row ``i`` of the result equals
+        ``decode(genomes[i])`` field by field, and the same non-finite
+        coordinates raise :class:`ScenarioError`.
+        """
+        g = self.clip(np.atleast_2d(np.asarray(genomes, dtype=np.float64)))
+        self._check_finite(g)
+        columns = {name: g[:, j] for j, name in enumerate(_FIELD_ORDER)}
+        columns["model"] = np.rint(columns["model"]).astype(np.int64)
+        return ScenarioBatch(**columns)
+
+    def _check_finite(self, clipped: np.ndarray) -> None:
+        """Raise :class:`ScenarioError` naming each non-finite column."""
+        bad = ~np.isfinite(clipped)
+        if bad.any():
+            names = [s.name for j, s in enumerate(self._specs) if bad[:, j].any()]
+            raise ScenarioError(
+                "non-finite genome coordinate(s) after clipping: " + ", ".join(names)
+            )
 
     def decode_many(self, genomes: np.ndarray) -> list[Scenario]:
         """Decode a ``(n, dimension)`` matrix of genomes."""

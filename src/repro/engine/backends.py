@@ -6,11 +6,13 @@ maps) for one prediction step. Two kernels ship, selectable by name:
 * ``reference`` — wraps today's per-scenario
   :class:`~repro.firelib.simulator.FireSimulator`; the semantics every
   other backend must reproduce bit-for-bit.
-* ``vectorized`` — batches the Rothermel/ellipse math across the whole
-  genome batch (one NumPy pass for the directional travel times of
-  every spatially-uniform scenario), deduplicates bitwise-equal
-  genomes, and runs the propagation through the genome-batched kernel
-  of :mod:`repro.engine.fastprop`.
+* ``vectorized`` — decodes the deduplicated genome batch once and
+  batches the Rothermel/ellipse math across it (one NumPy pass per
+  fuel model for the scalar terms, one for the directional travel
+  times of every spatially-uniform scenario), and runs the propagation
+  through the genome-batched kernel of :mod:`repro.engine.fastprop`,
+  which on raster terrains computes a travel time only when the fire
+  spreads out of a cell of that class.
 
 :class:`ProcessBackend` is not a third name: it is the pool wrapper
 the engine builds over either kernel whenever ``n_workers > 1``. It
@@ -22,24 +24,31 @@ each receive the step spec once (copy-on-write shared rasters under the
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from repro.core.fitness import batch_jaccard, jaccard_fitness
-from repro.core.scenario import ParameterSpace
-from repro.engine.fastprop import FlatGrid
+from repro.core.scenario import ParameterSpace, ScenarioBatch
+from repro.engine.fastprop import ClassTables, FlatGrid
 from repro.errors import ReproError, SimulationError
-from repro.firelib.ellipse import eccentricity_from_effective_wind, ros_at_azimuth
+from repro.firelib.ellipse import ros_at_azimuth
 from repro.firelib.moisture import Moisture
 from repro.firelib.propagation import _offset_azimuth_deg, stencil
-from repro.firelib.rothermel import ROS_EPSILON, FuelBed, spread
+from repro.firelib.rothermel import (
+    ROS_EPSILON,
+    FuelBed,
+    ellipse_fields,
+    spread_batch,
+    wind_ftmin,
+)
 from repro.firelib.simulator import FireSimulator
 from repro.grid.terrain import Terrain
-from repro.units import METERS_TO_FEET, MPH_TO_FTMIN
+from repro.obs import span
+from repro.units import METERS_TO_FEET
 
 #: Element budget for the three batched ``(chunk, n_classes)`` field
 #: arrays of the raster path (float64: ~32 MB per chunk).
@@ -185,10 +194,14 @@ class VectorizedBackend(EngineBackend):
     ``(n, D)`` NumPy pass. Fuel, slope and aspect rasters keep
     per-cell fields, but the Rothermel/ellipse math is vectorized over
     the **genome axis** with the rasters broadcast — one NumPy pass per
-    fuel-bed group instead of one per genome. Either way, arrival times
-    come from the label-correcting kernel of
+    fuel-bed group instead of one per genome — and each ``(genome,
+    class)`` travel time is computed on demand inside the kernel.
+    Either way, arrival times come from the label-correcting kernel of
     :mod:`repro.engine.fastprop`, one call per chunk of genomes.
     Bitwise-identical rows are simulated once and broadcast back.
+
+    Each batch records one ``fields`` span and one ``propagate`` span
+    per kernel call in the process telemetry registry.
     """
 
     def __init__(self, spec: StepSpec) -> None:
@@ -252,48 +265,59 @@ class VectorizedBackend(EngineBackend):
             self._n_classes = uniq.shape[0]
 
     # ------------------------------------------------------------------
+    def _fractions(self, batch: ScenarioBatch) -> np.ndarray:
+        """The batch's ``(n, 4)`` moisture fractions, range checked."""
+        fractions = np.column_stack(
+            [batch.m1, batch.m10, batch.m100, batch.mherb]
+        ) / 100.0
+        Moisture.check_fractions(fractions)
+        return fractions
+
     def _uniform_weight_matrix(
-        self, scenarios: Sequence
+        self, batch: ScenarioBatch
     ) -> tuple[np.ndarray, np.ndarray]:
         """Travel-time weights ``(n, D)`` and ``ros_max`` ``(n,)`` of a
         batch of uniform scenarios.
 
-        The Rothermel ellipse of each scenario is three scalars; the
-        per-direction spread rates of the whole batch then come from a
-        single broadcast ``ros_at_azimuth`` evaluation.
+        The Rothermel ellipse of each scenario is three scalars, which
+        :func:`~repro.firelib.rothermel.spread_batch` computes for all
+        genomes of one fuel model at once; the travel times of the whole
+        batch then come from one broadcast pass.
         """
-        ros = np.empty(len(scenarios), dtype=np.float64)
-        heading = np.empty_like(ros)
-        ecc = np.empty_like(ros)
-        for i, sc in enumerate(scenarios):
-            moisture = Moisture.from_percent(sc.m1, sc.m10, sc.m100, sc.mherb)
-            result = spread(
-                int(sc.model),
-                moisture,
-                float(sc.wind_speed),
-                float(sc.wind_dir),
-                float(sc.slope),
-                float(sc.aspect),
+        fractions = self._fractions(batch)
+        fields = np.empty((3, len(batch)))
+        for code in np.unique(batch.model):
+            rows = np.flatnonzero(batch.model == code)
+            fields[:, rows] = spread_batch(
+                int(code),
+                fractions[rows],
+                batch.wind_speed[rows],
+                batch.wind_dir[rows],
+                batch.slope[rows],
+                batch.aspect[rows],
             )
-            ros[i] = result.ros_max
-            heading[i] = result.dir_max_deg
-            ecc[i] = result.eccentricity
-        rates = ros_at_azimuth(
-            ros[:, None], heading[:, None], ecc[:, None], self._azimuths[None, :]
+        return self._directional_travel(*fields).T, fields[0]
+
+    def _directional_travel(
+        self, ros: np.ndarray, heading: np.ndarray, ecc: np.ndarray
+    ) -> np.ndarray:
+        """``(D, n)`` travel times out of ``n`` growth ellipses: the
+        per-direction elementwise ops of
+        :func:`~repro.firelib.propagation.directional_travel_times`."""
+        rates = ros_at_azimuth(ros, heading, ecc, self._azimuths[:, None])
+        return np.divide(
+            self._distances[:, None],
+            rates,
+            out=np.full(rates.shape, np.inf),
+            where=rates > ROS_EPSILON,
         )
-        with np.errstate(divide="ignore"):
-            weights = np.where(
-                rates > ROS_EPSILON, self._distances[None, :] / rates, np.inf
-            )
-        return weights, ros
 
     # ------------------------------------------------------------------
     # Fuel/slope/aspect rasters: genome-axis batched fields
     # ------------------------------------------------------------------
-    def _raster_fields(
-        self, scenarios: Sequence
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-class ellipse fields for a whole batch, each ``(n, u)``.
+    def _raster_fields(self, batch: ScenarioBatch) -> np.ndarray:
+        """Per-class ellipse fields of a whole batch, ``(3, n, u)``:
+        ros_max, heading and eccentricity.
 
         The genome-axis vectorization of
         :meth:`repro.firelib.simulator.FireSimulator.spread_fields`:
@@ -306,126 +330,81 @@ class VectorizedBackend(EngineBackend):
         (fuel, slope, aspect) tuples, so the gathered per-cell values
         are bitwise identical.
         """
-        n = len(scenarios)
-        ros = np.zeros((n, self._n_classes), dtype=np.float64)
-        dir_ = np.zeros((n, self._n_classes), dtype=np.float64)
-        ecc = np.zeros((n, self._n_classes), dtype=np.float64)
+        n = len(batch)
+        fields = np.zeros((3, n, self._n_classes), dtype=np.float64)
+        fractions = self._fractions(batch)
+        wind = wind_ftmin(batch.wind_speed)
         if self._class_fuel is None:
-            by_model: dict[int, list[int]] = {}
-            for i, sc in enumerate(scenarios):
-                by_model.setdefault(int(sc.model), []).append(i)
-            for code, rows in by_model.items():
+            for code in np.unique(batch.model):
                 self._fill_raster_group(
-                    code, rows, scenarios, self._class_slope,
-                    self._class_aspect, None, ros, dir_, ecc,
+                    int(code),
+                    np.flatnonzero(batch.model == code),
+                    batch,
+                    fractions,
+                    wind,
+                    np.arange(self._n_classes),
+                    fields,
                 )
         else:
-            all_rows = list(range(n))
             for code in np.unique(self._class_fuel):
                 if code == 0:
                     continue  # unburnable: fields stay zero, cells blocked
-                classes = np.flatnonzero(self._class_fuel == code)
                 self._fill_raster_group(
                     int(code),
-                    all_rows,
-                    scenarios,
-                    (
-                        self._class_slope[classes]
-                        if self._class_slope is not None
-                        else None
-                    ),
-                    (
-                        self._class_aspect[classes]
-                        if self._class_aspect is not None
-                        else None
-                    ),
-                    classes,
-                    ros,
-                    dir_,
-                    ecc,
+                    np.arange(n),
+                    batch,
+                    fractions,
+                    wind,
+                    np.flatnonzero(self._class_fuel == code),
+                    fields,
                 )
-        return ros, dir_, ecc
+        return fields
 
     def _fill_raster_group(
         self,
         code: int,
-        rows: list[int],
-        scenarios: Sequence,
-        slope_cells: np.ndarray | None,
-        aspect_cells: np.ndarray | None,
-        cells: np.ndarray | None,
-        out_ros: np.ndarray,
-        out_dir: np.ndarray,
-        out_ecc: np.ndarray,
+        rows: np.ndarray,
+        batch: ScenarioBatch,
+        fractions: np.ndarray,
+        wind: np.ndarray,
+        classes: np.ndarray,
+        out: np.ndarray,
     ) -> None:
-        """One fuel bed × all its genomes, broadcast over the cells.
+        """One fuel bed × its genomes ``rows``, broadcast over ``classes``.
 
-        ``slope_cells``/``aspect_cells`` are the raster values gathered
-        at ``cells`` (``None`` = the scenario scalar applies, varying
-        per genome); ``cells`` are the flat indices to scatter into
-        (``None`` = the whole grid).
+        A class slope or aspect comes from the terrain raster when there
+        is one, else from each genome's scenario scalar.
         """
         bed = FuelBed.for_model(code)
-        r0 = np.empty(len(rows), dtype=np.float64)
-        phi_w = np.empty_like(r0)
-        wind_dir = np.empty_like(r0)
-        for j, i in enumerate(rows):
-            sc = scenarios[i]
-            moisture = Moisture.from_percent(sc.m1, sc.m10, sc.m100, sc.mherb)
-            r0[j] = bed.no_wind_rate(moisture)
-            phi_w[j] = bed.phi_wind(
-                max(0.0, float(sc.wind_speed)) * MPH_TO_FTMIN
-            )
-            wind_dir[j] = float(sc.wind_dir)
+        r0 = bed.no_wind_rates(fractions[rows])
         # Non-spreading beds short-circuit to all-zero fields in the
         # reference path; keep those rows at the zero initialisation.
         alive = r0 > ROS_EPSILON
         if not alive.any():
             return
-        live_rows = np.asarray(rows, dtype=np.intp)[alive]
-        r0 = r0[alive, None]
-        wnd_rate = (r0[:, 0] * phi_w[alive])[:, None]
-        wind_dir = wind_dir[alive, None]
-        if slope_cells is not None:
-            slope = slope_cells[None, :]
-        else:
-            slope = np.array(
-                [float(scenarios[i].slope) for i in live_rows], dtype=np.float64
-            )[:, None]
-        if aspect_cells is not None:
-            aspect = aspect_cells[None, :]
-        else:
-            aspect = np.array(
-                [float(scenarios[i].aspect) for i in live_rows], dtype=np.float64
-            )[:, None]
-
-        # The fireLib wind–slope vector combination, exactly as in
-        # repro.firelib.rothermel.spread, with genomes down the rows.
-        phi_s = bed.phi_slope(slope)
-        upslope = np.mod(aspect + 180.0, 360.0)
-        split = np.radians(np.mod(wind_dir - upslope, 360.0))
-        slp_rate = r0 * phi_s
-        x = slp_rate + wnd_rate * np.cos(split)
-        y = wnd_rate * np.sin(split)
-        rv = np.hypot(x, y)
-        ros_max = r0 + rv
-        phi_ew = rv / r0
-        dir_max = np.mod(upslope + np.degrees(np.arctan2(y, x)), 360.0)
-        dir_max = np.where(rv > ROS_EPSILON, dir_max, 0.0)
-        ecc = eccentricity_from_effective_wind(bed.effective_wind(phi_ew))
-        ecc = np.where(rv > ROS_EPSILON, ecc, 0.0)
-
-        m = out_ros.shape[1] if cells is None else len(cells)
-        target = (len(live_rows), m)
-        if cells is None:
-            out_ros[live_rows] = np.broadcast_to(ros_max, target)
-            out_dir[live_rows] = np.broadcast_to(dir_max, target)
-            out_ecc[live_rows] = np.broadcast_to(ecc, target)
-        else:
-            scatter = np.ix_(live_rows, cells)
-            out_ros[scatter] = np.broadcast_to(ros_max, target)
-            out_dir[scatter] = np.broadcast_to(dir_max, target)
-            out_ecc[scatter] = np.broadcast_to(ecc, target)
+        live = rows[alive]
+        slope = (
+            self._class_slope[None, classes]
+            if self._class_slope is not None
+            else batch.slope[live, None]
+        )
+        aspect = (
+            self._class_aspect[None, classes]
+            if self._class_aspect is not None
+            else batch.aspect[live, None]
+        )
+        fields = ellipse_fields(
+            bed,
+            r0[alive, None],
+            bed.phi_winds(wind[live])[:, None],
+            batch.wind_dir[live, None],
+            slope,
+            aspect,
+            scalar_terrain=False,
+        )
+        index = np.ix_(live, classes)
+        for plane, values in zip(out, fields):
+            plane[index] = np.broadcast_to(values, (len(live), len(classes)))
 
     def _reach_box(self, ros_peak: float) -> tuple[slice, slice]:
         """Subgrid that provably contains everything the fire can reach.
@@ -436,8 +415,8 @@ class VectorizedBackend(EngineBackend):
         ``L`` Chebyshev-cells away from the seed set takes at least
         ``L·cell_ft / ros_peak`` minutes. Cells beyond
         ``horizon·ros_peak / cell_ft`` therefore stay unburned in the
-        reference propagation too — restricting travel-time assembly
-        and propagation to this box cannot change the output.
+        reference propagation too — restricting propagation to this
+        box cannot change the output.
 
         The radius is rounded up to a multiple of 8 cells: enlarging
         the box never changes the output, and quantizing lets genomes of
@@ -456,13 +435,16 @@ class VectorizedBackend(EngineBackend):
         )
 
     def _chunks(self, ros_peaks: np.ndarray):
-        """Yield ``(rows, box, grid)``: genome chunks sharing one box.
+        """Yield ``(rows, box, grid, classes)``: genome chunks sharing one box.
 
         Genomes go fastest first, so a chunk's reach box — that of its
         first genome — holds the reach box of every genome in it, and
         slow genomes (the bulk of a Table I sample) share small boxes.
-        ``grid`` is the box's :class:`FlatGrid`; a chunk has at most
-        ``grid.chunk`` genomes.
+        ``grid`` is the box's :class:`FlatGrid`. On raster terrains
+        ``classes`` is ``np.unique`` of the box's cell classes with the
+        inverse (``None`` on uniform terrain). A chunk holds as many
+        genomes as :meth:`FlatGrid.genomes_per_call` allows for what its
+        kernel call allocates.
         """
         order = np.argsort(-ros_peaks, kind="stable")
         lo = 0
@@ -473,73 +455,88 @@ class VectorizedBackend(EngineBackend):
                 self._offsets,
                 self._blocked[box],
             )
-            rows = order[lo : lo + grid.chunk]
-            yield rows, box, grid
+            if self._uniform:
+                classes = None
+                size = grid.genomes_per_call()
+            else:
+                classes = np.unique(self._class_of_cell[box], return_inverse=True)
+                size = grid.genomes_per_call(len(classes[0]))
+            rows = order[lo : lo + size]
+            yield rows, box, grid, classes
             lo += len(rows)
 
-    def _uniform_burned(self, scenarios: Sequence) -> np.ndarray:
+    def _uniform_burned(self, batch: ScenarioBatch) -> np.ndarray:
         """Burned masks of a deduplicated uniform-terrain batch."""
         horizon = self.spec.horizon
-        maps = np.zeros((len(scenarios), *self.spec.terrain.shape), dtype=bool)
-        weights, ros = self._uniform_weight_matrix(scenarios)
-        for rows, box, grid in self._chunks(ros):
-            times = grid.run_uniform(weights[rows], self._start[box], horizon)
+        maps = np.zeros((len(batch), *self.spec.terrain.shape), dtype=bool)
+        with span("fields", genomes=len(batch)):
+            weights, ros = self._uniform_weight_matrix(batch)
+        for rows, box, grid, _ in self._chunks(ros):
+            with span("propagate", genomes=len(rows), cells=grid.rows * grid.cols):
+                times = grid.run_uniform(weights[rows], self._start[box], horizon)
             maps[rows, box[0], box[1]] = times <= horizon
         return maps
 
-    def _raster_burned(self, scenarios: Sequence) -> np.ndarray:
+    def _raster_burned(self, batch: ScenarioBatch) -> np.ndarray:
         """Burned masks of a deduplicated fuel/slope/aspect-raster batch.
 
         Fields come from the genome-axis, class-deduplicated batched
-        kernel. Per chunk, the ``(g, D, classes in the box)`` travel
-        table follows in one broadcast pass over the classes present
-        in the chunk's reach box — the identical elementwise ops of the
-        per-direction, per-cell reference loop — and one kernel call
-        propagates the whole chunk.
+        kernel. Per chunk, one kernel call propagates the whole chunk
+        over the classes present in its reach box; each ``(genome,
+        class)`` travel-table entry is computed only once the fire
+        spreads out of a cell of that class (see
+        :class:`~repro.engine.fastprop.ClassTables`).
         """
         horizon = self.spec.horizon
-        maps = np.zeros((len(scenarios), *self.spec.terrain.shape), dtype=bool)
+        maps = np.zeros((len(batch), *self.spec.terrain.shape), dtype=bool)
         fields_chunk = max(
             1, _RASTER_BLOCK_ELEMENTS // max(1, 3 * self._n_classes)
         )
-        for lo in range(0, len(scenarios), fields_chunk):
-            ros, dir_, ecc = self._raster_fields(
-                scenarios[lo : lo + fields_chunk]
-            )
+        for lo in range(0, len(batch), fields_chunk):
+            part = batch[lo : lo + fields_chunk]
+            with span("fields", genomes=len(part), classes=self._n_classes):
+                fields = self._raster_fields(part)
             # Class max == cell max: every class occurs on ≥1 cell.
-            for rows, box, grid in self._chunks(ros.max(axis=1)):
-                classes, cell_class = np.unique(
-                    self._class_of_cell[box], return_inverse=True
+            for rows, box, grid, (classes, cell_class) in self._chunks(
+                fields[0].max(axis=1)
+            ):
+                tables = ClassTables(
+                    len(rows),
+                    len(classes),
+                    functools.partial(self._class_travel, fields, rows, classes),
                 )
-                pick = np.ix_(rows, classes)
-                rates = ros_at_azimuth(
-                    ros[pick][:, None, :],
-                    dir_[pick][:, None, :],
-                    ecc[pick][:, None, :],
-                    self._azimuths[None, :, None],
-                )
-                with np.errstate(divide="ignore"):
-                    tables = np.where(
-                        rates > ROS_EPSILON,
-                        self._distances[None, :, None] / rates,
-                        np.inf,
-                    )  # (g, D, classes)
-                times = grid.run_table(
-                    tables,
-                    cell_class.reshape(grid.rows, grid.cols),
-                    self._start[box],
-                    horizon,
-                )
+                with span(
+                    "propagate", genomes=len(rows), cells=grid.rows * grid.cols
+                ):
+                    times = grid.run_table(
+                        tables,
+                        cell_class.reshape(grid.rows, grid.cols),
+                        self._start[box],
+                        horizon,
+                    )
                 maps[lo + rows, box[0], box[1]] = times <= horizon
         return maps
+
+    def _class_travel(
+        self,
+        fields: np.ndarray,
+        rows: np.ndarray,
+        classes: np.ndarray,
+        pairs: np.ndarray,
+    ) -> np.ndarray:
+        """``(D, len(pairs))`` travel times of ``(genome, class)`` pairs,
+        pair ``p = k * len(classes) + j`` being genome ``rows[k]`` on
+        class ``classes[j]`` of the ``(3, n, u)`` ellipse ``fields``."""
+        genome, cls = np.divmod(pairs, len(classes))
+        return self._directional_travel(*fields[:, rows[genome], classes[cls]])
 
     def _unique_burned(self, genomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Burned masks of the deduplicated batch + inverse index map."""
         genomes = np.atleast_2d(np.asarray(genomes, dtype=np.float64))
         uniq, inverse = np.unique(genomes, axis=0, return_inverse=True)
-        scenarios = [self.spec.space.decode(g) for g in uniq]
+        batch = self.spec.space.decode_batch(uniq)
         burned = self._uniform_burned if self._uniform else self._raster_burned
-        return burned(scenarios), inverse.reshape(-1)
+        return burned(batch), inverse.reshape(-1)
 
     # ------------------------------------------------------------------
     def fitness_batch(self, genomes: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ from repro.engine.backends import (
 )
 from repro.engine.cache import CacheStats
 from repro.errors import ParallelError, ReproError
-from repro.obs import telemetry
+from repro.obs import span, telemetry
 
 __all__ = ["EngineStats", "SimulationEngine"]
 
@@ -179,14 +179,20 @@ class SimulationEngine:
         obs.counter(
             "repro_engine_evaluations_total", backend=self.backend_name
         ).inc(n)
+        with span("evaluate", obs, backend=self.backend_name, genomes=n) as ev:
+            values, misses = self._evaluate(genomes, n, obs)
+            ev["attrs"].update(hits=n - misses, misses=misses)
+        return values
 
+    def _evaluate(self, genomes: np.ndarray, n: int, obs) -> tuple[np.ndarray, int]:
+        """Fitness of a non-empty batch and its cache miss count."""
         if self._cache is None:
             values = self._timed_fitness(genomes, n, obs)
             self.stats.simulations += n
             obs.counter(
                 "repro_engine_cache_misses_total", backend=self.backend_name
             ).inc(n)
-            return values
+            return values, n
 
         out = np.empty(n, dtype=np.float64)
         pending: dict[bytes, list[int]] = {}
@@ -211,7 +217,7 @@ class SimulationEngine:
             for (key, indices), value in zip(pending.items(), values):
                 self._cache.put(key, float(value))
                 out[indices] = value
-        return out
+        return out, misses
 
     def burned_maps(self, genomes: np.ndarray) -> np.ndarray:
         """Simulated burned masks (the Statistical Stage input).

@@ -4,21 +4,28 @@
 one scenario at a time through a Python heap loop. The engine instead
 propagates a whole chunk of genomes at once with one label-correcting
 kernel over the flat ``(genomes, rows, cols)`` arrival-time array
-``T`` and the flat ``(D, genomes, rows, cols)`` travel array ``W``:
+``T``:
 
 * a *wave* relaxes every stencil edge out of the *frontier*, the cells
   whose arrival time fell in the previous wave (the first wave's
-  frontier is every seed): it forms ``T[src] + W[d, src]`` for every
+  frontier is every seed): it forms ``W[d, src] + T[src]`` for every
   direction ``d``, keeps the candidates strictly below ``T[dst]`` and
   applies them with ``np.minimum.at``; the cells it improves, marked
   in one reused boolean array, are the next wave's frontier, and the
   kernel stops after a wave that improves nothing;
 * each wave runs in *slices* of ``CHUNK_ELEMENTS // 32 // D`` frontier
-  cells, so its temporaries stay far below the travel array even when
-  a large seeded region makes the first frontier huge;
-* travel times carry ``inf`` on every edge that leaves or enters a
-  blocked cell or leaves the grid, so such edges are never kept and
-  need no branch;
+  cells, so its temporaries stay small even when a large seeded region
+  makes the first frontier huge;
+* the travel times ``W[d, src]`` of a slice are *gathered* for just its
+  sources, as ``travel + closed``: ``closed`` is ``0.0`` on open edges
+  and ``inf`` on every edge that leaves or enters a blocked cell or
+  leaves the grid, so such edges are never kept and need no branch.
+  :meth:`FlatGrid.run_uniform` gathers ``weights[genome, d]``;
+  :meth:`FlatGrid.run_table` gathers from a ``(D, genomes * classes)``
+  table that it fills the first time a ``(genome, class)`` pair is a
+  source, so cells the fire never leaves cost nothing;
+  :meth:`FlatGrid.run_raster` gathers from a dense ``(D, genomes, rows,
+  cols)`` array;
 * unburned cells start at the least float above the horizon rather
   than ``inf``, so "strictly below ``T[dst]``" also means "at or below
   the horizon"; the kernel maps what is left at that bound to ``inf``.
@@ -49,26 +56,38 @@ when its value falls strictly, so the wave after that has an empty
 frontier; with ``<=`` instead of ``<``, a zero-weight cycle would keep
 re-marking its cells forever.
 
-Each kernel call holds the chunk's ``(D, genomes, rows, cols)`` travel
-array, so callers cut genome batches into chunks of
-:attr:`FlatGrid.chunk` genomes, keeping that array under
-:data:`CHUNK_ELEMENTS` elements.
+A gathered travel time is the same float whichever form it comes
+from: ``travel + closed`` is computed per element exactly as a dense
+assembly computed it, then ``T[src]`` is added, so the order of the
+additions is unchanged. Callers cut genome batches into chunks so that
+what one call holds per genome stays under the float64 size of
+:data:`CHUNK_ELEMENTS` elements: the arrival times, frontier, masks
+and on-demand table, :meth:`FlatGrid.genomes_per_call`, or the dense
+travel array, :attr:`FlatGrid.chunk`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import SimulationError
 
-__all__ = ["CHUNK_ELEMENTS", "FlatGrid", "propagate_uniform", "propagate_raster"]
+__all__ = [
+    "CHUNK_ELEMENTS",
+    "ClassTables",
+    "FlatGrid",
+    "propagate_uniform",
+    "propagate_raster",
+]
 
-#: Element budget of one kernel call's ``(D, genomes, rows, cols)``
-#: travel array (float64: 512 KiB). Larger chunks save little per-wave
-#: overhead and raise the process's peak memory.
+#: Element budget of one kernel call's chunk: a dense float64 travel
+#: array of this many elements (512 KiB), or as many bytes of arrival
+#: times, frontier, masks and on-demand tables. Larger chunks save
+#: little per-wave overhead and raise the process's peak memory.
 CHUNK_ELEMENTS = 1 << 16
 
 
@@ -87,40 +106,66 @@ def _horizon_bound(horizon: float | None) -> float:
 
 def _relax(
     times: np.ndarray,
-    travel: np.ndarray,
+    travel_at: Callable[[np.ndarray], np.ndarray],
     offsets: Sequence[tuple[int, int]],
     bound: float,
 ) -> None:
     """Frontier waves to the fixed point, in place.
 
     ``times`` is ``(g, rows, cols)``: seed arrival times below
-    ``bound``, ``bound`` elsewhere. ``travel`` is ``(D, g, rows, cols)``:
-    genome ``k``'s time from cell ``(r, c)`` along ``offsets[d]``,
-    ``inf`` on closed edges, including every edge off the grid. An
-    off-grid edge's flat target index wraps into a neighbouring row or
-    genome, or past either end (the gather clips it), but its candidate
-    is ``inf`` and never kept.
+    ``bound``, ``bound`` elsewhere. ``travel_at(src)`` returns a fresh
+    ``(D, len(src))`` array: for each flat source index into ``times``
+    (genome ``k``, cell ``(r, c)``), the travel time along
+    ``offsets[d]``, ``inf`` on closed edges, including every edge off
+    the grid. An off-grid edge's flat target index wraps into a
+    neighbouring row or genome, or past either end (the gather clips
+    it), but its candidate is ``inf`` and never kept.
     """
     flat_times = times.reshape(-1)
-    flat_travel = travel.reshape(-1)
-    n_dirs, _, rows, cols = travel.shape
-    planes = (np.arange(n_dirs) * flat_times.size)[:, None]
+    _, rows, cols = times.shape
     steps = np.array([dr * cols + dc for dr, dc in offsets])[:, None]
-    per_slice = max(1, CHUNK_ELEMENTS // 32 // n_dirs)
+    per_slice = max(1, CHUNK_ELEMENTS // 32 // len(offsets))
     mark = np.zeros(flat_times.size, dtype=bool)
     frontier = np.flatnonzero(flat_times < bound)
     while frontier.size:
         for lo in range(0, frontier.size, per_slice):
             src = frontier[lo : lo + per_slice]
-            cand = np.take(flat_travel, planes + src)  # (D, slice)
+            cand = travel_at(src)  # (D, slice)
             cand += np.take(flat_times, src)
             dst = steps + src
             keep = cand < np.take(flat_times, dst, mode="clip")
             dst = dst[keep]
             np.minimum.at(flat_times, dst, cand[keep])
             mark[dst] = True
+        src = frontier = None  # free this frontier before the next one
         frontier = np.flatnonzero(mark)
         mark[frontier] = False
+
+
+@dataclass(frozen=True)
+class ClassTables:
+    """A ``(genomes, D, classes)`` travel table computed on demand.
+
+    ``compute(pairs)`` returns the ``(D, len(pairs))`` travel times out
+    of a cell of class ``pairs % classes`` for genome ``pairs //
+    classes``. :meth:`FlatGrid.run_table` calls it for a pair the first
+    time the pair is a frontier source, so classes the fire never
+    leaves cost nothing.
+    """
+
+    genomes: int
+    classes: int
+    compute: Callable[[np.ndarray], np.ndarray]
+
+    @classmethod
+    def dense(cls, tables: np.ndarray) -> "ClassTables":
+        """Wrap an already computed ``(g, D, K)`` array."""
+        genomes, _, classes = tables.shape
+
+        def compute(pairs: np.ndarray) -> np.ndarray:
+            return tables[pairs // classes, :, pairs % classes].T
+
+        return cls(genomes, classes, compute)
 
 
 class FlatGrid:
@@ -135,8 +180,9 @@ class FlatGrid:
     blocked:
         Optional boolean mask of cells fire can never enter.
 
-    The three ``run_*`` methods assemble one chunk's travel array from
-    a different input form and call the kernel once.
+    The three ``run_*`` methods take travel times in a different input
+    form and call the kernel once; each hands the kernel a gather that
+    forms ``travel + closed`` for just the frontier cells of a slice.
     """
 
     def __init__(
@@ -160,18 +206,35 @@ class FlatGrid:
         self.blocked = blocked
         # 0.0 on open edges, inf on edges out of a blocked cell or into
         # a blocked or off-grid one; adding it to travel times is exact
-        # (w + 0.0 == w).
+        # (w + 0.0 == w). Flat: (D, rows * cols).
         reach = max(max(abs(dr), abs(dc)) for dr, dc in self.offsets)
         open_ = np.zeros((rows + 2 * reach, cols + 2 * reach), dtype=bool)
         open_[reach : reach + rows, reach : reach + cols] = out_of = ~blocked
-        self._closed = np.full((len(self.offsets), rows, cols), np.inf)
+        closed = np.full((len(self.offsets), rows, cols), np.inf)
         for d, (dr, dc) in enumerate(self.offsets):
             into = open_[
                 reach + dr : reach + dr + rows, reach + dc : reach + dc + cols
             ]
-            self._closed[d][out_of & into] = 0.0
-        #: Genomes per kernel call on this grid (see CHUNK_ELEMENTS).
+            closed[d][out_of & into] = 0.0
+        self._closed = closed.reshape(len(self.offsets), rows * cols)
+        #: Genomes per :meth:`run_raster` call (see CHUNK_ELEMENTS).
         self.chunk = max(1, CHUNK_ELEMENTS // self._closed.size)
+
+    def genomes_per_call(self, classes: int | None = None) -> int:
+        """Genomes per :meth:`run_uniform` call, or per :meth:`run_table`
+        call over ``classes`` terrain classes.
+
+        What a call holds per genome, beside wave-slice temporaries of
+        fixed size: per cell, its float64 arrival time, at most one
+        int64 frontier index, and one byte each in the wave mark and in
+        one comparison mask; per class, :meth:`run_table`'s ``D``
+        float64 table entries and one fill flag. This keeps that under
+        the ``8 * CHUNK_ELEMENTS`` bytes of a dense travel array.
+        """
+        per_genome = self.rows * self.cols * (8 + 8 + 1 + 1)
+        if classes is not None:
+            per_genome += classes * (8 * len(self.offsets) + 1)
+        return max(1, 8 * CHUNK_ELEMENTS // per_genome)
 
     # ------------------------------------------------------------------
     def seed(
@@ -221,36 +284,67 @@ class FlatGrid:
             raise SimulationError(
                 f"weights shape {weights.shape} != (g, {len(self.offsets)})"
             )
-        travel = self._travel(len(weights))
-        np.add(weights.T[:, :, None, None], self._closed[:, None], out=travel)
-        return self._run(travel, seeded, horizon)
+        by_dir = np.ascontiguousarray(weights.T)  # (D, g)
+        size = self.rows * self.cols
+
+        def travel_at(src: np.ndarray) -> np.ndarray:
+            genome, cell = np.divmod(src, size)
+            travel = np.take(by_dir, genome, axis=1)
+            travel += np.take(self._closed, cell, axis=1)
+            return travel
+
+        return self._run(travel_at, len(weights), seeded, horizon)
 
     def run_table(
         self,
-        tables: np.ndarray,
+        tables: ClassTables | np.ndarray,
         classes: np.ndarray,
         seeded: np.ndarray,
         horizon: float | None = None,
     ) -> np.ndarray:
         """Propagate with per-cell-class travel times.
 
-        ``tables`` is ``(g, D, K)``: genome ``k``'s travel time along
-        direction ``d`` out of a class-``j`` cell; ``classes`` is the
-        ``(rows, cols)`` class index of every cell.
+        ``tables`` holds genome ``k``'s travel time along direction
+        ``d`` out of a class-``j`` cell: a :class:`ClassTables`, or a
+        ``(g, D, K)`` array. ``classes`` is the ``(rows, cols)`` class
+        index of every cell. A ``(D, g * K)`` table is filled the first
+        time a ``(genome, class)`` pair is a frontier source; a slice
+        that holds one pair twice computes it twice, to the same value.
         """
-        tables = np.asarray(tables, dtype=np.float64)
-        if tables.ndim != 3 or tables.shape[1] != len(self.offsets):
-            raise SimulationError(
-                f"tables shape {tables.shape} != (g, {len(self.offsets)}, K)"
-            )
+        if not isinstance(tables, ClassTables):
+            tables = np.asarray(tables, dtype=np.float64)
+            if tables.ndim != 3 or tables.shape[1] != len(self.offsets):
+                raise SimulationError(
+                    f"tables shape {tables.shape} != (g, {len(self.offsets)}, K)"
+                )
+            tables = ClassTables.dense(tables)
+        classes = np.asarray(classes)
         if classes.shape != (self.rows, self.cols):
             raise SimulationError(
                 f"classes shape {classes.shape} != grid {(self.rows, self.cols)}"
             )
-        travel = self._travel(len(tables))
-        for d, closed in enumerate(self._closed):
-            np.add(np.take(tables[:, d], classes, axis=1), closed, out=travel[d])
-        return self._run(travel, seeded, horizon)
+        if classes.size and (classes.min() < 0 or classes.max() >= tables.classes):
+            raise SimulationError(
+                f"class indices must lie in [0, {tables.classes})"
+            )
+        n_classes = tables.classes
+        cell_class = classes.reshape(-1)
+        size = self.rows * self.cols
+        table = np.empty((len(self.offsets), tables.genomes * n_classes))
+        filled = np.zeros(tables.genomes * n_classes, dtype=bool)
+
+        def travel_at(src: np.ndarray) -> np.ndarray:
+            genome, cell = np.divmod(src, size)
+            pairs = genome * n_classes + np.take(cell_class, cell)
+            fresh = pairs[~filled[pairs]]
+            if fresh.size:
+                table[:, fresh] = tables.compute(fresh)
+                filled[fresh] = True
+            travel = np.take(table, pairs, axis=1)
+            travel += np.take(self._closed, cell, axis=1)
+            return travel
+
+        return self._run(travel_at, tables.genomes, seeded, horizon)
 
     def run_raster(
         self,
@@ -260,29 +354,42 @@ class FlatGrid:
     ) -> np.ndarray:
         """Propagate with per-cell ``(g, D, rows, cols)`` travel times."""
         travel_time = np.asarray(travel_time, dtype=np.float64)
-        if travel_time.ndim != 4 or travel_time.shape[1:] != self._closed.shape:
+        n_dirs = len(self.offsets)
+        if travel_time.ndim != 4 or travel_time.shape[1:] != (
+            n_dirs,
+            self.rows,
+            self.cols,
+        ):
             raise SimulationError(
                 f"travel_time shape {travel_time.shape} != "
-                f"(g, {len(self.offsets)}, {self.rows}, {self.cols})"
+                f"(g, {n_dirs}, {self.rows}, {self.cols})"
             )
-        travel = self._travel(len(travel_time))
+        genomes = len(travel_time)
+        size = self.rows * self.cols
+        travel = np.empty((n_dirs, genomes, size))
         np.add(
-            travel_time.transpose(1, 0, 2, 3), self._closed[:, None], out=travel
+            travel_time.reshape(genomes, n_dirs, size).transpose(1, 0, 2),
+            self._closed[:, None],
+            out=travel,
         )
-        return self._run(travel, seeded, horizon)
+        flat = travel.reshape(-1)
+        planes = (np.arange(n_dirs) * (genomes * size))[:, None]
+        return self._run(
+            lambda src: np.take(flat, planes + src), genomes, seeded, horizon
+        )
 
     # ------------------------------------------------------------------
-    def _travel(self, genomes: int) -> np.ndarray:
-        """An empty ``(D, genomes, rows, cols)`` travel array."""
-        return np.empty((len(self.offsets), genomes, self.rows, self.cols))
-
     def _run(
-        self, travel: np.ndarray, seeded: np.ndarray, horizon: float | None
+        self,
+        travel_at: Callable[[np.ndarray], np.ndarray],
+        genomes: int,
+        seeded: np.ndarray,
+        horizon: float | None,
     ) -> np.ndarray:
         bound = _horizon_bound(horizon)
-        times = np.empty(travel.shape[1:])
+        times = np.empty((genomes, self.rows, self.cols))
         np.minimum(seeded, bound, out=times)
-        _relax(times, travel, self.offsets, bound)
+        _relax(times, travel_at, self.offsets, bound)
         times[times >= bound] = np.inf
         return times
 
@@ -322,7 +429,7 @@ def propagate_uniform(
         lambda w: grid.run_uniform(w, seeded, horizon),
         np.asarray(weights, dtype=np.float64),
         1,
-        grid.chunk,
+        grid.genomes_per_call(),
     )
 
 

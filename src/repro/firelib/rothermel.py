@@ -19,7 +19,12 @@ moisture, metre cells) at the boundary.
 Vectorisation: all heavy math is NumPy; slope/aspect may be per-cell
 arrays and broadcast through the wind–slope vector combination, so a
 heterogeneous-terrain simulation costs one vectorised pass per distinct
-fuel model (≤ 13) rather than one Python call per cell.
+fuel model (≤ 13) rather than one Python call per cell. The batched
+engine goes one step further across scenarios: :meth:`FuelBed.
+no_wind_rates`, :meth:`FuelBed.phi_winds` and :func:`spread_batch`
+take many scenarios of one fuel model at once and reproduce the scalar
+results bit for bit, and :func:`ellipse_fields` is the wind–slope
+combination over ``(scenarios × terrain classes)``.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.errors import ScenarioError, SimulationError
+from repro.firelib.ellipse import eccentricity_from_effective_wind
 from repro.firelib.fuel_models import (
     EFFECTIVE_MINERAL,
     HEAT_CONTENT,
@@ -42,11 +48,37 @@ from repro.firelib.fuel_models import (
 from repro.firelib.moisture import Moisture
 from repro.units import MPH_TO_FTMIN
 
-__all__ = ["FuelBed", "SpreadResult", "spread", "MPH_TO_FTMIN"]
+__all__ = [
+    "FuelBed",
+    "SpreadResult",
+    "ellipse_fields",
+    "libm_power",
+    "spread",
+    "spread_batch",
+    "wind_ftmin",
+    "MPH_TO_FTMIN",
+]
 
 #: Smallest spread rate treated as nonzero, ft/min. Below this the fire
 #: is considered unable to propagate (matches fireLib's ros smoothing).
 ROS_EPSILON = 1e-9
+
+#: Column of each particle ``moisture_key`` in an ``(n, 4)`` fraction
+#: matrix (the :class:`Moisture` field order).
+_MOISTURE_COLUMN = {"m1": 0, "m10": 1, "m100": 2, "mherb": 3}
+
+
+def libm_power(base: np.ndarray, exponent: float) -> np.ndarray:
+    """``base ** exponent`` per element, as a scalar ``**`` computes it.
+
+    Python floats and NumPy scalars raise to a power through the C
+    library's ``pow``; NumPy's array loop may use a different
+    implementation that differs in the last bit for a few percent of
+    inputs. The batched methods below reproduce scalar terms through
+    this object-dtype power, which calls ``float.__pow__`` per element.
+    """
+    base = np.asarray(base, dtype=np.float64)
+    return np.power(base.astype(object), exponent).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -242,6 +274,82 @@ class FuelBed:
 
         return reaction_intensity * self.xi / heat_sink
 
+    def no_wind_rates(self, fractions: np.ndarray) -> np.ndarray:
+        """:meth:`no_wind_rate` of every row of an ``(n, 4)`` matrix.
+
+        Rows are ``(m1, m10, m100, mherb)`` fractions, already range
+        checked (:meth:`Moisture.check_fractions`). Every value is
+        bitwise equal to the scalar method's: the same elementwise
+        float operations in the same order, with each scalar ``**``
+        through :func:`libm_power`.
+        """
+        try:
+            cols = [_MOISTURE_COLUMN[k] for k in self.p_moisture_key]
+        except KeyError as exc:
+            raise ScenarioError(f"unknown moisture key {exc.args[0]!r}") from None
+        m = np.asarray(fractions, dtype=np.float64)[:, cols]
+        n = m.shape[0]
+        dead = self.p_dead
+        has_live = bool((~dead).any())
+        m_dead = np.zeros(n)
+        if dead.any():
+            m_dead = (self.p_f[dead] * m[:, dead]).sum(axis=1)
+        m_live = np.zeros(n)
+        if has_live:
+            m_live = (self.p_f[~dead] * m[:, ~dead]).sum(axis=1)
+
+        mext_dead = self.model.mext_dead
+        if has_live and self.fine_live > 0:
+            fdmois = (
+                (
+                    self.p_load[dead] * np.exp(-138.0 / self.p_sav[dead]) * m[:, dead]
+                ).sum(axis=1)
+                / self.fine_dead
+                if self.fine_dead > 0
+                else np.zeros(n)
+            )
+            w_ratio = self.fine_dead / self.fine_live
+            mext_live = 2.9 * w_ratio * (1.0 - fdmois / mext_dead) - 0.226
+            # Python's max(a, b) keeps a unless b > a
+            mext_live = np.where(mext_dead > mext_live, mext_dead, mext_live)
+        else:
+            mext_live = mext_dead
+
+        def eta_m(mf: np.ndarray, mx) -> np.ndarray:
+            rm = np.divide(mf, mx, out=np.ones(n), where=np.greater(mx, 0))
+            eta = np.zeros(n)
+            below = rm < 1.0  # at/above extinction: analytically zero
+            r = rm[below]
+            poly = 1.0 - 2.59 * r + 5.11 * libm_power(r, 2) - 3.52 * libm_power(r, 3)
+            eta[below] = np.where(poly > 0.0, poly, 0.0)
+            return eta
+
+        eta_dead = eta_m(m_dead, mext_dead)
+        eta_live = eta_m(m_live, mext_live) if has_live else 0.0
+        eta_s = 0.174 * EFFECTIVE_MINERAL**-0.19
+
+        reaction_intensity = (
+            self.gamma
+            * HEAT_CONTENT
+            * (self.wn_dead * eta_dead + self.wn_live * eta_live)
+            * eta_s
+        )  # Btu/ft²/min
+        eps = np.exp(-138.0 / self.p_sav)
+        qig = 250.0 + 1116.0 * m
+        heat_sink = self.rho_b * (self.p_fcat * self.p_f * eps * qig).sum(axis=1)
+        burns = (reaction_intensity > 0) & (heat_sink > 0)
+        return np.divide(
+            reaction_intensity * self.xi, heat_sink, out=np.zeros(n), where=burns
+        )
+
+    def phi_winds(self, wind_ftmin: np.ndarray) -> np.ndarray:
+        """:meth:`phi_wind` of every element, bitwise equal to it."""
+        wind_ftmin = np.asarray(wind_ftmin, dtype=np.float64)
+        out = np.zeros(wind_ftmin.shape)
+        blowing = wind_ftmin > 0
+        out[blowing] = self.wind_k * libm_power(wind_ftmin[blowing], self.wind_b)
+        return out
+
     def phi_wind(self, wind_ftmin: float) -> float:
         """Wind factor φ_w for a midflame wind speed in ft/min."""
         if wind_ftmin <= 0:
@@ -257,6 +365,12 @@ class FuelBed:
         """Invert the wind-factor relation: φ_ew → equivalent wind, ft/min."""
         phi = np.maximum(phi_ew, 0.0)
         return (phi / self.wind_k) ** self.wind_e_inv
+
+    def effective_winds(self, phi_ew: np.ndarray) -> np.ndarray:
+        """:meth:`effective_wind` of every element as a scalar call
+        computes it (through :func:`libm_power`)."""
+        phi = np.maximum(phi_ew, 0.0)
+        return libm_power(phi / self.wind_k, self.wind_e_inv)
 
 
 @dataclass(frozen=True)
@@ -360,8 +474,6 @@ def spread(
     dir_max = np.where(rv > ROS_EPSILON, dir_max, 0.0)
 
     eff_wind = bed.effective_wind(phi_ew)
-    from repro.firelib.ellipse import eccentricity_from_effective_wind
-
     ecc = eccentricity_from_effective_wind(eff_wind)
     ecc = np.where(rv > ROS_EPSILON, ecc, 0.0)
 
@@ -380,3 +492,84 @@ def spread(
         eccentricity=ecc,
         effective_wind_ftmin=np.asarray(eff_wind),
     )
+
+
+def wind_ftmin(wind_speed_mph: np.ndarray) -> np.ndarray:
+    """Midflame wind in ft/min per element, converted as :func:`spread`
+    converts its scalar (``max(0.0, mph) * MPH_TO_FTMIN``)."""
+    # Python's max(0.0, v) keeps 0.0 unless v > 0.0
+    return np.where(wind_speed_mph > 0.0, wind_speed_mph, 0.0) * MPH_TO_FTMIN
+
+
+def ellipse_fields(
+    bed: FuelBed,
+    r0: np.ndarray,
+    phi_w: np.ndarray,
+    wind_dir_deg: np.ndarray,
+    slope_deg: np.ndarray,
+    aspect_deg: np.ndarray,
+    scalar_terrain: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The wind–slope vector combination of :func:`spread`, batched.
+
+    Arguments broadcast together (genomes down the rows, say, and
+    terrain classes across); every ``r0`` must exceed
+    :data:`ROS_EPSILON`. Returns ``(ros_max, dir_max_deg,
+    eccentricity)`` with the exact elementwise float operations of
+    :func:`spread`. ``scalar_terrain`` says what :func:`spread` is
+    reproduced on: scalar slope and aspect, whose effective wind is a
+    scalar ``**`` (see :func:`libm_power`), or per-cell arrays.
+    """
+    phi_s = bed.phi_slope(slope_deg)
+    upslope = np.mod(aspect_deg + 180.0, 360.0)
+    split = np.radians(np.mod(wind_dir_deg - upslope, 360.0))
+    slp_rate = r0 * phi_s
+    wnd_rate = r0 * phi_w
+    x = slp_rate + wnd_rate * np.cos(split)
+    y = wnd_rate * np.sin(split)
+    rv = np.hypot(x, y)
+    ros_max = r0 + rv
+    phi_ew = rv / r0
+    dir_max = np.mod(upslope + np.degrees(np.arctan2(y, x)), 360.0)
+    dir_max = np.where(rv > ROS_EPSILON, dir_max, 0.0)
+    if scalar_terrain:
+        eff_wind = bed.effective_winds(phi_ew)
+    else:
+        eff_wind = bed.effective_wind(phi_ew)
+    ecc = eccentricity_from_effective_wind(eff_wind)
+    ecc = np.where(rv > ROS_EPSILON, ecc, 0.0)
+    return ros_max, dir_max, ecc
+
+
+def spread_batch(
+    model_code: int,
+    fractions: np.ndarray,
+    wind_speed_mph: np.ndarray,
+    wind_dir_deg: np.ndarray,
+    slope_deg: np.ndarray,
+    aspect_deg: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`spread` of ``n`` scenarios of one fuel model in one pass.
+
+    ``fractions`` is the ``(n, 4)`` moisture matrix (see
+    :meth:`FuelBed.no_wind_rates`); the other arguments are ``(n,)``
+    scalar-terrain inputs. Returns ``(ros_max, dir_max_deg,
+    eccentricity)``, each ``(n,)`` and bitwise equal to the scalar
+    :func:`spread` row by row (all zero where the bed cannot spread).
+    """
+    bed = FuelBed.for_model(model_code)
+    r0 = bed.no_wind_rates(fractions)
+    wind = wind_ftmin(wind_speed_mph)
+    out = np.zeros((3, len(r0)))
+    alive = r0 > ROS_EPSILON
+    if alive.any():
+        out[:, alive] = ellipse_fields(
+            bed,
+            r0[alive],
+            bed.phi_winds(wind[alive]),
+            wind_dir_deg[alive],
+            slope_deg[alive],
+            aspect_deg[alive],
+            scalar_terrain=True,
+        )
+    return out[0], out[1], out[2]

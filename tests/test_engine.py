@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.analysis.reporting import format_engine_totals
-from repro.core.scenario import ParameterSpace
+from repro.core.scenario import TABLE_I_SPECS, ParameterSpace, ParamSpec
 from repro.engine import (
     EngineSession,
     ProcessBackend,
@@ -17,7 +18,11 @@ from repro.engine import (
     create_backend,
 )
 from repro.engine.cache import CacheStats
-from repro.errors import ParallelError, ReproError, SimulationError
+from repro.engine.fastprop import FlatGrid
+from repro.errors import ParallelError, ReproError, ScenarioError, SimulationError
+from repro.grid.terrain import Terrain
+from repro.obs import ListSink
+from repro.systems.problem import PredictionStepProblem
 from repro.systems.results import RunResult, StepResult
 
 SPACE = ParameterSpace()
@@ -318,3 +323,110 @@ class TestSystemRunEngine:
             ESS(backend="warp-drive")
         with pytest.raises(ReproError):
             ESS(cache_size=-5)
+
+
+def _fuel_problem(space: ParameterSpace) -> PredictionStepProblem:
+    terrain = Terrain.with_fuel_patches(
+        14, 14, base_model=2, patches=[(slice(0, 6), slice(8, 14), 9)]
+    )
+    start = np.zeros(terrain.shape, dtype=bool)
+    start[6:8, 6:8] = True
+    real = start.copy()
+    real[5:10, 5:10] = True
+    return PredictionStepProblem(
+        terrain=terrain, start_burned=start, real_burned=real, horizon=20.0,
+        space=space,
+    )
+
+
+#: Every coordinate NaN, plus the infinities that wrapping turns into NaN.
+NON_FINITE = [(j, np.nan) for j in range(9)] + [
+    (j, v) for j in (2, 8) for v in (np.inf, -np.inf)
+]
+
+
+class TestScenarioValidation:
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("column, value", NON_FINITE)
+    def test_non_finite_coordinate_raises(self, step1_problem, backend, column, value):
+        genomes = SPACE.sample(3, 21)
+        genomes[1, column] = value
+        engine = SimulationEngine.from_problem(step1_problem, backend=backend)
+        with pytest.raises(ScenarioError, match=TABLE_I_SPECS[column].name):
+            engine(genomes)
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("kind", ["uniform", "fuel"])
+    def test_moisture_fraction_above_one_raises(self, step1_problem, backend, kind):
+        """A custom space whose M1 reaches 150%: rows up to 100% score
+        on both backends alike, a row above it raises on both."""
+        specs = list(TABLE_I_SPECS)
+        specs[3] = ParamSpec("M1", "1-h dead fuel moisture", 1, 150, "percent")
+        space = ParameterSpace(specs)
+        if kind == "uniform":
+            p = step1_problem
+            problem = PredictionStepProblem(
+                terrain=p.terrain, start_burned=p.start_burned,
+                real_burned=p.real_burned, horizon=p.horizon, space=space,
+            )
+        else:
+            problem = _fuel_problem(space)
+        genomes = space.sample(4, 22)
+        genomes[:, 3] = [5.0, 60.0, 99.5, 100.0]
+        engine = SimulationEngine.from_problem(problem, backend=backend)
+        reference = SimulationEngine.from_problem(problem, backend="reference")
+        assert np.array_equal(engine(genomes), reference(genomes))
+        genomes[2, 3] = 120.0
+        with pytest.raises(ScenarioError, match="m1=1.2 outside"):
+            engine(genomes)
+
+
+class TestEngineSpans:
+    """One ``evaluate`` span per engine batch, and inside the vectorized
+    kernel one ``fields`` span per batch and one ``propagate`` span per
+    kernel call; none of them changes a result."""
+
+    @pytest.fixture()
+    def sink(self):
+        registry = obs.reset()
+        sink = ListSink()
+        registry.add_sink(sink)
+        yield sink
+        obs.reset()
+
+    @pytest.mark.parametrize("kind", ["uniform", "fuel"])
+    def test_span_tree(self, step1_problem, sink, monkeypatch, kind):
+        problem = step1_problem if kind == "uniform" else _fuel_problem(SPACE)
+        calls = []
+        for name in ("run_uniform", "run_table"):
+            original = getattr(FlatGrid, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(FlatGrid, name, counted)
+        genomes = SPACE.sample(40, 30)
+        engine = EngineSession(backend="vectorized", cache_size=64).for_step(problem)
+        second_batch = np.vstack([genomes[:5], SPACE.sample(2, 31)])
+        first = engine(genomes)
+        second = engine(second_batch)
+
+        evaluate = [e for e in sink.events if e["span"] == "evaluate"]
+        assert [e["attrs"] for e in evaluate] == [
+            {"backend": "vectorized", "genomes": 40, "hits": 0, "misses": 40},
+            {"backend": "vectorized", "genomes": 7, "hits": 5, "misses": 2},
+        ]
+        fields = [e for e in sink.events if e["span"] == "fields"]
+        propagate = [e for e in sink.events if e["span"] == "propagate"]
+        assert [e["parent"] for e in fields] == [e["id"] for e in evaluate]
+        assert {e["parent"] for e in propagate} == {e["id"] for e in evaluate}
+        assert len(propagate) == len(calls)
+        assert sum(e["attrs"]["genomes"] for e in propagate) == 42
+
+        # parity-inert: the same batches without a sink
+        obs.reset()
+        plain = SimulationEngine.from_problem(problem, backend="vectorized")
+        assert np.array_equal(plain(genomes), first)
+        assert np.array_equal(plain(second_batch), second)

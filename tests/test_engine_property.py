@@ -456,3 +456,58 @@ def test_raster_kernel_peak_memory_within_dense_kernel():
     finally:
         tracemalloc.stop()
     assert peak <= DENSE_KERNEL_PEAK
+
+
+#: ``tracemalloc`` peaks, in bytes, of the ``run_uniform`` and
+#: ``run_table`` calls below on the kernel that assembled a dense
+#: ``(D, genomes, rows, cols)`` travel array for every call, at its
+#: ``grid.chunk`` genomes per call (the table peak is the same within
+#: 24 bytes for 16 and for 1600 classes).
+DENSE_UNIFORM_PEAK = 687_808
+DENSE_TABLE_PEAK = 687_904
+
+
+def _traced_peak(run) -> int:
+    run()  # warm up lazy numpy state
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _seeded_40x40() -> np.ndarray:
+    seeded = np.full((40, 40), np.inf)
+    seeded[6:34, 6:34] = 0.0
+    return seeded
+
+
+def test_uniform_kernel_peak_memory_within_dense_kernel():
+    """Per-slice gathers of ``weights + closed`` hold no travel array, so
+    a call at the engine's ``genomes_per_call()`` chunk size stays within
+    the dense kernel's peak at its smaller chunk."""
+    grid = FlatGrid((40, 40), stencil(8))
+    weights = np.random.default_rng(4).uniform(
+        0.2, 4.0, (grid.genomes_per_call(), 8)
+    )
+    seeded = _seeded_40x40()
+    peak = _traced_peak(lambda: grid.run_uniform(weights, seeded, 12.0))
+    assert peak <= DENSE_UNIFORM_PEAK
+
+
+@pytest.mark.parametrize("n_classes", [16, 1600])
+def test_table_kernel_peak_memory_within_dense_kernel(n_classes):
+    """The on-demand ``(D, genomes * classes)`` table replaces the dense
+    travel array; at the engine's ``genomes_per_call(classes)`` chunk
+    size a call stays within the dense kernel's peak, even with every
+    cell its own class."""
+    grid = FlatGrid((40, 40), stencil(8))
+    rng = np.random.default_rng(5)
+    tables = rng.uniform(
+        0.2, 4.0, (grid.genomes_per_call(n_classes), 8, n_classes)
+    )
+    classes = rng.integers(0, n_classes, (40, 40))
+    seeded = _seeded_40x40()
+    peak = _traced_peak(lambda: grid.run_table(tables, classes, seeded, 12.0))
+    assert peak <= DENSE_TABLE_PEAK

@@ -5,8 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import ScenarioError
+from repro.firelib.fuel_models import get_model
 from repro.firelib.moisture import Moisture
-from repro.firelib.rothermel import MPH_TO_FTMIN, FuelBed, SpreadResult, spread
+from repro.firelib.rothermel import (
+    MPH_TO_FTMIN,
+    FuelBed,
+    SpreadResult,
+    spread,
+    spread_batch,
+)
 
 DRY = Moisture.from_percent(5, 6, 8, 50)
 DAMP = Moisture.from_percent(10, 11, 12, 80)
@@ -131,3 +139,79 @@ class TestSpread:
         assert 1.0 < r.ros_no_wind < 20.0
         windy = spread(1, DRY, 15.0, 0.0, 0.0, 0.0)
         assert 100.0 < windy.ros_max < 2000.0
+
+
+def _moisture_rows(code: int, n: int, seed: int) -> np.ndarray:
+    """``(n, 4)`` fraction rows: Table I draws, plus every dead moisture
+    exactly at, just above and far above the model's extinction
+    moisture, and the range bounds."""
+    rng = np.random.default_rng(seed)
+    rows = np.column_stack(
+        [rng.uniform(0.01, 0.6, (n, 3)), rng.uniform(0.3, 3.0, (n, 1))]
+    )
+    mext = get_model(code).mext_dead
+    for k, dead in enumerate((mext, np.nextafter(mext, 1.0), 2 * mext, 1.0, 0.0)):
+        rows[k, :3] = dead
+    rows[5] = [0.0, 0.0, 0.0, 4.0]
+    return rows
+
+
+class TestBatchedMatchesScalar:
+    """The batched methods the vectorized engine uses reproduce the
+    scalar ones bit for bit (including their scalar ``**`` terms)."""
+
+    @pytest.mark.parametrize("code", range(1, 14))
+    def test_no_wind_rates(self, code):
+        bed = FuelBed.for_model(code)
+        rows = _moisture_rows(code, 400, code)
+        batched = bed.no_wind_rates(rows)
+        scalar = [bed.no_wind_rate(Moisture(*row)) for row in rows]
+        assert np.array_equal(batched, scalar)
+        if bed.p_dead.all():  # dead fuel above extinction cannot burn
+            assert batched[2] == 0.0
+
+    @pytest.mark.parametrize("code", [1, 4, 10])
+    def test_phi_winds(self, code):
+        bed = FuelBed.for_model(code)
+        wind = np.concatenate(
+            [[0.0, -0.0, -5.0, -1e-300, 1e-300], np.linspace(0.01, 7040.0, 997)]
+        )
+        expected = [bed.phi_wind(float(u)) for u in wind]
+        assert np.array_equal(bed.phi_winds(wind), expected)
+
+    @pytest.mark.parametrize("code", range(1, 14))
+    def test_spread_batch(self, code):
+        rng = np.random.default_rng(100 + code)
+        rows = _moisture_rows(code, 300, 200 + code)
+        wind = rng.uniform(-10.0, 80.0, 300)
+        wind[:8] = [0.0, -0.0, -3.0, 0.0, 80.0, 1e-9, -1e-9, 40.0]
+        wind_dir = rng.uniform(0.0, 360.0, 300)
+        slope = rng.uniform(0.0, 81.0, 300)
+        slope[:3] = 0.0
+        aspect = rng.uniform(0.0, 360.0, 300)
+        got = spread_batch(code, rows, wind, wind_dir, slope, aspect)
+        for i, row in enumerate(rows):
+            r = spread(
+                code,
+                Moisture(*row),
+                float(wind[i]),
+                float(wind_dir[i]),
+                float(slope[i]),
+                float(aspect[i]),
+            )
+            assert (got[0][i], got[1][i], got[2][i]) == (
+                r.ros_max,
+                r.dir_max_deg,
+                r.eccentricity,
+            )
+
+    def test_moisture_batch_check_matches_constructor(self):
+        rows = np.array([[0.05, 0.06, 0.08, 0.5], [1.5, 0.06, 0.08, 0.5]])
+        Moisture.check_fractions(rows[:1])
+        with pytest.raises(ScenarioError) as batched:
+            Moisture.check_fractions(rows)
+        with pytest.raises(ScenarioError) as scalar:
+            Moisture(*rows[1])
+        assert str(batched.value) == str(scalar.value)
+        with pytest.raises(ScenarioError, match="mherb"):
+            Moisture.check_fractions(np.array([[0.05, 0.06, 0.08, np.nan]]))

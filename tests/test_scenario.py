@@ -152,6 +152,46 @@ class TestCodec:
         assert len(scenarios) == 5
         assert all(isinstance(s, Scenario) for s in scenarios)
 
+    def test_decode_batch_equals_decode_row_by_row(self, space):
+        genomes = space.sample(40, 12)
+        # out-of-box values: clamped, wrapped, rounded half to even
+        genomes[0] = [13.6, -4.0, -30.0, 0.5, 61.0, 1.0, 400.0, 90.0, 725.0]
+        genomes[1, 0] = 6.5
+        genomes[2, [1, 2, 8]] = [np.inf, -1e-18, 360.0]
+        batch = space.decode_batch(genomes)
+        assert len(batch) == 40 and batch.model.dtype == np.int64
+        for i, genome in enumerate(genomes):
+            expected = space.decode(genome)
+            row = {name: getattr(batch, name)[i] for name in vars(expected)}
+            assert row == vars(expected)
+        assert len(batch[3:7]) == 4
+
+    @pytest.mark.parametrize("column", range(9))
+    def test_nan_coordinate_raises_scenario_error(self, space, column):
+        genome = space.sample(1, 13)[0]
+        genome[column] = np.nan
+        with pytest.raises(ScenarioError, match=TABLE_I_SPECS[column].name):
+            space.decode(genome)
+        with pytest.raises(ScenarioError, match=TABLE_I_SPECS[column].name):
+            space.decode_batch(np.vstack([space.sample(2, 14), genome]))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("column", [2, 8])  # WindDir, Aspect wrap
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_circular_coordinate_raises(self, space, column, value):
+        genome = space.sample(1, 15)[0]
+        genome[column] = value
+        with pytest.raises(ScenarioError):
+            space.decode(genome)
+        with pytest.raises(ScenarioError):
+            space.decode_batch(genome[None])
+
+    def test_infinite_bounded_coordinate_clamps(self, space):
+        genome = space.sample(1, 16)[0]
+        genome[[1, 7]] = [np.inf, -np.inf]
+        s = space.decode(genome)
+        assert (s.wind_speed, s.slope) == (80.0, 0.0)
+
     def test_scenario_replace(self, scenario):
         s2 = scenario.replace(wind_speed=33.0)
         assert s2.wind_speed == 33.0
