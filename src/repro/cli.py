@@ -12,18 +12,18 @@ Five commands cover the common workflows without writing a script:
 * ``sweep`` — run a full systems × cases × seeds grid and print the
   aggregated table; ``--executor`` picks where the grid's pending work
   units execute (inline, or a TCP worker fleet — ``--shards N`` starts
-  N local workers for it).
-* ``experiments`` — distributed-execution utilities:
-  ``serve-coordinator`` (lease a plan's work units to TCP workers),
-  ``worker`` (join a coordinator's fleet), ``status`` (read-only fleet
-  snapshot, optionally re-polled with ``--watch``), ``drain``
-  (gracefully retire a worker — it finishes its lease, uploads its
-  records and exits with nothing requeued) and ``merge-stores``
-  (aggregate several JSONL results stores into one).
+  N local workers for it). ``sweep --plan P --results R --executor
+  fleet`` is the one way to run a saved plan on a fleet.
+* ``experiments`` — fleet utilities: ``worker`` (join a coordinator's
+  fleet), ``status`` (read-only fleet snapshot, optionally re-polled
+  with ``--watch``), ``drain`` (gracefully retire a worker — it
+  finishes its lease, uploads its records and exits with nothing
+  requeued) and ``merge-stores`` (aggregate several JSONL results
+  stores into one).
 * ``serve`` — the always-on prediction service
   (:mod:`repro.service`): an HTTP gateway accepting plan submissions
   from many tenants plus the fleet coordinator (the same one
-  ``serve-coordinator`` runs) feeding one elastic worker pool under
+  ``--executor fleet`` runs) feeding one elastic worker pool under
   cost-weighted fair-share scheduling.
 * ``obs`` — observability utilities: ``timeline`` merges the fleet's
   ``--trace`` JSONL files into one Perfetto-loadable Chrome
@@ -150,9 +150,9 @@ def _add_budget(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_obs(parser: argparse.ArgumentParser) -> None:
-    """Telemetry flags shared by run, compare, sweep and the fleet
-    entry points (see :mod:`repro.obs`)."""
+def _add_telemetry(parser: argparse.ArgumentParser) -> None:
+    """Trace/metrics/logging flags of every long-running command (see
+    :mod:`repro.obs`)."""
     parser.add_argument(
         "--trace",
         metavar="PATH",
@@ -175,6 +175,12 @@ def _add_obs(parser: argparse.ArgumentParser) -> None:
         "repro.distributed.* loggers narrate lease/steal/requeue/drain "
         "events; default: logging stays unconfigured)",
     )
+
+
+def _add_obs(parser: argparse.ArgumentParser) -> None:
+    """Telemetry flags plus ``--http-port``: run, compare, sweep and
+    worker (``serve``'s gateway already answers the same routes)."""
+    _add_telemetry(parser)
     parser.add_argument(
         "--http-port",
         type=int,
@@ -182,7 +188,7 @@ def _add_obs(parser: argparse.ArgumentParser) -> None:
         metavar="PORT",
         help="serve live observability over HTTP on 127.0.0.1:PORT "
         "while the command runs: /metrics (Prometheus text of the "
-        "process registry — under a fleet coordinator that includes "
+        "process registry — under --executor fleet that includes "
         "the folded per-worker series), /healthz, and /status (JSON "
         "fleet snapshot when a coordinator is live, read-only; 0 = "
         "OS-assigned, the bound address is printed)",
@@ -276,12 +282,12 @@ def _add_client(parser: argparse.ArgumentParser) -> None:
         "--connect",
         required=True,
         metavar="HOST:PORT",
-        help="coordinator address (serve-coordinator's, or repro "
+        help="coordinator address (--executor fleet's, or repro "
         "serve's fleet port)",
     )
     parser.add_argument(
         "--request-timeout",
-        type=float,
+        type=_seconds("request timeout"),
         default=10.0,
         help="seconds to wait for the coordinator's reply",
     )
@@ -289,8 +295,8 @@ def _add_client(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_leasing(parser: argparse.ArgumentParser) -> None:
-    """Lease flags of every fleet coordinator: compare/sweep's fleet
-    executor, ``serve-coordinator`` and ``serve``."""
+    """Lease flags and the idle-hold ``--poll-interval`` of both fleet
+    coordinators: compare/sweep's fleet executor and ``serve``."""
     parser.add_argument(
         "--lease-timeout",
         type=_seconds("lease timeout"),
@@ -314,12 +320,6 @@ def _add_leasing(parser: argparse.ArgumentParser) -> None:
         "predicted to take about this long, with --min-unit-cells as "
         "the floor",
     )
-
-
-def _add_coordinator(parser: argparse.ArgumentParser) -> None:
-    """Lease flags plus the advertised idle cadence: the two standing
-    coordinators, ``serve-coordinator`` and ``serve``."""
-    _add_leasing(parser)
     parser.add_argument(
         "--poll-interval",
         type=_seconds("poll interval"),
@@ -331,9 +331,27 @@ def _add_coordinator(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_fleet(parser: argparse.ArgumentParser) -> None:
-    """Coordinator address/auth flags shared by compare, sweep and
-    serve-coordinator (``serve`` has its own ``--host``/``--port``)."""
+def _add_executor(parser: argparse.ArgumentParser) -> None:
+    """``--shards``/``--executor`` + fleet flags (compare and sweep)."""
+    parser.add_argument(
+        "--shards",
+        type=_positive_int,
+        default=1,
+        help="run pending work units in this many local fleet worker "
+        "processes (requires --results; N > 1 selects --executor process)",
+    )
+    parser.add_argument(
+        "--executor",
+        choices=("inline", "process", "fleet"),
+        default="inline",
+        help="where the plan's pending work units execute: in this "
+        "process (inline, unless --shards N > 1), leased to --shards "
+        "local worker processes (process), or leased cell-by-cell to TCP "
+        "workers started with 'repro experiments worker' (fleet; "
+        "requires --results and honours --host/--port/--lease-timeout/"
+        "--poll-interval/--min-unit-cells/--auth-token/--timeout/"
+        "--cost-snapshot)",
+    )
     parser.add_argument(
         "--host",
         default="127.0.0.1",
@@ -357,29 +375,23 @@ def _add_fleet(parser: argparse.ArgumentParser) -> None:
         "observed/predicted ratio always lands in the "
         "repro_cost_residual_ratio histogram; 0 disables the event)",
     )
-
-
-def _add_executor(parser: argparse.ArgumentParser) -> None:
-    """``--shards``/``--executor`` + fleet flags (compare and sweep)."""
     parser.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=1,
-        help="run pending work units in this many local fleet worker "
-        "processes (requires --results; N > 1 selects --executor process)",
+        "--timeout",
+        type=float,
+        default=None,
+        help="fleet: abort if the plan is still incomplete after this "
+        "many seconds (default: wait forever — workers may join at any "
+        "time)",
     )
     parser.add_argument(
-        "--executor",
-        choices=("inline", "process", "fleet"),
-        default="inline",
-        help="where the plan's pending work units execute: in this "
-        "process (inline, unless --shards N > 1), leased to --shards "
-        "local worker processes (process), or leased cell-by-cell to TCP "
-        "workers started with 'repro experiments worker' (fleet; "
-        "requires --results and honours --host/--port/--lease-timeout/"
-        "--min-unit-cells/--auth-token)",
+        "--cost-snapshot",
+        metavar="PATH",
+        help="fleet: persist the cost model to this JSON sidecar on "
+        "finish and restore it on start, so the next run's first "
+        "leases are already sized from measured per-cell rates "
+        "(missing or unreadable files mean a cold start, never an "
+        "error)",
     )
-    _add_fleet(parser)
     _add_leasing(parser)
 
 
@@ -423,6 +435,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    # checked here, not by BudgetSpec: run accepts populations below its
+    # plan floor of 4
+    if args.generations < 1:
+        raise SystemExit(f"generations must be >= 1, got {args.generations}")
     try:
         fire = CaseSpec(args.case, size=args.size, steps=args.steps).build()
     except _USER_ERRORS as exc:
@@ -556,16 +572,33 @@ def _run_plan(
 ) -> ExperimentResult:
     """Run ``plan`` under the ``--executor``/``--shards`` flags.
 
-    Shared by ``compare`` and ``sweep``; a plain :class:`ReproError`
-    becomes a clean one-line exit (see :func:`_exit_on_user_error`).
+    Shared by ``compare`` and ``sweep``; a plain :class:`ReproError` or
+    a :class:`FleetError` (every loopback worker dead, the fleet
+    ``--timeout`` spent) becomes a clean one-line exit (see
+    :func:`_exit_on_user_error`). A fleet run ends with its summary:
+    requeues, steals, per-worker utilization and unit-time quantiles.
     """
     try:
-        return ExperimentRunner(store=store).run(
-            plan, executor=_make_executor(args)
-        )
+        executor = _make_executor(args)
+        result = ExperimentRunner(store=store).run(plan, executor=executor)
+    except FleetError as exc:
+        raise SystemExit(str(exc)) from exc
     except ReproError as exc:
         _exit_on_user_error(exc)
         raise
+    if isinstance(executor, FleetExecutor):
+        print(
+            f"fleet complete: {len(result.records)} records "
+            f"({result.n_resumed} resumed, {executor.requeues} unit "
+            f"requeues, {executor.steals} unit steals) -> {store.path}"
+        )
+        if executor.worker_stats:
+            print("fleet workers (busy/idle over membership span):")
+            print(_format_worker_stats(executor.worker_stats))
+        quantiles = _format_unit_seconds_quantiles()
+        if quantiles:
+            print(quantiles)
+    return result
 
 
 def _make_executor(args: argparse.Namespace):
@@ -576,10 +609,13 @@ def _make_executor(args: argparse.Namespace):
             host=args.host,
             port=args.port,
             lease_timeout=args.lease_timeout,
+            poll_interval=args.poll_interval,
+            timeout=args.timeout,
             min_unit_cells=args.min_unit_cells,
             target_unit_seconds=args.target_unit_seconds,
             auth_token=args.auth_token,
             slow_unit_factor=args.slow_unit_factor,
+            cost_snapshot=args.cost_snapshot,
             on_bound=_announce_coordinator,
         )
     if args.executor == "process" or args.shards > 1:
@@ -605,47 +641,6 @@ def _open_results_store(path: str) -> ResultsStore:
     return store
 
 
-def _cmd_experiments_serve(args: argparse.Namespace) -> int:
-    try:
-        plan = ExperimentPlan.load_json(args.plan)
-        store = _open_results_store(args.results)
-    except _USER_ERRORS as exc:
-        raise SystemExit(str(exc)) from exc
-    executor = FleetExecutor(
-        host=args.host,
-        port=args.port,
-        lease_timeout=args.lease_timeout,
-        poll_interval=args.poll_interval,
-        timeout=args.timeout,
-        min_unit_cells=args.min_unit_cells,
-        target_unit_seconds=args.target_unit_seconds,
-        auth_token=args.auth_token,
-        slow_unit_factor=args.slow_unit_factor,
-        cost_snapshot=args.cost_snapshot,
-        on_bound=_announce_coordinator,
-    )
-    try:
-        result = ExperimentRunner(store=store).run(plan, executor=executor)
-    except FleetError as exc:
-        raise SystemExit(str(exc)) from exc
-    except ReproError as exc:
-        _exit_on_user_error(exc)
-        raise
-    print(
-        f"fleet complete: {len(result.records)} records "
-        f"({result.n_resumed} resumed, {executor.requeues} unit "
-        f"requeues, {executor.steals} unit steals) -> {store.path}"
-    )
-    if executor.worker_stats:
-        print("fleet workers (busy/idle over membership span):")
-        print(_format_worker_stats(executor.worker_stats))
-    quantiles = _format_unit_seconds_quantiles()
-    if quantiles:
-        print(quantiles)
-    print(format_experiment(result))
-    return 0
-
-
 def _format_unit_seconds_quantiles() -> str | None:
     """One-line p50/p95/max summary of completed-unit wall times.
 
@@ -669,7 +664,7 @@ def _format_unit_seconds_quantiles() -> str | None:
 
 
 def _format_worker_stats(workers: dict[str, dict]) -> str:
-    """Per-worker utilization lines (serve summary + status command)."""
+    """Per-worker utilization lines (fleet summary + status command)."""
     lines = []
     for worker in sorted(workers):
         st = workers[worker]
@@ -1020,44 +1015,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     exp_sub = p_exp.add_subparsers(dest="experiments_command", required=True)
 
-    p_serve = exp_sub.add_parser(
-        "serve-coordinator",
-        help="lease a plan's work units to TCP workers (cell-level, "
-        "with within-group stealing) and aggregate their results",
-    )
-    p_serve.add_argument(
-        "--plan",
-        required=True,
-        help="experiment plan JSON (e.g. written by sweep --save-plan); "
-        "workers receive it over the wire and need no copy",
-    )
-    p_serve.add_argument(
-        "--results",
-        required=True,
-        help="coordinator results store; re-serving against the same "
-        "path resumes, computing only the missing cells",
-    )
-    _add_fleet(p_serve)
-    _add_coordinator(p_serve)
-    p_serve.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="abort if the plan is still incomplete after this many "
-        "seconds (default: wait forever — workers may join at any time)",
-    )
-    p_serve.add_argument(
-        "--cost-snapshot",
-        metavar="PATH",
-        help="persist the fleet cost model to this JSON sidecar on "
-        "finish and restore it on start, so the next run's first "
-        "leases are already sized from measured per-cell rates "
-        "(missing or unreadable files mean a cold start, never an "
-        "error)",
-    )
-    _add_obs(p_serve)
-    p_serve.set_defaults(func=_cmd_experiments_serve)
-
     p_wrk = exp_sub.add_parser(
         "worker",
         help="join a coordinator's fleet and execute leased work units",
@@ -1066,7 +1023,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--connect",
         required=True,
         metavar="HOST:PORT",
-        help="coordinator address (serve-coordinator's, or repro "
+        help="coordinator address (--executor fleet's, or repro "
         "serve's fleet port)",
     )
     p_wrk.add_argument(
@@ -1102,7 +1059,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     _add_auth_token(p_wrk)
     p_wrk.add_argument(
         "--backoff-base",
-        type=float,
+        type=_seconds("backoff base"),
         default=0.5,
         metavar="SECONDS",
         help="initial retry delay ceiling after a failed coordinator "
@@ -1111,7 +1068,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     p_wrk.add_argument(
         "--backoff-cap",
-        type=float,
+        type=_seconds("backoff cap"),
         default=5.0,
         metavar="SECONDS",
         help="maximum retry delay ceiling under the exponential "
@@ -1205,7 +1162,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="worker-facing fleet protocol port (0 = OS-assigned; "
         "point 'repro experiments worker --connect' here)",
     )
-    _add_coordinator(p_svc)
+    _add_leasing(p_svc)
     p_svc.add_argument(
         "--max-active",
         type=int,
@@ -1215,7 +1172,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "from the cost model's predicted drain time",
     )
     _add_auth_token(p_svc)
-    _add_obs(p_svc)
+    _add_telemetry(p_svc)
     p_svc.set_defaults(func=_cmd_serve)
 
     p_obs = sub.add_parser(

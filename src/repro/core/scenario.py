@@ -70,7 +70,9 @@ class ParamSpec:
         """
         v = np.asarray(values, dtype=np.float64)
         if self.circular:
-            out = self.low + np.mod(v - self.low, self.span)
+            # +-inf has no angle: the mod is NaN, which decode refuses
+            with np.errstate(invalid="ignore"):
+                out = self.low + np.mod(v - self.low, self.span)
             # float mod can round a tiny negative up to exactly `span`,
             # producing the excluded boundary; wrap it back to `low` so
             # clipping is idempotent (0° and 360° are the same angle).

@@ -8,7 +8,8 @@ at the :class:`~repro.experiments.runner.ExperimentRunner`:
   :meth:`~repro.experiments.runner.ExperimentRunner.run` gets no
   executor).
 * :class:`FleetExecutor` — the one parallel executor: a TCP
-  coordinator (``repro experiments serve-coordinator``) leasing units
+  coordinator (``repro sweep --plan P --results R --executor fleet``,
+  the one way to run a saved plan on a fleet) leasing units
   to ``repro experiments worker`` processes, with cell-level work
   stealing (the costliest pending unit is carved for an asking
   worker), heartbeat/lease-timeout requeue, optional shared-secret

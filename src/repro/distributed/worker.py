@@ -1,8 +1,8 @@
 """Fleet worker: lease work units, run their cells, upload the records.
 
 ``repro experiments worker --connect HOST:PORT`` runs this loop against
-any fleet coordinator — a single-plan ``serve-coordinator`` or the
-always-on ``repro serve`` — since both speak one dialect. A worker
+any fleet coordinator — a single-plan ``sweep --executor fleet`` or
+the always-on ``repro serve`` — since both speak one dialect. A worker
 needs no plan file and no shared filesystem: every ``unit`` grant
 names its plan (``plan_id``) and ships the plan payload inline, and
 the worker keeps one execution context — plan, local store, resume

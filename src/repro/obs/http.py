@@ -1,8 +1,10 @@
 """Fleet observability over HTTP, on the standard library only.
 
-:class:`ObsHTTPServer` runs a ``http.server`` thread next to whatever
-command enabled it (``--http-port`` on ``serve-coordinator``, ``run``,
-``sweep``, ``worker``) and answers three read-only endpoints:
+:func:`read_only_route` answers the three read-only endpoints for both
+HTTP servers of this package: :class:`ObsHTTPServer`, a ``http.server``
+thread next to whatever command enabled it (``--http-port`` on ``run``,
+``compare``, ``sweep``, ``worker``), and the ``repro serve`` gateway
+(:mod:`repro.service.gateway`), which has no ``--http-port``:
 
 * ``/metrics`` — the process registry in Prometheus text exposition
   format (:meth:`Telemetry.prometheus_text`). On a coordinator this is
@@ -10,10 +12,11 @@ command enabled it (``--http-port`` on ``serve-coordinator``, ``run``,
   into the coordinator registry labelled by worker.
 * ``/healthz`` — liveness, always ``ok`` while the thread runs.
 * ``/status`` — a JSON mirror of the read-only ``status`` fleet
-  protocol message. The coordinator registers a status provider while
+  protocol message. A fleet executor registers a status provider while
   serving (:func:`set_status_provider`); outside a fleet run the
-  endpoint reports ``{"status": "idle"}``. Like the protocol message,
-  a scrape never counts as worker contact and never mutates leases.
+  endpoint reports ``{"status": "idle"}``, and the gateway answers its
+  own queue's status. Like the protocol message, a scrape never counts
+  as worker contact and never mutates leases.
 
 Scrapes are served from their own daemon threads, so a slow or stuck
 client cannot stall the coordinator loop.
@@ -28,6 +31,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 __all__ = [
     "ObsHTTPServer",
     "clear_status_provider",
+    "read_only_route",
     "set_status_provider",
     "status_payload",
 ]
@@ -64,29 +68,42 @@ def status_payload() -> dict:
     return provider()
 
 
+def read_only_route(path: str, registry, status) -> tuple[bytes, str] | None:
+    """The ``(body, content type)`` a ``GET path`` answers, or ``None``
+    when ``path`` is not ``/metrics``, ``/healthz`` or ``/status``.
+
+    ``registry`` and ``status`` are called only by their own route: the
+    first returns the :class:`Telemetry` to expose, the second the
+    ``/status`` payload.
+    """
+    if path == "/metrics":
+        return (
+            registry().prometheus_text().encode(),
+            "text/plain; version=0.0.4; charset=utf-8",
+        )
+    if path == "/healthz":
+        return b"ok\n", "text/plain; charset=utf-8"
+    if path == "/status":
+        payload = json.dumps(status(), sort_keys=True, default=str)
+        return (payload + "\n").encode(), "application/json"
+    return None
+
+
 class _ObsRequestHandler(BaseHTTPRequestHandler):
     server_version = "repro-obs/1"
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         path = self.path.split("?", 1)[0]
         try:
-            if path == "/metrics":
-                body = self.server.registry().prometheus_text().encode()
-                ctype = "text/plain; version=0.0.4; charset=utf-8"
-            elif path == "/healthz":
-                body = b"ok\n"
-                ctype = "text/plain; charset=utf-8"
-            elif path == "/status":
-                payload = json.dumps(
-                    self.server.status(), sort_keys=True, default=str
-                )
-                body = (payload + "\n").encode()
-                ctype = "application/json"
-            else:
+            routed = read_only_route(
+                path, self.server.registry, self.server.status
+            )
+            if routed is None:
                 self.send_error(
                     404, "unknown path (serving /metrics, /healthz, /status)"
                 )
                 return
+            body, ctype = routed
         except Exception as exc:  # a broken provider must not kill serving
             self.send_error(500, f"observability handler failed: {exc}")
             return

@@ -9,11 +9,13 @@ results store per submitted plan, cost-model-weighted deficit
 round-robin fair share, keyed idempotent job ids, admission
 backpressure) served to workers by a
 :class:`~repro.distributed.coordinator.FleetCoordinator`, exactly as a
-single-plan ``serve-coordinator`` serves its one plan. What this
+single-plan ``sweep --executor fleet`` serves its one plan. What this
 package adds is the client side:
 
 * :class:`ServiceGateway` — the asyncio HTTP API (submit, poll, stream
-  records with resume-by-offset, cancel, drain workers, ``/metrics``);
+  records with resume-by-offset, cancel, drain workers) plus the
+  read-only ``/metrics``, ``/healthz`` and ``/status`` routes of
+  :func:`repro.obs.http.read_only_route`;
 * :class:`PredictionService` — the assembled service behind
   ``repro serve``: spool, fleet port, HTTP port, housekeeping timer.
 

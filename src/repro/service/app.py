@@ -30,8 +30,6 @@ import threading
 
 from repro.distributed.coordinator import FleetCoordinator
 from repro.distributed.queue import PlanQueue
-from repro.obs.http import clear_status_provider, set_status_provider
-
 from repro.service.gateway import ServiceGateway
 
 __all__ = ["PredictionService"]
@@ -114,9 +112,6 @@ class PredictionService:
             name="service-housekeeper",
         )
         self._housekeeper.start()
-        # /status on an ObsHTTPServer (if the operator enabled one)
-        # mirrors the service snapshot, same as the gateway's /status
-        set_status_provider(self.queue.status)
         log.info(
             "prediction service up: http %s:%d, fleet %s:%d, spool %s",
             self.address[0],
@@ -137,7 +132,6 @@ class PredictionService:
     def close(self) -> None:
         """Stop serving and persist the cost snapshot (idempotent)."""
         self._stopping.set()
-        clear_status_provider(self.queue.status)
         housekeeper, self._housekeeper = self._housekeeper, None
         if housekeeper is not None:
             housekeeper.join(timeout=5.0)

@@ -31,8 +31,9 @@ Routes
 ``POST /workers/<id>/drain``
     Gracefully retire a worker (the ``drain`` → ``bye`` lifecycle).
 ``GET /metrics`` / ``GET /healthz`` / ``GET /status``
-    The observability trio, mirroring :mod:`repro.obs.http` so one
-    port serves both control and monitoring.
+    The observability trio, answered by
+    :func:`repro.obs.http.read_only_route` (the same function behind
+    ``--http-port``), so one port serves both control and monitoring.
 
 Blocking work (store reads, queue locks) runs via
 :func:`asyncio.to_thread`; the event loop itself never waits on a
@@ -53,6 +54,7 @@ from repro.distributed.queue import (
     UnknownPlanError,
 )
 from repro.obs import span, telemetry
+from repro.obs.http import read_only_route
 
 __all__ = ["ServiceGateway"]
 
@@ -241,26 +243,13 @@ class ServiceGateway:
                 writer, 202, {"draining": worker}
             )
             return
-        if path == "/metrics" and method == "GET":
-            text = await asyncio.to_thread(
-                lambda: telemetry().prometheus_text()
+        if method == "GET":
+            routed = await asyncio.to_thread(
+                read_only_route, path, telemetry, self.queue.status
             )
-            await self._respond(
-                writer,
-                200,
-                text.encode(),
-                "text/plain; version=0.0.4; charset=utf-8",
-            )
-            return
-        if path == "/healthz" and method == "GET":
-            await self._respond(
-                writer, 200, b"ok\n", "text/plain; charset=utf-8"
-            )
-            return
-        if path == "/status" and method == "GET":
-            status = await asyncio.to_thread(self.queue.status)
-            await self._respond_json(writer, 200, status)
-            return
+            if routed is not None:
+                await self._respond(writer, 200, *routed)
+                return
         raise _HTTPError(404, f"unknown path {path!r}")
 
     # ------------------------------------------------------------------

@@ -156,6 +156,7 @@ class TestCompareCommand:
             ["compare", "--systems", "ess,warp-drive", "--size", "24"],
             ["run", "ess", "--size", "0"],
             ["run", "ess", "--steps", "0"],
+            ["run", "ess", "--generations", "0"],
             ["simulate", "--size", "0"],
             ["simulate", "--minutes", "-5"],
         ):
@@ -194,11 +195,9 @@ class TestCompareCommand:
         [
             ["sweep"],
             ["compare"],
-            ["experiments", "serve-coordinator", "--plan", "p.json",
-             "--results", "r.jsonl"],
             ["serve", "--spool", "spool"],
         ],
-        ids=["sweep", "compare", "serve-coordinator", "serve"],
+        ids=["sweep", "compare", "serve"],
     )
     def test_min_unit_cells_below_one_is_a_usage_error(self, argv, capsys):
         """The lease floor is at least one cell: 0 (the retired
@@ -223,12 +222,11 @@ class TestCompareCommand:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["experiments", "serve-coordinator", "--plan", "p.json",
-             "--results", "r.jsonl"],
+            ["sweep"],
             ["serve", "--spool", "spool"],
             ["experiments", "worker", "--connect", "127.0.0.1:9"],
         ],
-        ids=["serve-coordinator", "serve", "worker"],
+        ids=["sweep", "serve", "worker"],
     )
     def test_non_positive_poll_interval_is_a_usage_error(
         self, argv, bad, capsys
@@ -249,24 +247,73 @@ class TestCompareCommand:
              "lease timeout"),
             (["sweep"], "--target-unit-seconds", "nan",
              "target_unit_seconds"),
-            (["experiments", "serve-coordinator", "--plan", "p.json",
-              "--results", "r.jsonl"], "--lease-timeout", "inf",
-             "lease timeout"),
             (["compare"], "--target-unit-seconds", "-1",
              "target_unit_seconds"),
+            (["experiments", "status", "--connect", "127.0.0.1:9"],
+             "--request-timeout", "nan", "request timeout"),
+            (["experiments", "drain", "--connect", "127.0.0.1:9",
+              "--worker", "w1"], "--request-timeout", "0",
+             "request timeout"),
+            (["experiments", "worker", "--connect", "127.0.0.1:9"],
+             "--backoff-base", "nan", "backoff base"),
+            (["experiments", "worker", "--connect", "127.0.0.1:9"],
+             "--backoff-cap", "-1", "backoff cap"),
         ],
-        ids=["serve", "sweep", "serve-coordinator", "compare"],
+        ids=["serve", "sweep", "compare", "status", "drain",
+             "worker-backoff-base", "worker-backoff-cap"],
     )
     def test_lease_times_are_checked_by_argparse(
         self, argv, flag, bad, name, capsys
     ):
-        """A zero, negative or non-finite lease time is a usage error
-        before anything starts (or is spooled)."""
+        """A zero, negative or non-finite lease time — or client
+        timeout, or retry backoff — is a usage error before anything
+        starts (or is spooled)."""
         with pytest.raises(SystemExit) as excinfo:
             main([*argv, flag, bad])
         assert excinfo.value.code == 2
         assert f"{name} must be a finite number of seconds > 0" in (
             capsys.readouterr().err
+        )
+
+    def test_serve_has_no_http_port(self, capsys):
+        """``repro serve``'s gateway answers /metrics, /healthz and
+        /status itself, so a second HTTP server is a usage error."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--spool", "spool", "--http-port", "0"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --http-port" in (
+            capsys.readouterr().err
+        )
+
+    def test_serve_coordinator_is_gone(self, capsys):
+        """``sweep --plan P --results R --executor fleet`` is the one
+        way to run a saved plan on a fleet."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiments", "serve-coordinator", "--plan", "p.json"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'serve-coordinator'" in (
+            capsys.readouterr().err
+        )
+
+    def test_fleet_error_is_a_one_line_exit(self, monkeypatch):
+        """A dead loopback fleet or a spent fleet --timeout raises
+        FleetError; compare/sweep end it in one line, not a traceback."""
+        from repro import cli
+        from repro.distributed import FleetError, InlineExecutor
+
+        class DeadFleet(InlineExecutor):
+            def execute(self, runner, workset):
+                raise FleetError(
+                    "every loopback worker died; re-run to resume"
+                )
+
+        monkeypatch.setattr(cli, "_make_executor", lambda args: DeadFleet())
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--systems", "ess", "--size", "20", "--steps",
+                  "2", "--seeds", "0", "--population", "8",
+                  "--generations", "2"])
+        assert excinfo.value.code == (
+            "every loopback worker died; re-run to resume"
         )
 
 
@@ -407,6 +454,54 @@ class TestSweepWithCachedFires:
         capsys.readouterr()
         assert len(cold) == 4
         assert cold == warm == sharded
+
+    def test_fleet_sweep_of_a_saved_plan(self, tmp_path, capsys, monkeypatch):
+        """``sweep --plan P --results R --executor fleet`` takes the
+        fleet's --poll-interval/--timeout/--cost-snapshot, prints the
+        fleet summary, and records the inline run's store."""
+        import threading
+
+        from repro import cli
+        from repro.distributed import run_worker
+        from repro.experiments import ResultsStore, record_key
+        from repro.experiments.store import parity_view
+
+        def parity(path):
+            records = sorted(ResultsStore(path).records(), key=record_key)
+            return [parity_view(r) for r in records]
+
+        plan = tmp_path / "plan.json"
+        inline = tmp_path / "inline.jsonl"
+        assert main([*self._ARGS, "--save-plan", str(plan),
+                     "--results", str(inline)]) == 0
+        workers = []
+
+        def start_worker(address):
+            worker = threading.Thread(
+                target=run_worker,
+                args=(address,),
+                kwargs={"worker_id": "cli-w0", "poll_interval": 0.05},
+            )
+            worker.start()
+            workers.append(worker)
+
+        monkeypatch.setattr(cli, "_announce_coordinator", start_worker)
+        capsys.readouterr()
+        fleet = tmp_path / "fleet.jsonl"
+        snapshot = tmp_path / "costs.json"
+        rc = main(["sweep", "--plan", str(plan), "--results", str(fleet),
+                   "--executor", "fleet", "--poll-interval", "0.05",
+                   "--timeout", "300", "--cost-snapshot", str(snapshot)])
+        for worker in workers:
+            worker.join(timeout=60)
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "fleet complete: 4 records (0 resumed, 0 unit requeues" in out
+        assert "fleet workers (busy/idle over membership span):" in out
+        assert "  cli-w0: util " in out
+        assert "unit seconds: p50 " in out
+        assert snapshot.exists()
+        assert parity(fleet) == parity(inline)
 
 
 class TestSerializationRoundtrip:

@@ -346,7 +346,7 @@ NON_FINITE = [(j, np.nan) for j in range(9)] + [
 
 
 class TestScenarioValidation:
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("backend", ["reference", "vectorized"])
     @pytest.mark.parametrize("column, value", NON_FINITE)
     def test_non_finite_coordinate_raises(self, step1_problem, backend, column, value):

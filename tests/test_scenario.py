@@ -175,7 +175,7 @@ class TestCodec:
         with pytest.raises(ScenarioError, match=TABLE_I_SPECS[column].name):
             space.decode_batch(np.vstack([space.sample(2, 14), genome]))
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("column", [2, 8])  # WindDir, Aspect wrap
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_infinite_circular_coordinate_raises(self, space, column, value):

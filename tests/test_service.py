@@ -41,6 +41,7 @@ from repro.experiments import (
     record_key,
 )
 from repro.experiments.store import parity_view
+from repro.obs.http import ObsHTTPServer
 from repro.service import (
     AdmissionError,
     PlanQueue,
@@ -568,6 +569,32 @@ class TestServiceEndToEnd:
             assert int(excinfo.value.headers["Retry-After"]) >= 1
         finally:
             service.close()
+
+    def test_read_only_routes_match_the_obs_server(self, tmp_path):
+        """The gateway and an :class:`ObsHTTPServer` over the same queue
+        answer ``/healthz`` with the same body and ``/status`` with the
+        same keys: both go through one route function."""
+        service = PredictionService(tmp_path / "spool", housekeep_interval=0.5)
+        (host, port), _fleet = service.start()
+        server = ObsHTTPServer(port=0, status=service.queue.status)
+        obs_host, obs_port = server.start()
+        try:
+            _post(f"http://{host}:{port}/plans", {"plan": _plan().to_dict()})
+            answers = []
+            for base in (
+                f"http://{host}:{port}",
+                f"http://{obs_host}:{obs_port}",
+            ):
+                with urllib.request.urlopen(base + "/healthz") as resp:
+                    healthz = resp.read()
+                _, status = _get(base + "/status")
+                answers.append((healthz, sorted(status)))
+        finally:
+            server.close()
+            service.close()
+        assert answers[0] == answers[1]
+        assert answers[0][0] == b"ok\n"
+        assert {"plans", "workers"} <= set(answers[0][1])
 
     def test_service_restart_resumes_spool_and_costs(self, tmp_path):
         """Stop a service mid-queue; its heir re-admits the spooled
