@@ -377,7 +377,7 @@ def _add_executor(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=_seconds("fleet timeout"),
         default=None,
         help="fleet: abort if the plan is still incomplete after this "
         "many seconds (default: wait forever — workers may join at any "
@@ -768,13 +768,9 @@ def _print_status(reply: dict) -> None:
 
 def _cmd_experiments_status(args: argparse.Namespace) -> int:
     """Read-only coordinator snapshot(s): one-shot, or --watch loop."""
-    if not args.watch:
+    if args.watch is None:
         _print_status(_probe_status(args))
         return 0
-    if args.watch < 0:
-        raise SystemExit(
-            f"--watch must be a non-negative interval, got {args.watch:g}"
-        )
     interval = max(args.watch, 0.2)  # protect the coordinator's accept loop
     probed_once = False
     try:
@@ -1100,7 +1096,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     _add_client(p_st)
     p_st.add_argument(
         "--watch",
-        type=float,
+        type=_seconds("watch interval"),
         default=None,
         metavar="SECONDS",
         help="re-probe and redraw every SECONDS until the coordinator "

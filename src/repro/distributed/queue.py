@@ -36,10 +36,16 @@ slow machine gets proportionally fewer cells. A worker with no
 throughput sample yet receives a small probe lease first. Same-group
 requeued fragments re-merge before re-lease, and ``min_unit_cells`` is
 the *floor* under an adaptive minimum (the cells amounting to
-``target_unit_seconds`` of predicted work). A one-case/many-seeds plan
-spreads across every worker that asks. Splitting moves only *where*
-cells execute: every cell is reproducible from ``(plan, seed)`` alone,
-so the store's bytes are identical at any granularity.
+``target_unit_seconds`` of predicted work). While other plans are
+active, the size is the asker's share of the *queue's* backlog — every
+active plan's pending cells over every live worker of the queue — so a
+backlogged service hands a tiny plan out whole instead of splitting it
+between workers that have other plans to run, and a large plan still
+spreads. A lone plan is sized against its own cells and workers, so a
+one-case/many-seeds plan spreads across every worker that asks.
+Splitting moves only *where* cells execute: every cell is reproducible
+from ``(plan, seed)`` alone, so the store's bytes are identical at any
+granularity.
 
 Correctness rests on three rules:
 
@@ -424,6 +430,8 @@ class PlanJob:
         lease_timeout: float,
         floor: int,
         target_seconds: float,
+        elsewhere: int,
+        peers: list[str],
     ) -> tuple[int, WorkUnit]:
         """Lease a capacity-sized piece of the costliest pending unit;
         returns ``(lease id, unit)``.
@@ -435,6 +443,16 @@ class PlanJob:
         the adaptive minimum. Each carve that leaves cells pending is a
         steal: work a single worker would otherwise own mid-group moves
         to the asker.
+
+        ``elsewhere`` is the pending cells of the queue's *other*
+        active plans and ``peers`` the queue's live workers (empty when
+        no other plan is active). The carve is sized against the
+        queue's backlog — this plan's pending cells plus ``elsewhere``,
+        shared by the plan's live workers plus ``peers`` — so while
+        other plans wait, a unit within the asker's share of the
+        backlog goes out whole instead of as slivers, and a larger one
+        is still carved to that share. A lone plan (every single-plan
+        fleet) is carved exactly as if the plan were the whole queue.
 
         The carve deliberately does NOT check how many workers exist:
         fleets grow at any moment and hellos race leases, so gating on
@@ -450,10 +468,10 @@ class PlanJob:
             range(len(self.pending)),
             key=lambda j: (self.cost(self.pending[j]), -j),
         )
-        pending_cells = self.pending_cells()
+        pending_cells = self.pending_cells() + elsewhere
         unit = self.pending.pop(i)
         target = self._target_cells(
-            worker, unit, pending_cells, now, lease_timeout, floor,
+            worker, unit, pending_cells, peers, now, lease_timeout, floor,
             target_seconds,
         )
         if target >= floor and unit.n_cells - target >= floor:
@@ -487,6 +505,7 @@ class PlanJob:
         worker: str,
         unit: WorkUnit,
         pending_cells: int,
+        peers: list[str],
         now: float,
         lease_timeout: float,
         floor: int,
@@ -494,20 +513,25 @@ class PlanJob:
     ) -> int:
         """How many cells this worker's next lease should carry.
 
+        ``pending_cells`` counts the backlog and ``peers`` joins the
+        queue's live workers to the plan's own (see :meth:`grant`).
         Proportional capacity sizing: the worker's EMA throughput over
-        the summed throughput of the plan's live workers, applied to
-        the remaining pending cells. A worker with no sample yet gets a
-        small probe (capacity-aware sizing needs a capacity
-        measurement); no asker ever receives more than half of what
-        remains, for the same reason grants never check worker counts —
-        late joiners and hello/lease races must still find work. The
-        floor is the adaptive minimum: the cells amounting to
-        ``target_seconds`` of predicted work, capped by a fair share so
-        small workloads still spread, and never below ``floor``.
+        the summed throughput of the live workers (a worker not yet
+        measured on this plan counts at the mean), applied to the
+        backlog. A worker with no sample yet gets a small probe (a
+        quarter of its fair share of the backlog: capacity-aware sizing
+        needs a capacity measurement); no asker ever receives more than
+        half of the backlog, for the same reason grants never check
+        worker counts — late joiners and hello/lease races must still
+        find work. The floor is the adaptive minimum: the cells
+        amounting to ``target_seconds`` of predicted work, capped by a
+        fair share of the backlog so small workloads still spread when
+        nothing else waits, and never below ``floor``.
         """
         live = [
             w for w, seen in self.seen.items() if now - seen <= lease_timeout
         ]
+        live += [w for w in peers if w not in live]
         n_live = max(len(live), 1)
         fair = max(pending_cells // n_live, 1)
         throughput = self.throughput.get(worker)
@@ -1219,12 +1243,21 @@ class PlanQueue:
         job = max(candidates, key=lambda j: (j.deficit, -j.index))
         now = self.clock()
         job.seen[worker] = now
+        # while other plans are active, size the carve against the
+        # queue's backlog and workers, not the chosen plan's alone
+        others = [
+            j
+            for j in self._jobs.values()
+            if j.state == "active" and j is not job
+        ]
         lease_id, unit = job.grant(
             worker,
             now,
             self.lease_timeout,
             self.min_unit_cells,
             self.target_unit_seconds,
+            sum(j.pending_cells() for j in others),
+            self._live_workers_locked(now) if others else [],
         )
         self._contact[worker]["leases"] += 1
         self._charge_locked(job, job.cost(unit))
@@ -1350,14 +1383,18 @@ class PlanQueue:
                 for j in self._jobs.values()
                 if j.state == "active"
             )
-            now = self.clock()
-            live = [
-                w
-                for w, contact in self._contact.items()
-                if now - contact["last_seen"] <= self.lease_timeout
-                and w not in self._draining
-            ]
+            live = self._live_workers_locked(self.clock())
             return total / max(len(live), 1)
+
+    def _live_workers_locked(self, now: float) -> list[str]:
+        """Workers heard from within the lease timeout and not
+        draining: the ones that can take more work."""
+        return [
+            w
+            for w, contact in self._contact.items()
+            if now - contact["last_seen"] <= self.lease_timeout
+            and w not in self._draining
+        ]
 
     def job(self, job_id: str) -> PlanJob:
         with self._lock:

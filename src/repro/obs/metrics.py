@@ -260,6 +260,9 @@ class Telemetry:
         self._metrics: dict[tuple[str, tuple], Counter | Gauge | Histogram] = {}
         self._kinds: dict[str, str] = {}
         self._sinks: list = []
+        # span name -> its ``repro_span_seconds`` histogram, resolved
+        # once per name (see repro.obs.spans)
+        self._span_histograms: dict[str, Histogram] = {}
         self._span_ids = 0
         self._span_stack = threading.local()
         self._span_prefix: str | None = None
@@ -316,6 +319,8 @@ class Telemetry:
 
     def emit(self, event: dict) -> None:
         """Send one event dict to every attached sink."""
+        if not self._sinks:  # the common case: nothing to copy or lock
+            return
         for sink in self.sinks:
             sink.emit(event)
 

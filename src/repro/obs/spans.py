@@ -94,7 +94,11 @@ def span(name: str, telemetry: Telemetry | None = None, **attrs):
     finally:
         event["seconds"] = time.perf_counter() - started
         stack.pop()
-        telemetry.histogram(SPAN_SECONDS_METRIC, span=event["span"]).observe(
-            event["seconds"]
-        )
+        histogram = telemetry._span_histograms.get(event["span"])
+        if histogram is None:
+            histogram = telemetry.histogram(
+                SPAN_SECONDS_METRIC, span=event["span"]
+            )
+            telemetry._span_histograms[event["span"]] = histogram
+        histogram.observe(event["seconds"])
         telemetry.emit(event)

@@ -275,6 +275,27 @@ class TestCompareCommand:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1"])
+    def test_watch_interval_is_checked_by_argparse(
+        self, bad, capsys, monkeypatch
+    ):
+        """``status --watch`` takes finite seconds > 0: a bad interval
+        is a usage error before the coordinator is contacted, not a
+        ``time.sleep`` crash after the first snapshot."""
+        from repro import cli
+
+        def no_contact(args):
+            raise AssertionError("the coordinator was contacted")
+
+        monkeypatch.setattr(cli, "_probe_status", no_contact)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiments", "status", "--connect", "127.0.0.1:9",
+                  "--watch", bad])
+        assert excinfo.value.code == 2
+        assert "watch interval must be a finite number of seconds > 0" in (
+            capsys.readouterr().err
+        )
+
     def test_serve_has_no_http_port(self, capsys):
         """``repro serve``'s gateway answers /metrics, /healthz and
         /status itself, so a second HTTP server is a usage error."""
@@ -502,6 +523,19 @@ class TestSweepWithCachedFires:
         assert "unit seconds: p50 " in out
         assert snapshot.exists()
         assert parity(fleet) == parity(inline)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "0", "-5"])
+    def test_fleet_timeout_is_checked_by_argparse(self, bad, capsys):
+        """A fleet ``--timeout`` that could never fire (nan, inf) or
+        fires at once (0, negative) is a usage error before the plan
+        is read; leaving the flag out still means "wait forever"."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--plan", "plan.json", "--results", "r.jsonl",
+                  "--executor", "fleet", "--timeout", bad])
+        assert excinfo.value.code == 2
+        assert "fleet timeout must be a finite number of seconds > 0" in (
+            capsys.readouterr().err
+        )
 
 
 class TestSerializationRoundtrip:

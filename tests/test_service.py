@@ -21,7 +21,9 @@ spool persistence across service restarts.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 import threading
 import time
 import urllib.error
@@ -44,6 +46,7 @@ from repro.experiments.store import parity_view
 from repro.obs.http import ObsHTTPServer
 from repro.service import (
     AdmissionError,
+    PlanJob,
     PlanQueue,
     PredictionService,
     ServiceError,
@@ -273,6 +276,219 @@ class TestPlanQueueScheduling:
         assert reply["next"]["type"] == "bye"
         # an undrained fleet keeps being served by other workers
         assert queue.lease("w1")["type"] == "unit"
+
+
+def _records_of(unit: dict) -> list[dict]:
+    """Minimal store records of a granted unit's cells: what a worker
+    uploads with its ``complete``, as far as coverage is concerned."""
+    return [
+        dict(zip(("system", "case", "seed", "backend"), cell))
+        for cell in unit["cells"]
+    ]
+
+
+def _run_two_workers(queue: PlanQueue, clock: list, jobs: list) -> list[tuple]:
+    """Drive ``w0``/``w1`` on the fake clock: a unit keeps its worker
+    busy 10 ms per cell plus 2 ms, and whichever worker is free first
+    completes its unit (records inline) and takes the piggybacked next
+    grant, until every plan is done. Returns ``(time, worker, plan
+    name, cells, queue's pending cells before the grant, steals so
+    far)`` per grant, in grant order."""
+    names = {job.id: job.plan.name for job in jobs}
+    grants: list[tuple] = []
+    held: dict[str, dict] = {}
+    free = {"w0": 0.0, "w1": 0.0}
+    while not all(job.state == "done" for job in jobs):
+        worker = min(free, key=lambda w: (free[w], w))
+        clock[0] = free[worker]
+        grant = held.pop(worker, None)
+        if grant is None:
+            reply = queue.lease(worker)
+        else:
+            reply = queue.complete(
+                worker, grant["plan_id"], grant["lease"],
+                {"unit_seconds": 0.01 * len(grant["unit"]["cells"])},
+                _records_of(grant["unit"]),
+            )["next"]
+        if reply["type"] != "unit":
+            free[worker] += 0.005  # ask again a little later
+            continue
+        held[worker] = reply
+        free[worker] += 0.01 * len(reply["unit"]["cells"]) + 0.002
+        cells = len(reply["unit"]["cells"])
+        grants.append(
+            (
+                clock[0],
+                worker,
+                names[reply["plan_id"]],
+                cells,
+                sum(job.pending_cells() for job in jobs) + cells,
+                sum(job.steals for job in jobs),
+            )
+        )
+    return grants
+
+
+def _one_plan_script(tmp_path, seed: int) -> tuple[str, PlanJob]:
+    """A seeded random lease/complete/heartbeat/housekeep script of
+    three workers on a fake-clock one-plan queue; returns the digest of
+    every reply, in order, and the job."""
+    rng = random.Random(seed)
+    clock = [0.0]
+    queue = PlanQueue(lease_timeout=5.0, clock=lambda: clock[0])
+    job = queue.admit(
+        _plan(name="scripted", seeds=tuple(range(8))),
+        ResultsStore(tmp_path / f"script-{seed}.jsonl"),
+    )
+    held: dict[str, dict] = {}
+    replies = []
+    for _ in range(80):
+        worker = f"w{rng.randrange(3)}"
+        op = rng.choice(("lease", "complete", "complete", "heartbeat", "tick"))
+        grant = held.get(worker)
+        if op == "tick":
+            clock[0] += rng.choice((0.5, 2.0, 6.0))  # 6 s: leases expire
+            queue.housekeep()
+            continue
+        if grant is None or op == "lease":
+            reply = queue.lease(worker)
+        elif op == "heartbeat":
+            reply = queue.heartbeat(
+                worker, job.id, grant["lease"],
+                {"unit_seconds": rng.uniform(0.1, 2.0)},
+            )
+        else:
+            # one complete in five leaves its records on the worker
+            records = (
+                _records_of(grant["unit"]) if rng.random() < 0.8 else None
+            )
+            reply = queue.complete(
+                worker, job.id, grant["lease"],
+                {"unit_seconds": rng.uniform(0.1, 2.0)}, records,
+            )
+            del held[worker]
+            if reply["next"]["type"] == "unit":
+                held[worker] = reply["next"]
+        if reply["type"] == "unit":
+            held[worker] = reply
+        replies.append(reply)
+        clock[0] += 0.25
+    digest = hashlib.sha256(
+        json.dumps(replies, sort_keys=True).encode()
+    ).hexdigest()
+    return digest[:16], job
+
+
+# ----------------------------------------------------------------------
+# Lease sizing against the queue's backlog
+# ----------------------------------------------------------------------
+class TestBacklogLeaseSizing:
+    """While other plans are active, a grant is sized against the
+    queue's backlog and live workers, not just the chosen plan's: a
+    tiny plan goes out whole while enough else waits, a large plan is
+    still carved across the workers, and a lone plan is carved as
+    before."""
+
+    def _queue(self, tmp_path, plans: list):
+        clock = [0.0]
+        queue = PlanQueue(lease_timeout=5.0, clock=lambda: clock[0])
+        queue.touch("w0")
+        queue.touch("w1")
+        jobs = [
+            queue.admit(plan, ResultsStore(tmp_path / f"{plan.name}.jsonl"))
+            for plan in plans
+        ]
+        return queue, clock, jobs
+
+    def _two_cell_plans(self, n_plans: int) -> list:
+        return [_plan(name=f"p{i:02d}", seeds=(i,)) for i in range(n_plans)]
+
+    @pytest.mark.parametrize("n_plans", [3, 8, 48])
+    def test_backlogged_two_cell_plans_go_out_whole(self, tmp_path, n_plans):
+        """Two live workers, ``n_plans`` two-cell plans queued: every
+        grant made while the queue holds at least 16 pending cells (the
+        plan and seven others) carries a whole plan, in submission
+        order and with no steal — an unmeasured worker's probe is a
+        quarter of its fair share of the backlog, which covers two
+        cells from 16 cells over two workers on. Only the last seven
+        plans are split: a burst of 48 plans leaves as 55 units, not
+        96."""
+        queue, clock, jobs = self._queue(
+            tmp_path, self._two_cell_plans(n_plans)
+        )
+        grants = _run_two_workers(queue, clock, jobs)
+        backlogged = [g for g in grants if g[4] >= 16]
+        assert len(backlogged) == max(n_plans - 7, 0)
+        assert [g[2] for g in backlogged] == [
+            f"p{i:02d}" for i in range(n_plans - 7)
+        ]
+        assert all(g[3] == 2 for g in backlogged)
+        assert all(g[5] == 0 for g in backlogged)
+        assert len(grants) == n_plans + min(n_plans, 7)
+        assert sum(job.steals for job in jobs) == min(n_plans, 7)
+
+    @pytest.mark.parametrize("position", ["first", "last"])
+    @pytest.mark.parametrize(
+        "seeds, cases",
+        [(20, ("grassland",)), (5, ("grassland", "river_gap"))],
+    )
+    def test_large_plan_behind_a_backlog_still_spreads(
+        self, tmp_path, position, seeds, cases
+    ):
+        """A 40- or 20-cell plan (one group, or two) submitted before or
+        after twenty two-cell plans: a small plan granted while 16
+        cells are pending goes out whole, and the large plan is still
+        carved and run by both workers, so the last of it does not run
+        on one worker while the other idles: the two workers finish
+        within a quarter of the large plan's cell time of each other."""
+        large = _plan(
+            name="large",
+            seeds=tuple(range(100, 100 + seeds)),
+            cases=tuple(CaseSpec(name, size=20, steps=2) for name in cases),
+        )
+        small = self._two_cell_plans(20)
+        plans = [large, *small] if position == "first" else [*small, large]
+        queue, clock, jobs = self._queue(tmp_path, plans)
+        grants = _run_two_workers(queue, clock, jobs)
+        job = jobs[plans.index(large)]
+        assert job.steals > 0
+        assert {g[1] for g in grants if g[2] == "large"} == {"w0", "w1"}
+        assert all(g[3] == 2 for g in grants if g[2] != "large" and g[4] >= 16)
+        ends = {
+            worker: max(g[0] + 0.01 * g[3] for g in grants if g[1] == worker)
+            for worker in ("w0", "w1")
+        }
+        assert abs(ends["w0"] - ends["w1"]) <= 0.01 * len(job.expected) / 4
+
+    def test_lone_plan_on_an_idle_queue_still_splits(self, tmp_path):
+        """Nothing else waits: one two-cell plan is split 1+1 across the
+        two idle workers, the lone plan's parallelism."""
+        queue, _, (job,) = self._queue(tmp_path, self._two_cell_plans(1))
+        first = queue.lease("w0")
+        second = queue.lease("w1")
+        assert len(first["unit"]["cells"]) == 1
+        assert len(second["unit"]["cells"]) == 1
+        assert job.steals == 1
+
+    @pytest.mark.parametrize(
+        "seed, digest, steals, requeues",
+        [
+            (0, "acfdd26ff1870ad9", 6, 2),
+            (1, "da3df9e41005c787", 8, 4),
+            (3, "27ad99dca2b00b15", 21, 10),
+        ],
+    )
+    def test_one_plan_queue_replies_are_unchanged(
+        self, tmp_path, seed, digest, steals, requeues
+    ):
+        """On a one-plan queue nothing else is pending, so every grant
+        is sized from the plan's own cells alone: a seeded script of
+        leases, completes (with and without records), heartbeats and
+        expiries gives the replies pinned here, recorded before grants
+        counted other plans' backlog."""
+        got, job = _one_plan_script(tmp_path, seed)
+        assert (job.steals, job.requeues) == (steals, requeues)
+        assert got == digest
 
 
 class _ProbedQueue(PlanQueue):
