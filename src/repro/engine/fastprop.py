@@ -60,10 +60,9 @@ A gathered travel time is the same float whichever form it comes
 from: ``travel + closed`` is computed per element exactly as a dense
 assembly computed it, then ``T[src]`` is added, so the order of the
 additions is unchanged. Callers cut genome batches into chunks so that
-what one call holds per genome stays under the float64 size of
-:data:`CHUNK_ELEMENTS` elements: the arrival times, frontier, masks
-and on-demand table, :meth:`FlatGrid.genomes_per_call`, or the dense
-travel array, :attr:`FlatGrid.chunk`.
+what one call holds per genome (the arrival times, frontier, masks and
+on-demand table) stays under the float64 size of
+:data:`CHUNK_ELEMENTS` elements: :meth:`FlatGrid.genomes_per_call`.
 """
 
 from __future__ import annotations
@@ -80,8 +79,6 @@ __all__ = [
     "CHUNK_ELEMENTS",
     "ClassTables",
     "FlatGrid",
-    "propagate_uniform",
-    "propagate_raster",
 ]
 
 #: Element budget of one kernel call's chunk: a dense float64 travel
@@ -217,8 +214,6 @@ class FlatGrid:
             ]
             closed[d][out_of & into] = 0.0
         self._closed = closed.reshape(len(self.offsets), rows * cols)
-        #: Genomes per :meth:`run_raster` call (see CHUNK_ELEMENTS).
-        self.chunk = max(1, CHUNK_ELEMENTS // self._closed.size)
 
     def genomes_per_call(self, classes: int | None = None) -> int:
         """Genomes per :meth:`run_uniform` call, or per :meth:`run_table`
@@ -392,75 +387,3 @@ class FlatGrid:
         _relax(times, travel_at, self.offsets, bound)
         times[times >= bound] = np.inf
         return times
-
-
-# ----------------------------------------------------------------------
-# Functional wrappers (tests, ad-hoc use)
-# ----------------------------------------------------------------------
-def _chunked(run, inputs: np.ndarray, single_ndim: int, chunk: int) -> np.ndarray:
-    """Run a one-genome input or a batch, one kernel call per chunk."""
-    single = inputs.ndim == single_ndim
-    batch = inputs[None] if single else inputs
-    out = np.concatenate(
-        [run(batch[lo : lo + chunk]) for lo in range(0, len(batch), chunk)]
-    )
-    return out[0] if single else out
-
-
-def propagate_uniform(
-    weights: Sequence[float] | np.ndarray,
-    shape: tuple[int, int],
-    offsets: Sequence[tuple[int, int]],
-    ignitions: Iterable[tuple[int, int]] | Mapping[tuple[int, int], float],
-    horizon: float | None = None,
-    blocked: np.ndarray | None = None,
-) -> np.ndarray:
-    """Earliest-arrival times when travel cost is uniform per direction.
-
-    ``weights[d]`` is the travel time (minutes) along ``offsets[d]``
-    from *any* cell — the homogeneous-terrain case where the Rothermel
-    ellipse is the same everywhere; a ``(n, D)`` batch returns
-    ``(n, rows, cols)``. Semantics (including the horizon clip to
-    ``inf``) match :func:`repro.firelib.propagation.propagate`.
-    """
-    grid = FlatGrid(shape, offsets, blocked)
-    seeded = grid.seed(ignitions)
-    return _chunked(
-        lambda w: grid.run_uniform(w, seeded, horizon),
-        np.asarray(weights, dtype=np.float64),
-        1,
-        grid.genomes_per_call(),
-    )
-
-
-def propagate_raster(
-    travel_time: np.ndarray,
-    offsets: Sequence[tuple[int, int]],
-    ignitions: Iterable[tuple[int, int]] | Mapping[tuple[int, int], float],
-    horizon: float | None = None,
-    blocked: np.ndarray | None = None,
-) -> np.ndarray:
-    """Earliest-arrival times from a ``(D, H, W)`` travel-time array.
-
-    The heterogeneous-terrain case: same inputs and semantics as
-    :func:`repro.firelib.propagation.propagate`; a ``(n, D, H, W)``
-    batch returns ``(n, H, W)``.
-    """
-    travel_time = np.asarray(travel_time, dtype=np.float64)
-    if travel_time.ndim not in (3, 4):
-        raise SimulationError(
-            f"travel_time must be (D, H, W), got shape {travel_time.shape}"
-        )
-    if travel_time.shape[-3] != len(offsets):
-        raise SimulationError(
-            f"stencil size {len(offsets)} != travel_time directions "
-            f"{travel_time.shape[-3]}"
-        )
-    grid = FlatGrid(travel_time.shape[-2:], offsets, blocked)
-    seeded = grid.seed(ignitions)
-    return _chunked(
-        lambda t: grid.run_raster(t, seeded, horizon),
-        travel_time,
-        3,
-        grid.chunk,
-    )

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.scenario import ParameterSpace
 from repro.engine import SimulationEngine
-from repro.engine.fastprop import FlatGrid, propagate_raster, propagate_uniform
+from repro.engine.fastprop import CHUNK_ELEMENTS, FlatGrid
 from repro.firelib.propagation import (
     _offset_azimuth_deg,
     propagate,
@@ -228,10 +228,9 @@ class TestFlatKernelsMatchReference:
         seeds = [(6, 6), (2, 3)]
         blocked[6, 6] = blocked[2, 3] = False
         expected = propagate(travel, seeds, horizon=20.0, blocked=blocked)
-        got = propagate_raster(
-            travel, offsets, seeds, horizon=20.0, blocked=blocked
-        )
-        assert np.array_equal(expected, got)
+        grid = FlatGrid((12, 12), offsets, blocked)
+        got = grid.run_raster(travel[None], grid.seed(seeds), horizon=20.0)
+        assert np.array_equal(expected, got[0])
 
     def test_uniform_kernel_matches_constant_raster(self):
         offsets = stencil(8)
@@ -241,8 +240,9 @@ class TestFlatKernelsMatchReference:
         ).copy()
         seeds = {(5, 5): 0.0, (0, 0): 2.0}
         expected = propagate(travel, seeds, horizon=12.0)
-        got = propagate_uniform(weights, (10, 10), offsets, seeds, horizon=12.0)
-        assert np.array_equal(expected, got)
+        grid = FlatGrid((10, 10), offsets)
+        got = grid.run_uniform([weights], grid.seed(seeds), horizon=12.0)
+        assert np.array_equal(expected, got[0])
 
     def test_no_horizon_propagates_to_exhaustion(self):
         offsets = stencil(8)
@@ -250,34 +250,29 @@ class TestFlatKernelsMatchReference:
         expected = propagate(
             np.full((8, 6, 6), 2.0), [(0, 0)], horizon=None
         )
-        got = propagate_uniform(weights, (6, 6), offsets, [(0, 0)], horizon=None)
-        assert np.array_equal(expected, got)
+        grid = FlatGrid((6, 6), offsets)
+        got = grid.run_uniform([weights], grid.seed([(0, 0)]), horizon=None)
+        assert np.array_equal(expected, got[0])
 
     def test_seed_validation_matches_reference(self):
         from repro.errors import SimulationError
 
         offsets = stencil(8)
+        grid = FlatGrid((6, 6), offsets)
         with pytest.raises(SimulationError):
-            propagate_uniform([1.0] * 8, (6, 6), offsets, [])
+            grid.seed([])
         with pytest.raises(SimulationError):
-            propagate_uniform([1.0] * 8, (6, 6), offsets, [(9, 9)])
+            grid.seed([(9, 9)])
         with pytest.raises(SimulationError):
-            propagate_uniform([1.0] * 8, (6, 6), offsets, {(1, 1): -1.0})
+            grid.seed({(1, 1): -1.0})
         # NaN ignition times and a NaN horizon, in every path
         travel = np.full((8, 6, 6), 1.0)
-        grid = FlatGrid((6, 6), offsets)
         seeded = grid.seed([(1, 1)])
         nan_seed = {(1, 1): np.nan}
         for run in (
             lambda: propagate(travel, nan_seed),
             lambda: propagate(travel, [(1, 1)], horizon=np.nan),
             lambda: grid.seed(nan_seed),
-            lambda: propagate_uniform([1.0] * 8, (6, 6), offsets, nan_seed),
-            lambda: propagate_raster(travel, offsets, nan_seed),
-            lambda: propagate_uniform(
-                [1.0] * 8, (6, 6), offsets, [(1, 1)], horizon=np.nan
-            ),
-            lambda: propagate_raster(travel, offsets, [(1, 1)], horizon=np.nan),
             lambda: grid.run_uniform(np.ones((2, 8)), seeded, np.nan),
             lambda: grid.run_table(
                 np.ones((2, 8, 1)), np.zeros((6, 6), dtype=int), seeded, np.nan
@@ -291,9 +286,8 @@ class TestFlatKernelsMatchReference:
         offsets = stencil(8)
         blocked = np.zeros((6, 6), dtype=bool)
         blocked[1, 1] = True
-        out = propagate_uniform(
-            [1.0] * 8, (6, 6), offsets, [(1, 1), (3, 3)], blocked=blocked
-        )
+        grid = FlatGrid((6, 6), offsets, blocked)
+        out = grid.run_uniform([[1.0] * 8], grid.seed([(1, 1), (3, 3)]))[0]
         assert np.isinf(out[1, 1])
         assert out[3, 3] == 0.0
 
@@ -340,6 +334,19 @@ def _random_case(n: int, n_neighbors: int, seed: int, kind: str = "uniform"):
     return offsets, travel, blocked
 
 
+def _dense_chunk(n_neighbors: int, shape: tuple[int, int] = SHAPE) -> int:
+    """Genomes of one dense ``(D, genomes, rows, cols)`` float64 travel
+    array of ``CHUNK_ELEMENTS`` elements."""
+    return CHUNK_ELEMENTS // (len(stencil(n_neighbors)) * shape[0] * shape[1])
+
+
+def _run_raster(travel, offsets, seeds, horizon, blocked):
+    """One ``FlatGrid.run_raster`` call over a ``(g, D, rows, cols)``
+    batch."""
+    grid = FlatGrid(SHAPE, offsets, blocked)
+    return grid.run_raster(travel, grid.seed(seeds), horizon)
+
+
 def _reference(travel, horizon, blocked, seeds=SEEDS):
     return np.stack(
         [propagate(t, seeds, horizon=horizon, blocked=blocked) for t in travel]
@@ -351,12 +358,9 @@ class TestBatchedKernelMatchesReference:
     @pytest.mark.parametrize("horizon", [None, 9.5])
     @pytest.mark.parametrize("batch", ["1", "7", "chunks"])
     def test_random_travel_bitwise(self, n_neighbors, horizon, batch):
-        chunk = FlatGrid(SHAPE, stencil(n_neighbors)).chunk
-        n = 2 * chunk + 3 if batch == "chunks" else int(batch)
+        n = 2 * _dense_chunk(n_neighbors) + 3 if batch == "chunks" else int(batch)
         offsets, travel, blocked = _random_case(n, n_neighbors, n + n_neighbors)
-        got = propagate_raster(
-            travel, offsets, SEEDS, horizon=horizon, blocked=blocked
-        )
+        got = _run_raster(travel, offsets, SEEDS, horizon, blocked)
         assert got.shape == (n, *SHAPE)
         assert np.array_equal(got, _reference(travel, horizon, blocked))
         # the all-inf genome burns exactly its open seed cells in time
@@ -374,13 +378,12 @@ class TestBatchedKernelMatchesReference:
     )
     def test_edge_case_travel_bitwise(self, kind, start, horizon, n_neighbors):
         """Zero-weight cycles, tied integer walk sums (also tied with the
-        horizon) and a large seeded region, across several chunks."""
+        horizon) and a large seeded region, over more genomes than one
+        dense chunk."""
         seeds = START_REGION if start == "region" else SEEDS
-        n = FlatGrid(SHAPE, stencil(n_neighbors)).chunk + 3
+        n = _dense_chunk(n_neighbors) + 3
         offsets, travel, blocked = _random_case(n, n_neighbors, n_neighbors, kind)
-        got = propagate_raster(
-            travel, offsets, seeds, horizon=horizon, blocked=blocked
-        )
+        got = _run_raster(travel, offsets, seeds, horizon, blocked)
         assert np.array_equal(got, _reference(travel, horizon, blocked, seeds))
 
     @pytest.mark.parametrize("n_neighbors", [8, 16])
@@ -401,24 +404,19 @@ class TestBatchedKernelMatchesReference:
         offsets = stencil(8)
         weights = rng.uniform(0.5, 3.0, size=(7, 8))
         weights[2, 3] = np.inf
-        got = propagate_uniform(weights, SHAPE, offsets, SEEDS, horizon=10.0)
+        grid = FlatGrid(SHAPE, offsets)
+        got = grid.run_uniform(weights, grid.seed(SEEDS), horizon=10.0)
         travel = np.broadcast_to(weights[:, :, None, None], (7, 8, *SHAPE))
         assert np.array_equal(got, _reference(travel, 10.0, None))
 
     def test_genome_alone_equals_genome_in_batch(self):
         offsets, travel, blocked = _random_case(9, 8, 60)
-        batch = propagate_raster(
-            travel, offsets, SEEDS, horizon=9.5, blocked=blocked
-        )
-        reordered = propagate_raster(
-            travel[::-1], offsets, SEEDS, horizon=9.5, blocked=blocked
-        )
+        batch = _run_raster(travel, offsets, SEEDS, 9.5, blocked)
+        reordered = _run_raster(travel[::-1], offsets, SEEDS, 9.5, blocked)
         assert np.array_equal(reordered[::-1], batch)
         for k in (0, 4, 8):
-            alone = propagate_raster(
-                travel[k], offsets, SEEDS, horizon=9.5, blocked=blocked
-            )
-            assert np.array_equal(alone, batch[k])
+            alone = _run_raster(travel[k : k + 1], offsets, SEEDS, 9.5, blocked)
+            assert np.array_equal(alone[0], batch[k])
 
     def test_engine_genome_alone_equals_genome_in_batch(self):
         rng = np.random.default_rng(61)
@@ -445,7 +443,9 @@ def test_raster_kernel_peak_memory_within_dense_kernel():
     """Wave slices keep a large seeded region's first wave (every seeded
     cell times every direction) from outgrowing the old kernel."""
     grid = FlatGrid((40, 40), stencil(8))
-    travel = np.random.default_rng(3).uniform(0.2, 4.0, (grid.chunk, 8, 40, 40))
+    travel = np.random.default_rng(3).uniform(
+        0.2, 4.0, (_dense_chunk(8, (40, 40)), 8, 40, 40)
+    )
     seeded = np.full((40, 40), np.inf)
     seeded[6:34, 6:34] = 0.0
     grid.run_raster(travel, seeded, 12.0)  # warm up lazy numpy state
@@ -461,8 +461,8 @@ def test_raster_kernel_peak_memory_within_dense_kernel():
 #: ``tracemalloc`` peaks, in bytes, of the ``run_uniform`` and
 #: ``run_table`` calls below on the kernel that assembled a dense
 #: ``(D, genomes, rows, cols)`` travel array for every call, at its
-#: ``grid.chunk`` genomes per call (the table peak is the same within
-#: 24 bytes for 16 and for 1600 classes).
+#: ``_dense_chunk(8, (40, 40))`` = 5 genomes per call (the table peak
+#: is the same within 24 bytes for 16 and for 1600 classes).
 DENSE_UNIFORM_PEAK = 687_808
 DENSE_TABLE_PEAK = 687_904
 
