@@ -1,19 +1,18 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Five commands cover the common workflows without writing a script:
+Six commands cover the common workflows without writing a script:
 
 * ``simulate`` — run one fire simulation on a canonical case terrain
   and print burned-area statistics (the fireLib-style use).
 * ``run`` — run one prediction system on a case and print the per-step
   table; optionally save the result as JSON.
-* ``compare`` — run several systems on the same case and print the E1
-  quality-per-step comparison; like ``sweep`` it takes ``--executor``,
-  so a one-case grid can spread over a worker fleet cell by cell.
-* ``sweep`` — run a full systems × cases × seeds grid and print the
-  aggregated table; ``--executor`` picks where the grid's pending work
-  units execute (inline, or a TCP worker fleet — ``--shards N`` starts
-  N local workers for it). ``sweep --plan P --results R --executor
-  fleet`` is the one way to run a saved plan on a fleet.
+* ``sweep`` — run a systems × cases × seeds grid and print the
+  aggregated table; a one-seed grid first prints the E1
+  quality-per-step comparison of each case. ``--executor`` picks where
+  the grid's pending work units execute (inline, or a TCP worker fleet
+  — ``--shards N`` starts N local workers for it). ``sweep --plan P
+  --results R --executor fleet`` is the one way to run a saved plan on
+  a fleet.
 * ``experiments`` — fleet utilities: ``worker`` (join a coordinator's
   fleet), ``status`` (read-only fleet snapshot, optionally re-polled
   with ``--watch``), ``drain`` (gracefully retire a worker — it
@@ -29,9 +28,9 @@ Five commands cover the common workflows without writing a script:
   ``--trace`` JSONL files into one Perfetto-loadable Chrome
   trace-event timeline.
 
-``compare`` and ``sweep`` are thin *plan builders*: they assemble a
+``sweep`` is a thin *plan builder*: it assembles a
 declarative :class:`~repro.experiments.plan.ExperimentPlan` from the
-flags (or load one from ``--plan``) and hand execution to the
+flags (or loads one from ``--plan``) and hands execution to the
 experiment layer, which shares one engine session per (case, backend)
 group and can stream results into a resumable ``--results`` store.
 """
@@ -68,7 +67,7 @@ from repro.distributed.protocol import (
     check_seconds,
     request as _fleet_request,
 )
-from repro.distributed.worker import parse_address
+from repro.distributed.worker import check_throttle, parse_address
 from repro.engine import backend_names
 from repro.errors import ReproError
 from repro.experiments import (
@@ -85,44 +84,21 @@ from repro.obs.http import ObsHTTPServer
 from repro.obs.timeline import export_timeline
 from repro.rng import make_rng
 from repro.systems.factory import SYSTEM_NAMES as _SYSTEM_NAMES
-from repro.systems.factory import build_system as _build_system
+from repro.systems.factory import build_system
+from repro.systems.results import RunResult
 from repro.workloads.cases import CASE_BUILDERS
 
-__all__ = ["main", "build_system"]
+__all__ = ["main"]
 
 
-def build_system(
-    name: str,
-    population: int = 16,
-    generations: int = 6,
-    n_workers: int = 1,
-    tuning: str = "both",
-    backend: str = "reference",
-    cache_size: int = 0,
-    session_cache_size: int = 0,
-):
-    """Construct a prediction system by CLI name with matched budgets.
-
-    Thin wrapper over :func:`repro.systems.factory.build_system` that
-    turns unknown names into a clean CLI exit instead of a traceback.
-    """
-    try:
-        return _build_system(
-            name,
-            population=population,
-            generations=generations,
-            n_workers=n_workers,
-            tuning=tuning,
-            backend=backend,
-            cache_size=cache_size,
-            session_cache_size=session_cache_size,
-        )
-    except ReproError as exc:
-        raise SystemExit(str(exc)) from exc
+def _add_shape(parser: argparse.ArgumentParser) -> None:
+    """Case shape flags shared by run and sweep."""
+    parser.add_argument("--size", type=int, default=44, help="grid side, cells")
+    parser.add_argument("--steps", type=int, default=3, help="prediction steps")
 
 
 def _add_budget(parser: argparse.ArgumentParser) -> None:
-    """Search/engine budget flags shared by run, compare and sweep."""
+    """Search/engine budget flags shared by run and sweep."""
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--population", type=int, default=16)
     parser.add_argument("--generations", type=int, default=6)
@@ -178,8 +154,8 @@ def _add_telemetry(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_obs(parser: argparse.ArgumentParser) -> None:
-    """Telemetry flags plus ``--http-port``: run, compare, sweep and
-    worker (``serve``'s gateway already answers the same routes)."""
+    """Telemetry flags plus ``--http-port``: run, sweep and worker
+    (``serve``'s gateway already answers the same routes)."""
     _add_telemetry(parser)
     parser.add_argument(
         "--http-port",
@@ -250,17 +226,23 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _seconds(what: str):
-    """argparse type of a duration setting named ``what``: finite
-    seconds > 0 (a clean usage error otherwise)."""
+def _checked(check, *args):
+    """argparse type that runs ``check(text, *args)`` and turns its
+    :class:`FleetError` into a clean usage error."""
 
     def parse(text: str) -> float:
         try:
-            return check_seconds(text, what)
+            return check(text, *args)
         except FleetError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
 
     return parse
+
+
+def _seconds(what: str):
+    """argparse type of a duration setting named ``what``: finite
+    seconds > 0."""
+    return _checked(check_seconds, what)
 
 
 def _add_auth_token(parser: argparse.ArgumentParser) -> None:
@@ -275,9 +257,8 @@ def _add_auth_token(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_client(parser: argparse.ArgumentParser) -> None:
-    """``--connect``/``--request-timeout``/``--auth-token`` for the
-    one-shot coordinator clients (``drain`` and ``status``)."""
+def _add_connect(parser: argparse.ArgumentParser) -> None:
+    """``--connect``: every coordinator client (worker, status, drain)."""
     parser.add_argument(
         "--connect",
         required=True,
@@ -285,6 +266,12 @@ def _add_client(parser: argparse.ArgumentParser) -> None:
         help="coordinator address (--executor fleet's, or repro "
         "serve's fleet port)",
     )
+
+
+def _add_client(parser: argparse.ArgumentParser) -> None:
+    """``--connect``/``--request-timeout``/``--auth-token`` for the
+    one-shot coordinator clients (``drain`` and ``status``)."""
+    _add_connect(parser)
     parser.add_argument(
         "--request-timeout",
         type=_seconds("request timeout"),
@@ -296,7 +283,7 @@ def _add_client(parser: argparse.ArgumentParser) -> None:
 
 def _add_leasing(parser: argparse.ArgumentParser) -> None:
     """Lease flags and the idle-hold ``--poll-interval`` of both fleet
-    coordinators: compare/sweep's fleet executor and ``serve``."""
+    coordinators: sweep's fleet executor and ``serve``."""
     parser.add_argument(
         "--lease-timeout",
         type=_seconds("lease timeout"),
@@ -332,7 +319,7 @@ def _add_leasing(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_executor(parser: argparse.ArgumentParser) -> None:
-    """``--shards``/``--executor`` + fleet flags (compare and sweep)."""
+    """``--shards``/``--executor`` + fleet flags of ``sweep``."""
     parser.add_argument(
         "--shards",
         type=_positive_int,
@@ -395,14 +382,6 @@ def _add_executor(parser: argparse.ArgumentParser) -> None:
     _add_leasing(parser)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--case", choices=sorted(CASE_BUILDERS), default="grassland")
-    parser.add_argument("--size", type=int, default=44, help="grid side, cells")
-    parser.add_argument("--steps", type=int, default=3, help="prediction steps")
-    parser.add_argument("--seed", type=int, default=42)
-    _add_budget(parser)
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if not args.minutes > 0:
         raise SystemExit(f"--minutes must be positive, got {args.minutes:g}")
@@ -441,17 +420,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise SystemExit(f"generations must be >= 1, got {args.generations}")
     try:
         fire = CaseSpec(args.case, size=args.size, steps=args.steps).build()
+        system = build_system(
+            args.system,
+            population=args.population,
+            generations=args.generations,
+            n_workers=args.workers,
+            backend=args.backend,
+            cache_size=args.cache_size,
+            session_cache_size=args.session_cache_size,
+        )
     except _USER_ERRORS as exc:
         raise SystemExit(str(exc)) from exc
-    system = build_system(
-        args.system,
-        args.population,
-        args.generations,
-        args.workers,
-        backend=args.backend,
-        cache_size=args.cache_size,
-        session_cache_size=args.session_cache_size,
-    )
     # the whole run is reproducible from this one seeded repro.rng stream
     run = system.run(fire, rng=make_rng(args.seed))
     print(f"case: {fire.description}")
@@ -471,28 +450,6 @@ def _budget(args: argparse.Namespace) -> BudgetSpec:
         cache_size=args.cache_size,
         session_cache_size=args.session_cache_size,
     )
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    names = tuple(n.strip() for n in args.systems.split(","))
-    try:
-        plan = ExperimentPlan(
-            name="compare",
-            systems=names,
-            cases=(CaseSpec(args.case, size=args.size, steps=args.steps),),
-            seeds=(args.seed,),
-            backends=(args.backend,),
-            budget=_budget(args),
-        )
-        store = _open_results_store(args.results) if args.results else None
-    except _USER_ERRORS as exc:
-        raise SystemExit(str(exc)) from exc
-    result = _run_plan(args, plan, store)
-    case = plan.cases[0]
-    print(f"case: {case.name} {case.size}x{case.size}, {case.steps} steps")
-    print(format_comparison(compare_runs(result.runs())))
-    print(format_experiment(result))
-    return 0
 
 
 #: User-input failures worth a clean one-line exit: bad plan payloads,
@@ -551,6 +508,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except _USER_ERRORS as exc:
         raise SystemExit(str(exc)) from exc
     result = _run_plan(args, plan, store)
+    if len(plan.seeds) == 1:
+        _print_comparisons(plan, result)
     sweep = SweepResult.from_records(
         result.records,
         systems=list(plan.systems),
@@ -567,14 +526,30 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_comparisons(plan: ExperimentPlan, result: ExperimentResult) -> None:
+    """The E1 quality-per-step table of each (case, backend) group of a
+    one-seed plan: every system on the same fire, step by step."""
+    for (case, backend), keys in plan.groups():
+        label = f" [{backend}]" if len(plan.backends) > 1 else ""
+        print(
+            f"case: {case.name} {case.size}x{case.size}, "
+            f"{case.steps} steps{label}"
+        )
+        runs = [
+            RunResult.from_dict(result.record(*key.as_tuple())["run"])
+            for key in keys
+        ]
+        print(format_comparison(compare_runs(runs)))
+
+
 def _run_plan(
     args: argparse.Namespace, plan: ExperimentPlan, store: ResultsStore | None
 ) -> ExperimentResult:
     """Run ``plan`` under the ``--executor``/``--shards`` flags.
 
-    Shared by ``compare`` and ``sweep``; a plain :class:`ReproError` or
-    a :class:`FleetError` (every loopback worker dead, the fleet
-    ``--timeout`` spent) becomes a clean one-line exit (see
+    A plain :class:`ReproError` or a :class:`FleetError` (every
+    loopback worker dead, the fleet ``--timeout`` spent) becomes a
+    clean one-line exit (see
     :func:`_exit_on_user_error`). A fleet run ends with its summary:
     requeues, steals, per-worker utilization and unit-time quantiles.
     """
@@ -934,29 +909,20 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="run one prediction system")
     p_run.add_argument("system", choices=_SYSTEM_NAMES)
-    _add_common(p_run)
+    p_run.add_argument(
+        "--case", choices=sorted(CASE_BUILDERS), default="grassland"
+    )
+    _add_shape(p_run)
+    p_run.add_argument("--seed", type=int, default=42)
+    _add_budget(p_run)
     p_run.add_argument("--output", help="save the run as JSON")
     _add_obs(p_run)
     p_run.set_defaults(func=_cmd_run)
 
-    p_cmp = sub.add_parser("compare", help="compare systems on one case")
-    p_cmp.add_argument(
-        "--systems",
-        default="ess,ess-ns",
-        help="comma-separated list from: " + ", ".join(_SYSTEM_NAMES),
-    )
-    _add_common(p_cmp)
-    p_cmp.add_argument(
-        "--results",
-        help="stream one JSONL record per completed run into this file "
-        "(resumable; required by --executor process/fleet)",
-    )
-    _add_executor(p_cmp)
-    _add_obs(p_cmp)
-    p_cmp.set_defaults(func=_cmd_compare)
-
     p_swp = sub.add_parser(
-        "sweep", help="run a systems × cases × seeds experiment grid"
+        "sweep",
+        help="run a systems × cases × seeds experiment grid (one seed "
+        "also prints each case's per-step quality comparison)",
     )
     p_swp.add_argument(
         "--systems",
@@ -968,8 +934,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         default="grassland",
         help="comma-separated list from: " + ", ".join(sorted(CASE_BUILDERS)),
     )
-    p_swp.add_argument("--size", type=int, default=44, help="grid side, cells")
-    p_swp.add_argument("--steps", type=int, default=3, help="prediction steps")
+    _add_shape(p_swp)
     p_swp.add_argument(
         "--seeds",
         default="0,1",
@@ -1015,13 +980,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "worker",
         help="join a coordinator's fleet and execute leased work units",
     )
-    p_wrk.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="coordinator address (--executor fleet's, or repro "
-        "serve's fleet port)",
-    )
+    _add_connect(p_wrk)
     p_wrk.add_argument(
         "--store",
         metavar="DIR",
@@ -1044,7 +1003,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     p_wrk.add_argument(
         "--throttle",
-        type=float,
+        type=_checked(check_throttle),
         default=None,
         metavar="SECONDS_PER_CELL",
         help="artificially slow this worker down by sleeping this many "

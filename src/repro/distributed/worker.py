@@ -70,6 +70,7 @@ exercising capacity-aware lease sizing on heterogeneous fleets.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import random
 import shutil
@@ -88,9 +89,28 @@ from repro.distributed.protocol import (
 )
 from repro.obs import snapshot_delta, telemetry
 
-__all__ = ["backoff_delay", "parse_address", "run_worker"]
+__all__ = ["backoff_delay", "check_throttle", "parse_address", "run_worker"]
 
 log = logging.getLogger("repro.distributed.worker")
+
+
+def check_throttle(value, what: str = "worker throttle") -> float:
+    """Validate a worker throttle: finite seconds per cell >= 0.
+
+    ``what`` names the setting in the error. NaN passes a bare ``< 0``
+    test and infinity overflows ``time.sleep``; either would only fail
+    after the worker's first unit had run.
+    """
+    try:
+        throttle = float(value)
+    except (TypeError, ValueError):
+        throttle = math.nan
+    if not (math.isfinite(throttle) and throttle >= 0):
+        raise FleetError(
+            f"{what} must be a finite number of seconds per cell >= 0, "
+            f"got {value!r}"
+        )
+    return throttle
 
 
 def parse_address(value: str | tuple[str, int]) -> tuple[str, int]:
@@ -267,7 +287,9 @@ def run_worker(
         Artificial slowdown in seconds *per cell*, slept after each
         unit executes (inside the heartbeat window, so the reported
         unit timing includes it); defaults to
-        ``REPRO_WORKER_THROTTLE`` from the environment. Exists so
+        ``REPRO_WORKER_THROTTLE`` from the environment. Either must be
+        finite and >= 0 (:func:`check_throttle`), or the worker raises
+        :class:`FleetError` before it connects. Exists so
         tests and CI can make one fleet member measurably slower and
         assert that capacity-aware scheduling gives it less work.
 
@@ -297,19 +319,11 @@ def run_worker(
     if auth_token is None:
         auth_token = os.environ.get("REPRO_FLEET_TOKEN")
     check_auth_token(auth_token)
-    if throttle is None:
-        raw = os.environ.get("REPRO_WORKER_THROTTLE")
-        if raw:
-            try:
-                throttle = float(raw)
-            except ValueError as exc:
-                raise FleetError(
-                    "REPRO_WORKER_THROTTLE must be seconds per cell "
-                    f"(a float), got {raw!r}"
-                ) from exc
-    if throttle is not None and throttle < 0:
-        raise FleetError(
-            f"worker throttle must be >= 0, got {throttle}"
+    if throttle is not None:
+        throttle = check_throttle(throttle)
+    elif os.environ.get("REPRO_WORKER_THROTTLE"):
+        throttle = check_throttle(
+            os.environ["REPRO_WORKER_THROTTLE"], "REPRO_WORKER_THROTTLE"
         )
     failures = 0
 

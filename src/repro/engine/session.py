@@ -28,7 +28,7 @@ a :class:`~repro.systems.problem.PredictionStepProblem` without a
 session gets its engine from a throwaway session too.
 
 Sessions can also be shared *across systems* (the experiment layer's
-``compare``/sweep groups): each
+``(case, backend)`` groups): each
 :meth:`~repro.systems.base.PredictionSystem.run` borrowing the session
 enters a :class:`SessionScope`, whose ``stats`` are the counter deltas
 of that system alone — per-system views over the one shared cache.

@@ -3,7 +3,7 @@
 :func:`read_only_route` answers the three read-only endpoints for both
 HTTP servers of this package: :class:`ObsHTTPServer`, a ``http.server``
 thread next to whatever command enabled it (``--http-port`` on ``run``,
-``compare``, ``sweep``, ``worker``), and the ``repro serve`` gateway
+``sweep``, ``worker``), and the ``repro serve`` gateway
 (:mod:`repro.service.gateway`), which has no ``--http-port``:
 
 * ``/metrics`` — the process registry in Prometheus text exposition

@@ -148,7 +148,7 @@ class PredictionSystem(ABC):
 
         ``session`` optionally supplies an *externally owned* session
         (the experiment layer shares one across all systems of a
-        ``compare``/sweep group, so repeats of the same step context
+        ``(case, backend)`` group, so repeats of the same step context
         hit the shared cache across systems). The session then decides
         the engine configuration: every step evaluates on the
         *session's* backend, worker pool and caches — each step's

@@ -5,12 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cli import build_system, main
+from repro.cli import main
+from repro.errors import ReproError
 from repro.systems import ESS, ESSIMDE, ESSIMEA, ESSNS, ESSNSIM
+from repro.systems.factory import build_system
 from repro.systems.results import RunResult
 
 
 class TestBuildSystem:
+    """The factory behind ``repro run`` and every experiment plan."""
+
     @pytest.mark.parametrize(
         "name,cls",
         [
@@ -25,8 +29,8 @@ class TestBuildSystem:
         system = build_system(name, population=8, generations=2)
         assert isinstance(system, cls)
 
-    def test_unknown_name_exits(self):
-        with pytest.raises(SystemExit):
+    def test_unknown_name_raises(self):
+        with pytest.raises(ReproError, match="bogus"):
             build_system("bogus")
 
     def test_workers_forwarded(self):
@@ -122,10 +126,15 @@ class TestRunCommand:
 
 
 class TestCompareCommand:
+    """The E1 comparison — a one-seed ``sweep`` prints every system's
+    per-step quality on the same fire, then the winner — and the CLI's
+    usage checks."""
+
     def test_compare_table(self, capsys):
         rc = main(
-            ["compare", "--systems", "ess,ess-ns", "--size", "28",
-             "--steps", "2", "--population", "8", "--generations", "2"]
+            ["sweep", "--systems", "ess,ess-ns", "--size", "28",
+             "--steps", "2", "--seeds", "0", "--population", "8",
+             "--generations", "2"]
         )
         assert rc == 0
         out = capsys.readouterr().out
@@ -135,9 +144,10 @@ class TestCompareCommand:
 
     def test_compare_shared_session_reports_cross_system_hits(self, capsys):
         rc = main(
-            ["compare", "--systems", "ess,ess-ns", "--size", "24",
-             "--steps", "2", "--population", "8", "--generations", "2",
-             "--backend", "vectorized", "--session-cache-size", "2048"]
+            ["sweep", "--systems", "ess,ess-ns", "--size", "24",
+             "--steps", "2", "--seeds", "0", "--population", "8",
+             "--generations", "2", "--backend", "vectorized",
+             "--session-cache-size", "2048"]
         )
         assert rc == 0
         out = capsys.readouterr().out
@@ -151,9 +161,10 @@ class TestCompareCommand:
 
     def test_compare_unknown_system_exits(self):
         """Bad grid values end in a one-line exit, not a traceback —
-        on compare and on the commands that build one fire."""
+        on sweep and on the commands that build one fire."""
         for argv in (
-            ["compare", "--systems", "ess,warp-drive", "--size", "24"],
+            ["sweep", "--systems", "ess,warp-drive", "--size", "24",
+             "--seeds", "0"],
             ["run", "ess", "--size", "0"],
             ["run", "ess", "--steps", "0"],
             ["run", "ess", "--generations", "0"],
@@ -165,13 +176,13 @@ class TestCompareCommand:
             assert isinstance(excinfo.value.code, str), argv
 
     def test_compare_results_store_resumes(self, capsys, tmp_path):
-        """compare is routed through the executor seam: it streams into
-        a results store and resumes from it like any experiment."""
+        """A one-seed sweep streams into a results store and resumes
+        from it like any experiment."""
         store = tmp_path / "cmp.jsonl"
         args = [
-            "compare", "--systems", "ess,ess-ns", "--size", "20",
-            "--steps", "2", "--population", "8", "--generations", "2",
-            "--results", str(store),
+            "sweep", "--systems", "ess,ess-ns", "--size", "20",
+            "--steps", "2", "--seeds", "0", "--population", "8",
+            "--generations", "2", "--results", str(store),
         ]
         assert main(args) == 0
         assert "(resumed 0)" in capsys.readouterr().out
@@ -181,9 +192,9 @@ class TestCompareCommand:
     def test_compare_executor_process_needs_results(self, capsys):
         with pytest.raises(SystemExit, match="ResultsStore"):
             main(
-                ["compare", "--systems", "ess,ess-ns", "--size", "20",
-                 "--steps", "2", "--population", "8", "--generations", "2",
-                 "--executor", "process"]
+                ["sweep", "--systems", "ess,ess-ns", "--size", "20",
+                 "--steps", "2", "--seeds", "0", "--population", "8",
+                 "--generations", "2", "--executor", "process"]
             )
 
     def test_requires_command(self):
@@ -194,10 +205,9 @@ class TestCompareCommand:
         "argv",
         [
             ["sweep"],
-            ["compare"],
             ["serve", "--spool", "spool"],
         ],
-        ids=["sweep", "compare", "serve"],
+        ids=["sweep", "serve"],
     )
     def test_min_unit_cells_below_one_is_a_usage_error(self, argv, capsys):
         """The lease floor is at least one cell: 0 (the retired
@@ -207,7 +217,7 @@ class TestCompareCommand:
             main([*argv, "--min-unit-cells", "0"])
         assert excinfo.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
-        if argv[0] in ("sweep", "compare"):
+        if argv[0] == "sweep":
             with pytest.raises(SystemExit) as excinfo:
                 main([*argv, "--shards", "0"])
             assert excinfo.value.code == 2
@@ -247,7 +257,7 @@ class TestCompareCommand:
              "lease timeout"),
             (["sweep"], "--target-unit-seconds", "nan",
              "target_unit_seconds"),
-            (["compare"], "--target-unit-seconds", "-1",
+            (["sweep"], "--target-unit-seconds", "-1",
              "target_unit_seconds"),
             (["experiments", "status", "--connect", "127.0.0.1:9"],
              "--request-timeout", "nan", "request timeout"),
@@ -259,7 +269,7 @@ class TestCompareCommand:
             (["experiments", "worker", "--connect", "127.0.0.1:9"],
              "--backoff-cap", "-1", "backoff cap"),
         ],
-        ids=["serve", "sweep", "compare", "status", "drain",
+        ids=["serve", "sweep", "sweep-negative", "status", "drain",
              "worker-backoff-base", "worker-backoff-cap"],
     )
     def test_lease_times_are_checked_by_argparse(
@@ -296,6 +306,26 @@ class TestCompareCommand:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-0.5", "slow"])
+    def test_worker_throttle_is_checked_by_argparse(
+        self, bad, capsys, monkeypatch
+    ):
+        """``--throttle`` takes finite seconds per cell >= 0: NaN or inf
+        would crash the worker's ``time.sleep`` after its first unit."""
+        from repro import cli
+
+        def no_worker(*args, **kwargs):
+            raise AssertionError("the worker was started")
+
+        monkeypatch.setattr(cli, "run_worker", no_worker)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiments", "worker", "--connect", "127.0.0.1:9",
+                  f"--throttle={bad}"])
+        assert excinfo.value.code == 2
+        assert "worker throttle must be a finite number of seconds" in (
+            capsys.readouterr().err
+        )
+
     def test_serve_has_no_http_port(self, capsys):
         """``repro serve``'s gateway answers /metrics, /healthz and
         /status itself, so a second HTTP server is a usage error."""
@@ -316,9 +346,16 @@ class TestCompareCommand:
             capsys.readouterr().err
         )
 
+    def test_compare_is_gone(self, capsys):
+        """``sweep --seeds S`` prints the per-step comparison itself."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", "--systems", "ess,ess-ns"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'compare'" in capsys.readouterr().err
+
     def test_fleet_error_is_a_one_line_exit(self, monkeypatch):
         """A dead loopback fleet or a spent fleet --timeout raises
-        FleetError; compare/sweep end it in one line, not a traceback."""
+        FleetError; sweep ends it in one line, not a traceback."""
         from repro import cli
         from repro.distributed import FleetError, InlineExecutor
 
@@ -352,6 +389,40 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "winners —" in out
         assert "experiment:" in out and "cross-system-hits=" in out
+
+    def test_one_seed_sweep_prints_each_cases_comparison(self, capsys):
+        """With one seed, every case's per-step E1 table and winner come
+        first, above the usual sweep and experiment tables."""
+        argv = [*self._ARGS, "--cases", "grassland,heterogeneous",
+                "--seeds", "0"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        heads = [i for i, line in enumerate(lines) if line.startswith("case:")]
+        assert [lines[i] for i in heads] == [
+            "case: grassland 20x20, 2 steps",
+            "case: heterogeneous 20x20, 2 steps",
+        ]
+        for i in heads:
+            assert lines[i + 1].split() == [
+                "system", "step", "2", "mean", "evals", "sec"
+            ]
+            assert [row.split()[0] for row in lines[i + 3:i + 5]] == [
+                "ESS", "ESS-NS"
+            ]
+            assert lines[i + 5].startswith("winner: ")
+        sweep_table = next(
+            i for i, line in enumerate(lines) if line.startswith("winners —")
+        )
+        assert heads[-1] + 5 < sweep_table
+
+    def test_multi_seed_sweep_prints_no_comparison(self, capsys):
+        """Two seeds: the sweep table, then the experiment summary."""
+        assert main(self._ARGS) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["system", "case", "quality", "evals", "sec"]
+        assert lines[4].startswith("winners — grassland: ")
+        assert lines[5].startswith("experiment: plan=sweep runs=4 ")
+        assert not any(line.startswith(("case:", "winner:")) for line in lines)
 
     def test_sweep_saves_plan_results_and_output(self, capsys, tmp_path):
         from repro.experiments import ExperimentPlan, ResultsStore

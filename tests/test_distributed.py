@@ -21,6 +21,7 @@ duplicated cells.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import socket
@@ -1601,6 +1602,24 @@ class TestCostFleetEndToEnd:
         monkeypatch.delenv("REPRO_WORKER_THROTTLE")
         with pytest.raises(FleetError, match="throttle"):
             run_worker(("127.0.0.1", 9), throttle=-0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_throttle_is_refused_before_connecting(
+        self, bad, monkeypatch
+    ):
+        """``time.sleep(throttle * cells)`` raises for NaN and inf, so
+        they must fail up front, not after the first unit has run."""
+
+        def no_contact(*args, **kwargs):
+            raise AssertionError("the coordinator was contacted")
+
+        monkeypatch.setattr(worker_module, "request", no_contact)
+        monkeypatch.delenv("REPRO_WORKER_THROTTLE", raising=False)
+        with pytest.raises(FleetError, match="finite number of seconds"):
+            run_worker(("127.0.0.1", 9), throttle=bad)
+        monkeypatch.setenv("REPRO_WORKER_THROTTLE", str(bad))
+        with pytest.raises(FleetError, match="REPRO_WORKER_THROTTLE"):
+            run_worker(("127.0.0.1", 9))
 
 
 # ----------------------------------------------------------------------
