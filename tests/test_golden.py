@@ -30,19 +30,18 @@ def _cell(record: dict) -> tuple[str, str, int]:
     return record["system"], record["case"], record["seed"]
 
 
-def test_vectorized_sweep_reproduces_the_goldens(tmp_path, capsys):
+def test_vectorized_sweep_reproduces_the_goldens(tmp_path):
     results = tmp_path / "sweep.jsonl"
     assert main(
         ["sweep", *golden.GRID, "--backend", "vectorized",
          "--results", str(results)]
     ) == 0
-    capsys.readouterr()
     expected = _golden_lines()
     assert len(expected) == 20
     assert golden.canonical_records(results) == expected
 
 
-def test_reference_kernel_reproduces_a_golden_subset(tmp_path, capsys):
+def test_reference_kernel_reproduces_a_golden_subset(tmp_path):
     """Two systems x one case x one seed on the reference kernel: the
     records equal the goldens except for their ``backend`` labels."""
     results = tmp_path / "reference.jsonl"
@@ -53,7 +52,6 @@ def test_reference_kernel_reproduces_a_golden_subset(tmp_path, capsys):
          "--cases", "grassland", "--seeds", "0",
          "--backend", "reference", "--results", str(results)]
     ) == 0
-    capsys.readouterr()
     wanted = {("essim-de", "grassland", 0), ("essns-im", "grassland", 0)}
     subset = [
         line.replace('"backend": "vectorized"', '"backend": "reference"')
