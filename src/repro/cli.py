@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 import time
@@ -78,7 +79,6 @@ from repro.experiments import (
     ExperimentRunner,
     ResultsStore,
 )
-from repro.experiments.costs import DEFAULT_SLOW_UNIT_FACTOR
 from repro.firelib.simulator import FireSimulator
 from repro.obs.http import ObsHTTPServer
 from repro.obs.timeline import export_timeline
@@ -226,6 +226,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite(text: str) -> float:
+    """argparse type: a finite float (a clean usage error otherwise)."""
+    value = float(text)  # argparse reports a ValueError as a usage error
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _positive_finite(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    value = _finite(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def _checked(check, *args):
     """argparse type that runs ``check(text, *args)`` and turns its
     :class:`FleetError` into a clean usage error."""
@@ -313,8 +329,8 @@ def _add_leasing(parser: argparse.ArgumentParser) -> None:
         default=0.5,
         help="the longest an idle worker's lease request is held open "
         "before it is answered 'wait' (work reaches held workers as "
-        "soon as it exists); also the re-ask cadence advertised to "
-        "older workers that cannot hold, seconds",
+        "soon as it exists), advertised to workers as the hold they "
+        "ask for, seconds",
     )
 
 
@@ -354,15 +370,6 @@ def _add_executor(parser: argparse.ArgumentParser) -> None:
     )
     _add_auth_token(parser)
     parser.add_argument(
-        "--slow-unit-factor",
-        type=float,
-        default=DEFAULT_SLOW_UNIT_FACTOR,
-        help="emit a slow_unit trace event when a completed unit "
-        "exceeds its cost-model prediction by this factor (its "
-        "observed/predicted ratio always lands in the "
-        "repro_cost_residual_ratio histogram; 0 disables the event)",
-    )
-    parser.add_argument(
         "--timeout",
         type=_seconds("fleet timeout"),
         default=None,
@@ -383,27 +390,24 @@ def _add_executor(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if not args.minutes > 0:
-        raise SystemExit(f"--minutes must be positive, got {args.minutes:g}")
     try:
         fire = CaseSpec(args.case, size=args.size, steps=2).build()
+        scenario = Scenario(
+            model=args.model,
+            wind_speed=args.wind_speed,
+            wind_dir=args.wind_dir,
+            m1=args.m1,
+            m10=args.m1 + 1,
+            m100=args.m1 + 2,
+            mherb=args.mherb,
+            slope=args.slope,
+            aspect=args.aspect,
+        )
+        result = FireSimulator(fire.terrain).simulate(
+            scenario, [fire.terrain.center()], horizon=args.minutes
+        )
     except _USER_ERRORS as exc:
         raise SystemExit(str(exc)) from exc
-    scenario = Scenario(
-        model=args.model,
-        wind_speed=args.wind_speed,
-        wind_dir=args.wind_dir,
-        m1=args.m1,
-        m10=args.m1 + 1,
-        m100=args.m1 + 2,
-        mherb=args.mherb,
-        slope=args.slope,
-        aspect=args.aspect,
-    )
-    sim = FireSimulator(fire.terrain)
-    result = sim.simulate(
-        scenario, [fire.terrain.center()], horizon=args.minutes
-    )
     burned = result.burned()
     print(f"terrain: {args.case} {fire.terrain.shape}")
     print(f"scenario: {scenario}")
@@ -589,7 +593,6 @@ def _make_executor(args: argparse.Namespace):
             min_unit_cells=args.min_unit_cells,
             target_unit_seconds=args.target_unit_seconds,
             auth_token=args.auth_token,
-            slow_unit_factor=args.slow_unit_factor,
             cost_snapshot=args.cost_snapshot,
             on_bound=_announce_coordinator,
         )
@@ -897,14 +900,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_sim = sub.add_parser("simulate", help="run one fire simulation")
     p_sim.add_argument("--case", choices=sorted(CASE_BUILDERS), default="grassland")
     p_sim.add_argument("--size", type=int, default=60)
-    p_sim.add_argument("--minutes", type=float, default=45.0)
+    p_sim.add_argument("--minutes", type=_positive_finite, default=45.0)
     p_sim.add_argument("--model", type=int, default=1)
-    p_sim.add_argument("--wind-speed", type=float, default=8.0)
-    p_sim.add_argument("--wind-dir", type=float, default=90.0)
-    p_sim.add_argument("--m1", type=float, default=6.0)
-    p_sim.add_argument("--mherb", type=float, default=60.0)
-    p_sim.add_argument("--slope", type=float, default=5.0)
-    p_sim.add_argument("--aspect", type=float, default=270.0)
+    p_sim.add_argument("--wind-speed", type=_finite, default=8.0)
+    p_sim.add_argument("--wind-dir", type=_finite, default=90.0)
+    p_sim.add_argument("--m1", type=_finite, default=6.0)
+    p_sim.add_argument("--mherb", type=_finite, default=60.0)
+    p_sim.add_argument("--slope", type=_finite, default=5.0)
+    p_sim.add_argument("--aspect", type=_finite, default=270.0)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_run = sub.add_parser("run", help="run one prediction system")
@@ -994,9 +997,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         type=_seconds("poll interval"),
         default=None,
         help="the longest this worker lets an idle lease request be "
-        "held (the coordinator's own poll interval caps it); against "
-        "older coordinators that cannot hold, the sleep between asks, "
-        "seconds (default: what the coordinator advertises)",
+        "held (the coordinator's own poll interval caps it), seconds "
+        "(default: what the coordinator advertises)",
     )
     p_wrk.add_argument(
         "--id", help="stable worker identity (default: hostname-pid)"

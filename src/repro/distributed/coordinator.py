@@ -17,10 +17,10 @@ An idle worker's ask is *held* rather than answered ``wait`` at once:
 the coordinator grants it a hold of at most its poll interval, and the
 queue keeps the request open until something changes the answer (a
 submission, a completion, a requeue, a drain, the end of the plan), so
-new work reaches an idle worker as soon as it exists instead of after
-the worker's next sleep. The next lease also piggybacks on the
-``complete`` reply (with the worker's records inline), so a
-steady-state worker pays one round-trip per unit.
+new work reaches an idle worker as soon as it exists. Records reach
+the coordinator only inline on ``complete``, and the reply piggybacks
+the next lease, so a steady-state worker pays one round-trip per
+unit.
 
 The coordinator never simulates anything itself: it is bookkeeping plus
 stores, which is what lets one process oversee a fleet of heavyweight
@@ -67,9 +67,8 @@ class FleetCoordinator:
     poll_interval:
         The longest an idle lease request is held before it is
         answered ``wait`` (the hold a worker asks for is capped by
-        it), and the re-ask cadence advertised on ``welcome`` to
-        workers that cannot hold. A positive, finite number of
-        seconds.
+        it), advertised on ``welcome`` as the hold a worker asks for
+        by default. A positive, finite number of seconds.
     auth_token:
         Shared secret for the mutual challenge–response handshake
         (``None`` disables authentication) — enforced by the connection
@@ -134,7 +133,6 @@ class FleetCoordinator:
                 "type": "welcome",
                 "lease_timeout": queue.lease_timeout,
                 "poll_interval": self.poll_interval,
-                "hold": True,
             }
         if mtype == "lease":
             return queue.lease(worker, hold=self._hold(message.get("hold")))
@@ -157,10 +155,6 @@ class FleetCoordinator:
                 message.get("records"),
             )
             return _stamp_clock(message, reply)
-        if mtype == "records":
-            return queue.merge_records(
-                worker, message.get("plan_id"), message.get("records")
-            )
         if mtype == "drain":
             # operator request: gracefully retire ``target`` (elastic
             # scale-down — finish leased units, no new grants, `bye`)
@@ -178,8 +172,8 @@ class FleetCoordinator:
 
     def _hold(self, asked) -> float:
         """The hold granted to a ``lease``: what the worker asked for,
-        capped by the poll interval; 0 (answer at once) when it asked
-        for none — the wire form of a worker that cannot hold."""
+        capped by the poll interval; 0 (answer at once) when the ask
+        is missing, malformed or not positive."""
         try:
             asked = float(asked)
         except (TypeError, ValueError):

@@ -45,7 +45,7 @@ import time
 from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
 
 from repro.errors import ReproError
-from repro.experiments.costs import DEFAULT_SLOW_UNIT_FACTOR, UnitCostModel
+from repro.experiments.costs import UnitCostModel
 from repro.experiments.work import WorkSet
 from repro.obs import telemetry
 from repro.obs.http import clear_status_provider, set_status_provider
@@ -76,7 +76,7 @@ __all__ = [
 log = logging.getLogger("repro.distributed.executors")
 
 #: Poll interval of loopback fleets: the longest an idle lease request
-#: is held, and the re-ask cadence advertised to their workers.
+#: is held, advertised to their workers as the hold they ask for.
 LOOPBACK_POLL_INTERVAL = 0.05
 
 
@@ -154,8 +154,8 @@ class FleetExecutor:
         linger.
     poll_interval:
         The longest an idle worker's lease request is held before it is
-        answered ``wait``; advertised to workers as their re-ask
-        cadence. A positive, finite number of seconds.
+        answered ``wait``; advertised to workers as the hold they ask
+        for. A positive, finite number of seconds.
     timeout:
         Optional overall wall-clock bound; :class:`FleetError` when the
         plan is still incomplete after this many seconds (``None``
@@ -166,10 +166,6 @@ class FleetExecutor:
     target_unit_seconds:
         Per-lease wall-clock target, finite seconds > 0 (see
         :class:`~repro.distributed.queue.PlanQueue`).
-    slow_unit_factor:
-        Residual-monitoring threshold: a completed unit slower than
-        ``factor × predicted`` emits a ``slow_unit`` trace event naming
-        the worker.
     auth_token:
         Shared secret for the challenge–response handshake (see
         :mod:`repro.distributed.protocol`); defaults to
@@ -197,7 +193,6 @@ class FleetExecutor:
         timeout: float | None = None,
         min_unit_cells: int = 1,
         target_unit_seconds: float = 1.0,
-        slow_unit_factor: float = DEFAULT_SLOW_UNIT_FACTOR,
         auth_token: str | None = None,
         cost_snapshot: str | os.PathLike | None = None,
         on_bound: Callable[[tuple[str, int]], None] | None = None,
@@ -213,7 +208,6 @@ class FleetExecutor:
         self.port = port
         self.poll_interval = check_poll_interval(poll_interval)
         self.timeout = timeout
-        self.slow_unit_factor = float(slow_unit_factor)
         self.auth_token = check_auth_token(
             auth_token
             if auth_token is not None
@@ -244,7 +238,6 @@ class FleetExecutor:
             lease_timeout=self.lease_timeout,
             min_unit_cells=self.min_unit_cells,
             target_unit_seconds=self.target_unit_seconds,
-            slow_unit_factor=self.slow_unit_factor,
         )
         if self.cost_snapshot is not None:
             # the snapshot's measured rates win; this plan's budget
@@ -277,8 +270,8 @@ class FleetExecutor:
                 else time.monotonic() + self.timeout
             )
             while not queue.wait_done(job, 0.25):
-                # catch runs whose last worker died after its drain —
-                # completion is then visible only from this side
+                # expire silent workers' leases even when no request
+                # arrives, so their cells reach held asks at once
                 queue.housekeep()
                 if job.state == "done":
                     break

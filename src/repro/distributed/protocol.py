@@ -10,14 +10,13 @@ is the failure mode the fleet is built around.
 Message ``type`` values (worker → coordinator, reply in parentheses):
 
 ``hello``
-    Join the fleet (``welcome``: the lease timeout, the idle poll
-    interval and ``"hold": true`` — this coordinator holds idle lease
-    requests, see ``lease``). The welcome carries no plan: every
-    ``unit`` grant names its plan (``plan_id``) and ships the plan
-    payload inline, so a worker needs no plan file of its own and one
-    worker can serve many plans. The worker echoes ``plan_id`` on
-    ``heartbeat``/``complete``/``records`` so the coordinator routes
-    them to the right plan and its store.
+    Join the fleet (``welcome``: the lease timeout and the idle poll
+    interval, the hold a worker asks for by default, see ``lease``).
+    The welcome carries no plan: every ``unit`` grant names its plan
+    (``plan_id``) and ships the plan payload inline, so a worker needs
+    no plan file of its own and one worker can serve many plans. The
+    worker echoes ``plan_id`` on ``heartbeat``/``complete`` so the
+    coordinator routes them to the right plan and its store.
 ``lease``
     Ask for work (``unit``: a leased work-unit descriptor — a group
     index plus the explicit cell subset to run, see
@@ -25,21 +24,18 @@ Message ``type`` values (worker → coordinator, reply in parentheses):
     the plan payload and, when the plan runs under a ``plan`` root
     span, its ``trace`` context ``{"trace_id", "parent_span"}``, which
     the worker adopts so every fleet process traces into one tree;
-    ``wait``: nothing is grantable right now; ``drain``: the
-    coordinator wants this worker's local records of ``plan_id`` before
-    handing out more work; ``done``: the coordinator's plans are fully
-    recorded and it is shutting down; ``bye``: this worker was asked
-    to leave — see ``drain`` below — and owes nothing, so it may exit;
-    nothing it ran will requeue). A ``lease`` may carry ``"hold":
-    <seconds>``: while the answer would be ``wait``, the coordinator
-    holds the request open until something changes what the worker
-    would be told (a submission, a completion, a requeue, a drain, the
-    end of the plan) or the hold runs out — capped by its own poll
-    interval — so an idle worker hears of new work when it exists, not
-    at its next poll. A worker re-asks at once after a held ``wait``.
-    A ``lease`` without ``hold`` is answered at once, and a worker
-    whose ``welcome`` lacks ``hold`` sleeps its poll interval between
-    asks, so a fleet mixing holding and non-holding peers still works.
+    ``wait``: nothing is grantable right now; ``done``: the
+    coordinator's plans are fully recorded and it is shutting down;
+    ``bye``: this worker was asked to leave — see ``drain`` below —
+    and owes nothing, so it may exit; nothing it ran will requeue).
+    A worker's ``lease`` carries ``"hold": <seconds>``: while the
+    answer would be ``wait``, the coordinator holds the request open
+    until something changes what the worker would be told (a
+    submission, a completion, a requeue, a drain, the end of the plan)
+    or the hold runs out — capped by its own poll interval — so an idle
+    worker hears of new work when it exists. A worker re-asks at once
+    after a held ``wait``. A missing, malformed or non-positive
+    ``hold`` is answered at once.
 ``heartbeat``
     Keep a lease alive while a unit runs (``ok`` / ``expired``). May
     carry a ``telemetry`` payload — the worker's cumulative
@@ -57,17 +53,17 @@ Message ``type`` values (worker → coordinator, reply in parentheses):
     timed out and the unit was already re-leased). Carries a
     ``telemetry`` payload (``unit_seconds``, cumulative
     ``busy_seconds``, ``records``, ``cells``) for
-    per-worker accounting and online cost-model updates, and the
-    worker's undrained ``records`` of that plan inline (an implicit
-    drain). The reply carries ``next`` — a full lease decision
-    (``unit``/``wait``/``drain``/``done``/``bye``), collapsing
-    complete → drain → records → lease into one round-trip. ``next``
-    rides ``stale`` replies too: a worker whose lease expired still
-    wants work. Like heartbeats, ``complete`` carries ``metrics`` +
+    per-worker accounting and online cost-model updates, and
+    ``records``: the list of the worker's records of that plan the
+    coordinator has not seen yet, merged into the plan's store (first
+    writer wins). This is the only way records reach the coordinator;
+    a ``complete`` whose ``records`` is not a list is answered
+    ``error``. The reply carries ``next`` — a full lease decision
+    (``unit``/``wait``/``done``/``bye``), so reporting a unit and
+    asking for the next one take one round-trip. ``next`` rides
+    ``stale`` replies too: a worker whose lease expired still wants
+    work. Like heartbeats, ``complete`` carries ``metrics`` +
     ``sent_at``; the reply echoes a ``clock_offset``.
-``records``
-    Upload the worker's undrained records of ``plan_id`` (``ok``; the
-    coordinator merges them into that plan's store, first writer wins).
 ``status``
     Read-only snapshot (``status``: one entry per admitted plan with
     its expected/recorded cell counts and lease progress, per-worker
@@ -79,8 +75,9 @@ Message ``type`` values (worker → coordinator, reply in parentheses):
     Operator request (``repro experiments drain``, or the service
     gateway's ``POST /workers/<id>/drain``): gracefully retire the
     worker named ``target`` (``ok``). The target finishes any unit it
-    holds and keeps completing/draining normally, but receives no new
-    grants; once its records are merged, its next ask is answered
+    holds and keeps completing normally (its records ride each
+    ``complete``), but receives no new grants; once it holds no lease,
+    its next ask is answered
     ``bye`` and it exits with zero requeued cells — elastic
     scale-down without re-running anything.
 
@@ -217,10 +214,10 @@ def check_seconds(seconds, what: str) -> float:
 def check_poll_interval(seconds) -> float:
     """Validate an idle poll interval: a finite number of seconds > 0.
 
-    The interval is both the longest a coordinator holds an idle lease
-    request and the sleep between asks of peers that cannot hold, so 0
-    would turn either into a busy loop and a negative value into a
-    ``time.sleep`` error deep inside a worker.
+    The interval is the longest a coordinator holds an idle lease
+    request and the hold a worker asks for, so 0 would turn a worker's
+    idle asks into a busy loop, and a negative or non-finite value has
+    no meaning as a hold.
     """
     return check_seconds(seconds, "poll interval")
 

@@ -18,9 +18,9 @@ cell, calls :meth:`PlanQueue.finish` so every further ask is answered
 ``done``.
 
 **One lock.** All scheduling state — every job's pending units,
-leases, owed drains and per-plan throughput, and one contact row per
-worker with its wire and work counters — lives under the queue lock.
-The only other lock is each job's store lock, taken inside it around
+leases and per-plan throughput, and one contact row per worker with
+its wire and work counters — lives under the queue lock. The only
+other lock is each job's store lock, taken inside it around
 store reads and merges. One condition on the queue lock is notified on
 every change that can alter a lease decision, and when a job turns
 ``done``.
@@ -57,15 +57,16 @@ Correctness rests on three rules:
   than recompute.
 * **Records live on the worker until the coordinator has them.**
   Workers stream every completed run into their own crash-safe local
-  store and upload it with their ``complete`` report (or when asked,
-  ``drain``); the queue folds uploads into the plan's store through
+  store and upload it inline with their ``complete`` report; the queue
+  folds uploads into the plan's store through
   :meth:`ResultsStore.merge` — first writer wins, so a cell executed
   twice never duplicates a ``(system, case, seed, backend)`` record.
 * **Completion is verified, not assumed.** A unit reported complete
   counts only tentatively; a plan is ``done`` when *its store* records
-  every expected cell. Cells stranded on a dead worker (completed but
-  never drained) are found by this coverage check and requeued as
-  fresh units covering exactly the missing cells.
+  every expected cell. Cells whose records never arrived (a worker
+  died mid-unit, or a ``complete`` uploaded only some of them) are
+  found by this coverage check and requeued as fresh units covering
+  exactly the missing cells.
 
 **Held leases.** An idle worker's ask need not be answered ``wait`` at
 once: :meth:`PlanQueue.lease` with a ``hold`` re-decides every time
@@ -118,7 +119,6 @@ from pathlib import Path
 from repro.distributed.protocol import FleetError, check_seconds
 from repro.errors import ReproError
 from repro.experiments.costs import (
-    DEFAULT_SLOW_UNIT_FACTOR,
     UnitCostModel,
     load_cost_model,
     record_residual,
@@ -267,8 +267,6 @@ class PlanJob:
         # verified in the store (a set: re-completion after a requeue
         # never double-counts)
         self.tentative: set[tuple[str, str, int, str]] = set()
-        # workers whose local store still holds records of this plan
-        self.dirty: set[str] = set()
         # per-worker last contact about this plan, and its measured
         # capacity here (EMA cells/second): the inputs of lease sizing
         self.seen: dict[str, float] = {}
@@ -285,18 +283,12 @@ class PlanJob:
         with self.store_lock:
             return self.store.completed()
 
-    def merge(self, records: list) -> dict:
+    def merge(self, records: list) -> None:
         """Merge a worker upload, keeping only this plan's cells — a
         reused worker store may hold cells of other plans."""
         wanted = [r for r in records if record_key(r) in self.plan_cells]
         with self.store_lock:
-            merged = self.store.merge(wanted)
-        return {
-            "type": "ok",
-            "merged": len(wanted),
-            "ignored": len(records) - len(wanted),
-            "total": merged["records"],
-        }
+            self.store.merge(wanted)
 
     def snapshot(self, progress: dict) -> dict:
         """The job as the gateway and ``status`` report it (JSON-safe);
@@ -381,21 +373,15 @@ class PlanJob:
                     },
                 )
 
-    def cover(self, now: float, lease_timeout: float) -> bool:
+    def cover(self) -> bool:
         """The end-of-plan check: ``True`` once the store covers every
         expected cell.
 
-        Only decided when nothing is pending or leased and no live
-        worker still owes records; cells then found missing requeue as
-        fresh units.
+        Only decided when nothing is pending or leased; cells then
+        found missing requeue as fresh units.
         """
         if self.pending or self.leases:
             return False
-        if any(
-            now - self.seen.get(w, 0.0) <= lease_timeout
-            for w in self.dirty
-        ):
-            return False  # a live worker still owes records
         missing = self.expected - self.completed_cells()
         if not missing:
             return True
@@ -405,7 +391,7 @@ class PlanJob:
     def requeue_missing(
         self, missing: set[tuple[str, str, int, str]]
     ) -> None:
-        """Requeue cells whose records died with their worker, as one
+        """Requeue cells whose records never reached the store, as one
         fresh unit per affected group."""
         self.tentative -= missing  # their completion was never real
         by_group: dict[int, list] = {}
@@ -417,7 +403,7 @@ class PlanJob:
             telemetry().counter("repro_fleet_requeues_total").inc()
             log.warning(
                 "requeued %d unrecorded cells of group %d (records "
-                "died with their worker)",
+                "never reached the store)",
                 len(by_group[index]),
                 index,
                 extra={"group": index, "cells": len(by_group[index])},
@@ -598,11 +584,6 @@ class PlanQueue:
         per-cell cost is measured, so tiny sliver leases (one session
         each, all overhead) stop at a wall-clock bound instead of a
         guessed cell count.
-    slow_unit_factor:
-        Residual monitoring: every completed unit's observed/predicted
-        ratio lands in the ``repro_cost_residual_ratio`` histogram, and
-        a unit slower than ``factor × predicted`` emits a ``slow_unit``
-        trace event naming the worker.
     max_active:
         Admission bound: at most this many jobs queued or running at
         once; beyond it :meth:`submit` raises :class:`AdmissionError`
@@ -622,7 +603,6 @@ class PlanQueue:
         lease_timeout: float = 30.0,
         min_unit_cells: int = 1,
         target_unit_seconds: float = 1.0,
-        slow_unit_factor: float = DEFAULT_SLOW_UNIT_FACTOR,
         max_active: int = 8,
         clock=time.monotonic,
     ) -> None:
@@ -638,7 +618,6 @@ class PlanQueue:
             lease_timeout, target_unit_seconds, min_unit_cells
         )
         self.spool = None if spool is None else Path(spool)
-        self.slow_unit_factor = float(slow_unit_factor)
         self.max_active = int(max_active)
         self.clock = clock
         # one cost model for the whole queue: rates measured while
@@ -936,7 +915,6 @@ class PlanQueue:
                 "busy_seconds": 0.0,
                 "lease_seconds": 0.0,
                 "completes": 0,
-                "drains": 0,
             }
         contact["last_seen"] = now
         contact["round_trips"] += 1
@@ -1051,37 +1029,33 @@ class PlanQueue:
             return reply
 
     def complete(
-        self,
-        worker: str,
-        plan_id,
-        lease_id,
-        info: dict | None = None,
-        records: list | None = None,
+        self, worker: str, plan_id, lease_id, info, records
     ) -> dict:
         """Handle a unit completion (``ok``, or ``stale`` once the
         lease was re-leased); the unit's cells count only tentatively
         until the store records them.
 
-        ``records`` are the worker's records of the plan, inline: they
-        are merged into the plan store first, so the worker owes
-        nothing. The reply always piggybacks the worker's next decision
-        (``next``) — across *all* plans, which keeps a steady-state
-        worker at one round-trip per unit even when its next unit
-        belongs to another tenant.
+        ``records`` is the list of the worker's records of the plan
+        that the coordinator has not seen yet; they are merged into the
+        plan store first, so the worker owes nothing. Anything but a
+        list is refused with :class:`FleetError`. The reply always
+        piggybacks the worker's next decision (``next``) — across *all*
+        plans, which keeps a steady-state worker at one round-trip per
+        unit even when its next unit belongs to another tenant.
         """
+        if not isinstance(records, list):
+            raise FleetError("complete message without a record list")
         with self._lock:
             now = self._seen_locked(worker, "piggybacked")
             job = self._jobs.get(plan_id)
             if job is None:
                 reply = {"type": "stale"}
             else:
-                drained = isinstance(records, list)
-                if drained:
-                    # merge BEFORE the completion is counted so the
-                    # coverage check already sees these records
-                    job.merge(records)
+                # merge BEFORE the completion is counted so the
+                # coverage check already sees these records
+                job.merge(records)
                 reply = self._complete_locked(
-                    job, worker, now, lease_id, info, drained
+                    job, worker, now, lease_id, info
                 )
             reply["next"] = self._decide_locked(worker)
             self._changed.notify_all()
@@ -1094,15 +1068,12 @@ class PlanQueue:
         now: float,
         lease_id,
         info,
-        drained: bool,
     ) -> dict:
         job.seen[worker] = now
         contact = self._contact[worker]
         contact["completes"] += 1
         self._fold_busy_locked(worker, info)
         job.expire(now)
-        if drained:
-            job.dirty.discard(worker)
         key = _lease_key(lease_id)
         lease = job.leases.get(key)
         if lease is None or lease["worker"] != worker:
@@ -1110,8 +1081,6 @@ class PlanQueue:
         del job.leases[key]
         unit = lease["unit"]
         job.tentative.update(unit.cells)
-        if not drained:
-            job.dirty.add(worker)
         lease_seconds = max(now - lease["granted"], 0.0)
         contact["units"] += 1
         contact["cells"] += unit.n_cells
@@ -1149,7 +1118,6 @@ class PlanQueue:
             kernel,
             unit.n_cells,
             unit_seconds,
-            slow_factor=self.slow_unit_factor,
             worker=worker,
             group=unit.group,
         )
@@ -1175,52 +1143,18 @@ class PlanQueue:
         )
         return {"type": "ok"}
 
-    def merge_records(
-        self, worker: str, plan_id, records: list
-    ) -> dict:
-        """A ``records`` upload routed to one plan's store: the worker's
-        records of that plan reached it, so it owes nothing more."""
-        if not isinstance(records, list):
-            raise FleetError("records message without a record list")
-        with self._lock:
-            now = self._seen_locked(worker)
-            job = self._jobs.get(plan_id)
-            if job is None:
-                # e.g. a drain for a plan cancelled out from under the
-                # worker; its records have nowhere to go, which is fine
-                # — a cancelled plan's store is already best-effort
-                return {
-                    "type": "ok",
-                    "merged": 0,
-                    "ignored": len(records),
-                    "total": 0,
-                }
-            reply = job.merge(records)
-            job.seen[worker] = now
-            self._contact[worker]["drains"] += 1
-            job.dirty.discard(worker)
-            self._changed.notify_all()
-            return reply
-
     # -- the scheduling core -------------------------------------------
     def _decide_locked(self, worker: str) -> dict:
         """The lease decision (queue lock held).
 
-        Order of business: ``done`` once finished, collect owed
-        records, honour drains, then the fair-share grant.
+        Order of business: ``done`` once finished, honour drains, then
+        the fair-share grant.
         """
         if self._finished:
             self._told_done.add(worker)
             self._changed.notify_all()  # wakes wait_all_informed
             return {"type": "done"}
         self._housekeep_locked()
-        for job_id in self._order:
-            job = self._jobs[job_id]
-            if job.state != "cancelled" and worker in job.dirty:
-                # collect this worker's records before handing out
-                # more work: the shorter a record's worker-only window,
-                # the less a worker death costs
-                return {"type": "drain", "plan_id": job.id}
         if worker in self._draining:
             now = self.clock()
             if any(
@@ -1323,9 +1257,9 @@ class PlanQueue:
     # -- housekeeping and introspection --------------------------------
     def housekeep(self) -> None:
         """Advance job states without worker traffic (timer-driven):
-        lease expiry, coverage checks, done transitions. Completion is
-        then visible even when the last worker died right after its
-        drain and no request ever arrives; held lease requests
+        lease expiry, coverage checks, done transitions. Leases of dead
+        workers expire even when no request arrives, and a restored
+        spool's fully recorded plans turn done; held lease requests
         re-decide afterwards, so work requeued here reaches an idle
         worker at once."""
         with self._lock:
@@ -1339,7 +1273,7 @@ class PlanQueue:
             if job.state != "active":
                 continue
             job.expire(now)
-            if job.cover(now, self.lease_timeout):
+            if job.cover():
                 job.state = "done"
                 job.finished = time.time()
                 log.info(
@@ -1444,7 +1378,6 @@ class PlanQueue:
                     "records": contact["records"],
                     "lease_seconds": contact["lease_seconds"],
                     "completes": contact["completes"],
-                    "drains": contact["drains"],
                     "busy_seconds": busy,
                     "idle_seconds": max(span - busy_in_span, 0.0),
                     "span_seconds": span,

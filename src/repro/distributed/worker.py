@@ -17,21 +17,19 @@ crash-safe :class:`~repro.experiments.store.ResultsStore`,
 ``<store>/<plan_id>.jsonl`` under the worker's store directory.
 
 The steady-state loop costs **one round-trip per unit**: every
-``complete`` report carries the plan's not-yet-uploaded records inline,
-and the reply carries the next lease decision (``next``). Each
-``complete`` and heartbeat also ships a cost report (measured unit
-seconds), feeding the coordinator's fleet-wide
+``complete`` report carries the plan's not-yet-uploaded records inline
+(the only way records reach the coordinator), and the reply carries
+the next lease decision (``next``). Each ``complete`` and heartbeat
+also ships a cost report (measured unit seconds), feeding the
+coordinator's fleet-wide
 :class:`~repro.experiments.costs.UnitCostModel`.
-The ``complete``/``heartbeat``/``records`` messages echo ``plan_id``
-so the coordinator routes them to the right plan and its store.
+The ``complete``/``heartbeat`` messages echo ``plan_id`` so the
+coordinator routes them to the right plan and its store.
 
-An idle worker does not sleep between asks when its coordinator holds
-lease requests (its ``welcome`` says ``"hold": true``): each ``lease``
-asks for a hold of its poll interval (capped at half the request
-timeout, so the socket never times out first) and a held ``wait`` is
-followed by the next ask at once — the coordinator answers the moment
-work exists. Against a coordinator that cannot hold, the worker sleeps
-its poll interval after every ``wait``.
+An idle worker never sleeps between asks: each ``lease`` asks for a
+hold of its poll interval (capped at half the request timeout, so the
+socket never times out first), the coordinator answers the moment work
+exists, and a held ``wait`` is followed by the next ask at once.
 
 While a unit runs, a background thread heartbeats the lease at a
 quarter of the coordinator's lease timeout; if the worker dies, the
@@ -262,9 +260,8 @@ def run_worker(
     poll_interval:
         The hold asked for on each idle ``lease`` (capped at half of
         ``request_timeout``; the coordinator caps it by its own poll
-        interval), and the sleep between asks against a coordinator
-        that cannot hold requests. Defaults to what the coordinator
-        advertises; a positive, finite number of seconds.
+        interval). Defaults to what the coordinator advertises; a
+        positive, finite number of seconds.
     worker_id:
         Stable identity in coordinator bookkeeping (default
         ``hostname-pid``).
@@ -394,12 +391,13 @@ def run_worker(
     lease_timeout = float(welcome.get("lease_timeout", 30.0))
     if poll_interval is None:
         poll_interval = check_poll_interval(welcome.get("poll_interval", 0.5))
-    # a holding coordinator answers an idle ask once work exists (or
-    # the hold runs out), so a `wait` is followed by the next ask at
-    # once; an older one answers at once and the worker sleeps instead
-    lease_ask: dict = {"type": "lease", "worker": worker}
-    if welcome.get("hold") is True:
-        lease_ask["hold"] = min(poll_interval, request_timeout / 2.0)
+    # the coordinator answers an idle ask once work exists (or the
+    # hold runs out), so a `wait` is followed by the next ask at once
+    lease_ask = {
+        "type": "lease",
+        "worker": worker,
+        "hold": min(poll_interval, request_timeout / 2.0),
+    }
     own_store = store_path is None
     if own_store:
         store_path = tempfile.mkdtemp(prefix="repro-fleet-worker-")
@@ -414,7 +412,7 @@ def run_worker(
 
     class PlanContext:
         """One plan's execution state: the plan, its group table, the
-        worker-local store, and the in-memory resume/drain index.
+        worker-local store, and the in-memory resume/upload index.
 
         The store is parsed once; afterwards ``recorded`` tracks it
         (this worker is the store's only writer), in append order —
@@ -432,11 +430,11 @@ def run_worker(
             self.recorded = {
                 record_key(r): r for r in self.store.records()
             }
-            self.drained_cells: set[tuple[str, str, int, str]] = set()
+            self.uploaded_cells: set[tuple[str, str, int, str]] = set()
 
-        def undrained_records(self) -> list[dict]:
+        def unsent_records(self) -> list[dict]:
             """This plan's local records the coordinator has not seen
-            yet — everything undrained, not just the latest unit's
+            yet — everything not uploaded, not just the latest unit's
             fresh runs: a reused store resumes cells locally without
             re-running them, and those records must still reach the
             coordinator or its coverage check would requeue (and
@@ -444,7 +442,7 @@ def run_worker(
             return [
                 r
                 for key, r in self.recorded.items()
-                if key in self.plan_cells and key not in self.drained_cells
+                if key in self.plan_cells and key not in self.uploaded_cells
             ]
 
     contexts: dict[str, PlanContext] = {}
@@ -477,24 +475,6 @@ def run_worker(
     records_run = 0
     busy_seconds = 0.0
     wall_started = time.perf_counter()
-
-    def drain_to_coordinator(plan_id) -> int:
-        """Upload one context's undrained records (incremental: minus
-        what earlier drains already delivered — a restart resets the
-        set and re-uploads once; the coordinator merge dedupes)."""
-        ctx = contexts.get(plan_id)
-        if ctx is None:
-            return 0
-        fresh_records = ctx.undrained_records()
-        payload = {
-            "type": "records",
-            "worker": worker,
-            "plan_id": plan_id,
-            "records": fresh_records,
-        }
-        rpc(payload)
-        ctx.drained_cells.update(record_key(r) for r in fresh_records)
-        return len(fresh_records)
 
     def summary(drained: bool) -> dict:
         wall_seconds = time.perf_counter() - wall_started
@@ -644,12 +624,13 @@ def run_worker(
                 },
                 "metrics": metrics_delta(),
                 "sent_at": time.time(),
-                # inline drain: the records ride the report, so the
-                # worker owes nothing if it dies right after this
-                "records": ctx.undrained_records(),
+                # the records ride the report, so the worker owes
+                # nothing if it dies right after this (a restart resets
+                # the upload index and re-sends once; the merge dedupes)
+                "records": ctx.unsent_records(),
             }
             completion = rpc(payload)
-            ctx.drained_cells.update(
+            ctx.uploaded_cells.update(
                 record_key(r) for r in payload["records"]
             )
             offset = completion.get("clock_offset")
@@ -674,22 +655,6 @@ def run_worker(
                 reply = nxt
             if after_complete is not None:
                 after_complete(unit.group)
-        elif kind == "drain":
-            plan_ids = (
-                [message["plan_id"]]
-                if "plan_id" in message
-                else list(contexts)
-            )
-            drained_n = sum(drain_to_coordinator(p) for p in plan_ids)
-            log.info(
-                "worker %s drained %d records",
-                worker,
-                drained_n,
-                extra={"worker": worker, "records": drained_n},
-            )
-        elif kind == "wait":
-            if "hold" not in lease_ask:
-                time.sleep(poll_interval)
         elif kind in ("done", "bye"):
             # "bye" is a graceful leave: every lease finished, every
             # record merged, nothing requeues. After either reply the
@@ -698,5 +663,5 @@ def run_worker(
             if own_store:
                 shutil.rmtree(store_path, ignore_errors=True)
             return summary(drained=kind == "bye")
-        else:
+        elif kind != "wait":  # a held `wait`: ask again at once
             raise FleetError(f"unexpected coordinator reply {kind!r}")

@@ -76,7 +76,7 @@ RESIDUAL_BUCKETS: tuple[float, ...] = (
 )
 
 #: A unit slower than ``factor × predicted`` earns a ``slow_unit``
-#: trace event (configurable via ``--slow-unit-factor``).
+#: trace event.
 DEFAULT_SLOW_UNIT_FACTOR = 3.0
 
 
@@ -257,7 +257,6 @@ def record_residual(
     kernel: str,
     cells: int,
     seconds: float,
-    slow_factor: float = DEFAULT_SLOW_UNIT_FACTOR,
     registry=None,
     **attrs,
 ) -> float | None:
@@ -268,7 +267,7 @@ def record_residual(
     in :data:`RESIDUAL_METRIC` labelled by kernel; a ``slow_unit``
     event (carrying ``attrs``, e.g. the worker) is emitted only when
     the kernel already has a *measured* sample and the ratio exceeds
-    ``slow_factor`` — a unit can't meaningfully be "slow" against a
+    :data:`DEFAULT_SLOW_UNIT_FACTOR` — a unit can't meaningfully be "slow" against a
     never-measured prior. Returns the ratio, or None when it is
     undefined (zero prediction, zero cells, or non-positive timing).
     """
@@ -283,12 +282,7 @@ def record_residual(
     registry.histogram(
         RESIDUAL_METRIC, buckets=RESIDUAL_BUCKETS, kernel=kernel
     ).observe(ratio)
-    if (
-        slow_factor
-        and slow_factor > 0
-        and ratio > slow_factor
-        and model.samples.get(kernel, 0) > 0
-    ):
+    if ratio > DEFAULT_SLOW_UNIT_FACTOR and model.samples.get(kernel, 0) > 0:
         registry.emit(
             {
                 "event": "slow_unit",

@@ -47,7 +47,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from repro.engine import EngineSession
 from repro.errors import ReproError
 from repro.experiments.costs import (
-    DEFAULT_SLOW_UNIT_FACTOR,
     UnitCostModel,
     plan_cost_model,
     record_residual,
@@ -177,12 +176,6 @@ class ExperimentRunner:
         Optional callback invoked with each freshly recorded run
         record. Exceptions it raises abort the experiment (after the
         record is persisted) but never leak the group session.
-    slow_unit_factor:
-        A unit slower than ``factor × predicted`` (against the
-        plan-seeded :class:`UnitCostModel`) earns a ``slow_unit`` trace
-        event; the observed/predicted ratio always lands in the
-        ``repro_cost_residual_ratio`` histogram. Monitoring only —
-        never changes what runs or what is recorded.
     """
 
     def __init__(
@@ -190,16 +183,10 @@ class ExperimentRunner:
         store: ResultsStore | None = None,
         session_factory: Callable[..., EngineSession] | None = None,
         progress: Callable[[dict], None] | None = None,
-        slow_unit_factor: float | None = None,
     ) -> None:
         self.store = store
         self.session_factory = session_factory or EngineSession
         self.progress = progress
-        self.slow_unit_factor = (
-            DEFAULT_SLOW_UNIT_FACTOR
-            if slow_unit_factor is None
-            else float(slow_unit_factor)
-        )
 
     # ------------------------------------------------------------------
     def run(
@@ -371,7 +358,6 @@ class ExperimentRunner:
                 kernel,
                 len(pending),
                 unit_span["seconds"],
-                slow_factor=self.slow_unit_factor,
                 plan=plan.name,
                 group=unit.group,
             )

@@ -200,8 +200,8 @@ class ResultsStore:
         """Aggregate other stores (or record iterables) into this one.
 
         The multi-store aggregation primitive behind ``repro
-        experiments merge-stores`` and the fleet coordinator's
-        end-of-run pull of worker stores:
+        experiments merge-stores`` and the fleet coordinator's merge
+        of the records workers upload:
 
         * **first writer wins** — this store's existing records take
           precedence, then the sources in argument order (each in its

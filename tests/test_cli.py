@@ -63,6 +63,42 @@ class TestSimulateCommand:
         assert rc == 0
         assert "burned cells: 1 /" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--slope", "nan"),
+            ("--wind-dir", "nan"),
+            ("--aspect", "inf"),
+            ("--wind-speed", "inf"),
+            ("--m1", "nan"),
+            ("--mherb", "inf"),
+            ("--minutes", "inf"),
+            ("--minutes", "nan"),
+            ("--minutes", "0"),
+            ("--minutes", "-5"),
+        ],
+    )
+    def test_non_finite_flags_are_usage_errors(self, flag, value, capsys):
+        """A NaN or infinite scenario value, or a horizon that is not a
+        finite time > 0, is refused by argparse (exit 2) instead of
+        printing a NaN rate or ending in a traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--size", "20", flag, value])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--model", "99", "fuel model"),
+            ("--m1", "-5", "moisture fraction m1"),
+        ],
+    )
+    def test_bad_domain_values_exit_in_one_line(self, flag, value, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--size", "20", flag, value])
+        assert isinstance(excinfo.value.code, str)
+        assert message in excinfo.value.code
 
     @pytest.mark.parametrize("case", ["heterogeneous", "river_gap"])
     def test_simulate_on_a_cached_case(self, case, capsys):
@@ -169,7 +205,6 @@ class TestCompareCommand:
             ["run", "ess", "--steps", "0"],
             ["run", "ess", "--generations", "0"],
             ["simulate", "--size", "0"],
-            ["simulate", "--minutes", "-5"],
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)

@@ -124,8 +124,8 @@ def _lease_queue(
 
 
 def _records(cells) -> list[dict]:
-    """Minimal store records of ``cells``: what a worker's drain
-    uploads, as far as coverage is concerned."""
+    """Minimal store records of ``cells``: what a worker's
+    ``complete`` uploads, as far as coverage is concerned."""
     return [
         dict(zip(("system", "case", "seed", "backend"), cell))
         for cell in cells
@@ -284,43 +284,43 @@ class TestUnitLedger:
     def test_poll_completion_detects_coverage_without_a_request(
         self, tmp_path
     ):
-        """Regression: the last worker draining everything and then
-        dying must not hang the run — completion is visible from the
-        coordinator side via housekeeping."""
-        plan = _plan()
+        """Regression: the last worker uploading everything and then
+        dying must not hang the run — its last ``complete`` carries the
+        records, so the plan is done without any further request, and
+        housekeeping keeps it done."""
         clock = [0.0]
         queue, job = self._queue(tmp_path, clock)
         g1 = queue.lease("w")
         g2 = queue.lease("w")
         assert g1["type"] == g2["type"] == "unit"
-        assert queue.complete("w", job.id, g1["lease"])["type"] == "ok"
-        assert queue.complete("w", job.id, g2["lease"])["type"] == "ok"
-        # the worker drains every record, then dies silently
-        queue.merge_records(
-            "w", job.id, _records(k.as_tuple() for k in plan.runs())
-        )
-        assert not queue.wait_done(job, 0)
-        queue.housekeep()
+        for grant in (g1, g2):
+            reply = queue.complete(
+                "w", job.id, grant["lease"], None,
+                _records(grant["unit"]["cells"]),
+            )
+            assert reply["type"] == "ok"
+        # the worker dies silently after its last upload
         assert queue.wait_done(job, 0)
+        clock[0] = 10.0
+        queue.housekeep()
         assert job.state == "done"
+        assert job.requeues == 0
 
     def test_poll_completion_requeues_stranded_cells(self, tmp_path):
-        """A worker that completed units but died before draining
-        leaves missing cells; housekeeping requeues them as units."""
+        """A worker whose completes uploaded none of its units' records
+        leaves missing cells; the coverage check requeues them as units
+        at once — no worker is waited on for records."""
         clock = [0.0]
         queue, job = self._queue(tmp_path, clock)
         g1 = queue.lease("w")
         g2 = queue.lease("w")
-        queue.complete("w", job.id, g1["lease"])
-        queue.complete("w", job.id, g2["lease"])
-        # worker recently seen and undrained: no verdict yet
-        queue.housekeep()
-        assert job.state == "active"
-        clock[0] = 10.0  # past the lease timeout — presumed dead
-        queue.housekeep()
+        queue.complete("w", job.id, g1["lease"], None, [])
+        reply = queue.complete("w", job.id, g2["lease"], None, [])
         assert job.state == "active"
         assert job.requeues == 2
-        # the requeued units go to whoever asks next
+        # the requeued units go to whoever asks next: the worker's own
+        # piggybacked grant, then the next ask
+        assert reply["next"]["type"] == "unit"
         assert queue.lease("w2")["type"] == "unit"
 
     def test_expired_lease_requeues_unit(self, tmp_path):
@@ -347,7 +347,8 @@ class TestUnitLedger:
             for g in (grant, grant2)
         }
         # the silent worker's late report no longer counts
-        assert queue.complete("w", job.id, grant["lease"])["type"] == "stale"
+        reply = queue.complete("w", job.id, grant["lease"], None, [])
+        assert reply["type"] == "stale"
 
     def test_last_pending_unit_splits_for_an_asking_worker(self, tmp_path):
         """Work stealing: one big group spreads over every asker by
@@ -391,19 +392,27 @@ class TestUnitLedger:
             min_unit_cells=plan.n_runs,  # the floor keeps the unit whole
         )
         grant = queue.lease("w1")
-        # w1 drains half the unit's records, then goes silent
-        queue.merge_records(
-            "w1", job.id, _records(grant["unit"]["cells"][:4])
-        )
-        clock[0] = 20.0
+        clock[0] = 20.0  # w1 went silent: its lease expires
         regrant = queue.lease("w2")
         assert regrant["type"] == "unit"
         assert job.requeues == 1
         assert regrant["unit"] == grant["unit"]  # exact cell subset
-        # w2 completes and drains only the cells w1 never delivered
-        assert queue.complete("w2", job.id, regrant["lease"])["type"] == "ok"
-        queue.merge_records("w2", job.id, _records(regrant["unit"]["cells"]))
+        # w1's late complete is stale but still delivers the half of
+        # the unit it recorded
+        stale = queue.complete(
+            "w1", job.id, grant["lease"], None,
+            _records(grant["unit"]["cells"][:4]),
+        )
+        assert stale["type"] == "stale"
+        # w2 completes with every record of the unit; the merge keeps
+        # w1's copies of the cells both delivered
+        reply = queue.complete(
+            "w2", job.id, regrant["lease"], None,
+            _records(regrant["unit"]["cells"]),
+        )
+        assert reply["type"] == "ok"
         assert sorted(job.completed_cells()) == sorted(all_cells)
+        assert len(list(job.store.records())) == len(all_cells)
         queue.housekeep()
         assert job.state == "done"
 
@@ -426,8 +435,8 @@ def _worker_dying_mid_group(address, store_path):
 
 
 def _worker_dying_after_complete(address, store_path):
-    """Exits hard after reporting a group complete but before the
-    coordinator drains its records — the stranded-records death."""
+    """Exits hard right after a ``complete`` exchange — its records
+    already rode the report, so nothing is stranded."""
     run_worker(
         address,
         store_path=store_path,
@@ -925,7 +934,7 @@ class TestFleetAuth:
 
         thread = threading.Thread(target=rogue)
         thread.start()
-        secret_payload = {"type": "records", "records": [{"secret": 1}]}
+        secret_payload = {"type": "complete", "records": [{"secret": 1}]}
         try:
             with pytest.raises(FleetAuthError, match="did not prove"):
                 request(address, secret_payload, token="fleet-secret")
@@ -1108,7 +1117,8 @@ class TestFleetTelemetry:
         queue.heartbeat("w", job.id, grant["lease"], {"busy_seconds": 1.5})
         clock[0] = 4.0
         queue.complete(
-            "w", job.id, grant["lease"], {"busy_seconds": 3.5, "records": 2}
+            "w", job.id, grant["lease"], {"busy_seconds": 3.5, "records": 2},
+            _records(grant["unit"]["cells"]),
         )
         st = queue.worker_stats()["w"]
         assert st["leases"] == 1 and st["units"] == 1
@@ -1185,7 +1195,10 @@ class TestFleetTelemetry:
         clock = [0.0]
         queue, (a, b), (ga, gb) = self._two_plan_queue(tmp_path, clock)
         clock[0] = 7.0
-        queue.complete("w", a.id, ga["lease"], {"busy_seconds": 6.0})
+        queue.complete(
+            "w", a.id, ga["lease"], {"busy_seconds": 6.0},
+            _records(ga["unit"]["cells"]),
+        )
         queue.heartbeat("w", b.id, gb["lease"], {"busy_seconds": 6.5})
         queue.heartbeat("w", a.id, ga["lease"], {"busy_seconds": 5.9})
         gauge = telemetry().gauge(
@@ -1207,20 +1220,21 @@ class TestFleetTelemetry:
             a.id,
             ga["lease"],
             {"unit_seconds": 0.5, "busy_seconds": 0.5, "records": 1},
+            _records(ga["unit"]["cells"]),
         )
-        queue.merge_records("w", a.id, _records(ga["unit"]["cells"]))
         clock[0] = 3.0
         queue.complete(
             "w",
             b.id,
             gb["lease"],
             {"unit_seconds": 2.0, "busy_seconds": 2.5, "records": 1},
+            _records(gb["unit"]["cells"]),
         )
-        queue.merge_records("w", b.id, _records(gb["unit"]["cells"]))
         st = queue.worker_stats()["w"]
         cells = len(ga["unit"]["cells"]) + len(gb["unit"]["cells"])
-        assert (st["leases"], st["units"], st["cells"]) == (2, 2, cells)
-        assert (st["records"], st["completes"], st["drains"]) == (2, 2, 2)
+        # each complete took the next grant too: four leases, two run
+        assert (st["leases"], st["units"], st["cells"]) == (4, 2, cells)
+        assert (st["records"], st["completes"]) == (2, 2)
         assert st["lease_seconds"] == pytest.approx(1.0 + 3.0)
         assert st["busy_seconds"] == pytest.approx(2.5)  # max, not 3.0
         # per-plan EMAs: 1 cell / 0.5 s on a, 1 cell / 2.0 s on b
@@ -1254,7 +1268,7 @@ class TestFleetTelemetry:
         coordinator, job, _ = self._coordinator(tmp_path)
         queue = coordinator.queue
         grant = queue.lease("w1")
-        queue.complete("w1", job.id, grant["lease"], {"records": 2})
+        queue.complete("w1", job.id, grant["lease"], {"records": 2}, [])
         reply = coordinator.dispatch({"type": "status", "worker": "probe"})
         assert reply["type"] == "status"
         assert reply["finished"] is False
@@ -1354,14 +1368,12 @@ class TestCostLedger:
     granting, fragment re-merge, and snapshot determinism."""
 
     @staticmethod
-    def _complete_then_drain(queue, job, worker, grant, info) -> None:
-        """Complete a unit, then upload its (empty) records: the worker
-        ends clean without a piggybacked grant moving ahead of the
-        next explicit ask."""
-        assert queue.complete(worker, job.id, grant["lease"], info)[
-            "next"
-        ] == {"type": "drain", "plan_id": job.id}
-        queue.merge_records(worker, job.id, [])
+    def _complete(queue, job, worker, grant, info) -> dict:
+        """Complete a unit with an empty record upload; returns the
+        piggybacked next grant."""
+        reply = queue.complete(worker, job.id, grant["lease"], info, [])
+        assert reply["next"]["type"] == "unit"
+        return reply["next"]
 
     def test_unknown_worker_gets_a_probe_lease(self, tmp_path):
         """A worker with no measured throughput gets a small probe (a
@@ -1384,14 +1396,10 @@ class TestCostLedger:
         g1 = queue.lease("w1")
         g2 = queue.lease("w2")
         # identical wall-clock, 4x the cells: w1 measures 4x faster
-        self._complete_then_drain(
-            queue, job, "w1", g1, {"unit_seconds": 1.0}
-        )
-        self._complete_then_drain(
-            queue, job, "w2", g2, {"unit_seconds": 1.0}
-        )
-        fast = WorkUnit.from_dict(queue.lease("w1")["unit"])
-        slow = WorkUnit.from_dict(queue.lease("w2")["unit"])
+        fast = self._complete(queue, job, "w1", g1, {"unit_seconds": 1.0})
+        slow = self._complete(queue, job, "w2", g2, {"unit_seconds": 1.0})
+        fast = WorkUnit.from_dict(fast["unit"])
+        slow = WorkUnit.from_dict(slow["unit"])
         assert fast.n_cells > slow.n_cells >= 1
         stats = queue.worker_stats()
         assert stats["w1"]["throughput"] == pytest.approx(4.0)
@@ -1405,9 +1413,8 @@ class TestCostLedger:
         return queue, job
 
     def test_piggybacked_complete_carries_the_next_lease(self, tmp_path):
-        """A complete carrying its records collapses
-        complete -> drain -> lease into one exchange and the round-trip
-        accounting shows it."""
+        """A complete carrying its records also takes the next lease,
+        in one exchange, and the round-trip accounting shows it."""
         clock = [0.0]
         queue, job = self._queue(tmp_path, clock)
         grant = queue.lease("w1")
@@ -1421,7 +1428,6 @@ class TestCostLedger:
         assert st["lease_requests"] == 1  # only the explicit ask
         assert st["piggybacked"] == 1
         assert st["completes"] == 1
-        assert st["drains"] == 0  # the drain rode the complete
         assert st["round_trips"] == 2
 
     def test_stale_complete_still_grants_next(self, tmp_path):
@@ -1475,14 +1481,12 @@ class TestCostLedger:
             grants.append(g1["unit"])
             g2 = queue.lease("w2")
             grants.append(g2["unit"])
-            self._complete_then_drain(
-                queue, job, "w1", g1, {"unit_seconds": 0.5}
-            )
-            self._complete_then_drain(
-                queue, job, "w2", g2, {"unit_seconds": 2.0}
-            )
-            grants.append(queue.lease("w2")["unit"])
-            grants.append(queue.lease("w1")["unit"])
+            for worker, grant, seconds in (("w1", g1, 0.5), ("w2", g2, 2.0)):
+                grants.append(
+                    self._complete(
+                        queue, job, worker, grant, {"unit_seconds": seconds}
+                    )["unit"]
+                )
             transcripts.append(grants)
         assert transcripts[0] == transcripts[1]
 
@@ -1512,9 +1516,6 @@ class TestCostFleetEndToEnd:
         assert errors == []
         stats = executor.worker_stats
         assert sum(s["piggybacked"] for s in stats.values()) >= 1
-        # every completion was reported, none needed a separate drain
-        # round-trip afterwards
-        assert all(s["drains"] == 0 for s in stats.values()), stats
         assert all(s["round_trips"] >= 1 for s in stats.values())
         assert _sorted_normalized(store) == _sorted_normalized(inline)
 
@@ -1709,11 +1710,6 @@ class TestHeldLeaseWire:
             coordinator.close()
         assert box["summary"]["units"] == 1
 
-    def test_welcome_advertises_hold(self):
-        coordinator = FleetCoordinator(PlanQueue(), poll_interval=1.0)
-        welcome = coordinator.dispatch({"type": "hello", "worker": "w"})
-        assert welcome["hold"] is True
-
     def test_hold_is_capped_by_the_poll_interval_and_the_ask(self):
         """No request is held longer than min(poll interval, asked)."""
         coordinator = FleetCoordinator(PlanQueue(), poll_interval=1.0)
@@ -1727,8 +1723,8 @@ class TestHeldLeaseWire:
         assert 0.1 <= time.monotonic() - started < 1.0
 
     def test_lease_without_hold_is_answered_at_once(self):
-        """An older worker's ``lease`` (no ``hold``) — or a garbage
-        one — is answered ``wait`` immediately, as before."""
+        """A ``lease`` whose ``hold`` is missing, malformed or not
+        positive is answered ``wait`` immediately."""
         coordinator = FleetCoordinator(PlanQueue(), poll_interval=30.0)
         started = time.monotonic()
         for extra in ({}, {"hold": "soon"}, {"hold": -1}, {"hold": 0}):
@@ -1771,69 +1767,70 @@ class TestHeldLeaseWire:
         assert all(p["hold"] == 2.0 for p in leases)
         assert slept == []  # a held wait is followed by the next ask
 
-    def test_worker_sleeps_when_welcomed_without_hold(self, monkeypatch):
-        sent, slept = _scripted_worker(
-            monkeypatch, {"type": "welcome", "lease_timeout": 30.0}
-        )
-        leases = [p for p in sent if p["type"] == "lease"]
-        assert len(leases) == 2
-        assert not any("hold" in p for p in leases)
-        assert slept == [5.0]
+class TestCompleteCarriesRecords:
+    """Records reach the coordinator only inline on ``complete``: a
+    ``complete`` without a record list is malformed, and there is no
+    separate upload message."""
 
+    def _coordinator(self, tmp_path):
+        queue = PlanQueue(lease_timeout=5.0)
+        job = queue.admit(_plan(), ResultsStore(tmp_path / "coord.jsonl"))
+        return FleetCoordinator(queue, poll_interval=0.05), job
 
-class TestMixedVersionFleets:
-    """A fleet upgraded one side at a time still completes plans."""
-
-    def test_parent_era_worker_against_a_holding_coordinator(
-        self, tmp_path, monkeypatch, inline_store
+    @pytest.mark.parametrize("records", [None, "records", {"r": 1}, 3])
+    def test_complete_without_a_record_list_is_refused(
+        self, tmp_path, records
     ):
-        """The worker ignores the welcome's ``hold``: its leases carry
-        none and it sleeps between asks, as workers did before."""
-        real_request = worker_module.request
-        leases: list[dict] = []
+        """Refused before any state changes: the lease stays held, so
+        the unit is neither counted nor requeued."""
+        coordinator, job = self._coordinator(tmp_path)
+        queue = coordinator.queue
+        grant = queue.lease("w")
+        with pytest.raises(FleetError, match="record list"):
+            queue.complete("w", job.id, grant["lease"], None, records)
+        assert list(job.leases) == [grant["lease"]]
+        assert queue.worker_stats()["w"]["completes"] == 0
 
-        def parent_era(address, payload, **kwargs):
-            if payload.get("type") == "lease":
-                leases.append(dict(payload))
-            reply = real_request(address, payload, **kwargs)
-            if reply.get("type") == "welcome":
-                reply.pop("hold", None)
-            return reply
-
-        monkeypatch.setattr(worker_module, "request", parent_era)
-        store = ResultsStore(tmp_path / "fleet.jsonl")
-        result, _, summaries, errors = _run_thread_fleet(
-            _plan(), store, [tmp_path / "w0", tmp_path / "w1"]
-        )
-        assert errors == []
-        assert len(summaries) == 2
-        assert leases and not any("hold" in p for p in leases)
-        assert _sorted_normalized(store) == _sorted_normalized(inline_store)
-
-    def test_holding_worker_against_a_parent_era_coordinator(
-        self, tmp_path, monkeypatch, inline_store
+    def test_wire_answers_error_to_a_complete_without_records(
+        self, tmp_path
     ):
-        """The coordinator neither advertises nor honours holds: the
-        worker falls back to sleeping its poll interval."""
-        holds: list = []
+        """A worker that leaves ``records`` out is told so, instead of
+        having its unit's cells requeued and re-run forever."""
+        coordinator, job = self._coordinator(tmp_path)
+        address = coordinator.start()
+        try:
+            grant = request(address, {"type": "lease", "worker": "w"})
+            reply = request(
+                address,
+                {
+                    "type": "complete",
+                    "worker": "w",
+                    "plan_id": job.id,
+                    "lease": grant["lease"],
+                },
+            )
+        finally:
+            coordinator.close()
+        assert reply["type"] == "error"
+        assert "record list" in reply["error"]
 
-        class ParentEraCoordinator(FleetCoordinator):
-            def dispatch(self, message: dict) -> dict:
-                if message.get("type") == "lease":
-                    holds.append(message.pop("hold", None))
-                reply = super().dispatch(message)
-                reply.pop("hold", None)
-                return reply
-
-        monkeypatch.setattr(executors, "FleetCoordinator", ParentEraCoordinator)
-        store = ResultsStore(tmp_path / "fleet.jsonl")
-        result, _, summaries, errors = _run_thread_fleet(
-            _plan(), store, [tmp_path / "w0", tmp_path / "w1"]
-        )
-        assert errors == []
-        assert len(summaries) == 2
-        assert holds and set(holds) == {None}
-        assert _sorted_normalized(store) == _sorted_normalized(inline_store)
+    def test_records_message_is_an_unknown_type(self, tmp_path):
+        coordinator, job = self._coordinator(tmp_path)
+        message = {
+            "type": "records",
+            "worker": "w",
+            "plan_id": job.id,
+            "records": [],
+        }
+        with pytest.raises(FleetError, match="unknown fleet message type"):
+            coordinator.dispatch(message)
+        address = coordinator.start()
+        try:
+            reply = request(address, message)
+        finally:
+            coordinator.close()
+        assert reply["type"] == "error"
+        assert "unknown fleet message type" in reply["error"]
 
 
 class TestPollIntervalValidation:

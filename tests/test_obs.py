@@ -988,18 +988,16 @@ class TestCostResiduals:
         t.add_sink(sink)
         model = UnitCostModel(default_rate=0.1)
         # 40x slower than the never-measured default prior: no event
-        record_residual(model, "k", 1, 4.0, slow_factor=3.0, registry=t)
+        record_residual(model, "k", 1, 4.0, registry=t)
         assert sink.events == []
         model.observe("k", 1, 0.1)
-        record_residual(
-            model, "k", 1, 4.0, slow_factor=3.0, registry=t, worker="w1"
-        )
+        record_residual(model, "k", 1, 4.0, registry=t, worker="w1")
         (event,) = sink.events
         assert event["event"] == "slow_unit"
         assert event["worker"] == "w1"
         assert event["ratio"] > 3.0
         # within budget: histogram only, still no second event
-        record_residual(model, "k", 1, 0.1, slow_factor=3.0, registry=t)
+        record_residual(model, "k", 1, 0.1, registry=t)
         assert len(sink.events) == 1
 
     def test_undefined_ratios_return_none(self):

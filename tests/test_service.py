@@ -329,17 +329,17 @@ def _run_two_workers(queue: PlanQueue, clock: list, jobs: list) -> list[tuple]:
     return grants
 
 
-def _one_plan_script(tmp_path, seed: int) -> tuple[str, PlanJob]:
+def _plan_script(tmp_path, seed: int, plans: list) -> tuple[str, list]:
     """A seeded random lease/complete/heartbeat/housekeep script of
-    three workers on a fake-clock one-plan queue; returns the digest of
-    every reply, in order, and the job."""
+    three workers on a fake-clock queue holding ``plans``; returns the
+    digest of every reply, in order, and the jobs."""
     rng = random.Random(seed)
     clock = [0.0]
     queue = PlanQueue(lease_timeout=5.0, clock=lambda: clock[0])
-    job = queue.admit(
-        _plan(name="scripted", seeds=tuple(range(8))),
-        ResultsStore(tmp_path / f"script-{seed}.jsonl"),
-    )
+    jobs = [
+        queue.admit(plan, ResultsStore(tmp_path / f"{plan.name}-{seed}.jsonl"))
+        for plan in plans
+    ]
     held: dict[str, dict] = {}
     replies = []
     for _ in range(80):
@@ -354,16 +354,17 @@ def _one_plan_script(tmp_path, seed: int) -> tuple[str, PlanJob]:
             reply = queue.lease(worker)
         elif op == "heartbeat":
             reply = queue.heartbeat(
-                worker, job.id, grant["lease"],
+                worker, grant["plan_id"], grant["lease"],
                 {"unit_seconds": rng.uniform(0.1, 2.0)},
             )
         else:
-            # one complete in five leaves its records on the worker
+            # one complete in five uploads none of its unit's records,
+            # so the coverage check requeues them
             records = (
-                _records_of(grant["unit"]) if rng.random() < 0.8 else None
+                _records_of(grant["unit"]) if rng.random() < 0.8 else []
             )
             reply = queue.complete(
-                worker, job.id, grant["lease"],
+                worker, grant["plan_id"], grant["lease"],
                 {"unit_seconds": rng.uniform(0.1, 2.0)}, records,
             )
             del held[worker]
@@ -376,7 +377,7 @@ def _one_plan_script(tmp_path, seed: int) -> tuple[str, PlanJob]:
     digest = hashlib.sha256(
         json.dumps(replies, sort_keys=True).encode()
     ).hexdigest()
-    return digest[:16], job
+    return digest[:16], jobs
 
 
 # ----------------------------------------------------------------------
@@ -473,9 +474,9 @@ class TestBacklogLeaseSizing:
     @pytest.mark.parametrize(
         "seed, digest, steals, requeues",
         [
-            (0, "acfdd26ff1870ad9", 6, 2),
-            (1, "da3df9e41005c787", 8, 4),
-            (3, "27ad99dca2b00b15", 21, 10),
+            (0, "f7ce67f8074f246d", 11, 6),
+            (1, "dc1ef8dcc631c15f", 9, 6),
+            (3, "6f4f2cb4d1f77255", 19, 13),
         ],
     )
     def test_one_plan_queue_replies_are_unchanged(
@@ -483,11 +484,46 @@ class TestBacklogLeaseSizing:
     ):
         """On a one-plan queue nothing else is pending, so every grant
         is sized from the plan's own cells alone: a seeded script of
-        leases, completes (with and without records), heartbeats and
-        expiries gives the replies pinned here, recorded before grants
-        counted other plans' backlog."""
-        got, job = _one_plan_script(tmp_path, seed)
+        leases, completes (some uploading none of their records),
+        heartbeats and expiries gives the replies pinned here."""
+        got, (job,) = _plan_script(
+            tmp_path, seed, [_plan(name="scripted", seeds=tuple(range(8)))]
+        )
         assert (job.steals, job.requeues) == (steals, requeues)
+        assert got == digest
+
+    @pytest.mark.parametrize(
+        "seed, digest, steals, requeues",
+        [
+            (0, "c791d081019e5d96", (8, 14), (7, 12)),
+            (1, "035d9a7b26e14888", (5, 10), (2, 9)),
+            (3, "a189582211f07781", (8, 9), (5, 7)),
+        ],
+    )
+    def test_two_plan_queue_replies_are_unchanged(
+        self, tmp_path, seed, digest, steals, requeues
+    ):
+        """The same script on a queue holding two plans of unequal size
+        (16 cells in one group, 12 in two): every lease decision walks
+        both jobs, and fair share and backlog sizing pick between
+        them. The replies are pinned here."""
+        got, jobs = _plan_script(
+            tmp_path,
+            seed,
+            [
+                _plan(name="scripted-a", seeds=tuple(range(8))),
+                _plan(
+                    name="scripted-b",
+                    seeds=(100, 101, 102),
+                    cases=(
+                        CaseSpec("grassland", size=20, steps=2),
+                        CaseSpec("river_gap", size=20, steps=2),
+                    ),
+                ),
+            ],
+        )
+        assert tuple(job.steals for job in jobs) == steals
+        assert tuple(job.requeues for job in jobs) == requeues
         assert got == digest
 
 
