@@ -7,6 +7,9 @@ the island ESS-NS system.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from repro.errors import EvolutionError
 from repro.parallel.executor import SerialEvaluator
 from repro.parallel.islands import IslandModelConfig
 from repro.systems import ESSNS, ESSNSIM, ESSNSConfig, ESSNSIMConfig
+from repro.workloads.cases import grassland_case
 
 
 def _ind(fit, nov, seed=0):
@@ -266,3 +270,49 @@ class TestESSNSIM:
         q = run.qualities()
         assert np.isnan(q[0])
         assert ((q[1:] >= 0) & (q[1:] <= 1)).all()
+
+    # Step-record digests pinned before ESSNS-IM moved onto IslandModel.
+    # The ``random`` archive policy draws from the archive streams, so
+    # these catch a changed stream order that the goldens (``novelty``
+    # policy only) cannot.
+    @pytest.mark.parametrize(
+        "policy, topology, weight, digest",
+        [
+            ("novelty", "ring", 0.0, "32b90a4dccf06c87"),
+            ("novelty", "ring", 0.5, "15fcf88b85021714"),
+            ("novelty", "broadcast", 0.0, "ccd255fc9981cb33"),
+            ("novelty", "broadcast", 0.5, "68b1eaa0abf31d8f"),
+            ("novelty", "none", 0.0, "f02e874b870895f1"),
+            ("novelty", "none", 0.5, "683edda660fa408b"),
+            ("random", "ring", 0.0, "4b8c7a110d63af59"),
+            ("random", "ring", 0.5, "f471d49fea1f4b68"),
+            ("random", "broadcast", 0.0, "f8bf579fabca1dc9"),
+            ("random", "broadcast", 0.5, "ef959b8005cb875c"),
+            ("random", "none", 0.0, "0efbfc6a0d6a7767"),
+            ("random", "none", 0.5, "1192859a7afdc8c7"),
+        ],
+    )
+    def test_pinned_step_records(self, policy, topology, weight, digest):
+        cfg = ESSNSIMConfig(
+            nsga=NoveltyGAConfig(
+                population_size=8,
+                k_neighbors=3,
+                best_set_capacity=6,
+                archive_capacity=5,
+                archive_policy=policy,
+                fitness_weight=weight,
+            ),
+            islands=IslandModelConfig(
+                n_islands=3, migration_interval=2, n_migrants=1, topology=topology
+            ),
+            max_generations=5,
+        )
+        run = ESSNSIM(cfg, backend="vectorized").run(
+            grassland_case(size=24, n_steps=3), rng=7
+        )
+        steps = [
+            {k: v for k, v in s.to_dict().items() if k not in ("timings", "engine")}
+            for s in run.steps
+        ]
+        payload = json.dumps(steps, sort_keys=True).encode()
+        assert hashlib.sha256(payload).hexdigest()[:16] == digest
