@@ -166,6 +166,11 @@ class NoveltyGAResult:
     evaluations: int
     stop_reason: str
 
+    @property
+    def best(self) -> Individual:
+        """The bestSet's fittest member (what an island Monitor reads)."""
+        return self.best_set.members()[0]
+
     def best_genomes(self) -> np.ndarray:
         """Genome matrix of the bestSet (the OS output of Fig. 3)."""
         return self.best_set.genomes()

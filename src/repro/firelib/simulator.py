@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.errors import ScenarioError, SimulationError
 from repro.firelib.moisture import Moisture
 from repro.firelib.propagation import directional_travel_times, propagate
 from repro.firelib.rothermel import spread
@@ -135,6 +135,10 @@ class FireSimulator:
         moisture = Moisture.from_percent(
             scenario.m1, scenario.m10, scenario.m100, scenario.mherb
         )
+        if scenario.wind_speed < 0:
+            raise ScenarioError(
+                f"wind speed must be >= 0 mph, got {scenario.wind_speed:g}"
+            )
         terrain = self._terrain
         shape = terrain.shape
 

@@ -121,6 +121,13 @@ def _install_problem(problem: BatchProblem) -> int:
     return os.getpid()
 
 
+#: Chunks per worker in each :class:`ProcessPoolEvaluator` call. More
+#: chunks than workers balance the load for the per-genome reference
+#: kernel, whose simulation times vary across scenarios (wet scenarios
+#: finish almost instantly, windy ones burn the whole grid).
+CHUNKS_PER_WORKER = 4
+
+
 def _eval_chunk(chunk: np.ndarray) -> np.ndarray:
     """Evaluate one chunk inside a worker process."""
     if _WORKER_PROBLEM is None:
@@ -139,13 +146,9 @@ class ProcessPoolEvaluator:
         first evaluation (the run-scoped engine session does this).
     n_workers:
         Pool size (default: CPU count).
-    chunks_per_worker:
-        Scheduling granularity: each evaluate call is split into
-        ``n_workers × chunks_per_worker`` chunks, balancing load when
-        simulation times vary across scenarios (wet scenarios finish
-        almost instantly, windy ones burn the whole grid).
 
-    Results are reassembled **by index**, so the output is identical to
+    Each evaluate call is split into ``n_workers × CHUNKS_PER_WORKER``
+    chunks (see that constant). Results are reassembled **by index**, so the output is identical to
     :class:`SerialEvaluator` regardless of completion order. The pool
     outlives any single problem: :meth:`update_problem` swaps the
     worker-side problem in place (one small message per worker), so a
@@ -157,16 +160,10 @@ class ProcessPoolEvaluator:
         self,
         problem: BatchProblem | None,
         n_workers: int | None = None,
-        chunks_per_worker: int = 4,
     ) -> None:
         if n_workers is not None and n_workers < 1:
             raise ParallelError(f"n_workers must be >= 1, got {n_workers}")
-        if chunks_per_worker < 1:
-            raise ParallelError(
-                f"chunks_per_worker must be >= 1, got {chunks_per_worker}"
-            )
         self.n_workers = n_workers or default_worker_count()
-        self._chunks_per_worker = chunks_per_worker
         self.evaluations = 0
         self.problem_updates = 0
         # fork is fine here (no threads at pool-creation time) and avoids
@@ -207,7 +204,7 @@ class ProcessPoolEvaluator:
         n = genomes.shape[0]
         if n == 0:
             return np.zeros(0)
-        n_chunks = min(n, self.n_workers * self._chunks_per_worker)
+        n_chunks = min(n, self.n_workers * CHUNKS_PER_WORKER)
         chunks = np.array_split(genomes, n_chunks)
         results = self._pool.map(_eval_chunk, chunks)
         values = _check_result(np.concatenate(results), n)

@@ -8,9 +8,10 @@ generations (an *epoch*), then migration exchanges individuals, until a
 shared generation budget or fitness threshold is met.
 
 Any algorithm from :mod:`repro.ea` with the common
-``run(evaluate, space, termination, rng, initial_population, observer)``
-interface can serve as the per-island engine (GA for ESSIM-EA, DE for
-ESSIM-DE).
+``run(evaluate, space, termination, rng, initial_population)``
+interface can serve as the per-island engine: GA for ESSIM-EA, DE for
+ESSIM-DE, and Algorithm 1 for ESSNS-IM (each island keeping its
+archive and bestSet across epochs).
 
 Migration topologies:
 
@@ -49,7 +50,6 @@ class IslandAlgorithm(Protocol):
         termination: Termination,
         rng: np.random.Generator | int | None = None,
         initial_population: Sequence[Individual] | None = None,
-        observer: Callable | None = None,
     ):  # -> result with .population, .best, .history, .evaluations
         ...
 
@@ -91,13 +91,6 @@ class IslandResult:
     evaluations: int
     generations: int
     stop_reason: str
-
-    def best_island(self) -> int:
-        """Index of the island holding the best individual."""
-        scores = [
-            max((ind.fitness or 0.0) for ind in pop) for pop in self.populations
-        ]
-        return int(np.argmax(scores))
 
 
 #: Between-epoch intervention hook (used by the ESSIM-DE tuning): takes

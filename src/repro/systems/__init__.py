@@ -1,4 +1,4 @@
-"""The four predictive systems of the ESS lineage.
+"""The five predictive systems of the ESS lineage.
 
 Every system runs the same per-step DDM-MOS pipeline (OS → SS → CS →
 PS, Figs. 1–3) over a reference fire; they differ in the Optimization
@@ -13,6 +13,8 @@ Stage:
   (Monitor/Masters/Workers).
 * :class:`~repro.systems.essim_de.ESSIMDE` — two-level island DE, with
   optional dynamic tuning (population restart, IQR).
+* :class:`~repro.systems.essns_im.ESSNSIM` — two-level island ESS-NS,
+  Algorithm 1 on each island (the paper's future-work variant).
 """
 
 from repro.systems.problem import PredictionStepProblem

@@ -25,12 +25,13 @@ prediction cannot start at the first time instant").
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Any, ClassVar
 
 import numpy as np
 
 from repro.core.scenario import ParameterSpace
+from repro.ea.termination import Termination
 from repro.engine import EngineSession, backend_names
 from repro.errors import ReproError
 from repro.obs import span
@@ -59,21 +60,27 @@ class OSOutput:
         Best single-scenario fitness found.
     evaluations:
         Simulator runs spent.
-    extras:
-        Free-form analysis payload (histories, archives, ...).
     """
 
     solution_sets: list[np.ndarray]
     best_fitness: float
     evaluations: int
-    extras: dict = field(default_factory=dict)
 
 
 class PredictionSystem(ABC):
-    """Base class of ESS / ESS-NS / ESSIM-EA / ESSIM-DE.
+    """Base class of ESS / ESS-NS / ESSIM-EA / ESSIM-DE / ESSNS-IM.
+
+    A subclass declares its ``config_type`` (and ``name``) and
+    implements :meth:`_optimize`; construction, the stopping rule and
+    the per-step loop are shared.
 
     Parameters
     ----------
+    config:
+        The system's hyper-parameters, an instance of the subclass's
+        ``config_type`` (``None`` → that type's defaults). Every config
+        carries the per-step stopping rule (``max_generations``,
+        ``fitness_threshold``) that :meth:`_termination` builds.
     n_workers:
         Worker processes for the fitness evaluation (1 = serial; the
         paper's Master/Worker parallelism kicks in above 1).
@@ -93,9 +100,12 @@ class PredictionSystem(ABC):
 
     #: Subclass display name (used in result records and reports).
     name: str = "base"
+    #: Subclass config dataclass; called with no arguments for defaults.
+    config_type: ClassVar[type]
 
     def __init__(
         self,
+        config: Any = None,
         n_workers: int = 1,
         space: ParameterSpace | None = None,
         backend: str = "reference",
@@ -114,11 +124,20 @@ class PredictionSystem(ABC):
             raise ReproError(
                 f"session_cache_size must be >= 0, got {session_cache_size}"
             )
+        self.config = config or self.config_type()
         self.n_workers = n_workers
         self.space = space or ParameterSpace()
         self.backend = backend
         self.cache_size = cache_size
         self.session_cache_size = session_cache_size
+
+    def _termination(self) -> Termination:
+        """The per-step stopping rule (Algorithm 1 line 6: maxGen,
+        fThreshold), global across islands for the island systems."""
+        return Termination(
+            max_generations=self.config.max_generations,
+            fitness_threshold=self.config.fitness_threshold,
+        )
 
     # ------------------------------------------------------------------
     @abstractmethod

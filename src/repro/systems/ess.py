@@ -15,7 +15,6 @@ import numpy as np
 from repro.core.individual import genomes_matrix
 from repro.core.scenario import ParameterSpace
 from repro.ea.ga import GAConfig, GeneticAlgorithm
-from repro.ea.termination import Termination
 from repro.systems.base import OSOutput, PredictionSystem
 
 __all__ = ["ESSConfig", "ESS"]
@@ -29,36 +28,12 @@ class ESSConfig:
     max_generations: int = 15
     fitness_threshold: float = 1.0
 
-    def termination(self) -> Termination:
-        """The per-step Algorithm-independent stopping condition."""
-        return Termination(
-            max_generations=self.max_generations,
-            fitness_threshold=self.fitness_threshold,
-        )
-
 
 class ESS(PredictionSystem):
     """Evolutionary Statistical System (GA-driven OS)."""
 
     name = "ESS"
-
-    def __init__(
-        self,
-        config: ESSConfig | None = None,
-        n_workers: int = 1,
-        space: ParameterSpace | None = None,
-        backend: str = "reference",
-        cache_size: int = 0,
-        session_cache_size: int = 0,
-    ) -> None:
-        super().__init__(
-            n_workers=n_workers,
-            space=space,
-            backend=backend,
-            cache_size=cache_size,
-            session_cache_size=session_cache_size,
-        )
-        self.config = config or ESSConfig()
+    config_type = ESSConfig
 
     def _optimize(
         self,
@@ -68,11 +43,10 @@ class ESS(PredictionSystem):
         step: int,
     ) -> OSOutput:
         result = GeneticAlgorithm(self.config.ga).run(
-            evaluate, space, self.config.termination(), rng=rng
+            evaluate, space, self._termination(), rng=rng
         )
         return OSOutput(
             solution_sets=[genomes_matrix(result.population)],
             best_fitness=float(result.best.fitness or 0.0),
             evaluations=result.evaluations,
-            extras={"history": result.history},
         )

@@ -31,7 +31,6 @@ import numpy as np
 from repro.core.archive import ThresholdArchive
 from repro.core.scenario import ParameterSpace
 from repro.ea.nsga import NoveltyGA, NoveltyGAConfig
-from repro.ea.termination import Termination
 from repro.errors import EvolutionError
 from repro.systems.base import OSOutput, PredictionSystem
 
@@ -73,36 +72,12 @@ class ESSNSConfig:
                 f"{self.archive_kind!r}"
             )
 
-    def termination(self) -> Termination:
-        """Algorithm 1 line 6 parameters (maxGen, fThreshold)."""
-        return Termination(
-            max_generations=self.max_generations,
-            fitness_threshold=self.fitness_threshold,
-        )
-
 
 class ESSNS(PredictionSystem):
     """Evolutionary Statistical System — Novelty Search."""
 
     name = "ESS-NS"
-
-    def __init__(
-        self,
-        config: ESSNSConfig | None = None,
-        n_workers: int = 1,
-        space: ParameterSpace | None = None,
-        backend: str = "reference",
-        cache_size: int = 0,
-        session_cache_size: int = 0,
-    ) -> None:
-        super().__init__(
-            n_workers=n_workers,
-            space=space,
-            backend=backend,
-            cache_size=cache_size,
-            session_cache_size=session_cache_size,
-        )
-        self.config = config or ESSNSConfig()
+    config_type = ESSNSConfig
 
     def _optimize(
         self,
@@ -120,7 +95,7 @@ class ESSNS(PredictionSystem):
         result = NoveltyGA(cfg.nsga).run(
             evaluate,
             space,
-            cfg.termination(),
+            self._termination(),
             rng=rng,
             archive=archive,
         )
@@ -131,11 +106,6 @@ class ESSNS(PredictionSystem):
             solution_sets=[solution],
             best_fitness=result.best_set.max_fitness(),
             evaluations=result.evaluations,
-            extras={
-                "history": result.history,
-                "archive_size": len(result.archive),
-                "best_set_size": len(result.best_set),
-            },
         )
 
     # ------------------------------------------------------------------

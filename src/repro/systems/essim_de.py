@@ -23,7 +23,6 @@ import numpy as np
 from repro.core.individual import genomes_matrix
 from repro.core.scenario import ParameterSpace
 from repro.ea.de import DEConfig, DifferentialEvolution
-from repro.ea.termination import Termination
 from repro.parallel.islands import IslandModel, IslandModelConfig
 from repro.rng import spawn
 from repro.systems.base import OSOutput, PredictionSystem
@@ -70,38 +69,17 @@ class ESSIMDEConfig:
                 f"unknown solution policy {self.solution_policy!r}"
             )
 
-    def termination(self) -> Termination:
-        """Global (Monitor-level) stopping condition."""
-        return Termination(
-            max_generations=self.max_generations,
-            fitness_threshold=self.fitness_threshold,
-        )
-
 
 class ESSIMDE(PredictionSystem):
     """Evolutionary Statistical System with Island Model (DE)."""
 
-    name = "ESSIM-DE"
+    config_type = ESSIMDEConfig
 
-    def __init__(
-        self,
-        config: ESSIMDEConfig | None = None,
-        n_workers: int = 1,
-        space: ParameterSpace | None = None,
-        backend: str = "reference",
-        cache_size: int = 0,
-        session_cache_size: int = 0,
-    ) -> None:
-        super().__init__(
-            n_workers=n_workers,
-            space=space,
-            backend=backend,
-            cache_size=cache_size,
-            session_cache_size=session_cache_size,
-        )
-        self.config = config or ESSIMDEConfig()
-        if self.config.tuning != "none":
-            self.name = f"ESSIM-DE+{self.config.tuning}"
+    @property
+    def name(self) -> str:
+        """``ESSIM-DE``, suffixed ``+<tuning>`` when tuning is on."""
+        tuning = self.config.tuning
+        return "ESSIM-DE" if tuning == "none" else f"ESSIM-DE+{tuning}"
 
     def _optimize(
         self,
@@ -119,7 +97,7 @@ class ESSIMDE(PredictionSystem):
         result = model.run(
             evaluate,
             space,
-            cfg.termination(),
+            self._termination(),
             rng=island_rng,
             intervention=intervention,
         )
@@ -139,10 +117,6 @@ class ESSIMDE(PredictionSystem):
             solution_sets=solution_sets,
             best_fitness=float(result.best.fitness or 0.0),
             evaluations=result.evaluations,
-            extras={
-                "histories": result.histories,
-                "best_island": result.best_island(),
-            },
         )
 
     # ------------------------------------------------------------------

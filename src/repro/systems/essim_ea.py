@@ -21,7 +21,6 @@ import numpy as np
 from repro.core.individual import genomes_matrix
 from repro.core.scenario import ParameterSpace
 from repro.ea.ga import GAConfig, GeneticAlgorithm
-from repro.ea.termination import Termination
 from repro.parallel.islands import IslandModel, IslandModelConfig
 from repro.systems.base import OSOutput, PredictionSystem
 
@@ -37,36 +36,12 @@ class ESSIMEAConfig:
     max_generations: int = 15
     fitness_threshold: float = 1.0
 
-    def termination(self) -> Termination:
-        """Global (Monitor-level) stopping condition."""
-        return Termination(
-            max_generations=self.max_generations,
-            fitness_threshold=self.fitness_threshold,
-        )
-
 
 class ESSIMEA(PredictionSystem):
     """Evolutionary Statistical System with Island Model (GA)."""
 
     name = "ESSIM-EA"
-
-    def __init__(
-        self,
-        config: ESSIMEAConfig | None = None,
-        n_workers: int = 1,
-        space: ParameterSpace | None = None,
-        backend: str = "reference",
-        cache_size: int = 0,
-        session_cache_size: int = 0,
-    ) -> None:
-        super().__init__(
-            n_workers=n_workers,
-            space=space,
-            backend=backend,
-            cache_size=cache_size,
-            session_cache_size=session_cache_size,
-        )
-        self.config = config or ESSIMEAConfig()
+    config_type = ESSIMEAConfig
 
     def _optimize(
         self,
@@ -78,15 +53,11 @@ class ESSIMEA(PredictionSystem):
         model = IslandModel(
             lambda: GeneticAlgorithm(self.config.ga), self.config.islands
         )
-        result = model.run(evaluate, space, self.config.termination(), rng=rng)
+        result = model.run(evaluate, space, self._termination(), rng=rng)
         return OSOutput(
             # One solution set per island: the Monitor (base driver)
             # aggregates, calibrates and selects among them.
             solution_sets=[genomes_matrix(pop) for pop in result.populations],
             best_fitness=float(result.best.fitness or 0.0),
             evaluations=result.evaluations,
-            extras={
-                "histories": result.histories,
-                "best_island": result.best_island(),
-            },
         )

@@ -4,13 +4,16 @@ The paper simplifies ESS-NS to one level "to be able to analyse the
 impact of NS alone", explicitly deferring "the implementation of
 parallel and/or distributed methods such as an island model, which may
 incorporate hybridization with fitness-based strategies" to future
-work. This module implements that variant:
+work. This module implements that variant as the ESSIM Monitor
+(:class:`repro.parallel.islands.IslandModel`) with Algorithm 1 on each
+island:
 
-* several islands, each running Algorithm 1 with **persistent** archive
-  and bestSet (the accumulators survive across migration epochs —
-  losing the archive would reset each island's notion of novelty);
-* ring migration of the fittest individuals between islands;
-* optional **hybrid guidance** per island via
+* each island keeps a **persistent** archive and bestSet (the
+  accumulators survive across migration epochs — losing the archive
+  would reset each island's notion of novelty);
+* the island model's ring or broadcast migration of the fittest
+  individuals between islands;
+* optional **hybrid guidance** on every island via
   :attr:`repro.ea.nsga.NoveltyGAConfig.fitness_weight` (the weighted
   fitness/novelty sum of the paper's ref [31]);
 * the Monitor (the shared base driver) receives one bestSet per island
@@ -20,16 +23,16 @@ work. This module implements that variant:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.archive import BestSet, NoveltyArchive
 from repro.core.individual import Individual
 from repro.core.scenario import ParameterSpace
-from repro.ea.nsga import NoveltyGA, NoveltyGAConfig
+from repro.ea.nsga import NoveltyGA, NoveltyGAConfig, NoveltyGAResult
 from repro.ea.termination import Termination
-from repro.errors import EvolutionError
-from repro.parallel.islands import IslandModelConfig
+from repro.parallel.islands import IslandModel, IslandModelConfig
 from repro.rng import spawn
 from repro.systems.base import OSOutput, PredictionSystem
 
@@ -40,9 +43,10 @@ __all__ = ["ESSNSIMConfig", "ESSNSIM"]
 class ESSNSIMConfig:
     """Island ESS-NS hyper-parameters.
 
-    ``nsga.fitness_weight > 0`` turns each island into a hybrid
-    novelty/fitness searcher; different weights per island are possible
-    by subclassing and overriding :meth:`ESSNSIM._island_config`.
+    Every island runs Algorithm 1 with ``nsga``; ``nsga.fitness_weight
+    > 0`` turns each island into a hybrid novelty/fitness searcher.
+    ``islands`` is the :class:`~repro.parallel.islands.IslandModel`
+    topology the islands run under.
     """
 
     nsga: NoveltyGAConfig = field(
@@ -52,44 +56,49 @@ class ESSNSIMConfig:
     max_generations: int = 15
     fitness_threshold: float = 1.0
 
-    def termination(self) -> Termination:
-        """Monitor-level stopping condition."""
-        return Termination(
-            max_generations=self.max_generations,
-            fitness_threshold=self.fitness_threshold,
+
+class _NoveltyIsland:
+    """One island: Algorithm 1 whose archive and bestSet outlive epochs."""
+
+    def __init__(
+        self, config: NoveltyGAConfig, archive_rng: np.random.Generator
+    ) -> None:
+        self._nsga = NoveltyGA(config)
+        self.archive = NoveltyArchive(
+            config.archive_capacity, policy=config.archive_policy, rng=archive_rng
+        )
+        self.best_set = BestSet(config.best_set_capacity)
+
+    def run(
+        self,
+        evaluate,
+        space: ParameterSpace,
+        termination: Termination,
+        rng: np.random.Generator | int | None = None,
+        initial_population: Sequence[Individual] | None = None,
+    ) -> NoveltyGAResult:
+        return self._nsga.run(
+            evaluate,
+            space,
+            termination,
+            rng=rng,
+            initial_population=initial_population,
+            archive=self.archive,
+            best_set=self.best_set,
         )
 
 
 class ESSNSIM(PredictionSystem):
     """Evolutionary Statistical System — Novelty Search, Island Model."""
 
-    name = "ESSNS-IM"
+    config_type = ESSNSIMConfig
 
-    def __init__(
-        self,
-        config: ESSNSIMConfig | None = None,
-        n_workers: int = 1,
-        space: ParameterSpace | None = None,
-        backend: str = "reference",
-        cache_size: int = 0,
-        session_cache_size: int = 0,
-    ) -> None:
-        super().__init__(
-            n_workers=n_workers,
-            space=space,
-            backend=backend,
-            cache_size=cache_size,
-            session_cache_size=session_cache_size,
-        )
-        self.config = config or ESSNSIMConfig()
-        if self.config.nsga.fitness_weight > 0:
-            self.name = f"ESSNS-IM(w={self.config.nsga.fitness_weight:g})"
+    @property
+    def name(self) -> str:
+        """``ESSNS-IM``, suffixed ``(w=…)`` for hybrid guidance."""
+        weight = self.config.nsga.fitness_weight
+        return f"ESSNS-IM(w={weight:g})" if weight > 0 else "ESSNS-IM"
 
-    def _island_config(self, island: int) -> NoveltyGAConfig:
-        """Per-island Algorithm 1 configuration (hook for heterogeneity)."""
-        return self.config.nsga
-
-    # ------------------------------------------------------------------
     def _optimize(
         self,
         evaluate,
@@ -98,99 +107,25 @@ class ESSNSIM(PredictionSystem):
         step: int,
     ) -> OSOutput:
         cfg = self.config
-        isl = cfg.islands
-        termination = cfg.termination()
-        island_rngs = spawn(rng, isl.n_islands + 1)
-        archive_rng = island_rngs[-1]
+        islands: list[_NoveltyIsland] = []
+        archive_rngs: list[np.random.Generator] = []
 
-        engines = [
-            NoveltyGA(self._island_config(i)) for i in range(isl.n_islands)
-        ]
-        archives = [
-            NoveltyArchive(
-                self._island_config(i).archive_capacity,
-                policy=self._island_config(i).archive_policy,
-                rng=child,
-            )
-            for i, child in enumerate(spawn(archive_rng, isl.n_islands))
-        ]
-        best_sets = [
-            BestSet(self._island_config(i).best_set_capacity)
-            for i in range(isl.n_islands)
-        ]
-        populations: list[list[Individual] | None] = [None] * isl.n_islands
-        generations = 0
-        evaluations = 0
-
-        def monitor_best() -> float:
-            return max(bs.max_fitness() for bs in best_sets)
-
-        while termination.should_continue(generations, monitor_best()):
-            epoch_gens = min(
-                isl.migration_interval, termination.max_generations - generations
-            )
-            epoch_term = Termination(
-                max_generations=epoch_gens,
-                fitness_threshold=termination.fitness_threshold,
-            )
-            for i, engine in enumerate(engines):
-                result = engine.run(
-                    evaluate,
-                    space,
-                    epoch_term,
-                    rng=island_rngs[i],
-                    initial_population=populations[i],
-                    archive=archives[i],
-                    best_set=best_sets[i],
+        def island() -> _NoveltyIsland:
+            # IslandModel.run spawns the island streams (children
+            # 0..n-1 of ``rng``) before it builds the engines, so the
+            # next child, n, parents the n archive streams.
+            if not archive_rngs:
+                archive_rngs.extend(
+                    spawn(spawn(rng, 1)[0], cfg.islands.n_islands)
                 )
-                populations[i] = result.population
-                evaluations += result.evaluations
-            generations += epoch_gens
-            if isl.n_migrants > 0 and isl.n_islands > 1 and isl.topology != "none":
-                self._migrate([list(p) for p in populations], populations)  # type: ignore[arg-type]
+            islands.append(_NoveltyIsland(cfg.nsga, archive_rngs[len(islands)]))
+            return islands[-1]
 
-        return OSOutput(
-            solution_sets=[bs.genomes() for bs in best_sets],
-            best_fitness=monitor_best(),
-            evaluations=evaluations,
-            extras={
-                "archive_sizes": [len(a) for a in archives],
-                "best_set_sizes": [len(bs) for bs in best_sets],
-                "generations": generations,
-            },
+        result = IslandModel(island, cfg.islands).run(
+            evaluate, space, self._termination(), rng=rng
         )
-
-    # ------------------------------------------------------------------
-    def _migrate(
-        self,
-        snapshot: list[list[Individual]],
-        populations: list[list[Individual] | None],
-    ) -> None:
-        """Ring migration of the fittest individuals (ESSIM-style)."""
-        isl = self.config.islands
-        n = len(snapshot)
-
-        def top(pop: list[Individual]) -> list[Individual]:
-            return sorted(
-                pop, key=lambda ind: ind.fitness or 0.0, reverse=True
-            )[: isl.n_migrants]
-
-        if isl.topology == "broadcast":
-            scores = [
-                max((ind.fitness or 0.0) for ind in pop) for pop in snapshot
-            ]
-            source = int(np.argmax(scores))
-            migrants = top(snapshot[source])
-            targets = [i for i in range(n) if i != source]
-            sources = {t: migrants for t in targets}
-        else:  # ring
-            sources = {(i + 1) % n: top(snapshot[i]) for i in range(n)}
-
-        for target, migrants in sources.items():
-            pop = populations[target]
-            if pop is None:
-                continue
-            pop.sort(key=lambda ind: ind.fitness or 0.0)
-            for j, migrant in enumerate(migrants):
-                if j < len(pop):
-                    pop[j] = migrant.copy()
+        return OSOutput(
+            solution_sets=[isl.best_set.genomes() for isl in islands],
+            best_fitness=float(result.best.fitness or 0.0),
+            evaluations=result.evaluations,
+        )

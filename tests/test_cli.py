@@ -92,6 +92,7 @@ class TestSimulateCommand:
         [
             ("--model", "99", "fuel model"),
             ("--m1", "-5", "moisture fraction m1"),
+            ("--wind-speed", "-3", "wind speed"),
         ],
     )
     def test_bad_domain_values_exit_in_one_line(self, flag, value, message):

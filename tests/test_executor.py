@@ -70,10 +70,6 @@ class TestProcessPoolEvaluator:
         with pytest.raises(ParallelError):
             ProcessPoolEvaluator(toy_problem, n_workers=bad)
 
-    def test_bad_chunks_raises(self, toy_problem):
-        with pytest.raises(ParallelError):
-            ProcessPoolEvaluator(toy_problem, n_workers=2, chunks_per_worker=0)
-
     def test_counts_evaluations(self, toy_problem, space):
         with ProcessPoolEvaluator(toy_problem, n_workers=2) as pool:
             pool(space.sample(7, 0))

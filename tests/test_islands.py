@@ -66,11 +66,6 @@ class TestIslandRun:
         assert res.generations < 40
         assert "threshold" in res.stop_reason
 
-    def test_best_island_index(self, toy_problem, space):
-        res = _model().run(SerialEvaluator(toy_problem), space, TERM, rng=0)
-        idx = res.best_island()
-        assert 0 <= idx < 3
-
     def test_single_island_no_migration(self, toy_problem, space):
         res = _model(n_islands=1).run(SerialEvaluator(toy_problem), space, TERM, rng=0)
         assert len(res.populations) == 1

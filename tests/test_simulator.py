@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ScenarioError, SimulationError
 from repro.firelib.simulator import METERS_TO_FEET, FireSimulator
 from repro.grid.terrain import Terrain
 
@@ -51,6 +51,12 @@ class TestSimulate:
     def test_bad_horizon_raises(self, terrain, scenario, horizon):
         with pytest.raises(SimulationError):
             FireSimulator(terrain).simulate(scenario, [(1, 1)], horizon)
+
+    def test_negative_wind_speed_raises(self, terrain, scenario):
+        with pytest.raises(ScenarioError, match="wind speed"):
+            FireSimulator(terrain).simulate(
+                scenario.replace(wind_speed=-3.0), [(1, 1)], horizon=10.0
+            )
 
     def test_bad_stencil_raises(self, terrain):
         with pytest.raises(SimulationError):
