@@ -148,12 +148,12 @@ class ProcessPoolEvaluator:
         Pool size (default: CPU count).
 
     Each evaluate call is split into ``n_workers × CHUNKS_PER_WORKER``
-    chunks (see that constant). Results are reassembled **by index**, so the output is identical to
-    :class:`SerialEvaluator` regardless of completion order. The pool
-    outlives any single problem: :meth:`update_problem` swaps the
-    worker-side problem in place (one small message per worker), so a
-    run-scoped session keeps one pool across all prediction steps
-    instead of re-forking per step.
+    chunks (see that constant). Results are reassembled **by index**,
+    so the output is identical to :class:`SerialEvaluator` regardless
+    of completion order. The pool outlives any single problem:
+    :meth:`update_problem` swaps the worker-side problem in place (one
+    small message per worker), so a run-scoped session keeps one pool
+    across all prediction steps instead of re-forking per step.
     """
 
     def __init__(

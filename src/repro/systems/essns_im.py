@@ -57,17 +57,13 @@ class ESSNSIMConfig:
     fitness_threshold: float = 1.0
 
 
+@dataclass
 class _NoveltyIsland:
     """One island: Algorithm 1 whose archive and bestSet outlive epochs."""
 
-    def __init__(
-        self, config: NoveltyGAConfig, archive_rng: np.random.Generator
-    ) -> None:
-        self._nsga = NoveltyGA(config)
-        self.archive = NoveltyArchive(
-            config.archive_capacity, policy=config.archive_policy, rng=archive_rng
-        )
-        self.best_set = BestSet(config.best_set_capacity)
+    nsga: NoveltyGA
+    archive: NoveltyArchive
+    best_set: BestSet
 
     def run(
         self,
@@ -77,7 +73,7 @@ class _NoveltyIsland:
         rng: np.random.Generator | int | None = None,
         initial_population: Sequence[Individual] | None = None,
     ) -> NoveltyGAResult:
-        return self._nsga.run(
+        return self.nsga.run(
             evaluate,
             space,
             termination,
@@ -106,7 +102,7 @@ class ESSNSIM(PredictionSystem):
         rng: np.random.Generator,
         step: int,
     ) -> OSOutput:
-        cfg = self.config
+        nsga = self.config.nsga
         islands: list[_NoveltyIsland] = []
         archive_rngs: list[np.random.Generator] = []
 
@@ -116,12 +112,21 @@ class ESSNSIM(PredictionSystem):
             # next child, n, parents the n archive streams.
             if not archive_rngs:
                 archive_rngs.extend(
-                    spawn(spawn(rng, 1)[0], cfg.islands.n_islands)
+                    spawn(spawn(rng, 1)[0], self.config.islands.n_islands)
                 )
-            islands.append(_NoveltyIsland(cfg.nsga, archive_rngs[len(islands)]))
+            archive = NoveltyArchive(
+                nsga.archive_capacity,
+                policy=nsga.archive_policy,
+                rng=archive_rngs[len(islands)],
+            )
+            islands.append(
+                _NoveltyIsland(
+                    NoveltyGA(nsga), archive, BestSet(nsga.best_set_capacity)
+                )
+            )
             return islands[-1]
 
-        result = IslandModel(island, cfg.islands).run(
+        result = IslandModel(island, self.config.islands).run(
             evaluate, space, self._termination(), rng=rng
         )
         return OSOutput(
