@@ -39,6 +39,17 @@ __all__ = [
 ]
 
 
+def _clamp(values: np.ndarray, low, high) -> np.ndarray:
+    """Clamp into ``[low, high]``, keeping a value that equals a bound.
+
+    ``np.clip`` picks a bound or the value on a tie depending on whether
+    its bounds are scalars or arrays, which shows on ``-0.0`` at a zero
+    bound; this form is the same for both, so per-parameter and
+    column-group clipping give the same bits. NaN stays NaN.
+    """
+    return np.where(values < low, low, np.where(values > high, high, values))
+
+
 @dataclass(frozen=True)
 class ParamSpec:
     """Specification of one scenario parameter (a Table I row)."""
@@ -78,9 +89,9 @@ class ParamSpec:
             # clipping is idempotent (0° and 360° are the same angle).
             out = np.where(out >= self.high, self.low, out)
         else:
-            out = np.clip(v, self.low, self.high)
+            out = _clamp(v, self.low, self.high)
         if self.integer:
-            out = np.clip(np.rint(out), np.ceil(self.low), np.floor(self.high))
+            out = _clamp(np.rint(out), np.ceil(self.low), np.floor(self.high))
         return out if out.ndim else float(out)
 
     def contains(self, values: np.ndarray | float) -> np.ndarray | bool:
@@ -203,8 +214,22 @@ class ParameterSpace:
                 f"parameter space needs {len(_FIELD_ORDER)} specs, got {len(specs)}"
             )
         self._specs = tuple(specs)
-        self._low = np.array([s.low for s in self._specs])
-        self._high = np.array([s.high for s in self._specs])
+        self._low = np.array([s.low for s in self._specs], dtype=np.float64)
+        self._high = np.array([s.high for s in self._specs], dtype=np.float64)
+        self._span = np.array([s.span for s in self._specs], dtype=np.float64)
+        # Column groups of clip and pairwise_distances, which apply the
+        # elementwise ops of ParamSpec.clip to a whole group at once.
+        self._circular = np.array(
+            [j for j, s in enumerate(self._specs) if s.circular], dtype=np.intp
+        )
+        self._linear = np.array(
+            [j for j, s in enumerate(self._specs) if not s.circular], dtype=np.intp
+        )
+        self._integer = np.array(
+            [j for j, s in enumerate(self._specs) if s.integer], dtype=np.intp
+        )
+        self._integer_low = np.ceil(self._low[self._integer])
+        self._integer_high = np.floor(self._high[self._integer])
 
     # ------------------------------------------------------------------
     @property
@@ -248,8 +273,19 @@ class ParameterSpace:
             raise ScenarioError(
                 f"genome dimension {g.shape[-1]} != space dimension {self.dimension}"
             )
-        for j, spec in enumerate(self._specs):
-            g[:, j] = spec.clip(g[:, j])
+        circular, linear, integer = self._circular, self._linear, self._integer
+        if circular.size:
+            low, high = self._low[circular], self._high[circular]
+            # +-inf has no angle: the mod is NaN, which decode refuses
+            with np.errstate(invalid="ignore"):
+                wrapped = low + np.mod(g[:, circular] - low, self._span[circular])
+            # a mod rounded up to exactly `span` wraps back to `low`
+            g[:, circular] = np.where(wrapped >= high, low, wrapped)
+        g[:, linear] = _clamp(g[:, linear], self._low[linear], self._high[linear])
+        if integer.size:
+            g[:, integer] = _clamp(
+                np.rint(g[:, integer]), self._integer_low, self._integer_high
+            )
         return g if np.asarray(genomes).ndim > 1 else g[0]
 
     def contains(self, genome: np.ndarray) -> bool:
@@ -341,10 +377,11 @@ class ParameterSpace:
         g = np.atleast_2d(np.asarray(genomes, dtype=np.float64))
         n = g.shape[0]
         diff = np.abs(g[:, None, :] - g[None, :, :])
-        for j, spec in enumerate(self._specs):
-            if spec.circular:
-                diff[:, :, j] = np.minimum(diff[:, :, j], spec.span - diff[:, :, j])
-            diff[:, :, j] /= spec.span
+        circular = self._circular
+        if circular.size:
+            arc = diff[:, :, circular]
+            diff[:, :, circular] = np.minimum(arc, self._span[circular] - arc)
+        diff /= self._span
         out = diff.mean(axis=2)
         np.fill_diagonal(out, 0.0)
         return out if n > 1 else np.zeros((n, n))

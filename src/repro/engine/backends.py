@@ -24,7 +24,6 @@ each receive the step spec once (copy-on-write shared rasters under the
 
 from __future__ import annotations
 
-import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -35,7 +34,7 @@ from repro.core.fitness import batch_jaccard, jaccard_fitness
 from repro.core.scenario import ParameterSpace, ScenarioBatch
 from repro.engine.fastprop import ClassTables, FlatGrid
 from repro.errors import ReproError, SimulationError
-from repro.firelib.ellipse import ros_at_azimuth
+from repro.firelib.ellipse import ros_from_flank
 from repro.firelib.moisture import Moisture
 from repro.firelib.propagation import _offset_azimuth_deg, stencil
 from repro.firelib.rothermel import (
@@ -200,6 +199,14 @@ class VectorizedBackend(EngineBackend):
     :mod:`repro.engine.fastprop`, one call per chunk of genomes.
     Bitwise-identical rows are simulated once and broadcast back.
 
+    Work is kept for the rest of the step. Every fitness batch keeps
+    the burned mask of each genome it simulated, bit-packed and keyed
+    by the exact bytes of the genome row, and :meth:`burned_map_batch`
+    hands only genomes it does not hold to the kernel: the Statistical
+    Stage aggregates maps of genomes the Optimization Stage already
+    simulated. Each distinct reach box's :class:`FlatGrid` and cell
+    classes are built once. :meth:`close` drops both.
+
     Each batch records one ``fields`` span and one ``propagate`` span
     per kernel call in the process telemetry registry.
     """
@@ -222,6 +229,11 @@ class VectorizedBackend(EngineBackend):
         self._start = np.where(
             spec.start_burned & ~self._blocked, 0.0, np.inf
         )
+        # Burned masks of simulated genomes, np.packbits of the flat
+        # mask keyed by the genome row's float64 bytes; and per reach
+        # box (its bounds) the box's FlatGrid and cell classes.
+        self._maps: dict[bytes, np.ndarray] = {}
+        self._boxes: dict[tuple[int, int, int, int], tuple] = {}
         seed_rows, seed_cols = np.nonzero(spec.start_burned)
         self._seed_bbox = (
             (int(seed_rows.min()), int(seed_rows.max())),
@@ -296,15 +308,17 @@ class VectorizedBackend(EngineBackend):
                 batch.slope[rows],
                 batch.aspect[rows],
             )
-        return self._directional_travel(*fields).T, fields[0]
+        ros, heading, ecc = fields
+        return self._directional_travel(ros * (1.0 - ecc), heading, ecc).T, ros
 
     def _directional_travel(
-        self, ros: np.ndarray, heading: np.ndarray, ecc: np.ndarray
+        self, flank: np.ndarray, heading: np.ndarray, ecc: np.ndarray
     ) -> np.ndarray:
-        """``(D, n)`` travel times out of ``n`` growth ellipses: the
-        per-direction elementwise ops of
+        """``(D, n)`` travel times out of ``n`` growth ellipses given by
+        their flanking rates ``ros_max * (1 - ecc)``: the per-direction
+        elementwise ops of
         :func:`~repro.firelib.propagation.directional_travel_times`."""
-        rates = ros_at_azimuth(ros, heading, ecc, self._azimuths[:, None])
+        rates = ros_from_flank(flank, heading, ecc, self._azimuths[:, None])
         return np.divide(
             self._distances[:, None],
             rates,
@@ -434,33 +448,47 @@ class VectorizedBackend(EngineBackend):
             slice(max(0, c0 - radius), min(cols, c1 + 1 + radius)),
         )
 
+    def _box_geometry(self, box: tuple[slice, slice]) -> tuple:
+        """``(grid, classes)`` of a reach box, built on first use.
+
+        ``grid`` is the box's :class:`FlatGrid`. On raster terrains
+        ``classes`` is ``np.unique`` of the box's cell classes with the
+        inverse (``None`` on uniform terrain).
+        """
+        key = (box[0].start, box[0].stop, box[1].start, box[1].stop)
+        geometry = self._boxes.get(key)
+        if geometry is None:
+            grid = FlatGrid(
+                (box[0].stop - box[0].start, box[1].stop - box[1].start),
+                self._offsets,
+                self._blocked[box],
+            )
+            classes = (
+                None
+                if self._uniform
+                else np.unique(self._class_of_cell[box], return_inverse=True)
+            )
+            geometry = self._boxes[key] = (grid, classes)
+        return geometry
+
     def _chunks(self, ros_peaks: np.ndarray):
         """Yield ``(rows, box, grid, classes)``: genome chunks sharing one box.
 
         Genomes go fastest first, so a chunk's reach box — that of its
         first genome — holds the reach box of every genome in it, and
         slow genomes (the bulk of a Table I sample) share small boxes.
-        ``grid`` is the box's :class:`FlatGrid`. On raster terrains
-        ``classes`` is ``np.unique`` of the box's cell classes with the
-        inverse (``None`` on uniform terrain). A chunk holds as many
-        genomes as :meth:`FlatGrid.genomes_per_call` allows for what its
-        kernel call allocates.
+        ``grid`` and ``classes`` are the box's :meth:`_box_geometry`. A
+        chunk holds as many genomes as :meth:`FlatGrid.genomes_per_call`
+        allows for what its kernel call allocates.
         """
         order = np.argsort(-ros_peaks, kind="stable")
         lo = 0
         while lo < len(order):
             box = self._reach_box(float(ros_peaks[order[lo]]))
-            grid = FlatGrid(
-                (box[0].stop - box[0].start, box[1].stop - box[1].start),
-                self._offsets,
-                self._blocked[box],
+            grid, classes = self._box_geometry(box)
+            size = grid.genomes_per_call(
+                None if classes is None else len(classes[0])
             )
-            if self._uniform:
-                classes = None
-                size = grid.genomes_per_call()
-            else:
-                classes = np.unique(self._class_of_cell[box], return_inverse=True)
-                size = grid.genomes_per_call(len(classes[0]))
             rows = order[lo : lo + size]
             yield rows, box, grid, classes
             lo += len(rows)
@@ -500,10 +528,17 @@ class VectorizedBackend(EngineBackend):
             for rows, box, grid, (classes, cell_class) in self._chunks(
                 fields[0].max(axis=1)
             ):
+                # The chunk's (3, pairs) ellipse fields, pair k * u + j
+                # being genome rows[k] on class classes[j], with ros_max
+                # turned into the flanking rate ros_max * (1 - ecc).
+                pair = fields[:, rows[:, None], classes[None, :]].reshape(3, -1)
+                pair[0] *= 1.0 - pair[2]
                 tables = ClassTables(
                     len(rows),
                     len(classes),
-                    functools.partial(self._class_travel, fields, rows, classes),
+                    lambda pairs, pair=pair: self._directional_travel(
+                        *pair.take(pairs, axis=1)
+                    ),
                 )
                 with span(
                     "propagate", genomes=len(rows), cells=grid.rows * grid.cols
@@ -517,38 +552,50 @@ class VectorizedBackend(EngineBackend):
                 maps[lo + rows, box[0], box[1]] = times <= horizon
         return maps
 
-    def _class_travel(
-        self,
-        fields: np.ndarray,
-        rows: np.ndarray,
-        classes: np.ndarray,
-        pairs: np.ndarray,
-    ) -> np.ndarray:
-        """``(D, len(pairs))`` travel times of ``(genome, class)`` pairs,
-        pair ``p = k * len(classes) + j`` being genome ``rows[k]`` on
-        class ``classes[j]`` of the ``(3, n, u)`` ellipse ``fields``."""
-        genome, cls = np.divmod(pairs, len(classes))
-        return self._directional_travel(*fields[:, rows[genome], classes[cls]])
-
-    def _unique_burned(self, genomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Burned masks of the deduplicated batch + inverse index map."""
-        genomes = np.atleast_2d(np.asarray(genomes, dtype=np.float64))
+    def _unique_burned(
+        self, genomes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct rows of a genome matrix, their burned masks and
+        the inverse index map."""
         uniq, inverse = np.unique(genomes, axis=0, return_inverse=True)
         batch = self.spec.space.decode_batch(uniq)
         burned = self._uniform_burned if self._uniform else self._raster_burned
-        return burned(batch), inverse.reshape(-1)
+        return uniq, burned(batch), inverse.reshape(-1)
 
     # ------------------------------------------------------------------
     def fitness_batch(self, genomes: np.ndarray) -> np.ndarray:
-        maps, inverse = self._unique_burned(genomes)
+        genomes = np.atleast_2d(np.asarray(genomes, dtype=np.float64))
+        uniq, maps, inverse = self._unique_burned(genomes)
+        packed = np.packbits(maps.reshape(len(maps), -1), axis=1)
+        self._maps.update(zip((row.tobytes() for row in uniq), packed))
         fits = batch_jaccard(
             self.spec.real_burned, maps, pre_burned=self.spec.start_burned
         )
         return fits[inverse]
 
     def burned_map_batch(self, genomes: np.ndarray) -> np.ndarray:
-        maps, inverse = self._unique_burned(genomes)
-        return maps[inverse]
+        """Burned masks, from the fitness batches' memo where it holds
+        the exact genome row; the other rows go to the kernel as one
+        batch."""
+        genomes = np.atleast_2d(np.asarray(genomes, dtype=np.float64))
+        shape = self.spec.terrain.shape
+        maps = np.empty((len(genomes), *shape), dtype=bool)
+        held = [self._maps.get(row.tobytes()) for row in genomes]
+        hits = [i for i, packed in enumerate(held) if packed is not None]
+        misses = [i for i, packed in enumerate(held) if packed is None]
+        if hits:
+            unpacked = np.unpackbits(
+                np.stack([held[i] for i in hits]), axis=1, count=maps[0].size
+            )
+            maps[hits] = unpacked.view(bool).reshape(len(hits), *shape)
+        if misses:
+            _, fresh, inverse = self._unique_burned(genomes[misses])
+            maps[misses] = fresh[inverse]
+        return maps
+
+    def close(self) -> None:
+        self._maps.clear()
+        self._boxes.clear()
 
 
 # ----------------------------------------------------------------------

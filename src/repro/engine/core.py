@@ -47,8 +47,11 @@ class EngineStats:
     ``evaluations`` counts genomes requested through the engine;
     ``simulations`` counts genomes actually handed to the backend — the
     difference is work the cache (and backend-level deduplication)
-    saved. ``map_simulations`` counts genomes simulated for burned-map
-    batches (the Statistical Stage), which never touch the cache.
+    saved. ``map_simulations`` counts genomes requested in burned-map
+    batches (the Statistical Stage). Maps never touch the fitness
+    cache; the vectorized kernel serves a map from the masks its own
+    fitness batches simulated this step and simulates the rest, so this
+    counts requests, not kernel work.
     """
 
     backend: str = "reference"
@@ -222,8 +225,12 @@ class SimulationEngine:
     def burned_maps(self, genomes: np.ndarray) -> np.ndarray:
         """Simulated burned masks (the Statistical Stage input).
 
-        Maps bypass the cache — only fitness values are cached — so the
-        SS always aggregates freshly simulated maps.
+        Maps bypass the result cache, which holds fitness values only.
+        The vectorized kernel returns the mask it simulated for the
+        exact same genome in this step's fitness batches, and simulates
+        the genomes it did not (such as those whose fitness came from
+        the cache); either way a map is bitwise the one a fresh
+        simulation gives.
         """
         if self._closed:
             raise ParallelError("engine already closed")

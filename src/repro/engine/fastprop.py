@@ -83,8 +83,10 @@ __all__ = [
 
 #: Element budget of one kernel call's chunk: a dense float64 travel
 #: array of this many elements (512 KiB), or as many bytes of arrival
-#: times, frontier, masks and on-demand tables. Larger chunks save
-#: little per-wave overhead and raise the process's peak memory.
+#: times, frontier, masks and on-demand tables. Larger chunks do save
+#: per-wave overhead: ``1 << 18`` cut the predict_mosaic benchmark's
+#: time by 15-25% (5 of 5 pairs on 2 vCPUs), but the peak-memory pins
+#: of ``tests/test_engine_property.py`` hold this budget.
 CHUNK_ELEMENTS = 1 << 16
 
 
@@ -123,19 +125,23 @@ def _relax(
     steps = np.array([dr * cols + dc for dr, dc in offsets])[:, None]
     per_slice = max(1, CHUNK_ELEMENTS // 32 // len(offsets))
     mark = np.zeros(flat_times.size, dtype=bool)
-    frontier = np.flatnonzero(flat_times < bound)
+    # ndarray methods and a bound ufunc method: the np.take/np.flatnonzero
+    # wrappers cost more than the work on the small per-wave arrays
+    take = flat_times.take
+    minimum_at = np.minimum.at
+    frontier = (flat_times < bound).nonzero()[0]
     while frontier.size:
         for lo in range(0, frontier.size, per_slice):
             src = frontier[lo : lo + per_slice]
             cand = travel_at(src)  # (D, slice)
-            cand += np.take(flat_times, src)
+            cand += take(src)
             dst = steps + src
-            keep = cand < np.take(flat_times, dst, mode="clip")
+            keep = cand < take(dst, mode="clip")
             dst = dst[keep]
-            np.minimum.at(flat_times, dst, cand[keep])
+            minimum_at(flat_times, dst, cand[keep])
             mark[dst] = True
         src = frontier = None  # free this frontier before the next one
-        frontier = np.flatnonzero(mark)
+        frontier = mark.nonzero()[0]
         mark[frontier] = False
 
 
@@ -280,12 +286,13 @@ class FlatGrid:
                 f"weights shape {weights.shape} != (g, {len(self.offsets)})"
             )
         by_dir = np.ascontiguousarray(weights.T)  # (D, g)
+        closed = self._closed
         size = self.rows * self.cols
 
         def travel_at(src: np.ndarray) -> np.ndarray:
             genome, cell = np.divmod(src, size)
-            travel = np.take(by_dir, genome, axis=1)
-            travel += np.take(self._closed, cell, axis=1)
+            travel = by_dir.take(genome, axis=1)
+            travel += closed.take(cell, axis=1)
             return travel
 
         return self._run(travel_at, len(weights), seeded, horizon)
@@ -327,16 +334,17 @@ class FlatGrid:
         size = self.rows * self.cols
         table = np.empty((len(self.offsets), tables.genomes * n_classes))
         filled = np.zeros(tables.genomes * n_classes, dtype=bool)
+        closed = self._closed
 
         def travel_at(src: np.ndarray) -> np.ndarray:
             genome, cell = np.divmod(src, size)
-            pairs = genome * n_classes + np.take(cell_class, cell)
+            pairs = genome * n_classes + cell_class.take(cell)
             fresh = pairs[~filled[pairs]]
             if fresh.size:
                 table[:, fresh] = tables.compute(fresh)
                 filled[fresh] = True
-            travel = np.take(table, pairs, axis=1)
-            travel += np.take(self._closed, cell, axis=1)
+            travel = table.take(pairs, axis=1)
+            travel += closed.take(cell, axis=1)
             return travel
 
         return self._run(travel_at, tables.genomes, seeded, horizon)
@@ -370,7 +378,7 @@ class FlatGrid:
         flat = travel.reshape(-1)
         planes = (np.arange(n_dirs) * (genomes * size))[:, None]
         return self._run(
-            lambda src: np.take(flat, planes + src), genomes, seeded, horizon
+            lambda src: flat.take(planes + src), genomes, seeded, horizon
         )
 
     # ------------------------------------------------------------------

@@ -20,6 +20,7 @@ __all__ = [
     "length_to_width_ratio",
     "eccentricity_from_effective_wind",
     "ros_at_azimuth",
+    "ros_from_flank",
     "backing_ros",
     "flanking_ros",
 ]
@@ -64,15 +65,30 @@ def ros_at_azimuth(
     """
     ros_max = np.asarray(ros_max, dtype=np.float64)
     ecc = np.asarray(eccentricity, dtype=np.float64)
+    ros = ros_from_flank(ros_max * (1.0 - ecc), dir_max_deg, ecc, azimuth_deg)
+    return ros if ros.ndim else float(ros)
+
+
+def ros_from_flank(
+    flank: np.ndarray,
+    dir_max_deg: np.ndarray | float,
+    eccentricity: np.ndarray,
+    azimuth_deg: np.ndarray | float,
+) -> np.ndarray:
+    """:func:`ros_at_azimuth` from the precomputed flanking rate
+    ``flank = R_max·(1 − ε)``, bitwise equal to it.
+
+    For callers that evaluate many azimuths or many gathers of one
+    ellipse: the product is formed once instead of on every call.
+    """
     theta = np.radians(
         np.asarray(azimuth_deg, dtype=np.float64)
         - np.asarray(dir_max_deg, dtype=np.float64)
     )
-    denom = 1.0 - ecc * np.cos(theta)
+    denom = 1.0 - eccentricity * np.cos(theta)
     # ε < 1 always, so denom >= 1 - ε > 0; guard anyway for ε→1 numerics
     denom = np.maximum(denom, 1e-12)
-    ros = ros_max * (1.0 - ecc) / denom
-    return ros if ros.ndim else float(ros)
+    return flank / denom
 
 
 def backing_ros(

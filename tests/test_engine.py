@@ -14,6 +14,7 @@ from repro.engine import (
     SessionResultCache,
     SimulationEngine,
     StepSpec,
+    VectorizedBackend,
     backend_names,
     create_backend,
 )
@@ -430,3 +431,114 @@ class TestEngineSpans:
         plain = SimulationEngine.from_problem(problem, backend="vectorized")
         assert np.array_equal(plain(genomes), first)
         assert np.array_equal(plain(second_batch), second)
+
+
+def _problem(kind: str, step1_problem) -> PredictionStepProblem:
+    return step1_problem if kind == "uniform" else _fuel_problem(SPACE)
+
+
+@pytest.fixture()
+def kernel_batches(monkeypatch) -> list:
+    """The decoded batches the vectorized backend hands to its kernel."""
+    batches = []
+    for name in ("_uniform_burned", "_raster_burned"):
+        original = getattr(VectorizedBackend, name)
+
+        def spied(self, batch, _original=original):
+            batches.append(batch)
+            return _original(self, batch)
+
+        monkeypatch.setattr(VectorizedBackend, name, spied)
+    return batches
+
+
+@pytest.mark.parametrize("kind", ["uniform", "fuel"])
+class TestMapMemo:
+    """The Statistical Stage's maps come from the masks the fitness
+    batches already simulated; only genomes never simulated reach the
+    kernel, and every map equals a fresh engine's."""
+
+    def test_maps_of_evaluated_genomes_skip_the_kernel(
+        self, step1_problem, kind, kernel_batches
+    ):
+        problem = _problem(kind, step1_problem)
+        engine = SimulationEngine.from_problem(problem, backend="vectorized")
+        genomes = SPACE.sample(12, 40)
+        engine(genomes)
+        new = SPACE.sample(1, 41)
+        wanted = np.vstack([genomes[[3, 0, 7]], new, genomes[3:4]])
+        del kernel_batches[:]
+        maps = engine.burned_maps(wanted)
+        assert [len(batch) for batch in kernel_batches] == [1]
+        assert kernel_batches[0].wind_speed[0] == SPACE.decode(new[0]).wind_speed
+        fresh = SimulationEngine.from_problem(problem, backend="vectorized")
+        assert maps.dtype == bool
+        assert np.array_equal(maps, fresh.burned_maps(wanted))
+        assert engine.stats.map_simulations == 5
+
+    def test_sub_quantization_neighbour_is_simulated(
+        self, step1_problem, kind, kernel_batches
+    ):
+        problem = _problem(kind, step1_problem)
+        engine = EngineSession(backend="vectorized", cache_size=64).for_step(
+            problem
+        )
+        genomes = SPACE.sample(4, 42)
+        genomes[0, 1] = 40.0
+        engine(genomes)
+        neighbour = genomes[:1].copy()
+        neighbour[0, 1] += 1e-9  # rounds to the same 8-decimal cache key
+        engine(neighbour)
+        assert engine.cache_stats.hits == 1
+        del kernel_batches[:]
+        maps = engine.burned_maps(neighbour)
+        assert [len(batch) for batch in kernel_batches] == [1]
+        assert kernel_batches[0].wind_speed[0] == neighbour[0, 1]
+        fresh = SimulationEngine.from_problem(problem, backend="vectorized")
+        assert np.array_equal(maps, fresh.burned_maps(neighbour))
+
+    def test_close_drops_the_memo(self, step1_problem, kind, kernel_batches):
+        backend = create_backend(
+            "vectorized", StepSpec.from_problem(_problem(kind, step1_problem))
+        )
+        genomes = SPACE.sample(6, 43)
+        backend.fitness_batch(genomes)
+        held = backend.burned_map_batch(genomes)
+        backend.close()
+        del kernel_batches[:]
+        assert np.array_equal(backend.burned_map_batch(genomes), held)
+        assert [len(batch) for batch in kernel_batches] == [6]
+
+
+@pytest.mark.parametrize("kind", ["uniform", "fuel"])
+def test_reach_box_geometry_built_once_per_backend(
+    step1_problem, kind, monkeypatch
+):
+    """Two batches on one backend build each distinct reach box's
+    FlatGrid once, and their maps equal a fresh backend's."""
+    spec = StepSpec.from_problem(_problem(kind, step1_problem))
+    boxes, grids = [], []
+    reach_box = VectorizedBackend._reach_box
+    grid_init = FlatGrid.__init__
+
+    def spied_box(self, ros_peak):
+        box = reach_box(self, ros_peak)
+        boxes.append((box[0].start, box[0].stop, box[1].start, box[1].stop))
+        return box
+
+    def spied_init(self, *args, **kwargs):
+        grids.append(1)
+        grid_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(VectorizedBackend, "_reach_box", spied_box)
+    monkeypatch.setattr(FlatGrid, "__init__", spied_init)
+    backend = create_backend("vectorized", spec)
+    first, second = SPACE.sample(30, 44), SPACE.sample(30, 45)
+    maps = [backend.burned_map_batch(first), backend.burned_map_batch(second)]
+    assert len(boxes) > len(set(boxes)) > 0
+    assert len(grids) == len(set(boxes))
+    fresh = [
+        create_backend("vectorized", spec).burned_map_batch(g)
+        for g in (first, second)
+    ]
+    assert all(np.array_equal(a, b) for a, b in zip(maps, fresh))

@@ -60,3 +60,31 @@ def test_reference_kernel_reproduces_a_golden_subset(tmp_path):
     ]
     assert len(subset) == 2
     assert golden.canonical_records(results) == subset
+
+
+def test_pooled_kernel_reproduces_a_golden_subset(tmp_path):
+    """Two systems x one case x one seed with the kernel in a 2-worker
+    pool: the records equal the goldens except for their ``config``
+    digests (``n_workers`` is a config knob) and ``n_workers`` labels."""
+    results = tmp_path / "pooled.jsonl"
+    assert main(
+        ["sweep", *golden.GRID, "--systems", "ess-ns,essns-im",
+         "--cases", "heterogeneous", "--seeds", "0", "--workers", "2",
+         "--backend", "vectorized", "--results", str(results)]
+    ) == 0
+    wanted = {("ess-ns", "heterogeneous", 0), ("essns-im", "heterogeneous", 0)}
+    subset = {
+        _cell(record): record
+        for record in map(json.loads, _golden_lines())
+        if _cell(record) in wanted
+    }
+    pooled = [json.loads(line) for line in golden.canonical_records(results)]
+    assert {_cell(record) for record in pooled} == wanted
+    relabelled = [
+        json.dumps({**record, "config": subset[_cell(record)]["config"]},
+                   sort_keys=True).replace('"n_workers": 2', '"n_workers": 1')
+        for record in pooled
+    ]
+    assert relabelled == [
+        json.dumps(subset[_cell(record)], sort_keys=True) for record in pooled
+    ]

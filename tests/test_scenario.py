@@ -235,3 +235,82 @@ class TestDistance:
         assert np.allclose(np.diag(mat), 0.0)
         assert mat[1, 2] == pytest.approx(space.distance(g[1], g[2]))
         assert np.allclose(mat, mat.T)
+
+
+def _clip_per_spec(space: ParameterSpace, genomes: np.ndarray) -> np.ndarray:
+    """The per-``ParamSpec`` clip loop the column-group clip replaced."""
+    g = np.array(genomes, dtype=np.float64)
+    for j, spec in enumerate(space.specs):
+        g[:, j] = spec.clip(g[:, j])
+    return g
+
+
+def _pairwise_per_spec(space: ParameterSpace, genomes: np.ndarray) -> np.ndarray:
+    """The per-``ParamSpec`` distance loop the column-group one replaced."""
+    g = np.asarray(genomes, dtype=np.float64)
+    diff = np.abs(g[:, None, :] - g[None, :, :])
+    for j, spec in enumerate(space.specs):
+        if spec.circular:
+            diff[:, :, j] = np.minimum(diff[:, :, j], spec.span - diff[:, :, j])
+        diff[:, :, j] /= spec.span
+    out = diff.mean(axis=2)
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+def _odd_genomes(space: ParameterSpace) -> np.ndarray:
+    """Random genomes well outside the box, plus the edge values."""
+    rng = np.random.default_rng(17)
+    g = rng.uniform(-400.0, 800.0, (48, space.dimension))
+    g[:8] = space.sample(8, 18)
+    specials = [np.nan, np.inf, -np.inf, -0.0]
+    for i, value in enumerate(specials):
+        g[8 + i, :] = value
+        g[12 + i, i::4] = value
+    for j, spec in enumerate(space.specs):
+        g[16 + j, j] = spec.high  # exactly the excluded circular bound
+        g[25 + j, j] = spec.low
+    g[34:40, 0] = [0.5, 1.5, 6.5, 12.5, 13.5, -0.5]  # .5 on Model
+    return g
+
+
+def _bits(values: np.ndarray) -> bytes:
+    return np.ascontiguousarray(values, dtype=np.float64).tobytes()
+
+
+CUSTOM_SPACE = ParameterSpace(
+    [
+        ParamSpec("Model", "fuel model", 2, 9, "fuel model", integer=True),
+        *TABLE_I_SPECS[1:2],
+        ParamSpec("WindDir", "wind direction", 10.5, 200.25, "deg", circular=True),
+        *TABLE_I_SPECS[3:7],
+        ParamSpec("Slope", "slope", 0.5, 40.5, "deg", integer=True),
+        ParamSpec("Aspect", "aspect", 0, 7, "sector", integer=True, circular=True),
+    ]
+)
+
+
+class TestColumnGroupBookkeeping:
+    """``ParameterSpace.clip`` and ``pairwise_distances`` run as array
+    ops over column groups; they stay bitwise equal to the per-spec
+    loops, NaN and infinities included."""
+
+    @pytest.mark.parametrize("space", [ParameterSpace(), CUSTOM_SPACE])
+    def test_clip_bitwise_equals_per_spec_loop(self, space):
+        genomes = _odd_genomes(space)
+        assert _bits(space.clip(genomes)) == _bits(_clip_per_spec(space, genomes))
+        for row in genomes[::7]:
+            assert _bits(space.clip(row)) == _bits(_clip_per_spec(space, row[None])[0])
+
+    def test_circular_high_wraps_to_low_and_model_rounds_half_even(self):
+        space = ParameterSpace()
+        g = space.clip(np.array([6.5, 10.0, 360.0, 5, 5, 5, 50, 10, 360.0]))
+        assert g[0] == 6.0 and g[2] == 0.0 and g[8] == 0.0
+
+    @pytest.mark.parametrize("space", [ParameterSpace(), CUSTOM_SPACE])
+    def test_pairwise_bitwise_equals_per_spec_loop(self, space):
+        genomes = _odd_genomes(space)
+        with np.errstate(invalid="ignore"):
+            got = space.pairwise_distances(genomes)
+            want = _pairwise_per_spec(space, genomes)
+        assert _bits(got) == _bits(want)
