@@ -77,7 +77,7 @@ class ParamSpec:
         """Project values into the valid range.
 
         Circular parameters wrap modulo the span; others clamp to the
-        box; integer parameters round half-up.
+        box; integer parameters round half to even (``np.rint``).
         """
         v = np.asarray(values, dtype=np.float64)
         if self.circular:

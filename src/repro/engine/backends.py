@@ -681,6 +681,8 @@ class ProcessBackend(EngineBackend):
         return self._local.burned_map_batch(genomes)
 
     def close(self) -> None:
+        if self._local is not None:
+            self._local.close()
         if self._owns_pool:
             self._pool.close()
 

@@ -84,9 +84,10 @@ __all__ = [
 #: Element budget of one kernel call's chunk: a dense float64 travel
 #: array of this many elements (512 KiB), or as many bytes of arrival
 #: times, frontier, masks and on-demand tables. Larger chunks do save
-#: per-wave overhead: ``1 << 18`` cut the predict_mosaic benchmark's
-#: time by 15-25% (5 of 5 pairs on 2 vCPUs), but the peak-memory pins
-#: of ``tests/test_engine_property.py`` hold this budget.
+#: per-wave overhead: ``1 << 18`` won 5 of 6 alternating pairs of the
+#: predict_mosaic benchmark (median 18 -> 26 steps/s on 2 shared vCPUs,
+#: peak RSS +1.8 MB), but the peak-memory pins of
+#: ``tests/test_engine_property.py`` hold this budget.
 CHUNK_ELEMENTS = 1 << 16
 
 
