@@ -61,6 +61,7 @@ from repro.distributed import (
     FleetError,
     FleetExecutor,
     InlineExecutor,
+    PlanQueue,
     ProcessShardExecutor,
     run_worker,
 )
@@ -88,87 +89,7 @@ from repro.systems.factory import build_system
 from repro.systems.results import RunResult
 from repro.workloads.cases import CASE_BUILDERS
 
-__all__ = ["main"]
-
-
-def _add_shape(parser: argparse.ArgumentParser) -> None:
-    """Case shape flags shared by run and sweep."""
-    parser.add_argument("--size", type=int, default=44, help="grid side, cells")
-    parser.add_argument("--steps", type=int, default=3, help="prediction steps")
-
-
-def _add_budget(parser: argparse.ArgumentParser) -> None:
-    """Search/engine budget flags shared by run and sweep."""
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--population", type=int, default=16)
-    parser.add_argument("--generations", type=int, default=6)
-    parser.add_argument(
-        "--backend",
-        choices=backend_names(),
-        default="reference",
-        help="simulation-engine kernel for fitness evaluation "
-        "(--workers N > 1 evaluates it in an N-process pool)",
-    )
-    parser.add_argument(
-        "--cache-size",
-        type=int,
-        default=0,
-        help="per-step LRU scenario-result cache capacity (0 = off)",
-    )
-    parser.add_argument(
-        "--session-cache-size",
-        type=int,
-        default=0,
-        help="run-scoped cross-step result cache capacity, shared by "
-        "all prediction steps of a run — and, under a shared experiment "
-        "session, by every system of a (case, backend) group (0 = off; "
-        "replaces --cache-size when set)",
-    )
-
-
-def _add_telemetry(parser: argparse.ArgumentParser) -> None:
-    """Trace/metrics/logging flags of every long-running command (see
-    :mod:`repro.obs`)."""
-    parser.add_argument(
-        "--trace",
-        metavar="PATH",
-        help="stream telemetry span events (one JSON object per line: "
-        "run/step/generation/unit spans, fleet summaries) into this "
-        "JSONL file",
-    )
-    parser.add_argument(
-        "--metrics",
-        metavar="PATH",
-        help="write a Prometheus-text metrics snapshot (engine batch "
-        "timings, cache hit/miss counters, fleet utilization) to this "
-        "file when the command finishes",
-    )
-    parser.add_argument(
-        "--log-level",
-        choices=("debug", "info", "warning", "error"),
-        default=None,
-        help="enable stderr logging at this level (the "
-        "repro.distributed.* loggers narrate lease/steal/requeue/drain "
-        "events; default: logging stays unconfigured)",
-    )
-
-
-def _add_obs(parser: argparse.ArgumentParser) -> None:
-    """Telemetry flags plus ``--http-port``: run, sweep and worker
-    (``serve``'s gateway already answers the same routes)."""
-    _add_telemetry(parser)
-    parser.add_argument(
-        "--http-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="serve live observability over HTTP on 127.0.0.1:PORT "
-        "while the command runs: /metrics (Prometheus text of the "
-        "process registry — under --executor fleet that includes "
-        "the folded per-worker series), /healthz, and /status (JSON "
-        "fleet snapshot when a coordinator is live, read-only; 0 = "
-        "OS-assigned, the bound address is printed)",
-    )
+__all__ = ["build_parser", "main"]
 
 
 #: The live observability HTTP server, when ``--http-port`` asked for
@@ -218,175 +139,43 @@ def _teardown_obs(args: argparse.Namespace) -> None:
     obs.shutdown()
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1 (a clean usage error otherwise)."""
-    value = int(text)  # argparse reports a ValueError as a usage error
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _finite(text: str) -> float:
-    """argparse type: a finite float (a clean usage error otherwise)."""
-    value = float(text)  # argparse reports a ValueError as a usage error
+def _number(text: str, kind: type = float, low=None, high=None, above=False):
+    """``text`` as a finite ``kind`` (``int`` or ``float``) that is
+    ``>= low`` (``> low`` when ``above``) and ``<= high``; either bound
+    may be ``None``. The one message names the bound that failed."""
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ReproError(f"invalid {kind.__name__} value: {text!r}") from None
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
-
-
-def _positive_finite(text: str) -> float:
-    """argparse type: a finite float > 0."""
-    value = _finite(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return value
+        bound = "finite"
+    elif low is not None and (value <= low if above else value < low):
+        bound = f"{'>' if above else '>='} {low}"
+    elif high is not None and value > high:
+        bound = f"<= {high}"
+    else:
+        return value
+    raise ReproError(f"must be {bound}, got {text}")
 
 
 def _checked(check, *args):
     """argparse type that runs ``check(text, *args)`` and turns its
-    :class:`FleetError` into a clean usage error."""
+    :class:`ReproError` into a clean usage error (exit 2). ``check`` and
+    ``args`` stay readable on the returned function: they declare the
+    option's domain."""
 
-    def parse(text: str) -> float:
+    def parse(text: str):
         try:
             return check(text, *args)
-        except FleetError as exc:
+        except ReproError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
 
+    parse.check, parse.args = check, args
     return parse
 
 
-def _seconds(what: str):
-    """argparse type of a duration setting named ``what``: finite
-    seconds > 0."""
-    return _checked(check_seconds, what)
-
-
-def _add_auth_token(parser: argparse.ArgumentParser) -> None:
-    """``--auth-token``: every fleet client and coordinator entry point."""
-    parser.add_argument(
-        "--auth-token",
-        default=os.environ.get("REPRO_FLEET_TOKEN"),
-        help="shared secret for the fleet port's HMAC challenge-"
-        "response handshake; unauthenticated peers are rejected before "
-        "any plan bytes move (default: $REPRO_FLEET_TOKEN; unset "
-        "disables authentication)",
-    )
-
-
-def _add_connect(parser: argparse.ArgumentParser) -> None:
-    """``--connect``: every coordinator client (worker, status, drain)."""
-    parser.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="coordinator address (--executor fleet's, or repro "
-        "serve's fleet port)",
-    )
-
-
-def _add_client(parser: argparse.ArgumentParser) -> None:
-    """``--connect``/``--request-timeout``/``--auth-token`` for the
-    one-shot coordinator clients (``drain`` and ``status``)."""
-    _add_connect(parser)
-    parser.add_argument(
-        "--request-timeout",
-        type=_seconds("request timeout"),
-        default=10.0,
-        help="seconds to wait for the coordinator's reply",
-    )
-    _add_auth_token(parser)
-
-
-def _add_leasing(parser: argparse.ArgumentParser) -> None:
-    """Lease flags and the idle-hold ``--poll-interval`` of both fleet
-    coordinators: sweep's fleet executor and ``serve``."""
-    parser.add_argument(
-        "--lease-timeout",
-        type=_seconds("lease timeout"),
-        default=30.0,
-        help="seconds of worker silence after which its leased work "
-        "unit is handed to another worker (workers heartbeat at a "
-        "quarter of this)",
-    )
-    parser.add_argument(
-        "--min-unit-cells",
-        type=_positive_int,
-        default=1,
-        help="lease-size floor (>= 1): work is never carved into units "
-        "of fewer (system, case, seed, backend) cells than this",
-    )
-    parser.add_argument(
-        "--target-unit-seconds",
-        type=_seconds("target_unit_seconds"),
-        default=1.0,
-        help="per-lease wall-clock target: leases grow until a unit is "
-        "predicted to take about this long, with --min-unit-cells as "
-        "the floor",
-    )
-    parser.add_argument(
-        "--poll-interval",
-        type=_seconds("poll interval"),
-        default=0.5,
-        help="the longest an idle worker's lease request is held open "
-        "before it is answered 'wait' (work reaches held workers as "
-        "soon as it exists), advertised to workers as the hold they "
-        "ask for, seconds",
-    )
-
-
-def _add_executor(parser: argparse.ArgumentParser) -> None:
-    """``--shards``/``--executor`` + fleet flags of ``sweep``."""
-    parser.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=1,
-        help="run pending work units in this many local fleet worker "
-        "processes (requires --results; N > 1 selects --executor process)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("inline", "process", "fleet"),
-        default="inline",
-        help="where the plan's pending work units execute: in this "
-        "process (inline, unless --shards N > 1), leased to --shards "
-        "local worker processes (process), or leased cell-by-cell to TCP "
-        "workers started with 'repro experiments worker' (fleet; "
-        "requires --results and honours --host/--port/--lease-timeout/"
-        "--poll-interval/--min-unit-cells/--auth-token/--timeout/"
-        "--cost-snapshot)",
-    )
-    parser.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="coordinator listen address (0.0.0.0 to accept remote "
-        "workers)",
-    )
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="coordinator listen port (0 = OS-assigned; the bound "
-        "address is printed either way)",
-    )
-    _add_auth_token(parser)
-    parser.add_argument(
-        "--timeout",
-        type=_seconds("fleet timeout"),
-        default=None,
-        help="fleet: abort if the plan is still incomplete after this "
-        "many seconds (default: wait forever — workers may join at any "
-        "time)",
-    )
-    parser.add_argument(
-        "--cost-snapshot",
-        metavar="PATH",
-        help="fleet: persist the cost model to this JSON sidecar on "
-        "finish and restore it on start, so the next run's first "
-        "leases are already sized from measured per-cell rates "
-        "(missing or unreadable files mean a cold start, never an "
-        "error)",
-    )
-    _add_leasing(parser)
+_FINITE = _checked(_number)
+_PORT = _checked(_number, int, 0, 65535)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -418,10 +207,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    # checked here, not by BudgetSpec: run accepts populations below its
-    # plan floor of 4
-    if args.generations < 1:
-        raise SystemExit(f"generations must be >= 1, got {args.generations}")
     try:
         fire = CaseSpec(args.case, size=args.size, steps=args.steps).build()
         system = build_system(
@@ -889,283 +674,335 @@ def _cmd_obs_timeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+#: Every leaf command: (name, help, function). ``experiments`` and
+#: ``obs`` group theirs under a subcommand of their own (``_GROUPS``).
+_COMMANDS = (
+    ("simulate", "run one fire simulation", _cmd_simulate),
+    ("run", "run one prediction system", _cmd_run),
+    (
+        "sweep",
+        "run a systems × cases × seeds experiment grid (one seed "
+        "also prints each case's per-step quality comparison)",
+        _cmd_sweep,
+    ),
+    (
+        "experiments worker",
+        "join a coordinator's fleet and execute leased work units",
+        _cmd_experiments_worker,
+    ),
+    (
+        "experiments drain",
+        "gracefully retire one worker: it finishes its leased "
+        "unit, uploads its records and exits with nothing requeued "
+        "(elastic scale-down)",
+        _cmd_experiments_drain,
+    ),
+    (
+        "experiments status",
+        "query a running coordinator for live fleet progress and "
+        "per-worker utilization (read-only; never delays shutdown)",
+        _cmd_experiments_status,
+    ),
+    (
+        "experiments merge-stores",
+        "aggregate several JSONL results stores into one "
+        "(first writer wins, sorted output, partial tails compacted)",
+        _cmd_experiments_merge,
+    ),
+    (
+        "serve",
+        "run the always-on prediction service: an HTTP gateway "
+        "for plan submission/polling/streaming plus a multi-plan "
+        "fleet coordinator with cost-weighted fair-share scheduling "
+        "across tenants",
+        _cmd_serve,
+    ),
+    (
+        "obs timeline",
+        "merge --trace JSONL files into one Chrome trace-event "
+        "timeline (open in Perfetto or chrome://tracing); propagated "
+        "trace ids and clock offsets place spans on per-worker tracks",
+        _cmd_obs_timeline,
+    ),
+)
+
+_GROUPS = {
+    "experiments": "distributed experiment execution and store aggregation",
+    "obs": "observability utilities over collected telemetry files",
+}
+
+
+def _flag(commands: str, *flags: str, **kwargs) -> tuple:
+    """One row of :data:`_FLAGS`: the leaf commands (space-separated)
+    that take ``flags``, and their ``add_argument`` keywords."""
+    return commands.split(), flags, kwargs
+
+
+#: The flag table: one row per flag meaning. A flag that means
+#: something else on another command (another default or help) has a
+#: row of its own. Every int and float flag has a ``_checked`` type,
+#: with the library's own floor where the library has one. A callable
+#: default is read when the parser is built.
+_FLAGS = (
+    # -- the case and the search budget -------------------------------
+    _flag("simulate run", "--case", choices=sorted(CASE_BUILDERS),
+          default="grassland"),
+    _flag("simulate", "--size", default=60,
+          type=_checked(_number, int, CaseSpec.MIN_SIZE)),
+    _flag("sweep", "--systems", default="ess,ess-ns",
+          help="comma-separated list from: " + ", ".join(_SYSTEM_NAMES)),
+    _flag("sweep", "--cases", default="grassland",
+          help="comma-separated list from: "
+          + ", ".join(sorted(CASE_BUILDERS))),
+    _flag("run sweep", "--size", default=44, help="grid side, cells",
+          type=_checked(_number, int, CaseSpec.MIN_SIZE)),
+    _flag("run sweep", "--steps", default=3, help="prediction steps",
+          type=_checked(_number, int, CaseSpec.MIN_STEPS)),
+    _flag("run", "system", choices=_SYSTEM_NAMES),
+    _flag("run", "--seed", type=_checked(_number, int, 0), default=42),
+    _flag("sweep", "--seeds", default="0,1",
+          help="comma-separated repeat seeds (each offset by --seed)"),
+    _flag("sweep", "--seed", type=_checked(_number, int, 0), default=0,
+          help="base seed added to every --seeds entry; together with the "
+          "plan it makes every recorded run reproducible"),
+    _flag("run sweep", "--workers", default=1,
+          type=_checked(_number, int, BudgetSpec.MIN_WORKERS)),
+    _flag("run sweep", "--population", default=16,
+          type=_checked(_number, int, BudgetSpec.MIN_POPULATION)),
+    _flag("run sweep", "--generations", default=6,
+          type=_checked(_number, int, BudgetSpec.MIN_GENERATIONS)),
+    _flag("run sweep", "--backend", choices=backend_names(),
+          default="reference",
+          help="simulation-engine kernel for fitness evaluation "
+          "(--workers N > 1 evaluates it in an N-process pool)"),
+    _flag("run sweep", "--cache-size", default=0,
+          type=_checked(_number, int, BudgetSpec.MIN_CACHE_SIZE),
+          help="per-step LRU scenario-result cache capacity (0 = off)"),
+    _flag("run sweep", "--session-cache-size", default=0,
+          type=_checked(_number, int, BudgetSpec.MIN_CACHE_SIZE),
+          help="run-scoped cross-step result cache capacity, shared by "
+          "all prediction steps of a run — and, under a shared experiment "
+          "session, by every system of a (case, backend) group (0 = off; "
+          "replaces --cache-size when set)"),
+    # -- simulate's scenario --------------------------------------------
+    _flag("simulate", "--minutes", default=45.0,
+          type=_checked(_number, float, 0, None, True)),
+    _flag("simulate", "--model", type=_checked(_number, int), default=1),
+    _flag("simulate", "--wind-speed", type=_FINITE, default=8.0),
+    _flag("simulate", "--wind-dir", type=_FINITE, default=90.0),
+    _flag("simulate", "--m1", type=_FINITE, default=6.0),
+    _flag("simulate", "--mherb", type=_FINITE, default=60.0),
+    _flag("simulate", "--slope", type=_FINITE, default=5.0),
+    _flag("simulate", "--aspect", type=_FINITE, default=270.0),
+    # -- sweep's grid and artifacts -------------------------------------
+    _flag("sweep", "--name", default="sweep", help="plan label"),
+    _flag("sweep", "--plan",
+          help="load the experiment plan from this JSON file; the file "
+          "then governs systems, cases, seeds, backend AND the whole "
+          "budget (population/generations/workers/caches) — the "
+          "corresponding flags are ignored"),
+    _flag("sweep", "--save-plan",
+          help="write the executed plan to this JSON file"),
+    _flag("sweep", "--results",
+          help="stream one JSONL record per completed run into this file; "
+          "re-invoking with the same path resumes, computing only the "
+          "missing (system, case, seed) cells"),
+    # -- where sweep's work runs ----------------------------------------
+    _flag("sweep", "--shards", type=_checked(_number, int, 1), default=1,
+          help="run pending work units in this many local fleet worker "
+          "processes (requires --results; N > 1 selects --executor "
+          "process)"),
+    _flag("sweep", "--executor", choices=("inline", "process", "fleet"),
+          default="inline",
+          help="where the plan's pending work units execute: in this "
+          "process (inline, unless --shards N > 1), leased to --shards "
+          "local worker processes (process), or leased cell-by-cell to TCP "
+          "workers started with 'repro experiments worker' (fleet; "
+          "requires --results and honours --host/--port/--lease-timeout/"
+          "--poll-interval/--min-unit-cells/--auth-token/--timeout/"
+          "--cost-snapshot)"),
+    _flag("sweep", "--host", default="127.0.0.1",
+          help="coordinator listen address (0.0.0.0 to accept remote "
+          "workers)"),
+    _flag("sweep", "--port", type=_PORT, default=0,
+          help="coordinator listen port (0 = OS-assigned; the bound "
+          "address is printed either way)"),
+    _flag("sweep", "--timeout",
+          type=_checked(check_seconds, "fleet timeout"), default=None,
+          help="fleet: abort if the plan is still incomplete after this "
+          "many seconds (default: wait forever — workers may join at any "
+          "time)"),
+    _flag("sweep", "--cost-snapshot", metavar="PATH",
+          help="fleet: persist the cost model to this JSON sidecar on "
+          "finish and restore it on start, so the next run's first "
+          "leases are already sized from measured per-cell rates "
+          "(missing or unreadable files mean a cold start, never an "
+          "error)"),
+    # -- the two fleet coordinators: sweep's fleet executor and serve ---
+    _flag("sweep serve", "--lease-timeout",
+          type=_checked(check_seconds, "lease timeout"), default=30.0,
+          help="seconds of worker silence after which its leased work "
+          "unit is handed to another worker (workers heartbeat at a "
+          "quarter of this)"),
+    _flag("sweep serve", "--min-unit-cells", type=_checked(_number, int, 1),
+          default=1,
+          help="lease-size floor (>= 1): work is never carved into units "
+          "of fewer (system, case, seed, backend) cells than this"),
+    _flag("sweep serve", "--target-unit-seconds",
+          type=_checked(check_seconds, "target_unit_seconds"), default=1.0,
+          help="per-lease wall-clock target: leases grow until a unit is "
+          "predicted to take about this long, with --min-unit-cells as "
+          "the floor"),
+    _flag("sweep serve", "--poll-interval",
+          type=_checked(check_seconds, "poll interval"), default=0.5,
+          help="the longest an idle worker's lease request is held open "
+          "before it is answered 'wait' (work reaches held workers as "
+          "soon as it exists), advertised to workers as the hold they "
+          "ask for, seconds"),
+    # -- the service ----------------------------------------------------
+    _flag("serve", "--spool", required=True, metavar="DIR",
+          help="service state directory: admitted plans, per-plan "
+          "results stores and the cost-model snapshot live here, so a "
+          "restarted service resumes its queue"),
+    _flag("serve", "--host", default="127.0.0.1",
+          help="listen address for both ports (0.0.0.0 to accept remote "
+          "clients and workers; the HTTP gateway is unauthenticated — "
+          "bind it privately)"),
+    _flag("serve", "--port", type=_PORT, default=8321,
+          help="HTTP gateway port (0 = OS-assigned; the bound address "
+          "is printed)"),
+    _flag("serve", "--fleet-port", type=_PORT, default=0,
+          help="worker-facing fleet protocol port (0 = OS-assigned; "
+          "point 'repro experiments worker --connect' here)"),
+    _flag("serve", "--max-active", default=8,
+          type=_checked(_number, int, PlanQueue.MIN_ACTIVE),
+          help="admission bound: plans queued or running at once before "
+          "submissions are answered 429 with a Retry-After derived "
+          "from the cost model's predicted drain time"),
+    # -- fleet clients: worker, drain and status ------------------------
+    _flag("worker drain status", "--connect", required=True,
+          metavar="HOST:PORT",
+          help="coordinator address (--executor fleet's, or repro "
+          "serve's fleet port)"),
+    _flag("sweep worker drain status serve", "--auth-token",
+          default=lambda: os.environ.get("REPRO_FLEET_TOKEN"),
+          help="shared secret for the fleet port's HMAC challenge-"
+          "response handshake; unauthenticated peers are rejected before "
+          "any plan bytes move (default: $REPRO_FLEET_TOKEN; unset "
+          "disables authentication)"),
+    _flag("drain status", "--request-timeout",
+          type=_checked(check_seconds, "request timeout"), default=10.0,
+          help="seconds to wait for the coordinator's reply"),
+    _flag("drain", "--worker", required=True,
+          help="worker identity to retire (the --id it joined with, "
+          "default hostname-pid; see 'repro experiments status')"),
+    _flag("status", "--watch",
+          type=_checked(check_seconds, "watch interval"), default=None,
+          metavar="SECONDS",
+          help="re-probe and redraw every SECONDS until the coordinator "
+          "finishes (a fleet whose plan is recorded) or goes away; a "
+          "service is watched until interrupted (default: one snapshot)"),
+    _flag("worker", "--store", metavar="DIR",
+          help="directory of worker-local results stores, one "
+          "<plan_id>.jsonl per served plan; reusing it across worker "
+          "restarts resumes interrupted units (default: a fresh "
+          "temporary directory)"),
+    _flag("worker", "--poll-interval",
+          type=_checked(check_seconds, "poll interval"), default=None,
+          help="the longest this worker lets an idle lease request be "
+          "held (the coordinator's own poll interval caps it), seconds "
+          "(default: what the coordinator advertises)"),
+    _flag("worker", "--id", help="stable worker identity (default: "
+          "hostname-pid)"),
+    _flag("worker", "--throttle", type=_checked(check_throttle),
+          default=None, metavar="SECONDS_PER_CELL",
+          help="artificially slow this worker down by sleeping this many "
+          "seconds per executed cell — a test knob for exercising "
+          "capacity-aware scheduling on heterogeneous fleets (default: "
+          "$REPRO_WORKER_THROTTLE)"),
+    _flag("worker", "--backoff-base",
+          type=_checked(check_seconds, "backoff base"), default=0.5,
+          metavar="SECONDS",
+          help="initial retry delay ceiling after a failed coordinator "
+          "exchange; doubles per consecutive failure (with jitter) up "
+          "to --backoff-cap"),
+    _flag("worker", "--backoff-cap",
+          type=_checked(check_seconds, "backoff cap"), default=5.0,
+          metavar="SECONDS",
+          help="maximum retry delay ceiling under the exponential "
+          "backoff"),
+    # -- store and trace utilities --------------------------------------
+    _flag("merge-stores", "--into", required=True,
+          help="destination store; its existing records take precedence"),
+    _flag("merge-stores", "stores", nargs="+",
+          help="source stores, in precedence order"),
+    _flag("timeline", "traces", nargs="+", metavar="TRACE_JSONL",
+          help="trace files written by --trace (one per process: "
+          "coordinator and each worker)"),
+    _flag("timeline", "-o", "--output", required=True,
+          help="destination timeline JSON"),
+    _flag("timeline", "--trace-id", default=None,
+          help="keep only spans of this propagated trace id (default: "
+          "all events; untagged events are always kept)"),
+    _flag("run", "--output", help="save the run as JSON"),
+    _flag("sweep", "--output", help="save the aggregated sweep as JSON"),
+    # -- telemetry of every long-running command (see repro.obs) --------
+    _flag("run sweep worker serve", "--trace", metavar="PATH",
+          help="stream telemetry span events (one JSON object per line: "
+          "run/step/generation/unit spans, fleet summaries) into this "
+          "JSONL file"),
+    _flag("run sweep worker serve", "--metrics", metavar="PATH",
+          help="write a Prometheus-text metrics snapshot (engine batch "
+          "timings, cache hit/miss counters, fleet utilization) to this "
+          "file when the command finishes"),
+    _flag("run sweep worker serve", "--log-level",
+          choices=("debug", "info", "warning", "error"), default=None,
+          help="enable stderr logging at this level (the "
+          "repro.distributed.* loggers narrate lease/steal/requeue/drain "
+          "events; default: logging stays unconfigured)"),
+    # serve's gateway already answers the same routes itself
+    _flag("run sweep worker", "--http-port", type=_PORT, default=None,
+          metavar="PORT",
+          help="serve live observability over HTTP on 127.0.0.1:PORT "
+          "while the command runs: /metrics (Prometheus text of the "
+          "process registry — under --executor fleet that includes "
+          "the folded per-worker series), /healthz, and /status (JSON "
+          "fleet snapshot when a coordinator is live, read-only; 0 = "
+          "OS-assigned, the bound address is printed)"),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser, built from the flag table."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="ESS-NS wildfire-prediction reproduction toolkit",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    top = parser.add_subparsers(dest="command", required=True)
+    groups: dict[str, argparse._SubParsersAction] = {}
+    leaves: dict[str, argparse.ArgumentParser] = {}
+    for path, help_text, func in _COMMANDS:
+        *group, name = path.split()
+        sub = top
+        for g in group:
+            if g not in groups:
+                groups[g] = top.add_parser(g, help=_GROUPS[g]).add_subparsers(
+                    dest=f"{g}_command", required=True
+                )
+            sub = groups[g]
+        leaves[name] = sub.add_parser(name, help=help_text)
+        leaves[name].set_defaults(func=func)
+    for commands, flags, kwargs in _FLAGS:
+        if callable(kwargs.get("default")):
+            kwargs = {**kwargs, "default": kwargs["default"]()}
+        for command in commands:
+            leaves[command].add_argument(*flags, **kwargs)
+    return parser
 
-    p_sim = sub.add_parser("simulate", help="run one fire simulation")
-    p_sim.add_argument("--case", choices=sorted(CASE_BUILDERS), default="grassland")
-    p_sim.add_argument("--size", type=int, default=60)
-    p_sim.add_argument("--minutes", type=_positive_finite, default=45.0)
-    p_sim.add_argument("--model", type=int, default=1)
-    p_sim.add_argument("--wind-speed", type=_finite, default=8.0)
-    p_sim.add_argument("--wind-dir", type=_finite, default=90.0)
-    p_sim.add_argument("--m1", type=_finite, default=6.0)
-    p_sim.add_argument("--mherb", type=_finite, default=60.0)
-    p_sim.add_argument("--slope", type=_finite, default=5.0)
-    p_sim.add_argument("--aspect", type=_finite, default=270.0)
-    p_sim.set_defaults(func=_cmd_simulate)
 
-    p_run = sub.add_parser("run", help="run one prediction system")
-    p_run.add_argument("system", choices=_SYSTEM_NAMES)
-    p_run.add_argument(
-        "--case", choices=sorted(CASE_BUILDERS), default="grassland"
-    )
-    _add_shape(p_run)
-    p_run.add_argument("--seed", type=int, default=42)
-    _add_budget(p_run)
-    p_run.add_argument("--output", help="save the run as JSON")
-    _add_obs(p_run)
-    p_run.set_defaults(func=_cmd_run)
-
-    p_swp = sub.add_parser(
-        "sweep",
-        help="run a systems × cases × seeds experiment grid (one seed "
-        "also prints each case's per-step quality comparison)",
-    )
-    p_swp.add_argument(
-        "--systems",
-        default="ess,ess-ns",
-        help="comma-separated list from: " + ", ".join(_SYSTEM_NAMES),
-    )
-    p_swp.add_argument(
-        "--cases",
-        default="grassland",
-        help="comma-separated list from: " + ", ".join(sorted(CASE_BUILDERS)),
-    )
-    _add_shape(p_swp)
-    p_swp.add_argument(
-        "--seeds",
-        default="0,1",
-        help="comma-separated repeat seeds (each offset by --seed)",
-    )
-    p_swp.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="base seed added to every --seeds entry; together with the "
-        "plan it makes every recorded run reproducible",
-    )
-    _add_budget(p_swp)
-    p_swp.add_argument("--name", default="sweep", help="plan label")
-    p_swp.add_argument(
-        "--plan",
-        help="load the experiment plan from this JSON file; the file "
-        "then governs systems, cases, seeds, backend AND the whole "
-        "budget (population/generations/workers/caches) — the "
-        "corresponding flags are ignored",
-    )
-    p_swp.add_argument(
-        "--save-plan", help="write the executed plan to this JSON file"
-    )
-    p_swp.add_argument(
-        "--results",
-        help="stream one JSONL record per completed run into this file; "
-        "re-invoking with the same path resumes, computing only the "
-        "missing (system, case, seed) cells",
-    )
-    _add_executor(p_swp)
-    p_swp.add_argument("--output", help="save the aggregated sweep as JSON")
-    _add_obs(p_swp)
-    p_swp.set_defaults(func=_cmd_sweep)
-
-    p_exp = sub.add_parser(
-        "experiments",
-        help="distributed experiment execution and store aggregation",
-    )
-    exp_sub = p_exp.add_subparsers(dest="experiments_command", required=True)
-
-    p_wrk = exp_sub.add_parser(
-        "worker",
-        help="join a coordinator's fleet and execute leased work units",
-    )
-    _add_connect(p_wrk)
-    p_wrk.add_argument(
-        "--store",
-        metavar="DIR",
-        help="directory of worker-local results stores, one "
-        "<plan_id>.jsonl per served plan; reusing it across worker "
-        "restarts resumes interrupted units (default: a fresh "
-        "temporary directory)",
-    )
-    p_wrk.add_argument(
-        "--poll-interval",
-        type=_seconds("poll interval"),
-        default=None,
-        help="the longest this worker lets an idle lease request be "
-        "held (the coordinator's own poll interval caps it), seconds "
-        "(default: what the coordinator advertises)",
-    )
-    p_wrk.add_argument(
-        "--id", help="stable worker identity (default: hostname-pid)"
-    )
-    p_wrk.add_argument(
-        "--throttle",
-        type=_checked(check_throttle),
-        default=None,
-        metavar="SECONDS_PER_CELL",
-        help="artificially slow this worker down by sleeping this many "
-        "seconds per executed cell — a test knob for exercising "
-        "capacity-aware scheduling on heterogeneous fleets (default: "
-        "$REPRO_WORKER_THROTTLE)",
-    )
-    _add_auth_token(p_wrk)
-    p_wrk.add_argument(
-        "--backoff-base",
-        type=_seconds("backoff base"),
-        default=0.5,
-        metavar="SECONDS",
-        help="initial retry delay ceiling after a failed coordinator "
-        "exchange; doubles per consecutive failure (with jitter) up "
-        "to --backoff-cap",
-    )
-    p_wrk.add_argument(
-        "--backoff-cap",
-        type=_seconds("backoff cap"),
-        default=5.0,
-        metavar="SECONDS",
-        help="maximum retry delay ceiling under the exponential "
-        "backoff",
-    )
-    _add_obs(p_wrk)
-    p_wrk.set_defaults(func=_cmd_experiments_worker)
-
-    p_drn = exp_sub.add_parser(
-        "drain",
-        help="gracefully retire one worker: it finishes its leased "
-        "unit, uploads its records and exits with nothing requeued "
-        "(elastic scale-down)",
-    )
-    _add_client(p_drn)
-    p_drn.add_argument(
-        "--worker",
-        required=True,
-        help="worker identity to retire (the --id it joined with, "
-        "default hostname-pid; see 'repro experiments status')",
-    )
-    p_drn.set_defaults(func=_cmd_experiments_drain)
-
-    p_st = exp_sub.add_parser(
-        "status",
-        help="query a running coordinator for live fleet progress and "
-        "per-worker utilization (read-only; never delays shutdown)",
-    )
-    _add_client(p_st)
-    p_st.add_argument(
-        "--watch",
-        type=_seconds("watch interval"),
-        default=None,
-        metavar="SECONDS",
-        help="re-probe and redraw every SECONDS until the coordinator "
-        "finishes (a fleet whose plan is recorded) or goes away; a "
-        "service is watched until interrupted (default: one snapshot)",
-    )
-    p_st.set_defaults(func=_cmd_experiments_status)
-
-    p_mrg = exp_sub.add_parser(
-        "merge-stores",
-        help="aggregate several JSONL results stores into one "
-        "(first writer wins, sorted output, partial tails compacted)",
-    )
-    p_mrg.add_argument(
-        "--into",
-        required=True,
-        help="destination store; its existing records take precedence",
-    )
-    p_mrg.add_argument(
-        "stores",
-        nargs="+",
-        help="source stores, in precedence order",
-    )
-    p_mrg.set_defaults(func=_cmd_experiments_merge)
-
-    p_svc = sub.add_parser(
-        "serve",
-        help="run the always-on prediction service: an HTTP gateway "
-        "for plan submission/polling/streaming plus a multi-plan "
-        "fleet coordinator with cost-weighted fair-share scheduling "
-        "across tenants",
-    )
-    p_svc.add_argument(
-        "--spool",
-        required=True,
-        metavar="DIR",
-        help="service state directory: admitted plans, per-plan "
-        "results stores and the cost-model snapshot live here, so a "
-        "restarted service resumes its queue",
-    )
-    p_svc.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="listen address for both ports (0.0.0.0 to accept remote "
-        "clients and workers; the HTTP gateway is unauthenticated — "
-        "bind it privately)",
-    )
-    p_svc.add_argument(
-        "--port",
-        type=int,
-        default=8321,
-        help="HTTP gateway port (0 = OS-assigned; the bound address "
-        "is printed)",
-    )
-    p_svc.add_argument(
-        "--fleet-port",
-        type=int,
-        default=0,
-        help="worker-facing fleet protocol port (0 = OS-assigned; "
-        "point 'repro experiments worker --connect' here)",
-    )
-    _add_leasing(p_svc)
-    p_svc.add_argument(
-        "--max-active",
-        type=int,
-        default=8,
-        help="admission bound: plans queued or running at once before "
-        "submissions are answered 429 with a Retry-After derived "
-        "from the cost model's predicted drain time",
-    )
-    _add_auth_token(p_svc)
-    _add_telemetry(p_svc)
-    p_svc.set_defaults(func=_cmd_serve)
-
-    p_obs = sub.add_parser(
-        "obs",
-        help="observability utilities over collected telemetry files",
-    )
-    obs_sub = p_obs.add_subparsers(dest="obs_command", required=True)
-
-    p_tl = obs_sub.add_parser(
-        "timeline",
-        help="merge --trace JSONL files into one Chrome trace-event "
-        "timeline (open in Perfetto or chrome://tracing); propagated "
-        "trace ids and clock offsets place spans on per-worker tracks",
-    )
-    p_tl.add_argument(
-        "traces",
-        nargs="+",
-        metavar="TRACE_JSONL",
-        help="trace files written by --trace (one per process: "
-        "coordinator and each worker)",
-    )
-    p_tl.add_argument(
-        "-o",
-        "--output",
-        required=True,
-        help="destination timeline JSON",
-    )
-    p_tl.add_argument(
-        "--trace-id",
-        default=None,
-        help="keep only spans of this propagated trace id (default: "
-        "all events; untagged events are always kept)",
-    )
-    p_tl.set_defaults(func=_cmd_obs_timeline)
-
-    args = parser.parse_args(argv)
+def main(argv: Sequence[str] | None = None) -> int:
+    """CLI entry point; returns a process exit code."""
+    args = build_parser().parse_args(argv)
     _setup_obs(args)
     try:
         return args.func(args)

@@ -597,6 +597,9 @@ class PlanQueue:
     lock; job store locks nest strictly inside it.
     """
 
+    #: Floor of ``max_active`` (the CLI's ``serve --max-active`` too).
+    MIN_ACTIVE = 1
+
     def __init__(
         self,
         spool: str | os.PathLike | None = None,
@@ -606,9 +609,9 @@ class PlanQueue:
         max_active: int = 8,
         clock=time.monotonic,
     ) -> None:
-        if max_active < 1:
+        if max_active < self.MIN_ACTIVE:
             raise ServiceError(
-                f"max_active must be >= 1, got {max_active}"
+                f"max_active must be >= {self.MIN_ACTIVE}, got {max_active}"
             )
         (
             self.lease_timeout,

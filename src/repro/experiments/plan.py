@@ -24,7 +24,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping
+from typing import ClassVar, Iterator, Mapping
 
 from repro.engine import backend_names
 from repro.errors import ReproError
@@ -39,6 +39,10 @@ __all__ = ["BudgetSpec", "CaseSpec", "ExperimentPlan", "RunKey"]
 class CaseSpec:
     """One benchmark case of a plan: builder name + shape knobs."""
 
+    #: Floors of the shape knobs (the CLI's ``--size``/``--steps`` too).
+    MIN_SIZE: ClassVar[int] = 8
+    MIN_STEPS: ClassVar[int] = 2
+
     name: str
     size: int = 44
     steps: int = 3
@@ -49,12 +53,16 @@ class CaseSpec:
                 f"unknown case {self.name!r}; choose from "
                 f"{sorted(CASE_BUILDERS)}"
             )
-        if self.size < 8:
-            raise ReproError(f"case size must be >= 8, got {self.size}")
-        if self.steps < 2:
+        if self.size < self.MIN_SIZE:
+            raise ReproError(
+                f"case size must be >= {self.MIN_SIZE}, got {self.size}"
+            )
+        if self.steps < self.MIN_STEPS:
             # make_reference_fire requires >= 2 steps; failing here keeps
             # the error at plan validation instead of mid-run
-            raise ReproError(f"case steps must be >= 2, got {self.steps}")
+            raise ReproError(
+                f"case steps must be >= {self.MIN_STEPS}, got {self.steps}"
+            )
 
     def build(self) -> ReferenceFire:
         """The reference fire this spec describes, built once per process.
@@ -100,6 +108,12 @@ def _build_case(name: str, size: int, steps: int) -> ReferenceFire:
 class BudgetSpec:
     """Search/engine budget applied to every run of a plan."""
 
+    #: Floors of the budget knobs (the CLI's budget flags too).
+    MIN_POPULATION: ClassVar[int] = 4
+    MIN_GENERATIONS: ClassVar[int] = 1
+    MIN_WORKERS: ClassVar[int] = 1
+    MIN_CACHE_SIZE: ClassVar[int] = 0
+
     population: int = 16
     generations: int = 6
     n_workers: int = 1
@@ -108,14 +122,20 @@ class BudgetSpec:
     session_cache_size: int = 0
 
     def __post_init__(self) -> None:
-        if self.population < 4:
-            raise ReproError(f"population must be >= 4, got {self.population}")
-        if self.generations < 1:
+        if self.population < self.MIN_POPULATION:
             raise ReproError(
-                f"generations must be >= 1, got {self.generations}"
+                f"population must be >= {self.MIN_POPULATION}, "
+                f"got {self.population}"
             )
-        if self.n_workers < 1:
-            raise ReproError(f"n_workers must be >= 1, got {self.n_workers}")
+        if self.generations < self.MIN_GENERATIONS:
+            raise ReproError(
+                f"generations must be >= {self.MIN_GENERATIONS}, "
+                f"got {self.generations}"
+            )
+        if self.n_workers < self.MIN_WORKERS:
+            raise ReproError(
+                f"n_workers must be >= {self.MIN_WORKERS}, got {self.n_workers}"
+            )
         if self.tuning not in ("none", "restart", "iqr", "both"):
             # ESSIMDEConfig's modes, checked here so a typo fails at
             # plan validation instead of mid-sweep at system build time
@@ -123,8 +143,8 @@ class BudgetSpec:
                 f"unknown tuning mode {self.tuning!r}; choose from "
                 "('none', 'restart', 'iqr', 'both')"
             )
-        if self.cache_size < 0 or self.session_cache_size < 0:
-            raise ReproError("cache sizes must be >= 0")
+        if min(self.cache_size, self.session_cache_size) < self.MIN_CACHE_SIZE:
+            raise ReproError(f"cache sizes must be >= {self.MIN_CACHE_SIZE}")
 
     def to_dict(self) -> dict:
         """JSON-safe representation."""
@@ -227,6 +247,10 @@ class ExperimentPlan:
             raise ReproError("plan needs at least one case")
         if not self.seeds:
             raise ReproError("plan needs at least one seed")
+        if min(self.seeds) < 0:
+            # every seed roots a NumPy stream, which takes no negative
+            # seed; refused here, a plan never reaches a worker
+            raise ReproError(f"plan seeds must be >= 0, got {min(self.seeds)}")
         if not self.backends:
             raise ReproError("plan needs at least one backend")
         for system in self.systems:

@@ -23,7 +23,7 @@ from repro.parallel.executor import (
     ProcessPoolEvaluator,
 )
 from repro.parallel.islands import IslandModel, IslandModelConfig, IslandResult
-from repro.parallel.timing import Timer, StageTimings, speedup, efficiency
+from repro.parallel.timing import StageTimings, speedup, efficiency
 
 __all__ = [
     "BatchProblem",
@@ -32,7 +32,6 @@ __all__ = [
     "IslandModel",
     "IslandModelConfig",
     "IslandResult",
-    "Timer",
     "StageTimings",
     "speedup",
     "efficiency",

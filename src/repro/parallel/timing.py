@@ -7,33 +7,13 @@ speedup/efficiency experiment (E3).
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.errors import ParallelError
+from repro.obs.spans import span
 
-__all__ = ["Timer", "StageTimings", "speedup", "efficiency"]
-
-
-class Timer:
-    """Context-manager stopwatch.
-
-    >>> with Timer() as t:
-    ...     work()
-    >>> t.elapsed  # seconds
-    """
-
-    def __init__(self) -> None:
-        self._start: float | None = None
-        self.elapsed: float = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._start is not None:
-            self.elapsed = time.perf_counter() - self._start
-            self._start = None
+__all__ = ["StageTimings", "speedup", "efficiency"]
 
 
 @dataclass
@@ -46,9 +26,16 @@ class StageTimings:
         """Accumulate ``elapsed`` seconds under ``stage``."""
         self.seconds[stage] = self.seconds.get(stage, 0.0) + elapsed
 
-    def measure(self, stage: str) -> "_StageContext":
-        """Context manager that accumulates into ``stage`` on exit."""
-        return _StageContext(self, stage)
+    @contextmanager
+    def measure(self, stage: str):
+        """Time a block into ``stage`` (also when it raises), traced as
+        a ``stage`` span."""
+        with span("stage", stage=stage):
+            started = time.perf_counter()
+            try:
+                yield
+            finally:
+                self.add(stage, time.perf_counter() - started)
 
     def total(self) -> float:
         """Sum over all stages."""
@@ -65,21 +52,6 @@ class StageTimings:
         """Accumulate another timing set into this one."""
         for k, v in other.seconds.items():
             self.add(k, v)
-
-
-class _StageContext:
-    def __init__(self, timings: StageTimings, stage: str) -> None:
-        self._timings = timings
-        self._stage = stage
-        self._timer = Timer()
-
-    def __enter__(self) -> "_StageContext":
-        self._timer.__enter__()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._timer.__exit__(*exc)
-        self._timings.add(self._stage, self._timer.elapsed)
 
 
 def speedup(serial_seconds: float, parallel_seconds: float) -> float:

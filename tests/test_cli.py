@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import argparse
+import inspect
+import math
+
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro import cli
+from repro.cli import build_parser, main
+from repro.distributed.protocol import check_seconds
+from repro.distributed.worker import check_throttle
 from repro.errors import ReproError
 from repro.systems import ESS, ESSIMDE, ESSIMEA, ESSNS, ESSNSIM
 from repro.systems.factory import build_system
@@ -45,6 +52,172 @@ class TestBuildSystem:
         system = build_system("ess-ns")
         assert system.backend == "reference"
         assert system.cache_size == 0
+
+
+def _leaves(parser, path=()):
+    """Every leaf command of ``parser``: (its argv prefix, its parser)."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaves(sub, (*path, name))
+            return
+    yield list(path), parser
+
+
+def _options(parser):
+    """A leaf's arguments, without ``-h/--help``."""
+    return [
+        a for a in parser._actions if not isinstance(a, argparse._HelpAction)
+    ]
+
+
+def _inert_required(parser):
+    """Values for a leaf's required arguments that parse but are never
+    used: every test below fails the parse on another argument."""
+    positionals, options = [], []
+    for action in _options(parser):
+        if action.required:
+            value = next(iter(action.choices)) if action.choices else "x"
+            if action.option_strings:
+                options += [action.option_strings[0], value]
+            else:
+                positionals.append(value)
+    return positionals + options
+
+
+#: The domains of the library checks the CLI uses as argparse types.
+_LIBRARY_DOMAINS = {
+    check_seconds: {"kind": float, "low": 0, "high": None, "above": True},
+    check_throttle: {"kind": float, "low": 0, "high": None, "above": False},
+}
+
+
+def _domain(parse):
+    """The domain a ``_checked`` type declares: kind, low, high, above."""
+    if parse.check in _LIBRARY_DOMAINS:
+        return _LIBRARY_DOMAINS[parse.check]
+    bound = inspect.signature(parse.check).bind("0", *parse.args)
+    bound.apply_defaults()
+    return {k: bound.arguments[k] for k in ("kind", "low", "high", "above")}
+
+
+def _outside(domain, text):
+    """Whether ``text`` lies outside ``domain``."""
+    try:
+        value = domain["kind"](text)
+    except ValueError:
+        return True
+    low, high = domain["low"], domain["high"]
+    return (
+        not math.isfinite(value)
+        or (low is not None and (value <= low if domain["above"]
+                                 else value < low))
+        or (high is not None and value > high)
+    )
+
+
+def _numeric_options():
+    """(leaf argv prefix, required argv, action) of every typed option."""
+    for path, leaf in _leaves(build_parser()):
+        for action in _options(leaf):
+            if action.type is not None:
+                yield path, _inert_required(leaf), action
+
+
+class TestFlagTable:
+    """The parser built from the flag table, walked leaf by leaf."""
+
+    def test_every_number_has_a_checked_type(self):
+        unchecked = [
+            (" ".join(path), "/".join(action.option_strings))
+            for path, _, action in _numeric_options()
+            if not hasattr(action.type, "check")
+        ]
+        assert unchecked == []
+
+    def test_leaf_option_count(self):
+        count = sum(
+            len(_options(leaf)) for _, leaf in _leaves(build_parser())
+        )
+        assert count == 96
+
+    def test_every_leaf_renders_its_help(self):
+        parser = build_parser()
+        assert "simulate" in parser.format_help()
+        for path, leaf in _leaves(parser):
+            assert leaf.format_help().startswith(
+                f"usage: repro {' '.join(path)}"
+            )
+
+    def test_values_outside_each_domain_are_usage_errors(
+        self, monkeypatch, capsys
+    ):
+        """nan, inf, -1, 0, 65536 and the floor - 1, wherever the
+        declared domain excludes them, exit 2 with one usage line
+        before telemetry is set up or the command runs."""
+
+        def never(*args, **kwargs):
+            raise AssertionError("the command started")
+
+        parser = build_parser()
+        for _, leaf in _leaves(parser):
+            leaf.set_defaults(func=never)
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        monkeypatch.setattr(cli, "_setup_obs", never)
+        fed = 0
+        for path, required, action in _numeric_options():
+            domain = _domain(action.type)
+            candidates = ["nan", "inf", "-1", "0", "65536"]
+            if domain["low"] is not None:
+                candidates.append(str(domain["low"] - 1))
+            bad = [v for v in candidates if _outside(domain, v)]
+            assert bad, action.option_strings
+            flag = action.option_strings[0]
+            name = "/".join(action.option_strings)
+            for value in bad:
+                with pytest.raises(argparse.ArgumentTypeError):
+                    action.type(value)
+                with pytest.raises(SystemExit) as excinfo:
+                    main([*path, *required, f"{flag}={value}"])
+                assert excinfo.value.code == 2, (path, flag, value)
+                errors = [
+                    line for line in capsys.readouterr().err.splitlines()
+                    if "error:" in line
+                ]
+                assert len(errors) == 1, (path, flag, value)
+                assert f"error: argument {name}: " in errors[0]
+                fed += 1
+        assert fed > 100
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "ess", "--http-port", "-1"],
+            ["sweep", "--http-port", "-1"],
+            ["serve", "--spool", "spool", "--port", "-1"],
+            ["serve", "--spool", "spool", "--port", "70000"],
+            ["serve", "--spool", "spool", "--fleet-port", "-1"],
+            ["run", "ess", "--seed", "-5"],
+            ["sweep", "--seed", "-5"],
+            ["sweep", "--port", "-1"],
+            ["run", "ess", "--population", "2"],
+            ["sweep", "--population", "3"],
+        ],
+    )
+    def test_ports_seeds_and_populations_are_checked(
+        self, argv, monkeypatch, capsys
+    ):
+        """Ports are 0..65535, seeds >= 0, and run and sweep share
+        the plan's population floor of 4."""
+
+        def never(args):
+            raise AssertionError("telemetry was set up")
+
+        monkeypatch.setattr(cli, "_setup_obs", never)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"argument {argv[-2]}: must be" in capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -198,10 +371,13 @@ class TestCompareCommand:
 
     def test_compare_unknown_system_exits(self):
         """Bad grid values end in a one-line exit, not a traceback —
-        on sweep and on the commands that build one fire."""
+        on sweep and on the commands that build one fire. A shape or
+        budget below the library's floor is a usage error (exit 2)."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--systems", "ess,warp-drive", "--size", "24",
+                  "--seeds", "0"])
+        assert isinstance(excinfo.value.code, str)
         for argv in (
-            ["sweep", "--systems", "ess,warp-drive", "--size", "24",
-             "--seeds", "0"],
             ["run", "ess", "--size", "0"],
             ["run", "ess", "--steps", "0"],
             ["run", "ess", "--generations", "0"],
@@ -209,7 +385,7 @@ class TestCompareCommand:
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
-            assert isinstance(excinfo.value.code, str), argv
+            assert excinfo.value.code == 2, argv
 
     def test_compare_results_store_resumes(self, capsys, tmp_path):
         """A one-seed sweep streams into a results store and resumes

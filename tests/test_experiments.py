@@ -93,6 +93,25 @@ class TestExperimentPlan:
         with pytest.raises(ReproError):
             _tiny_plan(**overrides)
 
+    def test_negative_seed_raises(self, tmp_path):
+        """Every seed roots a NumPy stream, which takes no negative
+        seed: a plan holding one is refused when it is built or loaded,
+        and ``sweep --plan`` ends in one line, not in a worker."""
+        from repro.cli import main
+
+        with pytest.raises(ReproError, match="seeds must be >= 0"):
+            _tiny_plan(seeds=(0, -1))
+        with pytest.raises(ReproError, match="seeds must be >= 0"):
+            _tiny_plan().with_seeds([-3])
+        path = tmp_path / "neg.json"
+        path.write_text(json.dumps({**_tiny_plan().to_dict(), "seeds": [-1]}))
+        with pytest.raises(ReproError, match="seeds must be >= 0"):
+            ExperimentPlan.load_json(path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--plan", str(path),
+                  "--results", str(tmp_path / "r.jsonl")])
+        assert excinfo.value.code == "plan seeds must be >= 0, got -1"
+
     def test_unknown_case_raises(self):
         with pytest.raises(ReproError):
             CaseSpec("atlantis")

@@ -88,3 +88,14 @@ def test_pooled_kernel_reproduces_a_golden_subset(tmp_path):
     assert relabelled == [
         json.dumps(subset[_cell(record)], sort_keys=True) for record in pooled
     ]
+
+
+def test_sharded_sweep_reproduces_the_goldens(tmp_path):
+    """The whole grid leased to 2 local worker processes records the
+    same science as the inline sweep."""
+    results = tmp_path / "sharded.jsonl"
+    assert main(
+        ["sweep", *golden.GRID, "--backend", "vectorized", "--shards", "2",
+         "--results", str(results)]
+    ) == 0
+    assert golden.canonical_records(results) == _golden_lines()

@@ -803,6 +803,13 @@ class TestServiceEndToEnd:
                     {"plan": {"cases": [{"case": "grassland"}]}},
                 )
             assert excinfo.value.code == 400
+            # a negative seed -> 400, before any worker leases the plan
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post(
+                    base + "/plans",
+                    {"plan": {**_plan().to_dict(), "seeds": [-1]}},
+                )
+            assert excinfo.value.code == 400
             # unknown plan -> 404
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(base + "/plans/feedfacedead")

@@ -6,24 +6,21 @@ import time
 
 import pytest
 
+from repro import obs
+from repro.ea.ga import GAConfig
 from repro.errors import ParallelError
-from repro.parallel.timing import StageTimings, Timer, efficiency, speedup
+from repro.obs import ListSink
+from repro.parallel.timing import StageTimings, efficiency, speedup
+from repro.systems import ESS, ESSConfig
 
 
-class TestTimer:
-    def test_measures_elapsed(self):
-        with Timer() as t:
-            time.sleep(0.01)
-        assert t.elapsed >= 0.009
-
-    def test_reusable(self):
-        t = Timer()
-        with t:
-            pass
-        first = t.elapsed
-        with t:
-            time.sleep(0.01)
-        assert t.elapsed >= first
+@pytest.fixture
+def stage_spans():
+    """A fresh process registry whose span events land in a list."""
+    sink = ListSink()
+    obs.reset().add_sink(sink)
+    yield sink
+    obs.reset()
 
 
 class TestStageTimings:
@@ -38,6 +35,43 @@ class TestStageTimings:
         with st.measure("ss"):
             time.sleep(0.005)
         assert st.seconds["ss"] > 0
+
+    def test_measure_is_a_stage_span_and_times_a_failing_block(
+        self, stage_spans
+    ):
+        st = StageTimings()
+        with pytest.raises(RuntimeError):
+            with st.measure("cs"):
+                time.sleep(0.005)
+                raise RuntimeError("calibration failed")
+        assert st.seconds["cs"] >= 0.004
+        [event] = stage_spans.events
+        assert event["span"] == "stage"
+        assert event["attrs"] == {"stage": "cs"}
+        assert event["status"] == "error"
+
+    def test_traced_run_emits_a_stage_span_per_stage_and_step(
+        self, small_fire, stage_spans
+    ):
+        """Steps 2.. time all four stages; step 1 has no previous Kign,
+        so no prediction stage. The spans nest under their step."""
+        run = ESS(
+            ESSConfig(ga=GAConfig(population_size=8), max_generations=2)
+        ).run(small_fire, rng=0)
+        events = stage_spans.events
+        steps = {e["id"]: e["attrs"]["step"] for e in events
+                 if e["span"] == "step"}
+        stages: dict[int, list[str]] = {}
+        for e in events:
+            if e["span"] == "stage":
+                stages.setdefault(steps[e["parent"]], []).append(
+                    e["attrs"]["stage"]
+                )
+        assert stages == {1: ["os", "ss", "cs"],
+                          2: ["os", "ss", "cs", "ps"],
+                          3: ["os", "ss", "cs", "ps"]}
+        for step in run.steps:
+            assert sorted(step.timings.seconds) == sorted(stages[step.step])
 
     def test_total_and_fractions(self):
         st = StageTimings()
