@@ -978,19 +978,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="ESS-NS wildfire-prediction reproduction toolkit",
     )
-    top = parser.add_subparsers(dest="command", required=True)
-    groups: dict[str, argparse._SubParsersAction] = {}
-    leaves: dict[str, argparse.ArgumentParser] = {}
+    subs = {"": parser.add_subparsers(dest="command", required=True)}
+    leaves = {}
     for path, help_text, func in _COMMANDS:
-        *group, name = path.split()
-        sub = top
-        for g in group:
-            if g not in groups:
-                groups[g] = top.add_parser(g, help=_GROUPS[g]).add_subparsers(
-                    dest=f"{g}_command", required=True
-                )
-            sub = groups[g]
-        leaves[name] = sub.add_parser(name, help=help_text)
+        group, _, name = path.rpartition(" ")
+        if group not in subs:
+            subs[group] = subs[""].add_parser(
+                group, help=_GROUPS[group]
+            ).add_subparsers(dest=f"{group}_command", required=True)
+        leaves[name] = subs[group].add_parser(name, help=help_text)
         leaves[name].set_defaults(func=func)
     for commands, flags, kwargs in _FLAGS:
         if callable(kwargs.get("default")):
