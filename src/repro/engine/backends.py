@@ -7,9 +7,10 @@ maps) for one prediction step. Two kernels ship, selectable by name:
   :class:`~repro.firelib.simulator.FireSimulator`; the semantics every
   other backend must reproduce bit-for-bit.
 * ``vectorized`` — decodes the deduplicated genome batch once and
-  batches the Rothermel/ellipse math across it (one NumPy pass per
-  fuel model for the scalar terms, one for the directional travel
-  times of every spatially-uniform scenario), and runs the propagation
+  batches the Rothermel/ellipse math across it (one pass over the
+  :class:`~repro.firelib.rothermel.FuelBedTable` for the scalar terms
+  of every scenario, one for the directional travel times of every
+  spatially-uniform scenario), and runs the propagation
   through the genome-batched kernel of :mod:`repro.engine.fastprop`,
   which on raster terrains computes a travel time only when the fire
   spreads out of a cell of that class.
@@ -40,8 +41,8 @@ from repro.firelib.propagation import _offset_azimuth_deg, stencil
 from repro.firelib.rothermel import (
     ROS_EPSILON,
     FuelBed,
+    FuelBedTable,
     ellipse_fields,
-    spread_batch,
     wind_ftmin,
 )
 from repro.firelib.simulator import FireSimulator
@@ -191,27 +192,31 @@ class VectorizedBackend(EngineBackend):
     per-cell spread fields collapse to per-genome scalars, so the
     directional travel times of the **whole batch** are produced in one
     ``(n, D)`` NumPy pass. Fuel, slope and aspect rasters keep
-    per-cell fields, but the Rothermel/ellipse math is vectorized over
-    the **genome axis** with the rasters broadcast — one NumPy pass per
-    fuel-bed group instead of one per genome — and each ``(genome,
-    class)`` travel time is computed on demand inside the kernel.
-    Either way, arrival times come from the label-correcting kernel of
-    :mod:`repro.engine.fastprop`, one call per chunk of genomes.
-    Bitwise-identical rows are simulated once and broadcast back.
+    per-cell fields over the terrain's
+    :attr:`~repro.grid.terrain.Terrain.cell_classes`: R₀ and φ_w of
+    every (genome, fuel bed) pair come from one pass over the
+    :class:`~repro.firelib.rothermel.FuelBedTable`, and the ellipse math
+    of each bed is one broadcast over its genomes × classes. Each
+    ``(genome, class)`` travel time is computed on demand inside the
+    kernel. Either way, arrival times come from the label-correcting
+    kernel of :mod:`repro.engine.fastprop`, one call per chunk of
+    genomes. Rows equal by value are simulated once and broadcast back.
 
     Work is kept for the rest of the step. Every fitness batch keeps
     the burned mask of each genome it simulated, bit-packed and keyed
-    by the exact bytes of the genome row, and :meth:`burned_map_batch`
-    hands only genomes it does not hold to the kernel: the Statistical
-    Stage aggregates maps of genomes the Optimization Stage already
-    simulated. Each distinct reach box's :class:`FlatGrid` and cell
-    classes are built once. :meth:`close` drops both.
+    by the bytes of the genome row, and :meth:`burned_map_batch` hands
+    only genomes it does not hold to the kernel: the Statistical Stage
+    aggregates maps of genomes the Optimization Stage already
+    simulated. ``keep_maps=False`` skips that memo, for a pool worker
+    whose maps nobody asks for. Each distinct reach box's
+    :class:`FlatGrid` and cell classes are built once. :meth:`close`
+    drops both.
 
     Each batch records one ``fields`` span and one ``propagate`` span
     per kernel call in the process telemetry registry.
     """
 
-    def __init__(self, spec: StepSpec) -> None:
+    def __init__(self, spec: StepSpec, keep_maps: bool = True) -> None:
         super().__init__(spec)
         terrain = spec.terrain
         self._offsets = stencil(spec.n_neighbors)
@@ -230,8 +235,9 @@ class VectorizedBackend(EngineBackend):
             spec.start_burned & ~self._blocked, 0.0, np.inf
         )
         # Burned masks of simulated genomes, np.packbits of the flat
-        # mask keyed by the genome row's float64 bytes; and per reach
-        # box (its bounds) the box's FlatGrid and cell classes.
+        # mask keyed by the genome row's _distinct_rows key; and per
+        # reach box (its bounds) the box's FlatGrid and cell classes.
+        self._keep_maps = keep_maps
         self._maps: dict[bytes, np.ndarray] = {}
         self._boxes: dict[tuple[int, int, int, int], tuple] = {}
         seed_rows, seed_cols = np.nonzero(spec.start_burned)
@@ -239,42 +245,24 @@ class VectorizedBackend(EngineBackend):
             (int(seed_rows.min()), int(seed_rows.max())),
             (int(seed_cols.min()), int(seed_cols.max())),
         )
+        self._table = FuelBedTable.catalog()
         # Scalar scenarios collapse to D weights per genome; any raster
         # keeps per-cell fields.
-        self._uniform = (
-            terrain.fuel is None and terrain.slope is None and terrain.aspect is None
-        )
+        self._uniform = terrain.is_uniform
         if not self._uniform:
-            # Deduplicate cells into terrain classes: every per-cell
-            # quantity of the Rothermel/ellipse math depends only on
-            # the (fuel, slope, aspect) tuple, so fields and travel
-            # times are computed once per distinct tuple and gathered
-            # back — at most 14 classes on fuel-only rasters, typically
-            # tens for thousands of cells on DEM-derived (quantized)
-            # rasters.
-            columns = []
-            for raster in (terrain.fuel, terrain.slope, terrain.aspect):
-                if raster is not None:
-                    columns.append(
-                        np.asarray(raster, dtype=np.float64).reshape(-1)
-                    )
-            uniq, inverse = np.unique(
-                np.stack(columns, axis=1), axis=0, return_inverse=True
+            self._classes = terrain.cell_classes
+            # The burnable beds of a fuel raster, each with its classes
+            # (unburnable classes keep zero fields; their cells are
+            # blocked).
+            fuel = self._classes.fuel
+            self._bed_classes = (
+                None
+                if fuel is None
+                else {
+                    int(code): np.flatnonzero(fuel == code)
+                    for code in np.unique(fuel[fuel != 0])
+                }
             )
-            self._class_of_cell = inverse.reshape(terrain.shape)
-            col = 0
-            if terrain.fuel is not None:
-                self._class_fuel = uniq[:, col].astype(np.int64)
-                col += 1
-            else:
-                self._class_fuel = None
-            if terrain.slope is not None:
-                self._class_slope = uniq[:, col]
-                col += 1
-            else:
-                self._class_slope = None
-            self._class_aspect = uniq[:, col] if terrain.aspect is not None else None
-            self._n_classes = uniq.shape[0]
 
     # ------------------------------------------------------------------
     def _fractions(self, batch: ScenarioBatch) -> np.ndarray:
@@ -292,23 +280,18 @@ class VectorizedBackend(EngineBackend):
         batch of uniform scenarios.
 
         The Rothermel ellipse of each scenario is three scalars, which
-        :func:`~repro.firelib.rothermel.spread_batch` computes for all
-        genomes of one fuel model at once; the travel times of the whole
-        batch then come from one broadcast pass.
+        :meth:`~repro.firelib.rothermel.FuelBedTable.spread` computes for
+        the whole batch at once; so do the travel times, in one
+        broadcast pass.
         """
-        fractions = self._fractions(batch)
-        fields = np.empty((3, len(batch)))
-        for code in np.unique(batch.model):
-            rows = np.flatnonzero(batch.model == code)
-            fields[:, rows] = spread_batch(
-                int(code),
-                fractions[rows],
-                batch.wind_speed[rows],
-                batch.wind_dir[rows],
-                batch.slope[rows],
-                batch.aspect[rows],
-            )
-        ros, heading, ecc = fields
+        ros, heading, ecc = self._table.spread(
+            batch.model,
+            self._fractions(batch),
+            batch.wind_speed,
+            batch.wind_dir,
+            batch.slope,
+            batch.aspect,
+        )
         return self._directional_travel(ros * (1.0 - ecc), heading, ecc).T, ros
 
     def _directional_travel(
@@ -334,91 +317,60 @@ class VectorizedBackend(EngineBackend):
         ros_max, heading and eccentricity.
 
         The genome-axis vectorization of
-        :meth:`repro.firelib.simulator.FireSimulator.spread_fields`:
-        scenarios are grouped by fuel bed (the scenario ``Model`` on
-        fuel-free terrains, each raster fuel code otherwise) and the
-        wind–slope vector combination of every group is computed in one
-        broadcast NumPy pass over ``(genomes × terrain classes)`` — the
-        same elementwise float operations the reference path performs
-        per genome per cell, deduplicated to the ``u`` distinct
-        (fuel, slope, aspect) tuples, so the gathered per-cell values
-        are bitwise identical.
+        :meth:`repro.firelib.simulator.FireSimulator.spread_fields`.
+        Each genome burns one fuel bed per class: the scenario ``Model``
+        on fuel-free terrains, each burnable raster fuel code
+        otherwise. R₀ and φ_w of every (genome, bed) pair come from one
+        :class:`~repro.firelib.rothermel.FuelBedTable` pass; then the
+        wind–slope vector combination of each bed is one broadcast NumPy
+        pass over (its spreading genomes × its terrain classes), with
+        the bed's scalar coefficients. These are the elementwise float
+        operations the reference path performs per genome per cell,
+        deduplicated to the ``u`` distinct (fuel, slope, aspect) tuples,
+        so the gathered per-cell values are bitwise identical.
+        Non-spreading pairs keep all-zero fields, as the reference path
+        short-circuits them.
         """
         n = len(batch)
-        fields = np.zeros((3, n, self._n_classes), dtype=np.float64)
-        fractions = self._fractions(batch)
-        wind = wind_ftmin(batch.wind_speed)
-        if self._class_fuel is None:
-            for code in np.unique(batch.model):
-                self._fill_raster_group(
-                    int(code),
-                    np.flatnonzero(batch.model == code),
-                    batch,
-                    fractions,
-                    wind,
-                    np.arange(self._n_classes),
-                    fields,
-                )
+        classes = self._classes
+        fields = np.zeros((3, n, classes.count), dtype=np.float64)
+        if self._bed_classes is None:
+            rows, codes = np.arange(n), batch.model
         else:
-            for code in np.unique(self._class_fuel):
-                if code == 0:
-                    continue  # unburnable: fields stay zero, cells blocked
-                self._fill_raster_group(
-                    int(code),
-                    np.arange(n),
-                    batch,
-                    fractions,
-                    wind,
-                    np.flatnonzero(self._class_fuel == code),
-                    fields,
-                )
-        return fields
-
-    def _fill_raster_group(
-        self,
-        code: int,
-        rows: np.ndarray,
-        batch: ScenarioBatch,
-        fractions: np.ndarray,
-        wind: np.ndarray,
-        classes: np.ndarray,
-        out: np.ndarray,
-    ) -> None:
-        """One fuel bed × its genomes ``rows``, broadcast over ``classes``.
-
-        A class slope or aspect comes from the terrain raster when there
-        is one, else from each genome's scenario scalar.
-        """
-        bed = FuelBed.for_model(code)
-        r0 = bed.no_wind_rates(fractions[rows])
-        # Non-spreading beds short-circuit to all-zero fields in the
-        # reference path; keep those rows at the zero initialisation.
+            beds = list(self._bed_classes)
+            rows, codes = np.repeat(np.arange(n), len(beds)), np.tile(beds, n)
+        r0 = self._table.no_wind_rates(codes, self._fractions(batch)[rows])
         alive = r0 > ROS_EPSILON
-        if not alive.any():
-            return
-        live = rows[alive]
-        slope = (
-            self._class_slope[None, classes]
-            if self._class_slope is not None
-            else batch.slope[live, None]
-        )
-        aspect = (
-            self._class_aspect[None, classes]
-            if self._class_aspect is not None
-            else batch.aspect[live, None]
-        )
-        fields = ellipse_fields(
-            bed,
-            r0[alive, None],
-            bed.phi_winds(wind[live])[:, None],
-            batch.wind_dir[live, None],
-            slope,
-            aspect,
-            scalar_terrain=False,
-        )
-        index = np.ix_(live, classes)
-        for plane, values in zip(out, fields):
-            plane[index] = np.broadcast_to(values, (len(live), len(classes)))
+        rows, codes, r0 = rows[alive], codes[alive], r0[alive]
+        phi_w = self._table.phi_winds(codes, wind_ftmin(batch.wind_speed[rows]))
+        for code in np.unique(codes):
+            pairs = codes == code
+            live = rows[pairs]
+            on = (
+                np.arange(classes.count)
+                if self._bed_classes is None
+                else self._bed_classes[int(code)]
+            )
+            bed = FuelBed.for_model(int(code))
+            values = ellipse_fields(
+                r0[pairs, None],
+                phi_w[pairs, None],
+                batch.wind_dir[live, None],
+                classes.slope[None, on]
+                if classes.slope is not None
+                else batch.slope[live, None],
+                classes.aspect[None, on]
+                if classes.aspect is not None
+                else batch.aspect[live, None],
+                bed.slope_k,
+                bed.wind_k,
+                bed.wind_e_inv,
+                scalar_terrain=False,
+            )
+            index = np.ix_(live, on)
+            for plane, value in zip(fields, values):
+                plane[index] = value
+        return fields
 
     def _reach_box(self, ros_peak: float) -> tuple[slice, slice]:
         """Subgrid that provably contains everything the fire can reach.
@@ -466,7 +418,7 @@ class VectorizedBackend(EngineBackend):
             classes = (
                 None
                 if self._uniform
-                else np.unique(self._class_of_cell[box], return_inverse=True)
+                else np.unique(self._classes.of_cell[box], return_inverse=True)
             )
             geometry = self._boxes[key] = (grid, classes)
         return geometry
@@ -518,11 +470,11 @@ class VectorizedBackend(EngineBackend):
         horizon = self.spec.horizon
         maps = np.zeros((len(batch), *self.spec.terrain.shape), dtype=bool)
         fields_chunk = max(
-            1, _RASTER_BLOCK_ELEMENTS // max(1, 3 * self._n_classes)
+            1, _RASTER_BLOCK_ELEMENTS // (3 * self._classes.count)
         )
         for lo in range(0, len(batch), fields_chunk):
             part = batch[lo : lo + fields_chunk]
-            with span("fields", genomes=len(part), classes=self._n_classes):
+            with span("fields", genomes=len(part), classes=self._classes.count):
                 fields = self._raster_fields(part)
             # Class max == cell max: every class occurs on ≥1 cell.
             for rows, box, grid, (classes, cell_class) in self._chunks(
@@ -552,22 +504,21 @@ class VectorizedBackend(EngineBackend):
                 maps[lo + rows, box[0], box[1]] = times <= horizon
         return maps
 
-    def _unique_burned(
-        self, genomes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The distinct rows of a genome matrix, their burned masks and
-        the inverse index map."""
-        uniq, inverse = np.unique(genomes, axis=0, return_inverse=True)
-        batch = self.spec.space.decode_batch(uniq)
-        burned = self._uniform_burned if self._uniform else self._raster_burned
-        return uniq, burned(batch), inverse.reshape(-1)
+    def _burned(self, genomes: np.ndarray) -> np.ndarray:
+        """Burned masks of distinct genome rows."""
+        batch = self.spec.space.decode_batch(genomes)
+        if self._uniform:
+            return self._uniform_burned(batch)
+        return self._raster_burned(batch)
 
     # ------------------------------------------------------------------
     def fitness_batch(self, genomes: np.ndarray) -> np.ndarray:
         genomes = np.atleast_2d(np.asarray(genomes, dtype=np.float64))
-        uniq, maps, inverse = self._unique_burned(genomes)
-        packed = np.packbits(maps.reshape(len(maps), -1), axis=1)
-        self._maps.update(zip((row.tobytes() for row in uniq), packed))
+        keys, first, inverse = _distinct_rows(genomes)
+        maps = self._burned(genomes[first])
+        if self._keep_maps:
+            packed = np.packbits(maps.reshape(len(maps), -1), axis=1)
+            self._maps.update(zip(keys, packed))
         fits = batch_jaccard(
             self.spec.real_burned, maps, pre_burned=self.spec.start_burned
         )
@@ -575,27 +526,46 @@ class VectorizedBackend(EngineBackend):
 
     def burned_map_batch(self, genomes: np.ndarray) -> np.ndarray:
         """Burned masks, from the fitness batches' memo where it holds
-        the exact genome row; the other rows go to the kernel as one
+        the genome row; the other distinct rows go to the kernel as one
         batch."""
         genomes = np.atleast_2d(np.asarray(genomes, dtype=np.float64))
         shape = self.spec.terrain.shape
-        maps = np.empty((len(genomes), *shape), dtype=bool)
-        held = [self._maps.get(row.tobytes()) for row in genomes]
-        hits = [i for i, packed in enumerate(held) if packed is not None]
-        misses = [i for i, packed in enumerate(held) if packed is None]
+        keys, first, inverse = _distinct_rows(genomes)
+        maps = np.empty((len(first), *shape), dtype=bool)
+        held = [self._maps.get(key) for key in keys]
+        hits = [g for g, packed in enumerate(held) if packed is not None]
+        misses = [g for g, packed in enumerate(held) if packed is None]
         if hits:
             unpacked = np.unpackbits(
-                np.stack([held[i] for i in hits]), axis=1, count=maps[0].size
+                np.stack([held[g] for g in hits]), axis=1, count=maps[0].size
             )
             maps[hits] = unpacked.view(bool).reshape(len(hits), *shape)
         if misses:
-            _, fresh, inverse = self._unique_burned(genomes[misses])
-            maps[misses] = fresh[inverse]
-        return maps
+            maps[misses] = self._burned(genomes[[first[g] for g in misses]])
+        return maps[inverse]
 
     def close(self) -> None:
         self._maps.clear()
         self._boxes.clear()
+
+
+def _distinct_rows(genomes: np.ndarray) -> tuple[list[bytes], list[int], np.ndarray]:
+    """Group the rows of a genome matrix by value.
+
+    The groups of ``np.unique(genomes, axis=0)`` (``-0.0`` equals
+    ``0.0``), in first-seen order and without its structured-row sort.
+    Returns each group's key (the bytes of its rows with ``-0.0``
+    folded into ``0.0``), the index of its first row, and each row's
+    group.
+    """
+    groups: dict[bytes, int] = {}
+    first: list[int] = []
+    inverse = np.empty(len(genomes), dtype=np.intp)
+    for i, row in enumerate(genomes + 0.0):
+        inverse[i] = group = groups.setdefault(row.tobytes(), len(first))
+        if group == len(first):
+            first.append(i)
+    return list(groups), first, inverse
 
 
 # ----------------------------------------------------------------------
@@ -621,7 +591,10 @@ class _SpecProblem:
 
     def _get_backend(self) -> EngineBackend:
         if self._backend is None:
-            self._backend = create_backend(self.inner, self.spec)
+            # The parent serves map batches from its local backend, so a
+            # worker keeps no masks.
+            options = {"keep_maps": False} if self.inner == "vectorized" else {}
+            self._backend = create_backend(self.inner, self.spec, **options)
         return self._backend
 
     def evaluate_batch(self, genomes: np.ndarray) -> np.ndarray:

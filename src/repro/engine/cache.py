@@ -139,6 +139,12 @@ class SessionResultCache:
         q = np.round(np.asarray(genome, dtype=np.float64), self.decimals) + 0.0
         return q.tobytes()
 
+    def keys(self, genomes: np.ndarray) -> list[bytes]:
+        """:meth:`key` of every row of a genome matrix, rounded in one
+        pass (rounding is elementwise, so each key has the same bytes)."""
+        q = np.round(np.asarray(genomes, dtype=np.float64), self.decimals) + 0.0
+        return [row.tobytes() for row in q]
+
     def view(self, context: bytes, step: int, scope: int = 0) -> "SessionCacheView":
         """Per-step facade bound to one context digest.
 
@@ -192,7 +198,7 @@ class SessionResultCache:
 class SessionCacheView:
     """One step's window onto a :class:`SessionResultCache`.
 
-    Exposes the interface the engine consumes (``enabled`` / ``key`` /
+    Exposes the interface the engine consumes (``enabled`` / ``keys`` /
     ``get`` / ``put`` / ``stats``);
     ``stats`` counts this step's traffic only, while the shared store
     accumulates the run totals.
@@ -224,6 +230,10 @@ class SessionCacheView:
     def key(self, genome: np.ndarray) -> bytes:
         """Quantized byte key of one genome."""
         return self._store.key(genome)
+
+    def keys(self, genomes: np.ndarray) -> list[bytes]:
+        """Quantized byte key of every row of a genome matrix."""
+        return self._store.keys(genomes)
 
     def get(self, key: bytes) -> float | None:
         """Cached fitness for ``key`` in this step's context."""

@@ -199,8 +199,7 @@ class SimulationEngine:
 
         out = np.empty(n, dtype=np.float64)
         pending: dict[bytes, list[int]] = {}
-        for i, g in enumerate(genomes):
-            key = self._cache.key(g)
+        for i, key in enumerate(self._cache.keys(genomes)):
             hit = self._cache.get(key)
             if hit is None:
                 pending.setdefault(key, []).append(i)

@@ -20,10 +20,13 @@ Vectorisation: all heavy math is NumPy; slope/aspect may be per-cell
 arrays and broadcast through the wind–slope vector combination, so a
 heterogeneous-terrain simulation costs one vectorised pass per distinct
 fuel model (≤ 13) rather than one Python call per cell. The batched
-engine goes one step further across scenarios: :meth:`FuelBed.
-no_wind_rates`, :meth:`FuelBed.phi_winds` and :func:`spread_batch`
-take many scenarios of one fuel model at once and reproduce the scalar
-results bit for bit, and :func:`ellipse_fields` is the wind–slope
+engine goes one step further across scenarios and fuel models:
+:class:`FuelBedTable` holds the 13 catalog beds' constants as
+zero-padded ``(beds, particles)`` arrays, so one pass computes R₀ and
+φ_w of any mix of (scenario, bed) pairs, and :meth:`FuelBedTable.spread`
+the whole ellipse of many scalar-terrain scenarios, each value bitwise
+equal to the scalar :meth:`FuelBed.no_wind_rate`, :meth:`FuelBed.
+phi_wind` and :func:`spread`. :func:`ellipse_fields` is the wind–slope
 combination over ``(scenarios × terrain classes)``.
 """
 
@@ -35,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.errors import ScenarioError, SimulationError
+from repro.errors import SimulationError
 from repro.firelib.ellipse import eccentricity_from_effective_wind
 from repro.firelib.fuel_models import (
     EFFECTIVE_MINERAL,
@@ -43,6 +46,7 @@ from repro.firelib.fuel_models import (
     PARTICLE_DENSITY,
     TOTAL_MINERAL,
     FuelModel,
+    catalog,
     get_model,
 )
 from repro.firelib.moisture import Moisture
@@ -50,11 +54,11 @@ from repro.units import MPH_TO_FTMIN
 
 __all__ = [
     "FuelBed",
+    "FuelBedTable",
     "SpreadResult",
     "ellipse_fields",
     "libm_power",
     "spread",
-    "spread_batch",
     "wind_ftmin",
     "MPH_TO_FTMIN",
 ]
@@ -68,16 +72,18 @@ ROS_EPSILON = 1e-9
 _MOISTURE_COLUMN = {"m1": 0, "m10": 1, "m100": 2, "mherb": 3}
 
 
-def libm_power(base: np.ndarray, exponent: float) -> np.ndarray:
+def libm_power(base: np.ndarray, exponent) -> np.ndarray:
     """``base ** exponent`` per element, as a scalar ``**`` computes it.
 
     Python floats and NumPy scalars raise to a power through the C
     library's ``pow``; NumPy's array loop may use a different
     implementation that differs in the last bit for a few percent of
-    inputs. The batched methods below reproduce scalar terms through
+    inputs. The batched code below reproduces scalar terms through
     this object-dtype power, which calls ``float.__pow__`` per element.
+    ``exponent`` is one number or one per element (broadcast).
     """
     base = np.asarray(base, dtype=np.float64)
+    exponent = np.asarray(exponent).astype(object)
     return np.power(base.astype(object), exponent).astype(np.float64)
 
 
@@ -274,82 +280,6 @@ class FuelBed:
 
         return reaction_intensity * self.xi / heat_sink
 
-    def no_wind_rates(self, fractions: np.ndarray) -> np.ndarray:
-        """:meth:`no_wind_rate` of every row of an ``(n, 4)`` matrix.
-
-        Rows are ``(m1, m10, m100, mherb)`` fractions, already range
-        checked (:meth:`Moisture.check_fractions`). Every value is
-        bitwise equal to the scalar method's: the same elementwise
-        float operations in the same order, with each scalar ``**``
-        through :func:`libm_power`.
-        """
-        try:
-            cols = [_MOISTURE_COLUMN[k] for k in self.p_moisture_key]
-        except KeyError as exc:
-            raise ScenarioError(f"unknown moisture key {exc.args[0]!r}") from None
-        m = np.asarray(fractions, dtype=np.float64)[:, cols]
-        n = m.shape[0]
-        dead = self.p_dead
-        has_live = bool((~dead).any())
-        m_dead = np.zeros(n)
-        if dead.any():
-            m_dead = (self.p_f[dead] * m[:, dead]).sum(axis=1)
-        m_live = np.zeros(n)
-        if has_live:
-            m_live = (self.p_f[~dead] * m[:, ~dead]).sum(axis=1)
-
-        mext_dead = self.model.mext_dead
-        if has_live and self.fine_live > 0:
-            fdmois = (
-                (
-                    self.p_load[dead] * np.exp(-138.0 / self.p_sav[dead]) * m[:, dead]
-                ).sum(axis=1)
-                / self.fine_dead
-                if self.fine_dead > 0
-                else np.zeros(n)
-            )
-            w_ratio = self.fine_dead / self.fine_live
-            mext_live = 2.9 * w_ratio * (1.0 - fdmois / mext_dead) - 0.226
-            # Python's max(a, b) keeps a unless b > a
-            mext_live = np.where(mext_dead > mext_live, mext_dead, mext_live)
-        else:
-            mext_live = mext_dead
-
-        def eta_m(mf: np.ndarray, mx) -> np.ndarray:
-            rm = np.divide(mf, mx, out=np.ones(n), where=np.greater(mx, 0))
-            eta = np.zeros(n)
-            below = rm < 1.0  # at/above extinction: analytically zero
-            r = rm[below]
-            poly = 1.0 - 2.59 * r + 5.11 * libm_power(r, 2) - 3.52 * libm_power(r, 3)
-            eta[below] = np.where(poly > 0.0, poly, 0.0)
-            return eta
-
-        eta_dead = eta_m(m_dead, mext_dead)
-        eta_live = eta_m(m_live, mext_live) if has_live else 0.0
-        eta_s = 0.174 * EFFECTIVE_MINERAL**-0.19
-
-        reaction_intensity = (
-            self.gamma
-            * HEAT_CONTENT
-            * (self.wn_dead * eta_dead + self.wn_live * eta_live)
-            * eta_s
-        )  # Btu/ft²/min
-        eps = np.exp(-138.0 / self.p_sav)
-        qig = 250.0 + 1116.0 * m
-        heat_sink = self.rho_b * (self.p_fcat * self.p_f * eps * qig).sum(axis=1)
-        burns = (reaction_intensity > 0) & (heat_sink > 0)
-        return np.divide(
-            reaction_intensity * self.xi, heat_sink, out=np.zeros(n), where=burns
-        )
-
-    def phi_winds(self, wind_ftmin: np.ndarray) -> np.ndarray:
-        """:meth:`phi_wind` of every element, bitwise equal to it."""
-        wind_ftmin = np.asarray(wind_ftmin, dtype=np.float64)
-        out = np.zeros(wind_ftmin.shape)
-        blowing = wind_ftmin > 0
-        out[blowing] = self.wind_k * libm_power(wind_ftmin[blowing], self.wind_b)
-        return out
-
     def phi_wind(self, wind_ftmin: float) -> float:
         """Wind factor φ_w for a midflame wind speed in ft/min."""
         if wind_ftmin <= 0:
@@ -366,11 +296,205 @@ class FuelBed:
         phi = np.maximum(phi_ew, 0.0)
         return (phi / self.wind_k) ** self.wind_e_inv
 
-    def effective_winds(self, phi_ew: np.ndarray) -> np.ndarray:
-        """:meth:`effective_wind` of every element as a scalar call
-        computes it (through :func:`libm_power`)."""
-        phi = np.maximum(phi_ew, 0.0)
-        return libm_power(phi / self.wind_k, self.wind_e_inv)
+
+#: Moisture-damping of the mineral content, as :meth:`FuelBed.no_wind_rate`
+#: computes it.
+_ETA_S = 0.174 * EFFECTIVE_MINERAL**-0.19
+
+
+def _eta_m(mf: np.ndarray, mx: np.ndarray) -> np.ndarray:
+    """Moisture damping of :meth:`FuelBed.no_wind_rate` per element."""
+    rm = np.divide(mf, mx, out=np.ones(len(mf)), where=np.greater(mx, 0))
+    eta = np.zeros(len(rm))
+    below = rm < 1.0  # at/above extinction: analytically zero
+    r = rm[below]
+    poly = 1.0 - 2.59 * r + 5.11 * libm_power(r, 2) - 3.52 * libm_power(r, 3)
+    # Python's max(0.0, poly) keeps 0.0 unless poly > 0.0
+    eta[below] = np.where(poly > 0.0, poly, 0.0)
+    return eta
+
+
+@dataclass(frozen=True)
+class FuelBedTable:
+    """The catalog fuel beds' constants as arrays, one row per bed.
+
+    Row ``code - 1`` holds the constants of :meth:`FuelBed.for_model`
+    ``(code)``, so one NumPy pass computes :meth:`FuelBed.no_wind_rate`
+    and :meth:`FuelBed.phi_wind` for any mix of fuel models, every value
+    bitwise equal to the scalar method's:
+
+    * per-particle constants are zero-padded ``(beds, particles)``
+      arrays whose first :attr:`dead_width` columns hold the dead
+      particles and the rest the live ones, each category in bed order
+      followed by zeros. Adding a zero changes no partial sum, so every
+      row sums the same products in the same order as the scalar
+      method does over its bed's particles;
+    * constant products are precomputed grouped as the scalar code
+      groups them (``(p_fcat * p_f) * eps`` then ``* qig``, say);
+    * every scalar ``**`` goes through :func:`libm_power` with one
+      exponent per row.
+
+    Built once per process by :meth:`catalog`; the arrays are read-only.
+    """
+
+    dead_width: int
+    column: np.ndarray  # moisture column (Moisture field order) per particle
+    f: np.ndarray  # area weight within its life category
+    fine: np.ndarray  # dead: load * exp(-138 / sav), the fdmois weight
+    sink: np.ndarray  # p_fcat * p_f * exp(-138 / sav), the heat-sink weight
+    mext_dead: np.ndarray
+    live_mext: np.ndarray  # bool: live extinction moisture from fine fuels
+    w_ratio_k: np.ndarray  # 2.9 * fine_dead / fine_live
+    gamma_heat: np.ndarray  # gamma * HEAT_CONTENT
+    # the same-named FuelBed attributes
+    fine_dead: np.ndarray
+    wn_dead: np.ndarray
+    wn_live: np.ndarray
+    xi: np.ndarray
+    rho_b: np.ndarray
+    wind_k: np.ndarray
+    wind_b: np.ndarray
+    wind_e_inv: np.ndarray
+    slope_k: np.ndarray
+
+    @classmethod
+    @lru_cache(maxsize=1)
+    def catalog(cls) -> "FuelBedTable":
+        """The table of the 13 NFFL beds (built on first use)."""
+        beds = [FuelBed.for_model(code) for code in sorted(catalog())]
+        dead_width = max(int(bed.p_dead.sum()) for bed in beds)
+        width = dead_width + max(int((~bed.p_dead).sum()) for bed in beds)
+        column = np.zeros((len(beds), width), dtype=np.intp)
+        f, fine, sink = (np.zeros((len(beds), width)) for _ in range(3))
+        for row, bed in enumerate(beds):
+            # catalog beds list their dead particles before the live one
+            dead = bed.p_dead
+            slot = np.where(
+                dead, np.cumsum(dead) - 1, dead_width + np.cumsum(~dead) - 1
+            )
+            column[row, slot] = [_MOISTURE_COLUMN[k] for k in bed.p_moisture_key]
+            f[row, slot] = bed.p_f
+            fine[row, slot[dead]] = bed.p_load[dead] * np.exp(-138.0 / bed.p_sav[dead])
+            sink[row, slot] = bed.p_fcat * bed.p_f * np.exp(-138.0 / bed.p_sav)
+        live_mext = [bool((~bed.p_dead).any()) and bed.fine_live > 0 for bed in beds]
+        same = ("fine_dead", "wn_dead", "wn_live", "xi", "rho_b")
+        same += ("wind_k", "wind_b", "wind_e_inv", "slope_k")
+        table = cls(
+            dead_width=dead_width,
+            column=column,
+            f=f,
+            fine=fine,
+            sink=sink,
+            mext_dead=np.array([bed.model.mext_dead for bed in beds]),
+            live_mext=np.array(live_mext),
+            w_ratio_k=np.array(
+                [
+                    2.9 * (bed.fine_dead / bed.fine_live) if live else 0.0
+                    for bed, live in zip(beds, live_mext)
+                ]
+            ),
+            gamma_heat=np.array([bed.gamma * HEAT_CONTENT for bed in beds]),
+            **{name: np.array([getattr(bed, name) for bed in beds]) for name in same},
+        )
+        for value in vars(table).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        return table
+
+    def no_wind_rates(self, codes: np.ndarray, fractions: np.ndarray) -> np.ndarray:
+        """:meth:`FuelBed.no_wind_rate` of bed ``codes[k]`` at moisture
+        row ``fractions[k]``, for every ``k``.
+
+        ``fractions`` is ``(n, 4)`` ``(m1, m10, m100, mherb)`` rows,
+        already range checked (:meth:`Moisture.check_fractions`).
+        """
+        i = np.asarray(codes, dtype=np.intp) - 1
+        n, dw = len(i), self.dead_width
+        fractions = np.asarray(fractions, dtype=np.float64)
+        m = fractions[np.arange(n)[:, None], self.column[i]]  # (n, particles)
+        f = self.f[i]
+        m_dead = (f[:, :dw] * m[:, :dw]).sum(axis=1)
+        m_live = (f[:, dw:] * m[:, dw:]).sum(axis=1)
+
+        mext_dead = self.mext_dead[i]
+        fine_dead = self.fine_dead[i]
+        fdmois = np.divide(
+            (self.fine[i, :dw] * m[:, :dw]).sum(axis=1),
+            fine_dead,
+            out=np.zeros(n),
+            where=fine_dead > 0,
+        )
+        mext_live = self.w_ratio_k[i] * (1.0 - fdmois / mext_dead) - 0.226
+        # Python's max(a, b) keeps a unless b > a
+        keep = self.live_mext[i] & ~(mext_dead > mext_live)
+        mext_live = np.where(keep, mext_live, mext_dead)
+
+        eta_dead, eta_live = _eta_m(
+            np.concatenate([m_dead, m_live]), np.concatenate([mext_dead, mext_live])
+        ).reshape(2, n)
+        # A bed without live fuel has wn_live == 0, so its (finite)
+        # live term adds the scalar method's 0.0.
+        reaction_intensity = (
+            self.gamma_heat[i]
+            * (self.wn_dead[i] * eta_dead + self.wn_live[i] * eta_live)
+            * _ETA_S
+        )  # Btu/ft²/min
+        qig = 250.0 + 1116.0 * m
+        heat_sink = self.rho_b[i] * (self.sink[i] * qig).sum(axis=1)
+        burns = (reaction_intensity > 0) & (heat_sink > 0)
+        return np.divide(
+            reaction_intensity * self.xi[i], heat_sink, out=np.zeros(n), where=burns
+        )
+
+    def phi_winds(self, codes: np.ndarray, wind_ftmin: np.ndarray) -> np.ndarray:
+        """:meth:`FuelBed.phi_wind` of bed ``codes[k]`` at wind
+        ``wind_ftmin[k]``, for every ``k``."""
+        i = np.asarray(codes, dtype=np.intp) - 1
+        wind_ftmin = np.asarray(wind_ftmin, dtype=np.float64)
+        out = np.zeros(wind_ftmin.shape)
+        blowing = wind_ftmin > 0
+        i = i[blowing]
+        out[blowing] = self.wind_k[i] * libm_power(
+            wind_ftmin[blowing], self.wind_b[i]
+        )
+        return out
+
+    def spread(
+        self,
+        codes: np.ndarray,
+        fractions: np.ndarray,
+        wind_speed_mph: np.ndarray,
+        wind_dir_deg: np.ndarray,
+        slope_deg: np.ndarray,
+        aspect_deg: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`spread` of ``n`` scalar-terrain scenarios in one pass.
+
+        Row ``k`` is fuel model ``codes[k]`` at moisture row
+        ``fractions[k]`` (see :meth:`no_wind_rates`) and the ``k``-th
+        wind and terrain scalars. Returns ``(ros_max, dir_max_deg,
+        eccentricity)``, each ``(n,)`` and bitwise equal to the scalar
+        :func:`spread` row by row (all zero where the bed cannot spread).
+        """
+        codes = np.asarray(codes, dtype=np.intp)
+        r0 = self.no_wind_rates(codes, fractions)
+        out = np.zeros((3, len(r0)))
+        alive = r0 > ROS_EPSILON
+        if alive.any():
+            codes = codes[alive]
+            i = codes - 1
+            out[:, alive] = ellipse_fields(
+                r0[alive],
+                self.phi_winds(codes, wind_ftmin(wind_speed_mph[alive])),
+                wind_dir_deg[alive],
+                slope_deg[alive],
+                aspect_deg[alive],
+                self.slope_k[i],
+                self.wind_k[i],
+                self.wind_e_inv[i],
+                scalar_terrain=True,
+            )
+        return out[0], out[1], out[2]
 
 
 @dataclass(frozen=True)
@@ -502,25 +626,32 @@ def wind_ftmin(wind_speed_mph: np.ndarray) -> np.ndarray:
 
 
 def ellipse_fields(
-    bed: FuelBed,
     r0: np.ndarray,
     phi_w: np.ndarray,
     wind_dir_deg: np.ndarray,
     slope_deg: np.ndarray,
     aspect_deg: np.ndarray,
+    slope_k,
+    wind_k,
+    wind_e_inv,
     scalar_terrain: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The wind–slope vector combination of :func:`spread`, batched.
 
     Arguments broadcast together (genomes down the rows, say, and
     terrain classes across); every ``r0`` must exceed
-    :data:`ROS_EPSILON`. Returns ``(ros_max, dir_max_deg,
-    eccentricity)`` with the exact elementwise float operations of
-    :func:`spread`. ``scalar_terrain`` says what :func:`spread` is
-    reproduced on: scalar slope and aspect, whose effective wind is a
-    scalar ``**`` (see :func:`libm_power`), or per-cell arrays.
+    :data:`ROS_EPSILON`. ``slope_k``, ``wind_k`` and ``wind_e_inv`` are
+    the :class:`FuelBed` coefficients, one bed's scalars or one per
+    row. Returns ``(ros_max, dir_max_deg, eccentricity)`` with the
+    exact elementwise float operations of :func:`spread`.
+    ``scalar_terrain`` says what :func:`spread` is reproduced on:
+    scalar slope and aspect, whose effective wind is a scalar ``**``
+    (see :func:`libm_power`), or per-cell arrays, whose effective wind
+    is NumPy's array power with one bed's scalar exponent (an array
+    exponent would change NumPy's power loop).
     """
-    phi_s = bed.phi_slope(slope_deg)
+    tan = np.tan(np.radians(slope_deg))
+    phi_s = slope_k * tan * tan
     upslope = np.mod(aspect_deg + 180.0, 360.0)
     split = np.radians(np.mod(wind_dir_deg - upslope, 360.0))
     slp_rate = r0 * phi_s
@@ -532,44 +663,11 @@ def ellipse_fields(
     phi_ew = rv / r0
     dir_max = np.mod(upslope + np.degrees(np.arctan2(y, x)), 360.0)
     dir_max = np.where(rv > ROS_EPSILON, dir_max, 0.0)
+    phi = np.maximum(phi_ew, 0.0) / wind_k
     if scalar_terrain:
-        eff_wind = bed.effective_winds(phi_ew)
+        eff_wind = libm_power(phi, wind_e_inv)
     else:
-        eff_wind = bed.effective_wind(phi_ew)
+        eff_wind = phi**wind_e_inv
     ecc = eccentricity_from_effective_wind(eff_wind)
     ecc = np.where(rv > ROS_EPSILON, ecc, 0.0)
     return ros_max, dir_max, ecc
-
-
-def spread_batch(
-    model_code: int,
-    fractions: np.ndarray,
-    wind_speed_mph: np.ndarray,
-    wind_dir_deg: np.ndarray,
-    slope_deg: np.ndarray,
-    aspect_deg: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`spread` of ``n`` scenarios of one fuel model in one pass.
-
-    ``fractions`` is the ``(n, 4)`` moisture matrix (see
-    :meth:`FuelBed.no_wind_rates`); the other arguments are ``(n,)``
-    scalar-terrain inputs. Returns ``(ros_max, dir_max_deg,
-    eccentricity)``, each ``(n,)`` and bitwise equal to the scalar
-    :func:`spread` row by row (all zero where the bed cannot spread).
-    """
-    bed = FuelBed.for_model(model_code)
-    r0 = bed.no_wind_rates(fractions)
-    wind = wind_ftmin(wind_speed_mph)
-    out = np.zeros((3, len(r0)))
-    alive = r0 > ROS_EPSILON
-    if alive.any():
-        out[:, alive] = ellipse_fields(
-            bed,
-            r0[alive],
-            bed.phi_winds(wind[alive]),
-            wind_dir_deg[alive],
-            slope_deg[alive],
-            aspect_deg[alive],
-            scalar_terrain=True,
-        )
-    return out[0], out[1], out[2]

@@ -19,15 +19,63 @@ Units
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from repro.errors import TerrainError
 
-__all__ = ["Terrain"]
+__all__ = ["CellClasses", "Terrain"]
 
 #: Valid NFFL fuel model codes; 0 denotes an unburnable cell (rock, water).
 _VALID_FUEL_CODES = frozenset(range(0, 14))
+
+
+@dataclass(frozen=True)
+class CellClasses:
+    """A raster terrain's cells grouped into their distinct ``(fuel,
+    slope, aspect)`` raster tuples.
+
+    Every per-cell quantity of the Rothermel/ellipse math depends only
+    on that tuple, so it can be computed once per class and gathered
+    back: at most 14 classes on fuel-only rasters, typically tens for
+    thousands of cells on DEM-derived (quantized) rasters.
+
+    ``of_cell`` is the ``(rows, cols)`` class index of every cell, in
+    ``range(count)``; ``fuel``, ``slope`` and ``aspect`` are
+    ``(count,)`` columns, ``None`` where the terrain has no such raster
+    (the scenario scalar applies).
+    """
+
+    count: int
+    of_cell: np.ndarray
+    fuel: np.ndarray | None
+    slope: np.ndarray | None
+    aspect: np.ndarray | None
+
+    @classmethod
+    def of(cls, terrain: "Terrain") -> "CellClasses":
+        """Deduplicate the cells of a terrain with at least one raster."""
+        rasters = (terrain.fuel, terrain.slope, terrain.aspect)
+        columns = [
+            np.asarray(raster, dtype=np.float64).reshape(-1)
+            for raster in rasters
+            if raster is not None
+        ]
+        uniq, inverse = np.unique(
+            np.stack(columns, axis=1), axis=0, return_inverse=True
+        )
+        values = iter(uniq.T)
+        fuel, slope, aspect = (
+            None if raster is None else next(values) for raster in rasters
+        )
+        return cls(
+            count=len(uniq),
+            of_cell=inverse.reshape(terrain.shape),
+            fuel=None if fuel is None else fuel.astype(np.int64),
+            slope=slope,
+            aspect=aspect,
+        )
 
 
 @dataclass(frozen=True)
@@ -120,6 +168,23 @@ class Terrain:
     def contains(self, row: int, col: int) -> bool:
         """Whether ``(row, col)`` is a valid cell index."""
         return 0 <= row < self.rows and 0 <= col < self.cols
+
+    @property
+    def is_uniform(self) -> bool:
+        """Whether every cell takes fuel, slope and aspect from the
+        scenario (no rasters)."""
+        return self.fuel is None and self.slope is None and self.aspect is None
+
+    @cached_property
+    def cell_classes(self) -> CellClasses:
+        """The cells' :class:`CellClasses`, computed once per terrain.
+
+        Raises :class:`TerrainError` on uniform terrain, which has no
+        rasters to group by.
+        """
+        if self.is_uniform:
+            raise TerrainError("uniform terrain has no cell classes")
+        return CellClasses.of(self)
 
     def blocked_mask(self) -> np.ndarray:
         """Boolean mask of cells the fire can never enter."""

@@ -18,6 +18,7 @@ from repro.engine import (
     backend_names,
     create_backend,
 )
+from repro.engine.backends import _distinct_rows, _SpecProblem
 from repro.engine.cache import CacheStats
 from repro.engine.fastprop import FlatGrid
 from repro.errors import ParallelError, ReproError, ScenarioError, SimulationError
@@ -74,6 +75,20 @@ class TestCache:
         cache.put(cache.key(g), 0.5)
         assert cache.get(cache.key(g + 1e-9)) == 0.5
         assert cache.get(cache.key(g + 1e-2)) is None
+
+    @pytest.mark.parametrize("decimals", [0, 3, 8])
+    def test_batch_keys_equal_row_keys(self, decimals):
+        """The engine's one-pass batch keys are, row by row, the bytes
+        of the per-genome key: rounding, -0.0 folding and all."""
+        cache = SessionResultCache(capacity=8, decimals=decimals)
+        genomes = SPACE.sample(6, 7)
+        genomes[0, 1] = -0.0
+        genomes[1, 1] = -1e-12  # rounds to -0.0
+        genomes[2, :] = 0.5  # halfway cases round to even
+        genomes[3, 2] = 359.9999999999
+        keys = cache.keys(genomes)
+        assert keys == [cache.key(g) for g in genomes]
+        assert cache.view(b"step", 1).keys(genomes) == keys
 
     def test_negative_zero_folds_into_zero(self):
         cache = _view(capacity=2)
@@ -450,6 +465,78 @@ def kernel_batches(monkeypatch) -> list:
 
         monkeypatch.setattr(VectorizedBackend, name, spied)
     return batches
+
+
+@pytest.mark.parametrize("kind", ["uniform", "fuel"])
+def test_batch_dedupe_groups_as_np_unique(step1_problem, kind, kernel_batches):
+    """Duplicate rows, and rows that differ only in -0.0 against 0.0,
+    are simulated once, in the groups of ``np.unique(axis=0)``; a row
+    1e-9 away stays its own group, and every row scores as it does
+    alone."""
+    a, b = SPACE.sample(2, 46)
+    a[1], b[8] = -0.0, -0.0  # wind speed, aspect
+    rows = np.array([a, a, b, b, a])
+    rows[1, 1] = rows[3, 8] = 0.0
+    rows[4, 3] += 1e-9  # M1
+    batch = rows[[0, 2, 1, 4, 0, 3, 2, 1, 3]]
+    _, first, inverse = _distinct_rows(batch)
+    expected = np.unique(batch, axis=0, return_inverse=True)[1].reshape(-1)
+    assert np.array_equal(
+        inverse[:, None] == inverse, expected[:, None] == expected
+    )
+    spec = StepSpec.from_problem(_problem(kind, step1_problem))
+    values = create_backend("vectorized", spec).fitness_batch(batch)
+    assert [len(kernel_batch) for kernel_batch in kernel_batches] == [3]
+    fresh = create_backend("vectorized", spec)
+    assert np.array_equal(values, [fresh.fitness_batch(g[None])[0] for g in batch])
+
+
+def test_pool_worker_keeps_no_masks(step1_problem):
+    """A pool worker's kernel scores its batches without the map memo
+    (the parent serves map batches); the values are the serial ones."""
+    spec = StepSpec.from_problem(_fuel_problem(SPACE))
+    genomes = SPACE.sample(6, 47)
+    worker = _SpecProblem(spec, "vectorized")
+    values = worker.evaluate_batch(genomes)
+    assert worker._backend._maps == {}
+    serial = create_backend("vectorized", spec).fitness_batch(genomes)
+    assert np.array_equal(values, serial)
+
+
+def test_terrain_classes_built_once_per_terrain(monkeypatch):
+    """A 4-step run on one raster terrain groups its cells into classes
+    once, not once per step backend."""
+    from repro.ea.ga import GAConfig
+    from repro.grid.terrain import CellClasses
+    from repro.systems import ESS, ESSConfig
+    from repro.workloads.synthetic import make_reference_fire
+
+    terrain = Terrain.with_fuel_patches(
+        20, 20, base_model=1, patches=[(slice(0, 8), slice(10, 20), 3)]
+    )
+    fire = make_reference_fire(
+        terrain,
+        SPACE.decode(SPACE.sample(1, 48)[0]).replace(
+            model=1, wind_speed=8.0, m1=4.0, m10=5.0, m100=6.0
+        ),
+        ignition=[(10, 4)],
+        n_steps=4,
+        step_minutes=10.0,
+    )
+    built = []
+    of = CellClasses.of
+
+    def spied(terrain):
+        built.append(terrain)
+        return of(terrain)
+
+    monkeypatch.setattr(CellClasses, "of", spied)
+    run = ESS(
+        ESSConfig(ga=GAConfig(population_size=4), max_generations=1),
+        backend="vectorized",
+    ).run(fire, rng=5)
+    assert len(run.steps) == 4
+    assert len(built) == 1 and built[0] is terrain
 
 
 @pytest.mark.parametrize("kind", ["uniform", "fuel"])

@@ -11,9 +11,9 @@ from repro.firelib.moisture import Moisture
 from repro.firelib.rothermel import (
     MPH_TO_FTMIN,
     FuelBed,
+    FuelBedTable,
     SpreadResult,
     spread,
-    spread_batch,
 )
 
 DRY = Moisture.from_percent(5, 6, 8, 50)
@@ -156,43 +156,73 @@ def _moisture_rows(code: int, n: int, seed: int) -> np.ndarray:
     return rows
 
 
+#: One fuel model's code, or ``"mixed"``: all 13 models in one batch.
+BATCHES = [*range(1, 14), "mixed"]
+
+
+def _batch_rows(code, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Model codes and ``(n, 4)`` moisture rows of a table batch.
+
+    One model's ``n`` :func:`_moisture_rows`, or for ``"mixed"`` the
+    :func:`_moisture_rows` of all 13 models (at least ``n`` rows, every
+    model's extinction edges included) in shuffled order.
+    """
+    if code != "mixed":
+        return np.full(n, code), _moisture_rows(code, n, seed)
+    per_model = -(-n // 13)
+    codes = np.repeat(np.arange(1, 14), per_model)
+    rows = np.vstack([_moisture_rows(c, per_model, seed + c) for c in range(1, 14)])
+    order = np.random.default_rng(seed).permutation(len(codes))
+    return codes[order], rows[order]
+
+
 class TestBatchedMatchesScalar:
-    """The batched methods the vectorized engine uses reproduce the
-    scalar ones bit for bit (including their scalar ``**`` terms)."""
+    """The fuel-bed table the vectorized engine uses reproduces the
+    scalar methods bit for bit (including their scalar ``**`` terms),
+    one model at a time and with all 13 models mixed in one batch."""
 
-    @pytest.mark.parametrize("code", range(1, 14))
+    TABLE = FuelBedTable.catalog()
+
+    @pytest.mark.parametrize("code", BATCHES)
     def test_no_wind_rates(self, code):
-        bed = FuelBed.for_model(code)
-        rows = _moisture_rows(code, 400, code)
-        batched = bed.no_wind_rates(rows)
-        scalar = [bed.no_wind_rate(Moisture(*row)) for row in rows]
+        codes, rows = _batch_rows(code, 400, 7 if code == "mixed" else code)
+        batched = self.TABLE.no_wind_rates(codes, rows)
+        scalar = [
+            FuelBed.for_model(int(c)).no_wind_rate(Moisture(*row))
+            for c, row in zip(codes, rows)
+        ]
         assert np.array_equal(batched, scalar)
-        if bed.p_dead.all():  # dead fuel above extinction cannot burn
-            assert batched[2] == 0.0
+        if code != "mixed" and FuelBed.for_model(code).p_dead.all():
+            assert batched[2] == 0.0  # dead fuel above extinction cannot burn
 
-    @pytest.mark.parametrize("code", [1, 4, 10])
+    @pytest.mark.parametrize("code", [1, 4, 10, "mixed"])
     def test_phi_winds(self, code):
-        bed = FuelBed.for_model(code)
         wind = np.concatenate(
             [[0.0, -0.0, -5.0, -1e-300, 1e-300], np.linspace(0.01, 7040.0, 997)]
         )
-        expected = [bed.phi_wind(float(u)) for u in wind]
-        assert np.array_equal(bed.phi_winds(wind), expected)
+        codes, _ = _batch_rows(code, len(wind), 11)
+        codes = codes[: len(wind)]
+        expected = [
+            FuelBed.for_model(int(c)).phi_wind(float(u)) for c, u in zip(codes, wind)
+        ]
+        assert np.array_equal(self.TABLE.phi_winds(codes, wind), expected)
 
-    @pytest.mark.parametrize("code", range(1, 14))
+    @pytest.mark.parametrize("code", BATCHES)
     def test_spread_batch(self, code):
-        rng = np.random.default_rng(100 + code)
-        rows = _moisture_rows(code, 300, 200 + code)
-        wind = rng.uniform(-10.0, 80.0, 300)
+        seed = 14 if code == "mixed" else code
+        rng = np.random.default_rng(100 + seed)
+        codes, rows = _batch_rows(code, 300, 200 + seed)
+        n = len(rows)
+        wind = rng.uniform(-10.0, 80.0, n)
         wind[:8] = [0.0, -0.0, -3.0, 0.0, 80.0, 1e-9, -1e-9, 40.0]
-        wind_dir = rng.uniform(0.0, 360.0, 300)
-        slope = rng.uniform(0.0, 81.0, 300)
+        wind_dir = rng.uniform(0.0, 360.0, n)
+        slope = rng.uniform(0.0, 81.0, n)
         slope[:3] = 0.0
-        aspect = rng.uniform(0.0, 360.0, 300)
-        got = spread_batch(code, rows, wind, wind_dir, slope, aspect)
+        aspect = rng.uniform(0.0, 360.0, n)
+        got = self.TABLE.spread(codes, rows, wind, wind_dir, slope, aspect)
         for i, row in enumerate(rows):
             r = spread(
-                code,
+                int(codes[i]),
                 Moisture(*row),
                 float(wind[i]),
                 float(wind_dir[i]),
